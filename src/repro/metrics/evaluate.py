@@ -46,8 +46,14 @@ def evaluate_split(
     dataset: Dataset,
     batch_size: int = 256,
 ) -> tuple[float, float]:
-    """Evaluate a split model end-to-end (client half → server half)."""
+    """Evaluate a split model end-to-end (client half → server half).
+
+    Runs in eval mode under ``no_grad`` and restores each half's previous
+    mode.
+    """
     loss_fn = nn.CrossEntropyLoss(reduction="sum")
+    client_was_training = split.client.training
+    server_was_training = split.server.training
     split.eval()
     total_loss = 0.0
     correct = 0
@@ -59,7 +65,8 @@ def evaluate_split(
             total_loss += float(loss_fn(logits, yb).item())
             correct += int((logits.data.argmax(axis=1) == yb).sum())
             count += len(yb)
-    split.train()
+    split.client.train(client_was_training)
+    split.server.train(server_was_training)
     if count == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     return total_loss / count, correct / count

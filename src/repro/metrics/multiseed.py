@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.exec import Executor
 from repro.metrics.history import TrainingHistory
@@ -56,6 +55,10 @@ def aggregate_metric(
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     if arr.size > 1 and std > 0:
+        # Imported here, by its only user: scipy.stats costs ~0.9 s and
+        # ~80 MiB, which every CLI run would otherwise pay at import time.
+        from scipy import stats
+
         sem = std / np.sqrt(arr.size)
         t = stats.t.ppf(0.5 + confidence / 2, df=arr.size - 1)
         lo, hi = mean - t * sem, mean + t * sem

@@ -1,8 +1,9 @@
 """Functional neural-network operations over :class:`repro.nn.tensor.Tensor`.
 
-Convolution and pooling are implemented with im2col/col2im so the heavy
-lifting is a single BLAS matmul per layer — the standard way to get a
-usable CNN out of pure numpy.
+Convolution is im2col + one BLAS matmul per layer — the standard way to
+get a usable CNN out of pure numpy — with the patch matrix laid out K-major
+so that building it is a handful of contiguous slice copies.  Pooling works
+directly on strided window views and never materialises patches.
 
 All functions are autograd-aware: they return graph-connected tensors with
 correct backward closures.
@@ -38,6 +39,36 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _im2col_t(
+    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> np.ndarray:
+    """K-major patch matrix of ``x`` ``(N, C, H, W)``.
+
+    Returns a C-contiguous ``(C * kernel_h * kernel_w, N * out_h * out_w)``
+    array: row ``(c, i, j)`` holds input channel ``c`` at window offset
+    ``(i, j)`` for every output position.  Each of the ``kernel_h *
+    kernel_w`` offsets is one strided-slice copy into a contiguous block,
+    which is several times cheaper than gathering receptive fields row by
+    row.
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel_h, stride, padding)
+    out_w = conv_output_size(w, kernel_w, stride, padding)
+
+    if padding > 0:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    channel_major = x.transpose(1, 0, 2, 3)  # (C, N, H, W) view
+    cols_t = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=x.dtype)
+    for i in range(kernel_h):
+        h_end = i + stride * out_h
+        for j in range(kernel_w):
+            w_end = j + stride * out_w
+            cols_t[:, i, j] = channel_major[:, :, i:h_end:stride, j:w_end:stride]
+    return cols_t.reshape(c * kernel_h * kernel_w, n * out_h * out_w)
+
+
 def im2col(
     x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> np.ndarray:
@@ -50,28 +81,11 @@ def im2col(
 
     Returns
     -------
-    Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+    Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)`` whose
+    rows are receptive fields (the transpose of the K-major matrix
+    :func:`conv2d` feeds to BLAS).
     """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    # Strided sliding-window view: (N, C, out_h, out_w, kernel_h, kernel_w)
-    s_n, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
-        writeable=False,
-    )
-    # (N, out_h, out_w, C, kh, kw) -> rows are receptive fields
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel_h * kernel_w
-    )
-    return np.ascontiguousarray(cols)
+    return np.ascontiguousarray(_im2col_t(x, kernel_h, kernel_w, stride, padding).T)
 
 
 def col2im(
@@ -82,24 +96,27 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back into an image."""
+    """Adjoint of :func:`im2col`: scatter-add columns back into an image.
+
+    Accumulates channels-last — there the channel run of a patch row lands
+    on a contiguous run of the image — and hands back the usual C-contiguous
+    ``(N, C, H, W)`` array.  Every element still receives its contributions
+    in ``(i, j)`` order, so the layout detour does not change a bit.
+    """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
 
-    reshaped = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 1, 2, 4, 5
-    )  # (N, C, out_h, out_w, kh, kw)
+    patches = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
     for i in range(kernel_h):
         h_end = i + stride * out_h
         for j in range(kernel_w):
             w_end = j + stride * out_w
-            padded[:, :, i:h_end:stride, j:w_end:stride] += reshaped[:, :, :, :, i, j]
+            padded[:, i:h_end:stride, j:w_end:stride] += patches[..., i, j]
 
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    interior = padded[:, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(interior.transpose(0, 3, 1, 2))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -127,6 +144,12 @@ def conv2d(
         Filters, shape ``(C_out, C_in, kH, kW)``.
     bias:
         Optional per-channel bias of shape ``(C_out,)``.
+
+    The patch matrix is built K-major (:func:`_im2col_t`) and enters every
+    GEMM as the *transposed* operand, so BLAS sees the same ``m``/``n``/``k``
+    roles — and returns the same bits, in the same ``(N*oh*ow, C_out)``
+    memory layout — as a row-per-receptive-field matrix would.  Producing
+    ``(C_out, N*oh*ow)`` instead swaps the roles and moves the last ulp.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
@@ -135,11 +158,14 @@ def conv2d(
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x.data, kh, kw, stride, padding)  # (N*oh*ow, C_in*kh*kw)
+    cols_t = _im2col_t(x.data, kh, kw, stride, padding)  # (C_in*kh*kw, N*oh*ow)
     w_mat = weight.data.reshape(c_out, -1)  # (C_out, C_in*kh*kw)
-    out_data = cols @ w_mat.T  # (N*oh*ow, C_out)
+    out_data = cols_t.T @ w_mat.T  # (N*oh*ow, C_out)
     if bias is not None:
-        out_data = out_data + bias.data
+        if bias.dtype == out_data.dtype:
+            out_data += bias.data  # in place: spares an (N*oh*ow, C_out) temporary
+        else:
+            out_data = out_data + bias.data
     out_data = out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
     requires = x.requires_grad or weight.requires_grad or (
@@ -152,7 +178,7 @@ def conv2d(
         # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if weight.requires_grad:
-            gw = grad_mat.T @ cols  # (C_out, C_in*kh*kw)
+            gw = grad_mat.T @ cols_t.T  # (C_out, C_in*kh*kw)
             weight._accumulate(gw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
@@ -164,6 +190,42 @@ def conv2d(
     return out
 
 
+def _pool_windows(
+    x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> list[np.ndarray]:
+    """The ``kernel**2`` strided ``(N, C, out_h, out_w)`` views of ``x``, one
+    per window offset, in row-major ``(i, j)`` order."""
+    return [
+        x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        for i in range(kernel)
+        for j in range(kernel)
+    ]
+
+
+def _pool_scatter(
+    pieces: list[np.ndarray], x_shape: tuple[int, ...], kernel: int, stride: int
+) -> np.ndarray:
+    """Adjoint of :func:`_pool_windows`: place ``pieces[q]`` at window offset
+    ``q`` of a fresh ``x_shape`` array.
+
+    Windows that tile the input exactly write each element once, so the
+    pieces are assigned; otherwise they are added in ``(i, j)`` order onto
+    zeros (overlapping windows sum, uncovered borders stay zero).
+    """
+    n, c, h, w = x_shape
+    out_h, out_w = pieces[0].shape[2:]
+    tiles = stride == kernel and h == out_h * kernel and w == out_w * kernel
+    gx = np.empty(x_shape, dtype=pieces[0].dtype) if tiles else np.zeros(
+        x_shape, dtype=pieces[0].dtype
+    )
+    for view, piece in zip(_pool_windows(gx, kernel, stride, out_h, out_w), pieces):
+        if tiles:
+            view[...] = piece
+        else:
+            view += piece
+    return gx
+
+
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling with square window.  ``stride`` defaults to ``kernel``."""
     stride = kernel if stride is None else stride
@@ -171,20 +233,24 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
 
-    # Treat each channel independently: fold C into N for im2col.
-    cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    # cols: (N*C*oh*ow, k*k)
-    argmax = cols.argmax(axis=1)
-    out_data = cols[np.arange(cols.shape[0]), argmax].reshape(n, c, out_h, out_w)
+    windows = _pool_windows(x.data, kernel, stride, out_h, out_w)
+    out_data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    np.copyto(out_data, windows[0])
+    for window in windows[1:]:
+        np.maximum(out_data, window, out=out_data)
     out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,), _op="max_pool2d")
 
     def _bw(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gcols = np.zeros_like(cols)
-        gcols[np.arange(cols.shape[0]), argmax] = grad.reshape(-1)
-        gx = col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
-        x._accumulate(gx.reshape(n, c, h, w))
+        # Route each window's gradient to its first maximum in (i, j) order
+        # (``argmax``'s tie rule; ReLU zeros tie all the time).
+        pieces: list[np.ndarray] = []
+        unclaimed = np.ones(out_data.shape, dtype=bool)
+        for window in windows:
+            hit = window == out_data
+            hit &= unclaimed
+            unclaimed ^= hit
+            pieces.append(grad * hit)
+        x._accumulate(_pool_scatter(pieces, x.shape, kernel, stride))
 
     out._backward = _bw
     return out
@@ -197,17 +263,17 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
 
-    cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    out_data = cols.mean(axis=1).reshape(n, c, out_h, out_w)
+    windows = _pool_windows(x.data, kernel, stride, out_h, out_w)
+    out_data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    np.copyto(out_data, windows[0])
+    for window in windows[1:]:
+        out_data += window
+    out_data /= kernel * kernel
     out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,), _op="avg_pool2d")
 
     def _bw(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        g = grad.reshape(-1, 1) / (kernel * kernel)
-        gcols = np.broadcast_to(g, (g.shape[0], kernel * kernel)).astype(grad.dtype)
-        gx = col2im(np.ascontiguousarray(gcols), (n * c, 1, h, w), kernel, kernel, stride, 0)
-        x._accumulate(gx.reshape(n, c, h, w))
+        piece = grad / (kernel * kernel)
+        x._accumulate(_pool_scatter([piece] * (kernel * kernel), x.shape, kernel, stride))
 
     out._backward = _bw
     return out

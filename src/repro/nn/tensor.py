@@ -103,7 +103,7 @@ class Tensor:
         Internal tape bookkeeping; library code only.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_closure", "_op")
 
     def __init__(
         self,
@@ -122,8 +122,23 @@ class Tensor:
         self.requires_grad = bool(requires_grad and grad_enabled)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = tuple(_parents) if grad_enabled else ()
-        self._backward = _backward if grad_enabled else None
+        self._backward = _backward
         self._op = _op
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        """Backward closure; kept only on tensors that require grad.
+
+        Ops assign it after constructing their output.  Gating the store
+        here is what lets a ``no_grad`` forward free its inputs and conv
+        patch matrices as it goes: a closure no gradient will ever reach
+        would otherwise pin everything it captured.
+        """
+        return self._closure
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[np.ndarray], None] | None) -> None:
+        self._closure = fn if self.requires_grad else None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -247,15 +262,16 @@ class Tensor:
         # its own backward closure fires.
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            closure = node._closure
+            if closure is not None and node.grad is not None:
+                closure(node.grad)
         # Interior (non-leaf) gradients are transient; free them so only
         # leaves retain ``.grad`` and graph memory is released promptly.
         for node in topo:
             if node._parents and node is not self:
                 node.grad = None
             node._parents = ()
-            node._backward = None
+            node._closure = None
 
     # ------------------------------------------------------------------
     # arithmetic ops

@@ -68,6 +68,21 @@ class TestEvaluateSplit:
         assert loss_split == pytest.approx(loss_full)
         assert acc_split == pytest.approx(acc_full)
 
+    @pytest.mark.parametrize("client_training", [True, False])
+    @pytest.mark.parametrize("server_training", [True, False])
+    def test_restores_each_halfs_mode(
+        self, trained_model, small_dataset, client_training, server_training
+    ):
+        """It used to end with an unconditional ``split.train()``: a split
+        held in eval mode came back training, and BatchNorm then updated
+        its running statistics on the next inference call."""
+        sm = split_model(trained_model, 2)
+        sm.client.train(client_training)
+        sm.server.train(server_training)
+        evaluate_split(sm, small_dataset)
+        assert sm.client.training is client_training
+        assert sm.server.training is server_training
+
 
 class TestPredictLabels:
     def test_shapes_and_range(self, trained_model, small_dataset):

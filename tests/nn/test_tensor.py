@@ -3,11 +3,15 @@ broadcasting adjoints, graph mechanics."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concatenate, no_grad, stack, unbroadcast
 from tests.conftest import numeric_gradient
 
@@ -215,6 +219,32 @@ class TestGraphMechanics:
             y = x * 2
         assert not y.requires_grad
         assert y._parents == ()
+
+    def test_no_grad_attaches_no_backward_closure(self):
+        """Ops assign ``out._backward`` after construction; under ``no_grad``
+        (and for any output that does not require grad) nothing may stick."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 3)), requires_grad=True)
+        with no_grad():
+            outs = [x * 2, x + 1.0, x @ w, x.relu(), x.sum(), x.reshape(3, 2), x[0], x.exp()]
+        assert all(o._backward is None for o in outs)
+        assert Tensor(np.ones(2)).relu()._backward is None  # grad mode, no grad input
+        assert (x * 2)._backward is not None
+
+    def test_no_grad_forward_frees_its_inputs(self):
+        """A closure kept under ``no_grad`` would pin the whole activation
+        chain (and every conv patch matrix) until the last output dies."""
+        data = np.ones((2, 1, 4, 4))
+        weight = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        with no_grad():
+            hidden = F.conv2d(Tensor(data), weight, padding=1).relu()
+            hidden_data = hidden.data
+            out = F.max_pool2d(hidden, 2).sum()
+        alive = [weakref.ref(data), weakref.ref(hidden_data)]
+        del data, hidden, hidden_data
+        gc.collect()
+        assert out.item() > 0
+        assert [ref() for ref in alive] == [None, None]
 
     def test_requires_grad_rejects_int_dtype(self):
         with pytest.raises(TypeError, match="floating"):
