@@ -261,10 +261,17 @@ def scale_report(quick: bool, profile: bool = False) -> dict:
     dense engine by design, so it is capped at 1 000 flows and reported
     for queue-hygiene (peak pending) rather than speedup.
 
+    The committed ``BENCH_runtime.json`` ratios ("× over dense") were
+    measured against the pre-PR-15 dense engine, which queued one
+    completion per flow per reallocation; the dense engine now queues
+    one per link, so a fresh run reports smaller ratios (and a dense
+    ``peak_pending`` near 1) without the incremental engines having
+    changed.  The contended medium's host cost is tracked end to end by
+    ``BENCHMARK.json`` workload ``fleet-contended``.
+
     With ``profile=True`` the largest incremental run is re-executed
     under :mod:`cProfile` and the top-20 cumulative entries are printed,
-    pointing at the next hot path (currently the allocator share-cache
-    frozenset hashing once the kernel itself is out of the way).
+    pointing at the next hot path.
     """
     from repro.wireless.bandwidth import ProportionalRateAllocation, as_share_policy
     from repro.wireless.channel import WirelessChannel

@@ -22,6 +22,8 @@ zero — "pure algorithm" mode for accuracy-only runs and fast tests.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.nn.profile import ModelProfile
@@ -185,12 +187,14 @@ class LatencyModel:
     def _uplink_leg(self, client: int, nbits: float) -> TransmitLeg:
         """One client→AP hop; freezes a fading draw from the shared stream."""
         channel = self.system.channel
-        fading = channel.draw_fading()
         return TransmitLeg(
             nbits=nbits,
             client=client,
-            rate_fn=lambda hz, _ch=channel, _c=client, _f=fading: _ch.uplink_rate_bps(
-                _c, hz, fading=_f
+            rate_fn=partial(
+                channel.rate_bps,
+                client=client,
+                tx_power_dbm=channel.config.tx_power_dbm,
+                fading=channel.draw_fading(),
             ),
             direction="uplink",
         )
@@ -198,12 +202,14 @@ class LatencyModel:
     def _downlink_leg(self, client: int, nbits: float) -> TransmitLeg:
         """One AP→client hop; freezes a fading draw from the shared stream."""
         channel = self.system.channel
-        fading = channel.draw_fading()
         return TransmitLeg(
             nbits=nbits,
             client=client,
-            rate_fn=lambda hz, _ch=channel, _c=client, _f=fading: _ch.downlink_rate_bps(
-                _c, hz, fading=_f
+            rate_fn=partial(
+                channel.rate_bps,
+                client=client,
+                tx_power_dbm=channel.config.ap_tx_power_dbm,
+                fading=channel.draw_fading(),
             ),
             direction="downlink",
         )

@@ -87,10 +87,23 @@ class Environment:
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
-    def _schedule(self, at: float, event: Event, value: Any) -> None:
+    def _reserve(self) -> int:
+        """Claim the next insertion-order ticket without queueing anything.
+
+        Passed to :meth:`_schedule` later, the entry ties exactly as if it
+        had been pushed now — the shared link tickets every flow when its
+        rate changes but queues only the earliest completion.
+        """
+        return next(self._counter)
+
+    def _schedule(
+        self, at: float, event: Event, value: Any, seq: int | None = None
+    ) -> None:
         if at < self.now:
             raise RuntimeError(f"cannot schedule in the past ({at} < {self.now})")
-        heapq.heappush(self._queue, (at, next(self._counter), event, value))
+        if seq is None:
+            seq = next(self._counter)
+        heapq.heappush(self._queue, (at, seq, event, value))
         event.scheduled = True
         self._live += 1
         if self._live > self.peak_pending:

@@ -57,11 +57,14 @@ dense reference used by the equivalence suite):
     whenever it drains idle.
 
 ``"dense"`` (everything else, e.g. allocator-backed contended policies)
-    The original algorithm: settle every flow, re-run
-    :meth:`SharePolicy.allocate` over the active set, reschedule flows
-    whose rate changed — now with O(1) flow removal (flows are indexed
-    by their ``done`` event) and lazy cancellation of superseded
-    completions, so the event queue no longer accumulates stale entries.
+    Full recomputation: settle every flow, re-run
+    :meth:`SharePolicy.allocate` over the active set, re-price the flows
+    whose rate changed.  A re-priced flow keeps a finish instant and the
+    queue ticket it would have been scheduled with; only the link's
+    earliest completion is actually queued (under that ticket, so ties
+    with every other event resolve as if each flow were queued).  A
+    membership change over ``n`` flows costs ``n`` rate evaluations and
+    at most one heap push — not ``n`` cancels, events and closures.
 """
 
 from __future__ import annotations
@@ -144,7 +147,12 @@ class _Flow:
     rate_fn: "Callable[[float], float] | None" = None
     nominal: "float | None" = None
     bps: float = 0.0
+    #: the queued completion (dense: held by the link's earliest flow only)
     completion: Event | None = field(default=None)
+    #: dense engine: instant the flow completes at ``bps`` (``None`` until
+    #: priced, and while starved) and the queue ticket drawn with it
+    finish_at: float | None = None
+    arm_seq: int = 0
     #: uniform engine: cumulative-service credit at which this flow completes
     key: float = 0.0
     #: False once finished or aborted (lazy deletion from the service heap)
@@ -252,8 +260,8 @@ class FairShareLink:
 
     On every arrival or departure the remaining bits of each flow are
     charged for the service received since the last membership change,
-    the policy re-allocates capacity, and completion events are re-armed
-    for flows whose instantaneous bitrate changed.  Flows whose
+    the policy re-allocates capacity, and completion instants are
+    re-priced for flows whose instantaneous bitrate changed.  Flows whose
     allocation is membership-independent (:class:`NominalShare`) keep
     their original completion time exactly.  With the default
     :class:`EqualShare` policy and no ``rate_fn``, a single flow reduces
@@ -364,26 +372,21 @@ class FairShareLink:
             flow.remaining_bits = remaining if remaining > 0.0 else 0.0
             self._uniform_rearm()
             return flow.remaining_bits
-        if self._mode == "static":
+        static = self._mode == "static"
+        if static:
             self._lazy_settle(flow)
-            if flow.completion is not None:
-                self.env.cancel(flow.completion)
-            flow.completion = None
-            flow.alive = False
-            del self._flows[done]
-            self._static_drop_load(flow)
-            if not self._flows:
-                self._reset_idle()
-            return flow.remaining_bits
-        self._dense_settle()
+        else:
+            self._dense_settle()
         if flow.completion is not None:
             self.env.cancel(flow.completion)
         flow.completion = None
         flow.alive = False
         del self._flows[done]
+        if static:
+            self._static_drop_load(flow)
         if not self._flows:
             self._reset_idle()
-        else:
+        elif not static:
             self._dense_reallocate()
         return flow.remaining_bits
 
@@ -527,7 +530,6 @@ class FairShareLink:
             flow.remaining_bits = remaining if remaining > 0.0 else 0.0
             flow.last_update = now
             flow.bps = self._share_bps
-            flow.completion = None  # dense reallocation re-arms everyone
         self._heap.clear()
         self._heap_live = 0
         self._mode = "dense"
@@ -535,19 +537,14 @@ class FairShareLink:
     def _demote_static(self) -> None:
         """Settle every flow lazily; dense rescaling takes over.
 
-        Static-era completions are cancelled so the dense reallocation
-        re-arms every flow with a *dense* finisher.  A static finisher
-        surviving into dense mode would complete its flow without
-        re-dividing the medium over the survivors — reachable when a
-        clamping ``rate_fn`` keeps a flow's bitrate unchanged under
-        rescaling, so :meth:`_dense_reallocate` would otherwise let the
-        stale completion stand.
+        The dense reallocation that follows re-prices every flow it has
+        no finish instant for and cancels what the flow had queued — so
+        no static finisher survives to complete a flow without
+        re-dividing the medium over the survivors (the hazard when a
+        clamping ``rate_fn`` keeps a bitrate unchanged under rescaling).
         """
         for flow in self._flows.values():
             self._lazy_settle(flow)
-            if flow.completion is not None:
-                self.env.cancel(flow.completion)
-            flow.completion = None  # dense reallocation re-arms everyone
         self._mode = "dense"
 
     def _reset_idle(self) -> None:
@@ -577,46 +574,48 @@ class FairShareLink:
             flow.last_update = now
 
     def _dense_reallocate(self) -> None:
-        """Re-divide capacity; re-arm flows whose bitrate changed."""
-        if not self._flows:
-            return
+        """Re-divide capacity, re-price re-rated flows, queue the earliest."""
+        env = self.env
+        now, reserve = env.now, env._reserve
         flows = list(self._flows.values())
         allocations = self.policy.allocate(flows, self.capacity_bps)
+        head: _Flow | None = None
+        head_at = 0.0
         for flow, allocated in zip(flows, allocations):
             bps = flow.rate_fn(allocated) if flow.rate_fn is not None else allocated
-            if flow.completion is not None and bps == flow.bps:
-                continue  # unchanged rate: the scheduled completion stands
-            flow.bps = bps
-            if flow.completion is not None:
-                self.env.cancel(flow.completion)
-            if bps <= 0.0:
-                # Starved flow: stalls until the next membership change.
-                flow.completion = None
-                continue
-            completion = Event(self.env)
-            flow.completion = completion
-            eta = flow.remaining_bits / bps
-            self.env._schedule(self.env.now + eta, completion, None)
-            completion.add_callback(self._make_dense_finisher(flow, completion))
+            at = flow.finish_at
+            if at is None or bps != flow.bps:
+                # Re-rated (an unchanged rate keeps its instant and ticket).
+                flow.bps = bps
+                if flow.completion is not None:
+                    env.cancel(flow.completion)
+                    flow.completion = None
+                if bps <= 0.0:
+                    # Starved flow: stalls until the next membership change.
+                    flow.finish_at = None
+                    continue
+                at = flow.finish_at = now + flow.remaining_bits / bps
+                flow.arm_seq = reserve()
+            if head is None or at < head_at or (at == head_at and flow.arm_seq < head.arm_seq):
+                head, head_at = flow, at
+        if head is not None and head.completion is None:
+            completion = head.completion = Event(env)
+            env._schedule(head_at, completion, head, seq=head.arm_seq)
+            completion.add_callback(self._dense_finish)
 
-    def _make_dense_finisher(
-        self, flow: _Flow, completion: Event
-    ) -> Callable[[Event], None]:
-        def _finish(_: Event) -> None:
-            # Stale completion (rate changed since scheduling): ignore.
-            if flow.completion is not completion or flow.done.triggered:
-                return
-            # The live completion event is authoritative: the flow's rate
-            # has not changed since it was scheduled, so the transfer is
-            # done now regardless of float residue in remaining_bits.
-            self._dense_settle()
-            flow.remaining_bits = 0.0
-            flow.alive = False
-            del self._flows[flow.done]
-            if not self._flows:
-                self._reset_idle()
-            else:
-                self._dense_reallocate()
-            flow.done.succeed()
-
-        return _finish
+    def _dense_finish(self, completion: Event) -> None:
+        flow: _Flow = completion.value
+        if flow.completion is not completion:
+            return  # superseded (rate changed since queueing)
+        # The live completion is authoritative: the rate has not changed
+        # since it was priced, so the transfer is done now regardless of
+        # float residue in remaining_bits.
+        self._dense_settle()
+        flow.remaining_bits = 0.0
+        flow.alive = False
+        del self._flows[flow.done]
+        if not self._flows:
+            self._reset_idle()
+        else:
+            self._dense_reallocate()
+        flow.done.succeed()

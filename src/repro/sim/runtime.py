@@ -601,8 +601,15 @@ class Runtime:
         against a timeout at the transmitter's up-window deadline; losing
         the race cancels the flow on the medium — shares recompute over
         the surviving transmitter set at that exact instant — and raises
-        :class:`Preemption`.  Ties go to completion: the flow's scheduled
-        completion entered the event queue first.
+        :class:`Preemption`.  An exact tie resolves by queue order, which
+        depends on the link engine: a flow priced once (the static
+        engine, or a dense link no membership change re-rated) drew its
+        completion ticket at submission, before the deadline timeout
+        existed, and completes; on a contended link any re-rate draws
+        the completion a fresh ticket *behind* the deadline's, so the
+        deadline wins — the leg aborts with at most float residue left
+        and the retry closes it.  Both outcomes are deterministic and
+        conserve bits (``bits_delivered + undelivered == nbits``).
 
         ``progress`` carries partial-transfer state across retries: the
         leg submits only ``nbits - bits_delivered`` to the medium, and an

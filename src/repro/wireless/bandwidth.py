@@ -142,14 +142,21 @@ class AllocatorSharePolicy:
     kernel calls :meth:`allocate` and consults :attr:`incremental_kind` /
     :meth:`update`), keeping ``repro.sim`` free of wireless imports.
     Allocations depend on the whole active client set, so the link keeps
-    its dense engine for this policy (``incremental_kind = "dense"``);
-    the per-frozenset share memoisation below is the policy's own fast
-    path, and the ``--profile`` scale bench marks it as the next hot
-    path at fleet size (the frozenset hash itself is O(active)).
+    its dense engine for this policy (``incremental_kind = "dense"``).
+    The policy's own fast path is a small recency window of share
+    tables keyed by the active client set: a client's pipeline leaves
+    the air for its compute phase and returns (``S → S∖{a} → S``), so
+    about half of all membership changes re-ask for a set seen one to
+    three changes ago.  The window is bounded — an unbounded memo grew
+    by one ``O(active)`` table per miss, i.e. linearly with simulated
+    events — at the cost of the few round-periodic repeats (the same
+    ramp-up sets at every round start), which are recomputed.
     """
 
     #: contended allocations are membership-coupled: dense recomputation
     incremental_kind = "dense"
+    #: share tables kept, most recently used last
+    SHARE_CACHE_WINDOW = 64
 
     def update(
         self,
@@ -166,16 +173,18 @@ class AllocatorSharePolicy:
         self.channel = channel
         self.name = f"allocator:{allocator.name}"
         # shares() depends only on the active client set (mean SNR, no
-        # fading), and membership churn re-asks for the same sets over
-        # and over — memoize per frozenset of clients.
-        self._share_cache: dict[frozenset, dict[int, float]] = {}
+        # fading): the recency window, in least-recently-used-first order.
+        self._share_cache: dict[frozenset[int], dict[int, float]] = {}
 
-    def _shares_for(self, clients: frozenset) -> dict[int, float]:
-        cached = self._share_cache.get(clients)
-        if cached is None:
-            cached = self.allocator.shares(sorted(clients), self.channel)
-            self._share_cache[clients] = cached
-        return cached
+    def _shares_for(self, clients: frozenset[int]) -> dict[int, float]:
+        cache = self._share_cache
+        shares = cache.pop(clients, None)
+        if shares is None:
+            shares = self.allocator.shares(sorted(clients), self.channel)
+            if len(cache) >= self.SHARE_CACHE_WINDOW:
+                del cache[next(iter(cache))]
+        cache[clients] = shares
+        return shares
 
     def allocate(self, flows: list, capacity: float) -> list[float]:
         """Bandwidth (Hz) per flow from the allocator over active clients.

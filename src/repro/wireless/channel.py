@@ -73,9 +73,11 @@ class ChannelConfig:
 class WirelessChannel:
     """Client↔AP channel realization for a fixed topology.
 
-    Shadowing is drawn once per client at construction (static devices);
-    fading is redrawn per call when enabled.  Uplink and downlink are
-    symmetric in path loss but use the respective transmit powers.
+    Shadowing is drawn once per client at construction (static devices),
+    so each client's path loss is priced there too — from ``config`` as
+    it stands at that moment; fading is redrawn per call when enabled.
+    Uplink and downlink are symmetric in path loss but use the
+    respective transmit powers.
     """
 
     def __init__(
@@ -103,19 +105,26 @@ class WirelessChannel:
             self._shadowing_db = self._rng.normal(0.0, self.config.shadowing_std_db, size=n)
         else:
             self._shadowing_db = np.zeros(n)
+        # Static by construction (fixed topology, shadowing drawn once
+        # above): priced here, read by every rate evaluation.
+        self._path_loss_db = [self._price_path_loss_db(c) for c in range(n)]
+        self._min_snr_linear = db_to_linear(self.config.min_snr_db)
 
     @property
     def num_clients(self) -> int:
         return len(self.distances_m)
 
-    def path_loss_db(self, client: int) -> float:
-        """Log-distance path loss plus the client's frozen shadowing term."""
+    def _price_path_loss_db(self, client: int) -> float:
         cfg = self.config
         d = max(self.distances_m[client], cfg.reference_distance_m)
         pl = cfg.reference_loss_db + 10.0 * cfg.path_loss_exponent * np.log10(
             d / cfg.reference_distance_m
         )
         return float(pl + self._shadowing_db[client])
+
+    def path_loss_db(self, client: int) -> float:
+        """Log-distance path loss plus the client's frozen shadowing term."""
+        return self._path_loss_db[client]
 
     def draw_fading(self) -> float:
         """One Rayleigh block-fading power realization (1.0 when disabled).
@@ -128,47 +137,42 @@ class WirelessChannel:
             return float(self._rng.exponential(1.0))
         return 1.0
 
-    def _snr_linear(
+    def rate_bps(
         self,
+        bandwidth_hz: float,
         client: int,
         tx_power_dbm: float,
-        bandwidth_hz: float,
         fading: float | None = None,
     ) -> float:
-        cfg = self.config
-        rx_dbm = tx_power_dbm - self.path_loss_db(client)
+        """Shannon rate of one client↔AP hop over ``bandwidth_hz``.
+
+        The one evaluation both directions share (they differ only in
+        ``tx_power_dbm``), kept flat because a contended medium calls it
+        for every in-flight flow on every membership change.  ``fading``
+        fixes the block-fading realization (no stream draw); ``None``
+        draws a fresh one.
+        """
+        check_positive("bandwidth_hz", bandwidth_hz)
         noise_dbm = (
-            NOISE_DBM_PER_HZ + 10.0 * np.log10(bandwidth_hz) + cfg.noise_figure_db
+            NOISE_DBM_PER_HZ
+            + 10.0 * np.log10(bandwidth_hz)
+            + self.config.noise_figure_db
         )
-        snr = db_to_linear(rx_dbm - noise_dbm)
-        if fading is None:
-            fading = self.draw_fading()
-        snr *= fading
-        return float(max(snr, db_to_linear(cfg.min_snr_db)))
+        snr = 10.0 ** ((tx_power_dbm - self._path_loss_db[client] - noise_dbm) / 10.0)
+        snr *= self.draw_fading() if fading is None else fading
+        return float(bandwidth_hz * np.log2(1.0 + max(snr, self._min_snr_linear)))
 
     def uplink_rate_bps(
         self, client: int, bandwidth_hz: float, fading: float | None = None
     ) -> float:
-        """Achievable client→AP rate over ``bandwidth_hz``.
-
-        ``fading`` fixes the block-fading realization (no stream draw);
-        ``None`` draws a fresh one.
-        """
-        check_positive("bandwidth_hz", bandwidth_hz)
-        snr = self._snr_linear(client, self.config.tx_power_dbm, bandwidth_hz, fading)
-        return float(bandwidth_hz * np.log2(1.0 + snr))
+        """Achievable client→AP rate (:meth:`rate_bps` at the mobile's power)."""
+        return self.rate_bps(bandwidth_hz, client, self.config.tx_power_dbm, fading)
 
     def downlink_rate_bps(
         self, client: int, bandwidth_hz: float, fading: float | None = None
     ) -> float:
-        """Achievable AP→client rate over ``bandwidth_hz``.
-
-        ``fading`` fixes the block-fading realization (no stream draw);
-        ``None`` draws a fresh one.
-        """
-        check_positive("bandwidth_hz", bandwidth_hz)
-        snr = self._snr_linear(client, self.config.ap_tx_power_dbm, bandwidth_hz, fading)
-        return float(bandwidth_hz * np.log2(1.0 + snr))
+        """Achievable AP→client rate (:meth:`rate_bps` at the AP's power)."""
+        return self.rate_bps(bandwidth_hz, client, self.config.ap_tx_power_dbm, fading)
 
     def mean_uplink_rate_bps(
         self, client: int, bandwidth_hz: float, num_draws: int = 200

@@ -17,7 +17,9 @@ same world:
 * completion *order* matches whenever completions are not
   float-round-off ties;
 * allocator-backed contended policies take the dense engine in both
-  configurations, so their runs are identical by construction.
+  configurations, so here their runs are identical by construction —
+  the dense engine itself is held to an independent reference (the
+  frozen per-flow-arming algorithm) in ``test_dense_link_oracle.py``.
 """
 
 from __future__ import annotations
@@ -327,15 +329,28 @@ class TestStaleEventHygiene:
         assert env.peak_pending <= 2
 
     def test_dense_engine_cancels_superseded_completions(self):
+        """The invariant, not an entry count: the link never holds more
+        live queue entries than live flows, and no completion superseded
+        by a re-rate ever fires.  Flows EqualShare re-rates on every
+        change leave one entry between them (the earliest completion);
+        a clamped flow, whose rate never changes, may keep its own."""
         env = Environment()
         link = FairShareLink(env, 100.0, incremental=False)
-        for _ in range(40):
-            link.transfer(100.0)
-        # Dense still pushes one completion per flow per reallocation,
-        # but superseded entries are cancelled: live count == flows.
-        assert env.pending == 40
+        finished = []
+        flows = []
+        for i in range(40):
+            clamp = (lambda hz: min(hz, 0.5)) if i % 4 == 0 else None
+            flows.append(link.transfer(100.0 + i, rate_fn=clamp))
+            flows[-1].add_callback(lambda _: finished.append(env.now))
+            assert 1 <= env.pending <= link.active_flows
+        for done in flows[5:15]:
+            link.abort(done)
+            assert 1 <= env.pending <= link.active_flows
         env.run()
         assert env.pending == 0
+        assert len(finished) == 30
+        assert env.events_fired == 30  # one per completed flow, none stale
+        assert finished == sorted(finished)
 
     def test_churny_run_keeps_queue_bounded(self):
         env = Environment()

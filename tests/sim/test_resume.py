@@ -162,3 +162,117 @@ class TestResumeSemantics:
         assert outcome.completed
         assert submitted == [300.0, 500.0]
         assert runtime.now == pytest.approx(0.8)
+
+
+class TestDeadlineTie:
+    """The exact tie between a leg's completion and its client's deadline.
+
+    Same-instant events fire in queue-ticket order.  A flow priced once
+    (the static engine, or a dense link nobody else touches) holds the
+    ticket it drew at submission — before the deadline timeout exists —
+    and completes.  On a contended link any re-rate draws the completion
+    a fresh, later ticket, so the deadline fires first: the leg aborts
+    with nothing (or float residue) left and the retry closes it.  Either
+    way the outcome is deterministic and no bit is lost or re-sent.
+    """
+
+    NBITS = 1000.0
+
+    @staticmethod
+    def _runtime(deadline: float, contended: bool) -> Runtime:
+        from repro.sim.resources import EqualShare
+
+        # Legs carry a rate_fn, so EqualShare resolves on the dense engine.
+        runtime = Runtime(
+            total_bandwidth_hz=900.0,
+            share_policy=EqualShare() if contended else None,
+        )
+        runtime.failure_injector = _ScriptedFailure(deadline, deadline)
+        return runtime
+
+    def _race(self, deadline: float, background: tuple[float, ...]):
+        """One preemptible leg against ``background`` flows; returns
+        ``(finish_or_abort_instant, preempted, progress, undelivered)``."""
+        from repro.sim.runtime import Preemption, _TransferProgress
+
+        runtime = self._runtime(deadline, contended=True)
+        aborted: list[float] = []
+        original = runtime.medium.abort
+
+        def logging_abort(done):
+            aborted.append(original(done))
+            return aborted[-1]
+
+        runtime.medium.abort = logging_abort
+        for bits in background:
+            runtime.medium.transfer(bits, rate_fn=lambda hz: hz)
+        activity = transmit_activity([self.NBITS], hz=900.0)
+        progress = _TransferProgress()
+        preempted: list[bool] = []
+
+        def leg():
+            try:
+                yield from runtime._transfer_preemptible(
+                    activity.demand.legs[0], activity.demand,
+                    runtime.failure_injector, progress,
+                )
+                preempted.append(False)
+            except Preemption:
+                preempted.append(True)
+
+        runtime.env.run(runtime.env.process(leg()))
+        return runtime.now, preempted[0], progress, aborted
+
+    def test_static_engine_tie_goes_to_completion(self):
+        runtime = self._runtime(deadline=1.0, contended=False)
+        outcome = run_one_track(
+            runtime, [transmit_activity([900.0], hz=900.0)], None, None
+        )
+        assert runtime.now == 1.0
+        assert outcome.completed and outcome.aborts == 0
+
+    def test_untouched_dense_flow_tie_goes_to_completion(self):
+        finish, _, _, _ = self._race(float("inf"), background=())
+        at, preempted, progress, aborted = self._race(finish, background=())
+        assert at == finish and not preempted and not aborted
+        assert progress.legs_done == 1
+
+    def test_rerated_dense_flow_tie_goes_to_the_deadline_and_conserves_bits(self):
+        background = (100.0, 170.0)  # thirds of 900 bit/s: inexact shares
+        finish, preempted, _, _ = self._race(float("inf"), background)
+        assert not preempted
+        first = self._race(finish, background)
+        at, preempted, progress, aborted = first
+        # The re-rated completion queued behind the deadline: abort wins.
+        assert at == finish and preempted
+        [undelivered] = aborted
+        assert 0.0 <= undelivered < 1e-6
+        assert progress.bits_delivered + undelivered == self.NBITS
+        assert progress.legs_done == 0
+        # Stable: the same race resolves the same way, bit for bit.
+        again = self._race(finish, background)
+        assert (again[0], again[1], again[3]) == (at, preempted, aborted)
+        assert again[2] == progress
+
+    def test_track_retry_closes_the_tied_leg_without_resending(self):
+        background = (100.0, 170.0)
+        finish, _, _, _ = self._race(float("inf"), background)
+        runtime = self._runtime(finish, contended=True)
+        submitted: list[float] = []
+        original = runtime.medium.transfer
+
+        def logging_transfer(nbits, **kwargs):
+            submitted.append(nbits)
+            return original(nbits, **kwargs)
+
+        for bits in background:
+            runtime.medium.transfer(bits, rate_fn=lambda hz: hz)
+        runtime.medium.transfer = logging_transfer
+        recovery = TrackRecovery(resume_s=lambda c, n: finish, max_retries=1)
+        outcome = run_one_track(
+            runtime, [transmit_activity([self.NBITS], hz=900.0)], None, recovery
+        )
+        assert outcome.completed and outcome.aborts == 1 and outcome.retries == 1
+        assert submitted[0] == self.NBITS
+        assert sum(submitted[1:]) < 1e-6  # at most the float residue
+        assert runtime.now == pytest.approx(finish)

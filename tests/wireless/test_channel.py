@@ -137,3 +137,61 @@ class TestRates:
         ch = make_channel([10.0])
         with pytest.raises(ValueError):
             ch.uplink_rate_bps(0, 0)
+
+
+class TestFlatRateParity:
+    """``rate_bps`` against the three-deep chain it replaced.
+
+    ``_chained_rate`` is the old ``uplink_rate_bps → _snr_linear →
+    path_loss_db`` evaluation, frozen: path loss recomputed per call,
+    every intermediate ``float()``-ed where it used to be.  The flat
+    function must return the same double — contended-medium latencies
+    (``tests/schemes/test_contended_golden.py``) ride on it.
+    """
+
+    @staticmethod
+    def _chained_rate(ch, client, tx_power_dbm, bandwidth_hz, fading):
+        cfg = ch.config
+        d = max(ch.distances_m[client], cfg.reference_distance_m)
+        pl = cfg.reference_loss_db + 10.0 * cfg.path_loss_exponent * np.log10(
+            d / cfg.reference_distance_m
+        )
+        path_loss_db = float(pl + ch._shadowing_db[client])
+        rx_dbm = tx_power_dbm - path_loss_db
+        noise_dbm = -174.0 + 10.0 * np.log10(bandwidth_hz) + cfg.noise_figure_db
+        snr = db_to_linear(rx_dbm - noise_dbm)
+        snr *= fading
+        snr = float(max(snr, db_to_linear(cfg.min_snr_db)))
+        return float(bandwidth_hz * np.log2(1.0 + snr))
+
+    def test_bitwise_equal_over_random_links(self):
+        rng = np.random.default_rng(11)
+        ch = WirelessChannel(
+            rng.uniform(0.5, 900.0, size=64), rng=np.random.default_rng(5)
+        )
+        cfg = ch.config
+        for _ in range(4000):
+            client = int(rng.integers(64))
+            hz = float(10.0 ** rng.uniform(0.0, 8.0))
+            fading = float(rng.exponential(1.0))
+            for tx, rate in (
+                (cfg.tx_power_dbm, ch.uplink_rate_bps),
+                (cfg.ap_tx_power_dbm, ch.downlink_rate_bps),
+            ):
+                expected = self._chained_rate(ch, client, tx, hz, fading)
+                assert rate(client, hz, fading=fading) == expected
+                assert ch.rate_bps(hz, client, tx, fading) == expected
+
+    def test_unfrozen_fading_draws_from_the_channel_stream(self):
+        a = WirelessChannel(np.array([40.0, 90.0]), rng=np.random.default_rng(2))
+        b = WirelessChannel(np.array([40.0, 90.0]), rng=np.random.default_rng(2))
+        drawn = [a.uplink_rate_bps(1, 1e6) for _ in range(5)]
+        frozen = [b.uplink_rate_bps(1, 1e6, fading=b.draw_fading()) for _ in range(5)]
+        assert drawn == frozen
+
+    def test_invalid_bandwidth_consumes_no_fading_draw(self):
+        a = WirelessChannel(np.array([40.0]), rng=np.random.default_rng(2))
+        b = WirelessChannel(np.array([40.0]), rng=np.random.default_rng(2))
+        with pytest.raises(ValueError):
+            a.uplink_rate_bps(0, 0.0)
+        assert a.draw_fading() == b.draw_fading()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.wireless.bandwidth import (
+    AllocatorSharePolicy,
     EqualAllocation,
     InverseRateAllocation,
     ProportionalRateAllocation,
+    as_share_policy,
     make_allocator,
 )
 from repro.wireless.channel import ChannelConfig, WirelessChannel
@@ -159,6 +161,72 @@ class TestBandwidthAllocation:
         assert isinstance(make_allocator("equal", 1e6), EqualAllocation)
         with pytest.raises(ValueError):
             make_allocator("magic", 1e6)
+
+
+class _Flow:
+    def __init__(self, client):
+        self.client = client
+
+
+class TestShareCacheWindow:
+    """``AllocatorSharePolicy`` memoises share tables in a bounded
+    recency window (it used to keep one table per distinct active set,
+    forever)."""
+
+    @staticmethod
+    def _churn(num_clients=40, steps=3000, seed=3):
+        """Active sets of a long pipeline-style run: one client leaves
+        or (re)joins per step, like flows on the contended medium."""
+        rng = np.random.default_rng(seed)
+        active = set(range(0, num_clients, 2))
+        for _ in range(steps):
+            client = int(rng.integers(num_clients))
+            if client in active and len(active) > 1:
+                active.remove(client)
+            else:
+                active.add(client)
+            yield sorted(active)
+
+    @pytest.mark.parametrize(
+        "name", ["equal", "proportional_rate", "inverse_rate"]
+    )
+    def test_long_run_stays_bounded_and_bitwise_equal(self, name):
+        channel = _test_channel(40)
+        policy = as_share_policy(make_allocator(name, 20e6), channel)
+        fresh = make_allocator(name, 20e6)
+        most = 0
+        for clients in self._churn():
+            flows = [_Flow(c) for c in clients]
+            got = policy.allocate(flows, 20e6)
+            expected = fresh.shares(clients, channel)
+            assert got == [expected[c] for c in clients]
+            most = max(most, len(policy._share_cache))
+        assert most <= AllocatorSharePolicy.SHARE_CACHE_WINDOW
+
+    def test_leave_and_return_is_a_hit(self):
+        """S -> S minus {a} -> S: the pattern of a client's uplink /
+        compute / downlink; the second ask for S must not recompute."""
+        calls = []
+
+        class Counting(EqualAllocation):
+            def shares(self, active_clients, channel):
+                calls.append(tuple(active_clients))
+                return super().shares(active_clients, channel)
+
+        policy = as_share_policy(Counting(20e6), _test_channel(6))
+        everyone = [_Flow(c) for c in range(6)]
+        policy.allocate(everyone, 20e6)
+        policy.allocate(everyone[1:], 20e6)
+        policy.allocate(everyone, 20e6)
+        assert calls == [tuple(range(6)), tuple(range(1, 6))]
+
+    def test_eviction_is_least_recently_used(self):
+        policy = as_share_policy(EqualAllocation(20e6), _test_channel(4))
+        policy.SHARE_CACHE_WINDOW = 2
+        a, b, c = ([_Flow(0)], [_Flow(1)], [_Flow(2)])
+        for flows in (a, b, a, c):  # touching a again makes b the oldest
+            policy.allocate(flows, 20e6)
+        assert list(policy._share_cache) == [frozenset({0}), frozenset({2})]
 
 
 class TestWirelessSystem:
