@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from repro import nn
@@ -9,6 +12,24 @@ from repro.data.dataset import DataLoader, Dataset
 from repro.nn.tensor import Tensor, no_grad
 
 __all__ = ["evaluate_model", "evaluate_split", "predict_labels"]
+
+
+@contextmanager
+def _eval_mode(*roots: nn.Module) -> Iterator[None]:
+    """Run the block with every module under ``roots`` in eval mode, then
+    put each module's *own* flag back — also when the block raises.
+
+    ``root.train(was_training)`` would not do: it sets every submodule to
+    the root's flag, un-freezing a BatchNorm held in ``eval()`` on purpose.
+    """
+    saved = [(module, module.training) for root in roots for module in root.modules()]
+    for root in roots:
+        root.eval()
+    try:
+        yield
+    finally:
+        for module, training in saved:
+            object.__setattr__(module, "training", training)  # as ``Module.train`` sets it
 
 
 def evaluate_model(
@@ -19,23 +40,20 @@ def evaluate_model(
 ) -> tuple[float, float]:
     """Return ``(mean_loss, accuracy)`` of ``model`` over ``dataset``.
 
-    Runs in eval mode under ``no_grad`` and restores the previous mode.
+    Runs in eval mode under ``no_grad`` and restores every module's
+    previous mode.
     """
     loss_fn = loss_fn or nn.CrossEntropyLoss(reduction="sum")
-    was_training = model.training
-    model.eval()
     total_loss = 0.0
     correct = 0
     count = 0
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    with no_grad():
+    with _eval_mode(model), no_grad():
         for xb, yb in loader:
             logits = model(Tensor(xb))
             total_loss += float(loss_fn(logits, yb).item())
             correct += int((logits.data.argmax(axis=1) == yb).sum())
             count += len(yb)
-    if was_training:
-        model.train()
     if count == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     return total_loss / count, correct / count
@@ -48,25 +66,20 @@ def evaluate_split(
 ) -> tuple[float, float]:
     """Evaluate a split model end-to-end (client half → server half).
 
-    Runs in eval mode under ``no_grad`` and restores each half's previous
-    mode.
+    Runs in eval mode under ``no_grad`` and restores every module's
+    previous mode.
     """
     loss_fn = nn.CrossEntropyLoss(reduction="sum")
-    client_was_training = split.client.training
-    server_was_training = split.server.training
-    split.eval()
     total_loss = 0.0
     correct = 0
     count = 0
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    with no_grad():
+    with _eval_mode(split.client, split.server), no_grad():
         for xb, yb in loader:
             logits = split.full_forward(xb)
             total_loss += float(loss_fn(logits, yb).item())
             correct += int((logits.data.argmax(axis=1) == yb).sum())
             count += len(yb)
-    split.client.train(client_was_training)
-    split.server.train(server_was_training)
     if count == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     return total_loss / count, correct / count
@@ -74,13 +87,9 @@ def evaluate_split(
 
 def predict_labels(model: nn.Module, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Argmax predictions for a raw image array."""
-    was_training = model.training
-    model.eval()
     preds = []
-    with no_grad():
+    with _eval_mode(model), no_grad():
         for start in range(0, len(images), batch_size):
             logits = model(Tensor(images[start : start + batch_size]))
             preds.append(logits.data.argmax(axis=1))
-    if was_training:
-        model.train()
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)

@@ -1,4 +1,9 @@
-"""Convolutional and pooling layers."""
+"""Convolutional and pooling layers.
+
+Inputs and outputs are ``(N, C, H, W)``, and what these layers produce —
+activations and input gradients alike — is C-contiguous in that order (the
+layout contract stated in :mod:`repro.nn.functional`).
+"""
 
 from __future__ import annotations
 

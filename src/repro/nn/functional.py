@@ -5,6 +5,12 @@ get a usable CNN out of pure numpy — with the patch matrix laid out K-major
 so that building it is a handful of contiguous slice copies.  Pooling works
 directly on strided window views and never materialises patches.
 
+Layout contract: every 4-D activation and gradient an op produces is
+C-contiguous ``(N, C, H, W)``.  Elementwise ops, pooling and BatchNorm walk
+memory in the order of the array they are handed, so one transposed view
+upstream makes all of them stride (``tests/nn/test_layout_contract.py``
+guards it on the real models).
+
 All functions are autograd-aware: they return graph-connected tensors with
 correct backward closures.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "linear",
@@ -147,9 +153,12 @@ def conv2d(
 
     The patch matrix is built K-major (:func:`_im2col_t`) and enters every
     GEMM as the *transposed* operand, so BLAS sees the same ``m``/``n``/``k``
-    roles — and returns the same bits, in the same ``(N*oh*ow, C_out)``
-    memory layout — as a row-per-receptive-field matrix would.  Producing
-    ``(C_out, N*oh*ow)`` instead swaps the roles and moves the last ulp.
+    roles — and returns the same bits — as a row-per-receptive-field matrix
+    would.  (Producing ``(C_out, N*oh*ow)`` instead swaps the roles and moves
+    the last ulp.)  The ``(N*oh*ow, C_out)`` product is then written once
+    into a C-contiguous ``(N, C_out, oh, ow)`` array, and the backward
+    gathers its contiguous gradient back into ``(N*oh*ow, C_out)`` rows: two
+    copies per layer that spare every op downstream a transposed view.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
@@ -166,10 +175,15 @@ def conv2d(
             out_data += bias.data  # in place: spares an (N*oh*ow, C_out) temporary
         else:
             out_data = out_data + bias.data
-    out_data = out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-
     requires = x.requires_grad or weight.requires_grad or (
         bias is not None and bias.requires_grad
+    )
+    if not (requires and is_grad_enabled()):
+        # No backward will read the patch matrix (evaluation): release it
+        # before the layout copy, where a ``no_grad`` forward would peak.
+        del cols_t
+    out_data = np.ascontiguousarray(
+        out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
     )
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = Tensor(out_data, requires_grad=requires, _parents=parents, _op="conv2d")

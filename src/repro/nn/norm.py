@@ -4,6 +4,14 @@ Running mean/var are registered buffers, so they travel with
 ``state_dict`` during split-model relay and FedAvg aggregation — in GSFL
 the batch-norm state of the client-side model must follow the model as it
 hops between clients, and the server aggregates it like any other state.
+
+In training mode the layer is one autograd node.  Forward: batch mean,
+centre, variance by one ``einsum`` over the centred values, scale and shift;
+it saves the normalised input ``x_hat`` and ``gamma / std`` and nothing
+else.  Backward computes, from those two and the C-contiguous gradient it is
+handed, ``dx = gamma/std * (g - mean(g) - x_hat * mean(g * x_hat))`` in place
+on one buffer.  In eval mode the statistics are constants and the layer is a
+per-channel scale and shift composed from ordinary tensor ops.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ __all__ = ["BatchNorm1d", "BatchNorm2d"]
 class _BatchNorm(Layer):
     """Shared machinery for 1-D and 2-D batch norm."""
 
-    #: axes to reduce over; subclasses set this
+    #: axes to reduce over, and the ``einsum`` that reduces a product of two
+    #: inputs over them in one pass; subclasses set these
     _reduce_axes: tuple[int, ...]
+    _channel_dot: str
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
@@ -50,25 +60,49 @@ class _BatchNorm(Layer):
                 f"expected channel dim {self.num_features} at axis 1, got shape {x.shape}"
             )
         shape = self._param_shape(x.ndim)
-        if self.training:
-            # Statistics computed with Tensor ops so gradients flow exactly
-            # through the batch mean and variance.
-            mean = x.mean(axis=self._reduce_axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=self._reduce_axes, keepdims=True)
-            m = self.momentum
-            n = x.data.size / self.num_features
-            unbiased = var.data.reshape(-1) * n / max(n - 1, 1)
-            self._update_buffer(
-                "running_mean", (1 - m) * self.running_mean + m * mean.data.reshape(-1)
+        gamma, beta = self.gamma, self.beta
+        if not self.training:
+            # Constant statistics: one per-channel scale and shift.
+            scale = gamma.reshape(*shape) * Tensor(
+                1.0 / np.sqrt(self.running_var + self.eps).reshape(shape)
             )
-            self._update_buffer("running_var", (1 - m) * self.running_var + m * unbiased)
-            normed = centered * (var + self.eps) ** -0.5
-        else:
-            centered = x - Tensor(self.running_mean.reshape(shape))
-            inv_std = Tensor(1.0 / np.sqrt(self.running_var + self.eps).reshape(shape))
-            normed = centered * inv_std
-        return normed * self.gamma.reshape(*shape) + self.beta.reshape(*shape)
+            shift = beta.reshape(*shape) - Tensor(self.running_mean.reshape(shape)) * scale
+            return x * scale + shift
+
+        axes, channel_dot = self._reduce_axes, self._channel_dot
+        n = x.data.size / self.num_features
+        mean = x.data.sum(axis=axes, keepdims=True) / n
+        x_hat = x.data - mean
+        var = np.einsum(channel_dot, x_hat, x_hat) / n
+        m = self.momentum
+        unbiased = var * n / max(n - 1, 1)
+        self._update_buffer(
+            "running_mean", (1 - m) * self.running_mean + m * mean.reshape(-1)
+        )
+        self._update_buffer("running_var", (1 - m) * self.running_var + m * unbiased)
+        inv_std = ((var + self.eps) ** -0.5).reshape(shape)
+        x_hat *= inv_std
+        scale = gamma.data.reshape(shape)
+        out_data = x_hat * scale
+        out_data += beta.data.reshape(shape)
+        out = Tensor(out_data, requires_grad=True, _parents=(x, gamma, beta), _op="batch_norm")
+        dx_scale = scale * inv_std
+
+        def _bw(grad: np.ndarray) -> None:
+            dbeta = grad.sum(axis=axes)
+            dgamma = np.einsum(channel_dot, grad, x_hat)
+            gamma._accumulate(dgamma)
+            beta._accumulate(dbeta)
+            if x.requires_grad:
+                # dx = dx_scale * (grad - mean(grad) - x_hat * mean(grad * x_hat))
+                dx = x_hat * (dgamma / n).reshape(shape)
+                dx += (dbeta / n).reshape(shape)
+                np.subtract(grad, dx, out=dx)
+                dx *= dx_scale
+                x._accumulate(dx)
+
+        out._backward = _bw
+        return out
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -84,9 +118,11 @@ class BatchNorm1d(_BatchNorm):
     """Batch norm over feature vectors ``(N, C)``."""
 
     _reduce_axes = (0,)
+    _channel_dot = "nc,nc->c"
 
 
 class BatchNorm2d(_BatchNorm):
     """Batch norm over images ``(N, C, H, W)``."""
 
     _reduce_axes = (0, 2, 3)
+    _channel_dot = "nchw,nchw->c"

@@ -82,9 +82,10 @@ def quantize_uniform(x: np.ndarray, num_bits: int = 8) -> QuantizedArray:
             "refusing to emit undefined wire codes"
         )
     lo, hi = float(x.min()), float(x.max())
-    if hi <= lo:
-        # Constant tensor: encode the constant in ``scale`` (dequantize
-        # returns full(scale)).
+    scale = (hi - lo) / levels
+    if scale == 0.0:
+        # Constant tensor, or a subnormal span whose step underflows: encode
+        # the constant in ``scale`` (dequantize returns full(scale)).
         return QuantizedArray(
             codes=np.zeros(x.shape, dtype=np.uint16),
             scale=lo,
@@ -93,7 +94,6 @@ def quantize_uniform(x: np.ndarray, num_bits: int = 8) -> QuantizedArray:
             shape=x.shape,
             constant=True,
         )
-    scale = (hi - lo) / levels
     zero_point = int(np.round(-lo / scale))
     codes = np.clip(np.round(x / scale) + zero_point, 0, levels).astype(np.uint16)
     return QuantizedArray(

@@ -533,13 +533,11 @@ class Tensor:
         return self**0.5
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out = Tensor(
-            self.data * mask, requires_grad=self.requires_grad, _parents=(self,), _op="relu"
-        )
+        out_data = np.maximum(self.data, 0)  # not ``x * mask``: ``-inf * 0`` is nan
+        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="relu")
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * (out_data > 0))
 
         out._backward = _bw
         return out

@@ -23,6 +23,21 @@ def trained_model(small_dataset):
     return model
 
 
+def frozen_batchnorm_model() -> nn.Sequential:
+    """A training-mode model whose BatchNorm is held in eval mode (the
+    fine-tuning idiom: train the convs, keep the running statistics)."""
+    model = nn.Sequential(
+        nn.Conv2d(2, 3, 3, padding=1, seed=1),
+        nn.BatchNorm2d(3),
+        nn.ReLU(),
+        nn.Flatten(),
+        nn.Linear(3 * 8 * 8, 5, seed=2),
+    )
+    model.train()
+    model[1].eval()
+    return model
+
+
 class TestEvaluateModel:
     def test_returns_loss_and_accuracy(self, trained_model, small_dataset):
         loss, acc = evaluate_model(trained_model, small_dataset, batch_size=16)
@@ -36,6 +51,31 @@ class TestEvaluateModel:
         trained_model.eval()
         evaluate_model(trained_model, small_dataset)
         assert not trained_model.training
+
+    def test_restores_each_modules_own_mode(self, small_dataset):
+        """It used to end with ``model.train()``, which flips *every*
+        submodule: a BatchNorm frozen in ``eval()`` on purpose came back
+        training and resumed updating its running statistics."""
+        model = frozen_batchnorm_model()
+        evaluate_model(model, small_dataset)
+        predict_labels(model, small_dataset.images)
+        assert model.training and model[0].training
+        assert not model[1].training
+
+    def test_restores_modes_when_evaluation_raises(self, small_dataset):
+        """An exception mid-evaluation used to leave the whole model in eval."""
+        model = frozen_batchnorm_model()
+
+        def exploding_loss(logits, targets):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            evaluate_model(model, small_dataset, loss_fn=exploding_loss)
+        assert model.training and model[0].training
+        assert not model[1].training
+        with pytest.raises(ValueError):
+            predict_labels(model, np.zeros((4, 3, 8, 8)))  # wrong channel count
+        assert model.training and model[0].training
 
     def test_batching_does_not_change_result(self, trained_model, small_dataset):
         l1, a1 = evaluate_model(trained_model, small_dataset, batch_size=7)
@@ -82,6 +122,20 @@ class TestEvaluateSplit:
         evaluate_split(sm, small_dataset)
         assert sm.client.training is client_training
         assert sm.server.training is server_training
+
+    def test_restores_each_modules_own_mode(self, small_dataset):
+        """Restoring at the granularity of the two halves still un-froze a
+        BatchNorm held in eval mode inside a training half — and an
+        exception mid-evaluation left both halves in eval."""
+        model = frozen_batchnorm_model()
+        sm = split_model(model, 2)
+        evaluate_split(sm, small_dataset)
+        assert sm.client.training and model[0].training and model[2].training
+        assert not model[1].training
+        with pytest.raises(ValueError):
+            evaluate_split(sm, ArrayDataset(np.zeros((4, 3, 8, 8)), np.zeros(4, dtype=int)))
+        assert sm.client.training and sm.server.training and model[0].training
+        assert not model[1].training
 
 
 class TestPredictLabels:

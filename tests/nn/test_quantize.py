@@ -73,6 +73,15 @@ class TestQuantizeRoundtrip:
         with pytest.raises(ValueError):
             QuantizedArray(np.zeros(1, dtype=np.uint16), 1.0, 0, 32, (1,))
 
+    def test_subnormal_span_is_a_constant(self):
+        """A span so small that ``span / levels`` underflows to 0 used to
+        divide by it (hypothesis finds ``[0.0, 5e-324]`` every few runs of
+        the property below); it round-trips as a constant tensor."""
+        x = np.array([0.0, 5e-324])
+        q = quantize_uniform(x, 4)
+        assert q.constant
+        np.testing.assert_allclose(dequantize(q), x, atol=1e-300)
+
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=50),
         st.sampled_from([4, 8, 12]),

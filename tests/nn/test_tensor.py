@@ -38,6 +38,18 @@ class TestElementwiseGradients:
     def test_relu(self):
         check_unary(lambda t: t.relu(), self.rng.normal(size=(3, 4)) + 0.05)
 
+    def test_relu_clips_non_finite_inputs(self):
+        """It was ``x * (x > 0)``, and ``-inf * 0`` is ``nan``: one overflowed
+        pre-activation poisoned the batch instead of being clipped.  The
+        gradient mask is ``x > 0`` (zero at 0, zero where the input is nan)."""
+        x = Tensor(
+            np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf, np.nan]), requires_grad=True
+        )
+        out = x.relu()
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 0.0, 2.0, np.inf, np.nan])
+        out.backward(np.full(7, 3.0))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 3.0, 3.0, 0.0])
+
     def test_sigmoid(self):
         check_unary(lambda t: t.sigmoid(), self.rng.normal(size=(3, 4)))
 
