@@ -29,18 +29,12 @@ class LeakyReLU(Layer):
     def forward(self, x: Tensor) -> Tensor:
         mask = x.data > 0
         slope = self.negative_slope
-        out = Tensor(
-            np.where(mask, x.data, slope * x.data),
-            requires_grad=x.requires_grad,
-            _parents=(x,),
-            _op="leaky_relu",
-        )
 
         def _bw(grad: np.ndarray) -> None:
-            x._accumulate(grad * np.where(mask, 1.0, slope))
+            x._accumulate(grad * np.where(mask, 1.0, slope), True)
 
-        out._backward = _bw
-        return out
+        out_data = np.where(mask, x.data, slope * x.data)
+        return Tensor._from_op(out_data, x.requires_grad, (x,), "leaky_relu", _bw)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape

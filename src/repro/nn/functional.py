@@ -11,15 +11,15 @@ memory in the order of the array they are handed, so one transposed view
 upstream makes all of them stride (``tests/nn/test_layout_contract.py``
 guards it on the real models).
 
-All functions are autograd-aware: they return graph-connected tensors with
-correct backward closures.
+All functions are autograd-aware: each returns one graph node (``linear``
+included: matmul and bias share a closure) with a correct backward closure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, is_grad_enabled, unbroadcast
 
 __all__ = [
     "linear",
@@ -61,12 +61,16 @@ def _im2col_t(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
 
+    # The patch matrix is the largest buffer of a forward pass: ask for it
+    # before the padded copy, which would otherwise take the head of the one
+    # free block it fits in (at evaluation batch sizes the miss is a fresh
+    # 14 MiB mapping on top of the peak).
+    cols_t = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=x.dtype)
     if padding > 0:
         padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:-padding, padding:-padding] = x
         x = padded
     channel_major = x.transpose(1, 0, 2, 3)  # (C, N, H, W) view
-    cols_t = np.empty((c, kernel_h, kernel_w, n, out_h, out_w), dtype=x.dtype)
     for i in range(kernel_h):
         h_end = i + stride * out_h
         for j in range(kernel_w):
@@ -126,11 +130,33 @@ def col2im(
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in)."""
-    out = x @ weight.transpose()
+    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in).
+
+    One autograd node that saves nothing beyond its two operands.  Forward
+    and backward evaluate the numpy expressions a ``transpose`` → ``matmul``
+    → ``add`` chain would, operand layouts included, so the values are that
+    chain's bit for bit (``tests/nn/test_fused_head.py`` keeps it as the
+    reference).
+    """
+    a, w = x.data, weight.data
+    out_data = a @ w.transpose()
     if bias is not None:
-        out = out + bias
-    return out
+        out_data = out_data + bias.data
+
+    def _bw(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(unbroadcast(grad @ w, a.shape), True)
+        if weight.requires_grad:
+            gw = np.outer(a, grad) if a.ndim == 1 else np.swapaxes(a, -1, -2) @ grad
+            weight._accumulate(unbroadcast(gw, w.shape[::-1]).transpose(), True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(unbroadcast(grad, bias.shape))
+
+    requires = x.requires_grad or weight.requires_grad or (
+        bias is not None and bias.requires_grad
+    )
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out_data, requires, parents, "linear", _bw)
 
 
 def conv2d(
@@ -185,23 +211,21 @@ def conv2d(
     out_data = np.ascontiguousarray(
         out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
     )
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, requires_grad=requires, _parents=parents, _op="conv2d")
 
     def _bw(grad: np.ndarray) -> None:
         # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if weight.requires_grad:
             gw = grad_mat.T @ cols_t.T  # (C_out, C_in*kh*kw)
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(gw.reshape(weight.shape), True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=0))
+            bias._accumulate(grad_mat.sum(axis=0), True)
         if x.requires_grad:
             gcols = grad_mat @ w_mat  # (N*oh*ow, C_in*kh*kw)
-            x._accumulate(col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding))
+            x._accumulate(col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding), True)
 
-    out._backward = _bw
-    return out
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out_data, requires, parents, "conv2d", _bw)
 
 
 def _pool_windows(
@@ -252,7 +276,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     np.copyto(out_data, windows[0])
     for window in windows[1:]:
         np.maximum(out_data, window, out=out_data)
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,), _op="max_pool2d")
 
     def _bw(grad: np.ndarray) -> None:
         # Route each window's gradient to its first maximum in (i, j) order
@@ -264,10 +287,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             hit &= unclaimed
             unclaimed ^= hit
             pieces.append(grad * hit)
-        x._accumulate(_pool_scatter(pieces, x.shape, kernel, stride))
+        x._accumulate(_pool_scatter(pieces, x.shape, kernel, stride), True)
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(out_data, x.requires_grad, (x,), "max_pool2d", _bw)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
@@ -283,14 +305,12 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     for window in windows[1:]:
         out_data += window
     out_data /= kernel * kernel
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,), _op="avg_pool2d")
 
     def _bw(grad: np.ndarray) -> None:
         piece = grad / (kernel * kernel)
-        x._accumulate(_pool_scatter([piece] * (kernel * kernel), x.shape, kernel, stride))
+        x._accumulate(_pool_scatter([piece] * (kernel * kernel), x.shape, kernel, stride), True)
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(out_data, x.requires_grad, (x,), "avg_pool2d", _bw)
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:
@@ -298,9 +318,6 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
     if padding == 0:
         return x
     pads = ((0, 0),) * (x.ndim - 2) + ((padding, padding), (padding, padding))
-    out = Tensor(
-        np.pad(x.data, pads), requires_grad=x.requires_grad, _parents=(x,), _op="pad2d"
-    )
 
     def _bw(grad: np.ndarray) -> None:
         sl = (slice(None),) * (x.ndim - 2) + (
@@ -309,8 +326,7 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
         )
         x._accumulate(grad[sl])
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(np.pad(x.data, pads), x.requires_grad, (x,), "pad2d", _bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -321,10 +337,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     mask = mask.astype(x.dtype)
-    out = Tensor(x.data * mask, requires_grad=x.requires_grad, _parents=(x,), _op="dropout")
 
     def _bw(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
+        x._accumulate(grad * mask, True)
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(x.data * mask, x.requires_grad, (x,), "dropout", _bw)

@@ -14,6 +14,54 @@ from repro.nn.tensor import Tensor
 __all__ = ["CrossEntropyLoss", "MSELoss", "NLLLoss", "accuracy_from_logits"]
 
 
+def _nll(x: Tensor, targets: np.ndarray, reduction: str, from_logits: bool) -> Tensor:
+    """Negative log-likelihood of integer labels as one autograd node.
+
+    ``x`` holds log-probabilities, or logits when ``from_logits`` (the
+    stable log-softmax is then part of the node).  The node saves the
+    log-probabilities and the labels; backward scatters the scaled upstream
+    gradient onto the picked entries and, from logits, subtracts
+    ``softmax * rowsum`` — the numpy expressions, in order, of a
+    ``log_softmax`` → ``getitem`` → ``sum`` → ``neg`` → ``mul`` chain
+    (``tests/nn/test_fused_head.py`` keeps that chain as the reference).
+    """
+    targets = np.asarray(targets)
+    if targets.ndim != 1 or targets.dtype.kind not in "iu":
+        raise ValueError(
+            f"targets must be 1-D integer class labels, got shape {targets.shape} "
+            f"of dtype {targets.dtype}"
+        )
+    if x.ndim != 2 or x.shape[0] != targets.shape[0]:
+        raise ValueError(f"input shape {x.shape} incompatible with targets {targets.shape}")
+    if targets.size == 0:
+        raise ValueError("cannot take a loss over an empty batch")
+    if targets.min() < 0 or targets.max() >= x.shape[1]:
+        raise ValueError(
+            f"target labels out of range [0, {x.shape[1]}): "
+            f"[{targets.min()}, {targets.max()}]"
+        )
+    log_probs = x.data
+    if from_logits:
+        shifted = log_probs - log_probs.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    batch = np.arange(targets.shape[0])
+    value = -(log_probs[batch, targets].sum())
+    scale: np.ndarray | None = None
+    if reduction == "mean":
+        scale = np.asarray(1.0 / targets.shape[0]).astype(value.dtype)
+        value = value * scale
+
+    def _bw(grad: np.ndarray) -> None:
+        full = np.zeros_like(log_probs)
+        full[batch, targets] += -(grad if scale is None else grad * scale)
+        if from_logits:
+            full = full - np.exp(log_probs) * full.sum(axis=1, keepdims=True)
+        x._accumulate(full, True)
+
+    op = "cross_entropy" if from_logits else "nll"
+    return Tensor._from_op(value, x.requires_grad, (x,), op, _bw)
+
+
 class CrossEntropyLoss:
     """Softmax cross-entropy over integer class labels.
 
@@ -32,25 +80,7 @@ class CrossEntropyLoss:
         self.reduction = reduction
 
     def __call__(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        targets = np.asarray(targets)
-        if targets.ndim != 1:
-            raise ValueError(f"targets must be 1-D class labels, got shape {targets.shape}")
-        if logits.ndim != 2 or logits.shape[0] != targets.shape[0]:
-            raise ValueError(
-                f"logits shape {logits.shape} incompatible with targets {targets.shape}"
-            )
-        if targets.min() < 0 or targets.max() >= logits.shape[1]:
-            raise ValueError(
-                f"target labels out of range [0, {logits.shape[1]}): "
-                f"[{targets.min()}, {targets.max()}]"
-            )
-        log_probs = logits.log_softmax(axis=1)
-        batch = np.arange(targets.shape[0])
-        picked = log_probs[batch, targets]
-        loss = -(picked.sum())
-        if self.reduction == "mean":
-            loss = loss * (1.0 / targets.shape[0])
-        return loss
+        return _nll(logits, targets, self.reduction, from_logits=True)
 
     def __repr__(self) -> str:
         return f"CrossEntropyLoss(reduction={self.reduction!r})"
@@ -65,13 +95,7 @@ class NLLLoss:
         self.reduction = reduction
 
     def __call__(self, log_probs: Tensor, targets: np.ndarray) -> Tensor:
-        targets = np.asarray(targets)
-        batch = np.arange(targets.shape[0])
-        picked = log_probs[batch, targets]
-        loss = -(picked.sum())
-        if self.reduction == "mean":
-            loss = loss * (1.0 / targets.shape[0])
-        return loss
+        return _nll(log_probs, targets, self.reduction, from_logits=False)
 
     def __repr__(self) -> str:
         return f"NLLLoss(reduction={self.reduction!r})"

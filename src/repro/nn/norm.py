@@ -11,7 +11,8 @@ it saves the normalised input ``x_hat`` and ``gamma / std`` and nothing
 else.  Backward computes, from those two and the C-contiguous gradient it is
 handed, ``dx = gamma/std * (g - mean(g) - x_hat * mean(g * x_hat))`` in place
 on one buffer.  In eval mode the statistics are constants and the layer is a
-per-channel scale and shift composed from ordinary tensor ops.
+per-channel scale and shift: the two per-channel vectors are composed from
+ordinary tensor ops, their application to the input is one node.
 """
 
 from __future__ import annotations
@@ -21,9 +22,28 @@ import numpy as np
 from repro.nn import init
 from repro.nn.layers import Layer
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, unbroadcast
 
 __all__ = ["BatchNorm1d", "BatchNorm2d"]
+
+
+def _scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """``x * scale + shift`` as one node: the shift is added in place, which
+    spares evaluation an activation-sized temporary per layer; gradients are
+    those of the two-node expression."""
+    out_data = x.data * scale.data
+    out_data += shift.data
+
+    def _bw(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(unbroadcast(grad * scale.data, x.shape), True)
+        if scale.requires_grad:
+            scale._accumulate(unbroadcast(grad * x.data, scale.shape), True)
+        if shift.requires_grad:
+            shift._accumulate(unbroadcast(grad, shift.shape))
+
+    requires = x.requires_grad or scale.requires_grad or shift.requires_grad
+    return Tensor._from_op(out_data, requires, (x, scale, shift), "scale_shift", _bw)
 
 
 class _BatchNorm(Layer):
@@ -67,7 +87,7 @@ class _BatchNorm(Layer):
                 1.0 / np.sqrt(self.running_var + self.eps).reshape(shape)
             )
             shift = beta.reshape(*shape) - Tensor(self.running_mean.reshape(shape)) * scale
-            return x * scale + shift
+            return _scale_shift(x, scale, shift)
 
         axes, channel_dot = self._reduce_axes, self._channel_dot
         n = x.data.size / self.num_features
@@ -85,24 +105,22 @@ class _BatchNorm(Layer):
         scale = gamma.data.reshape(shape)
         out_data = x_hat * scale
         out_data += beta.data.reshape(shape)
-        out = Tensor(out_data, requires_grad=True, _parents=(x, gamma, beta), _op="batch_norm")
         dx_scale = scale * inv_std
 
         def _bw(grad: np.ndarray) -> None:
             dbeta = grad.sum(axis=axes)
             dgamma = np.einsum(channel_dot, grad, x_hat)
-            gamma._accumulate(dgamma)
-            beta._accumulate(dbeta)
             if x.requires_grad:
                 # dx = dx_scale * (grad - mean(grad) - x_hat * mean(grad * x_hat))
                 dx = x_hat * (dgamma / n).reshape(shape)
                 dx += (dbeta / n).reshape(shape)
                 np.subtract(grad, dx, out=dx)
                 dx *= dx_scale
-                x._accumulate(dx)
+                x._accumulate(dx, True)
+            gamma._accumulate(dgamma, True)
+            beta._accumulate(dbeta, True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, True, (x, gamma, beta), "batch_norm", _bw)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape

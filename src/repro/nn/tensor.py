@@ -12,6 +12,12 @@ flowing into a broadcast operand are summed over the broadcast axes by
 
 Only float64/float32 data participates in differentiation; integer tensors
 (labels, indices) can be wrapped but must not require grad.
+
+``Tensor(...)`` is for data entering from outside and coerces it; ops build
+their results with :meth:`Tensor._from_op`, which takes numpy's result as it
+is.  A backward closure that has just allocated a gradient hands it to
+:meth:`Tensor._accumulate` with ``owned=True`` and it becomes the ``.grad``
+without a copy; one that passes on what it was handed leaves the flag off.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     length-1 axes.  The adjoint of broadcasting is summation over exactly
     those axes.
     """
+    if grad.shape == shape:
+        return grad
     # Sum out prepended axes.
     extra = grad.ndim - len(shape)
     if extra > 0:
@@ -129,16 +137,41 @@ class Tensor:
     def _backward(self) -> Callable[[np.ndarray], None] | None:
         """Backward closure; kept only on tensors that require grad.
 
-        Ops assign it after constructing their output.  Gating the store
-        here is what lets a ``no_grad`` forward free its inputs and conv
-        patch matrices as it goes: a closure no gradient will ever reach
-        would otherwise pin everything it captured.
+        Settable on a tensor built with ``Tensor(..., _parents=...)``
+        (library ops go through :meth:`_from_op`, which applies the same
+        gate).  The gate is what lets a ``no_grad`` forward free its inputs
+        and conv patch matrices as it goes: a closure no gradient will ever
+        reach would otherwise pin everything it captured.
         """
         return self._closure
 
     @_backward.setter
     def _backward(self, fn: Callable[[np.ndarray], None] | None) -> None:
         self._closure = fn if self.requires_grad else None
+
+    @staticmethod
+    def _from_op(
+        data: np.ndarray,
+        requires_grad: bool,
+        parents: tuple["Tensor", ...],
+        op: str,
+        backward: Callable[[np.ndarray], None],
+    ) -> "Tensor":
+        """The output of a differentiable op — how every op builds its result.
+
+        ``data`` is what numpy computed and is kept as is: none of the
+        coercion ``__init__`` applies to user input.  Parents and closure
+        are kept only if a gradient can reach the node.
+        """
+        out = Tensor.__new__(Tensor)
+        # full reductions hand back numpy scalars
+        out.data = data if type(data) is np.ndarray else np.asarray(data)
+        out.grad = None
+        out._op = op
+        out.requires_grad = keep = requires_grad and _grad_mode.enabled
+        out._parents = parents if keep else ()
+        out._closure = backward if keep else None
+        return out
 
     # ------------------------------------------------------------------
     # basic properties
@@ -189,18 +222,10 @@ class Tensor:
 
     def clone(self) -> "Tensor":
         """Return a graph-connected copy."""
-        out = Tensor(
-            self.data.copy(),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-            _op="clone",
-        )
-
         def _bw(grad: np.ndarray) -> None:
             self._accumulate(grad)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(self.data.copy(), self.requires_grad, (self,), "clone", _bw)
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
@@ -209,14 +234,22 @@ class Tensor:
     # ------------------------------------------------------------------
     # graph machinery
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad`` (lazily allocated)."""
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad`` (lazily allocated).
+
+        ``owned=True`` is the caller's promise that it allocated ``grad``
+        during this call and keeps no reference that outlives it, so a
+        first gradient is adopted instead of copied.  An op that forwards
+        the gradient it was handed, or a view of it, must not pass it.
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif owned and grad.dtype == self.data.dtype:
+            self.grad = grad
+        else:
+            self.grad = grad.astype(self.data.dtype, copy=True)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
@@ -281,12 +314,6 @@ class Tensor:
 
     def __add__(self, other: object) -> "Tensor":
         other = self._binary(other)
-        out = Tensor(
-            self.data + other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-            _op="add",
-        )
 
         def _bw(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -294,80 +321,79 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(unbroadcast(grad, other.shape))
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data + other.data,
+            self.requires_grad or other.requires_grad,
+            (self, other),
+            "add",
+            _bw,
+        )
 
     __radd__ = __add__
 
     def __mul__(self, other: object) -> "Tensor":
         other = self._binary(other)
-        out = Tensor(
-            self.data * other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-            _op="mul",
-        )
 
         def _bw(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(unbroadcast(grad * other.data, self.shape))
+                self._accumulate(unbroadcast(grad * other.data, self.shape), True)
             if other.requires_grad:
-                other._accumulate(unbroadcast(grad * self.data, other.shape))
+                other._accumulate(unbroadcast(grad * self.data, other.shape), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data * other.data,
+            self.requires_grad or other.requires_grad,
+            (self, other),
+            "mul",
+            _bw,
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, requires_grad=self.requires_grad, _parents=(self,), _op="neg")
-
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(-self.data, self.requires_grad, (self,), "neg", _bw)
 
     def __sub__(self, other: object) -> "Tensor":
         other = self._binary(other)
-        out = Tensor(
-            self.data - other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-            _op="sub",
-        )
 
         def _bw(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(unbroadcast(grad, self.shape))
             if other.requires_grad:
-                other._accumulate(unbroadcast(-grad, other.shape))
+                other._accumulate(unbroadcast(-grad, other.shape), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data - other.data,
+            self.requires_grad or other.requires_grad,
+            (self, other),
+            "sub",
+            _bw,
+        )
 
     def __rsub__(self, other: object) -> "Tensor":
         return self._binary(other) - self
 
     def __truediv__(self, other: object) -> "Tensor":
         other = self._binary(other)
-        out = Tensor(
-            self.data / other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-            _op="div",
-        )
 
         def _bw(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(unbroadcast(grad / other.data, self.shape))
+                self._accumulate(unbroadcast(grad / other.data, self.shape), True)
             if other.requires_grad:
                 other._accumulate(
-                    unbroadcast(-grad * self.data / (other.data**2), other.shape)
+                    unbroadcast(-grad * self.data / (other.data**2), other.shape), True
                 )
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data / other.data,
+            self.requires_grad or other.requires_grad,
+            (self, other),
+            "div",
+            _bw,
+        )
 
     def __rtruediv__(self, other: object) -> "Tensor":
         return self._binary(other) / self
@@ -375,25 +401,17 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = Tensor(
-            self.data**exponent, requires_grad=self.requires_grad, _parents=(self,), _op="pow"
-        )
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data**exponent, self.requires_grad, (self,), "pow", _bw
+        )
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
             other = Tensor(_as_array(other, self.dtype))
-        out = Tensor(
-            self.data @ other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-            _op="matmul",
-        )
 
         def _bw(grad: np.ndarray) -> None:
             a, b = self.data, other.data
@@ -402,33 +420,35 @@ class Tensor:
                     ga = np.outer(grad, b) if a.ndim == 2 else grad * b
                 else:
                     ga = grad @ np.swapaxes(b, -1, -2)
-                self._accumulate(unbroadcast(np.asarray(ga), self.shape))
+                self._accumulate(unbroadcast(np.asarray(ga), self.shape), True)
             if other.requires_grad:
                 if a.ndim == 1:
                     gb = np.outer(a, grad) if b.ndim == 2 else grad * a
                 else:
                     gb = np.swapaxes(a, -1, -2) @ grad
-                other._accumulate(unbroadcast(np.asarray(gb), other.shape))
+                other._accumulate(unbroadcast(np.asarray(gb), other.shape), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data @ other.data,
+            self.requires_grad or other.requires_grad,
+            (self, other),
+            "matmul",
+            _bw,
+        )
 
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="sum")
-
         def _bw(grad: np.ndarray) -> None:
             g = grad
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else axis
                 g = np.expand_dims(g, tuple(a % self.data.ndim for a in axes))
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy(), True)
 
-        out._backward = _bw
-        return out
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "sum", _bw)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -440,7 +460,6 @@ class Tensor:
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="max")
 
         def _bw(grad: np.ndarray) -> None:
             g = grad
@@ -452,10 +471,9 @@ class Tensor:
             # Split gradient equally among ties (matches numpy/torch behaviour
             # closely enough for training purposes).
             denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / denom)
+            self._accumulate(mask * g / denom, True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "max", _bw)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -463,120 +481,88 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(
-            self.data.reshape(shape),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-            _op="reshape",
-        )
 
         def _bw(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(self.data.shape))
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(
+            self.data.reshape(shape), self.requires_grad, (self,), "reshape", _bw
+        )
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_t = tuple(axes) if axes else tuple(reversed(range(self.data.ndim)))
-        out = Tensor(
-            self.data.transpose(axes_t),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-            _op="transpose",
-        )
         inverse = tuple(np.argsort(axes_t))
 
         def _bw(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
-        out._backward = _bw
-        return out
-
-    def __getitem__(self, index: object) -> "Tensor":
-        out = Tensor(
-            self.data[index], requires_grad=self.requires_grad, _parents=(self,), _op="getitem"
+        return Tensor._from_op(
+            self.data.transpose(axes_t), self.requires_grad, (self,), "transpose", _bw
         )
 
+    def __getitem__(self, index: object) -> "Tensor":
         def _bw(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(self.data[index], self.requires_grad, (self,), "getitem", _bw)
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="exp")
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "exp", _bw)
 
     def log(self) -> "Tensor":
-        out = Tensor(
-            np.log(self.data), requires_grad=self.requires_grad, _parents=(self,), _op="log"
-        )
-
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(np.log(self.data), self.requires_grad, (self,), "log", _bw)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
 
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0)  # not ``x * mask``: ``-inf * 0`` is nan
-        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="relu")
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * (out_data > 0))
+            self._accumulate(grad * (out_data > 0), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "relu", _bw)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="sigmoid")
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate(grad * out_data * (1.0 - out_data), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "sigmoid", _bw)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        out = Tensor(out_data, requires_grad=self.requires_grad, _parents=(self,), _op="tanh")
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data**2))
+            self._accumulate(grad * (1.0 - out_data**2), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "tanh", _bw)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable log-softmax along ``axis``."""
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_z
-        out = Tensor(
-            out_data, requires_grad=self.requires_grad, _parents=(self,), _op="log_softmax"
-        )
-        softmax = np.exp(out_data)
 
         def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+            softmax = np.exp(out_data)
+            self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True), True)
 
-        out._backward = _bw
-        return out
+        return Tensor._from_op(out_data, self.requires_grad, (self,), "log_softmax", _bw)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         return self.log_softmax(axis=axis).exp()
@@ -584,10 +570,7 @@ class Tensor:
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis (autograd-aware)."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=requires, _parents=tuple(tensors), _op="stack")
+    tensors = tuple(tensors)
 
     def _bw(grad: np.ndarray) -> None:
         pieces = np.split(grad, len(tensors), axis=axis)
@@ -595,16 +578,18 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accumulate(np.squeeze(piece, axis=axis))
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(
+        np.stack([t.data for t in tensors], axis=axis),
+        any(t.requires_grad for t in tensors),
+        tensors,
+        "stack",
+        _bw,
+    )
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an existing axis (autograd-aware)."""
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(out_data, requires_grad=requires, _parents=tuple(tensors), _op="concat")
+    tensors = tuple(tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -615,5 +600,10 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 sl[axis] = slice(start, end)
                 t._accumulate(grad[tuple(sl)])
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(
+        np.concatenate([t.data for t in tensors], axis=axis),
+        any(t.requires_grad for t in tensors),
+        tensors,
+        "concat",
+        _bw,
+    )

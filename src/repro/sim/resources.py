@@ -63,8 +63,16 @@ dense reference used by the equivalence suite):
     queue ticket it would have been scheduled with; only the link's
     earliest completion is actually queued (under that ticket, so ties
     with every other event resolve as if each flow were queued).  A
-    membership change over ``n`` flows costs ``n`` rate evaluations and
-    at most one heap push — not ``n`` cancels, events and closures.
+    membership change over ``n`` flows costs at most ``n`` rate
+    evaluations and one heap push — not ``n`` cancels, events and
+    closures.  ``rate_fn`` is a deterministic function of the allocation
+    for the life of its flow, so each flow remembers what it has priced
+    (``allocation → bit/s``) and ``rate_fn`` is evaluated at most once
+    per distinct allocation: a contended medium revisits the same few
+    allocations (``B/n`` under equal shares) many times over.  The table
+    lives on the flow and dies with it — a transfer re-submitted after
+    an abort is a new flow with an empty table — and flows without a
+    ``rate_fn`` have none.
 """
 
 from __future__ import annotations
@@ -147,6 +155,9 @@ class _Flow:
     rate_fn: "Callable[[float], float] | None" = None
     nominal: "float | None" = None
     bps: float = 0.0
+    #: dense engine: what ``rate_fn`` returned, by allocation (``None``
+    #: until first priced there — never, without a ``rate_fn``)
+    rates: "dict[float, float] | None" = None
     #: the queued completion (dense: held by the link's earliest flow only)
     completion: Event | None = field(default=None)
     #: dense engine: instant the flow completes at ``bps`` (``None`` until
@@ -200,6 +211,8 @@ class EqualShare(SharePolicy):
     incremental_kind = "uniform"
 
     def allocate(self, flows: Sequence[_Flow], capacity: float) -> list[float]:
+        if not flows:
+            return []
         share = capacity / len(flows)
         return [share] * len(flows)
 
@@ -313,9 +326,11 @@ class FairShareLink:
 
         ``rate_fn`` maps the flow's allocated capacity to an instantaneous
         bitrate (identity when omitted: allocated capacity *is* the
-        bitrate).  ``client`` attributes the flow for client-aware
-        policies; ``nominal`` declares the static-model allocation used by
-        :class:`NominalShare` and as a policy weight.
+        bitrate).  It must be a deterministic function of the allocation
+        for the life of the flow: the dense engine evaluates it at most
+        once per distinct allocation.  ``client`` attributes the flow for
+        client-aware policies; ``nominal`` declares the static-model
+        allocation used by :class:`NominalShare` and as a policy weight.
         """
         if nbits <= 0:
             raise ValueError(f"nbits must be positive, got {nbits}")
@@ -582,7 +597,17 @@ class FairShareLink:
         head: _Flow | None = None
         head_at = 0.0
         for flow, allocated in zip(flows, allocations):
-            bps = flow.rate_fn(allocated) if flow.rate_fn is not None else allocated
+            rate_fn = flow.rate_fn
+            if rate_fn is None:
+                bps = allocated
+            else:
+                rates = flow.rates
+                if rates is None:
+                    rates = flow.rates = {}
+                priced = rates.get(allocated)
+                if priced is None:
+                    priced = rates[allocated] = rate_fn(allocated)
+                bps = priced
             at = flow.finish_at
             if at is None or bps != flow.bps:
                 # Re-rated (an unchanged rate keeps its instant and ticket).

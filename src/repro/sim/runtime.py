@@ -129,7 +129,10 @@ class TransmitLeg:
 
     ``rate_fn`` maps allocated bandwidth in Hz to an achievable bitrate
     in bit/s, with the hop's block-fading realization frozen inside (the
-    draw happened in protocol order when the demand was built).
+    draw happened in protocol order when the demand was built) — a
+    deterministic function of the allocation, which a contended link
+    evaluates at most once per distinct allocation per submission (a leg
+    re-submitted after an abort is priced afresh).
     ``direction`` ("uplink"/"downlink", optional) labels the hop for
     per-leg trace rows, which is what lets the energy model charge a
     relay's sender TX and receiver RX separately.

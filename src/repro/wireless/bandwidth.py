@@ -69,7 +69,10 @@ class EqualAllocation(BandwidthAllocator):
     def shares(self, active_clients: list[int], channel: WirelessChannel) -> dict[int, float]:
         if not active_clients:
             return {}
-        return self._weights_to_shares(active_clients, np.ones(len(active_clients)))
+        # what ``_weights_to_shares`` computes for unit weights, ``B * 1.0 / n``
+        # in float64, without the array round trip
+        share = float(self.total_bandwidth_hz) / len(active_clients)
+        return dict.fromkeys(active_clients, share)
 
 
 class ProportionalRateAllocation(BandwidthAllocator):
@@ -194,21 +197,27 @@ class AllocatorSharePolicy:
         fraction of the capacity and the allocator distributes only the
         remainder, so the summed allocation never exceeds the link.
         """
-        counts = Counter(flow.client for flow in flows if flow.client is not None)
+        if not flows:
+            return []
+        clients = [flow.client for flow in flows]
+        active = frozenset(clients)
+        if len(active) == len(clients) and None not in active:
+            # One flow per client, all attributed: the general expression
+            # below is ``share * 1.0 / 1``, the share itself.
+            shares = self._shares_for(active)
+            return [shares[client] for client in clients]
+        counts = Counter(client for client in clients if client is not None)
         if not counts:
             share = capacity / len(flows)
             return [share] * len(flows)
         shares = self._shares_for(frozenset(counts))
-        unattributed = sum(1 for flow in flows if flow.client is None)
         fallback = capacity / len(flows)
         # The allocator hands out the full capacity; scale attributed
         # shares down by whatever the unattributed flows reserve.
-        scale = 1.0 - unattributed / len(flows)
+        scale = 1.0 - clients.count(None) / len(flows)
         return [
-            shares[flow.client] * scale / counts[flow.client]
-            if flow.client is not None
-            else fallback
-            for flow in flows
+            shares[client] * scale / counts[client] if client is not None else fallback
+            for client in clients
         ]
 
 

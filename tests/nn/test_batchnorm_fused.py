@@ -212,3 +212,33 @@ def test_train_mode_forward_under_no_grad_updates_stats_and_keeps_nothing():
     assert not out.requires_grad
     assert out._backward is None
     assert out._parents == ()
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", [(16, 16, 20, 20), (64, 12)], ids=["2d", "1d"])
+def test_eval_scale_and_shift_is_one_node_with_the_two_node_bits(shape, dtype):
+    """Eval mode applies its per-channel scale and shift as one node that
+    adds the shift in place (one activation-sized temporary less per layer
+    and evaluation batch); nothing reassociates, so output and gradients are
+    those of ``x * scale + shift``, byte for byte."""
+
+    def two_nodes(self: _BatchNorm, x: Tensor) -> Tensor:
+        shape_ = self._param_shape(x.ndim)
+        scale = self.gamma.reshape(*shape_) * Tensor(
+            1.0 / np.sqrt(self.running_var + self.eps).reshape(shape_)
+        )
+        shift = self.beta.reshape(*shape_) - Tensor(self.running_mean.reshape(shape_)) * scale
+        return x * scale + shift
+
+    got = run(_BatchNorm.forward, shape, dtype, training=False)
+    want = run(two_nodes, shape, dtype, training=False)
+    for name, g, w in zip(["out", "dx", "dgamma", "dbeta"], got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    bn = make_layer(shape, np.random.default_rng(0)).eval()
+    x = Tensor(np.ones(shape), requires_grad=True)
+    out = bn(x)
+    assert out._op == "scale_shift" and out._parents[0] is x
+    with no_grad():
+        out = bn(x)
+    assert out._backward is None and out._parents == ()

@@ -131,6 +131,29 @@ class TestLosses:
         nll = nn.NLLLoss()(logits.log_softmax(axis=1), y).item()
         assert abs(ce - nll) < 1e-10
 
+    @pytest.mark.parametrize("loss_cls", [nn.CrossEntropyLoss, nn.NLLLoss])
+    def test_classification_losses_share_one_label_validator(self, loss_cls):
+        """``NLLLoss`` used to index with whatever it was given: ``-1``
+        wrapped to the last class (2.30 instead of an error) and 2-D
+        targets fancy-indexed a number out."""
+        log_probs = Tensor(np.log(np.full((2, 10), 0.1)))
+        loss = loss_cls()
+        with pytest.raises(ValueError, match="range"):
+            loss(log_probs, np.array([-1, 0]))
+        with pytest.raises(ValueError, match="range"):
+            loss(log_probs, np.array([0, 10]))
+        with pytest.raises(ValueError, match="1-D integer"):
+            loss(log_probs, np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ValueError, match="1-D integer"):
+            loss(log_probs, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="incompatible"):
+            loss(log_probs, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="incompatible"):
+            loss(Tensor(np.zeros((2, 5, 2))), np.array([0, 1]))
+        with pytest.raises(ValueError, match="empty batch"):
+            loss(Tensor(np.zeros((0, 10))), np.zeros(0, dtype=int))
+        assert loss(log_probs, [3, 9]).item() == pytest.approx(np.log(10.0))
+
     def test_mse(self):
         preds = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         loss = nn.MSELoss()(preds, np.array([0.0, 0.0]))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concatenate, no_grad, stack, unbroadcast
 from tests.conftest import numeric_gradient
@@ -233,7 +234,7 @@ class TestGraphMechanics:
         assert y._parents == ()
 
     def test_no_grad_attaches_no_backward_closure(self):
-        """Ops assign ``out._backward`` after construction; under ``no_grad``
+        """Ops hand their closure to ``Tensor._from_op``; under ``no_grad``
         (and for any output that does not require grad) nothing may stick."""
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         w = Tensor(np.ones((3, 3)), requires_grad=True)
@@ -278,6 +279,197 @@ class TestGraphMechanics:
             y = y + 0.0
         y.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones(2))
+
+
+def _leaf(rng, *shape, positive=False):
+    data = rng.uniform(0.5, 2.0, size=shape) if positive else rng.normal(size=shape)
+    return Tensor(data, requires_grad=True)
+
+
+def _unary(op, *shape, positive=False):
+    def build(rng):
+        x = _leaf(rng, *shape, positive=positive)
+        return [x], op(x)
+
+    return build
+
+
+def _binary(op, shape_a, shape_b):
+    def build(rng):
+        a, b = _leaf(rng, *shape_a), _leaf(rng, *shape_b, positive=True)
+        return [a, b], op(a, b)
+
+    return build
+
+
+def _linear(rng):
+    x, w, b = _leaf(rng, 4, 6), _leaf(rng, 3, 6), _leaf(rng, 3)
+    return [x, w, b], F.linear(x, w, b)
+
+
+def _conv2d(rng):
+    x, w, b = _leaf(rng, 2, 2, 6, 6), _leaf(rng, 3, 2, 3, 3), _leaf(rng, 3)
+    return [x, w, b], F.conv2d(x, w, b, padding=1)
+
+
+def _batch_norm(layer_cls, shape, training):
+    def build(rng):
+        bn = layer_cls(shape[1])
+        bn.train(training)
+        x = _leaf(rng, *shape)
+        return [x, bn.gamma, bn.beta], bn(x)
+
+    return build
+
+
+def _loss(loss_cls):
+    def build(rng):
+        x = _leaf(rng, 5, 4)
+        return [x], loss_cls()(x, rng.integers(0, 4, size=5))
+
+    return build
+
+
+#: every op of ``tensor.py``, ``functional.py`` and ``norm.py``: name ->
+#: ``build(rng) -> (leaves, output)``
+OP_CASES = {
+    "add": _binary(lambda a, b: a + b, (3, 4), (3, 4)),
+    "add_broadcast": _binary(lambda a, b: a + b, (3, 4), (4,)),
+    "mul": _binary(lambda a, b: a * b, (3, 4), (3, 4)),
+    "mul_broadcast": _binary(lambda a, b: a * b, (3, 4), (3, 1)),
+    "sub": _binary(lambda a, b: a - b, (3, 4), (3, 4)),
+    "div": _binary(lambda a, b: a / b, (3, 4), (3, 4)),
+    "matmul": _binary(lambda a, b: a @ b, (3, 4), (4, 2)),
+    "matmul_vector": _binary(lambda a, b: a @ b, (3, 4), (4,)),
+    "neg": _unary(lambda x: -x, 3, 4),
+    "pow": _unary(lambda x: x**3, 3, 4),
+    "sqrt": _unary(lambda x: x.sqrt(), 3, 4, positive=True),
+    "sum": _unary(lambda x: x.sum(axis=0), 3, 4),
+    "mean": _unary(lambda x: x.mean(axis=1, keepdims=True), 3, 4),
+    "max": _unary(lambda x: x.max(axis=1), 3, 4),
+    "reshape": _unary(lambda x: x.reshape(4, 3), 3, 4),
+    "transpose": _unary(lambda x: x.transpose(), 3, 4),
+    "getitem": _unary(lambda x: x[1:, ::2], 3, 4),
+    "clone": _unary(lambda x: x.clone(), 3, 4),
+    "exp": _unary(lambda x: x.exp(), 3, 4),
+    "log": _unary(lambda x: x.log(), 3, 4, positive=True),
+    "relu": _unary(lambda x: x.relu(), 3, 4),
+    "sigmoid": _unary(lambda x: x.sigmoid(), 3, 4),
+    "tanh": _unary(lambda x: x.tanh(), 3, 4),
+    "log_softmax": _unary(lambda x: x.log_softmax(axis=1), 3, 4),
+    "softmax": _unary(lambda x: x.softmax(axis=1), 3, 4),
+    "stack": _binary(lambda a, b: stack([a, b], axis=1), (3, 4), (3, 4)),
+    "concatenate": _binary(lambda a, b: concatenate([a, b], axis=1), (3, 4), (3, 2)),
+    "linear": _linear,
+    "conv2d": _conv2d,
+    "max_pool2d": _unary(lambda x: F.max_pool2d(x, 2), 2, 2, 4, 4),
+    "max_pool2d_overlapping": _unary(lambda x: F.max_pool2d(x, 3, stride=1), 2, 2, 5, 5),
+    "avg_pool2d": _unary(lambda x: F.avg_pool2d(x, 2), 2, 2, 4, 4),
+    "pad2d": _unary(lambda x: F.pad2d(x, 1), 2, 2, 3, 3),
+    "dropout": _unary(lambda x: F.dropout(x, 0.5, np.random.default_rng(1)), 3, 4),
+    "batch_norm2d": _batch_norm(nn.BatchNorm2d, (4, 3, 2, 2), True),
+    "batch_norm1d": _batch_norm(nn.BatchNorm1d, (6, 3), True),
+    "batch_norm2d_eval": _batch_norm(nn.BatchNorm2d, (4, 3, 2, 2), False),
+    "cross_entropy": _loss(nn.CrossEntropyLoss),
+    "nll": _loss(nn.NLLLoss),
+}
+
+#: ops whose backward forwards the gradient it is handed, or a view of it:
+#: name -> the leaf gradients as views of the root's
+FORWARDING_OPS = {
+    "add": lambda g: [g, g],
+    "sub": lambda g: [g, -g],
+    "reshape": lambda g: [g.reshape(3, 4)],
+    "transpose": lambda g: [g.T],
+    "clone": lambda g: [g],
+    "pad2d": lambda g: [g[:, :, 1:-1, 1:-1]],
+    "concatenate": lambda g: [g[:, :4], g[:, 4:]],
+    "stack": lambda g: [g[:, 0], g[:, 1]],
+}
+
+
+class TestGradientOwnership:
+    """``_accumulate`` adopts arrays handed over with ``owned=True``; that
+    must never leave two tensors looking at the same memory."""
+
+    @staticmethod
+    def _backward(name):
+        rng = np.random.default_rng(0)
+        leaves, out = OP_CASES[name](rng)
+        seed = rng.normal(size=out.shape)
+        out.backward(seed)
+        return leaves, out, seed
+
+    @pytest.mark.parametrize("name", OP_CASES)
+    def test_no_gradient_aliases_anything(self, name):
+        leaves, out, seed = self._backward(name)
+        grads = [t.grad for t in leaves + [out]]
+        assert all(isinstance(g, np.ndarray) for g in grads)
+        foreign = [t.data for t in leaves + [out]] + [seed]
+        for i, grad in enumerate(grads):
+            assert grad.flags.writeable
+            assert not any(np.shares_memory(grad, other) for other in grads[i + 1 :])
+            assert not any(np.shares_memory(grad, other) for other in foreign)
+
+    @pytest.mark.parametrize("name", OP_CASES)
+    def test_mutating_a_gradient_touches_nothing_else(self, name):
+        leaves, out, seed = self._backward(name)
+        tensors = leaves + [out]
+        for victim in leaves:
+            others = [t for t in tensors if t is not victim]
+            before = [(t.data.copy(), t.grad.copy()) for t in others] + [
+                (victim.data.copy(), seed.copy())
+            ]
+            victim.grad[...] = 12345.0
+            after = [(t.data, t.grad) for t in others] + [(victim.data, seed)]
+            for (data0, grad0), (data1, grad1) in zip(before, after):
+                np.testing.assert_array_equal(data0, data1)
+                np.testing.assert_array_equal(grad0, grad1)
+
+    @pytest.mark.parametrize("name", FORWARDING_OPS)
+    def test_forwarding_ops_still_copy(self, name):
+        """The root keeps its gradient, so a forwarded view would alias it."""
+        leaves, out, _ = self._backward(name)
+        for leaf, want in zip(leaves, FORWARDING_OPS[name](out.grad), strict=True):
+            np.testing.assert_array_equal(leaf.grad, want)
+            assert not np.shares_memory(leaf.grad, out.grad)
+
+    def test_tensor_consumed_twice_accumulates_the_same_bits(self):
+        rng = np.random.default_rng(2)
+        seed = rng.normal(size=(4, 3))
+
+        x = _leaf(rng, 4, 3)
+        (x.relu() + x.relu()).backward(seed)
+        want = seed * (x.data > 0)
+        want += seed * (x.data > 0)
+        assert x.grad.tobytes() == want.tobytes()
+
+        a = _leaf(rng, 4, 3)
+        (a + a).backward(seed)
+        assert a.grad.tobytes() == (seed + seed).tobytes()
+
+        w, x1, x2 = _leaf(rng, 3, 5), _leaf(rng, 4, 5), _leaf(rng, 4, 5)
+        (F.linear(x1, w) + F.linear(x2, w)).backward(seed)
+        want = (x1.data.T @ seed).T + (x2.data.T @ seed).T
+        assert w.grad.tobytes() == want.tobytes()
+        assert not np.shares_memory(x1.grad, x2.grad)
+
+    def test_second_backward_accumulates_into_an_adopted_gradient(self):
+        x = Tensor(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+        x.relu().backward(np.array([1.0, 1.0, 1.0]))
+        first = x.grad
+        x.relu().backward(np.array([1.0, 2.0, 3.0]))
+        assert x.grad is first
+        np.testing.assert_array_equal(x.grad, [0.0, 3.0, 4.0])
+
+    def test_gradient_is_cast_to_the_tensor_dtype_not_adopted(self):
+        """``max`` divides by an integer tie count: a float64 gradient for a
+        float32 tensor."""
+        with nn.default_dtype(np.float32):
+            x = Tensor(np.array([[1.0, 3.0, 3.0]]), requires_grad=True)
+            x.max(axis=1).backward(np.array([1.0], dtype=np.float32))
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.5, 0.5]])
 
 
 class TestUnbroadcast:

@@ -188,17 +188,28 @@ FLOW_SPECS = st.lists(
 )
 
 
-def replay(make_link, policy, specs, rate_fns=None, bits_scale=1.0):
+def replay(make_link, policy, specs, rate_fns=None, bits_scale=1.0, asked=None):
     """Replay one schedule; returns everything the engines must agree on.
 
     ``log`` interleaves completions and aborts in the order the kernel
     resolved them: ``("done", i, t)`` / ``("abort", i, t, undelivered)``.
     ``rate_fns`` (per flow) overrides the drawn ones; ``bits_scale``
     stretches every payload (Shannon rates are ~30x the raw capacity).
+    ``asked`` (a dict) collects, per flow with a ``rate_fn``, every
+    allocation that ``rate_fn`` was evaluated at, in call order.
     """
     env = Environment()
     link = make_link(env, CAPACITY, policy)
     log: list[tuple] = []
+
+    def counting(i, rate_fn):
+        calls = asked.setdefault(i, [])
+
+        def counted(hz):
+            calls.append(hz)
+            return rate_fn(hz)
+
+        return counted
 
     def sender(i, start, bits, abort_after, rate_fn, client, nominal):
         yield env.timeout(start)
@@ -217,6 +228,8 @@ def replay(make_link, policy, specs, rate_fns=None, bits_scale=1.0):
     for i, (start_q, bits_h, abort_q, rate_fn, client, nominal) in enumerate(specs):
         if rate_fns is not None:
             rate_fn = rate_fns[i]
+        if asked is not None and rate_fn is not None:
+            rate_fn = counting(i, rate_fn)
         abort_after = None if abort_q is None else abort_q * 0.25
         env.process(
             sender(
@@ -242,6 +255,23 @@ def assert_same_world(
     return actual
 
 
+def assert_priced_once(
+    policy_factory, specs, make_link=dense_link, rate_fns=None, bits_scale=1.0
+):
+    """Same world as the oracle, which asks ``rate_fn`` on every membership
+    change — while the engine asks each flow's once per distinct allocation,
+    the first time the flow is offered it."""
+    oracle_asked: dict[int, list[float]] = {}
+    asked: dict[int, list[float]] = {}
+    expected = replay(
+        reference_link, policy_factory(), specs, rate_fns, bits_scale, oracle_asked
+    )
+    actual = replay(make_link, policy_factory(), specs, rate_fns, bits_scale, asked)
+    assert actual == expected
+    assert asked == {i: list(dict.fromkeys(calls)) for i, calls in oracle_asked.items()}
+    return oracle_asked, asked
+
+
 def make_channel():
     return WirelessChannel(
         distances_m=np.array([50.0, 80.0, 120.0, 200.0, 320.0, 500.0]),
@@ -251,6 +281,21 @@ def make_channel():
 
 def allocator_policy(name):
     return as_share_policy(make_allocator(name, CAPACITY), make_channel())
+
+
+def shannon_rate_fns(specs, fading):
+    """What the runtime submits: one frozen-fading ``rate_bps`` partial per
+    flow, the fading drawn from the hypothesis ``data`` object."""
+    channel = make_channel()
+    return [
+        partial(
+            channel.rate_bps,
+            client=client if client is not None else 0,
+            tx_power_dbm=channel.config.tx_power_dbm,
+            fading=fading.draw(st.floats(min_value=0.01, max_value=4.0)),
+        )
+        for (_, _, _, _, client, _) in specs
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -282,20 +327,58 @@ class TestDenseEngineMatchesPerFlowArming:
         self, allocator, specs, fading
     ):
         """What the runtime submits: frozen-fading ``rate_bps`` partials."""
-        channel = make_channel()
-        rate_fns = [
-            partial(
-                channel.rate_bps,
-                client=client if client is not None else 0,
-                tx_power_dbm=channel.config.tx_power_dbm,
-                fading=fading.draw(st.floats(min_value=0.01, max_value=4.0)),
-            )
-            for (_, _, _, _, client, _) in specs
-        ]
+        rate_fns = shannon_rate_fns(specs, fading)
         assert_same_world(
             partial(allocator_policy, allocator), specs, default_link, rate_fns,
             bits_scale=32.0,
         )
+
+
+class TestRateTable:
+    """A dense-engine flow remembers ``allocation → bit/s`` and asks its
+    ``rate_fn`` only for an allocation it has not priced yet; nothing the
+    engines must agree on may notice."""
+
+    @given(specs=FLOW_SPECS)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_share(self, specs):
+        # identity / scaling / clamping / starving rate_fns, aborts, and
+        # same-instant finish + submit + abort off the quarter grid
+        assert_priced_once(EqualShare, specs)
+
+    @given(specs=FLOW_SPECS)
+    @settings(max_examples=60, deadline=None)
+    def test_nominal_share_including_oversubscription(self, specs):
+        assert_priced_once(NominalShare, specs)
+
+    @pytest.mark.parametrize("allocator", ALLOCATORS)
+    @given(specs=FLOW_SPECS, fading=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_allocator_share_policy_with_shannon_rates(self, allocator, specs, fading):
+        rate_fns = shannon_rate_fns(specs, fading)
+        assert_priced_once(
+            partial(allocator_policy, allocator), specs, default_link, rate_fns,
+            bits_scale=32.0,
+        )
+
+    def test_revisited_allocations_are_not_repriced(self):
+        """Eight equal flows leaving one by one and a ninth arriving late:
+        the oracle re-asks every survivor at every change, the engine asks
+        only for a ``B/n`` the flow has not held before."""
+        specs = [(0, 40 + 8 * i, None, scaling(2.0), i % 6, 10) for i in range(8)]
+        specs.append((6, 400, None, scaling(0.5), 0, 10))
+        oracle_asked, asked = assert_priced_once(EqualShare, specs)
+        assert sum(map(len, asked.values())) < sum(map(len, oracle_asked.values()))
+        assert all(len(calls) == len(set(calls)) for calls in asked.values())
+
+    def test_same_instant_finish_and_submit(self):
+        specs = [
+            (0, 20, None, scaling(1.0), 0, 10),
+            (1, 20, None, clamping(8.0), 1, 10),
+            (1, 40, 2, starving(20.0), 2, 10),
+        ]
+        for policy in (EqualShare, NominalShare):
+            assert_priced_once(policy, specs)
 
 
 class TestExactTies:

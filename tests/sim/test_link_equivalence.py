@@ -24,6 +24,9 @@ same world:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,3 +370,80 @@ class TestStaleEventHygiene:
         # the heap must stay O(active), not O(events x active).
         assert env.peak_pending <= 300 + 5
         assert env.pending == 0
+
+
+class TestRateTableLifetime:
+    """The dense engine's per-flow ``allocation → bit/s`` table: filled on
+    a miss, owned by the flow, gone with it."""
+
+    @staticmethod
+    def _counting(log):
+        def rate_fn(hz):
+            log.append(hz)
+            return 2.0 * hz
+
+        return rate_fn
+
+    def test_rate_fn_runs_once_per_distinct_allocation(self):
+        env = Environment()
+        link = FairShareLink(env, 120.0)
+        logs = [[], [], [], []]
+
+        def sender(i, start, bits):
+            yield env.timeout(start)
+            yield link.transfer(bits, rate_fn=self._counting(logs[i]))
+
+        # Arrivals at t=0, 1, 2, 4 and departures at t=3, 5, 6, 7: flow 0
+        # holds B, B/2, B/3, B/2, B/3, B/2, B — seven allocations, three
+        # distinct.
+        for i, (start, bits) in enumerate(
+            [(0.0, 1000.0), (1.0, 200.0), (2.0, 280.0), (4.0, 200.0)]
+        ):
+            env.process(sender(i, start, bits))
+        env.run()
+        assert env.now == 7.0
+        assert logs == [[120.0, 60.0, 40.0], [60.0, 40.0], [40.0, 60.0], [40.0, 60.0]]
+
+    def test_flows_without_rate_fn_allocate_no_table(self):
+        env = Environment()
+        link = FairShareLink(env, 100.0, incremental=False)
+        for _ in range(5):
+            link.transfer(100.0)  # cross traffic: allocation *is* the bitrate
+        priced = link.transfer(100.0, rate_fn=lambda hz: hz)
+        tables = {done: flow.rates for done, flow in link._flows.items()}
+        assert tables.pop(priced) == {100.0 / 6: 100.0 / 6}
+        assert list(tables.values()) == [None] * 5
+
+    def test_static_engine_never_builds_one(self):
+        env = Environment()
+        link = FairShareLink(env, 100.0, policy=NominalShare())
+        link.transfer(100.0, rate_fn=lambda hz: 2.0 * hz, nominal=10.0)
+        link.transfer(100.0, rate_fn=lambda hz: 2.0 * hz, nominal=10.0)
+        assert link._mode == "static"
+        assert [flow.rates for flow in link._flows.values()] == [None, None]
+
+    def test_resubmitted_flow_starts_a_fresh_table(self):
+        env = Environment()
+        link = FairShareLink(env, 100.0, incremental=False)
+        log: list[float] = []
+        rate_fn = self._counting(log)
+        first = link.transfer(1000.0, rate_fn=rate_fn)
+        env.run(until=1.0)
+        undelivered = link.abort(first)
+        assert undelivered == 800.0
+        link.transfer(undelivered, rate_fn=rate_fn)
+        env.run()
+        assert log == [100.0, 100.0]  # same allocation, priced again
+        assert env.now == 5.0
+
+    def test_tables_die_with_their_flow(self):
+        env = Environment()
+        link = FairShareLink(env, 100.0, incremental=False)
+        dones = [link.transfer(100.0 + i, rate_fn=lambda hz: 3.0 * hz) for i in range(6)]
+        link.abort(dones[2])
+        flows = [weakref.ref(flow) for flow in link._flows.values()]
+        assert all(ref().rates for ref in flows)
+        env.run()
+        gc.collect()
+        assert link.active_flows == 0 and env.pending == 0
+        assert [ref() for ref in flows] == [None] * 5

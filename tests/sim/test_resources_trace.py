@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import FairShareLink, Resource
+from repro.sim.resources import EqualShare, FairShareLink, Resource
 from repro.sim.trace import TraceEvent, TraceRecorder
 
 
@@ -94,6 +94,10 @@ class TestFairShareLink:
         env.run()
         assert times["short"] == pytest.approx(10.0)
         assert times["long"] == pytest.approx(12.5)
+
+    def test_equal_share_of_no_flows_is_empty(self):
+        """Used to divide by ``len(flows)``."""
+        assert EqualShare().allocate([], 10.0) == []
 
     def test_invalid_args(self):
         env = Environment()

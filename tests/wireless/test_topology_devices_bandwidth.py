@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,68 @@ class TestShareCacheWindow:
         for flows in (a, b, a, c):  # touching a again makes b the oldest
             policy.allocate(flows, 20e6)
         assert list(policy._share_cache) == [frozenset({0}), frozenset({2})]
+
+
+class TestEqualSharesPlainFloats:
+    """``EqualAllocation.shares`` and the one-flow-per-client path of
+    ``AllocatorSharePolicy.allocate`` skip the array round trip and the
+    ``* scale / count`` of the general expressions; the answers are the
+    general expressions' bit for bit."""
+
+    @staticmethod
+    def _general_allocate(allocator, channel, flows, capacity):
+        """``AllocatorSharePolicy.allocate`` before the fast path, frozen."""
+        counts = Counter(flow.client for flow in flows if flow.client is not None)
+        if not counts:
+            share = capacity / len(flows)
+            return [share] * len(flows)
+        shares = allocator.shares(sorted(counts), channel)
+        unattributed = sum(1 for flow in flows if flow.client is None)
+        fallback = capacity / len(flows)
+        scale = 1.0 - unattributed / len(flows)
+        return [
+            shares[flow.client] * scale / counts[flow.client]
+            if flow.client is not None
+            else fallback
+            for flow in flows
+        ]
+
+    @pytest.mark.parametrize("bandwidth_hz", [20e6, 1e6 / 3.0, 40])
+    def test_shares_equal_the_unit_weight_expression(self, bandwidth_hz):
+        alloc = EqualAllocation(bandwidth_hz)
+        for n in range(1, 241):
+            clients = list(range(n))
+            got = alloc.shares(clients, None)
+            want = alloc._weights_to_shares(clients, np.ones(n))
+            assert list(got) == clients
+            assert [type(v) for v in got.values()] == [float] * n
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+    @pytest.mark.parametrize("name", ["equal", "proportional_rate", "inverse_rate"])
+    def test_allocate_equals_the_general_expression(self, name):
+        channel = _test_channel(40)
+        rng = np.random.default_rng(5)
+        policy = as_share_policy(make_allocator(name, 20e6), channel)
+        fresh = make_allocator(name, 20e6)
+        for _ in range(300):
+            size = int(rng.integers(1, 30))
+            kind = rng.integers(3)
+            if kind == 0:  # one flow per client, all attributed: the fast path
+                clients = [int(c) for c in rng.choice(40, size=size, replace=False)]
+            elif kind == 1:  # several flows of one client
+                clients = [int(c) for c in rng.integers(0, 8, size=size)]
+            else:  # some unattributed cross traffic
+                clients = [int(c) if c < 40 else None for c in rng.integers(0, 50, size=size)]
+            flows = [_Flow(c) for c in clients]
+            got = policy.allocate(flows, 20e6)
+            want = self._general_allocate(fresh, channel, flows, 20e6)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_no_flows_no_shares(self):
+        """Used to divide by ``len(flows)``."""
+        policy = as_share_policy(EqualAllocation(20e6), _test_channel())
+        assert policy.allocate([], 20e6) == []
+        assert policy._share_cache == {}
 
 
 class TestWirelessSystem:
