@@ -3,6 +3,15 @@
 ``Dataset`` is a minimal map-style protocol (``__len__`` + ``__getitem__``
 returning ``(x, y)``), with array-backed and subset implementations and a
 ``DataLoader`` that yields ``(images, labels)`` numpy batches.
+
+Batches are gathered, not stacked: everything that needs several samples
+at once (``DataLoader.__iter__``, ``DataLoader.sample_batch``,
+``Dataset.arrays``) asks the dataset for them through one method,
+:meth:`Dataset.take`.  An :class:`ArrayDataset` answers with one fancy
+index per array, a :class:`Subset` composes its indices with the caller's
+and hands the question down, and only a dataset that really has to visit
+its items one by one (the base class; ``TransformedDataset``, whose
+transform draws per item) runs the per-item loop, in index order.
 """
 
 from __future__ import annotations
@@ -25,10 +34,17 @@ class Dataset:
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:  # pragma: no cover
         raise NotImplementedError
 
+    def take(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The samples at ``indices``, in that order, as ``(images, labels)``
+        arrays.  This default visits the items one by one."""
+        if len(indices) == 0:
+            raise ValueError("cannot take zero samples one by one: their shape is unknown")
+        xs, ys = zip(*(self[int(i)] for i in indices))
+        return np.stack(xs), np.asarray(ys)
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Materialize the whole dataset as ``(images, labels)`` arrays."""
-        xs, ys = zip(*(self[i] for i in range(len(self))))
-        return np.stack(xs), np.asarray(ys)
+        return self.take(np.arange(len(self)))
 
 
 class ArrayDataset(Dataset):
@@ -58,6 +74,9 @@ class ArrayDataset(Dataset):
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
         return self.images[index], int(self.labels[index])
 
+    def take(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.images[indices], self.labels[indices]
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.images, self.labels
 
@@ -73,7 +92,10 @@ class Subset(Dataset):
 
     def __init__(self, dataset: Dataset, indices: Sequence[int]) -> None:
         self.dataset = dataset
-        self.indices = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"subset indices must be integers, got dtype {idx.dtype}")
+        self.indices = idx.astype(np.int64, copy=False)
         if len(self.indices) and (
             self.indices.min() < 0 or self.indices.max() >= len(dataset)
         ):
@@ -84,6 +106,9 @@ class Subset(Dataset):
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
         return self.dataset[int(self.indices[index])]
+
+    def take(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.dataset.take(self.indices[indices])
 
 
 class DataLoader:
@@ -125,13 +150,12 @@ class DataLoader:
             batch_idx = order[start : start + self.batch_size]
             if self.drop_last and len(batch_idx) < self.batch_size:
                 return
-            xs, ys = zip(*(self.dataset[int(i)] for i in batch_idx))
-            yield np.stack(xs), np.asarray(ys)
+            yield self.dataset.take(batch_idx)
 
     def sample_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Draw one random mini-batch (with reshuffle), for single steps."""
         n = len(self.dataset)
-        take = min(self.batch_size, n)
-        idx = self._rng.choice(n, size=take, replace=False)
-        xs, ys = zip(*(self.dataset[int(i)] for i in idx))
-        return np.stack(xs), np.asarray(ys)
+        if n == 0:
+            raise ValueError("cannot sample a batch from an empty dataset")
+        idx = self._rng.choice(n, size=min(self.batch_size, n), replace=False)
+        return self.dataset.take(idx)

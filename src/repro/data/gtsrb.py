@@ -18,6 +18,16 @@ Why the substitution is faithful for this paper: Fig. 2 compares training
 *protocols* (CL/SL/FL/GSFL) on the same dataset; the scheme ordering and
 latency results depend on the protocol structure and payload sizes, not
 on the specific pixel statistics of German roads.
+
+How a split is built: ``SyntheticGTSRB._generate`` allocates the
+``(N, 3, H, W)`` array once and ``_render_class`` fills it a class at a
+time.  Only the random draws run per sample (the stream interleaves
+conditional draws, so their order is the dataset's identity); geometry,
+colour, jitter, blur and clipping are array expressions over the class.
+``render_sign`` is the ``n = 1`` call of the same renderer.  The
+per-sample generator this replaced lives on, frozen, in
+``tests/data/test_gtsrb_oracle.py``, which holds both to the same bytes
+and the same generator state afterwards.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.utils.rng import new_rng
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_non_negative, check_positive, check_probability
 
 __all__ = ["GtsrbConfig", "SyntheticGTSRB", "NUM_CLASSES", "render_sign", "class_spec"]
 
@@ -135,6 +145,87 @@ def _glyph_mask(glyph: str, scale: float, yy: np.ndarray, xx: np.ndarray) -> np.
     raise ValueError(f"unknown glyph {glyph!r}")
 
 
+def _render_class(
+    label: int,
+    out: np.ndarray,
+    work: np.ndarray,
+    rng: np.random.Generator,
+    noise_std: float,
+    jitter: float,
+    max_shift: int,
+    blur_prob: float,
+    occlusion_prob: float,
+) -> None:
+    """Fill ``out``, shape ``(n, 3, size, size)``, with ``n`` augmented
+    samples of class ``label``; ``work`` is scratch of shape ``(2, n, 3,
+    size, size)`` (two images per sample), handed in so that rendering
+    class after class asks the allocator for nothing class-sized.
+
+    Two passes.  The draws run sample by sample in the one order the
+    stream allows (blur and occlusion draw conditionally, so no draw can
+    be hoisted past its predecessor) and each sample's noise lands
+    directly in its slot of ``out``.  Everything computed *from* the draws
+    is then an array expression over the whole class, elementwise the
+    arithmetic a single sample would see: a sample's bytes do not depend
+    on how many others are rendered with it.
+    """
+    spec = class_spec(label)
+    n, _, size, _ = out.shape
+    shift = np.empty((n, 2), dtype=np.int64)
+    background = np.empty((n, 3))
+    gain = np.empty(n)
+    bias = np.empty(n)
+    blurred: list[int] = []
+    occlusions: list[tuple[int, slice, slice, float]] = []
+    for i in range(n):
+        shift[i, 0] = rng.integers(-max_shift, max_shift + 1)
+        shift[i, 1] = rng.integers(-max_shift, max_shift + 1)
+        background[i] = rng.random(3)
+        gain[i] = rng.random()
+        bias[i] = rng.random()
+        out[i] = rng.normal(0.0, noise_std, size=out.shape[1:]) if noise_std > 0 else 0.0
+        if rng.random() < blur_prob:
+            blurred.append(i)
+        if rng.random() < occlusion_prob:
+            oh = rng.integers(size // 6, size // 3 + 1)
+            ow = rng.integers(size // 6, size // 3 + 1)
+            oy = rng.integers(0, size - oh + 1)
+            ox = rng.integers(0, size - ow + 1)
+            occlusions.append((i, slice(oy, oy + oh), slice(ox, ox + ow), rng.random()))
+
+    # Random centre shift implemented as a coordinate offset; ``yy`` varies
+    # down a column and ``xx`` along a row, and the masks broadcast them.
+    coords = np.linspace(-1.0, 1.0, size)
+    offsets = shift * (2.0 / size)
+    yy = (coords + offsets[:, :1])[:, :, None]
+    xx = (coords + offsets[:, 1:])[:, None, :]
+
+    sign = _shape_mask(spec.shape, yy, xx)
+    glyph = _glyph_mask(spec.glyph, spec.glyph_scale, yy, xx) & sign
+    rim = sign & ~_shape_mask(spec.shape, yy * 1.35, xx * 1.35)
+
+    img = work[0]
+    img[:] = (0.25 + 0.2 * background)[:, :, None, None]
+    face = _COLORS["white"] if spec.color != "white" else (0.75, 0.75, 0.75)
+    for channel in range(3):
+        plane = img[:, channel]
+        plane[sign] = face[channel]
+        plane[rim] = _COLORS[spec.color][channel]
+        plane[glyph] = 0.05  # near-black, every channel
+    # Photometric jitter (contrast scale, then brightness offset), then noise.
+    img *= (1.0 + jitter * (gain - 0.5) * 2.0)[:, None, None, None]
+    img += (jitter * 0.3 * (bias - 0.5) * 2.0)[:, None, None, None]
+    out += img
+
+    if blurred:
+        # mode="clip": the default "raise" gathers into a temporary first
+        source = np.take(out, blurred, axis=0, out=work[0, : len(blurred)], mode="clip")
+        out[blurred] = _box_blur(source, work[1, : len(blurred)])
+    for i, ys, xs, value in occlusions:
+        out[i, :, ys, xs] = value
+    np.clip(out, 0.0, 1.0, out=out)
+
+
 def render_sign(
     label: int,
     size: int,
@@ -149,64 +240,31 @@ def render_sign(
 
     Returns a float64 RGB image of shape ``(3, size, size)`` in [0, 1].
     """
-    spec = class_spec(label)
-    # Random sub-pixel centre shift implemented as coordinate offset.
-    dy = rng.integers(-max_shift, max_shift + 1) * (2.0 / size)
-    dx = rng.integers(-max_shift, max_shift + 1) * (2.0 / size)
-    coords = np.linspace(-1.0, 1.0, size)
-    yy, xx = np.meshgrid(coords + dy, coords + dx, indexing="ij")
-
-    sign = _shape_mask(spec.shape, yy, xx)
-    glyph = _glyph_mask(spec.glyph, spec.glyph_scale, yy, xx) & sign
-    rim = sign & ~_shape_mask(spec.shape, yy * 1.35, xx * 1.35)
-
-    img = np.empty((3, size, size))
-    background = 0.25 + 0.2 * rng.random(3)
-    face = np.array(_COLORS["white"]) if spec.color != "white" else np.array(
-        (0.75, 0.75, 0.75)
+    out = np.empty((1, 3, size, size))
+    work = np.empty((2, 1, 3, size, size))
+    _render_class(
+        label, out, work, rng, noise_std, jitter, max_shift, blur_prob, occlusion_prob
     )
-    rim_color = np.array(_COLORS[spec.color])
-    glyph_color = np.array((0.05, 0.05, 0.05))
-    for c in range(3):
-        img[c] = background[c]
-        img[c][sign] = face[c]
-        img[c][rim] = rim_color[c]
-        img[c][glyph] = glyph_color[c]
-
-    # Photometric jitter: brightness offset + contrast scale.
-    brightness = 1.0 + jitter * (rng.random() - 0.5) * 2.0
-    offset = jitter * 0.3 * (rng.random() - 0.5) * 2.0
-    img = img * brightness + offset
-
-    if noise_std > 0:
-        img = img + rng.normal(0.0, noise_std, size=img.shape)
-
-    if rng.random() < blur_prob:
-        img = _box_blur(img)
-
-    if rng.random() < occlusion_prob:
-        oh = rng.integers(size // 6, size // 3 + 1)
-        ow = rng.integers(size // 6, size // 3 + 1)
-        oy = rng.integers(0, size - oh + 1)
-        ox = rng.integers(0, size - ow + 1)
-        img[:, oy : oy + oh, ox : ox + ow] = rng.random()
-
-    return np.clip(img, 0.0, 1.0)
+    return out[0]
 
 
-def _box_blur(img: np.ndarray) -> np.ndarray:
-    """3x3 box blur per channel (edges handled by same-size accumulation)."""
-    out = np.zeros_like(img)
-    count = np.zeros_like(img)
+def _box_blur(imgs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """3x3 box blur of every ``(..., H, W)`` plane of ``imgs`` into ``out``
+    (edges handled by same-size accumulation: a border pixel averages the
+    neighbours it has)."""
+    height, width = imgs.shape[-2:]
+    out[...] = 0.0
+    count = np.zeros((height, width))
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
-            src_y = slice(max(0, -dy), img.shape[1] - max(0, dy))
-            src_x = slice(max(0, -dx), img.shape[2] - max(0, dx))
-            dst_y = slice(max(0, dy), img.shape[1] - max(0, -dy))
-            dst_x = slice(max(0, dx), img.shape[2] - max(0, -dx))
-            out[:, dst_y, dst_x] += img[:, src_y, src_x]
-            count[:, dst_y, dst_x] += 1.0
-    return out / count
+            src_y = slice(max(0, -dy), height - max(0, dy))
+            src_x = slice(max(0, -dx), width - max(0, dx))
+            dst_y = slice(max(0, dy), height - max(0, -dy))
+            dst_x = slice(max(0, dx), width - max(0, -dx))
+            out[..., dst_y, dst_x] += imgs[..., src_y, src_x]
+            count[dst_y, dst_x] += 1.0
+    out /= count
+    return out
 
 
 @dataclass
@@ -238,6 +296,9 @@ class GtsrbConfig:
         check_positive("image_size", self.image_size)
         check_positive("train_per_class", self.train_per_class)
         check_positive("test_per_class", self.test_per_class)
+        check_non_negative("noise_std", self.noise_std)
+        check_non_negative("jitter", self.jitter)
+        check_non_negative("max_shift", self.max_shift)
         check_probability("blur_prob", self.blur_prob)
         check_probability("occlusion_prob", self.occlusion_prob)
         if self.imbalance < 1.0:
@@ -264,25 +325,22 @@ class SyntheticGTSRB:
     def _generate(self, per_class: int, rng: np.random.Generator) -> ArrayDataset:
         cfg = self.config
         counts = cfg.class_counts(per_class)
-        images: list[np.ndarray] = []
-        labels: list[int] = []
-        for label in range(cfg.num_classes):
-            for _ in range(int(counts[label])):
-                images.append(
-                    render_sign(
-                        label,
-                        cfg.image_size,
-                        rng,
-                        noise_std=cfg.noise_std,
-                        jitter=cfg.jitter,
-                        max_shift=cfg.max_shift,
-                        blur_prob=cfg.blur_prob,
-                        occlusion_prob=cfg.occlusion_prob,
-                    )
-                )
-                labels.append(label)
-        x = np.stack(images)
-        y = np.asarray(labels, dtype=np.int64)
+        y = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), counts)
+        x = np.empty((len(y), 3, cfg.image_size, cfg.image_size))
+        work = np.empty((2, counts.max(), 3, cfg.image_size, cfg.image_size))
+        stops = np.cumsum(counts)
+        for label, (start, stop) in enumerate(zip(stops - counts, stops)):
+            _render_class(
+                label,
+                x[start:stop],
+                work[:, : stop - start],
+                rng,
+                cfg.noise_std,
+                cfg.jitter,
+                cfg.max_shift,
+                cfg.blur_prob,
+                cfg.occlusion_prob,
+            )
         order = rng.permutation(len(y))
         return ArrayDataset(x[order], y[order])
 

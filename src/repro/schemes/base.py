@@ -32,7 +32,7 @@ import numpy as np
 from repro import nn
 from repro.data.dataset import DataLoader, Dataset
 from repro.exec import Executor, SerialExecutor
-from repro.metrics.evaluate import evaluate_model
+from repro.metrics.evaluate import EVAL_SLAB, evaluate_model
 from repro.metrics.history import TrainingHistory
 from repro.sim.cross_traffic import CrossTrafficConfig, start_cross_traffic
 from repro.sim.failures import FailureInjector
@@ -230,7 +230,7 @@ class SchemeConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
     eval_every: int = 1
-    eval_batch_size: int = 256
+    eval_batch_size: int = EVAL_SLAB
     quantize_bits: int | None = None
     transport: str = "float32"
     medium: str = "static"
@@ -248,6 +248,7 @@ class SchemeConfig:
         check_positive("local_steps", self.local_steps)
         check_positive("lr", self.lr)
         check_positive("eval_every", self.eval_every)
+        check_positive("eval_batch_size", self.eval_batch_size)
         check_in_choices("medium", self.medium, MEDIUM_POLICIES)
         check_in_choices("regroup", self.regroup, REGROUP_POLICIES)
         check_positive("regroup_every", self.regroup_every)

@@ -83,6 +83,23 @@ class TestGtsrbConfig:
         with pytest.raises(ValueError):
             GtsrbConfig(blur_prob=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value", [("noise_std", -0.1), ("jitter", -0.25), ("max_shift", -1)]
+    )
+    def test_negative_augmentation_strengths_rejected(self, field, value):
+        """``noise_std=-0.1`` used to render no noise at all (``if noise_std
+        > 0``) and ``max_shift=-1`` died inside numpy: "low >= high"."""
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            GtsrbConfig(**{field: value})
+
+    def test_zero_augmentation_strengths_accepted(self):
+        cfg = GtsrbConfig(
+            num_classes=2, train_per_class=2, test_per_class=1,
+            noise_std=0.0, jitter=0.0, max_shift=0,
+        )
+        train, _ = SyntheticGTSRB(cfg).train_test()
+        assert np.isfinite(train.images).all()
+
     def test_balanced_class_counts(self):
         cfg = GtsrbConfig(num_classes=5, train_per_class=10)
         np.testing.assert_array_equal(cfg.class_counts(10), [10] * 5)

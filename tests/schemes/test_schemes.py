@@ -176,6 +176,18 @@ class TestStorageAccounting:
         )
 
 
+class TestSchemeConfigValidation:
+    @pytest.mark.parametrize("value", [0, -64])
+    def test_eval_batch_size_must_be_positive(self, value):
+        """``eval_batch_size=0`` used to be accepted and only fail inside
+        the first evaluation, after a round had already trained."""
+        with pytest.raises(ValueError, match="eval_batch_size must be > 0"):
+            SchemeConfig(eval_batch_size=value)
+
+    def test_evaluation_walks_64_sample_slabs_by_default(self):
+        assert SchemeConfig().eval_batch_size == 64
+
+
 class TestGsflConfiguration:
     def test_explicit_groups(self, built_nolatency):
         n = len(built_nolatency.client_datasets)
