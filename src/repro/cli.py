@@ -398,8 +398,31 @@ def _executor(args: argparse.Namespace) -> Executor:
     return make_executor(args.executor, args.workers)
 
 
+def _check_experiment_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range ``--rounds`` / ``--workers`` before any work."""
+    if args.rounds < 1:
+        raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
+    if args.workers is not None:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if args.executor == "serial" and args.workers != 1:
+            raise ValueError(
+                f"--workers {args.workers} needs --executor thread or process "
+                f"(the serial executor runs exactly one worker)"
+            )
+
+
+def _config_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fig2a(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
+    try:
+        _check_experiment_flags(args)
+        scenario = _scenario(args)
+    except ValueError as exc:
+        return _config_error(exc)
     scenario.wireless = None  # accuracy axis only
     with _executor(args) as ex:
         result = run_fig2a(scenario, num_rounds=args.rounds,
@@ -413,7 +436,11 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2b(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
+    try:
+        _check_experiment_flags(args)
+        scenario = _scenario(args)
+    except ValueError as exc:
+        return _config_error(exc)
     with _executor(args) as ex:
         result = run_fig2b(scenario, num_rounds=args.rounds,
                            target_accuracy=args.target, verbose=True, executor=ex)
@@ -431,10 +458,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # --churn-uptime 0) and exit cleanly; anything raised later, during
     # the actual run, is a real bug and must keep its traceback.
     try:
+        _check_experiment_flags(args)
         scenario = _scenario(args)
         if args.cut_layer is not None:
+            depth = len(scenario.make_model())
+            if not 1 <= args.cut_layer <= depth - 1:
+                raise ValueError(
+                    f"--cut-layer must be between 1 and {depth - 1} for the "
+                    f"{depth}-layer {scenario.model_name} model, got {args.cut_layer}"
+                )
             scenario.cut_layer = args.cut_layer
         if args.groups is not None:
+            if not 1 <= args.groups <= scenario.num_clients:
+                raise ValueError(
+                    f"--groups must be between 1 and the scenario's "
+                    f"{scenario.num_clients} clients, got {args.groups}"
+                )
             scenario.num_groups = args.groups
         if args.aggregation != "sync" and not SCHEME_REGISTRY[args.scheme].supports_async:
             raise ValueError(
@@ -478,8 +517,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if dynamics is not None:
             scenario.dynamics = dynamics
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     built = scenario.build()
     with _executor(args) as ex:
         overrides: dict = {"executor": ex}

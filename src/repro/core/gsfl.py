@@ -25,11 +25,13 @@ beats SL in wall clock by parallelizing client compute and concentrating
 transmit power on narrower subchannels.
 
 The round engine mirrors that structure on the host: the parent thread
-draws everything stateful (failure injection, mini-batches, priced
+draws everything from shared streams (failure injection, priced
 activities with their fading realizations) in protocol order, then the
 ``M`` independent group pipelines run on the scheme's
 :mod:`repro.exec` executor — serial, thread-pool, or process-pool —
-with bitwise-identical training histories on every backend.
+each member drawing its mini-batches from its own loader at the step
+that trains on them, with bitwise-identical training histories on every
+backend.
 """
 
 from __future__ import annotations
@@ -270,11 +272,13 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
 
         # ------------------------------------------------------------------
         # Phase 1 (parent thread, protocol order): draw everything that
-        # consumes shared RNG streams — failure injection, per-client data
-        # batches, and channel-fading demand realizations — and package
-        # each surviving group's work as an independent task.  Groups share
-        # no training state within a round, so the tasks can then run on
-        # any executor backend with bitwise-identical results.
+        # consumes shared RNG streams — failure injection and channel-
+        # fading demand realizations — and package each surviving group's
+        # work as an independent task.  Mini-batches are not drawn here:
+        # each client's loader has a private stream and serves one task,
+        # so the task draws them at the step that trains on them.  Groups
+        # share no training state within a round, so the tasks can then
+        # run on any executor backend with bitwise-identical results.
         # ------------------------------------------------------------------
         training = Stage("group_training")
         tasks: list[GroupTask] = []
@@ -291,16 +295,16 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             if not members:
                 continue  # whole group lost this round
 
-            activities, batches = self._group_pipeline(
-                members, bandwidth, client_model_bytes
+            training.extend(
+                track, self._group_pipeline(members, bandwidth, client_model_bytes)
             )
-            training.extend(track, activities)
 
             tasks.append(
                 GroupTask(
                     index=g,
                     members=list(members),
-                    batches=batches,
+                    samplers=[self.client_loaders[c].sample_batch for c in members],
+                    local_steps=self.config.local_steps,
                     client_state=self._global_client_state,
                     server_state=self._global_server_state,
                     weight=float(
@@ -368,13 +372,15 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
 
     def _group_pipeline(
         self, members: list[int], bandwidth: float, client_model_bytes: int
-    ) -> tuple[list[Activity], list[list[tuple]]]:
-        """One group's relay as (activities, pre-sampled batches).
+    ) -> list[Activity]:
+        """One group's relay as priced activities (no training, no batches).
 
-        Draw order is the protocol order (downlink → per-member batches
-        and split-step fading → relay/upload), shared verbatim by the
-        barriered stage construction and the async unit pipelines so the
-        fading and loader streams replay identically.
+        Draw order is the protocol order (downlink → per-member split-step
+        fading → relay/upload), shared verbatim by the barriered stage
+        construction and the async unit pipelines so the fading stream
+        replays identically.  The members' mini-batches are drawn later,
+        by :func:`~repro.schemes.split_common.train_split_group`, at the
+        step that trains on each.
         """
         pricing = self._pricing
         # A lossy transport shrinks every model hop to the codec's wire
@@ -384,7 +390,6 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
         wire_bytes = pricing.model_wire_nbytes(client_model_bytes)
         scalars = pricing.model_scalars(client_model_bytes) if lossy else 0
         activities: list[Activity] = []
-        batches: list[list[tuple]] = []
         for position, client in enumerate(members):
             if position == 0:
                 # Step 1 (distribution): AP → first client of the group.
@@ -416,12 +421,6 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
                             detail="model",
                         )
                     )
-            batches.append(
-                [
-                    self.client_loaders[client].sample_batch()
-                    for _ in range(self.config.local_steps)
-                ]
-            )
             activities.extend(
                 price_local_round(
                     client,
@@ -495,7 +494,7 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
                             detail=f"model from client-{client}",
                         )
                     )
-        return activities, batches
+        return activities
 
     # ------------------------------------------------------------------
     # asynchronous aggregation (barrier-free policies)
@@ -519,7 +518,7 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             # (the lag gate must not deadlock) but commits nothing.
             return UnitRoundWork(activities=[], payload=None, weight=0.0)
 
-        activities, batches = self._group_pipeline(
+        activities = self._group_pipeline(
             members,
             self.bandwidth_shares[unit],
             self._pricing.client_model_nbytes(self.cut_layer),
@@ -531,7 +530,8 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
         task = GroupTask(
             index=unit,
             members=list(members),
-            batches=batches,
+            samplers=[self.client_loaders[c].sample_batch for c in members],
+            local_steps=self.config.local_steps,
             client_state=self._global_client_state,
             server_state=self._global_server_state,
             weight=float(sum(len(self.client_datasets[c]) for c in members)),

@@ -6,6 +6,12 @@ trained there.  Each round the server processes ``N * local_steps``
 mini-batches, matching the total data visited per round by the
 distributed schemes, so accuracy-per-round curves are comparable
 (Fig 2a's CL series).
+
+The pool is indices, not images: when every client dataset is a
+:class:`~repro.data.dataset.Subset` of one dataset (every scenario the
+library builds), the pool is one ``Subset`` over their concatenated
+indices, and the pooled loader gathers each batch from the shared
+images — the samples, in the order, a concatenated copy would hold.
 """
 
 from __future__ import annotations
@@ -13,13 +19,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.data.dataset import ArrayDataset, DataLoader
+from repro.data.dataset import ArrayDataset, DataLoader, Dataset, Subset
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity, Scheme, Stage
 from repro.schemes.pricing import LatencyModel
 from repro.utils.rng import new_rng
 
 __all__ = ["CentralizedLearning"]
+
+
+def _pool(datasets: list[Dataset]) -> Dataset:
+    """Every client's samples as one dataset, client after client.
+
+    Subsets of one dataset pool by index; anything else is concatenated.
+    """
+    subsets = [ds for ds in datasets if isinstance(ds, Subset)]
+    if len(subsets) == len(datasets) and all(
+        ds.dataset is subsets[0].dataset for ds in subsets
+    ):
+        return Subset(subsets[0].dataset, np.concatenate([ds.indices for ds in subsets]))
+    xs, ys = zip(*(ds.arrays() for ds in datasets))
+    return ArrayDataset(np.concatenate(xs), np.concatenate(ys))
 
 
 class CentralizedLearning(Scheme):
@@ -29,10 +49,8 @@ class CentralizedLearning(Scheme):
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        xs, ys = zip(*(ds.arrays() for ds in self.client_datasets))
-        pooled = ArrayDataset(np.concatenate(xs), np.concatenate(ys))
         self._pooled_loader = DataLoader(
-            pooled,
+            _pool(self.client_datasets),
             batch_size=self.config.batch_size,
             shuffle=True,
             seed=new_rng(self.config.seed + 104729),

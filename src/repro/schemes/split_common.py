@@ -16,15 +16,18 @@ Two layers:
 
 :func:`split_local_round` composes both for the serial schemes (SL), and
 :func:`train_split_group` is the executor work-function behind GSFL's and
-SplitFed's parallel round engines: it receives a :class:`GroupTask` with
-pre-sampled batches, trains a private :class:`~repro.nn.split.SplitModel`
-replica, and returns the trained halves.
+SplitFed's parallel round engines: it receives a :class:`GroupTask`
+carrying each member's batch source, draws every mini-batch at the step
+that trains on it — so a round holds one batch per running task, not
+its whole batch list — trains the task's
+:class:`~repro.nn.split.SplitModel`, and returns the trained halves.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -86,9 +89,15 @@ class SplitHyperParams:
 class GroupTask:
     """One group's (or client's) independent share of a training round.
 
-    ``batches`` holds the pre-sampled mini-batches — ``batches[m][s]`` is
-    member ``m``'s batch for local step ``s`` — so workers consume no
-    shared RNG stream and every executor backend replays identical data.
+    ``samplers[m]`` is member ``m``'s batch source, called once per local
+    step — ``local_steps`` times in a row, at the step that trains on the
+    batch.  The schemes pass each member's own
+    :meth:`DataLoader.sample_batch <repro.data.dataset.DataLoader.sample_batch>`:
+    a loader has a private generator and serves one task per round, so
+    on the serial and thread backends the draws are the same whichever
+    task runs first.  Process workers cannot advance the parent's
+    loaders, so :func:`run_group_tasks` replaces the sources with the
+    batches it samples in the parent before shipping the task.
     ``split`` is the worker's model: the scheme passes its own
     :class:`SplitModel` for serial execution (reused task after task), a
     private replica per task for threads, and relies on pickling to copy
@@ -101,7 +110,8 @@ class GroupTask:
 
     index: int
     members: list[int]
-    batches: list[list[tuple[np.ndarray, np.ndarray]]]
+    samplers: list[Callable[[], tuple[np.ndarray, np.ndarray]]]
+    local_steps: int
     client_state: "dict[str, np.ndarray] | None"
     server_state: "dict[str, np.ndarray] | None"
     weight: float
@@ -373,9 +383,11 @@ def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
     """Executor work-function: train one group's pipeline sequentially.
 
     Loads the global halves into the task's split model, builds fresh SGD
-    optimizers, and runs every member's pre-sampled batches through
-    :func:`split_step_math` in relay order.  Pure math — no pricing, no
-    shared RNG — so results are bitwise identical on every backend.
+    optimizers, and runs ``local_steps`` batches per member through
+    :func:`split_step_math` in relay order, each drawn from the member's
+    batch source at the step that trains on it.  No pricing and no shared
+    RNG stream (a member's source is private to it), so results are
+    bitwise identical on every backend.
     """
     split = task.split
     if task.client_state is not None:
@@ -405,7 +417,7 @@ def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
     loss_fn = nn.CrossEntropyLoss()
 
     loss_sum = 0.0
-    for position, member_batches in enumerate(task.batches):
+    for position, next_batch in enumerate(task.samplers):
         if codec.lossy and position > 0:
             # Client→AP→client relay: the next member receives the coded
             # client half (parameter identity is preserved, so the live
@@ -414,11 +426,12 @@ def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
                 codec.apply_state(split.client.state_dict())
             )
         member_loss = 0.0
-        for xb, yb in member_batches:
+        for _ in range(task.local_steps):
+            xb, yb = next_batch()
             member_loss += split_step_math(
                 split, client_opt, server_opt, xb, yb, loss_fn, codec
             )
-        loss_sum += member_loss / len(member_batches)
+        loss_sum += member_loss / task.local_steps
 
     # A private replica is discarded after this call (and pickling copies
     # process results anyway), so exporting views is safe; the substrate
@@ -497,6 +510,12 @@ def run_group_tasks(
       which already carries the global weights (states not re-shipped);
     * process — tasks reference ``split`` and pickling gives each worker
       its own pre-loaded copy for free (states not re-shipped).
+
+    Batches: on the serial and thread backends every task draws its own
+    at the step (:class:`GroupTask`).  A process worker would advance a
+    pickled copy of each loader and leave the parent's behind, so this
+    branch — the only place a round's batches exist at once — samples
+    them here, task by task, and ships the arrays.
     """
     if executor.concurrent and executor.shares_address_space:
         for task in tasks:
@@ -506,6 +525,12 @@ def run_group_tasks(
     elif executor.concurrent:
         split.client._last_output = None  # keep pickled payloads lean
         for task in tasks:
+            task.samplers = [
+                functools.partial(
+                    next, iter([sample() for _ in range(task.local_steps)])
+                )
+                for sample in task.samplers
+            ]
             task.split = split
             task.client_state = task.server_state = None
             task.private_replica = True

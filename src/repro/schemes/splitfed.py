@@ -67,10 +67,11 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
         share = pricing.total_bandwidth_hz / len(participants)
         client_model_bytes = pricing.client_model_nbytes(self.cut_layer)
 
-        # Parent thread: sample every client's batches and build every
-        # transmission demand (shared fading stream) in protocol order,
-        # then hand the independent client pipelines to the executor —
-        # SplitFed is GSFL with singleton groups, same round engine.
+        # Parent thread: build every transmission demand (shared fading
+        # stream) in protocol order, then hand the independent client
+        # pipelines to the executor — SplitFed is GSFL with singleton
+        # groups, same round engine; each client's batches are drawn from
+        # its own loader at the step that trains on them.
         training = Stage("parallel_training")
         tasks: list[GroupTask] = []
         for client in participants:
@@ -79,10 +80,6 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
                 track,
                 price_model_downlink(pricing, client, client_model_bytes, share),
             )
-            batches = [
-                self.client_loaders[client].sample_batch()
-                for _ in range(self.config.local_steps)
-            ]
             training.extend(
                 track,
                 price_local_round(
@@ -97,7 +94,8 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
                 GroupTask(
                     index=client,
                     members=[client],
-                    batches=[batches],
+                    samplers=[self.client_loaders[client].sample_batch],
+                    local_steps=self.config.local_steps,
                     client_state=self._global_client_state,
                     server_state=self._global_server_state,
                     weight=float(len(self.client_datasets[client])),
@@ -150,12 +148,6 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
         share = pricing.total_bandwidth_hz / self.num_clients
         nbytes = pricing.client_model_nbytes(self.cut_layer)
         activities = price_model_downlink(pricing, unit, nbytes, share)
-        batches = [
-            [
-                self.client_loaders[unit].sample_batch()
-                for _ in range(self.config.local_steps)
-            ]
-        ]
         activities.extend(
             price_local_round(
                 unit, self.cut_layer, self.config.local_steps, pricing, share
@@ -165,7 +157,8 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
         task = GroupTask(
             index=unit,
             members=[unit],
-            batches=batches,
+            samplers=[self.client_loaders[unit].sample_batch],
+            local_steps=self.config.local_steps,
             client_state=self._global_client_state,
             server_state=self._global_server_state,
             weight=float(len(self.client_datasets[unit])),

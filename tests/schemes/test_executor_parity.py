@@ -1,11 +1,14 @@
 """Executor-parity and dtype-trajectory tests for the round engines.
 
-The round engines draw every shared RNG (data batches, channel fading,
-failure injection) in the parent thread and ship pure-math tasks to the
-executor, so *for a fixed seed the full training history — accuracies,
-train losses, and the priced latency axis — must be bitwise identical
-across serial / thread / process backends*.  These tests assert exactly
-that, on the fast scenario with real wireless pricing enabled.
+The round engines draw every shared RNG (channel fading, failure
+injection) in the parent thread and ship tasks whose only randomness is
+each member's private loader — drawn at the step on the serial and
+thread backends, in the parent before shipping on the process backend —
+so *for a fixed seed the full training history — accuracies, train
+losses, and the priced latency axis — must be bitwise identical across
+serial / thread / process backends, and every client loader must end in
+the same generator state*.  These tests assert exactly that, on the fast
+scenario with real wireless pricing enabled.
 """
 
 from __future__ import annotations
@@ -22,38 +25,53 @@ from repro.nn.dtype import default_dtype
 PARALLEL_SCHEMES = ["GSFL", "SplitFed", "PSL"]
 
 
-def _history(scheme: str, kind: str, dtype=np.float32, rounds: int = 2, **overrides):
+def _run(scheme: str, kind: str, dtype=np.float32, rounds: int = 2, **overrides):
     """Fresh scenario + scheme run on the given backend and dtype."""
     with default_dtype(dtype):
         built = fast_scenario(with_wireless=True).build()
         with make_executor(kind, None if kind == "serial" else 2) as ex:
             scheme_obj = make_scheme(scheme, built, executor=ex, **overrides)
-            history = scheme_obj.run(rounds)
-    return history
+            scheme_obj.run(rounds)
+    return scheme_obj
+
+
+def _history(scheme: str, kind: str, dtype=np.float32, rounds: int = 2, **overrides):
+    return _run(scheme, kind, dtype, rounds, **overrides).history
 
 
 def _assert_identical(a, b):
-    np.testing.assert_array_equal(a.accuracies, b.accuracies)
-    np.testing.assert_array_equal(a.latencies, b.latencies)
+    """Same history, bitwise, and every client loader in the same state.
+
+    The loader fence: a process worker that sampled its own batches would
+    advance a pickled copy of each loader and leave the parent's behind,
+    so the next round would replay the previous round's batches.
+    """
+    ha, hb = a.history, b.history
+    np.testing.assert_array_equal(ha.accuracies, hb.accuracies)
+    np.testing.assert_array_equal(ha.latencies, hb.latencies)
     np.testing.assert_array_equal(
-        [p.train_loss for p in a.points], [p.train_loss for p in b.points]
+        [p.train_loss for p in ha.points], [p.train_loss for p in hb.points]
     )
+    assert [loader._rng.bit_generator.state for loader in a.client_loaders] == [
+        loader._rng.bit_generator.state for loader in b.client_loaders
+    ]
 
 
 class TestExecutorParity:
     @pytest.mark.parametrize("scheme", PARALLEL_SCHEMES)
     def test_thread_matches_serial_bitwise(self, scheme):
-        _assert_identical(_history(scheme, "serial"), _history(scheme, "thread"))
+        _assert_identical(_run(scheme, "serial"), _run(scheme, "thread"))
 
     @pytest.mark.parametrize("scheme", ["GSFL", "SplitFed"])
     def test_process_matches_serial_bitwise(self, scheme):
-        _assert_identical(_history(scheme, "serial"), _history(scheme, "process"))
+        _assert_identical(_run(scheme, "serial"), _run(scheme, "process"))
 
-    def test_process_parity_in_float64(self):
+    @pytest.mark.parametrize("scheme", ["GSFL", "SplitFed"])
+    def test_process_parity_in_float64(self, scheme):
         """The parent's dtype is re-applied inside process workers."""
         _assert_identical(
-            _history("GSFL", "serial", dtype=np.float64),
-            _history("GSFL", "process", dtype=np.float64),
+            _run(scheme, "serial", dtype=np.float64),
+            _run(scheme, "process", dtype=np.float64),
         )
 
     def test_gsfl_six_groups_parity_with_failures(self):
@@ -61,8 +79,8 @@ class TestExecutorParity:
         happen in the parent, so dropped clients are identical too."""
         kwargs = dict(num_groups=6, failure_rate=0.3)
         _assert_identical(
-            _history("GSFL", "serial", **kwargs),
-            _history("GSFL", "thread", **kwargs),
+            _run("GSFL", "serial", **kwargs),
+            _run("GSFL", "thread", **kwargs),
         )
 
     def test_executor_reused_across_rounds(self):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.devtools.trace_schema import TRACE_SCHEMAS
+from repro.experiments.scenario import ExperimentScenario
 
 
 class TestParser:
@@ -218,6 +219,40 @@ class TestCommands:
         )
         assert code == 2
         assert "conflicts with quantize_bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "run --rounds 0",
+            "run --rounds -2",
+            "fig2a --rounds 0",
+            "fig2a --rounds -2",
+            "fig2b --rounds 0",
+            "fig2b --rounds -2",
+            "run --groups 0",
+            "run --groups -1",
+            "run --groups 7",  # the fast preset has 6 clients
+            "run --cut-layer 0",
+            "run --cut-layer 99",
+            "run --workers 0 --executor thread",
+            "run --workers 0 --executor process",
+            "fig2a --workers 0 --executor thread",
+            "fig2b --workers 0 --executor process",
+            "run --workers 2",  # the serial default runs one worker
+        ],
+    )
+    def test_hostile_value_is_a_clean_config_error(self, argv, capsys, monkeypatch):
+        """Rejected in the configuration phase, before any data is made,
+        with a sentence naming the flag and exit 2 — not a traceback."""
+
+        def no_build(self):
+            raise AssertionError("the scenario was built before the flags were checked")
+
+        monkeypatch.setattr(ExperimentScenario, "build", no_build)
+        command, flag, *rest = argv.split()
+        assert main([command, flag, *rest, "--scale", "fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
 
     def test_run_with_int8_transport(self, capsys):
         code = main(
