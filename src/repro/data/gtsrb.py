@@ -28,6 +28,14 @@ colour, jitter, blur and clipping are array expressions over the class.
 per-sample generator this replaced lives on, frozen, in
 ``tests/data/test_gtsrb_oracle.py``, which holds both to the same bytes
 and the same generator state afterwards.
+
+Rendering is float64 throughout; the split is *stored* in the compute
+dtype (:func:`repro.nn.get_default_dtype` when it is built).  The final
+permutation gather writes the rendered images into the stored array a
+bounded chunk at a time, so a float64 run keeps exactly the rendered
+bytes and a float32 run holds half of them — the float32 values each
+batch was cast to on entering the graph anyway — and no permuted
+float64 copy of the split is ever made.
 """
 
 from __future__ import annotations
@@ -37,12 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
+from repro.nn.dtype import get_default_dtype
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_non_negative, check_positive, check_probability
 
 __all__ = ["GtsrbConfig", "SyntheticGTSRB", "NUM_CLASSES", "render_sign", "class_spec"]
 
 NUM_CLASSES = 43
+
+#: samples per step of the permutation gather into the stored split
+_GATHER_CHUNK = 128
 
 #: rim colours (RGB in [0,1])
 _COLORS = {
@@ -317,7 +329,12 @@ class GtsrbConfig:
 
 
 class SyntheticGTSRB:
-    """Factory for train/test splits of the synthetic sign dataset."""
+    """Factory for train/test splits of the synthetic sign dataset.
+
+    A split's images are stored in the compute dtype in force when it is
+    built, and keep it — like a parameter's, the dataset's dtype is fixed
+    at build time.
+    """
 
     def __init__(self, config: GtsrbConfig | None = None) -> None:
         self.config = config or GtsrbConfig()
@@ -342,7 +359,11 @@ class SyntheticGTSRB:
                 cfg.occlusion_prob,
             )
         order = rng.permutation(len(y))
-        return ArrayDataset(x[order], y[order])
+        images = np.empty(x.shape, dtype=get_default_dtype())
+        for start in range(0, len(order), _GATHER_CHUNK):
+            stop = start + _GATHER_CHUNK
+            images[start:stop] = x[order[start:stop]]
+        return ArrayDataset(images, y[order])
 
     def train_test(self) -> tuple[ArrayDataset, ArrayDataset]:
         """Generate the (train, test) pair deterministically from the seed."""

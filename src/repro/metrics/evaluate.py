@@ -1,12 +1,15 @@
 """Model evaluation helpers (loss/accuracy over a dataset, no-grad).
 
-Evaluation walks the dataset in slabs of ``batch_size`` samples (64 by
-default) and holds one slab's activations at a time: under ``no_grad``
-nothing outlives the slab's logits, so the slab — not the dataset — bounds
+Evaluation walks the dataset in slabs of ``batch_size`` samples
+(:data:`EVAL_SLAB`, 16 — the paper's training batch — by default) and
+holds one slab's activations at a time: under ``no_grad`` nothing
+outlives the slab's logits, so the slab — not the dataset — bounds
 evaluation's memory.  DeepThin's largest patch matrix is 56 KiB per 20x20
-sample in float32: 3.5 MiB at 64 samples, where 256 asked the allocator
-for 14.1 MiB at once.  Accuracy and predictions do not depend on the slab
-size; the summed loss does only in its last digits.
+sample in float32: 0.9 MiB at 16 samples, where 64 asked the allocator
+for 3.5 MiB at once and 256 for 14.1 MiB.  At the training batch,
+evaluation's transient working set is no larger than a training step's.
+Accuracy and predictions do not depend on the slab size; the summed loss
+does only in its last digits.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.nn.tensor import Tensor, no_grad
 __all__ = ["evaluate_model", "evaluate_split", "predict_labels", "EVAL_SLAB"]
 
 #: samples evaluated at a time unless the caller says otherwise
-EVAL_SLAB = 64
+EVAL_SLAB = 16
 
 
 @contextmanager
@@ -101,6 +104,8 @@ def predict_labels(
     model: nn.Module, images: np.ndarray, batch_size: int = EVAL_SLAB
 ) -> np.ndarray:
     """Argmax predictions for a raw image array."""
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     preds = []
     with _eval_mode(model), no_grad():
         for start in range(0, len(images), batch_size):

@@ -8,12 +8,18 @@ the server FedAvg-aggregates.  This is the scheme the paper beats by
 SGD steps per round (parallel training then averaging) where GSFL's
 groups take ``(N/M) * local_steps`` sequential steps, and FL moves the
 whole model over the air every round.
+
+Memory: the sync round packs each client's trained model into its row of
+FedAvg's ``(N, K)`` matrix (:class:`~repro.core.aggregation.StackedStates`)
+as soon as the client finishes, so it holds the matrix and one trained
+state, never a list of N state dicts; the average is the same single
+``weights @ matrix`` over the same matrix, bit for bit.
 """
 
 from __future__ import annotations
 
 from repro import nn
-from repro.core.aggregation import fedavg, mix_states
+from repro.core.aggregation import StackedStates, fedavg, mix_states
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity, Scheme, Stage
 from repro.schemes.pricing import LatencyModel
@@ -83,8 +89,10 @@ class FederatedLearning(Scheme):
             )
 
         # --- stage 2: parallel local training --------------------------
+        # Each trained model goes straight into its row of FedAvg's
+        # matrix; no list of trained state dicts is held.
         local = Stage("local_training")
-        local_states = []
+        trained = StackedStates(len(participants))
         total_loss = 0.0
         for c in participants:
             if pricing.enabled and lossy:
@@ -101,7 +109,8 @@ class FederatedLearning(Scheme):
             state, step_losses, activities = self._local_training_round(c)
             for activity in activities:
                 local.add(f"client-{c}", activity)
-            local_states.append(state)
+            trained.append(state)
+            del state
             for step_loss in step_losses:  # one running sum, legacy order
                 total_loss += step_loss
         self._last_train_loss = total_loss / (len(participants) * cfg.local_steps)
@@ -119,7 +128,7 @@ class FederatedLearning(Scheme):
         # --- stage 4: FedAvg at the server ------------------------------
         aggregation = Stage("aggregation")
         weights = self._client_sample_counts(participants)
-        self._global_state = fedavg(local_states, weights)
+        self._global_state = fedavg(trained, weights)
         self.model.load_state_dict(self._global_state)
         aggregation.add(
             "edge-server",

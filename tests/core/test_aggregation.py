@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.aggregation import fedavg, uniform_average, weighted_delta
+from repro.core.aggregation import StackedStates, fedavg, uniform_average, weighted_delta
 from repro.nn.serialize import pack_state
 
 
@@ -80,6 +80,20 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             fedavg([])
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [np.inf, np.inf]],
+        ids=["nan", "inf", "-inf", "inf+inf"],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        """NaN and inf weights passed the sign test and returned an
+        all-NaN model."""
+        states = make_states(2)
+        with pytest.raises(ValueError, match="finite"):
+            fedavg(states, weights=weights)
+        with pytest.raises(ValueError, match="finite"):
+            weighted_delta(states[0], states, weights=weights)
+
     def test_aggregating_model_states_preserves_forward(self):
         """FedAvg of identical model states reproduces the model exactly."""
         model = nn.Sequential(nn.Linear(4, 3, seed=0), nn.ReLU(), nn.Linear(3, 2, seed=1))
@@ -122,3 +136,43 @@ class TestWeightedDelta:
         half = weighted_delta(base, states, server_lr=0.5)
         full = fedavg(states)
         np.testing.assert_allclose(half["w"], 0.5 * base["w"] + 0.5 * full["w"])
+
+
+class TestStackedStates:
+    """States packed one at a time average exactly as the list does."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_by_row_equals_the_list_bitwise(self, dtype):
+        states = [
+            {k: v.astype(dtype) for k, v in s.items()} for s in make_states(5, seed=3)
+        ]
+        weights = [3.0, 1.0, 4.0, 1.0, 5.0]
+        stacked = StackedStates(len(states))
+        for state in states:
+            stacked.append(state)
+        got, want = fedavg(stacked, weights), fedavg(states, weights)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype == dtype
+            assert got[key].tobytes() == want[key].tobytes()
+
+    def test_every_row_is_checked(self):
+        a, b, c = make_states(3)
+        stacked = StackedStates(3)
+        stacked.append(a)
+        with pytest.raises(ValueError, match="mismatched keys"):
+            stacked.append({**b, "extra": np.zeros(1)})
+        with pytest.raises(ValueError, match="shape mismatch"):
+            stacked.append({"w": np.zeros((1, 1)), "b": b["b"]})
+
+    def test_must_be_full_and_not_overfull(self):
+        a, b = make_states(2)
+        stacked = StackedStates(2)
+        stacked.append(a)
+        with pytest.raises(ValueError, match="1 of 2 states packed"):
+            fedavg(stacked)
+        stacked.append(b)
+        with pytest.raises(ValueError, match="already packed"):
+            stacked.append(a)
+        with pytest.raises(ValueError, match="at least one"):
+            StackedStates(0)

@@ -13,6 +13,12 @@ golden history, fixture and benchmark digest downstream sees the dataset
 it always saw.  The oracle shares ``class_spec`` and the two mask functions
 with ``src`` (they did not change); two sha256 pins taken at the commit
 that still ran the per-sample generator guard the oracle itself.
+
+The split is stored in the compute dtype in force when it is built.
+Under float64 (this suite's default) that is the oracle's bytes; under
+float32 it is the oracle's images cast to float32 — the values every
+batch was cast to on entering the graph before the store followed the
+dtype — with labels, order and generator state unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
+from repro.cli import main
 from repro.data.gtsrb import (
     _COLORS,
     NUM_CLASSES,
@@ -167,9 +175,13 @@ def generated(cfg: GtsrbConfig) -> tuple[list[np.ndarray], dict]:
     return [train.images, train.labels, test.images, test.labels], rng.bit_generator.state
 
 
-def assert_same_dataset(cfg: GtsrbConfig) -> None:
-    got, got_state = generated(cfg)
+def assert_same_dataset(cfg: GtsrbConfig, dtype: type = np.float64) -> None:
+    """``train_test()`` built under compute dtype ``dtype`` is the oracle,
+    its images cast to ``dtype``."""
+    with nn.default_dtype(dtype):
+        got, got_state = generated(cfg)
     want, want_state = oracle_train_test(cfg)
+    want[0], want[2] = want[0].astype(dtype), want[2].astype(dtype)
     for name, g, w in zip(("train x", "train y", "test x", "test y"), got, want):
         assert g.dtype == w.dtype, name
         assert g.shape == w.shape, name
@@ -241,6 +253,47 @@ class TestDatasetEqualsOracle:
     @settings(max_examples=25, deadline=None)
     def test_any_config(self, **fields):
         assert_same_dataset(GtsrbConfig(**fields))
+
+
+class TestStoredInTheComputeDtype:
+    """The float32 store holds exactly what a float32 run trained on."""
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    @pytest.mark.parametrize(
+        "workload", ["paper-gsfl", "fleet-contended", "churn-async-trace"]
+    )
+    def test_workload_datasets_in_float32(self, workload, seed):
+        assert_same_dataset(workload_configs(seed)[workload], np.float32)
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_config_variants_in_float32(self, name):
+        assert_same_dataset(VARIANTS[name], np.float32)
+
+    def test_dtype_is_fixed_at_build_time(self):
+        cfg = GtsrbConfig(**SMALL)
+        with nn.default_dtype(np.float32):
+            train, test = SyntheticGTSRB(cfg).train_test()
+        assert nn.get_default_dtype() == np.float64
+        assert train.images.dtype == test.images.dtype == np.float32
+        assert train.labels.dtype == test.labels.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_cli_builds_datasets_in_its_dtype(self, dtype, monkeypatch, capsys):
+        built = []
+        train_test = SyntheticGTSRB.train_test
+
+        def recording(self):
+            built.append((self.config, train_test(self)))
+            return built[-1][1]
+
+        monkeypatch.setattr(SyntheticGTSRB, "train_test", recording)
+        assert main(["info", "--scale", "fast", "--dtype", dtype]) == 0
+        capsys.readouterr()
+        ((cfg, (train, test)),) = built
+        want, _ = oracle_train_test(cfg)
+        for got, oracle in ((train.images, want[0]), (test.images, want[2])):
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == oracle.astype(dtype).tobytes()
 
 
 class TestRenderSignEqualsOracle:

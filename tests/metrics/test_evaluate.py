@@ -11,10 +11,11 @@ from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.data.gtsrb import SyntheticGTSRB
 from repro.experiments.scenario import fast_scenario, paper_scenario
-from repro.metrics.evaluate import evaluate_model, evaluate_split, predict_labels
+from repro.metrics.evaluate import EVAL_SLAB, evaluate_model, evaluate_split, predict_labels
 from repro.models.registry import build_model, default_cut_layer
 from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
+from repro.schemes.split_common import split_step_math
 
 
 @pytest.fixture
@@ -45,8 +46,8 @@ def frozen_batchnorm_model() -> nn.Sequential:
 
 
 #: slab sizes for the 40-sample ``small_dataset``: one sample, a ragged
-#: last slab, the default (one slab), the old default
-SLABS = [1, 7, 64, 256]
+#: last slab, the default (ragged too), and the two older defaults (one slab)
+SLABS = [1, 7, EVAL_SLAB, 64, 256]
 
 
 class TestEvaluateModel:
@@ -169,6 +170,13 @@ class TestPredictLabels:
         preds = predict_labels(trained_model, np.zeros((0, 2, 8, 8)))
         assert preds.shape == (0,)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_must_be_positive(self, trained_model, small_dataset, batch_size):
+        """``-1`` used to return an empty array for a non-empty input (a
+        silently wrong answer) and ``0`` failed inside ``range``."""
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            predict_labels(trained_model, small_dataset.images[:4], batch_size=batch_size)
+
 
 # ----------------------------------------------------------------------
 # Evaluation slabs: the answer does not depend on the slab size, and the
@@ -211,7 +219,7 @@ class TestSlabSizeDoesNotChangeTheAnswer:
             split = split_model(model, default_cut_layer(name))
             modes = [m.training for m in model.modules()]
             results = {}
-            for batch_size in (1, 7, 64, 256, len(test)):
+            for batch_size in (1, 7, EVAL_SLAB, 64, 256, len(test)):
                 results[batch_size] = (
                     evaluate_model(model, test, batch_size=batch_size),
                     evaluate_split(split, test, batch_size=batch_size),
@@ -230,27 +238,71 @@ class TestSlabSizeDoesNotChangeTheAnswer:
             np.testing.assert_array_equal(preds, ref_preds)
             assert loss == pytest.approx(ref_loss, rel=1e-5)
             assert split_loss == pytest.approx(ref_loss, rel=1e-5)
-        # the default is the 64-sample slab, bit for bit
-        assert default[0] == results[64][0] and default[1] == results[64][1]
-        np.testing.assert_array_equal(default[2], results[64][2])
+        # the default is the ``EVAL_SLAB``-sample slab, bit for bit
+        assert default[0] == results[EVAL_SLAB][0] and default[1] == results[EVAL_SLAB][1]
+        np.testing.assert_array_equal(default[2], results[EVAL_SLAB][2])
 
 
-def test_deepthin_evaluation_peaks_under_eight_mebibytes():
+def _traced_peak(fn) -> float:
+    """MiB that ``fn`` asks for above what was alive when it started, as
+    ``tracemalloc`` counts it (independent of the allocator)."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_slab_is_the_papers_training_batch():
+    assert EVAL_SLAB == paper_scenario().scheme.batch_size == 16
+
+
+@pytest.fixture(scope="module")
+def deepthin_float32():
+    """DeepThin and the paper preset's splits, all built in the CLI's float32."""
+    with nn.default_dtype(np.float32):
+        train, test = SyntheticGTSRB(paper_scenario().dataset).train_test()
+        model = build_model("deepthin")
+    return model, train, test
+
+
+def test_deepthin_evaluation_peaks_under_two_mebibytes(deepthin_float32):
     """One evaluation of DeepThin on the paper preset's 344 test images at
     the default slab, in the CLI's float32: every numpy buffer alive at
-    the peak, as ``tracemalloc`` sees them, fits in 8 MiB (5.6 measured;
-    the batch-256 default this replaced peaked at 22.4).  Counted in
-    traced bytes, so the bound does not depend on the allocator."""
-    _, test = SyntheticGTSRB(paper_scenario().dataset).train_test()
+    the peak, as ``tracemalloc`` sees them, fits in 2 MiB (1.3 measured;
+    the 64-sample slab this replaced peaked at 5.0, and batch 256 at
+    22.4)."""
+    model, _, test = deepthin_float32
     with nn.default_dtype(np.float32):
-        model = build_model("deepthin")
         evaluate_model(model, test)  # warm: lazily built state is not evaluation's
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            evaluate_model(model, test)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert (peak - before) / 2**20 <= 8.0
+        peak = _traced_peak(lambda: evaluate_model(model, test))
+    assert peak <= 2.0
+
+
+def test_deepthin_evaluation_peaks_no_higher_than_a_training_step(deepthin_float32):
+    """At the default slab, evaluation's transient working set is no larger
+    than that of one batch-16 DeepThin split training step as the paper
+    preset runs it (1.3 against 7.0 MiB measured), so evaluating between
+    rounds cannot raise a run's high-water mark above training's."""
+    model, train, test = deepthin_float32
+    hp = paper_scenario().scheme
+    with nn.default_dtype(np.float32):
+        split = split_model(model, default_cut_layer("deepthin"))
+        client_opt, server_opt = (
+            nn.SGD(half.parameters(), lr=hp.lr, momentum=hp.momentum)
+            for half in (split.client, split.server)
+        )
+        loss_fn = nn.CrossEntropyLoss()
+        xb, yb = train.take(np.arange(hp.batch_size))
+
+        def step() -> None:
+            split_step_math(split, client_opt, server_opt, xb, yb, loss_fn, None)
+
+        step()  # warm both, as above
+        evaluate_model(model, test)
+        step_peak = _traced_peak(step)
+        evaluation_peak = _traced_peak(lambda: evaluate_model(model, test))
+    assert evaluation_peak <= step_peak, (evaluation_peak, step_peak)

@@ -12,6 +12,7 @@ import pytest
 from repro.core.gsfl import GroupSplitFederatedLearning
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
+from repro.metrics.evaluate import EVAL_SLAB
 from repro.metrics.history import TrainingHistory
 from repro.schemes.base import SchemeConfig
 from repro.schemes.splitfed import SplitFedLearning
@@ -184,8 +185,11 @@ class TestSchemeConfigValidation:
         with pytest.raises(ValueError, match="eval_batch_size must be > 0"):
             SchemeConfig(eval_batch_size=value)
 
-    def test_evaluation_walks_64_sample_slabs_by_default(self):
-        assert SchemeConfig().eval_batch_size == 64
+    def test_evaluation_walks_eval_slab_samples_by_default(self):
+        """One default for every evaluation: the scheme's slab is
+        ``EVAL_SLAB``, the training batch."""
+        config = SchemeConfig()
+        assert config.eval_batch_size == EVAL_SLAB == config.batch_size
 
 
 class TestGsflConfiguration:
