@@ -38,7 +38,8 @@ from repro.core.aggregation import fedavg
 from repro.models import deepthin_cnn
 from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity, Stage, replay_stages
+from repro.schemes.base import Activity, Stage
+from repro.sim.runtime import Runtime
 
 
 def _timeit(fn, *, min_rounds: int = 5, min_time_s: float = 0.5) -> dict:
@@ -138,7 +139,7 @@ def bench_des_replay() -> "callable":
                     for i in range(100)
                 ],
             )
-        return replay_stages([stage])
+        return Runtime().execute_round([stage], None, 0)
 
     return op
 
@@ -172,15 +173,13 @@ def bench_fair_share_link(n_flows: int = 60) -> "callable":
     return op
 
 
-def _gsfl_round_op(kind: str) -> "callable":
-    from repro.exec import make_executor
+def bench_gsfl_round() -> "callable":
     from repro.experiments.runner import make_scheme
     from repro.experiments.scenario import fast_scenario
 
     def op():
         built = fast_scenario(with_wireless=True, num_clients=6, num_groups=6).build()
-        with make_executor(kind, None if kind == "serial" else 2) as ex:
-            make_scheme("GSFL", built, executor=ex).run(1)
+        make_scheme("GSFL", built).run(1)
 
     return op
 
@@ -725,13 +724,8 @@ def grouping_report(quick: bool) -> dict:
     return report
 
 
-# Whole-round ops need the executor subsystem; skipped gracefully when the
-# script is pointed at an older checkout for baseline comparison.
-ROUND_OPS = {
-    "gsfl_round_serial": lambda: _gsfl_round_op("serial"),
-    "gsfl_round_thread": lambda: _gsfl_round_op("thread"),
-    "gsfl_round_process": lambda: _gsfl_round_op("process"),
-}
+#: whole-round ops, timed with the round budget
+ROUND_OPS = {"gsfl_round_serial": bench_gsfl_round}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -786,14 +780,7 @@ def main(argv: list[str] | None = None) -> int:
                  f"{results[name]['p95_per_event_us']:.2f} us/event p95"
                  if events else ""))
     for name, make_op in ROUND_OPS.items():
-        if args.quick and name != "gsfl_round_serial":
-            continue
-        try:
-            op = make_op()
-        except ImportError:
-            print(f"{name:>24}: skipped (no repro.exec in this checkout)")
-            continue
-        results[name] = _timeit(op, min_rounds=2 if args.quick else 3,
+        results[name] = _timeit(make_op(), min_rounds=2 if args.quick else 3,
                                 min_time_s=round_time)
         print(f"{name:>24}: {results[name]['median_s'] * 1e3:9.3f} ms "
               f"({results[name]['rounds']} rounds)")

@@ -22,15 +22,16 @@ def test_ablation_quantization(benchmark):
 
     def experiment():
         results = {}
-        for bits in (None, 8, 4):
+        for bits in (32, 8, 4):
+            transport = "float32" if bits == 32 else f"intk:{bits}"
             scenario = fast_scenario(with_wireless=True)
             scenario.wireless = replace(scenario.wireless, deterministic_rates=True)
-            scenario.scheme = replace(scenario.scheme, quantize_bits=bits)
+            scenario.scheme = replace(scenario.scheme, transport=transport)
             built = scenario.build()
             scheme = make_scheme("GSFL", built)
             history = scheme.run(rounds)
             uplinks = scheme.recorder.filter(phases=["uplink_smashed"])
-            results[bits or 32] = {
+            results[bits] = {
                 "latency_s": history.total_latency_s,
                 "accuracy": history.final_accuracy,
                 "payload_bytes": uplinks[0].nbytes,

@@ -16,7 +16,8 @@ from repro.core.aggregation import fedavg
 from repro.models import deepthin_cnn
 from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity, Stage, replay_stages
+from repro.schemes.base import Activity, Stage
+from repro.sim.runtime import Runtime
 
 
 def test_conv_forward(benchmark):
@@ -95,28 +96,16 @@ def test_fedavg_flat_many_participants(benchmark):
     assert set(avg) == set(states[0])
 
 
-def _gsfl_round(kind: str) -> float:
-    from repro.exec import make_executor
+def test_parallel_round_serial(benchmark):
+    """One GSFL round (M=6) — the whole-round reference cost."""
     from repro.experiments.runner import make_scheme
     from repro.experiments.scenario import fast_scenario
 
-    built = fast_scenario(with_wireless=True, num_clients=6, num_groups=6).build()
-    with make_executor(kind, None if kind == "serial" else 2) as ex:
-        scheme = make_scheme("GSFL", built, executor=ex)
-        history = scheme.run(1)
-    return history.final_accuracy
+    def one_round():
+        built = fast_scenario(with_wireless=True, num_clients=6, num_groups=6).build()
+        return make_scheme("GSFL", built).run(1).final_accuracy
 
-
-def test_parallel_round_serial(benchmark):
-    """One GSFL round (M=6) on the serial backend — the reference cost."""
-    acc = benchmark.pedantic(lambda: _gsfl_round("serial"), rounds=3, iterations=1)
-    assert 0.0 <= acc <= 1.0
-
-
-def test_parallel_round_thread(benchmark):
-    """Same round on the thread backend; speedup scales with free cores
-    (BLAS releases the GIL), parity tests guarantee identical results."""
-    acc = benchmark.pedantic(lambda: _gsfl_round("thread"), rounds=3, iterations=1)
+    acc = benchmark.pedantic(one_round, rounds=3, iterations=1)
     assert 0.0 <= acc <= 1.0
 
 
@@ -130,7 +119,7 @@ def test_des_replay_throughput(benchmark):
                 f"group-{g}",
                 [Activity(0.01 * (i % 7 + 1), "client_compute", f"g{g}") for i in range(100)],
             )
-        return replay_stages([stage])
+        return Runtime().execute_round([stage], None, 0)
 
     total = benchmark(build_and_replay)
     assert total > 0

@@ -34,7 +34,6 @@ import sys
 
 from repro.core.grouping import GROUPING_STRATEGIES
 from repro.core.regroup import REGROUP_POLICIES
-from repro.exec import EXECUTOR_KINDS, Executor, make_executor
 from repro.experiments.catalog import describe_scenario, get_scenario, list_scenarios
 from repro.experiments.dynamics import FAILURE_MODELS, DynamicsConfig
 from repro.experiments.figures import run_fig2a, run_fig2b
@@ -82,17 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--train-per-class", type=int, default=None,
         help="override training samples per class",
-    )
-    common.add_argument(
-        "--executor",
-        choices=sorted(EXECUTOR_KINDS),
-        default="serial",
-        help="round-execution backend for parallel pipelines "
-        "(GSFL groups, SplitFed/PSL clients)",
-    )
-    common.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for thread/process executors (default: CPU count)",
     )
     common.add_argument(
         "--dtype",
@@ -147,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-partition every N rounds (with --regroup; default 1)",
     )
     prun.add_argument("--cut-layer", type=int, default=None)
-    prun.add_argument(
-        "--quantize-bits", type=int, default=None,
-        help="shorthand for --transport intk:K (K-bit uniform-affine codes)",
-    )
     prun.add_argument(
         "--transport", default=None, metavar="CODEC",
         help="wire codec for model/smashed/gradient payloads: 'float32' "
@@ -394,22 +378,10 @@ def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = Non
     print(f"wrote trace: {path}")
 
 
-def _executor(args: argparse.Namespace) -> Executor:
-    return make_executor(args.executor, args.workers)
-
-
 def _check_experiment_flags(args: argparse.Namespace) -> None:
-    """Reject out-of-range ``--rounds`` / ``--workers`` before any work."""
+    """Reject an out-of-range ``--rounds`` before any work."""
     if args.rounds < 1:
         raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
-        if args.executor == "serial" and args.workers != 1:
-            raise ValueError(
-                f"--workers {args.workers} needs --executor thread or process "
-                f"(the serial executor runs exactly one worker)"
-            )
 
 
 def _config_error(exc: ValueError) -> int:
@@ -424,9 +396,8 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _config_error(exc)
     scenario.wireless = None  # accuracy axis only
-    with _executor(args) as ex:
-        result = run_fig2a(scenario, num_rounds=args.rounds,
-                           target_accuracy=args.target, verbose=True, executor=ex)
+    result = run_fig2a(scenario, num_rounds=args.rounds,
+                       target_accuracy=args.target, verbose=True)
     print()
     print(result.table)
     speedup = result.gsfl_over_fl_speedup
@@ -441,9 +412,8 @@ def _cmd_fig2b(args: argparse.Namespace) -> int:
         scenario = _scenario(args)
     except ValueError as exc:
         return _config_error(exc)
-    with _executor(args) as ex:
-        result = run_fig2b(scenario, num_rounds=args.rounds,
-                           target_accuracy=args.target, verbose=True, executor=ex)
+    result = run_fig2b(scenario, num_rounds=args.rounds,
+                       target_accuracy=args.target, verbose=True)
     print()
     print(result.table)
     reduction = result.delay_reduction
@@ -491,8 +461,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.grouping is not None:
             scenario.grouping = args.grouping
         if (
-            args.quantize_bits is not None
-            or args.transport is not None
+            args.transport is not None
             or args.aggregation != "sync"
             or args.regroup is not None
             or args.regroup_every != 1
@@ -500,8 +469,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from dataclasses import replace
 
             overrides = {}
-            if args.quantize_bits is not None:
-                overrides["quantize_bits"] = args.quantize_bits
             if args.transport is not None:
                 overrides["transport"] = args.transport
             if args.aggregation != "sync":
@@ -519,12 +486,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _config_error(exc)
     built = scenario.build()
-    with _executor(args) as ex:
-        overrides: dict = {"executor": ex}
-        if args.scheme == "GSFL" and args.failure_rate > 0:
-            overrides["failure_rate"] = args.failure_rate
-        scheme = make_scheme(args.scheme, built, **overrides)
-        history = scheme.run(args.rounds)
+    scheme_kwargs: dict[str, object] = {}
+    if args.scheme == "GSFL" and args.failure_rate > 0:
+        scheme_kwargs["failure_rate"] = args.failure_rate
+    scheme = make_scheme(args.scheme, built, **scheme_kwargs)
+    history = scheme.run(args.rounds)
     print(f"{'round':>6} {'latency_s':>10} {'loss':>8} {'accuracy':>9}")
     for p in history.points:
         print(f"{p.round_index:>6} {p.latency_s:>10.2f} {p.train_loss:>8.3f} "

@@ -24,14 +24,12 @@ rounds-to-accuracy (slightly behind due to averaging), ≫ FL; and GSFL
 beats SL in wall clock by parallelizing client compute and concentrating
 transmit power on narrower subchannels.
 
-The round engine mirrors that structure on the host: the parent thread
-draws everything from shared streams (failure injection, priced
-activities with their fading realizations) in protocol order, then the
-``M`` independent group pipelines run on the scheme's
-:mod:`repro.exec` executor — serial, thread-pool, or process-pool —
-each member drawing its mini-batches from its own loader at the step
-that trains on them, with bitwise-identical training histories on every
-backend.
+The round engine mirrors that structure on the host: it first draws
+everything from shared streams (failure injection, priced activities
+with their fading realizations) in protocol order, then trains the
+``M`` independent group pipelines one after another — their parallelism
+lives in simulated time, where the DES prices it — each member drawing
+its mini-batches from its own loader at the step that trains on them.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.schemes.pricing import LatencyModel
 from repro.schemes.split_common import (
     AsyncSplitStateMixin,
     GroupTask,
-    SplitHyperParams,
     price_local_round,
     run_group_tasks,
     train_split_group,
@@ -123,7 +120,6 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
 
@@ -171,7 +167,7 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
                 self._pricing.total_bandwidth_hz / self.num_groups
             ] * self.num_groups
 
-        # Global halves; per-round working replicas are loaded from these.
+        # Global halves; every group task loads them into the split model.
         self._global_client_state = self.split.client.state_dict()
         self._global_server_state = self.split.server.state_dict()
 
@@ -271,14 +267,14 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
         participants = set(self._round_participants())
 
         # ------------------------------------------------------------------
-        # Phase 1 (parent thread, protocol order): draw everything that
-        # consumes shared RNG streams — failure injection and channel-
-        # fading demand realizations — and package each surviving group's
-        # work as an independent task.  Mini-batches are not drawn here:
-        # each client's loader has a private stream and serves one task,
-        # so the task draws them at the step that trains on them.  Groups
-        # share no training state within a round, so the tasks can then
-        # run on any executor backend with bitwise-identical results.
+        # Phase 1 (protocol order): draw everything that consumes shared
+        # RNG streams — failure injection and channel-fading demand
+        # realizations — and package each surviving group's work as an
+        # independent task.  Mini-batches are not drawn here: each
+        # client's loader has a private stream and serves one task, so
+        # the task draws them at the step that trains on them.  Groups
+        # share no training state within a round, so the order the tasks
+        # run in cannot change the result.
         # ------------------------------------------------------------------
         training = Stage("group_training")
         tasks: list[GroupTask] = []
@@ -314,13 +310,11 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             )
 
         # ------------------------------------------------------------------
-        # Phase 2: run the M group pipelines on the configured executor
-        # (each worker trains its own SplitModel replica from the global
-        # halves — the M edge replicas of §II, now genuinely concurrent).
+        # Phase 2: train the M group pipelines (each from the global
+        # halves — the M edge replicas of §II, concurrent in simulated
+        # time) on the scheme's split model, one after another.
         # ------------------------------------------------------------------
-        results = run_group_tasks(
-            tasks, self.executor, self.split, SplitHyperParams.from_config(self.config)
-        )
+        results = run_group_tasks(tasks, self.split, self.config)
 
         participants = sum(r.num_members for r in results)
         total_loss = sum(r.loss_sum for r in results)
@@ -524,9 +518,7 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             self._pricing.client_model_nbytes(self.cut_layer),
         )
         # Train against the *current* mixed global snapshot.  Async unit
-        # rounds are serialized by the DES event loop, so the group
-        # trains directly on the scheme's split model with explicit state
-        # reload (the serial-executor path) on every backend.
+        # rounds are serialized by the DES event loop.
         task = GroupTask(
             index=unit,
             members=list(members),
@@ -535,10 +527,8 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             client_state=self._global_client_state,
             server_state=self._global_server_state,
             weight=float(sum(len(self.client_datasets[c]) for c in members)),
-            split=self.split,
-            private_replica=False,
         )
-        result = train_split_group(task, SplitHyperParams.from_config(self.config))
+        result = train_split_group(task, self.split, self.config)
         activities.append(
             Activity(
                 self._pricing.aggregation_demand(2, self.model.num_parameters()),

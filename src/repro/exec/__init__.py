@@ -1,36 +1,10 @@
-"""``repro.exec`` — pluggable executors for provably independent work.
+"""``repro.exec`` — the round engine's fan-out over independent work.
 
-The paper's wall-clock argument is that GSFL's ``M`` group pipelines run
-*in parallel*; this package makes the reproduction actually exploit that
-independence on real hardware.  One interface —
-:meth:`~repro.exec.executors.Executor.map_groups` — with three backends:
-
-* :class:`SerialExecutor` — in-order execution in the calling thread
-  (zero overhead; the default everywhere);
-* :class:`ThreadPoolExecutor` — shared-memory workers; numpy's BLAS
-  kernels release the GIL, so group pipelines genuinely overlap;
-* :class:`ProcessPoolExecutor` — one OS process per worker for full
-  parallelism; tasks and results cross via pickle.
-
-All backends guarantee deterministic, input-ordered results and
-per-task seeding, so training histories are bitwise identical across
-backends (the executor parity tests assert exactly that).
+GSFL's ``M`` group pipelines (and SplitFed's / PSL's per-client tasks)
+run in parallel in *simulated* time; the DES prices that parallelism, so
+the host runs them one after another with :class:`SerialExecutor`.
 """
 
-from repro.exec.executors import (
-    EXECUTOR_KINDS,
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    make_executor,
-)
+from repro.exec.executors import SerialExecutor
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "make_executor",
-    "EXECUTOR_KINDS",
-]
+__all__ = ["SerialExecutor"]

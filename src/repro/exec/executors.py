@@ -1,228 +1,21 @@
-"""Executor backends behind one deterministic ``map_groups`` interface.
-
-Contract (all backends):
-
-* ``map_groups(fn, items)`` returns ``[fn(item) for item in items]`` —
-  results always come back in *input order*, regardless of completion
-  order, so downstream aggregation (FedAvg over group states, sweep
-  tables, multi-seed summaries) is reproducible across backends.
-* With ``seed=...``, each task is called ``fn(item, rng)`` where ``rng``
-  is a ``numpy`` generator derived from ``SeedSequence([seed, index])``
-  — per-task streams are stable across backends and worker counts.
-* The caller's default compute dtype (:mod:`repro.nn.dtype`) is
-  captured at submission time and re-applied inside process workers, so
-  a ``--dtype float64`` run stays float64 end-to-end.
-
-Process-backend tasks and results cross a pickle boundary: ``fn`` must
-be a module-level callable (or ``functools.partial`` over one) and items
-must be picklable.  The split-scheme work items satisfy this by
-construction (numpy arrays + plain dataclasses + leaf modules).
-"""
+"""The serial fan-out behind every round engine's independent tasks."""
 
 from __future__ import annotations
 
-import concurrent.futures as cf
-import os
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.nn.dtype import default_dtype, get_default_dtype
-
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "make_executor",
-    "EXECUTOR_KINDS",
-]
+__all__ = ["SerialExecutor"]
 
 
-def _task_rng(seed: int, index: int) -> np.random.Generator:
-    """Stable per-task generator (independent streams per index)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+class SerialExecutor:
+    """Run every task inline, in input order.
 
-
-class _Task:
-    """Picklable closure: one task with optional seeding + dtype pinning.
-
-    Used by the process backend so the worker re-applies the parent's
-    compute dtype before running ``fn``; the in-process backends skip the
-    dtype dance (the global default is already the caller's).
+    Kept as a class rather than a bare loop because the end-to-end
+    benchmark's tracer wraps ``SerialExecutor.map_groups`` by name (with
+    ``items`` passed positionally) to time the round engine's fan-out and
+    count its tasks (``exec.tasks``).
     """
 
-    __slots__ = ("fn", "item", "index", "seed", "dtype")
-
-    def __init__(
-        self,
-        fn: Callable[..., Any],
-        item: Any,
-        index: int,
-        seed: int | None,
-        dtype: str | None,
-    ) -> None:
-        self.fn = fn
-        self.item = item
-        self.index = index
-        self.seed = seed
-        self.dtype = dtype
-
-    def __call__(self) -> Any:
-        args = (self.item,) if self.seed is None else (
-            self.item,
-            _task_rng(self.seed, self.index),
-        )
-        if self.dtype is None:
-            return self.fn(*args)
-        with default_dtype(self.dtype):
-            return self.fn(*args)
-
-
-def _run_task(task: _Task) -> Any:
-    """Module-level trampoline so process workers can unpickle the call."""
-    return task()
-
-
-class Executor:
-    """Base class: deterministic fan-out over independent work items."""
-
-    #: registry name ("serial" / "thread" / "process")
-    kind: str = "base"
-    #: True when tasks may run concurrently (callers must hand each task
-    #: its own mutable state, e.g. a private model replica)
-    concurrent: bool = False
-    #: True when tasks share the caller's address space (serial/thread);
-    #: False when tasks are pickled to another process
-    shares_address_space: bool = True
-
-    def map_groups(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        seed: int | None = None,
-    ) -> list[Any]:
-        """Apply ``fn`` to every item; results in input order.
-
-        With ``seed`` given, ``fn`` is called as ``fn(item, rng)`` with a
-        per-task generator; otherwise as ``fn(item)``.
-        """
-        raise NotImplementedError
-
-    def _tasks(
-        self, fn: Callable[..., Any], items: Sequence[Any], seed: int | None
-    ) -> Iterator[_Task]:
-        dtype = None if self.shares_address_space else get_default_dtype().name
-        for index, item in enumerate(items):
-            yield _Task(fn, item, index, seed, dtype)
-
-    def shutdown(self) -> None:
-        """Release worker resources (no-op for the serial backend)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class SerialExecutor(Executor):
-    """Run every task inline, in order — the reference semantics."""
-
-    kind = "serial"
-    concurrent = False
-
-    def map_groups(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        seed: int | None = None,
-    ) -> list[Any]:
-        return [task() for task in self._tasks(fn, items, seed)]
-
-
-class _PoolExecutor(Executor):
-    """Shared machinery for the thread/process pools (lazy, reusable)."""
-
-    concurrent = True
-
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self._pool: "cf.Executor | None" = None
-
-    def _make_pool(self) -> "cf.Executor":
-        raise NotImplementedError
-
-    def map_groups(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        seed: int | None = None,
-    ) -> list[Any]:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        # submit + gather (not pool.map): tasks are already materialized
-        # and results must come back in input order — as_completed order
-        # is irrelevant because we index futures positionally.
-        futures = [self._pool.submit(_run_task, t) for t in self._tasks(fn, items, seed)]
-        return [f.result() for f in futures]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class ThreadPoolExecutor(_PoolExecutor):
-    """Thread-backed workers sharing the caller's address space.
-
-    Effective when task time is dominated by numpy/BLAS kernels (which
-    release the GIL); callers must give each concurrent task its own
-    mutable state.
-    """
-
-    kind = "thread"
-    shares_address_space = True
-
-    def _make_pool(self) -> "cf.Executor":
-        return cf.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-exec"
-        )
-
-
-class ProcessPoolExecutor(_PoolExecutor):
-    """Process-backed workers; tasks/results cross via pickle."""
-
-    kind = "process"
-    shares_address_space = False
-
-    def _make_pool(self) -> "cf.Executor":
-        return cf.ProcessPoolExecutor(max_workers=self.workers)
-
-
-EXECUTOR_KINDS: dict[str, type[Executor]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadPoolExecutor,
-    "process": ProcessPoolExecutor,
-}
-
-
-def make_executor(kind: str, workers: int | None = None) -> Executor:
-    """Build an executor by registry name (``serial``/``thread``/``process``)."""
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {kind!r}; available: {sorted(EXECUTOR_KINDS)}"
-        )
-    if kind == "serial":
-        if workers not in (None, 1):
-            raise ValueError("the serial executor runs exactly one worker")
-        return SerialExecutor()
-    return EXECUTOR_KINDS[kind](workers)
+    def map_groups(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+        """Return ``[fn(item) for item in items]``."""
+        return [fn(item) for item in items]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec import Executor
 from repro.experiments.runner import run_schemes
 from repro.experiments.scenario import ExperimentScenario
 from repro.metrics.history import TrainingHistory
@@ -58,7 +57,6 @@ def run_fig2a(
     target_accuracy: float = 0.6,
     schemes: tuple[str, ...] = ("CL", "SL", "GSFL", "FL"),
     verbose: bool = False,
-    executor: Executor | None = None,
 ) -> Fig2aResult:
     """Reproduce Fig 2(a): accuracy vs rounds across the four schemes.
 
@@ -67,9 +65,7 @@ def run_fig2a(
     tracked too (harmless).
     """
     built = scenario.build()
-    histories = run_schemes(
-        built, list(schemes), num_rounds, verbose=verbose, executor=executor
-    )
+    histories = run_schemes(built, list(schemes), num_rounds, verbose=verbose)
     speedup = None
     if "GSFL" in histories and "FL" in histories:
         speedup = convergence_speedup(
@@ -88,7 +84,6 @@ def run_fig2b(
     num_rounds: int,
     target_accuracy: float = 0.6,
     verbose: bool = False,
-    executor: Executor | None = None,
 ) -> Fig2bResult:
     """Reproduce Fig 2(b): accuracy vs latency, GSFL vs SL.
 
@@ -97,9 +92,7 @@ def run_fig2b(
     if scenario.wireless is None:
         raise ValueError("Fig 2(b) needs a wireless system; scenario has none")
     built = scenario.build()
-    histories = run_schemes(
-        built, ["SL", "GSFL"], num_rounds, verbose=verbose, executor=executor
-    )
+    histories = run_schemes(built, ["SL", "GSFL"], num_rounds, verbose=verbose)
     reduction = latency_reduction(histories["GSFL"], histories["SL"], target_accuracy)
     return Fig2bResult(
         histories=histories,

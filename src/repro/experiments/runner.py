@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.gsfl import GroupSplitFederatedLearning
-from repro.exec import Executor
 from repro.experiments.scenario import BuiltScenario
 from repro.metrics.history import TrainingHistory
 from repro.schemes.base import Scheme
@@ -52,21 +51,16 @@ def run_schemes(
     scheme_names: list[str],
     num_rounds: int,
     verbose: bool = False,
-    executor: Executor | None = None,
     **per_scheme_overrides: dict,
 ) -> dict[str, TrainingHistory]:
     """Run several schemes on one scenario; returns name → history.
 
     ``per_scheme_overrides`` maps a scheme name to extra constructor
-    kwargs, e.g. ``GSFL={"grouping": "random"}``.  ``executor`` selects
-    the round-execution backend for schemes with parallel pipelines.
+    kwargs, e.g. ``GSFL={"grouping": "random"}``.
     """
     histories: dict[str, TrainingHistory] = {}
     for name in scheme_names:
-        overrides = per_scheme_overrides.get(name, {})
-        if executor is not None:
-            overrides = {"executor": executor, **overrides}
-        scheme = make_scheme(name, built, **overrides)
+        scheme = make_scheme(name, built, **per_scheme_overrides.get(name, {}))
         history = scheme.run(num_rounds)
         histories[name] = history
         if verbose:

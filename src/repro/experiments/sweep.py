@@ -1,7 +1,7 @@
 """Parameter-sweep harness.
 
-Grid sweeps over scenario knobs (group count, cut layer, quantization
-bits, bandwidth, ...) with a uniform result-table interface — the
+Grid sweeps over scenario knobs (group count, cut layer, wire codec,
+bandwidth, ...) with a uniform result-table interface — the
 machinery behind the ablation studies, exposed so downstream users can
 define their own sweeps in a few lines::
 
@@ -18,11 +18,9 @@ full history for custom post-processing.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.exec import Executor
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import ExperimentScenario
 from repro.metrics.history import TrainingHistory
@@ -40,7 +38,7 @@ class SweepAxis:
       (e.g. ``num_groups``, ``cut_layer``, ``partition``);
     * ``"scheme_config"`` — field of the nested
       :class:`~repro.schemes.base.SchemeConfig` (e.g. ``lr``,
-      ``quantize_bits``, ``local_steps``);
+      ``transport``, ``local_steps``);
     * ``"scheme_kwargs"`` — extra constructor kwargs of the scheme class
       (e.g. GSFL's ``failure_rate`` or ``grouping``).
     """
@@ -118,38 +116,17 @@ class ParameterSweep:
         num_rounds: int,
         axis: SweepAxis,
         verbose: bool = False,
-        executor: Executor | None = None,
     ) -> list[SweepRow]:
-        """Execute the sweep; one fresh scenario + scheme run per value.
-
-        ``executor`` fans the sweep points out as one task each (every
-        point builds its own independently seeded scenario, so results
-        are identical across backends).  The process backend additionally
-        requires ``base_scenario_factory`` and ``mutators`` to be
-        picklable (module-level functions, not lambdas).
-        """
-        point = functools.partial(
-            self._run_point, scheme=scheme, num_rounds=num_rounds, axis=axis
-        )
-
-        def report(row: SweepRow) -> None:
-            print(
-                f"{axis.name}={row.value}: acc={row.final_accuracy:.3f}, "
-                f"latency={row.total_latency_s:.3f}s"
-            )
-
-        if executor is None:
-            rows = []
-            for value in axis.values:
-                row = point(value)
-                if verbose:
-                    report(row)  # stream progress as each point finishes
-                rows.append(row)
-        else:
-            rows = executor.map_groups(point, axis.values)
+        """Execute the sweep; one fresh scenario + scheme run per value."""
+        rows: list[SweepRow] = []
+        for value in axis.values:
+            row = self._run_point(value, scheme, num_rounds, axis)
             if verbose:
-                for row in rows:
-                    report(row)
+                print(
+                    f"{axis.name}={row.value}: acc={row.final_accuracy:.3f}, "
+                    f"latency={row.total_latency_s:.3f}s"
+                )
+            rows.append(row)
         return rows
 
     @staticmethod

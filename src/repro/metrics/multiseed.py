@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.exec import Executor
 from repro.metrics.history import TrainingHistory
 
 __all__ = ["SeedSummary", "aggregate_metric", "run_multiseed", "mean_curve"]
@@ -78,7 +77,6 @@ def run_multiseed(
     experiment: Callable[[int], TrainingHistory],
     seeds: list[int],
     target_accuracy: float | None = None,
-    executor: Executor | None = None,
 ) -> dict[str, SeedSummary]:
     """Run ``experiment(seed)`` per seed and summarize headline metrics.
 
@@ -86,17 +84,10 @@ def run_multiseed(
     ``total_latency_s``; adds ``rounds_to_target`` / ``latency_to_target``
     when ``target_accuracy`` is given (seeds that never reach the target
     are dropped from those two summaries).
-
-    ``executor`` fans the seeds out as one task each — seeds are fully
-    independent runs, the canonical embarrassingly parallel workload.
-    The process backend requires a picklable ``experiment`` callable.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    if executor is None:
-        histories = [experiment(seed) for seed in seeds]
-    else:
-        histories = executor.map_groups(experiment, seeds)
+    histories = [experiment(seed) for seed in seeds]
 
     out: dict[str, SeedSummary] = {
         "final_accuracy": aggregate_metric(

@@ -16,7 +16,6 @@ injected into the retained client-side graph.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,18 +159,6 @@ class SplitModel:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return self.server.forward(self.client.forward(x))
-
-    def clone(self) -> "SplitModel":
-        """Deep-copy both halves into an independent replica.
-
-        Used by the parallel round engines to hand each shared-memory
-        worker its own model (parameters are leaf tensors, so the copy is
-        plain array duplication).  The replica's forward cache is cleared.
-        """
-        # Drop the forward cache first (cloning never happens mid-handshake)
-        # so the deep copy moves only parameters and buffers.
-        self.client._last_output = None
-        return copy.deepcopy(self)
 
     def train(self, mode: bool = True) -> "SplitModel":
         """Propagate train/eval mode to both halves."""

@@ -35,9 +35,8 @@ __all__ = ["Tensor", "unbroadcast", "no_grad", "is_grad_enabled"]
 class _GradMode(threading.local):
     """Per-thread grad-recording flag.
 
-    Thread-local (not a module global) so one worker's ``no_grad``
-    evaluation window cannot disable graph construction in a concurrently
-    training thread-pool worker.
+    Thread-local (not a module global) so a ``no_grad`` window in one
+    thread cannot disable graph construction in another.
     """
 
     enabled = True

@@ -9,14 +9,7 @@ GSFL itself lives in :mod:`repro.core.gsfl` (it is the paper's
 contribution, not a baseline); import it from ``repro.core``.
 """
 
-from repro.schemes.base import (
-    Activity,
-    RoundTiming,
-    Scheme,
-    SchemeConfig,
-    Stage,
-    replay_stages,
-)
+from repro.schemes.base import Activity, RoundTiming, Scheme, SchemeConfig, Stage
 from repro.schemes.centralized import CentralizedLearning
 from repro.schemes.federated import FederatedLearning
 from repro.schemes.parallel_split import ParallelSplitLearning
@@ -29,7 +22,6 @@ __all__ = [
     "Activity",
     "Stage",
     "RoundTiming",
-    "replay_stages",
     "Scheme",
     "SchemeConfig",
     "LatencyModel",

@@ -14,12 +14,13 @@ Activities no longer carry pre-priced durations: they carry **demands**
 whose bandwidth division reacts to the instantaneously active
 transmitter set, per-device compute resources, and per-round straggler
 multipliers.  The actual numpy training still runs when the scheme
-builds its activities (on the scheme's :mod:`repro.exec` executor for
-the parallel-pipeline schemes); the runtime then resolves the timing
-structure to compose wall-clock latency and emit the global trace.  This
-split keeps learning math and latency simulation decoupled while both
-stay exact: groups never share state inside a round, so neither host
-execution order nor the timing model can change the learned weights.
+builds its activities (one pipeline after another on the host, even
+where the simulated pipelines overlap); the runtime then resolves the
+timing structure to compose wall-clock latency and emit the global
+trace.  This split keeps learning math and latency simulation decoupled
+while both stay exact: groups never share state inside a round, so
+neither host execution order nor the timing model can change the
+learned weights.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from repro import nn
 from repro.data.dataset import DataLoader, Dataset
-from repro.exec import Executor, SerialExecutor
 from repro.metrics.evaluate import EVAL_SLAB, evaluate_model
 from repro.metrics.history import TrainingHistory
 from repro.sim.cross_traffic import CrossTrafficConfig, start_cross_traffic
@@ -52,7 +52,7 @@ from repro.sim.server import (
     parse_aggregation,
 )
 from repro.sim.trace import TraceRecorder
-from repro.sim.transport import IntKCodec, TransportCodec, parse_transport
+from repro.sim.transport import TransportCodec, parse_transport
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_in_choices, check_positive
 
@@ -63,7 +63,6 @@ __all__ = [
     "Activity",
     "Stage",
     "RoundTiming",
-    "replay_stages",
     "SchemeConfig",
     "Scheme",
     "MEDIUM_POLICIES",
@@ -162,24 +161,6 @@ class RoundTiming:
     lower_bound_s: float
 
 
-def replay_stages(
-    stages: list[Stage],
-    recorder: TraceRecorder | None = None,
-    round_index: int = 0,
-    runtime: Runtime | None = None,
-) -> float:
-    """Resolve one round's stages on a runtime; returns the round duration.
-
-    Convenience wrapper for standalone use (tests, benchmarks): creates a
-    throwaway static :class:`~repro.sim.runtime.Runtime` when none is
-    given.  Training schemes instead hold one persistent runtime per run
-    so the clock never restarts and trace timestamps are absolute.
-    """
-    if runtime is None:
-        runtime = Runtime()
-    return runtime.execute_round(stages, recorder, round_index)
-
-
 @dataclass
 class SchemeConfig:
     """Hyper-parameters shared by all schemes.
@@ -196,8 +177,6 @@ class SchemeConfig:
     sparsification.  Training genuinely sees the codec's error, the
     latency model prices the smaller payloads, and encode/decode FLOPs
     are charged to the owning device — see :mod:`repro.sim.transport`.
-    ``quantize_bits`` is retained as sugar for ``transport="intk:K"``
-    (setting both to conflicting values is an error).
 
     ``medium`` selects how the runtime's shared wireless medium divides
     bandwidth: ``"static"`` gives every transmission exactly its nominal
@@ -231,7 +210,6 @@ class SchemeConfig:
     weight_decay: float = 0.0
     eval_every: int = 1
     eval_batch_size: int = EVAL_SLAB
-    quantize_bits: int | None = None
     transport: str = "float32"
     medium: str = "static"
     aggregation: str = "sync"
@@ -253,30 +231,21 @@ class SchemeConfig:
         check_in_choices("regroup", self.regroup, REGROUP_POLICIES)
         check_positive("regroup_every", self.regroup_every)
         parse_aggregation(self.aggregation)  # raises on malformed specs
-        if self.quantize_bits is not None and not 1 <= self.quantize_bits <= 16:
-            raise ValueError(
-                f"quantize_bits must be in [1, 16] or None, got {self.quantize_bits}"
-            )
-        codec = parse_transport(self.transport)  # raises on malformed specs
-        if self.quantize_bits is not None:
-            if not codec.lossy:
-                codec = IntKCodec(self.quantize_bits)  # sugar for intk:K
-            elif not (
-                isinstance(codec, IntKCodec)
-                and codec.num_bits == self.quantize_bits
-            ):
-                raise ValueError(
-                    f"transport {self.transport!r} conflicts with "
-                    f"quantize_bits={self.quantize_bits}"
-                )
-        elif isinstance(codec, IntKCodec):
-            self.quantize_bits = codec.num_bits
-        self.transport = codec.name
+        self.transport = parse_transport(self.transport).name
 
     @property
     def codec(self) -> TransportCodec:
         """The resolved wire codec (:mod:`repro.sim.transport`)."""
         return parse_transport(self.transport)
+
+    def make_sgd(self, params: "object") -> nn.SGD:
+        """A fresh SGD optimizer over ``params`` with these hyper-parameters."""
+        return nn.SGD(
+            params,
+            lr=self.lr,
+            momentum=self.momentum,
+            weight_decay=self.weight_decay,
+        )
 
 
 class Scheme:
@@ -308,7 +277,6 @@ class Scheme:
         profile: nn.ModelProfile | None = None,
         config: SchemeConfig | None = None,
         recorder: TraceRecorder | None = None,
-        executor: Executor | None = None,
         dynamics: "ClientDynamics | None" = None,
         cross_traffic: "CrossTrafficConfig | None" = None,
     ) -> None:
@@ -321,10 +289,6 @@ class Scheme:
         self.profile = profile
         self.config = config or SchemeConfig()
         self.recorder = recorder if recorder is not None else TraceRecorder()
-        # Round-execution backend for schemes with independent per-group /
-        # per-client pipelines (GSFL, SplitFed, PSL); inherently sequential
-        # schemes (SL, CL) ignore it.
-        self.executor = executor if executor is not None else SerialExecutor()
         self.dynamics = dynamics
         self.history = TrainingHistory(scheme=self.name)
         self.runtime = self._make_runtime()
@@ -629,14 +593,6 @@ class Scheme:
     # ------------------------------------------------------------------
     # shared helpers for subclasses
     # ------------------------------------------------------------------
-    def _make_sgd(self, params: "object") -> nn.SGD:
-        return nn.SGD(
-            params,
-            lr=self.config.lr,
-            momentum=self.config.momentum,
-            weight_decay=self.config.weight_decay,
-        )
-
     def _client_sample_counts(self, clients: list[int] | None = None) -> np.ndarray:
         if clients is None:
             clients = range(len(self.client_datasets))

@@ -55,12 +55,7 @@ class CentralizedLearning(Scheme):
             shuffle=True,
             seed=new_rng(self.config.seed + 104729),
         )
-        self._optimizer = nn.SGD(
-            self.model.parameters(),
-            lr=self.config.lr,
-            momentum=self.config.momentum,
-            weight_decay=self.config.weight_decay,
-        )
+        self._optimizer = self.config.make_sgd(self.model.parameters())
         self._loss_fn = nn.CrossEntropyLoss()
         self._pricing = LatencyModel(self.system, self.profile, self.config.batch_size)
 

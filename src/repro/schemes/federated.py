@@ -47,7 +47,6 @@ class FederatedLearning(Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
         self._global_state = self.model.state_dict()
@@ -162,7 +161,7 @@ class FederatedLearning(Scheme):
         if codec.lossy:
             start_state = codec.apply_state(start_state)
         self.model.load_state_dict(start_state)
-        optimizer = self._make_sgd(self.model.parameters())
+        optimizer = self.config.make_sgd(self.model.parameters())
         step_losses: list[float] = []
         activities: list[Activity] = []
         for _ in range(self.config.local_steps):

@@ -27,23 +27,19 @@ grouping improves on).
 
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import nn
 from repro.core.aggregation import fedavg
+from repro.exec import SerialExecutor
 from repro.nn.split import ClientHalf, SmashedBatch, split_model
 from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity, Scheme, Stage
+from repro.schemes.base import Activity, Scheme, SchemeConfig, Stage
 from repro.schemes.pricing import LatencyModel
-from repro.schemes.split_common import (
-    SplitHyperParams,
-    price_model_downlink,
-    price_model_uplink,
-)
+from repro.schemes.split_common import price_model_downlink, price_model_uplink
 
 __all__ = ["ParallelSplitLearning"]
 
@@ -56,40 +52,33 @@ class _ClientPhaseTask:
     state: dict[str, np.ndarray]
     xb: np.ndarray
     grad: np.ndarray | None = None  # None → forward-only phase
-    half: ClientHalf = field(repr=False, default=None)  # type: ignore[assignment]
-    private_replica: bool = True
 
 
-def _client_forward(task: _ClientPhaseTask) -> np.ndarray:
+def _client_forward(task: _ClientPhaseTask, half: ClientHalf) -> np.ndarray:
     """Forward phase: produce the smashed values that go on the wire."""
-    task.half.load_state_dict(task.state)
-    return task.half.forward_to_smashed(Tensor(task.xb)).values
+    half.load_state_dict(task.state)
+    return half.forward_to_smashed(Tensor(task.xb)).values
 
 
 def _client_backward(
-    task: _ClientPhaseTask, hp: SplitHyperParams
+    task: _ClientPhaseTask, half: ClientHalf, config: SchemeConfig
 ) -> dict[str, np.ndarray]:
     """Backward phase: re-run the forward to rebuild this client's graph,
     inject the fused gradient slice, step, and return the new half-state.
 
-    (The re-run is inherent to PSL's single-server design: the worker's
-    module may have served another client since the forward phase.
+    (The re-run is inherent to PSL's single-server design: ``half`` has
+    served every other client since this one's forward phase.
     Deterministic layers reproduce the same smashed values; batch-norm
     running stats are touched twice per step, which only perturbs the
     aggregated buffers slightly.)
     """
-    task.half.load_state_dict(task.state)
-    task.half.forward_to_smashed(Tensor(task.xb))
-    opt = nn.SGD(
-        task.half.parameters(),
-        lr=hp.lr,
-        momentum=hp.momentum,
-        weight_decay=hp.weight_decay,
-    )
+    half.load_state_dict(task.state)
+    half.forward_to_smashed(Tensor(task.xb))
+    opt = config.make_sgd(half.parameters())
     opt.zero_grad()
-    task.half.backward_from_gradient(task.grad)
+    half.backward_from_gradient(task.grad)
     opt.step()
-    return task.half.state_dict(copy=not task.private_replica)
+    return half.state_dict()
 
 
 class ParallelSplitLearning(Scheme):
@@ -107,35 +96,10 @@ class ParallelSplitLearning(Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
-        self._server_opt = self._make_sgd(self.split.server.parameters())
+        self._server_opt = self.config.make_sgd(self.split.server.parameters())
         self._global_client_state = self.split.client.state_dict()
-        self._client_replicas: list[ClientHalf] | None = None
-
-    def _phase_tasks(
-        self, tasks: list[_ClientPhaseTask]
-    ) -> list[_ClientPhaseTask]:
-        """Attach a client-half model to each lockstep task (see
-        :func:`repro.schemes.split_common.run_group_tasks` for the
-        per-backend ownership rules)."""
-        ex = self.executor
-        if ex.concurrent and ex.shares_address_space:
-            if self._client_replicas is None or len(self._client_replicas) < len(tasks):
-                self.split.client._last_output = None
-                self._client_replicas = [
-                    copy.deepcopy(self.split.client) for _ in tasks
-                ]
-            for task, replica in zip(tasks, self._client_replicas):
-                task.half = replica
-                task.private_replica = True
-        else:
-            self.split.client._last_output = None
-            for task in tasks:
-                task.half = self.split.client
-                task.private_replica = ex.concurrent
-        return tasks
 
     def _run_round(self, round_index: int) -> list[Stage]:
         cfg = self.config
@@ -160,7 +124,8 @@ class ParallelSplitLearning(Scheme):
         training = Stage("parallel_steps")
         client_states: list[dict[str, np.ndarray]] = []
         total_loss = 0.0
-        hp = SplitHyperParams.from_config(cfg)
+        half = self.split.client
+        executor = SerialExecutor()
         # Every client starts from what the codec preserved of the
         # broadcast global half (identity codec: the global itself).
         distributed_state = (
@@ -169,11 +134,11 @@ class ParallelSplitLearning(Scheme):
             else self._global_client_state
         )
 
-        # Per-client working copies of the client half, trained in
-        # lockstep; the server half is shared and sees the fused batch.
-        # Each lockstep phase (client forwards, client backwards) is a set
-        # of independent per-client tasks dispatched on the executor; the
-        # fused server step between them stays in the parent.
+        # Per-client client-half states, trained in lockstep on the one
+        # client-half module; the server half sees the fused batch.  Each
+        # lockstep phase (client forwards, client backwards) is a set of
+        # independent per-client tasks, with the fused server step
+        # between them.
         for step in range(cfg.local_steps):
             step_batches = []
             for c in participants:
@@ -186,14 +151,14 @@ class ParallelSplitLearning(Scheme):
                 )
 
             # --- parallel client forwards; smashed data crosses the cut --
-            forward_tasks = self._phase_tasks(
-                [
-                    _ClientPhaseTask(client=c, state=state_for(i), xb=xb)
-                    for i, (c, (xb, _)) in enumerate(zip(participants, step_batches))
-                ]
-            )
-            smashed_per_client = self.executor.map_groups(
-                _client_forward, forward_tasks
+            forward_tasks = [
+                _ClientPhaseTask(client=c, state=state_for(i), xb=xb)
+                for i, (c, (xb, _)) in enumerate(zip(participants, step_batches))
+            ]
+            # Each phase starts without the last pass's cached graph.
+            half._last_output = None
+            smashed_per_client = executor.map_groups(
+                functools.partial(_client_forward, half=half), forward_tasks
             )
             if lossy:
                 smashed_per_client = [
@@ -293,9 +258,10 @@ class ParallelSplitLearning(Scheme):
                     )
                 )
                 offset += batch
-            client_states = self.executor.map_groups(
-                functools.partial(_client_backward, hp=hp),
-                self._phase_tasks(backward_tasks),
+            half._last_output = None
+            client_states = executor.map_groups(
+                functools.partial(_client_backward, half=half, config=cfg),
+                backward_tasks,
             )
             for c in participants:
                 training.add(

@@ -35,7 +35,7 @@ from repro.sim.runtime import (
     TransmitLeg,
     demand_lower_bound_s,
 )
-from repro.sim.transport import Float32Codec, IntKCodec, TransportCodec, parse_transport
+from repro.sim.transport import TransportCodec, parse_transport
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.system import WirelessSystem
 
@@ -53,33 +53,16 @@ class LatencyModel:
         system: WirelessSystem | None,
         profile: ModelProfile | None,
         batch_size: int,
-        quantize_bits: int | None = None,
         transport: str | TransportCodec | None = None,
     ) -> None:
         if (system is None) != (profile is None):
             raise ValueError(
                 "system and profile must be given together (or both omitted)"
             )
-        codec = parse_transport(transport) if transport is not None else None
-        if quantize_bits is not None:
-            if not 1 <= quantize_bits <= 16:
-                raise ValueError(
-                    f"quantize_bits must be in [1, 16], got {quantize_bits}"
-                )
-            if codec is None:
-                codec = IntKCodec(quantize_bits)
-            elif not (isinstance(codec, IntKCodec) and codec.num_bits == quantize_bits):
-                raise ValueError(
-                    f"transport {codec.name!r} conflicts with "
-                    f"quantize_bits={quantize_bits}"
-                )
         self.system = system
         self.profile = profile
         self.batch_size = batch_size
-        self.codec: TransportCodec = codec if codec is not None else Float32Codec()
-        self.quantize_bits = (
-            self.codec.num_bits if isinstance(self.codec, IntKCodec) else None
-        )
+        self.codec: TransportCodec = parse_transport(transport)
         # Payload sizes are pure functions of the cut layer but were
         # recomputed from full profile traversals inside every activity of
         # every batch of every round — memoize them per cut.

@@ -33,14 +33,13 @@ class SplitLearning(Scheme):
         super().__init__(*args, **kwargs)
         self.cut_layer = cut_layer
         self.split = split_model(self.model, cut_layer)
-        self._client_opt = self._make_sgd(self.split.client.parameters())
-        self._server_opt = self._make_sgd(self.split.server.parameters())
+        self._client_opt = self.config.make_sgd(self.split.client.parameters())
+        self._server_opt = self.config.make_sgd(self.split.server.parameters())
         self._loss_fn = nn.CrossEntropyLoss()
         self._pricing = LatencyModel(
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
 

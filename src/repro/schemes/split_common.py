@@ -4,41 +4,40 @@ Two layers:
 
 * **math** — :func:`split_step_math` executes one client batch through
   the §II-B handshake (client forward → server forward/backward → client
-  backward, both optimizers stepping).  It touches no shared randomness,
-  so it can run on any :mod:`repro.exec` backend.
+  backward, both optimizers stepping).  It touches no shared randomness.
 * **demands** — :func:`price_local_round` builds the per-batch activity
   list (client compute / uplink / server compute / downlink) as
   *demands* for the runtime to resolve during replay.  Demand
   construction draws fading realizations from the wireless system's
-  shared stream, so it always runs in the scheme's (parent) thread, in
-  protocol order; durations are resolved later by the DES from the
-  instantaneous state of the shared medium.
+  shared stream, so the schemes build them in protocol order; durations
+  are resolved later by the DES from the instantaneous state of the
+  shared medium.
 
 :func:`split_local_round` composes both for the serial schemes (SL), and
-:func:`train_split_group` is the executor work-function behind GSFL's and
-SplitFed's parallel round engines: it receives a :class:`GroupTask`
-carrying each member's batch source, draws every mini-batch at the step
-that trains on it — so a round holds one batch per running task, not
-its whole batch list — trains the task's
-:class:`~repro.nn.split.SplitModel`, and returns the trained halves.
+:func:`train_split_group` is the work-function behind GSFL's and
+SplitFed's round engines: it receives a :class:`GroupTask` carrying each
+member's batch source, draws every mini-batch at the step that trains on
+it — so a round holds one batch at a time, not its whole batch list —
+trains the scheme's :class:`~repro.nn.split.SplitModel` from the task's
+global halves, and returns the trained halves.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro import nn
 from repro.data.dataset import DataLoader
-from repro.exec import Executor
+from repro.exec import SerialExecutor
 from repro.nn.split import SmashedBatch, SplitModel
 from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity
+from repro.schemes.base import Activity, SchemeConfig
 from repro.schemes.pricing import LatencyModel
-from repro.sim.transport import IntKCodec, TransportCodec, parse_transport
+from repro.sim.transport import TransportCodec
 
 __all__ = [
     "split_step_math",
@@ -48,41 +47,10 @@ __all__ = [
     "split_local_round",
     "GroupTask",
     "GroupResult",
-    "SplitHyperParams",
     "train_split_group",
     "run_group_tasks",
     "AsyncSplitStateMixin",
 ]
-
-
-@dataclass(frozen=True)
-class SplitHyperParams:
-    """Per-round training hyper-parameters shipped to group workers."""
-
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    quantize_bits: int | None = None
-    transport: str = "float32"
-
-    @classmethod
-    def from_config(cls, config: "object") -> "SplitHyperParams":
-        """Extract the worker-relevant knobs from a ``SchemeConfig``."""
-        return cls(
-            lr=config.lr,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-            quantize_bits=config.quantize_bits,
-            transport=getattr(config, "transport", "float32"),
-        )
-
-    @property
-    def codec(self) -> TransportCodec:
-        """The resolved wire codec (``quantize_bits`` is intk sugar)."""
-        codec = parse_transport(self.transport)
-        if not codec.lossy and self.quantize_bits is not None:
-            return IntKCodec(self.quantize_bits)
-        return codec
 
 
 @dataclass
@@ -94,30 +62,18 @@ class GroupTask:
     batch.  The schemes pass each member's own
     :meth:`DataLoader.sample_batch <repro.data.dataset.DataLoader.sample_batch>`:
     a loader has a private generator and serves one task per round, so
-    on the serial and thread backends the draws are the same whichever
-    task runs first.  Process workers cannot advance the parent's
-    loaders, so :func:`run_group_tasks` replaces the sources with the
-    batches it samples in the parent before shipping the task.
-    ``split`` is the worker's model: the scheme passes its own
-    :class:`SplitModel` for serial execution (reused task after task), a
-    private replica per task for threads, and relies on pickling to copy
-    it for processes.  ``client_state``/``server_state`` are the global
-    halves to load before training; ``None`` means ``split`` already
-    carries them (the private-replica backends clone/pickle the parent's
-    already-loaded model, so re-shipping the state dicts would double the
-    per-task payload for nothing).
+    the draws do not depend on the order the tasks run in.
+    ``client_state``/``server_state`` are the global halves the task
+    loads before training.
     """
 
     index: int
     members: list[int]
     samplers: list[Callable[[], tuple[np.ndarray, np.ndarray]]]
     local_steps: int
-    client_state: "dict[str, np.ndarray] | None"
-    server_state: "dict[str, np.ndarray] | None"
+    client_state: dict[str, np.ndarray]
+    server_state: dict[str, np.ndarray]
     weight: float
-    split: SplitModel = field(repr=False, default=None)  # type: ignore[assignment]
-    #: True when ``split`` is private to this task (skip defensive copies)
-    private_replica: bool = True
 
 
 @dataclass
@@ -379,41 +335,28 @@ def split_local_round(
     return total_loss / local_steps, activities
 
 
-def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
-    """Executor work-function: train one group's pipeline sequentially.
+def train_split_group(
+    task: GroupTask, split: SplitModel, config: SchemeConfig
+) -> GroupResult:
+    """Train one group's pipeline sequentially on ``split``.
 
-    Loads the global halves into the task's split model, builds fresh SGD
+    Loads the task's global halves into ``split``, builds fresh SGD
     optimizers, and runs ``local_steps`` batches per member through
     :func:`split_step_math` in relay order, each drawn from the member's
     batch source at the step that trains on it.  No pricing and no shared
-    RNG stream (a member's source is private to it), so results are
-    bitwise identical on every backend.
+    RNG stream (a member's source is private to it), so the result does
+    not depend on which task ran before.
     """
-    split = task.split
-    if task.client_state is not None:
-        split.client.load_state_dict(task.client_state)
-    if task.server_state is not None:
-        split.server.load_state_dict(task.server_state)
-    codec = hp.codec
+    split.client.load_state_dict(task.client_state)
+    split.server.load_state_dict(task.server_state)
+    codec = config.codec
     if codec.lossy:
         # Model distribution crosses the air: the first member starts
         # from what the codec preserved of the global client half.  (The
         # server half is co-located with the edge server — never coded.)
-        # This runs after the backend-specific state handoff, so every
-        # executor sees the identical coded weights.
         split.client.load_state_dict(codec.apply_state(split.client.state_dict()))
-    client_opt = nn.SGD(
-        split.client.parameters(),
-        lr=hp.lr,
-        momentum=hp.momentum,
-        weight_decay=hp.weight_decay,
-    )
-    server_opt = nn.SGD(
-        split.server.parameters(),
-        lr=hp.lr,
-        momentum=hp.momentum,
-        weight_decay=hp.weight_decay,
-    )
+    client_opt = config.make_sgd(split.client.parameters())
+    server_opt = config.make_sgd(split.server.parameters())
     loss_fn = nn.CrossEntropyLoss()
 
     loss_sum = 0.0
@@ -433,18 +376,15 @@ def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
             )
         loss_sum += member_loss / task.local_steps
 
-    # A private replica is discarded after this call (and pickling copies
-    # process results anyway), so exporting views is safe; the substrate
-    # never mutates parameter/buffer arrays in place (updates rebind).
-    copy = not task.private_replica
-    client_state = split.client.state_dict(copy=copy)
+    # The next task trains the same modules, so the result owns copies.
+    client_state = split.client.state_dict()
     if codec.lossy:
         # The last member uploads its client half over the air.
         client_state = codec.apply_state(client_state)
     return GroupResult(
         index=task.index,
         client_state=client_state,
-        server_state=split.server.state_dict(copy=copy),
+        server_state=split.server.state_dict(),
         weight=task.weight,
         loss_sum=loss_sum,
         num_members=len(task.members),
@@ -493,49 +433,9 @@ class AsyncSplitStateMixin:
 
 
 def run_group_tasks(
-    tasks: list[GroupTask],
-    executor: Executor,
-    split: SplitModel,
-    hp: SplitHyperParams,
+    tasks: list[GroupTask], split: SplitModel, config: SchemeConfig
 ) -> list[GroupResult]:
-    """Dispatch group tasks on ``executor``; results in task order.
-
-    Model ownership per backend (``split`` must already hold the round's
-    global halves — the schemes maintain that invariant by loading the
-    aggregated state after every round):
-
-    * serial — every task reuses ``split``; a task must reload the
-      global states because the previous task trained the same module;
-    * thread — each task gets a private :meth:`SplitModel.clone` replica,
-      which already carries the global weights (states not re-shipped);
-    * process — tasks reference ``split`` and pickling gives each worker
-      its own pre-loaded copy for free (states not re-shipped).
-
-    Batches: on the serial and thread backends every task draws its own
-    at the step (:class:`GroupTask`).  A process worker would advance a
-    pickled copy of each loader and leave the parent's behind, so this
-    branch — the only place a round's batches exist at once — samples
-    them here, task by task, and ships the arrays.
-    """
-    if executor.concurrent and executor.shares_address_space:
-        for task in tasks:
-            task.split = split.clone()
-            task.client_state = task.server_state = None
-            task.private_replica = True
-    elif executor.concurrent:
-        split.client._last_output = None  # keep pickled payloads lean
-        for task in tasks:
-            task.samplers = [
-                functools.partial(
-                    next, iter([sample() for _ in range(task.local_steps)])
-                )
-                for sample in task.samplers
-            ]
-            task.split = split
-            task.client_state = task.server_state = None
-            task.private_replica = True
-    else:
-        for task in tasks:
-            task.split = split
-            task.private_replica = False
-    return executor.map_groups(functools.partial(train_split_group, hp=hp), tasks)
+    """Train every task on ``split``, one after another; results in task order."""
+    return SerialExecutor().map_groups(
+        functools.partial(train_split_group, split=split, config=config), tasks
+    )

@@ -22,7 +22,6 @@ from repro.schemes.pricing import LatencyModel
 from repro.schemes.split_common import (
     AsyncSplitStateMixin,
     GroupTask,
-    SplitHyperParams,
     price_local_round,
     price_model_downlink,
     price_model_uplink,
@@ -53,7 +52,6 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
         self._global_client_state = self.split.client.state_dict()
@@ -67,11 +65,11 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
         share = pricing.total_bandwidth_hz / len(participants)
         client_model_bytes = pricing.client_model_nbytes(self.cut_layer)
 
-        # Parent thread: build every transmission demand (shared fading
-        # stream) in protocol order, then hand the independent client
-        # pipelines to the executor — SplitFed is GSFL with singleton
-        # groups, same round engine; each client's batches are drawn from
-        # its own loader at the step that trains on them.
+        # Build every transmission demand (shared fading stream) in
+        # protocol order, then train the independent client pipelines —
+        # SplitFed is GSFL with singleton groups, same round engine; each
+        # client's batches are drawn from its own loader at the step that
+        # trains on them.
         training = Stage("parallel_training")
         tasks: list[GroupTask] = []
         for client in participants:
@@ -102,9 +100,7 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
                 )
             )
 
-        results = run_group_tasks(
-            tasks, self.executor, self.split, SplitHyperParams.from_config(self.config)
-        )
+        results = run_group_tasks(tasks, self.split, self.config)
         self._last_train_loss = sum(r.loss_sum for r in results) / len(participants)
 
         aggregation = Stage("aggregation")
@@ -162,10 +158,8 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
             client_state=self._global_client_state,
             server_state=self._global_server_state,
             weight=float(len(self.client_datasets[unit])),
-            split=self.split,
-            private_replica=False,
         )
-        result = train_split_group(task, SplitHyperParams.from_config(self.config))
+        result = train_split_group(task, self.split, self.config)
         activities.append(
             Activity(
                 pricing.aggregation_demand(2, self.model.num_parameters()),

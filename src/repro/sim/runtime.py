@@ -520,9 +520,8 @@ class Runtime:
         Barrier semantics (one process per track, an all-of barrier
         between stages) are owned by the degenerate
         :class:`~repro.sim.server.SyncBarrier` staleness policy — this
-        wrapper exists for standalone replay (tests, benchmarks,
-        :func:`~repro.schemes.base.replay_stages`); the scheme driver
-        calls its configured policy directly.
+        wrapper exists for standalone replay (tests, benchmarks); the
+        scheme driver calls its configured policy directly.
         """
         from repro.sim.server import SyncBarrier  # local: avoids layering cycle
 

@@ -29,7 +29,8 @@ def _float64_substrate():
     gradient checks need double precision, and the golden expectations
     (equivalence tolerances, trajectory comparisons) are float64 numerics.
     The float32 default and dtype switching are covered explicitly by
-    ``tests/nn/test_dtype.py`` and the executor-parity tests.
+    ``tests/nn/test_dtype.py`` (down to a float32-vs-float64 GSFL
+    trajectory) and the float32 DeepThin golden history.
     """
     previous = nn.set_default_dtype(np.float64)
     yield

@@ -1,111 +1,97 @@
-"""Executor-backend contract tests: ordering, seeding, registry."""
+"""``SerialExecutor.map_groups`` contract: input order, empty input,
+payloads passed through untouched, reuse, and the first failure stopping
+the fan-out; and no public entry point offers another backend."""
 
 from __future__ import annotations
 
-import os
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.exec import (
-    EXECUTOR_KINDS,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    make_executor,
-)
+import repro.exec
+from repro.exec import SerialExecutor
+from repro.experiments.figures import run_fig2a, run_fig2b
+from repro.experiments.runner import SCHEME_REGISTRY, make_scheme, run_schemes
+from repro.experiments.sweep import ParameterSweep
+from repro.metrics.multiseed import run_multiseed
 
-ALL_KINDS = ["serial", "thread", "process"]
+#: every public entry point that once took an ``executor=`` backend
+ENTRY_POINTS = {
+    "run_schemes": run_schemes,
+    "run_fig2a": run_fig2a,
+    "run_fig2b": run_fig2b,
+    "ParameterSweep.run": ParameterSweep.run,
+    "run_multiseed": run_multiseed,
+    **{f"{name}.__init__": cls.__init__ for name, cls in sorted(SCHEME_REGISTRY.items())},
+}
 
 
 def _square(x):
     return x * x
 
 
-def _draw(x, rng):
-    return (x, float(rng.random()))
-
-
 def _identity(x):
     return x
 
 
-@pytest.fixture(params=ALL_KINDS)
-def executor(request):
-    ex = make_executor(request.param, None if request.param == "serial" else 2)
-    yield ex
-    ex.shutdown()
-
-
 class TestMapGroups:
-    def test_results_in_input_order(self, executor):
+    def test_results_in_input_order(self):
         items = list(range(20))
-        assert executor.map_groups(_square, items) == [x * x for x in items]
+        assert SerialExecutor().map_groups(_square, items) == [x * x for x in items]
 
-    def test_empty_items(self, executor):
-        assert executor.map_groups(_square, []) == []
+    def test_empty_items(self):
+        assert SerialExecutor().map_groups(_square, []) == []
 
-    def test_per_task_seeding_deterministic(self, executor):
-        """Seeded tasks draw from per-index streams that are stable
-        across backends and repeated calls."""
-        a = executor.map_groups(_draw, [10, 11, 12], seed=7)
-        b = executor.map_groups(_draw, [10, 11, 12], seed=7)
-        assert a == b
-        # Streams differ per task index and per seed.
-        assert len({value for _, value in a}) == 3
-        c = executor.map_groups(_draw, [10, 11, 12], seed=8)
-        assert a != c
-
-    def test_seeding_matches_serial_reference(self, executor):
-        reference = SerialExecutor().map_groups(_draw, [0, 1, 2, 3], seed=42)
-        assert executor.map_groups(_draw, [0, 1, 2, 3], seed=42) == reference
-
-    def test_numpy_payloads_round_trip(self, executor):
+    def test_numpy_payloads_round_trip(self):
         arrays = [np.full((3, 3), i, dtype=np.float32) for i in range(4)]
-        out = executor.map_groups(_identity, arrays)
+        out = SerialExecutor().map_groups(_identity, arrays)
         for inp, res in zip(arrays, out):
             np.testing.assert_array_equal(inp, res)
             assert res.dtype == np.float32
 
-    def test_reusable_after_first_map(self, executor):
+    def test_reusable_after_first_map(self):
+        executor = SerialExecutor()
         assert executor.map_groups(_square, [2]) == [4]
         assert executor.map_groups(_square, [3]) == [9]
 
+    def test_runs_tasks_one_after_another(self):
+        """Task ``k`` starts after task ``k-1`` returned — the round engine
+        relies on it to train every task on one shared model."""
+        log: list[str] = []
 
-class TestRegistry:
-    def test_kinds_complete(self):
-        assert set(EXECUTOR_KINDS) == {"serial", "thread", "process"}
+        def task(x):
+            log.append(f"start {x}")
+            log.append(f"end {x}")
+            return x
 
-    def test_make_executor_types(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread", 2), ThreadPoolExecutor)
-        assert isinstance(make_executor("process", 2), ProcessPoolExecutor)
+        SerialExecutor().map_groups(task, (0, 1, 2))
+        assert log == ["start 0", "end 0", "start 1", "end 1", "start 2", "end 2"]
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("gpu")
+    def test_first_failure_propagates_and_stops(self):
+        seen: list[int] = []
 
-    def test_serial_rejects_worker_count(self):
-        with pytest.raises(ValueError):
-            make_executor("serial", 2)
+        def task(x):
+            seen.append(x)
+            if x == 1:
+                raise RuntimeError("task 1 failed")
+            return x
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("thread", 0)
+        with pytest.raises(RuntimeError, match="task 1 failed"):
+            SerialExecutor().map_groups(task, [0, 1, 2])
+        assert seen == [0, 1]
 
-    def test_default_workers_is_cpu_count(self):
-        ex = make_executor("thread")
-        assert ex.workers == (os.cpu_count() or 1)
 
-    def test_backend_flags(self):
-        assert not SerialExecutor().concurrent
-        assert SerialExecutor().shares_address_space
-        assert ThreadPoolExecutor(1).concurrent
-        assert ThreadPoolExecutor(1).shares_address_space
-        assert ProcessPoolExecutor(1).concurrent
-        assert not ProcessPoolExecutor(1).shares_address_space
+def test_serial_executor_is_the_only_export():
+    assert repro.exec.__all__ == ["SerialExecutor"]
 
-    def test_context_manager_shuts_down(self):
-        with make_executor("thread", 1) as ex:
-            assert ex.map_groups(_square, [5]) == [25]
-        assert ex._pool is None
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_takes_no_executor(name):
+    """The round engine has one backend, so no caller can choose another."""
+    assert "executor" not in inspect.signature(ENTRY_POINTS[name]).parameters
+
+
+def test_make_scheme_rejects_an_executor(built_fast_scenario):
+    with pytest.raises(TypeError):
+        make_scheme("GSFL", built_fast_scenario, executor=SerialExecutor())

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec import make_executor
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
 from repro.experiments.sweep import ParameterSweep, SweepAxis
@@ -36,7 +35,7 @@ class TestSweep:
         rows = sweep.run(
             "GSFL",
             num_rounds=1,
-            axis=SweepAxis("quantize_bits", [None, 8], target="scheme_config"),
+            axis=SweepAxis("transport", ["float32", "int8"], target="scheme_config"),
         )
         assert rows[1].total_latency_s < rows[0].total_latency_s
 
@@ -70,20 +69,18 @@ class TestSweep:
         text = ParameterSweep.table(axis, rows)
         assert "num_groups" in text and "final_acc" in text
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_executor_fanout_matches_serial(self, kind):
+    def test_point_does_not_depend_on_earlier_points(self):
         """Each sweep point builds its own independently seeded scenario,
-        so fanning points out cannot change any result."""
-        axis = SweepAxis("num_groups", [1, 3])
-        serial_rows = ParameterSweep(_scenario_factory).run("GSFL", 1, axis)
-        with make_executor(kind, 2) as ex:
-            fanned_rows = ParameterSweep(_scenario_factory).run(
-                "GSFL", 1, axis, executor=ex
-            )
-        for a, b in zip(serial_rows, fanned_rows):
-            assert a.value == b.value
-            assert a.final_accuracy == b.final_accuracy
-            assert a.total_latency_s == b.total_latency_s
+        so a point's row is the same with or without the points before it."""
+        both = ParameterSweep(_scenario_factory).run(
+            "GSFL", 1, SweepAxis("num_groups", [1, 3])
+        )
+        alone = ParameterSweep(_scenario_factory).run(
+            "GSFL", 1, SweepAxis("num_groups", [3])
+        )
+        assert alone[0].value == both[1].value
+        assert alone[0].final_accuracy == both[1].final_accuracy
+        assert alone[0].total_latency_s == both[1].total_latency_s
 
 
 class TestAggregateMetric:
@@ -144,15 +141,17 @@ class TestRunMultiseed:
         out = run_multiseed(experiment, seeds=[0, 1])
         assert 0.0 <= out["final_accuracy"].mean <= 1.0
 
-    def test_executor_fanout_matches_serial(self):
+    def test_values_follow_the_seed_list(self):
+        """One independent run per seed, reported in the order given."""
+
         def experiment(seed: int) -> TrainingHistory:
             built = fast_scenario(with_wireless=False, seed=seed).build()
             return make_scheme("GSFL", built).run(1)
 
-        serial = run_multiseed(experiment, seeds=[0, 1])
-        with make_executor("thread", 2) as ex:
-            fanned = run_multiseed(experiment, seeds=[0, 1], executor=ex)
-        assert serial["final_accuracy"].values == fanned["final_accuracy"].values
+        forward = run_multiseed(experiment, seeds=[0, 1])["final_accuracy"].values
+        backward = run_multiseed(experiment, seeds=[1, 0])["final_accuracy"].values
+        assert list(forward) == list(reversed(backward))
+        assert list(forward) == [experiment(0).final_accuracy, experiment(1).final_accuracy]
 
 
 class TestMeanCurve:

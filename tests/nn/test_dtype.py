@@ -11,6 +11,8 @@ import pytest
 
 from repro import nn
 from repro.core.aggregation import fedavg, weighted_delta
+from repro.experiments.runner import make_scheme
+from repro.experiments.scenario import fast_scenario
 from repro.nn.dtype import default_dtype, get_default_dtype, set_default_dtype
 from repro.nn.tensor import Tensor
 
@@ -151,3 +153,39 @@ class TestAggregationDtype:
         avg32 = fedavg(states32, weights=[1, 2, 3])
         for key in avg64:
             np.testing.assert_allclose(avg32[key], avg64[key], atol=1e-6)
+
+
+def _gsfl_history(dtype, rounds: int):
+    """Fresh fast scenario (wireless priced) + GSFL run under ``dtype``."""
+    with default_dtype(dtype):
+        scheme = make_scheme("GSFL", fast_scenario(with_wireless=True).build())
+        scheme.run(rounds)
+    return scheme.history
+
+
+class TestDtypeTrajectory:
+    def test_float32_close_to_float64_trajectory(self):
+        """float32 training follows the float64 trajectory closely on the
+        fast scenario's horizon.
+
+        Tolerances: per-round mean train loss within atol=5e-3 (single
+        rounding step is ~1e-7; a few hundred SGD updates amplify it but
+        stay well under learning-signal scale), accuracy within one
+        test-set sample step (1/60 ≈ 0.017 per sample; allow 2 samples).
+        """
+        h32 = _gsfl_history(np.float32, rounds=3)
+        h64 = _gsfl_history(np.float64, rounds=3)
+        np.testing.assert_allclose(
+            [p.train_loss for p in h32.points],
+            [p.train_loss for p in h64.points],
+            atol=5e-3,
+        )
+        np.testing.assert_allclose(
+            h32.accuracies, h64.accuracies, atol=2 / 60 + 1e-12
+        )
+
+    def test_float64_is_default_pinned_suite_dtype(self):
+        """Sanity: the legacy suite runs under the float64 pin, so models
+        built without an explicit dtype context are float64 here."""
+        model = nn.Sequential(nn.Linear(3, 2, seed=0))
+        assert next(model.parameters()).dtype == np.float64

@@ -3,8 +3,7 @@
 Complements the golden-history suite (which pins the *synchronous limit*
 bitwise): here the barrier-free paths themselves are exercised — policy
 parsing and weighting, staleness bounds, determinism under a fixed seed,
-executor-independence, and the latency benefit over the barrier under
-straggler injection.
+and the latency benefit over the barrier under straggler injection.
 """
 
 from __future__ import annotations
@@ -104,18 +103,6 @@ class TestAsyncSchemes:
         scheme = make_scheme(name, build_scenario("async").build())
         with pytest.raises(ValueError, match="does not support"):
             scheme.run(1)
-
-    def test_async_is_executor_independent(self):
-        from repro.exec import make_executor
-
-        histories = []
-        for kind in ("serial", "thread"):
-            with make_executor(kind, None if kind == "serial" else 2) as ex:
-                scheme = make_scheme(
-                    "GSFL", build_scenario("async").build(), executor=ex
-                )
-                histories.append(history_tuple(scheme.run(2)))
-        assert histories[0] == histories[1]
 
     def test_mixing_alpha_normalized_by_sample_weight(self):
         scheme = make_scheme("GSFL", build_scenario("async").build())

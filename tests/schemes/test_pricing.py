@@ -37,9 +37,10 @@ class TestDisabledMode:
         with pytest.raises(ValueError):
             LatencyModel(built.system, None, 8)
 
-    def test_quantize_bits_validated(self, built):
+    @pytest.mark.parametrize("spec", ["intk:0", "intk:17", "topk:0", "topk:1.5", "gzip"])
+    def test_transport_validated(self, built, spec):
         with pytest.raises(ValueError):
-            LatencyModel(built.system, built.profile, 8, quantize_bits=0)
+            LatencyModel(built.system, built.profile, 8, transport=spec)
 
 
 class TestComputePricing:

@@ -68,10 +68,10 @@ class TestActivityStructure:
 
 class TestWireQuantization:
     def test_quantization_changes_training(self, small_cnn, small_dataset):
-        """With quantize_bits set, the server trains on lossy activations,
+        """With an intk transport, the server trains on lossy activations,
         so the parameter trajectory must diverge from float32."""
 
-        def run(bits):
+        def run(transport):
             model = nn.Sequential(
                 nn.Conv2d(2, 3, 3, padding=1, seed=1),
                 nn.ReLU(),
@@ -83,21 +83,21 @@ class TestWireQuantization:
             loader = DataLoader(small_dataset, batch_size=8, seed=0)
             c_opt = nn.SGD(split.client.parameters(), lr=0.05)
             s_opt = nn.SGD(split.server.parameters(), lr=0.05)
-            pricing = LatencyModel(None, None, 8, quantize_bits=bits)
+            pricing = LatencyModel(None, None, 8, transport=transport)
             split_local_round(
                 0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
                 pricing, 1e6,
             )
             return model.state_dict()
 
-        full = run(None)
-        quant = run(4)
+        full = run("float32")
+        quant = run("intk:4")
         assert any(not np.allclose(full[k], quant[k]) for k in full)
 
     def test_high_bit_quantization_stays_close(self, small_dataset):
         """16-bit wire should barely perturb the trajectory."""
 
-        def run(bits):
+        def run(transport):
             model = nn.Sequential(
                 nn.Flatten(), nn.Linear(2 * 8 * 8, 16, seed=3), nn.ReLU(),
                 nn.Linear(16, 5, seed=4),
@@ -106,11 +106,11 @@ class TestWireQuantization:
             loader = DataLoader(small_dataset, batch_size=8, seed=0)
             c_opt = nn.SGD(split.client.parameters(), lr=0.05)
             s_opt = nn.SGD(split.server.parameters(), lr=0.05)
-            pricing = LatencyModel(None, None, 8, quantize_bits=bits)
+            pricing = LatencyModel(None, None, 8, transport=transport)
             loss, _ = split_local_round(
                 0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
                 pricing, 1e6,
             )
             return loss
 
-        assert run(16) == pytest.approx(run(None), rel=0.05)
+        assert run("intk:16") == pytest.approx(run("float32"), rel=0.05)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schemes.base import Activity, Stage, replay_stages
+from repro.schemes.base import Activity, Stage
 from repro.sim.runtime import Runtime
 from repro.sim.trace import TraceRecorder
 
@@ -43,7 +43,7 @@ class TestReplay:
         rec = TraceRecorder()
         stage = Stage("s")
         stage.extend("t", [act(1.0), act(2.0), act(0.5)])
-        total = replay_stages([stage], rec, round_index=0)
+        total = Runtime().execute_round([stage], rec, round_index=0)
         assert total == pytest.approx(3.5)
         assert len(rec) == 3
 
@@ -51,7 +51,7 @@ class TestReplay:
         stage = Stage("s")
         stage.extend("t1", [act(5.0)])
         stage.extend("t2", [act(3.0)])
-        total = replay_stages([stage])
+        total = Runtime().execute_round([stage], None, 0)
         assert total == pytest.approx(5.0)
 
     def test_stages_are_barriers(self):
@@ -61,7 +61,7 @@ class TestReplay:
         s2 = Stage("agg")
         s2.extend("server", [act(2.0, phase="aggregation", actor="edge-server")])
         rec = TraceRecorder()
-        total = replay_stages([s1, s2], rec, 0)
+        total = Runtime().execute_round([s1, s2], rec, 0)
         assert total == pytest.approx(7.0)
         agg = rec.filter(phases=["aggregation"])[0]
         assert agg.start == pytest.approx(5.0)  # waits for slow track
@@ -73,10 +73,10 @@ class TestReplay:
         rec = TraceRecorder()
         stage = Stage("s")
         stage.extend("t", [act(2.0)])
-        d0 = replay_stages([stage], rec, round_index=0, runtime=runtime)
+        d0 = runtime.execute_round([stage], rec, round_index=0)
         stage2 = Stage("s")
         stage2.extend("t", [act(3.0)])
-        d1 = replay_stages([stage2], rec, round_index=1, runtime=runtime)
+        d1 = runtime.execute_round([stage2], rec, round_index=1)
         assert (d0, d1) == (pytest.approx(2.0), pytest.approx(3.0))
         assert runtime.now == pytest.approx(5.0)
         second = rec.events_in_round(1)[0]
@@ -87,7 +87,7 @@ class TestReplay:
         stage = Stage("s")
         stage.extend("t", [act(1.0), act(2.0), act(3.0)])
         rec = TraceRecorder()
-        replay_stages([stage], rec, 0)
+        Runtime().execute_round([stage], rec, 0)
         events = sorted(rec.events, key=lambda e: e.start)
         for prev, nxt in zip(events, events[1:]):
             assert nxt.start == pytest.approx(prev.end)
@@ -95,7 +95,7 @@ class TestReplay:
     def test_zero_duration_activities_allowed(self):
         stage = Stage("s")
         stage.extend("t", [act(0.0), act(0.0)])
-        assert replay_stages([stage]) == pytest.approx(0.0)
+        assert Runtime().execute_round([stage], None, 0) == pytest.approx(0.0)
 
     @given(
         st.lists(
@@ -111,7 +111,7 @@ class TestReplay:
         for i, durations in enumerate(track_durations):
             stage.extend(f"t{i}", [act(d) for d in durations])
         expected = max(sum(ds) for ds in track_durations)
-        assert replay_stages([stage]) == pytest.approx(expected)
+        assert Runtime().execute_round([stage], None, 0) == pytest.approx(expected)
 
     @given(
         st.lists(
@@ -128,4 +128,4 @@ class TestReplay:
             stage.extend("t2", [act(b)])
             stages.append(stage)
         expected = sum(max(a, b) for a, b in pairs)
-        assert replay_stages(stages) == pytest.approx(expected)
+        assert Runtime().execute_round(stages, None, 0) == pytest.approx(expected)

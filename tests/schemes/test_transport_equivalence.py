@@ -19,6 +19,7 @@ import pytest
 
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
 from repro.schemes.base import SchemeConfig
+from repro.sim.transport import Float32Codec
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "histories"
 sys.path.insert(0, str(FIXTURE_DIR))
@@ -27,6 +28,8 @@ from regenerate import GOLDEN_ROUNDS, golden_scenario  # noqa: E402
 from test_golden_histories import assert_matches_golden  # noqa: E402
 
 ALL_SCHEMES = sorted(SCHEME_REGISTRY)
+#: one spec per codec family (and two bit widths of intk)
+TRANSPORT_SPECS = ["float32", "int8", "intk:4", "topk:0.25"]
 #: phases whose trace rows carry payloads that actually hit the air
 TRANSMIT_PHASES = (
     "model_distribution",
@@ -88,24 +91,30 @@ class TestLossyCodecsChangeTheWire:
         assert scheme.recorder.filter(phases=["encode"])
 
 
-class TestConfigSugar:
-    def test_quantize_bits_is_intk_sugar(self):
-        config = SchemeConfig(quantize_bits=8)
-        assert config.transport == "int8"
-        assert config.codec.lossy
-
-    def test_intk_transport_backfills_quantize_bits(self):
-        config = SchemeConfig(transport="intk:6")
-        assert config.quantize_bits == 6
-
-    def test_matching_transport_and_bits_accepted(self):
-        config = SchemeConfig(transport="int8", quantize_bits=8)
-        assert config.transport == "int8"
-
-    def test_conflicting_transport_and_bits_rejected(self):
-        with pytest.raises(ValueError, match="conflicts with quantize_bits"):
-            SchemeConfig(transport="topk:0.1", quantize_bits=8)
+class TestTransportConfig:
+    def test_replace_moves_off_a_lossy_transport(self):
+        """``transport`` alone names the codec: replacing it takes effect."""
+        config = replace(SchemeConfig(transport="int8"), transport="float32")
+        assert isinstance(config.codec, Float32Codec)
+        config = replace(SchemeConfig(transport="int8"), transport="topk:0.1")
+        assert config.transport == "topk:0.1"
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
             SchemeConfig(transport="gzip")
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(a, b) for a in TRANSPORT_SPECS for b in TRANSPORT_SPECS if a != b],
+        ids=lambda spec: spec,
+    )
+    def test_replace_lands_on_the_target_transport(self, source, target):
+        """No codec state survives ``replace``: the result is the config
+        built with ``target`` in the first place."""
+        config = replace(SchemeConfig(transport=source), transport=target)
+        assert config.transport == target
+        assert config.codec == SchemeConfig(transport=target).codec
+
+    def test_transport_is_the_only_codec_knob(self):
+        with pytest.raises(TypeError):
+            SchemeConfig(quantize_bits=8)  # type: ignore[call-arg]

@@ -23,15 +23,29 @@ class TestParser:
 
     def test_run_options(self):
         args = build_parser().parse_args(
-            ["run", "--scheme", "GSFL", "--groups", "3", "--quantize-bits", "8"]
+            ["run", "--scheme", "GSFL", "--groups", "3"]
         )
         assert args.scheme == "GSFL"
         assert args.groups == 3
-        assert args.quantize_bits == 8
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "Gossip"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"{command} {flag}"
+            for command in ("fig2a", "fig2b", "run", "scenarios", "cuts", "info")
+            for flag in ("--executor thread", "--workers 2")
+        ]
+        + ["run --quantize-bits 8"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_runtime_options(self):
         args = build_parser().parse_args(
@@ -210,16 +224,6 @@ class TestCommands:
         assert code == 2
         assert "unknown transport" in capsys.readouterr().err
 
-    def test_transport_conflicting_quantize_bits_is_a_clean_config_error(
-        self, capsys
-    ):
-        code = main(
-            ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
-             "--transport", "topk:0.1", "--quantize-bits", "8"]
-        )
-        assert code == 2
-        assert "conflicts with quantize_bits" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -234,11 +238,6 @@ class TestCommands:
             "run --groups 7",  # the fast preset has 6 clients
             "run --cut-layer 0",
             "run --cut-layer 99",
-            "run --workers 0 --executor thread",
-            "run --workers 0 --executor process",
-            "fig2a --workers 0 --executor thread",
-            "fig2b --workers 0 --executor process",
-            "run --workers 2",  # the serial default runs one worker
         ],
     )
     def test_hostile_value_is_a_clean_config_error(self, argv, capsys, monkeypatch):

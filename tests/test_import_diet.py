@@ -1,9 +1,12 @@
-"""Cold-start guard: ``import repro.cli`` must not pull in scipy.
+"""Cold-start guard: ``import repro.cli`` must not pull in scipy,
+``concurrent`` or ``logging``.
 
 ``scipy.stats`` is needed for one t-quantile in
 ``repro.metrics.multiseed.aggregate_metric``; importing it at module scope
 cost every CLI run ~0.9 s and ~80 MiB.  The import now lives inside that
 function, and the value pins below prove the move changed no number.
+No module the CLI imports needs a worker pool, so ``concurrent.futures``
+(and the ``logging`` it imports) stay unloaded too.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from repro.metrics.multiseed import aggregate_metric
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+@pytest.mark.parametrize("package", ["scipy", "concurrent", "logging"])
+def test_importing_the_cli_leaves_scipy_unloaded(package):
     code = (
         "import sys, repro.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
