@@ -213,15 +213,20 @@ def conv2d(
     )
 
     def _bw(grad: np.ndarray) -> None:
+        nonlocal cols_t
         # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if weight.requires_grad:
             gw = grad_mat.T @ cols_t.T  # (C_out, C_in*kh*kw)
             weight._accumulate(gw.reshape(weight.shape), True)
+        # The weight gradient was the patch matrix's last reader: release
+        # it before ``gcols`` (the same size) and ``col2im`` allocate.
+        cols_t = None
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0), True)
         if x.requires_grad:
             gcols = grad_mat @ w_mat  # (N*oh*ow, C_in*kh*kw)
+            del grad_mat
             x._accumulate(col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding), True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -240,28 +245,21 @@ def _pool_windows(
     ]
 
 
-def _pool_scatter(
-    pieces: list[np.ndarray], x_shape: tuple[int, ...], kernel: int, stride: int
-) -> np.ndarray:
-    """Adjoint of :func:`_pool_windows`: place ``pieces[q]`` at window offset
-    ``q`` of a fresh ``x_shape`` array.
+def _pool_grad(
+    x_shape: tuple[int, ...], dtype: np.dtype, kernel: int, stride: int, out_h: int, out_w: int
+) -> tuple[np.ndarray, list[np.ndarray], bool]:
+    """A fresh input gradient for a pooling op, its window views (as
+    :func:`_pool_windows` orders them) and whether the windows tile it.
 
-    Windows that tile the input exactly write each element once, so the
-    pieces are assigned; otherwise they are added in ``(i, j)`` order onto
-    zeros (overlapping windows sum, uncovered borders stay zero).
+    Windows that tile the input exactly cover each element once, so a
+    backward assigns into the (uninitialised) views; otherwise it adds
+    into zeros in ``(i, j)`` order (overlapping windows sum, uncovered
+    borders stay zero).
     """
-    n, c, h, w = x_shape
-    out_h, out_w = pieces[0].shape[2:]
+    _, _, h, w = x_shape
     tiles = stride == kernel and h == out_h * kernel and w == out_w * kernel
-    gx = np.empty(x_shape, dtype=pieces[0].dtype) if tiles else np.zeros(
-        x_shape, dtype=pieces[0].dtype
-    )
-    for view, piece in zip(_pool_windows(gx, kernel, stride, out_h, out_w), pieces):
-        if tiles:
-            view[...] = piece
-        else:
-            view += piece
-    return gx
+    gx = (np.empty if tiles else np.zeros)(x_shape, dtype=dtype)
+    return gx, _pool_windows(gx, kernel, stride, out_h, out_w), tiles
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
@@ -279,15 +277,19 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
     def _bw(grad: np.ndarray) -> None:
         # Route each window's gradient to its first maximum in (i, j) order
-        # (``argmax``'s tie rule; ReLU zeros tie all the time).
-        pieces: list[np.ndarray] = []
+        # (``argmax``'s tie rule; ReLU zeros tie all the time), written
+        # straight into that window's view of the input gradient.
+        gx, views, tiles = _pool_grad(x.shape, grad.dtype, kernel, stride, out_h, out_w)
         unclaimed = np.ones(out_data.shape, dtype=bool)
-        for window in windows:
+        for window, view in zip(windows, views):
             hit = window == out_data
             hit &= unclaimed
             unclaimed ^= hit
-            pieces.append(grad * hit)
-        x._accumulate(_pool_scatter(pieces, x.shape, kernel, stride), True)
+            if tiles:
+                np.multiply(grad, hit, out=view)
+            else:
+                view += grad * hit
+        x._accumulate(gx, True)
 
     return Tensor._from_op(out_data, x.requires_grad, (x,), "max_pool2d", _bw)
 
@@ -308,7 +310,13 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
     def _bw(grad: np.ndarray) -> None:
         piece = grad / (kernel * kernel)
-        x._accumulate(_pool_scatter([piece] * (kernel * kernel), x.shape, kernel, stride), True)
+        gx, views, tiles = _pool_grad(x.shape, piece.dtype, kernel, stride, out_h, out_w)
+        for view in views:
+            if tiles:
+                view[...] = piece
+            else:
+                view += piece
+        x._accumulate(gx, True)
 
     return Tensor._from_op(out_data, x.requires_grad, (x,), "avg_pool2d", _bw)
 

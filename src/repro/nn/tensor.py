@@ -251,10 +251,18 @@ class Tensor:
             self.grad = grad.astype(self.data.dtype, copy=True)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, releasing the graph as it goes.
 
         ``grad`` defaults to ones (the usual scalar-loss case requires a
         one-element tensor).
+
+        Nodes are popped off the topological order one at a time; once a
+        node's closure has run, the closure, its parent links and (unless
+        the node is a leaf or this root) its gradient are dropped, so a
+        patch matrix or saved activation is freed before the layers
+        upstream allocate their own gradients.  The graph is therefore
+        good for one pass: backpropagating through a node it already
+        released raises ``RuntimeError``.  Leaves keep ``.grad``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -283,6 +291,11 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._op and node.requires_grad and node._closure is None:
+                raise RuntimeError(
+                    f"backward() through a released {node._op!r} node: a graph is "
+                    "freed by the backward pass that walks it; run the forward again"
+                )
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
@@ -291,17 +304,15 @@ class Tensor:
         # Seed the output gradient and propagate in reverse topological
         # order.  Because children always precede their parents in the
         # reversed order, each node's ``.grad`` is fully accumulated before
-        # its own backward closure fires.
+        # its own backward closure fires — and is never read again after,
+        # so the node is released on the spot.
         self._accumulate(grad)
-        for node in reversed(topo):
-            closure = node._closure
-            if closure is not None and node.grad is not None:
-                closure(node.grad)
-        # Interior (non-leaf) gradients are transient; free them so only
-        # leaves retain ``.grad`` and graph memory is released promptly.
-        for node in topo:
+        while topo:
+            node = topo.pop()
+            if node._closure is not None and node.grad is not None:
+                node._closure(node.grad)
             if node._parents and node is not self:
-                node.grad = None
+                node.grad = None  # interior gradients are transient
             node._parents = ()
             node._closure = None
 

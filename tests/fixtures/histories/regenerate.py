@@ -5,11 +5,15 @@ training histories** (and say so in the PR)::
 
     PYTHONPATH=src python tests/fixtures/histories/regenerate.py
 
-One ``.npz`` per scheme, produced by the canonical parity configuration
-(`fast_scenario` with wireless, float64 substrate, serial executor,
-static medium, the round count pinned in ``GOLDEN_ROUNDS``).  Float64 is
-the seed commit's precision *and* what the test suite pins session-wide
-(see ``tests/conftest.py``), so fixtures and test runs agree bit-for-bit.
+One ``.npz`` per scheme and precision, produced by the canonical parity
+configuration (`fast_scenario` with wireless, serial executor, static
+medium, the round count pinned in ``GOLDEN_ROUNDS``).  Float64 (``<scheme>.npz``) is the seed commit's
+precision *and* what the test suite pins session-wide (see
+``tests/conftest.py``), so fixtures and test runs agree bit-for-bit.
+Float32 (``<scheme>-float32.npz``) is the precision the CLI and the
+``churn-async-trace`` benchmark run on this BatchNorm-free model; those
+rows were generated before backward learned to release the graph as it
+walks it, and hold later ``repro.nn`` changes to the same bits.
 ``tests/schemes/test_golden_histories.py`` asserts every scheme — and the
 barrier-free engine in its synchronous limit — still reproduces them
 exactly.
@@ -27,8 +31,16 @@ from repro.experiments.scenario import fast_scenario
 
 #: rounds per golden run (eval_every=1 in fast_scenario → one point each)
 GOLDEN_ROUNDS = 3
+#: the pinned precisions, parity precision first
+DTYPES = ("float64", "float32")
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent
+
+
+def fixture_path(name: str, dtype: str = "float64") -> pathlib.Path:
+    """Where the ``name`` golden at ``dtype`` lives."""
+    suffix = "" if dtype == "float64" else f"-{dtype}"
+    return FIXTURE_DIR / f"{name}{suffix}.npz"
 
 
 def golden_scenario():
@@ -49,17 +61,14 @@ def history_arrays(history) -> dict[str, np.ndarray]:
 
 
 def main() -> int:
-    previous = nn.set_default_dtype(np.float64)  # the parity precision
-    try:
-        for name in sorted(SCHEME_REGISTRY):
-            scheme = make_scheme(name, golden_scenario().build())
-            history = scheme.run(GOLDEN_ROUNDS)
-            path = FIXTURE_DIR / f"{name}.npz"
-            np.savez(path, **history_arrays(history))
-            print(f"wrote {path}: final acc {history.final_accuracy:.3f}, "
-                  f"latency {history.total_latency_s:.3f}s")
-    finally:
-        nn.set_default_dtype(previous)
+    for dtype in DTYPES:
+        with nn.default_dtype(np.dtype(dtype)):
+            for name in sorted(SCHEME_REGISTRY):
+                history = make_scheme(name, golden_scenario().build()).run(GOLDEN_ROUNDS)
+                path = fixture_path(name, dtype)
+                np.savez(path, **history_arrays(history))
+                print(f"wrote {path}: final acc {history.final_accuracy:.3f}, "
+                      f"latency {history.total_latency_s:.3f}s")
     return 0
 
 

@@ -285,7 +285,8 @@ def test_deepthin_evaluation_peaks_under_two_mebibytes(deepthin_float32):
 def test_deepthin_evaluation_peaks_no_higher_than_a_training_step(deepthin_float32):
     """At the default slab, evaluation's transient working set is no larger
     than that of one batch-16 DeepThin split training step as the paper
-    preset runs it (1.3 against 7.0 MiB measured), so evaluating between
+    preset runs it (1.3 against 5.0 MiB measured; 7.0 while backward held
+    the whole graph to the end of the pass), so evaluating between
     rounds cannot raise a run's high-water mark above training's."""
     model, train, test = deepthin_float32
     hp = paper_scenario().scheme

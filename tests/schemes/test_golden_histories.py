@@ -13,6 +13,11 @@ synchronous limit: ``aggregation="bounded:0"`` parses to the sync-barrier
 policy (a zero-lag SSP gate *is* the barrier), so the async-capable
 schemes are additionally pinned through that spelling.
 
+Each scheme is pinned in float64 (the parity precision the suite runs
+in) and in float32 (the precision the CLI and the ``churn-async-trace``
+benchmark run), so a ``repro.nn`` change that moves only single-precision
+bits cannot hide behind a matching float64 row.
+
 Regenerate fixtures (only when histories are *supposed* to change) with
 ``PYTHONPATH=src python tests/fixtures/histories/regenerate.py``.
 """
@@ -25,20 +30,27 @@ import sys
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "histories"
 sys.path.insert(0, str(FIXTURE_DIR))
 
-from regenerate import GOLDEN_ROUNDS, golden_scenario, history_arrays  # noqa: E402
+from regenerate import (  # noqa: E402
+    DTYPES,
+    GOLDEN_ROUNDS,
+    fixture_path,
+    golden_scenario,
+    history_arrays,
+)
 
 ALL_SCHEMES = sorted(SCHEME_REGISTRY)
 #: schemes that support barrier-free aggregation (sync-limit parity)
 ASYNC_SCHEMES = ("GSFL", "SplitFed", "FL")
 
 
-def load_golden(name: str) -> dict[str, np.ndarray]:
-    path = FIXTURE_DIR / f"{name}.npz"
+def load_golden(name: str, dtype: str = "float64") -> dict[str, np.ndarray]:
+    path = fixture_path(name, dtype)
     assert path.exists(), (
         f"missing golden fixture {path}; run "
         f"PYTHONPATH=src python tests/fixtures/histories/regenerate.py"
@@ -47,8 +59,8 @@ def load_golden(name: str) -> dict[str, np.ndarray]:
         return {key: data[key] for key in data.files}
 
 
-def assert_matches_golden(history, name: str) -> None:
-    golden = load_golden(name)
+def assert_matches_golden(history, name: str, dtype: str = "float64") -> None:
+    golden = load_golden(name, dtype)
     actual = history_arrays(history)
     assert set(actual) == set(golden)
     for key in golden:
@@ -56,7 +68,7 @@ def assert_matches_golden(history, name: str) -> None:
             actual[key],
             golden[key],
             err_msg=(
-                f"{name}: {key} diverged from the golden fixture — either a "
+                f"{name} ({dtype}): {key} diverged from the golden fixture — either a "
                 f"parity regression or an intentional history change "
                 f"(regenerate the fixtures and justify it in the PR)"
             ),
@@ -69,6 +81,12 @@ class TestGoldenHistories:
         scheme = make_scheme(name, golden_scenario().build())
         history = scheme.run(GOLDEN_ROUNDS)
         assert_matches_golden(history, name)
+
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_scheme_reproduces_float32_golden_bitwise(self, name):
+        with nn.default_dtype(np.float32):
+            history = make_scheme(name, golden_scenario().build()).run(GOLDEN_ROUNDS)
+        assert_matches_golden(history, name, "float32")
 
 
 class TestSyncLimitOfAsyncEngine:
@@ -99,7 +117,8 @@ class TestSyncLimitOfAsyncEngine:
 
     def test_goldens_exist_for_every_registered_scheme(self):
         for name in ALL_SCHEMES:
-            assert (FIXTURE_DIR / f"{name}.npz").exists()
+            for dtype in DTYPES:
+                assert fixture_path(name, dtype).exists()
 
 
 class TestFailureModelParity:
