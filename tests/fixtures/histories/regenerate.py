@@ -17,15 +17,25 @@ walks it, and hold later ``repro.nn`` changes to the same bits.
 ``tests/schemes/test_golden_histories.py`` asserts every scheme — and the
 barrier-free engine in its synchronous limit — still reproduces them
 exactly.
+
+``VARIANTS`` adds float64 rows (``<variant>.npz``) for the split family
+off the canonical configuration: the ``int8`` wire codec (SL's lossy
+relay coding, SplitFed's and GSFL's coded model hops), ``int8`` under
+``bounded:2`` barrier-free aggregation, and participation + stragglers +
+mid-activity churn on the static medium (the only configuration that
+moves SplitFed's per-participant bandwidth share).  Each variant file
+also pins the run's abort and retry counts.
 """
 
 from __future__ import annotations
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 
 from repro import nn
+from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
 from repro.experiments.scenario import fast_scenario
 
@@ -48,6 +58,44 @@ def golden_scenario():
     return fast_scenario(with_wireless=True, seed=0)
 
 
+#: churn, participation and stragglers with mid-activity preemption
+VARIANT_DYNAMICS = DynamicsConfig(
+    participation=0.5,
+    straggler_rate=0.3,
+    churn_uptime_s=0.5,
+    churn_downtime_s=0.1,
+    failure_model="mid-activity",
+    max_retries=2,
+    seed=0,
+)
+
+#: float64 variant rows: name -> (scheme, SchemeConfig overrides, dynamics)
+VARIANTS: dict[str, tuple[str, dict[str, str], DynamicsConfig | None]] = {
+    "SL+int8": ("SL", {"transport": "int8"}, None),
+    "SplitFed+int8": ("SplitFed", {"transport": "int8"}, None),
+    "GSFL+int8": ("GSFL", {"transport": "int8"}, None),
+    "SplitFed+int8+bounded2": (
+        "SplitFed", {"transport": "int8", "aggregation": "bounded:2"}, None
+    ),
+    "GSFL+int8+bounded2": (
+        "GSFL", {"transport": "int8", "aggregation": "bounded:2"}, None
+    ),
+    "SL+dynamics": ("SL", {}, VARIANT_DYNAMICS),
+    "SplitFed+dynamics": ("SplitFed", {}, VARIANT_DYNAMICS),
+    "GSFL+dynamics": ("GSFL", {}, VARIANT_DYNAMICS),
+}
+
+
+def run_variant(variant: str):
+    """Build and run one variant (float64 when the caller pins it)."""
+    name, overrides, dynamics = VARIANTS[variant]
+    scenario = golden_scenario()
+    scenario.scheme = replace(scenario.scheme, **overrides)
+    scenario.dynamics = dynamics
+    scheme = make_scheme(name, scenario.build())
+    return scheme, scheme.run(GOLDEN_ROUNDS)
+
+
 def history_arrays(history) -> dict[str, np.ndarray]:
     """A history as the four arrays stored in the fixture."""
     return {
@@ -60,6 +108,15 @@ def history_arrays(history) -> dict[str, np.ndarray]:
     }
 
 
+def variant_arrays(scheme, history) -> dict[str, np.ndarray]:
+    """A variant run as its history arrays plus its abort/retry counts."""
+    return {
+        **history_arrays(history),
+        "aborts": np.asarray(len(scheme.recorder.aborts), dtype=np.int64),
+        "retries": np.asarray(len(scheme.recorder.retries), dtype=np.int64),
+    }
+
+
 def main() -> int:
     for dtype in DTYPES:
         with nn.default_dtype(np.dtype(dtype)):
@@ -69,6 +126,15 @@ def main() -> int:
                 np.savez(path, **history_arrays(history))
                 print(f"wrote {path}: final acc {history.final_accuracy:.3f}, "
                       f"latency {history.total_latency_s:.3f}s")
+    with nn.default_dtype(np.dtype("float64")):
+        for variant in VARIANTS:
+            scheme, history = run_variant(variant)
+            path = fixture_path(variant)
+            arrays = variant_arrays(scheme, history)
+            np.savez(path, **arrays)
+            print(f"wrote {path}: final acc {history.final_accuracy:.3f}, "
+                  f"latency {history.total_latency_s:.3f}s, "
+                  f"{int(arrays['aborts'])} aborts, {int(arrays['retries'])} retries")
     return 0
 
 

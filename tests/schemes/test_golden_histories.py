@@ -18,6 +18,11 @@ in) and in float32 (the precision the CLI and the ``churn-async-trace``
 benchmark run), so a ``repro.nn`` change that moves only single-precision
 bits cannot hide behind a matching float64 row.
 
+The split family is further pinned off the canonical configuration by
+float64 variant rows (``VARIANTS`` in the regenerate script): the
+``int8`` codec under sync and ``bounded:2``, and churn + participation +
+stragglers with mid-activity preemption, abort and retry counts included.
+
 Regenerate fixtures (only when histories are *supposed* to change) with
 ``PYTHONPATH=src python tests/fixtures/histories/regenerate.py``.
 """
@@ -39,9 +44,12 @@ sys.path.insert(0, str(FIXTURE_DIR))
 from regenerate import (  # noqa: E402
     DTYPES,
     GOLDEN_ROUNDS,
+    VARIANTS,
     fixture_path,
     golden_scenario,
     history_arrays,
+    run_variant,
+    variant_arrays,
 )
 
 ALL_SCHEMES = sorted(SCHEME_REGISTRY)
@@ -59,9 +67,12 @@ def load_golden(name: str, dtype: str = "float64") -> dict[str, np.ndarray]:
         return {key: data[key] for key in data.files}
 
 
-def assert_matches_golden(history, name: str, dtype: str = "float64") -> None:
+def assert_matches_golden(
+    history, name: str, dtype: str = "float64", actual: dict | None = None
+) -> None:
     golden = load_golden(name, dtype)
-    actual = history_arrays(history)
+    if actual is None:
+        actual = history_arrays(history)
     assert set(actual) == set(golden)
     for key in golden:
         np.testing.assert_array_equal(
@@ -87,6 +98,24 @@ class TestGoldenHistories:
         with nn.default_dtype(np.float32):
             history = make_scheme(name, golden_scenario().build()).run(GOLDEN_ROUNDS)
         assert_matches_golden(history, name, "float32")
+
+
+class TestVariantHistories:
+    """Codec, barrier-free and dynamics rows of the split family."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variant_reproduces_golden_bitwise(self, variant):
+        with nn.default_dtype(np.float64):
+            scheme, history = run_variant(variant)
+        assert_matches_golden(
+            history, variant, actual=variant_arrays(scheme, history)
+        )
+
+    def test_dynamics_variants_exercise_preemption(self):
+        """The churn rows must keep aborting, or they pin nothing."""
+        for variant, (_, _, dynamics) in VARIANTS.items():
+            if dynamics is not None:
+                assert int(load_golden(variant)["aborts"]) > 0, variant
 
 
 class TestSyncLimitOfAsyncEngine:
