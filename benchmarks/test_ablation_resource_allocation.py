@@ -21,7 +21,7 @@ from repro.schemes.pricing import LatencyModel
 
 
 def _group_workloads(built, scenario, groups):
-    """Per-group latency curves priced exactly like split_local_round."""
+    """Per-group latency curves priced like price_relay_chain prices a chain."""
     pricing = LatencyModel(built.system, built.profile, scenario.scheme.batch_size)
     cut = scenario.resolved_cut_layer()
     steps = scenario.scheme.local_steps

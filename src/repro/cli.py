@@ -46,6 +46,9 @@ from repro.sim.server import parse_aggregation
 
 __all__ = ["main", "build_parser"]
 
+#: ``run`` flags (argparse dests) only GSFL consumes
+GSFL_ONLY_FLAGS = ("groups", "grouping", "regroup", "regroup_every", "failure_rate")
+
 
 def _aggregation_spec(value: str) -> str:
     """argparse type-validator for ``--aggregation`` (keeps the raw spec)."""
@@ -131,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with a flaky abort/retry record (EWMA over the fault telemetry)",
     )
     prun.add_argument(
-        "--regroup-every", type=int, default=1, metavar="N",
+        "--regroup-every", type=int, default=None, metavar="N",
         help="re-partition every N rounds (with --regroup; default 1)",
     )
     prun.add_argument("--cut-layer", type=int, default=None)
@@ -143,7 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
         "encode/decode compute is priced on the owning device and wire "
         "bytes shrink to what the codec actually ships",
     )
-    prun.add_argument("--failure-rate", type=float, default=0.0)
+    prun.add_argument(
+        "--failure-rate", type=float, default=None,
+        help="GSFL: per-round probability that a client is unavailable, "
+        "in [0, 1] (default 0)",
+    )
     prun.add_argument(
         "--participation", type=float, default=1.0,
         help="fraction of available clients sampled each round",
@@ -424,11 +431,15 @@ def _cmd_fig2b(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # Configuration phase: ValueErrors raised while assembling the
-    # scenario/dynamics are user errors (bad flag combinations such as
-    # --churn-uptime 0) and exit cleanly; anything raised later, during
-    # the actual run, is a real bug and must keep its traceback.
+    # scenario, dynamics and scheme are user errors (bad flag combinations
+    # such as --churn-uptime 0) and exit cleanly; anything raised later,
+    # during the actual run, is a real bug and must keep its traceback.
     try:
         _check_experiment_flags(args)
+        given = [dest for dest in GSFL_ONLY_FLAGS if getattr(args, dest) is not None]
+        if given and args.scheme != "GSFL":
+            flags = " ".join("--" + dest.replace("_", "-") for dest in given)
+            raise ValueError(f"GSFL-only flag(s) {flags} given with --scheme {args.scheme}")
         scenario = _scenario(args)
         if args.cut_layer is not None:
             depth = len(scenario.make_model())
@@ -450,46 +461,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"scheme {args.scheme!r} does not support "
                 f"--aggregation {args.aggregation} (only 'sync')"
             )
-        if (
-            args.regroup not in (None, "static")
-            and not parse_aggregation(args.aggregation).synchronous
-        ):
-            raise ValueError(
-                f"--regroup {args.regroup} requires synchronous aggregation "
-                f"(sync / bounded:0); got --aggregation {args.aggregation}"
-            )
         if args.grouping is not None:
             scenario.grouping = args.grouping
-        if (
-            args.transport is not None
-            or args.aggregation != "sync"
-            or args.regroup is not None
-            or args.regroup_every != 1
-        ):
+        overrides = {
+            field: getattr(args, field)
+            for field in ("transport", "regroup", "regroup_every")
+            if getattr(args, field) is not None
+        }
+        if args.aggregation != "sync":
+            overrides["aggregation"] = args.aggregation
+        if overrides:
             from dataclasses import replace
 
-            overrides = {}
-            if args.transport is not None:
-                overrides["transport"] = args.transport
-            if args.aggregation != "sync":
-                overrides["aggregation"] = args.aggregation
-            if args.regroup is not None:
-                overrides["regroup"] = args.regroup
-            if args.regroup is not None or args.regroup_every != 1:
-                overrides["regroup_every"] = args.regroup_every
             scenario.scheme = replace(scenario.scheme, **overrides)
         # Explicit dynamics flags override the scenario; all-default
         # flags leave a catalog world's own dynamics in place.
         dynamics = _dynamics_config(args)
         if dynamics is not None:
             scenario.dynamics = dynamics
+        # The scheme validates its own arguments (a failure rate outside
+        # [0, 1], regrouping without a barrier) as it is constructed.
+        scheme_kwargs = (
+            {} if args.failure_rate is None else {"failure_rate": args.failure_rate}
+        )
+        scheme = make_scheme(args.scheme, scenario.build(), **scheme_kwargs)
     except ValueError as exc:
         return _config_error(exc)
-    built = scenario.build()
-    scheme_kwargs: dict[str, object] = {}
-    if args.scheme == "GSFL" and args.failure_rate > 0:
-        scheme_kwargs["failure_rate"] = args.failure_rate
-    scheme = make_scheme(args.scheme, built, **scheme_kwargs)
     history = scheme.run(args.rounds)
     print(f"{'round':>6} {'latency_s':>10} {'loss':>8} {'accuracy':>9}")
     for p in history.points:

@@ -15,7 +15,6 @@ from repro.schemes.federated import FederatedLearning
 from repro.schemes.parallel_split import ParallelSplitLearning
 from repro.schemes.pricing import LatencyModel
 from repro.schemes.split import SplitLearning
-from repro.schemes.split_common import split_local_round
 from repro.schemes.splitfed import SplitFedLearning
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "Scheme",
     "SchemeConfig",
     "LatencyModel",
-    "split_local_round",
     "CentralizedLearning",
     "FederatedLearning",
     "SplitLearning",

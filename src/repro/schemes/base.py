@@ -374,11 +374,14 @@ class Scheme:
     def _async_units(self) -> list[int]:
         """Independent pipelines for barrier-free aggregation.
 
-        Schemes with parallel unit pipelines (GSFL groups, SplitFed/FL
-        clients) override this together with :meth:`_async_unit_round`,
+        Schemes with parallel unit pipelines override this together with
+        :meth:`_async_unit_weight`, :meth:`_async_unit_round`,
         :meth:`_async_apply_update` and :meth:`_async_load_eval_model`
-        and set ``supports_async``; inherently sequential schemes keep
-        the barrier.
+        and set ``supports_async``: GSFL (groups) and SplitFed (clients)
+        inherit all five from
+        :class:`~repro.schemes.split_common.SplitFederatedScheme`, FL
+        (clients) spells its own.  Inherently sequential schemes (CL, SL,
+        PSL's lockstep) keep the barrier.
         """
         raise ValueError(
             f"scheme {self.name!r} does not support "

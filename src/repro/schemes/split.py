@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from repro import nn
 from repro.nn.split import split_model
-from repro.schemes.base import Activity, Scheme, Stage
+from repro.schemes.base import Scheme, Stage
 from repro.schemes.pricing import LatencyModel
-from repro.schemes.split_common import (
-    price_model_downlink,
-    price_model_uplink,
-    split_local_round,
-)
+from repro.schemes.split_common import price_relay_chain, split_step_math
 
 __all__ = ["SplitLearning"]
 
@@ -57,92 +53,39 @@ class SplitLearning(Scheme):
             )
 
     def _run_round(self, round_index: int) -> list[Stage]:
-        pricing = self._pricing
-        bandwidth = pricing.total_bandwidth_hz  # sole transmitter gets all of it
-        client_model_bytes = pricing.client_model_nbytes(self.cut_layer)
-        lossy = pricing.codec.lossy
-        wire_bytes = pricing.model_wire_nbytes(client_model_bytes)
-        scalars = pricing.model_scalars(client_model_bytes) if lossy else 0
         participants = self._round_participants()
         if not participants:
             return []
+        # The whole round is one relay chain whose sole transmitter gets
+        # all the bandwidth.  It is priced up front: training draws only
+        # from the members' own loaders, never from the fading stream.
         stage = Stage("sequential_training")
-        track = "sl-relay"
+        stage.extend(
+            "sl-relay",
+            price_relay_chain(
+                self._pricing,
+                participants,
+                self.cut_layer,
+                self.config.local_steps,
+                self._pricing.total_bandwidth_hz,
+            ),
+        )
+        local_steps = self.config.local_steps
         total_loss = 0.0
-
-        for position, client in enumerate(participants):
-            if position == 0:
-                # Round start: AP sends the client-side model to the first
-                # client (paper §II-A model distribution).
-                stage.extend(
-                    track,
-                    price_model_downlink(
-                        pricing, client, client_model_bytes, bandwidth
-                    ),
+        for client in participants:
+            # The AP's downlink (first member) or the previous member's
+            # relay delivered the client half through the wire codec.
+            self._code_client_half()
+            next_batch = self.client_loaders[client].sample_batch
+            member_loss = 0.0
+            for _ in range(local_steps):
+                xb, yb = next_batch()
+                member_loss += split_step_math(
+                    self.split, self._client_opt, self._server_opt, xb, yb,
+                    self._loss_fn, self._pricing.codec,
                 )
-                self._code_client_half()
-            loss, activities = split_local_round(
-                client_id=client,
-                split=self.split,
-                client_opt=self._client_opt,
-                server_opt=self._server_opt,
-                loader=self.client_loaders[client],
-                loss_fn=self._loss_fn,
-                local_steps=self.config.local_steps,
-                pricing=pricing,
-                bandwidth_hz=bandwidth,
-            )
-            total_loss += loss
-            stage.extend(track, activities)
-
-            if position < len(participants) - 1:
-                # Relay the client-side model to the next client via the AP.
-                nxt = participants[position + 1]
-                if lossy:
-                    stage.add(
-                        track,
-                        Activity(
-                            pricing.client_encode_demand(client, scalars),
-                            "encode",
-                            f"client-{client}",
-                            detail="relay model",
-                        ),
-                    )
-                stage.add(
-                    track,
-                    Activity(
-                        pricing.relay_model_demand(
-                            client,
-                            nxt,
-                            wire_bytes,
-                            bandwidth,
-                        ),
-                        "model_relay",
-                        f"client-{client}",
-                        nbytes=2 * wire_bytes,
-                    ),
-                )
-                if lossy:
-                    stage.add(
-                        track,
-                        Activity(
-                            pricing.client_decode_demand(nxt, scalars),
-                            "decode",
-                            f"client-{nxt}",
-                            detail="relay model",
-                        ),
-                    )
-                self._code_client_half()
-            else:
-                # Last client returns the client-side model to the AP
-                # (paper §II-B-3).
-                stage.extend(
-                    track,
-                    price_model_uplink(
-                        pricing, client, client_model_bytes, bandwidth
-                    ),
-                )
-                self._code_client_half()
+            total_loss += member_loss / local_steps
+        self._code_client_half()  # the last member's upload to the AP
 
         self._last_train_loss = total_loss / len(participants)
         return [stage]

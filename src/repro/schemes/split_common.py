@@ -1,25 +1,25 @@
-"""Shared split-training engine used by SL, SplitFed and GSFL.
+"""Shared split-training engine: SL's, SplitFed's and GSFL's round.
 
-Two layers:
+Three layers:
 
 * **math** — :func:`split_step_math` executes one client batch through
   the §II-B handshake (client forward → server forward/backward → client
   backward, both optimizers stepping).  It touches no shared randomness.
-* **demands** — :func:`price_local_round` builds the per-batch activity
-  list (client compute / uplink / server compute / downlink) as
-  *demands* for the runtime to resolve during replay.  Demand
-  construction draws fading realizations from the wireless system's
-  shared stream, so the schemes build them in protocol order; durations
-  are resolved later by the DES from the instantaneous state of the
-  shared medium.
-
-:func:`split_local_round` composes both for the serial schemes (SL), and
-:func:`train_split_group` is the work-function behind GSFL's and
-SplitFed's round engines: it receives a :class:`GroupTask` carrying each
-member's batch source, draws every mini-batch at the step that trains on
-it — so a round holds one batch at a time, not its whole batch list —
-trains the scheme's :class:`~repro.nn.split.SplitModel` from the task's
-global halves, and returns the trained halves.
+* **demands** — :func:`price_relay_chain` prices one relay chain's round
+  (AP → first member, each member's split steps from
+  :func:`price_local_round` with a :func:`price_model_relay` hop to the
+  next, last member → AP) as *demands* for the runtime to resolve during
+  replay.  Demand construction draws fading realizations from the
+  wireless system's shared stream, so the schemes build them in protocol
+  order; durations are resolved later by the DES from the instantaneous
+  state of the shared medium.  SL prices its whole round as one chain.
+* **round** — :class:`SplitFederatedScheme` is the round of GSFL (its
+  groups) and SplitFed (one-client groups): parallel relay chains, each
+  against its own server-side replica, then one FedAvg of both halves —
+  or, without the barrier, each chain's update mixed in as it lands.
+  :func:`train_split_group` trains one chain from a :class:`GroupTask`
+  carrying each member's batch source, drawing every mini-batch at the
+  step that trains on it, so a round holds one batch at a time.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from typing import Callable
 import numpy as np
 
 from repro import nn
-from repro.data.dataset import DataLoader
 from repro.exec import SerialExecutor
-from repro.nn.split import SmashedBatch, SplitModel
+from repro.nn.split import SmashedBatch, SplitModel, split_model
 from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity, SchemeConfig
+from repro.schemes.base import Activity, Scheme, SchemeConfig, Stage
 from repro.schemes.pricing import LatencyModel
+from repro.sim.server import RetryAt, UnitRoundWork
 from repro.sim.transport import TransportCodec
 
 __all__ = [
@@ -44,12 +44,13 @@ __all__ = [
     "price_local_round",
     "price_model_downlink",
     "price_model_uplink",
-    "split_local_round",
+    "price_model_relay",
+    "price_relay_chain",
     "GroupTask",
     "GroupResult",
     "train_split_group",
     "run_group_tasks",
-    "AsyncSplitStateMixin",
+    "SplitFederatedScheme",
 ]
 
 
@@ -219,6 +220,14 @@ def price_local_round(
     return activities
 
 
+def _coded(
+    pricing: LatencyModel, encode: Activity, transfer: Activity, decode: Activity
+) -> list[Activity]:
+    """A model transfer, bracketed by its encode and decode under a lossy
+    codec; the identity codec emits the bare transfer (bitwise-pinned)."""
+    return [encode, transfer, decode] if pricing.codec.lossy else [transfer]
+
+
 def price_model_downlink(
     pricing: LatencyModel,
     client: int,
@@ -226,43 +235,28 @@ def price_model_downlink(
     bandwidth_hz: float,
     phase: str = "model_distribution",
 ) -> list[Activity]:
-    """AP → client model transfer at the codec's wire size.
-
-    With a lossy codec the transfer is bracketed by a server-side encode
-    and a client-side decode; the identity codec emits the bare transfer
-    with the raw byte count (bitwise-pinned path).
-    """
+    """AP → client model transfer at the codec's wire size."""
     actor = f"client-{client}"
     wire = pricing.model_wire_nbytes(nbytes)
-    activities = []
-    if pricing.codec.lossy:
-        scalars = pricing.model_scalars(nbytes)
-        activities.append(
-            Activity(
-                pricing.server_encode_demand(scalars),
-                "encode",
-                "edge-server",
-                detail=f"model for {actor}",
-            )
-        )
-    activities.append(
+    scalars = pricing.model_scalars(nbytes)
+    return _coded(
+        pricing,
+        Activity(
+            pricing.server_encode_demand(scalars),
+            "encode",
+            "edge-server",
+            detail=f"model for {actor}",
+        ),
         Activity(
             pricing.downlink_model_demand(client, wire, bandwidth_hz),
             phase,
             actor,
             nbytes=wire,
-        )
+        ),
+        Activity(
+            pricing.client_decode_demand(client, scalars), "decode", actor, detail="model"
+        ),
     )
-    if pricing.codec.lossy:
-        activities.append(
-            Activity(
-                pricing.client_decode_demand(client, scalars),
-                "decode",
-                actor,
-                detail="model",
-            )
-        )
-    return activities
 
 
 def price_model_uplink(
@@ -272,67 +266,95 @@ def price_model_uplink(
     bandwidth_hz: float,
     phase: str = "model_upload",
 ) -> list[Activity]:
-    """Client → AP model transfer at the codec's wire size (see above)."""
+    """Client → AP model transfer at the codec's wire size."""
     actor = f"client-{client}"
     wire = pricing.model_wire_nbytes(nbytes)
-    activities = []
-    if pricing.codec.lossy:
-        scalars = pricing.model_scalars(nbytes)
-        activities.append(
-            Activity(
-                pricing.client_encode_demand(client, scalars),
-                "encode",
-                actor,
-                detail="model upload",
-            )
-        )
-    activities.append(
+    scalars = pricing.model_scalars(nbytes)
+    return _coded(
+        pricing,
+        Activity(
+            pricing.client_encode_demand(client, scalars),
+            "encode",
+            actor,
+            detail="model upload",
+        ),
         Activity(
             pricing.uplink_model_demand(client, wire, bandwidth_hz),
             phase,
             actor,
             nbytes=wire,
-        )
+        ),
+        Activity(
+            pricing.server_decode_demand(scalars),
+            "decode",
+            "edge-server",
+            detail=f"model from {actor}",
+        ),
     )
-    if pricing.codec.lossy:
-        activities.append(
-            Activity(
-                pricing.server_decode_demand(scalars),
-                "decode",
-                "edge-server",
-                detail=f"model from {actor}",
-            )
-        )
-    return activities
 
 
-def split_local_round(
-    client_id: int,
-    split: SplitModel,
-    client_opt: nn.Optimizer,
-    server_opt: nn.Optimizer,
-    loader: DataLoader,
-    loss_fn: object,
-    local_steps: int,
+def price_model_relay(
     pricing: LatencyModel,
+    client: int,
+    nxt: int,
+    nbytes: int,
     bandwidth_hz: float,
-) -> tuple[float, list[Activity]]:
-    """One client's split-training round (math + pricing, in-line).
-
-    Returns ``(mean_batch_loss, activities)`` where activities alternate
-    client compute / uplink / server compute / downlink per batch.
-    """
-    total_loss = 0.0
-    for _ in range(local_steps):
-        xb, yb = loader.sample_batch()
-        total_loss += split_step_math(
-            split, client_opt, server_opt, xb, yb, loss_fn,
-            pricing.codec,
-        )
-    activities = price_local_round(
-        client_id, split.cut_layer, local_steps, pricing, bandwidth_hz
+) -> list[Activity]:
+    """Client → AP → client model relay: both hops are one demand that
+    carries twice the codec's wire size."""
+    actor = f"client-{client}"
+    wire = pricing.model_wire_nbytes(nbytes)
+    scalars = pricing.model_scalars(nbytes)
+    return _coded(
+        pricing,
+        Activity(
+            pricing.client_encode_demand(client, scalars),
+            "encode",
+            actor,
+            detail="relay model",
+        ),
+        Activity(
+            pricing.relay_model_demand(client, nxt, wire, bandwidth_hz),
+            "model_relay",
+            actor,
+            nbytes=2 * wire,
+        ),
+        Activity(
+            pricing.client_decode_demand(nxt, scalars),
+            "decode",
+            f"client-{nxt}",
+            detail="relay model",
+        ),
     )
-    return total_loss / local_steps, activities
+
+
+def price_relay_chain(
+    pricing: LatencyModel,
+    members: list[int],
+    cut_layer: int,
+    local_steps: int,
+    bandwidth_hz: float,
+) -> list[Activity]:
+    """One relay chain's round as priced activities (no training).
+
+    AP → first member, each member's split steps followed by the relay
+    to the next member, last member → AP.  Draw order is that protocol
+    order, so the shared fading stream replays identically whichever
+    scheme (SL's one chain, GSFL's groups, SplitFed's one-client chains)
+    prices the chain.
+    """
+    nbytes = pricing.client_model_nbytes(cut_layer)
+    activities = price_model_downlink(pricing, members[0], nbytes, bandwidth_hz)
+    for client, nxt in zip(members, [*members[1:], None]):
+        activities.extend(
+            price_local_round(client, cut_layer, local_steps, pricing, bandwidth_hz)
+        )
+        if nxt is not None:
+            activities.extend(
+                price_model_relay(pricing, client, nxt, nbytes, bandwidth_hz)
+            )
+    activities.extend(price_model_uplink(pricing, members[-1], nbytes, bandwidth_hz))
+    return activities
 
 
 def train_split_group(
@@ -391,26 +413,199 @@ def train_split_group(
     )
 
 
-class AsyncSplitStateMixin:
-    """Barrier-free server math shared by the split schemes (GSFL, SplitFed).
+def run_group_tasks(
+    tasks: list[GroupTask], split: SplitModel, config: SchemeConfig
+) -> list[GroupResult]:
+    """Train every task on ``split``, one after another; results in task order."""
+    return SerialExecutor().map_groups(
+        functools.partial(train_split_group, split=split, config=config), tasks
+    )
 
-    Hosts the two global halves' async plumbing: commits mix the update
-    into ``_global_client_state`` / ``_global_server_state`` and keep the
-    scheme's :class:`~repro.nn.split.SplitModel` loaded with the mixed
-    global (the halves share modules with the full evaluation model).
 
-    Under the mid-activity failure model a unit-round whose track
-    surrendered never reaches :meth:`_async_apply_update` — the
-    aggregation server drops the payload before committing and records
-    the loss as an :class:`~repro.sim.server.AbortRecord` instead, so the
-    mixed global only ever contains updates whose uploads genuinely
-    completed.
+class SplitFederatedScheme(Scheme):
+    """Parallel relay chains → barrier → one FedAvg of both halves.
+
+    The round of GSFL (groups) and SplitFed (one-client chains): each
+    *unit* is a relay chain of clients training sequentially against its
+    own server-side replica (the global halves it starts from), the units
+    run in parallel in simulated time, and the edge FedAvg-aggregates the
+    units' client halves and replicas into the next global model.
+    Subclasses supply the unit member lists (:meth:`_units`) and each
+    unit's nominal bandwidth (:meth:`_unit_bandwidth`), and may drop
+    members from a unit-round (:meth:`_unit_members`).
+
+    A unit-round is described once, by :meth:`_unit_work`, as its priced
+    relay chain plus the :class:`GroupTask` that trains it, and both
+    aggregation modes use that description: the sync barrier collects
+    every unit's, trains them all through :func:`run_group_tasks` and
+    aggregates once; barrier-free policies train each unit-round on its
+    own (:func:`train_split_group`) and merge it with a priced two-model
+    mix.  Under the mid-activity failure model an aborted unit-round
+    never reaches :meth:`_async_apply_update` — the aggregation server
+    drops its payload and records an
+    :class:`~repro.sim.server.AbortRecord` instead.
     """
 
-    def _async_apply_update(self, payload: object, alpha: float) -> None:
+    supports_async = True
+    #: a unit is ``f"{_unit_label}-{unit}"`` in tracks and trace details
+    _unit_label = "group"
+
+    def __init__(self, *args: object, cut_layer: int = 1, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        self.cut_layer = cut_layer
+        self.split = split_model(self.model, cut_layer)
+        self._pricing = LatencyModel(
+            self.system,
+            self.profile,
+            self.config.batch_size,
+            transport=self.config.transport,
+        )
+        # Global halves; every unit task loads them into the split model.
+        self._global_client_state = self.split.client.state_dict()
+        self._global_server_state = self.split.server.state_dict()
+
+    # ------------------------------------------------------------------
+    # subclass contract
+    # ------------------------------------------------------------------
+    def _units(self) -> list[list[int]]:
+        """Member list of every unit, in relay order."""
+        raise NotImplementedError
+
+    def _unit_bandwidth(self, unit: int) -> float:
+        """Nominal bandwidth (Hz) of ``unit``'s active transmitter."""
+        raise NotImplementedError
+
+    def _unit_members(self, present: list[int]) -> list[int]:
+        """The present members that train this unit-round (all of them)."""
+        return present
+
+    # ------------------------------------------------------------------
+    # one unit-round
+    # ------------------------------------------------------------------
+    def _unit_work(self, unit: int, members: list[int]) -> tuple[list[Activity], GroupTask]:
+        """``unit``'s round: its priced relay chain and its training task.
+
+        Pricing draws from the shared fading stream, so callers describe
+        units in unit order; the task draws its mini-batches later, from
+        each member's own loader, at the step that trains on them.
+        """
+        activities = price_relay_chain(
+            self._pricing,
+            members,
+            self.cut_layer,
+            self.config.local_steps,
+            self._unit_bandwidth(unit),
+        )
+        task = GroupTask(
+            index=unit,
+            members=list(members),
+            samplers=[self.client_loaders[c].sample_batch for c in members],
+            local_steps=self.config.local_steps,
+            client_state=self._global_client_state,
+            server_state=self._global_server_state,
+            weight=float(sum(len(self.client_datasets[c]) for c in members)),
+        )
+        return activities, task
+
+    def _load_globals(self) -> None:
+        # The globals are freshly allocated by fedavg / mix_states and only
+        # read afterwards, so the halves can adopt them without re-copying.
+        self.split.client.load_state_dict(self._global_client_state, copy=False)
+        self.split.server.load_state_dict(self._global_server_state, copy=False)
+
+    # ------------------------------------------------------------------
+    # sync round
+    # ------------------------------------------------------------------
+    def _run_round(self, round_index: int) -> list[Stage]:
         # Imported lazily: ``repro.core`` package init imports the GSFL
-        # scheme, which imports this module — a top-level import here
-        # would close that cycle mid-initialization.
+        # scheme, which imports this module.
+        from repro.core.aggregation import fedavg
+
+        participants = set(self._round_participants())
+        training = Stage("group_training")
+        tasks: list[GroupTask] = []
+        for unit, all_members in enumerate(self._units()):
+            members = self._unit_members(
+                [c for c in all_members if c in participants]
+            )
+            if not members:
+                continue  # the whole unit sits this round out
+            activities, task = self._unit_work(unit, members)
+            training.extend(f"{self._unit_label}-{unit}", activities)
+            tasks.append(task)
+
+        # The units share no training state within a round (each starts
+        # from the global halves — the edge replicas, concurrent in
+        # simulated time), so they train one after another on one model.
+        results = run_group_tasks(tasks, self.split, self.config)
+        trained = sum(r.num_members for r in results)
+        self._last_train_loss = (
+            sum(r.loss_sum for r in results) / trained if trained else float("nan")
+        )
+
+        # With no unit left the round is a no-op and the global carries over.
+        aggregation = Stage("aggregation")
+        if results:
+            weights = [r.weight for r in results]
+            self._global_client_state = fedavg([r.client_state for r in results], weights)
+            self._global_server_state = fedavg([r.server_state for r in results], weights)
+            self._load_globals()
+            aggregation.add(
+                "edge-server",
+                Activity(
+                    self._pricing.aggregation_demand(
+                        len(results), self.model.num_parameters()
+                    ),
+                    "aggregation",
+                    "edge-server",
+                ),
+            )
+        return [training, aggregation]
+
+    # ------------------------------------------------------------------
+    # barrier-free unit rounds
+    # ------------------------------------------------------------------
+    def _async_units(self) -> list[int]:
+        return list(range(len(self._units())))
+
+    def _async_unit_weight(self, unit: int) -> float:
+        return float(sum(len(self.client_datasets[c]) for c in self._units()[unit]))
+
+    def _async_unit_round(
+        self, unit: int, unit_round: int
+    ) -> "UnitRoundWork | RetryAt":
+        resolved = self._async_unit_dynamics(self._units()[unit])
+        if isinstance(resolved, RetryAt):
+            return resolved
+        present, slowdowns = resolved
+        members = self._unit_members(present)
+        if not members:
+            # Whole unit lost this window: the round counts for progress
+            # (the lag gate must not deadlock) but commits nothing.
+            return UnitRoundWork(activities=[], payload=None, weight=0.0)
+
+        # Train against the *current* mixed global; the DES event loop
+        # serializes unit-rounds.
+        activities, task = self._unit_work(unit, members)
+        result = train_split_group(task, self.split, self.config)
+        activities.append(
+            Activity(
+                self._pricing.aggregation_demand(2, self.model.num_parameters()),
+                "aggregation",
+                "edge-server",
+                detail=f"async merge {self._unit_label}-{unit}",
+            )
+        )
+        return UnitRoundWork(
+            activities=activities,
+            payload=(result.client_state, result.server_state),
+            weight=result.weight,
+            slowdowns=slowdowns or None,
+            loss_sum=result.loss_sum,
+            num_contributors=result.num_members,
+        )
+
+    def _async_apply_update(self, payload: object, alpha: float) -> None:
         from repro.core.aggregation import mix_states
 
         client_state, server_state = payload
@@ -420,22 +615,23 @@ class AsyncSplitStateMixin:
         self._global_server_state = mix_states(
             self._global_server_state, server_state, alpha
         )
-        # mix_states allocates fresh arrays and the globals are only read
-        # afterwards, so the halves can adopt them without re-copying.
-        self.split.client.load_state_dict(self._global_client_state, copy=False)
-        self.split.server.load_state_dict(self._global_server_state, copy=False)
+        self._load_globals()
 
     def _async_load_eval_model(self) -> None:
-        # Unit training mutates the shared split model in place; reload
-        # the mixed global before every evaluation snapshot.
-        self.split.client.load_state_dict(self._global_client_state, copy=False)
-        self.split.server.load_state_dict(self._global_server_state, copy=False)
+        # Unit training mutates the shared split model in place.
+        self._load_globals()
 
+    # ------------------------------------------------------------------
+    # storage accounting (the paper's §I argument)
+    # ------------------------------------------------------------------
+    def server_side_replicas(self) -> int:
+        """Server-side model replicas the edge hosts: one per unit."""
+        return len(self._units())
 
-def run_group_tasks(
-    tasks: list[GroupTask], split: SplitModel, config: SchemeConfig
-) -> list[GroupResult]:
-    """Train every task on ``split``, one after another; results in task order."""
-    return SerialExecutor().map_groups(
-        functools.partial(train_split_group, split=split, config=config), tasks
-    )
+    def server_storage_bytes(self) -> int:
+        """Edge storage for the replicas."""
+        if not self._pricing.enabled:
+            return 0
+        return self.server_side_replicas() * self.profile.server_model_bytes(
+            self.cut_layer
+        )

@@ -177,6 +177,24 @@ class TestStorageAccounting:
         )
 
 
+class TestSplitFedSurface:
+    """SplitFed runs GSFL's round with one-client groups but is not a
+    GSFL: it takes a cut layer and nothing group-shaped."""
+
+    @pytest.mark.parametrize(
+        "kwarg",
+        [{"failure_rate": 0.1}, {"num_groups": 2}, {"grouping": "random"},
+         {"bandwidth_shares": [1.0]}],
+    )
+    def test_rejects_gsfl_arguments(self, built_nolatency, kwarg):
+        with pytest.raises(TypeError):
+            make_scheme("SplitFed", built_nolatency, **kwarg)
+
+    def test_exposes_no_grouping(self, built_nolatency):
+        sf = make_scheme("SplitFed", built_nolatency)
+        assert not hasattr(sf, "grouping") and not hasattr(sf, "num_groups")
+
+
 class TestSchemeConfigValidation:
     @pytest.mark.parametrize("value", [0, -64])
     def test_eval_batch_size_must_be_positive(self, value):

@@ -216,6 +216,30 @@ class TestCommands:
         assert code == 2
         assert "synchronous aggregation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            ("--failure-rate 1.5", "failure_rate must be in [0, 1], got 1.5"),
+            ("--failure-rate nan", "failure_rate must be in [0, 1], got nan"),
+            ("--failure-rate -0.5", "failure_rate must be in [0, 1], got -0.5"),
+            ("--scheme SplitFed --failure-rate 0.5", "GSFL-only flag(s) --failure-rate given"),
+            ("--scheme FL --groups 3", "GSFL-only flag(s) --groups given"),
+            ("--scheme SL --grouping random", "GSFL-only flag(s) --grouping given"),
+            ("--scheme PSL --regroup availability_aware", "GSFL-only flag(s) --regroup given"),
+            ("--scheme SplitFed --regroup-every 2", "GSFL-only flag(s) --regroup-every given"),
+            ("--scheme CL --groups 2 --failure-rate 0.1",
+             "--groups --failure-rate given with --scheme CL"),
+        ],
+    )
+    def test_bad_scheme_argument_is_a_clean_config_error(self, argv, needle, capsys):
+        """A scheme argument the scheme rejects, or a GSFL-only flag given
+        to another scheme, exits 2 with a sentence instead of a traceback
+        or a silently ignored flag."""
+        code = main(["run", "--scale", "fast", "--rounds", "1", *argv.split()])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+
     def test_unknown_transport_is_a_clean_config_error(self, capsys):
         code = main(
             ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
@@ -415,6 +439,14 @@ class TestTraceRoundTrip:
             assert flat == list(range(meta["num_clients"]))
             assert row["policy"] == "availability_aware"
             assert row["round"] == 1
+
+    def test_splitfed_meta_has_no_grouping(self, tmp_path, capsys):
+        """SplitFed has no groups: its meta row says so with nulls."""
+        rows = self._rows(tmp_path, ["--scheme", "SplitFed"])
+        self._check_schemas(rows)
+        meta = rows[0]
+        assert meta["scheme"] == "SplitFed"
+        assert meta["grouping"] is None and meta["num_groups"] is None
 
     def test_static_regroup_exports_no_regroup_rows(self, tmp_path, capsys):
         rows = self._rows(tmp_path, ["--scheme", "GSFL"])
