@@ -277,11 +277,14 @@ def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = Non
     total_span = scheme.runtime.now
     energy = EnergyModel()
     with open(path, "w") as fh:
+        def write(row: "dict[str, object]") -> None:
+            fh.write(json.dumps(row) + "\n")
+
         def emit(row: "dict[str, object]") -> None:
             # Every exported row must match the canonical schema registry
             # (repro.devtools.trace_schema) — the runtime half of TRC001.
             validate_row(row)
-            fh.write(json.dumps(row) + "\n")
+            write(row)
 
         emit(
             {
@@ -328,14 +331,11 @@ def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = Non
                         "slowdowns": {str(k): v for k, v in rc.slowdowns.items()},
                     }
                 )
-        for row in recorder.to_rows():
-            emit(row)
-        for row in recorder.abort_rows():
-            emit(row)
-        for row in recorder.retry_rows():
-            emit(row)
-        for row in recorder.regroup_rows():
-            emit(row)
+        # The recorder's renderers validate each row as they yield it.
+        for rows in (recorder.to_rows(), recorder.abort_rows(),
+                     recorder.retry_rows(), recorder.regroup_rows()):
+            for row in rows:
+                write(row)
         for t in scheme.round_timings:
             emit(
                 {
@@ -456,10 +456,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"{scenario.num_clients} clients, got {args.groups}"
                 )
             scenario.num_groups = args.groups
-        if args.aggregation != "sync" and not SCHEME_REGISTRY[args.scheme].supports_async:
+        if (
+            not SCHEME_REGISTRY[args.scheme].supports_async
+            and not parse_aggregation(args.aggregation).synchronous
+        ):
             raise ValueError(
                 f"scheme {args.scheme!r} does not support "
-                f"--aggregation {args.aggregation} (only 'sync')"
+                f"--aggregation {args.aggregation} (only the sync barrier: "
+                f"'sync' or 'bounded:0')"
             )
         if args.grouping is not None:
             scenario.grouping = args.grouping

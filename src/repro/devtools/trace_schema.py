@@ -6,7 +6,8 @@ import from here:
 
 * the recorder (:mod:`repro.sim.trace`) validates the rows it renders,
 * the CLI exporter (``repro.cli._export_trace``) validates every row it
-  writes,
+  renders itself (the recorder's rows arrive validated), so each written
+  row is checked exactly once,
 * the replay parsers (:mod:`repro.experiments.catalog` meta reader,
   :class:`repro.experiments.availability.TraceReplay`) validate the
   rows they consume,

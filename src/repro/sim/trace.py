@@ -50,14 +50,15 @@ PHASES = (
 ABORT_RESOLUTIONS = ("retry", "reroute", "surrender")
 
 
-def _validated(rows: "list[dict[str, object]]") -> "list[dict[str, object]]":
-    """Check rendered rows against the canonical trace-schema registry."""
+def _validated(rows: "Iterable[dict[str, object]]") -> "Iterator[dict[str, object]]":
+    """Yield each rendered row once it matches the canonical trace-schema
+    registry, so a caller holds one row at a time."""
     for row in rows:
         validate_row(row)
-    return rows
+        yield row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One timed activity in the simulation."""
 
@@ -78,7 +79,7 @@ class TraceEvent:
             raise ValueError(f"event ends before it starts: {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbortEvent:
     """One mid-activity preemption: the activity that started at
     ``start`` was cut short at ``time_s`` by ``client`` failing, and the
@@ -97,7 +98,7 @@ class AbortEvent:
             raise ValueError(f"abort precedes the activity start: {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetryEvent:
     """One recovery re-attempt: ``actor`` re-runs its aborted activity at
     ``time_s`` (after waiting out ``client``'s down-window); ``attempt``
@@ -111,7 +112,7 @@ class RetryEvent:
     attempt: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegroupEvent:
     """One between-round fleet re-partition: ``policy`` produced ``groups``
     at the start of ``round_index`` (``changed`` is ``False`` when the
@@ -242,14 +243,17 @@ class TraceRecorder:
     def total_bytes(self) -> int:
         return sum(e.nbytes for e in self.events)
 
-    def to_rows(self) -> "list[dict[str, object]]":
-        """Events as plain dicts (JSONL export, external tooling).
+    def to_rows(self) -> "Iterator[dict[str, object]]":
+        """Yield the events as plain dicts (JSONL export, external tooling).
 
-        Every renderer below validates its rows against the canonical
-        registry (:mod:`repro.devtools.trace_schema`), so a field added
-        here without registering it fails at the first export.
+        Every renderer below is lazy: it yields one row at a time, each
+        checked against the canonical registry
+        (:mod:`repro.devtools.trace_schema`) as it is rendered, so a field
+        added here without registering it fails at the first export, and
+        an exporter holds one row however long the run was.  ``list(...)``
+        gives a list.
         """
-        return _validated([
+        return _validated(
             {
                 "type": "activity",
                 "start_s": e.start,
@@ -262,11 +266,11 @@ class TraceRecorder:
                 "detail": e.detail,
             }
             for e in self.events
-        ])
+        )
 
-    def abort_rows(self) -> "list[dict[str, object]]":
-        """Preemptions as plain dicts (the ``activity_abort`` JSONL rows)."""
-        return _validated([
+    def abort_rows(self) -> "Iterator[dict[str, object]]":
+        """Yield the preemptions as plain dicts (the ``activity_abort`` JSONL rows)."""
+        return _validated(
             {
                 "type": "activity_abort",
                 "start_s": e.start,
@@ -278,11 +282,11 @@ class TraceRecorder:
                 "resolution": e.resolution,
             }
             for e in self.aborts
-        ])
+        )
 
-    def retry_rows(self) -> "list[dict[str, object]]":
-        """Recovery re-attempts as plain dicts (the ``retry`` JSONL rows)."""
-        return _validated([
+    def retry_rows(self) -> "Iterator[dict[str, object]]":
+        """Yield the recovery re-attempts as plain dicts (the ``retry`` JSONL rows)."""
+        return _validated(
             {
                 "type": "retry",
                 "time_s": e.time_s,
@@ -292,11 +296,11 @@ class TraceRecorder:
                 "attempt": e.attempt,
             }
             for e in self.retries
-        ])
+        )
 
-    def regroup_rows(self) -> "list[dict[str, object]]":
-        """Re-partitions as plain dicts (the ``regroup`` JSONL rows)."""
-        return _validated([
+    def regroup_rows(self) -> "Iterator[dict[str, object]]":
+        """Yield the re-partitions as plain dicts (the ``regroup`` JSONL rows)."""
+        return _validated(
             {
                 "type": "regroup",
                 "time_s": e.time_s,
@@ -306,7 +310,7 @@ class TraceRecorder:
                 "changed": e.changed,
             }
             for e in self.regroups
-        ])
+        )
 
     def filter(
         self, phases: Iterable[str] | None = None, actor_prefix: str | None = None

@@ -26,8 +26,11 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Raise ``ValueError`` unless ``value >= 0``; return the value."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value >= 0``; return the value.
+
+    NaN is rejected too: ``nan < 0`` is false, but so is ``nan >= 0``.
+    """
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

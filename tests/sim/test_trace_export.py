@@ -1,4 +1,4 @@
-"""The ``--trace-out`` export: its bytes, row for row.
+"""The ``--trace-out`` export: its bytes, row for row, and its memory.
 
 The digests below pin the files the exporter wrote when it still built
 each renderer's rows as a list before writing any of them.  Every row is
@@ -12,12 +12,17 @@ or on ``--dtype``.  Two configurations together emit every row type in
 * ``regroup`` is the fast scenario under mid-activity churn with
   availability-aware regrouping; it carries ``round_conditions`` and
   ``regroup`` rows, which need a barrier.
+
+The export renders, validates and writes one row at a time, so the
+memory it allocates, as ``tracemalloc`` counts it, does not grow with
+the run: a churn trace 4x as long exports in the same few KiB.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -45,10 +50,12 @@ DIGESTS: dict[tuple[str, int], str] = {
 
 @dataclass
 class Export:
-    """One CLI run's trace file and the scheme it was exported from."""
+    """One CLI run's trace file, the scheme it was exported from, and the
+    bytes ``_export_trace`` allocated at its peak."""
 
     data: bytes
     scheme: object
+    peak: int
 
     @property
     def rows(self) -> list[dict[str, object]]:
@@ -62,18 +69,25 @@ def exports(tmp_path_factory) -> dict[tuple[str, int], Export]:
     export_trace = repro.cli._export_trace
     for name, rounds in DIGESTS:
         path = tmp_path_factory.mktemp(f"{name}{rounds}") / "trace.jsonl"
-        seen: list[object] = []
+        seen: list[tuple[object, int]] = []
 
         def capture(target, scheme, scenario_name=None):
-            seen.append(scheme)
-            export_trace(target, scheme, scenario_name=scenario_name)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                export_trace(target, scheme, scenario_name=scenario_name)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            seen.append((scheme, peak))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(repro.cli, "_export_trace", capture)
             code = main(["run", "--rounds", str(rounds), "--trace-out", str(path)]
                         + CONFIGS[name])
         assert code == 0
-        out[name, rounds] = Export(path.read_bytes(), seen[0])
+        out[name, rounds] = Export(path.read_bytes(), *seen[0])
     return out
 
 
@@ -85,3 +99,24 @@ class TestExportBytes:
     def test_configurations_cover_every_row_type(self, exports):
         types = {row["type"] for export in exports.values() for row in export.rows}
         assert types == set(TRACE_SCHEMAS)
+
+
+class TestStreamedExport:
+    def test_peak_does_not_grow_with_the_trace(self, exports):
+        """8 rounds write ≈3.3x the rows of 2; the export still holds one
+        row at a time (a list-building export reads ≈161 -> ≈492 KiB)."""
+        short, long = exports["churn", 2].peak, exports["churn", 8].peak
+        assert long <= short + 16 * 1024, (short, long)
+        assert long <= 64 * 1024, long
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: f"{k[0]}-{k[1]}")
+    @pytest.mark.parametrize(
+        "renderer, row_type",
+        [("to_rows", "activity"), ("abort_rows", "activity_abort"),
+         ("retry_rows", "retry"), ("regroup_rows", "regroup")],
+    )
+    def test_renderer_yields_the_pinned_rows(self, exports, key, renderer, row_type):
+        export = exports[key]
+        rows = getattr(export.scheme.recorder, renderer)()
+        assert iter(rows) is rows
+        assert list(rows) == [r for r in export.rows if r["type"] == row_type]

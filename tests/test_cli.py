@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.devtools.trace_schema import TRACE_SCHEMAS
+from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import ExperimentScenario
 
 
@@ -222,6 +224,7 @@ class TestCommands:
             ("--failure-rate 1.5", "failure_rate must be in [0, 1], got 1.5"),
             ("--failure-rate nan", "failure_rate must be in [0, 1], got nan"),
             ("--failure-rate -0.5", "failure_rate must be in [0, 1], got -0.5"),
+            ("--heterogeneity nan", "heterogeneity must be >= 0, got nan"),
             ("--scheme SplitFed --failure-rate 0.5", "GSFL-only flag(s) --failure-rate given"),
             ("--scheme FL --groups 3", "GSFL-only flag(s) --groups given"),
             ("--scheme SL --grouping random", "GSFL-only flag(s) --grouping given"),
@@ -239,6 +242,30 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
+
+    @pytest.mark.parametrize("scheme", ["SL", "PSL", "CL"])
+    def test_barrier_free_aggregation_on_a_sequential_scheme_exits_2(self, scheme, capsys):
+        code = main(["run", "--scale", "fast", "--rounds", "1",
+                     "--scheme", scheme, "--aggregation", "bounded:1"])
+        assert code == 2
+        assert "does not support --aggregation bounded:1" in capsys.readouterr().err
+
+    def test_bounded_zero_is_the_sync_barrier_for_sl(self, capsys, monkeypatch):
+        """``bounded:0`` resolves to the barrier, so SL accepts it and
+        trains exactly the history ``sync`` does."""
+        schemes = []
+
+        def recording_make_scheme(*args, **kwargs):
+            schemes.append(make_scheme(*args, **kwargs))
+            return schemes[-1]
+
+        monkeypatch.setattr(repro.cli, "make_scheme", recording_make_scheme)
+        for spec in ("sync", "bounded:0"):
+            assert main(["run", "--scale", "fast", "--rounds", "2",
+                         "--scheme", "SL", "--aggregation", spec]) == 0
+        sync, bounded = schemes
+        assert bounded.config.aggregation == "bounded:0"
+        assert bounded.history.to_rows() == sync.history.to_rows()
 
     def test_unknown_transport_is_a_clean_config_error(self, capsys):
         code = main(

@@ -127,6 +127,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_non_negative("x", -1)
 
+    def test_check_non_negative_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            check_non_negative("x", float("nan"))
+
     def test_check_probability(self):
         assert check_probability("p", 0.5) == 0.5
         with pytest.raises(ValueError):
