@@ -65,29 +65,29 @@ class Export:
 @pytest.fixture(scope="module")
 def exports(tmp_path_factory) -> dict[tuple[str, int], Export]:
     """Run every pinned configuration once through ``repro.cli.main``."""
-    out: dict[tuple[str, int], Export] = {}
     export_trace = repro.cli._export_trace
-    for name, rounds in DIGESTS:
-        path = tmp_path_factory.mktemp(f"{name}{rounds}") / "trace.jsonl"
-        seen: list[tuple[object, int]] = []
+    seen: list[tuple[object, int]] = []
 
-        def capture(target, scheme, scenario_name=None):
-            tracemalloc.start()
-            try:
-                before, _ = tracemalloc.get_traced_memory()
-                tracemalloc.reset_peak()
-                export_trace(target, scheme, scenario_name=scenario_name)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            seen.append((scheme, peak))
+    def capture(target, scheme, scenario_name=None):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            export_trace(target, scheme, scenario_name=scenario_name)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        seen.append((scheme, peak))
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(repro.cli, "_export_trace", capture)
+    out: dict[tuple[str, int], Export] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.cli, "_export_trace", capture)
+        for name, rounds in DIGESTS:
+            path = tmp_path_factory.mktemp(f"{name}{rounds}") / "trace.jsonl"
             code = main(["run", "--rounds", str(rounds), "--trace-out", str(path)]
                         + CONFIGS[name])
-        assert code == 0
-        out[name, rounds] = Export(path.read_bytes(), *seen[0])
+            assert code == 0
+            out[name, rounds] = Export(path.read_bytes(), *seen.pop())
     return out
 
 
