@@ -138,6 +138,52 @@ class TestWeightedDelta:
         np.testing.assert_allclose(half["w"], 0.5 * base["w"] + 0.5 * full["w"])
 
 
+def running_sum_reference(states, weights):
+    """The running FedAvg sum, frozen: ``acc = w₀·s₀``, then
+    ``acc = acc + wᵢ·sᵢ`` in list order over the packed rows, with the
+    weights normalized in float64 and cast to the states' dtype."""
+    rows = [pack_state(s) for s in states]
+    w = (np.asarray(weights, dtype=np.float64) / np.sum(weights)).astype(rows[0].dtype)
+    acc = w[0] * rows[0]
+    for wi, row in zip(w[1:], rows[1:]):
+        acc = acc + wi * row
+    return acc
+
+
+def summation_bound(states, weights):
+    """``2·γₙ·Σᵢ|wᵢ·sᵢ|`` per entry, ``γₙ = n·u/(1 − n·u)``, ``u`` half
+    the dtype's eps: each of two orders of the same n-term sum lies within
+    ``γₙ·Σᵢ|wᵢ·sᵢ|`` of the exact one, so the two lie within twice that."""
+    rows = [pack_state(s) for s in states]
+    dtype = rows[0].dtype
+    w = (np.asarray(weights, dtype=np.float64) / np.sum(weights)).astype(dtype)
+    n, u = len(rows), np.finfo(dtype).eps / 2
+    gamma = n * u / (1 - n * u)
+    magnitude = sum(
+        np.abs(wi.astype(np.float64) * row.astype(np.float64)) for wi, row in zip(w, rows)
+    )
+    return 2 * gamma * magnitude
+
+
+class TestRunningSumBound:
+    """The running sum and ``fedavg``'s GEMV are two orders of one sum."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num", [1, 2, 6, 30])
+    def test_reference_is_within_the_stated_bound_of_the_gemv(self, dtype, num):
+        rng = np.random.default_rng(1000 + num)
+        states = [
+            {"w": rng.normal(size=(17, 5)).astype(dtype), "b": rng.normal(size=9).astype(dtype)}
+            for _ in range(num)
+        ]
+        weights = rng.integers(1, 500, size=num).astype(np.float64)
+        ref = running_sum_reference(states, weights)
+        gemv = pack_state(fedavg(states, weights))
+        assert ref.dtype == gemv.dtype == dtype
+        error = np.abs(ref.astype(np.float64) - gemv.astype(np.float64))
+        assert np.all(error <= summation_bound(states, weights))
+
+
 class TestStackedStates:
     """States packed one at a time average exactly as the list does."""
 
