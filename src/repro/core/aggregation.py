@@ -6,14 +6,17 @@ conducted through FedAVG."  Aggregation is a weighted average of every
 parameter *and buffer* (batch-norm running statistics average like
 parameters, the standard FedAvg-BN treatment).
 
-Implementation: every state dict is flattened (``pack_state`` layout)
-straight into its row of one ``(M, K)`` matrix, and the whole average
-collapses to a single ``weights @ matrix`` BLAS call — instead of the
-per-key Python loop the original implementation used; the result is
-rebuilt with :func:`~repro.nn.serialize.unpack_state`.  FL's sync round,
-which trains client after client, packs each trained state into its row
-as soon as it exists (:class:`StackedStates`) and hands :func:`fedavg`
-the filled matrix, so it never holds a list of M state dicts.
+Implementation: :func:`fedavg` over a list flattens every state dict
+(``pack_state`` layout) straight into its row of one ``(M, K)`` matrix,
+and the whole average collapses to a single ``weights @ matrix`` BLAS
+call (GSFL, SplitFed, PSL, :func:`weighted_delta`, :func:`mix_states`);
+the result is rebuilt with :func:`~repro.nn.serialize.unpack_state`.
+FL's sync round, which trains client after client, adds each trained
+state into one running weighted sum instead (:class:`RunningFedAvg`), so
+it holds neither a list of M state dicts nor the matrix.  The two are
+different orders of one sum of M terms: each lies within
+``γₘ·Σᵢ|wᵢ·sᵢ|`` of the exact sum per entry (``γₘ = M·u/(1 − M·u)``,
+``u`` half the dtype's eps), so they differ by at most twice that.
 Aggregation keeps the states' dtype (a float32 model averages in
 float32; no silent float64 upcast).
 """
@@ -26,7 +29,7 @@ import numpy as np
 
 from repro.nn.serialize import unpack_state
 
-__all__ = ["fedavg", "uniform_average", "weighted_delta", "mix_states"]
+__all__ = ["RunningFedAvg", "fedavg", "uniform_average", "weighted_delta", "mix_states"]
 
 StateDict = dict[str, np.ndarray]
 
@@ -47,83 +50,117 @@ def _normalized_weights(
     return weights / weights.sum()
 
 
-class StackedStates:
-    """``num_states`` state dicts packed one per row into FedAvg's
-    ``(M, K)`` matrix, for a caller that produces them one at a time.
+def _layout_of(state: StateDict) -> StateDict:
+    """Zero-stride stand-ins for ``state``'s entries: the keys, shapes and
+    dtypes ``unpack_state`` rebuilds an average by, without keeping the
+    state's data alive."""
+    return {
+        key: np.broadcast_to(np.zeros((), np.asarray(v).dtype), np.shape(v))
+        for key, v in state.items()
+    }
 
-    :meth:`append` flattens a state straight into the next row of one
-    preallocated matrix, checking its keys and shapes against the first
-    state's; :func:`fedavg` takes the filled object in place of a list.
+
+def _pack_into(row: np.ndarray, state: StateDict, layout: StateDict, index: int) -> None:
+    """Check ``state`` (the ``index``-th) against ``layout`` and flatten it
+    into ``row``."""
+    if list(state) != list(layout):
+        raise ValueError(f"state {index} has mismatched keys")
+    offset = 0
+    for (key, like), value in zip(layout.items(), state.values()):
+        value = np.asarray(value)
+        if value.shape != like.shape:
+            raise ValueError(
+                f"shape mismatch for key {key!r}: {value.shape} vs {like.shape}"
+            )
+        if value.dtype != like.dtype:
+            raise ValueError(
+                f"dtype mismatch for key {key!r}: {value.dtype} vs {like.dtype}"
+            )
+        row[offset : offset + value.size] = value.reshape(-1)
+        offset += value.size
+
+
+def _packed_dtype(layout: StateDict) -> np.dtype:
+    return np.result_type(*layout.values()) if layout else np.dtype(np.float64)
+
+
+def _stack_states(states: list[StateDict]) -> tuple[np.ndarray, StateDict]:
+    """Validate key/shape/dtype agreement and pack states into an (M, K)
+    matrix; returns it with the layout to unpack a row-vector by."""
+    if not states:
+        raise ValueError("fedavg needs at least one state dict")
+    layout = _layout_of(states[0])
+    matrix = np.empty(
+        (len(states), sum(v.size for v in layout.values())), dtype=_packed_dtype(layout)
+    )
+    for index, state in enumerate(states):
+        _pack_into(matrix[index], state, layout, index)
+    return matrix, layout
+
+
+class RunningFedAvg:
+    """FedAvg of states that arrive one at a time, kept as one running sum.
+
+    Built with the round's weights (validated and normalized once, cast to
+    the states' dtype).  :meth:`add` packs a state into one scratch row,
+    scales that row by its weight in place and adds it to the accumulator:
+    ``acc = w₀·s₀``, then ``acc += wᵢ·sᵢ`` in arrival order, as separate
+    numpy ufuncs (no BLAS).  Every state is checked for keys, shapes and
+    dtypes against the first; :meth:`result` needs all of them.
     """
 
-    def __init__(self, num_states: int) -> None:
-        if num_states <= 0:
+    def __init__(self, weights: "list[float] | np.ndarray") -> None:
+        num_states = len(weights)
+        if num_states == 0:
             raise ValueError("fedavg needs at least one state dict")
         self.num_states = num_states
-        self._rows = 0
-        self._matrix: np.ndarray | None = None
+        self._weights = _normalized_weights(weights, num_states)
+        self._added = 0
+        self._acc: np.ndarray | None = None
+        self._row: np.ndarray | None = None
 
-    def append(self, state: StateDict) -> None:
-        """Pack ``state`` into the next row."""
-        row = self._rows
-        if row == self.num_states:
-            raise ValueError(f"all {self.num_states} rows are already packed")
-        matrix = self._matrix
-        if matrix is None:
-            template = [np.asarray(v) for v in state.values()]
-            # Zero-stride stand-ins: the keys, shapes and dtypes
-            # ``unpack_state`` rebuilds the average by, without keeping
-            # the first state's data alive.
-            self._layout = {
-                key: np.broadcast_to(np.zeros((), v.dtype), v.shape)
-                for key, v in zip(state, template)
-            }
-            matrix = self._matrix = np.empty(
-                (self.num_states, sum(v.size for v in template)),
-                dtype=np.result_type(*template) if template else np.float64,
+    def add(self, state: StateDict) -> None:
+        """Add ``state``, scaled by its weight, to the running sum."""
+        index = self._added
+        if index == self.num_states:
+            raise ValueError(f"all {self.num_states} states are already added")
+        if self._acc is None:
+            self._layout = _layout_of(state)
+            self._acc = np.empty(
+                sum(v.size for v in self._layout.values()), _packed_dtype(self._layout)
             )
-        elif list(state) != list(self._layout):
-            raise ValueError(f"state {row} has mismatched keys")
-        offset = 0
-        for (key, like), value in zip(self._layout.items(), state.values()):
-            value = np.asarray(value)
-            if value.shape != like.shape:
-                raise ValueError(
-                    f"shape mismatch for key {key!r}: {value.shape} vs {like.shape}"
-                )
-            matrix[row, offset : offset + value.size] = value.reshape(-1)
-            offset += value.size
-        self._rows += 1
+            self._weights = self._weights.astype(self._acc.dtype, copy=False)
+            _pack_into(self._acc, state, self._layout, index)
+            np.multiply(self._acc, self._weights[0], out=self._acc)
+        else:
+            if self._row is None:
+                self._row = np.empty_like(self._acc)
+            _pack_into(self._row, state, self._layout, index)
+            np.multiply(self._row, self._weights[index], out=self._row)
+            np.add(self._acc, self._row, out=self._acc)
+        self._added += 1
 
-    def packed(self) -> tuple[np.ndarray, StateDict]:
-        """The filled matrix and the layout to unpack a row-vector by."""
-        if self._rows != self.num_states:
-            raise ValueError(f"{self._rows} of {self.num_states} states packed")
-        assert self._matrix is not None
-        return self._matrix, self._layout
-
-
-def _stack_states(states: list[StateDict]) -> StackedStates:
-    """Validate key/shape agreement and pack states into an (M, K) matrix."""
-    stacked = StackedStates(len(states))
-    for state in states:
-        stacked.append(state)
-    return stacked
+    def result(self) -> "OrderedDict[str, np.ndarray]":
+        """The weighted average; its entries are views into the
+        accumulator, which nothing else holds."""
+        if self._added != self.num_states:
+            raise ValueError(f"{self._added} of {self.num_states} states added")
+        assert self._acc is not None
+        acc, self._acc, self._row = self._acc, None, None
+        return unpack_state(acc, self._layout, copy=False)
 
 
 def fedavg(
-    states: "list[StateDict] | StackedStates",
+    states: list[StateDict],
     weights: list[float] | np.ndarray | None = None,
 ) -> "OrderedDict[str, np.ndarray]":
     """Weighted average of state dicts (weights normalized internally).
 
     Weights are typically per-participant sample counts.  All states must
-    share identical keys and shapes.  ``states`` is a list, or the states
-    already packed row by row into a :class:`StackedStates`.
+    share identical keys, shapes and dtypes.
     """
-    stacked = states if isinstance(states, StackedStates) else _stack_states(states)
-    matrix, layout = stacked.packed()
-    weights = _normalized_weights(weights, stacked.num_states).astype(matrix.dtype, copy=False)
+    matrix, layout = _stack_states(states)
+    weights = _normalized_weights(weights, len(states)).astype(matrix.dtype, copy=False)
     # The averaged vector is freshly allocated, so the per-key entries can
     # be views into it — no re-copy.
     return unpack_state(weights @ matrix, layout, copy=False)
@@ -146,9 +183,8 @@ def weighted_delta(
     server-side damping/acceleration (an extension beyond the paper, used
     in ablations).
     """
-    stacked = _stack_states(states)
-    matrix, layout = stacked.packed()
-    weights = _normalized_weights(weights, stacked.num_states).astype(matrix.dtype, copy=False)
+    matrix, layout = _stack_states(states)
+    weights = _normalized_weights(weights, len(states)).astype(matrix.dtype, copy=False)
     avg_vec = weights @ matrix
     # Flatten ``base`` in the states' key order (KeyError on missing keys).
     base_vec = np.concatenate(

@@ -9,17 +9,20 @@ SGD steps per round (parallel training then averaging) where GSFL's
 groups take ``(N/M) * local_steps`` sequential steps, and FL moves the
 whole model over the air every round.
 
-Memory: the sync round packs each client's trained model into its row of
-FedAvg's ``(N, K)`` matrix (:class:`~repro.core.aggregation.StackedStates`)
-as soon as the client finishes, so it holds the matrix and one trained
-state, never a list of N state dicts; the average is the same single
-``weights @ matrix`` over the same matrix, bit for bit.
+Memory: the sync round adds each client's trained model into one running
+FedAvg sum (:class:`~repro.core.aggregation.RunningFedAvg`) as soon as
+the client finishes, so it holds the sum, one scratch row and one
+trained state, never an ``(N, K)`` matrix or a list of N state dicts.
+The running sum is another order of the same weighted sum than
+:func:`~repro.core.aggregation.fedavg`'s single GEMV; the two differ by
+at most ``2·γₙ·Σᵢ|wᵢ·sᵢ|`` per entry (``γₙ = n·u/(1 − n·u)``, ``u`` the
+dtype's unit roundoff).
 """
 
 from __future__ import annotations
 
 from repro import nn
-from repro.core.aggregation import StackedStates, fedavg, mix_states
+from repro.core.aggregation import RunningFedAvg, mix_states
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity, Scheme, Stage
 from repro.schemes.pricing import LatencyModel
@@ -88,10 +91,10 @@ class FederatedLearning(Scheme):
             )
 
         # --- stage 2: parallel local training --------------------------
-        # Each trained model goes straight into its row of FedAvg's
-        # matrix; no list of trained state dicts is held.
+        # Each trained model goes straight into the running FedAvg sum;
+        # no trained state outlives its client.
         local = Stage("local_training")
-        trained = StackedStates(len(participants))
+        trained = RunningFedAvg(self._client_sample_counts(participants))
         total_loss = 0.0
         for c in participants:
             if pricing.enabled and lossy:
@@ -108,7 +111,7 @@ class FederatedLearning(Scheme):
             state, step_losses, activities = self._local_training_round(c)
             for activity in activities:
                 local.add(f"client-{c}", activity)
-            trained.append(state)
+            trained.add(state)
             del state
             for step_loss in step_losses:  # one running sum, legacy order
                 total_loss += step_loss
@@ -126,8 +129,7 @@ class FederatedLearning(Scheme):
 
         # --- stage 4: FedAvg at the server ------------------------------
         aggregation = Stage("aggregation")
-        weights = self._client_sample_counts(participants)
-        self._global_state = fedavg(trained, weights)
+        self._global_state = trained.result()
         self.model.load_state_dict(self._global_state)
         aggregation.add(
             "edge-server",

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.aggregation import StackedStates, fedavg, uniform_average, weighted_delta
+from repro.core.aggregation import RunningFedAvg, fedavg, uniform_average, weighted_delta
 from repro.nn.serialize import pack_state
+from tests.conftest import running_sum_reference, summation_bound
 
 
 def make_states(num, seed=0, shape=(3, 2)):
@@ -138,33 +139,6 @@ class TestWeightedDelta:
         np.testing.assert_allclose(half["w"], 0.5 * base["w"] + 0.5 * full["w"])
 
 
-def running_sum_reference(states, weights):
-    """The running FedAvg sum, frozen: ``acc = w₀·s₀``, then
-    ``acc = acc + wᵢ·sᵢ`` in list order over the packed rows, with the
-    weights normalized in float64 and cast to the states' dtype."""
-    rows = [pack_state(s) for s in states]
-    w = (np.asarray(weights, dtype=np.float64) / np.sum(weights)).astype(rows[0].dtype)
-    acc = w[0] * rows[0]
-    for wi, row in zip(w[1:], rows[1:]):
-        acc = acc + wi * row
-    return acc
-
-
-def summation_bound(states, weights):
-    """``2·γₙ·Σᵢ|wᵢ·sᵢ|`` per entry, ``γₙ = n·u/(1 − n·u)``, ``u`` half
-    the dtype's eps: each of two orders of the same n-term sum lies within
-    ``γₙ·Σᵢ|wᵢ·sᵢ|`` of the exact one, so the two lie within twice that."""
-    rows = [pack_state(s) for s in states]
-    dtype = rows[0].dtype
-    w = (np.asarray(weights, dtype=np.float64) / np.sum(weights)).astype(dtype)
-    n, u = len(rows), np.finfo(dtype).eps / 2
-    gamma = n * u / (1 - n * u)
-    magnitude = sum(
-        np.abs(wi.astype(np.float64) * row.astype(np.float64)) for wi, row in zip(w, rows)
-    )
-    return 2 * gamma * magnitude
-
-
 class TestRunningSumBound:
     """The running sum and ``fedavg``'s GEMV are two orders of one sum."""
 
@@ -184,41 +158,62 @@ class TestRunningSumBound:
         assert np.all(error <= summation_bound(states, weights))
 
 
-class TestStackedStates:
-    """States packed one at a time average exactly as the list does."""
+class TestRunningFedAvg:
+    """States added one at a time to one running weighted sum."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_row_by_row_equals_the_list_bitwise(self, dtype):
+    def test_equals_the_frozen_running_sum_bitwise(self, dtype):
         states = [
-            {k: v.astype(dtype) for k, v in s.items()} for s in make_states(5, seed=3)
+            {k: v.astype(dtype) for k, v in s.items()} for s in make_states(30, seed=3)
         ]
-        weights = [3.0, 1.0, 4.0, 1.0, 5.0]
-        stacked = StackedStates(len(states))
+        weights = np.random.default_rng(5).integers(1, 500, size=30).astype(np.float64)
+        running = RunningFedAvg(weights)
         for state in states:
-            stacked.append(state)
-        got, want = fedavg(stacked, weights), fedavg(states, weights)
-        assert list(got) == list(want)
-        for key in want:
-            assert got[key].dtype == want[key].dtype == dtype
-            assert got[key].tobytes() == want[key].tobytes()
+            running.add(state)
+        got = running.result()
+        assert list(got) == list(states[0])
+        for key in got:
+            assert got[key].dtype == dtype
+            assert got[key].shape == states[0][key].shape
+        assert pack_state(got).tobytes() == running_sum_reference(states, weights).tobytes()
 
-    def test_every_row_is_checked(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_state_is_returned_exactly(self, dtype):
+        (state,) = [{k: v.astype(dtype) for k, v in s.items()} for s in make_states(1)]
+        running = RunningFedAvg([7.0])
+        running.add(state)
+        got = running.result()
+        for key in state:
+            assert got[key].tobytes() == state[key].tobytes()
+
+    def test_every_state_is_checked(self):
         a, b, c = make_states(3)
-        stacked = StackedStates(3)
-        stacked.append(a)
+        running = RunningFedAvg([1.0, 1.0, 1.0])
+        running.add(a)
         with pytest.raises(ValueError, match="mismatched keys"):
-            stacked.append({**b, "extra": np.zeros(1)})
+            running.add({**b, "extra": np.zeros(1)})
         with pytest.raises(ValueError, match="shape mismatch"):
-            stacked.append({"w": np.zeros((1, 1)), "b": b["b"]})
+            running.add({"w": np.zeros((1, 1)), "b": b["b"]})
+        with pytest.raises(ValueError, match="dtype mismatch"):
+            running.add({"w": b["w"].astype(np.float32), "b": b["b"]})
 
     def test_must_be_full_and_not_overfull(self):
         a, b = make_states(2)
-        stacked = StackedStates(2)
-        stacked.append(a)
-        with pytest.raises(ValueError, match="1 of 2 states packed"):
-            fedavg(stacked)
-        stacked.append(b)
-        with pytest.raises(ValueError, match="already packed"):
-            stacked.append(a)
+        running = RunningFedAvg([1.0, 2.0])
+        running.add(a)
+        with pytest.raises(ValueError, match="1 of 2 states added"):
+            running.result()
+        running.add(b)
+        with pytest.raises(ValueError, match="already added"):
+            running.add(a)
         with pytest.raises(ValueError, match="at least one"):
-            StackedStates(0)
+            RunningFedAvg([])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[np.nan, 1.0], [np.inf, 1.0], [1.0, -1.0], [0.0, 0.0]],
+        ids=["nan", "inf", "negative", "zero-sum"],
+    )
+    def test_weights_are_validated_once_up_front(self, weights):
+        with pytest.raises(ValueError, match="weights must be"):
+            RunningFedAvg(weights)

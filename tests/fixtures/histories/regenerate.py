@@ -13,7 +13,10 @@ precision *and* what the test suite pins session-wide (see
 Float32 (``<scheme>-float32.npz``) is the precision the CLI and the
 ``churn-async-trace`` benchmark run on this BatchNorm-free model; those
 rows were generated before backward learned to release the graph as it
-walks it, and hold later ``repro.nn`` changes to the same bits.
+walks it, and hold later ``repro.nn`` changes to the same bits.  The FL
+float32 row was regenerated when FL's sync round moved from one GEMV
+over an ``(N, K)`` matrix to a running FedAvg sum (a reassociation of the
+same sum: round-2 and round-3 losses moved by at most 2.98e-8).
 ``tests/schemes/test_golden_histories.py`` asserts every scheme — and the
 barrier-free engine in its synchronous limit — still reproduces them
 exactly.

@@ -1,15 +1,15 @@
 """A round holds one mini-batch per running task, CL pools by index, and
-FL packs each trained model straight into FedAvg's matrix.
+FL adds each trained model straight into one running FedAvg sum.
 
 GSFL's and SplitFed's round engines hand each task its members' batch
 sources; the task draws every batch at the step that trains on it, so
 the memory a round needs does not grow with ``local_steps``.  CL pools
 the client datasets as one ``Subset`` over their indices instead of a
-concatenated copy of their images.  FL's sync round packs each client's
-trained state into its row of FedAvg's ``(N, K)`` matrix as soon as it
-is trained, so a participant costs the round one matrix row, not a row
-and a state dict.  All are measured with ``tracemalloc``, which counts
-what numpy and Python ask for, not what the allocator keeps resident.
+concatenated copy of their images.  FL's sync round adds each client's
+trained state into one running weighted sum as soon as it is trained,
+so a participant costs the round no memory that outlives its training.
+All are measured with ``tracemalloc``, which counts what numpy and
+Python ask for, not what the allocator keeps resident.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from repro.core.aggregation import fedavg
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
+from repro.nn.serialize import pack_state
 from repro.schemes import federated, split_common
 from repro.schemes.centralized import CentralizedLearning
 from repro.utils.rng import new_rng
+from tests.conftest import running_sum_reference, summation_bound
 
 MB = 1e6
 
@@ -96,66 +98,65 @@ def _fl_scheme(num_clients: int, width: int = 8):
     return make_scheme("FL", replace(scenario, model_kwargs={"width": width}).build())
 
 
-def _aggregation_high_water(scheme, monkeypatch) -> int:
-    """Traced peak while FedAvg runs in one sync FL round, above what was
-    alive when the round started: everything the round holds for the
-    average (the trained models, however kept, and the result)."""
+def _round_high_water(scheme, monkeypatch) -> int:
+    """Traced peak of one sync FL round (training, uploads and FedAvg;
+    evaluation runs after it) above what was alive when the round
+    started: everything the round holds for the average, however kept,
+    and the result."""
     peaks = []
+    run_round = federated.FederatedLearning._run_round
 
-    def traced(*args, **kwargs):
+    def traced(self, round_index):
+        start, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        result = fedavg(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        return result
+        stages = run_round(self, round_index)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return stages
 
-    monkeypatch.setattr(federated, "fedavg", traced)
+    monkeypatch.setattr(federated.FederatedLearning, "_run_round", traced)
     tracemalloc.start()
     try:
-        start, _ = tracemalloc.get_traced_memory()
         scheme.run(1)
     finally:
         tracemalloc.stop()
     (peak,) = peaks
-    return peak - start
+    return peak
 
 
 class TestFederatedRound:
-    def test_a_participant_costs_one_matrix_row(self, monkeypatch):
-        """Six more participants, six more rows of FedAvg's matrix.  Kept
-        as a list until FedAvg packed them, the trained states cost a
-        second copy of every row: twelve rows, 2.9 MB against the bound's
-        1.9.  ``width=32`` makes micro_cnn's float64 row (0.24 MB) large
-        enough for six of them to outweigh the slack.  (The round's whole
-        peak does not show it: on micro_cnn, training and evaluation
-        transients are larger than the states.)"""
+    def test_a_participant_costs_no_row(self, monkeypatch):
+        """Six more participants, not one more state row.  Each trained
+        model is added into one running sum, so the round holds the sum,
+        one scratch row and the client being trained, whatever the
+        participant count.  Packed into an ``(N, K)`` matrix, the six
+        would cost six rows (1.4 MB).  ``width=32`` makes micro_cnn's
+        float64 row (0.24 MB) large enough to see."""
         small, large = _fl_scheme(6, width=32), _fl_scheme(12, width=32)
         row = sum(v.nbytes for v in small.model.state_dict().values())
-        grown = _aggregation_high_water(large, monkeypatch) - _aggregation_high_water(
+        grown = _round_high_water(large, monkeypatch) - _round_high_water(
             small, monkeypatch
         )
-        assert grown <= 6 * row + 0.5 * MB, (grown / MB, row / MB)
+        assert grown < row, (grown / MB, row / MB)
 
-    def test_float32_round_equals_fedavg_over_the_list_of_trained_states(self):
-        """The round FL ran before its states were packed as they were
-        trained, frozen here: train every participant from the global
-        state, keep the list, stack it, one GEMV.  The new global state
-        must match it byte for byte; the golden FL history covers float64
-        only."""
+    def test_float32_round_is_the_running_sum_over_the_trained_states(self):
+        """Train every participant from the global state and keep the
+        list: the round's new global state equals the frozen running sum
+        over it byte for byte, and lies within the stated bound of
+        FedAvg's GEMV over the same list."""
         with nn.default_dtype(np.float32):
             scheme, frozen = _fl_scheme(6), _fl_scheme(6)
             scheme.run(1)
             participants = frozen._round_participants()
             states = [frozen._local_training_round(c)[0] for c in participants]
             weights = frozen._client_sample_counts(participants)
-        matrix = np.stack(
-            [np.concatenate([np.asarray(v).reshape(-1) for v in s.values()]) for s in states]
-        )
-        want = (weights / weights.sum()).astype(matrix.dtype) @ matrix
         got = scheme._global_state
         assert list(got) == list(states[0])
-        flat = np.concatenate([v.reshape(-1) for v in got.values()])
+        flat = pack_state(got)
         assert flat.dtype == np.float32
-        assert flat.tobytes() == want.tobytes()
+        assert flat.tobytes() == running_sum_reference(states, weights).tobytes()
+        gemv = pack_state(fedavg(states, weights))
+        error = np.abs(flat.astype(np.float64) - gemv.astype(np.float64))
+        assert np.all(error <= summation_bound(states, weights))
 
 
 class TestCentralizedPool:
