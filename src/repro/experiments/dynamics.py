@@ -106,9 +106,11 @@ class DynamicsConfig:
             raise ValueError(
                 f"straggler_rate must be in [0, 1], got {self.straggler_rate}"
             )
-        if self.straggler_slowdown < 1.0:
+        # NaN and inf both pass ``< 1`` and price every straggler's
+        # activities at a NaN or infinite duration.
+        if not (math.isfinite(self.straggler_slowdown) and self.straggler_slowdown >= 1.0):
             raise ValueError(
-                f"straggler_slowdown must be >= 1, got {self.straggler_slowdown}"
+                f"straggler_slowdown must be finite and >= 1, got {self.straggler_slowdown}"
             )
         check_non_negative("min_participants", self.min_participants)
         check_in_choices("failure_model", self.failure_model, FAILURE_MODELS)

@@ -69,6 +69,8 @@ class DeviceFleet:
         check_positive("client_flops", client_flops)
         check_positive("server_flops", server_flops)
         check_non_negative("heterogeneity", heterogeneity)
+        if not np.isfinite(heterogeneity):
+            raise ValueError(f"heterogeneity must be finite, got {heterogeneity!r}")
         rng = new_rng(seed)
         self.server = DeviceProfile(
             "edge-server", server_flops, storage_bytes=512 * 1024**3
@@ -82,19 +84,24 @@ class DeviceFleet:
             for name, flops in tiers:
                 check_positive(f"device_classes[{name!r}]", flops)
             self.device_classes: "tuple[tuple[str, float], ...] | None" = tuple(tiers)
-            self.clients = [
-                DeviceProfile(
-                    f"{tiers[i % len(tiers)][0]}-{i}",
-                    tiers[i % len(tiers)][1] * float(factors[i]),
-                )
+            named = [
+                (f"{tiers[i % len(tiers)][0]}-{i}", tiers[i % len(tiers)][1])
                 for i in range(num_clients)
             ]
         else:
             self.device_classes = None
-            self.clients = [
-                DeviceProfile(f"client-{i}", client_flops * float(factors[i]))
-                for i in range(num_clients)
-            ]
+            named = [(f"client-{i}", client_flops) for i in range(num_clients)]
+        speeds = [flops * float(factor) for (_, flops), factor in zip(named, factors)]
+        for i, speed in enumerate(speeds):
+            # A wide enough spread draws factors that under- or overflow.
+            if not (np.isfinite(speed) and speed > 0):
+                raise ValueError(
+                    f"heterogeneity {heterogeneity!r} gives client {i} a speed of "
+                    f"{speed} FLOP/s; it must leave every client a finite, positive speed"
+                )
+        self.clients = [
+            DeviceProfile(name, speed) for (name, _), speed in zip(named, speeds)
+        ]
 
     @property
     def num_clients(self) -> int:

@@ -29,6 +29,12 @@ class TestDynamicsConfig:
         with pytest.raises(ValueError):
             DynamicsConfig(straggler_slowdown=0.5)
 
+    @pytest.mark.parametrize("slowdown", [float("nan"), float("inf")])
+    def test_non_finite_straggler_slowdown_rejected(self, slowdown):
+        """NaN and inf both passed the ``< 1`` check."""
+        with pytest.raises(ValueError, match="straggler_slowdown must be finite and >= 1"):
+            DynamicsConfig(straggler_rate=0.5, straggler_slowdown=slowdown)
+
     @pytest.mark.parametrize("uptime,downtime", [(0.0, 5.0), (5.0, 0.0), (0.0, 0.0)])
     def test_degenerate_churn_windows_rejected(self, uptime, downtime):
         """A zero-length window makes ``rng.exponential(0)`` emit

@@ -243,6 +243,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            ("--straggler-rate 0.5 --straggler-slowdown nan",
+             "straggler_slowdown must be finite and >= 1, got nan"),
+            ("--straggler-rate 0.5 --straggler-slowdown inf",
+             "straggler_slowdown must be finite and >= 1, got inf"),
+            ("--heterogeneity inf", "heterogeneity must be finite, got inf"),
+            ("--heterogeneity 1e308",
+             "it must leave every client a finite, positive speed"),
+        ],
+    )
+    def test_non_finite_dynamics_and_fleet_values_exit_2(self, argv, needle, capsys):
+        """A NaN or infinite straggler slowdown ran to a "total latency
+        nans" / "infs" line with exit 0, and an infinite heterogeneity
+        (or one whose draw under- or overflows a client's speed) exited 2
+        naming ``flops_per_second`` instead of the flag's field."""
+        code = main(["run", "--scale", "fast", "--rounds", "1", "--scheme", "GSFL",
+                     *argv.split()])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert "flops_per_second" not in err
+        if "heterogeneity" in argv:
+            assert "heterogeneity" in err
+
     @pytest.mark.parametrize("scheme", ["SL", "PSL", "CL"])
     def test_barrier_free_aggregation_on_a_sequential_scheme_exits_2(self, scheme, capsys):
         code = main(["run", "--scale", "fast", "--rounds", "1",

@@ -105,6 +105,15 @@ class TestDevices:
         # ...while the tier structure survives it on average
         assert flops[1::2].mean() > flops[0::2].mean()
 
+    @pytest.mark.parametrize("heterogeneity", [float("inf"), 1e308])
+    def test_a_spread_that_breaks_a_client_speed_is_rejected_by_name(self, heterogeneity):
+        """An infinite sigma, or one whose draw under- or overflows a
+        client's FLOP/s, is reported as ``heterogeneity``, not as the
+        ``flops_per_second`` of whichever device it broke."""
+        with pytest.raises(ValueError, match="heterogeneity") as excinfo:
+            DeviceFleet(8, heterogeneity=heterogeneity, seed=0)
+        assert "flops_per_second" not in str(excinfo.value)
+
     def test_device_classes_validate_flops(self):
         with pytest.raises(ValueError):
             DeviceFleet(4, device_classes=(("phone", 0.0),))
