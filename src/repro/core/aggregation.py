@@ -80,8 +80,11 @@ def _pack_into(row: np.ndarray, state: StateDict, layout: StateDict, index: int)
         offset += value.size
 
 
-def _packed_dtype(layout: StateDict) -> np.dtype:
-    return np.result_type(*layout.values()) if layout else np.dtype(np.float64)
+def _empty_packed(layout: StateDict, *rows: int) -> np.ndarray:
+    """Uninitialized ``(*rows, K)`` storage for states of ``layout``, in
+    the promotion of their dtypes."""
+    dtype = np.result_type(*layout.values()) if layout else np.float64
+    return np.empty((*rows, sum(v.size for v in layout.values())), dtype)
 
 
 def _stack_states(states: list[StateDict]) -> tuple[np.ndarray, StateDict]:
@@ -90,9 +93,7 @@ def _stack_states(states: list[StateDict]) -> tuple[np.ndarray, StateDict]:
     if not states:
         raise ValueError("fedavg needs at least one state dict")
     layout = _layout_of(states[0])
-    matrix = np.empty(
-        (len(states), sum(v.size for v in layout.values())), dtype=_packed_dtype(layout)
-    )
+    matrix = _empty_packed(layout, len(states))
     for index, state in enumerate(states):
         _pack_into(matrix[index], state, layout, index)
     return matrix, layout
@@ -126,9 +127,7 @@ class RunningFedAvg:
             raise ValueError(f"all {self.num_states} states are already added")
         if self._acc is None:
             self._layout = _layout_of(state)
-            self._acc = np.empty(
-                sum(v.size for v in self._layout.values()), _packed_dtype(self._layout)
-            )
+            self._acc = _empty_packed(self._layout)
             self._weights = self._weights.astype(self._acc.dtype, copy=False)
             _pack_into(self._acc, state, self._layout, index)
             np.multiply(self._acc, self._weights[0], out=self._acc)
@@ -142,12 +141,10 @@ class RunningFedAvg:
 
     def result(self) -> "OrderedDict[str, np.ndarray]":
         """The weighted average; its entries are views into the
-        accumulator, which nothing else holds."""
+        accumulator, which no further :meth:`add` may touch."""
         if self._added != self.num_states:
             raise ValueError(f"{self._added} of {self.num_states} states added")
-        assert self._acc is not None
-        acc, self._acc, self._row = self._acc, None, None
-        return unpack_state(acc, self._layout, copy=False)
+        return unpack_state(self._acc, self._layout, copy=False)
 
 
 def fedavg(
