@@ -144,6 +144,7 @@ class RunningFedAvg:
         accumulator, which no further :meth:`add` may touch."""
         if self._added != self.num_states:
             raise ValueError(f"{self._added} of {self.num_states} states added")
+        assert self._acc is not None
         return unpack_state(self._acc, self._layout, copy=False)
 
 
