@@ -23,10 +23,11 @@ exactly.
 
 ``VARIANTS`` adds float64 rows (``<variant>.npz``) for the split family
 off the canonical configuration: the ``int8`` wire codec (SL's lossy
-relay coding, SplitFed's and GSFL's coded model hops), ``int8`` under
-``bounded:2`` barrier-free aggregation, and participation + stragglers +
-mid-activity churn on the static medium (the only configuration that
-moves SplitFed's per-participant bandwidth share).  Each variant file
+relay coding, SplitFed's and GSFL's coded model hops, PSL's coded
+smashed data, gradients and model hops), ``int8`` under ``bounded:2``
+barrier-free aggregation, and participation + stragglers + mid-activity
+churn on the static medium (the only configuration that moves
+SplitFed's and PSL's per-participant bandwidth share).  Each variant file
 also pins the run's abort and retry counts.
 """
 
@@ -86,6 +87,8 @@ VARIANTS: dict[str, tuple[str, dict[str, str], DynamicsConfig | None]] = {
     "SL+dynamics": ("SL", {}, VARIANT_DYNAMICS),
     "SplitFed+dynamics": ("SplitFed", {}, VARIANT_DYNAMICS),
     "GSFL+dynamics": ("GSFL", {}, VARIANT_DYNAMICS),
+    "PSL+int8": ("PSL", {"transport": "int8"}, None),
+    "PSL+dynamics": ("PSL", {}, VARIANT_DYNAMICS),
 }
 
 

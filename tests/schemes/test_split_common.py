@@ -3,7 +3,9 @@
 :func:`price_relay_chain` is the one description of a relay chain's
 round that SL (one chain of every participant), GSFL (one chain per
 group) and SplitFed (one-client chains) price; :func:`split_step_math`
-is the batch handshake all three train with.
+is the batch handshake all three train with.  SL is GSFL with one group
+minus the aggregation stage: same model, losses and accuracies, byte for
+byte, and a round shorter by exactly its one aggregation activity.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import pytest
 
 from repro import nn
 from repro.data.dataset import DataLoader
+from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
 from repro.nn.split import split_model
 from repro.schemes.pricing import LatencyModel
 from repro.schemes.split_common import price_local_round, price_relay_chain, split_step_math
-from repro.sim.runtime import TransmitDemand
+from repro.sim.runtime import TransmitDemand, demand_nominal_s
 
 CUT = 2
 
@@ -179,3 +182,41 @@ class TestWireQuantization:
             return train(model, small_dataset, transport)[0]
 
         assert run("intk:16") == pytest.approx(run("float32"), rel=0.05)
+
+
+class TestSLIsOneGroupGSFL:
+    """SL's round is GSFL's at ``num_groups=1`` without the FedAvg stage."""
+
+    ROUNDS = 3
+
+    def run(self, name: str, transport: str, **overrides):
+        scenario = fast_scenario(with_wireless=True, seed=0)
+        scenario.scheme = replace(scenario.scheme, transport=transport)
+        scheme = make_scheme(name, scenario.build(), **overrides)
+        return scheme, scheme.run(self.ROUNDS)
+
+    @pytest.mark.parametrize("transport", ["float32", "int8"])
+    def test_same_training_one_aggregation_apart(self, transport):
+        sl, sl_history = self.run("SL", transport)
+        gsfl, gsfl_history = self.run("GSFL", transport, num_groups=1)
+        assert gsfl.groups == [list(range(sl.num_clients))]
+
+        sl_state, gsfl_state = sl.model.state_dict(), gsfl.model.state_dict()
+        assert list(sl_state) == list(gsfl_state)
+        for key in sl_state:
+            assert sl_state[key].dtype == gsfl_state[key].dtype, key
+            assert sl_state[key].tobytes() == gsfl_state[key].tobytes(), key
+        for field in ("train_loss", "test_accuracy"):
+            sl_values = [getattr(p, field) for p in sl_history.points]
+            gsfl_values = [getattr(p, field) for p in gsfl_history.points]
+            assert np.asarray(sl_values).tobytes() == np.asarray(gsfl_values).tobytes()
+
+        aggregation_s = demand_nominal_s(
+            gsfl._pricing.aggregation_demand(1, gsfl.model.num_parameters())
+        )
+        assert aggregation_s > 0.0
+        assert len(sl.round_timings) == len(gsfl.round_timings) == self.ROUNDS
+        for sl_round, gsfl_round in zip(sl.round_timings, gsfl.round_timings):
+            assert gsfl_round.des_s - sl_round.des_s == pytest.approx(
+                aggregation_s, rel=1e-6
+            )
