@@ -2,8 +2,12 @@
 
 * :class:`CentralizedLearning` (CL) — pooled-data edge training;
 * :class:`FederatedLearning` (FL) — FedAvg over full local models;
-* :class:`SplitLearning` (SL) — sequential relay split learning;
-* :class:`SplitFedLearning` — per-client-replica hybrid (the §I strawman).
+* :class:`SplitLearning` (SL) — sequential relay split learning, the
+  split-federated round with one unit of every client;
+* :class:`SplitFedLearning` — per-client-replica hybrid (the §I strawman),
+  the split-federated round with one-client units;
+* :class:`ParallelSplitLearning` (PSL) — concurrent client halves against
+  one server model.
 
 GSFL itself lives in :mod:`repro.core.gsfl` (it is the paper's
 contribution, not a baseline); import it from ``repro.core``.

@@ -167,8 +167,9 @@ class SchemeConfig:
 
     ``local_steps`` is the number of mini-batches each client processes
     per round (the paper's "training epoch" per client, scaled to the
-    synthetic dataset).  Momentum defaults to 0 so optimizer state need
-    not ride along with relayed models in the split schemes.
+    synthetic dataset).  Optimizers are plain SGD, which holds no state
+    between steps, so nothing but the model rides along with a relayed
+    half and a fresh optimizer per unit-round equals a persistent one.
 
     ``transport`` (extension beyond the paper) names the wire codec for
     everything that crosses the air — smashed data, gradients, and model
@@ -206,8 +207,6 @@ class SchemeConfig:
     batch_size: int = 16
     local_steps: int = 2
     lr: float = 0.05
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     eval_every: int = 1
     eval_batch_size: int = EVAL_SLAB
     transport: str = "float32"
@@ -240,12 +239,7 @@ class SchemeConfig:
 
     def make_sgd(self, params: "object") -> nn.SGD:
         """A fresh SGD optimizer over ``params`` with these hyper-parameters."""
-        return nn.SGD(
-            params,
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
+        return nn.SGD(params, lr=self.lr)
 
 
 class Scheme:
@@ -259,7 +253,8 @@ class Scheme:
 
     name = "base"
     #: whether the scheme implements the barrier-free unit-pipeline
-    #: contract (set by subclasses that override the ``_async_*`` hooks)
+    #: contract (set by subclasses that override the ``_async_*`` hooks);
+    #: :meth:`run` refuses a barrier-free policy without it
     supports_async = False
     #: how the scheme recovers from a mid-activity preemption once the
     #: retry budget is spent: ``"retry"`` surrenders the round (FL /
@@ -380,13 +375,11 @@ class Scheme:
         and set ``supports_async``: GSFL (groups) and SplitFed (clients)
         inherit all five from
         :class:`~repro.schemes.split_common.SplitFederatedScheme`, FL
-        (clients) spells its own.  Inherently sequential schemes (CL, SL,
-        PSL's lockstep) keep the barrier.
+        (clients) spells its own.  Inherently sequential schemes (CL, SL's
+        one chain, PSL's lockstep) leave ``supports_async`` false, and
+        :meth:`run` refuses a barrier-free policy for them.
         """
-        raise ValueError(
-            f"scheme {self.name!r} does not support "
-            f"aggregation={self.config.aggregation!r}; only 'sync'"
-        )
+        raise NotImplementedError
 
     def _async_unit_round(
         self, unit: int, unit_round: int
@@ -460,6 +453,11 @@ class Scheme:
         check_positive("num_rounds", num_rounds)
         if self.aggregation_policy.synchronous:
             return self._run_sync(num_rounds)
+        if not self.supports_async:
+            raise ValueError(
+                f"scheme {self.name!r} does not support "
+                f"aggregation={self.config.aggregation!r}; only 'sync'"
+            )
         return self._run_async(num_rounds)
 
     def _run_sync(self, num_rounds: int) -> TrainingHistory:

@@ -27,58 +27,22 @@ grouping improves on).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import nn
 from repro.core.aggregation import fedavg
-from repro.exec import SerialExecutor
-from repro.nn.split import ClientHalf, SmashedBatch, split_model
+from repro.nn.split import SmashedBatch, split_model
 from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity, Scheme, SchemeConfig, Stage
+from repro.schemes.base import Activity, Scheme, Stage
 from repro.schemes.pricing import LatencyModel
-from repro.schemes.split_common import price_model_downlink, price_model_uplink
+from repro.schemes.split_common import (
+    price_gradient_return,
+    price_model_downlink,
+    price_model_uplink,
+    price_smashed_upload,
+)
 
 __all__ = ["ParallelSplitLearning"]
-
-
-@dataclass
-class _ClientPhaseTask:
-    """One client's share of a PSL lockstep phase (forward or backward)."""
-
-    client: int
-    state: dict[str, np.ndarray]
-    xb: np.ndarray
-    grad: np.ndarray | None = None  # None → forward-only phase
-
-
-def _client_forward(task: _ClientPhaseTask, half: ClientHalf) -> np.ndarray:
-    """Forward phase: produce the smashed values that go on the wire."""
-    half.load_state_dict(task.state)
-    return half.forward_to_smashed(Tensor(task.xb)).values
-
-
-def _client_backward(
-    task: _ClientPhaseTask, half: ClientHalf, config: SchemeConfig
-) -> dict[str, np.ndarray]:
-    """Backward phase: re-run the forward to rebuild this client's graph,
-    inject the fused gradient slice, step, and return the new half-state.
-
-    (The re-run is inherent to PSL's single-server design: ``half`` has
-    served every other client since this one's forward phase.
-    Deterministic layers reproduce the same smashed values; batch-norm
-    running stats are touched twice per step, which only perturbs the
-    aggregated buffers slightly.)
-    """
-    half.load_state_dict(task.state)
-    half.forward_to_smashed(Tensor(task.xb))
-    opt = config.make_sgd(half.parameters())
-    opt.zero_grad()
-    half.backward_from_gradient(task.grad)
-    opt.step()
-    return half.state_dict()
 
 
 class ParallelSplitLearning(Scheme):
@@ -122,10 +86,8 @@ class ParallelSplitLearning(Scheme):
                 )
 
         training = Stage("parallel_steps")
-        client_states: list[dict[str, np.ndarray]] = []
         total_loss = 0.0
         half = self.split.client
-        executor = SerialExecutor()
         # Every client starts from what the codec preserved of the
         # broadcast global half (identity codec: the global itself).
         distributed_state = (
@@ -133,65 +95,30 @@ class ParallelSplitLearning(Scheme):
             if lossy
             else self._global_client_state
         )
+        client_states = [distributed_state] * len(participants)
 
         # Per-client client-half states, trained in lockstep on the one
-        # client-half module; the server half sees the fused batch.  Each
-        # lockstep phase (client forwards, client backwards) is a set of
-        # independent per-client tasks, with the fused server step
-        # between them.
-        for step in range(cfg.local_steps):
-            step_batches = []
-            for c in participants:
-                xb, yb = self.client_loaders[c].sample_batch()
-                step_batches.append((xb, yb))
-
-            def state_for(position: int) -> dict[str, np.ndarray]:
-                return (
-                    distributed_state if step == 0 else client_states[position]
-                )
+        # client-half module; the server half sees the fused batch.
+        for _ in range(cfg.local_steps):
+            step_batches = [
+                self.client_loaders[c].sample_batch() for c in participants
+            ]
 
             # --- parallel client forwards; smashed data crosses the cut --
-            forward_tasks = [
-                _ClientPhaseTask(client=c, state=state_for(i), xb=xb)
-                for i, (c, (xb, _)) in enumerate(zip(participants, step_batches))
-            ]
             # Each phase starts without the last pass's cached graph.
             half._last_output = None
-            smashed_per_client = executor.map_groups(
-                functools.partial(_client_forward, half=half), forward_tasks
-            )
+            smashed_per_client = []
+            for state, (xb, _) in zip(client_states, step_batches):
+                half.load_state_dict(state)
+                smashed_per_client.append(half.forward_to_smashed(Tensor(xb)).values)
             if lossy:
                 smashed_per_client = [
                     codec.apply(values) for values in smashed_per_client
                 ]
             for c in participants:
-                training.add(
+                training.extend(
                     f"client-{c}",
-                    Activity(
-                        pricing.client_forward_demand(c, self.cut_layer),
-                        "client_compute",
-                        f"client-{c}",
-                        detail="forward",
-                    ),
-                )
-                if lossy:
-                    training.add(
-                        f"client-{c}",
-                        Activity(
-                            pricing.client_encode_demand(c, smashed_scalars),
-                            "encode",
-                            f"client-{c}",
-                            detail="smashed",
-                        ),
-                    )
-                training.add(
-                    f"client-{c}",
-                    Activity(
-                        pricing.uplink_smashed_demand(c, self.cut_layer, share),
-                        "uplink_smashed",
-                        f"client-{c}",
-                        nbytes=pricing.smashed_nbytes(self.cut_layer),
-                    ),
+                    price_smashed_upload(pricing, c, self.cut_layer, share),
                 )
             if lossy:
                 # The server decodes all N arrivals before the fused step.
@@ -245,52 +172,29 @@ class ParallelSplitLearning(Scheme):
                 )
 
             # --- gradients fan back out; client halves step in parallel --
-            backward_tasks = []
-            offset = 0
-            for i, (c, (xb, _)) in enumerate(zip(participants, step_batches)):
-                batch = xb.shape[0]
-                backward_tasks.append(
-                    _ClientPhaseTask(
-                        client=c,
-                        state=state_for(i),
-                        xb=xb,
-                        grad=fused_grad[offset : offset + batch],
-                    )
-                )
-                offset += batch
+            # Each client re-runs its forward to rebuild its graph (``half``
+            # has served every other client since its forward phase), takes
+            # its slice of the fused gradient and steps.  Deterministic
+            # layers reproduce the same smashed values; batch-norm running
+            # stats are touched twice per step, which only perturbs the
+            # aggregated buffers slightly.
             half._last_output = None
-            client_states = executor.map_groups(
-                functools.partial(_client_backward, half=half, config=cfg),
-                backward_tasks,
-            )
+            stepped = []
+            offset = 0
+            for state, (xb, _) in zip(client_states, step_batches):
+                half.load_state_dict(state)
+                half.forward_to_smashed(Tensor(xb))
+                opt = cfg.make_sgd(half.parameters())
+                opt.zero_grad()
+                half.backward_from_gradient(fused_grad[offset : offset + xb.shape[0]])
+                opt.step()
+                stepped.append(half.state_dict())
+                offset += xb.shape[0]
+            client_states = stepped
             for c in participants:
-                training.add(
+                training.extend(
                     f"client-{c}",
-                    Activity(
-                        pricing.downlink_gradient_demand(c, self.cut_layer, share),
-                        "downlink_gradient",
-                        f"client-{c}",
-                        nbytes=pricing.smashed_nbytes(self.cut_layer),
-                    ),
-                )
-                if lossy:
-                    training.add(
-                        f"client-{c}",
-                        Activity(
-                            pricing.client_decode_demand(c, smashed_scalars),
-                            "decode",
-                            f"client-{c}",
-                            detail="gradient",
-                        ),
-                    )
-                training.add(
-                    f"client-{c}",
-                    Activity(
-                        pricing.client_backward_demand(c, self.cut_layer),
-                        "client_compute",
-                        f"client-{c}",
-                        detail="backward",
-                    ),
+                    price_gradient_return(pricing, c, self.cut_layer, share),
                 )
 
         self._last_train_loss = total_loss / cfg.local_steps

@@ -9,13 +9,17 @@ Three layers:
   (AP → first member, each member's split steps from
   :func:`price_local_round` with a :func:`price_model_relay` hop to the
   next, last member → AP) as *demands* for the runtime to resolve during
-  replay.  Demand construction draws fading realizations from the
-  wireless system's shared stream, so the schemes build them in protocol
-  order; durations are resolved later by the DES from the instantaneous
-  state of the shared medium.  SL prices its whole round as one chain.
+  replay.  A split step's client sides are :func:`price_smashed_upload`
+  and :func:`price_gradient_return`, which PSL's lockstep prices too.
+  Demand construction draws fading realizations from the wireless
+  system's shared stream, so the schemes build them in protocol order;
+  durations are resolved later by the DES from the instantaneous state
+  of the shared medium.
 * **round** — :class:`SplitFederatedScheme` is the round of GSFL (its
-  groups) and SplitFed (one-client groups): parallel relay chains, each
-  against its own server-side replica, then one FedAvg of both halves —
+  groups), SplitFed (one-client groups) and SL (one group of every
+  client): parallel relay chains, each against its own server-side
+  replica, then one FedAvg of both halves (:meth:`~SplitFederatedScheme._aggregate`;
+  SL, with one server-side model, adopts its chain's halves instead) —
   or, without the barrier, each chain's update mixed in as it lands.
   :func:`train_split_group` trains one chain from a :class:`GroupTask`
   carrying each member's batch source, drawing every mini-batch at the
@@ -41,6 +45,8 @@ from repro.sim.transport import TransportCodec
 
 __all__ = [
     "split_step_math",
+    "price_smashed_upload",
+    "price_gradient_return",
     "price_local_round",
     "price_model_downlink",
     "price_model_uplink",
@@ -118,6 +124,74 @@ def split_step_math(
     return loss_value
 
 
+def price_smashed_upload(
+    pricing: LatencyModel, client_id: int, cut: int, bandwidth_hz: float
+) -> list[Activity]:
+    """One client's forward to the cut, then its smashed data up to the
+    AP (encoded first under a lossy codec)."""
+    actor = f"client-{client_id}"
+    activities = [
+        Activity(
+            pricing.client_forward_demand(client_id, cut),
+            "client_compute",
+            actor,
+            detail="forward",
+        )
+    ]
+    if pricing.codec.lossy:
+        activities.append(
+            Activity(
+                pricing.client_encode_demand(client_id, pricing.smashed_scalars(cut)),
+                "encode",
+                actor,
+                detail="smashed",
+            )
+        )
+    activities.append(
+        Activity(
+            pricing.uplink_smashed_demand(client_id, cut, bandwidth_hz),
+            "uplink_smashed",
+            actor,
+            nbytes=pricing.smashed_nbytes(cut),
+        )
+    )
+    return activities
+
+
+def price_gradient_return(
+    pricing: LatencyModel, client_id: int, cut: int, bandwidth_hz: float
+) -> list[Activity]:
+    """The cut-layer gradient down to one client (decoded there under a
+    lossy codec), then the client's backward."""
+    actor = f"client-{client_id}"
+    activities = [
+        Activity(
+            pricing.downlink_gradient_demand(client_id, cut, bandwidth_hz),
+            "downlink_gradient",
+            actor,
+            nbytes=pricing.smashed_nbytes(cut),
+        )
+    ]
+    if pricing.codec.lossy:
+        activities.append(
+            Activity(
+                pricing.client_decode_demand(client_id, pricing.smashed_scalars(cut)),
+                "decode",
+                actor,
+                detail="gradient",
+            )
+        )
+    activities.append(
+        Activity(
+            pricing.client_backward_demand(client_id, cut),
+            "client_compute",
+            actor,
+            detail="backward",
+        )
+    )
+    return activities
+
+
 def price_local_round(
     client_id: int,
     cut: int,
@@ -127,45 +201,22 @@ def price_local_round(
 ) -> list[Activity]:
     """Demand activity list for one client's local round (no training).
 
-    Activities alternate client compute / uplink / server compute /
-    downlink / client compute per batch, in protocol order — the order
-    matters because transmission demands freeze realizations from the
-    channel's shared fading stream.  ``bandwidth_hz`` is the *nominal*
-    share (the static-model allocation); the runtime may resolve a
-    different instantaneous share under a contention-aware policy.
+    Per batch: :func:`price_smashed_upload`, the server's split step
+    (bracketed by its smashed-data decode and gradient encode under a
+    lossy codec), then :func:`price_gradient_return` — in protocol order,
+    which matters because transmission demands freeze realizations from
+    the channel's shared fading stream.  ``bandwidth_hz`` is the
+    *nominal* share (the static-model allocation); the runtime may
+    resolve a different instantaneous share under a contention-aware
+    policy.  The identity codec adds no codec activities at all
+    (bitwise-pinned path).
     """
     actor = f"client-{client_id}"
-    # A lossy codec adds encode/decode compute on each side of every hop;
-    # the identity codec adds no activities at all (bitwise-pinned path).
     lossy = pricing.codec.lossy
     scalars = pricing.smashed_scalars(cut) if lossy else 0
     activities: list[Activity] = []
     for _ in range(local_steps):
-        activities.append(
-            Activity(
-                pricing.client_forward_demand(client_id, cut),
-                "client_compute",
-                actor,
-                detail="forward",
-            )
-        )
-        if lossy:
-            activities.append(
-                Activity(
-                    pricing.client_encode_demand(client_id, scalars),
-                    "encode",
-                    actor,
-                    detail="smashed",
-                )
-            )
-        activities.append(
-            Activity(
-                pricing.uplink_smashed_demand(client_id, cut, bandwidth_hz),
-                "uplink_smashed",
-                actor,
-                nbytes=pricing.smashed_nbytes(cut),
-            )
-        )
+        activities.extend(price_smashed_upload(pricing, client_id, cut, bandwidth_hz))
         if lossy:
             activities.append(
                 Activity(
@@ -192,31 +243,7 @@ def price_local_round(
                     detail=f"gradient for {actor}",
                 )
             )
-        activities.append(
-            Activity(
-                pricing.downlink_gradient_demand(client_id, cut, bandwidth_hz),
-                "downlink_gradient",
-                actor,
-                nbytes=pricing.smashed_nbytes(cut),
-            )
-        )
-        if lossy:
-            activities.append(
-                Activity(
-                    pricing.client_decode_demand(client_id, scalars),
-                    "decode",
-                    actor,
-                    detail="gradient",
-                )
-            )
-        activities.append(
-            Activity(
-                pricing.client_backward_demand(client_id, cut),
-                "client_compute",
-                actor,
-                detail="backward",
-            )
-        )
+        activities.extend(price_gradient_return(pricing, client_id, cut, bandwidth_hz))
     return activities
 
 
@@ -425,14 +452,16 @@ def run_group_tasks(
 class SplitFederatedScheme(Scheme):
     """Parallel relay chains → barrier → one FedAvg of both halves.
 
-    The round of GSFL (groups) and SplitFed (one-client chains): each
+    The round of GSFL (groups), SplitFed (one-client chains) and SL (one
+    chain of every client, see :class:`~repro.schemes.split.SplitLearning`): each
     *unit* is a relay chain of clients training sequentially against its
     own server-side replica (the global halves it starts from), the units
     run in parallel in simulated time, and the edge FedAvg-aggregates the
     units' client halves and replicas into the next global model.
     Subclasses supply the unit member lists (:meth:`_units`) and each
     unit's nominal bandwidth (:meth:`_unit_bandwidth`), and may drop
-    members from a unit-round (:meth:`_unit_members`).
+    members from a unit-round (:meth:`_unit_members`) or replace the
+    sync round's FedAvg stage (:meth:`_aggregate`).
 
     A unit-round is described once, by :meth:`_unit_work`, as its priced
     relay chain plus the :class:`GroupTask` that trains it, and both
@@ -508,8 +537,9 @@ class SplitFederatedScheme(Scheme):
         return activities, task
 
     def _load_globals(self) -> None:
-        # The globals are freshly allocated by fedavg / mix_states and only
-        # read afterwards, so the halves can adopt them without re-copying.
+        # The globals are freshly allocated (by fedavg / mix_states, or as a
+        # trained unit's result) and only read afterwards, so the halves
+        # can adopt them without re-copying.
         self.split.client.load_state_dict(self._global_client_state, copy=False)
         self.split.server.load_state_dict(self._global_server_state, copy=False)
 
@@ -517,10 +547,6 @@ class SplitFederatedScheme(Scheme):
     # sync round
     # ------------------------------------------------------------------
     def _run_round(self, round_index: int) -> list[Stage]:
-        # Imported lazily: ``repro.core`` package init imports the GSFL
-        # scheme, which imports this module.
-        from repro.core.aggregation import fedavg
-
         participants = set(self._round_participants())
         training = Stage("group_training")
         tasks: list[GroupTask] = []
@@ -542,8 +568,16 @@ class SplitFederatedScheme(Scheme):
         self._last_train_loss = (
             sum(r.loss_sum for r in results) / trained if trained else float("nan")
         )
+        return [training, self._aggregate(results)]
 
-        # With no unit left the round is a no-op and the global carries over.
+    def _aggregate(self, results: list[GroupResult]) -> Stage:
+        """FedAvg the units' halves into the next global model; returns the
+        priced aggregation stage.  With no unit left the round is a no-op
+        and the global carries over."""
+        # Imported lazily: ``repro.core`` package init imports the GSFL
+        # scheme, which imports this module.
+        from repro.core.aggregation import fedavg
+
         aggregation = Stage("aggregation")
         if results:
             weights = [r.weight for r in results]
@@ -560,7 +594,7 @@ class SplitFederatedScheme(Scheme):
                     "edge-server",
                 ),
             )
-        return [training, aggregation]
+        return aggregation
 
     # ------------------------------------------------------------------
     # barrier-free unit rounds

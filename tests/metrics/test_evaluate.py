@@ -293,7 +293,7 @@ def test_deepthin_evaluation_peaks_no_higher_than_a_training_step(deepthin_float
     with nn.default_dtype(np.float32):
         split = split_model(model, default_cut_layer("deepthin"))
         client_opt, server_opt = (
-            nn.SGD(half.parameters(), lr=hp.lr, momentum=hp.momentum)
+            nn.SGD(half.parameters(), lr=hp.lr)
             for half in (split.client, split.server)
         )
         loss_fn = nn.CrossEntropyLoss()

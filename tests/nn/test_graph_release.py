@@ -197,7 +197,7 @@ class TestDeepThinStepPeak:
         with nn.default_dtype(np.float32):
             split = split_model(build_model("deepthin"), paper_scenario().cut_layer)
             client_opt, server_opt = (
-                nn.SGD(half.parameters(), lr=hp.lr, momentum=hp.momentum)
+                nn.SGD(half.parameters(), lr=hp.lr)
                 for half in (split.client, split.server)
             )
             loss_fn = nn.CrossEntropyLoss()
@@ -211,7 +211,7 @@ class TestDeepThinStepPeak:
         hp = paper_scenario().scheme
         with nn.default_dtype(np.float32):
             model = build_model("deepthin")
-            opt = nn.SGD(model.parameters(), lr=hp.lr, momentum=hp.momentum)
+            opt = nn.SGD(model.parameters(), lr=hp.lr)
             loss_fn = nn.CrossEntropyLoss()
 
             def step() -> None:
