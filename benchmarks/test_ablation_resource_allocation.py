@@ -18,6 +18,7 @@ from benchmarks.conftest import run_once
 from repro.core.resource import GroupWorkload, equal_bandwidth_split, minmax_bandwidth_split
 from repro.experiments import fast_scenario, make_scheme
 from repro.schemes.pricing import LatencyModel
+from repro.schemes.split_common import price_relay_chain
 
 
 def _group_workloads(built, scenario, groups):
@@ -25,28 +26,11 @@ def _group_workloads(built, scenario, groups):
     pricing = LatencyModel(built.system, built.profile, scenario.scheme.batch_size)
     cut = scenario.resolved_cut_layer()
     steps = scenario.scheme.local_steps
-    model_bytes = pricing.client_model_nbytes(cut)
 
     def latency_fn_for(members):
         def fn(bandwidth_hz: float) -> float:
-            total = pricing.downlink_model_s(members[0], model_bytes, bandwidth_hz)
-            for pos, client in enumerate(members):
-                per_batch = (
-                    pricing.client_forward_s(client, cut)
-                    + pricing.uplink_smashed_s(client, cut, bandwidth_hz)
-                    + pricing.server_split_step_s(cut)
-                    + pricing.downlink_gradient_s(client, cut, bandwidth_hz)
-                    + pricing.client_backward_s(client, cut)
-                )
-                total += steps * per_batch
-                if pos < len(members) - 1:
-                    total += pricing.uplink_model_s(client, model_bytes, bandwidth_hz)
-                    total += pricing.downlink_model_s(
-                        members[pos + 1], model_bytes, bandwidth_hz
-                    )
-                else:
-                    total += pricing.uplink_model_s(client, model_bytes, bandwidth_hz)
-            return total
+            chain = price_relay_chain(pricing, members, cut, steps, bandwidth_hz)
+            return sum(a.nominal_s for a in chain)
 
         return fn
 

@@ -1,4 +1,4 @@
-"""Demand calculation (and analytic pricing) for scheme activities.
+"""Demand calculation for scheme activities.
 
 :class:`LatencyModel` converts protocol actions (client forward pass,
 smashed-data upload, model relay, ...) into **demands** — FLOPs against a
@@ -14,9 +14,9 @@ where the old pre-priced pipeline drew them — so latency traces stay
 reproducible for a fixed scenario seed and the static-share resolution
 is bit-identical to the legacy analytic pricing.
 
-The ``*_s`` methods retain that legacy analytic model (each also drawing
-fading on call); they back the cut-layer sweep and other closed-form
-analyses.  Constructed with ``system=None`` everything is priced at
+A demand's analytic views are :func:`~repro.sim.runtime.demand_lower_bound_s`
+(contention-free floor) and :func:`~repro.sim.runtime.demand_nominal_s`
+(static share).  Constructed with ``system=None`` everything is priced at
 zero — "pure algorithm" mode for accuracy-only runs and fast tests.
 """
 
@@ -33,7 +33,6 @@ from repro.sim.runtime import (
     Demand,
     TransmitDemand,
     TransmitLeg,
-    demand_lower_bound_s,
 )
 from repro.sim.transport import TransportCodec, parse_transport
 from repro.wireless.channel import WirelessChannel
@@ -357,73 +356,3 @@ class LatencyModel:
         if not self.enabled:
             return 1.0
         return self.system.allocator.total_bandwidth_hz
-
-    # ------------------------------------------------------------------
-    # legacy analytic pricing (closed-form analyses, cut sweep)
-    #
-    # Compute pricing derives from the demand constructors (one FLOP
-    # formula, two views); transmission pricing must stay separate
-    # because both paths draw fading from the shared stream.
-    # ------------------------------------------------------------------
-    def client_forward_s(self, client: int, cut_layer: int) -> float:
-        return demand_lower_bound_s(self.client_forward_demand(client, cut_layer))
-
-    def client_backward_s(self, client: int, cut_layer: int) -> float:
-        return demand_lower_bound_s(self.client_backward_demand(client, cut_layer))
-
-    def client_full_step_s(self, client: int) -> float:
-        """Full-model forward+backward on the client (FL local step)."""
-        return demand_lower_bound_s(self.client_full_step_demand(client))
-
-    def server_split_step_s(self, cut_layer: int) -> float:
-        """Server-side forward+backward for one smashed batch."""
-        return demand_lower_bound_s(self.server_split_step_demand(cut_layer))
-
-    def server_full_step_s(self) -> float:
-        """Full-model forward+backward on the server (CL step)."""
-        return demand_lower_bound_s(self.server_full_step_demand())
-
-    def aggregation_s(self, num_participants: int, num_params: int) -> float:
-        return demand_lower_bound_s(
-            self.aggregation_demand(num_participants, num_params)
-        )
-
-    def uplink_smashed_s(self, client: int, cut_layer: int, bandwidth_hz: float) -> float:
-        if not self.enabled:
-            return 0.0
-        nbits = 8 * self.smashed_nbytes(cut_layer)
-        return self.system.uplink_seconds(client, nbits, bandwidth_hz)
-
-    def downlink_gradient_s(self, client: int, cut_layer: int, bandwidth_hz: float) -> float:
-        if not self.enabled:
-            return 0.0
-        nbits = 8 * self.smashed_nbytes(cut_layer)
-        return self.system.downlink_seconds(client, nbits, bandwidth_hz)
-
-    def uplink_model_s(self, client: int, nbytes: int, bandwidth_hz: float) -> float:
-        if not self.enabled or nbytes == 0:
-            return 0.0
-        return self.system.uplink_seconds(client, 8 * nbytes, bandwidth_hz)
-
-    def downlink_model_s(self, client: int, nbytes: int, bandwidth_hz: float) -> float:
-        if not self.enabled or nbytes == 0:
-            return 0.0
-        return self.system.downlink_seconds(client, 8 * nbytes, bandwidth_hz)
-
-    def broadcast_model_s(self, clients: list[int], nbytes: int, bandwidth_hz: float) -> float:
-        """One AP broadcast decoded by every listed client.
-
-        The transmission must close at the *weakest* listener's rate.
-        """
-        if not self.enabled or nbytes == 0:
-            return 0.0
-        return max(
-            self.system.downlink_seconds(c, 8 * nbytes, bandwidth_hz) for c in clients
-        )
-
-    def uplink_data_s(self, client: int, num_samples: int, bandwidth_hz: float) -> float:
-        if not self.enabled:
-            return 0.0
-        return self.system.uplink_seconds(
-            client, 8 * self.dataset_nbytes(num_samples), bandwidth_hz
-        )

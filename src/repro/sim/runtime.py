@@ -300,17 +300,12 @@ class Runtime:
         nominal share — durations match the analytic model exactly); a
         policy such as :func:`repro.wireless.bandwidth.as_share_policy`
         makes the medium contention-aware.
-    incremental_link:
-        Selects the medium's incremental fast-path engines (the
-        default).  ``False`` pins the dense reference recomputation —
-        kept for the fleet-scale equivalence suite and perf baselines.
     """
 
     def __init__(
         self,
         total_bandwidth_hz: float | None = None,
         share_policy: SharePolicy | None = None,
-        incremental_link: bool = True,
     ) -> None:
         self.env = Environment()
         self.medium: FairShareLink | None = None
@@ -319,7 +314,6 @@ class Runtime:
                 self.env,
                 total_bandwidth_hz,
                 policy=share_policy or NominalShare(),
-                incremental=incremental_link,
             )
         self._devices: dict[int, Resource] = {}
         #: mid-activity failure source (``None`` = activities never

@@ -1,4 +1,9 @@
-"""LatencyModel pricing tests."""
+"""LatencyModel pricing tests.
+
+Compute demands are read through their analytic lower bound, transmit
+demands through their nominal (static-share) duration — the views the
+schemes' stages and round timings use.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,8 @@ import pytest
 
 from repro.experiments.scenario import fast_scenario
 from repro.schemes.pricing import LatencyModel
+from repro.sim.runtime import demand_lower_bound_s as compute_s
+from repro.sim.runtime import demand_nominal_s as transmit_s
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +33,11 @@ class TestDisabledMode:
     def test_all_zero_without_system(self):
         p = LatencyModel(None, None, batch_size=8)
         assert not p.enabled
-        assert p.client_forward_s(0, 1) == 0.0
-        assert p.uplink_smashed_s(0, 1, 1e6) == 0.0
+        assert compute_s(p.client_forward_demand(0, 1)) == 0.0
+        assert transmit_s(p.uplink_smashed_demand(0, 1, 1e6)) == 0.0
         assert p.smashed_nbytes(1) == 0
         assert p.full_model_nbytes() == 0
-        assert p.aggregation_s(5, 1000) == 0.0
+        assert compute_s(p.aggregation_demand(5, 1000)) == 0.0
         assert p.dataset_nbytes(10) == 0
 
     def test_partial_args_rejected(self, built):
@@ -46,7 +53,7 @@ class TestDisabledMode:
 class TestComputePricing:
     def test_client_slower_than_server(self, pricing):
         cut = 2
-        client = pricing.client_forward_s(0, cut)
+        client = compute_s(pricing.client_forward_demand(0, cut))
         # same FLOPs on the server side of the facade
         server_equiv = pricing.system.server_compute_seconds(
             pricing.profile.client_forward_flops(cut) * pricing.batch_size
@@ -54,23 +61,26 @@ class TestComputePricing:
         assert client > server_equiv
 
     def test_backward_costs_more_than_forward(self, pricing):
-        assert pricing.client_backward_s(0, 2) > pricing.client_forward_s(0, 2)
+        backward = compute_s(pricing.client_backward_demand(0, 2))
+        assert backward > compute_s(pricing.client_forward_demand(0, 2))
 
     def test_full_step_exceeds_split_client_step(self, pricing):
-        full = pricing.client_full_step_s(0)
-        split = pricing.client_forward_s(0, 1) + pricing.client_backward_s(0, 1)
+        full = compute_s(pricing.client_full_step_demand(0))
+        split = compute_s(pricing.client_forward_demand(0, 1)) + compute_s(
+            pricing.client_backward_demand(0, 1)
+        )
         assert full > split
 
     def test_aggregation_scales_with_participants(self, pricing):
-        assert pricing.aggregation_s(10, 1000) == pytest.approx(
-            10 * pricing.aggregation_s(1, 1000), rel=1e-9
+        assert compute_s(pricing.aggregation_demand(10, 1000)) == pytest.approx(
+            10 * compute_s(pricing.aggregation_demand(1, 1000)), rel=1e-9
         )
 
 
 class TestTransmissionPricing:
     def test_more_bandwidth_is_faster(self, pricing):
-        slow = pricing.uplink_smashed_s(0, 2, 1e6)
-        fast = pricing.uplink_smashed_s(0, 2, 10e6)
+        slow = transmit_s(pricing.uplink_smashed_demand(0, 2, 1e6))
+        fast = transmit_s(pricing.uplink_smashed_demand(0, 2, 10e6))
         assert fast < slow
 
     def test_smashed_bytes_scale_with_batch(self, built):
@@ -80,8 +90,10 @@ class TestTransmissionPricing:
 
     def test_broadcast_gated_by_weakest_client(self, pricing, built):
         clients = list(range(built.system.num_clients))
-        broadcast = pricing.broadcast_model_s(clients, 10_000, 1e6)
-        singles = [pricing.downlink_model_s(c, 10_000, 1e6) for c in clients]
+        broadcast = transmit_s(pricing.broadcast_model_demand(clients, 10_000, 1e6))
+        singles = [
+            transmit_s(pricing.downlink_model_demand(c, 10_000, 1e6)) for c in clients
+        ]
         assert broadcast == pytest.approx(max(singles), rel=0.35)
 
     def test_dataset_bytes(self, pricing, built):
@@ -92,5 +104,5 @@ class TestTransmissionPricing:
         assert pricing.dataset_nbytes(10) == 10 * per_sample * 4
 
     def test_zero_byte_transfers_free(self, pricing):
-        assert pricing.uplink_model_s(0, 0, 1e6) == 0.0
-        assert pricing.downlink_model_s(0, 0, 1e6) == 0.0
+        assert transmit_s(pricing.uplink_model_demand(0, 0, 1e6)) == 0.0
+        assert transmit_s(pricing.downlink_model_demand(0, 0, 1e6)) == 0.0
