@@ -213,8 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(args: argparse.Namespace) -> None:
+    """Reject a negative ``--seed`` (numpy's seeding would trace back)."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+
+
 def _scenario(args: argparse.Namespace) -> ExperimentScenario:
     from dataclasses import replace
+
+    _check_seed(args)
 
     if getattr(args, "scenario", None):
         scenario = get_scenario(args.scenario, seed=args.seed)
@@ -386,9 +394,12 @@ def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = Non
 
 
 def _check_experiment_flags(args: argparse.Namespace) -> None:
-    """Reject an out-of-range ``--rounds`` before any work."""
+    """Reject an out-of-range ``--rounds`` or ``--target`` before any work."""
     if args.rounds < 1:
         raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
+    target = getattr(args, "target", None)
+    if target is not None and not 0.0 < target <= 1.0:
+        raise ValueError(f"--target must be an accuracy in (0, 1], got {target}")
 
 
 def _config_error(exc: ValueError) -> int:
@@ -506,10 +517,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.name:
         try:
+            _check_seed(args)
             print(describe_scenario(args.name, seed=args.seed))
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _config_error(exc)
         return 0
     entries = list_scenarios()
     width = max(len(e.name) for e in entries)
@@ -524,8 +535,11 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_cuts(args: argparse.Namespace) -> int:
     from repro.core.cut_layer import best_cut
 
-    scenario = _scenario(args)
-    built = scenario.build()
+    try:
+        scenario = _scenario(args)
+        built = scenario.build()
+    except ValueError as exc:
+        return _config_error(exc)
     best, sweep = best_cut(
         built.profile,
         built.system,
@@ -540,8 +554,11 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    built = scenario.build()
+    try:
+        scenario = _scenario(args)
+        built = scenario.build()
+    except ValueError as exc:
+        return _config_error(exc)
     print(f"scheme presets : N={scenario.num_clients}, M={scenario.num_groups}, "
           f"model={scenario.model_name}, cut={scenario.resolved_cut_layer()}")
     print(f"dataset        : {scenario.dataset.num_classes} classes, "

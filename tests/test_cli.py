@@ -315,6 +315,19 @@ class TestCommands:
             "run --groups 7",  # the fast preset has 6 clients
             "run --cut-layer 0",
             "run --cut-layer 99",
+            # a target accuracy outside (0, 1] printed "@ nan%: unreached"
+            # or a reduction at "-100%" with exit 0
+            "fig2a --target nan",
+            "fig2a --target 1.5",
+            "fig2b --target -1",
+            "fig2b --target 0",
+            # a negative seed was a numpy traceback (exit 1), or for run an
+            # exit 2 whose message did not name the flag
+            "info --seed -1",
+            "cuts --seed -1",
+            "fig2a --seed -1",
+            "fig2b --seed -1",
+            "run --seed -1",
         ],
     )
     def test_hostile_value_is_a_clean_config_error(self, argv, capsys, monkeypatch):
@@ -329,6 +342,18 @@ class TestCommands:
         assert main([command, flag, *rest, "--scale", "fast"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("command", ["info", "cuts"])
+    def test_unknown_scenario_is_a_clean_config_error(self, command, capsys):
+        """``info`` and ``cuts`` raised the catalog's ValueError as a traceback."""
+        assert main([command, "--scenario", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown scenario 'nosuch'" in err
+
+    def test_describe_scenario_rejects_a_negative_seed(self, capsys):
+        """``scenarios NAME --seed -1`` described a world at seed -1, exit 0."""
+        assert main(["scenarios", "churn", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_run_with_int8_transport(self, capsys):
         code = main(
