@@ -29,6 +29,7 @@ Three layers:
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,12 +125,18 @@ def split_step_math(
     return loss_value
 
 
+def _client_actor(client_id: int) -> str:
+    """``client-<id>`` as one shared string per client: the trace recorder
+    keeps every resolved activity's actor for the whole run."""
+    return sys.intern(f"client-{client_id}")
+
+
 def price_smashed_upload(
     pricing: LatencyModel, client_id: int, cut: int, bandwidth_hz: float
 ) -> list[Activity]:
     """One client's forward to the cut, then its smashed data up to the
     AP (encoded first under a lossy codec)."""
-    actor = f"client-{client_id}"
+    actor = _client_actor(client_id)
     activities = [
         Activity(
             pricing.client_forward_demand(client_id, cut),
@@ -163,7 +170,7 @@ def price_gradient_return(
 ) -> list[Activity]:
     """The cut-layer gradient down to one client (decoded there under a
     lossy codec), then the client's backward."""
-    actor = f"client-{client_id}"
+    actor = _client_actor(client_id)
     activities = [
         Activity(
             pricing.downlink_gradient_demand(client_id, cut, bandwidth_hz),
@@ -211,7 +218,7 @@ def price_local_round(
     policy.  The identity codec adds no codec activities at all
     (bitwise-pinned path).
     """
-    actor = f"client-{client_id}"
+    actor = _client_actor(client_id)
     lossy = pricing.codec.lossy
     scalars = pricing.smashed_scalars(cut) if lossy else 0
     activities: list[Activity] = []
