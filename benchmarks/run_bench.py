@@ -15,12 +15,6 @@ contended medium, homogeneous vs heterogeneous fleets) and writes
 ``--compare`` embeds per-op speedups against a previously dumped file
 (e.g. one generated from the seed commit) into the output; ``--quick``
 shrinks timing budgets for the non-gating CI smoke step.
-
-``BENCH_runtime.json`` also carries a ``scale`` section — DES events/sec
-and peak event-queue depth at 100 / 1k / 10k concurrent flows, for the
-incremental fair-share engines against the retained dense reference —
-and ``--profile`` re-runs the largest scale workload under ``cProfile``
-and prints the top-20 cumulative entries.
 """
 
 from __future__ import annotations
@@ -40,6 +34,7 @@ from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity, Stage
 from repro.sim.runtime import Runtime
+from repro.sim.server import SyncBarrier
 
 
 def _timeit(fn, *, min_rounds: int = 5, min_time_s: float = 0.5) -> dict:
@@ -139,36 +134,7 @@ def bench_des_replay() -> "callable":
                     for i in range(100)
                 ],
             )
-        return Runtime().execute_round([stage], None, 0)
-
-    return op
-
-
-def bench_fair_share_link(n_flows: int = 60) -> "callable":
-    """Shared-medium churn: ``n_flows`` staggered flows joining and leaving.
-
-    Arrivals are staggered tightly relative to transfer times so nearly
-    all flows are concurrently active — the worst case for the
-    fair-share reallocation kernel.  The returned op records the DES
-    event count on ``op.events`` so the driver can report median and p95
-    *per-event* cost alongside the whole-run timing.
-    """
-    from repro.sim.engine import Environment
-    from repro.sim.resources import FairShareLink
-
-    def op():
-        env = Environment()
-        link = FairShareLink(env, capacity_bps=1e6)
-
-        def sender(start, bits):
-            yield env.timeout(start)
-            yield link.transfer(bits)
-
-        for i in range(n_flows):
-            env.process(sender(0.01 * i, 1e4 + 100.0 * i))
-        env.run()
-        op.events = env.events_fired
-        return env.now
+        return SyncBarrier().resolve_round(Runtime(), [stage], None, 0)
 
     return op
 
@@ -191,147 +157,10 @@ OPS: dict[str, "callable"] = {
     "fedavg_aggregation": bench_fedavg_aggregation,
     "fedavg_flat_30": bench_fedavg_flat_30,
     "des_replay": bench_des_replay,
-    "fair_share_link_8": lambda: bench_fair_share_link(8),
-    "fair_share_link_64": lambda: bench_fair_share_link(64),
-    "fair_share_link_512": lambda: bench_fair_share_link(512),
 }
 
 
-def _churn_run(
-    n_flows: int, incremental: bool, policy=None, budget_s: float | None = None
-) -> dict:
-    """One fleet-scale churn run; returns events/sec + queue high-water.
-
-    ``n_flows`` senders arrive microseconds apart with megabit payloads on
-    a gigabit link, so essentially the whole fleet is concurrently active
-    before the first completion — the regime where the dense kernel's
-    O(active) reallocation per membership change goes quadratic and the
-    incremental engines stay O(log active).
-
-    ``budget_s`` truncates the run after that much host wall-clock (the
-    dense reference at 10k flows would otherwise take tens of minutes);
-    throughput is then the steady-state rate over the budget window and
-    the row is marked ``truncated``.
-    """
-    from repro.sim.engine import Environment
-    from repro.sim.resources import FairShareLink
-
-    env = Environment()
-    link = FairShareLink(env, 1e9, policy=policy, incremental=incremental)
-
-    def sender(i):
-        yield env.timeout(1e-6 * i)
-        yield link.transfer(1e6 + i, client=i % 32 if policy is not None else None)
-
-    for i in range(n_flows):
-        env.process(sender(i))
-    t0 = time.perf_counter()
-    truncated = False
-    if budget_s is None:
-        env.run()
-    else:
-        deadline = t0 + budget_s
-        while time.perf_counter() < deadline:
-            if not env.pending:
-                break
-            env.step()
-        else:
-            truncated = True
-    wall = time.perf_counter() - t0
-    row = {
-        "events": env.events_fired,
-        "wall_s": round(wall, 4),
-        "events_per_s": round(env.events_fired / wall, 1),
-        "peak_pending": env.peak_pending,
-    }
-    if truncated:
-        row["truncated"] = True
-    return row
-
-
-def scale_report(quick: bool, profile: bool = False) -> dict:
-    """Events/sec and peak queue depth vs fleet size → the ``scale`` section.
-
-    Runs the churn workload at 100 / 1 000 / 10 000 concurrent flows
-    (``--quick`` stops at 1 000) with the incremental EqualShare engine
-    and the retained dense reference, reporting the events/sec ratio —
-    the number the fleet-scale acceptance bar (≥10x at 10k flows) reads.
-    The contended allocator policy is membership-coupled and keeps the
-    dense engine by design, so it is capped at 1 000 flows and reported
-    for queue-hygiene (peak pending) rather than speedup.
-
-    The committed ``BENCH_runtime.json`` ratios ("× over dense") were
-    measured against the pre-PR-15 dense engine, which queued one
-    completion per flow per reallocation; the dense engine now queues
-    one per link, so a fresh run reports smaller ratios (and a dense
-    ``peak_pending`` near 1) without the incremental engines having
-    changed.  The contended medium's host cost is tracked end to end by
-    ``BENCHMARK.json`` workload ``fleet-contended``.
-
-    With ``profile=True`` the largest incremental run is re-executed
-    under :mod:`cProfile` and the top-20 cumulative entries are printed,
-    pointing at the next hot path.
-    """
-    from repro.wireless.bandwidth import ProportionalRateAllocation, as_share_policy
-    from repro.wireless.channel import WirelessChannel
-
-    sizes = (100, 1000) if quick else (100, 1000, 10000)
-    contended_cap = 1000
-    report: dict = {
-        "workload": "staggered arrivals, ~all flows concurrently active",
-        "contended_note": (
-            "allocator-backed policies are membership-coupled (dense engine "
-            f"by design); capped at {contended_cap} flows"
-        ),
-        "fleets": {},
-    }
-
-    def contended_policy():
-        channel = WirelessChannel(
-            distances_m=np.linspace(50.0, 500.0, 32),
-            rng=np.random.default_rng(7),
-        )
-        return as_share_policy(ProportionalRateAllocation(1e9), channel)
-
-    for n in sizes:
-        # The dense reference is quadratic: run it to completion only
-        # where that is affordable, else sample steady-state throughput
-        # over a fixed host-time window.
-        dense_budget = None
-        if n >= 10000:
-            dense_budget = 10.0
-        elif quick and n >= 1000:
-            dense_budget = 3.0
-        row = {"equal_incremental": _churn_run(n, True)}
-        row["equal_dense"] = _churn_run(n, False, budget_s=dense_budget)
-        row["incremental_speedup"] = round(
-            row["equal_incremental"]["events_per_s"]
-            / row["equal_dense"]["events_per_s"],
-            2,
-        )
-        if n <= contended_cap:
-            row["contended_dense"] = _churn_run(n, True, policy=contended_policy())
-        report["fleets"][str(n)] = row
-        inc, dense = row["equal_incremental"], row["equal_dense"]
-        print(f"{f'scale fleet={n}':>24}: incremental {inc['events_per_s']:>12,.0f} ev/s "
-              f"(peak {inc['peak_pending']}) | dense {dense['events_per_s']:>12,.0f} ev/s "
-              f"(peak {dense['peak_pending']}) | {row['incremental_speedup']:.1f}x")
-
-    if profile:
-        import cProfile
-        import pstats
-
-        prof = cProfile.Profile()
-        prof.enable()
-        _churn_run(max(sizes), True)
-        prof.disable()
-        print(f"\n--- cProfile: incremental churn at {max(sizes)} flows "
-              "(top 20, cumulative) ---")
-        pstats.Stats(prof).sort_stats("cumulative").print_stats(20)
-    return report
-
-
-def runtime_report(quick: bool, profile: bool = False) -> dict:
+def runtime_report(quick: bool) -> dict:
     """Event-driven runtime scenarios → the BENCH_runtime.json payload.
 
     Measures the contention-aware medium against the static-subchannel
@@ -382,7 +211,6 @@ def runtime_report(quick: bool, profile: bool = False) -> dict:
     report["grouping"] = grouping_report(quick)
     report["transport"] = transport_report(quick)
     report["catalog"] = catalog_report(quick)
-    report["scale"] = scale_report(quick, profile=profile)
     return report
 
 
@@ -741,10 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         "--compare", default=None,
         help="previous run_bench JSON; speedups vs it are embedded",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="cProfile the largest scale-bench run; print top-20 cumulative",
-    )
     args = parser.parse_args(argv)
 
     baseline = None
@@ -763,22 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     round_time = 0.2 if args.quick else 1.0
     results: dict[str, dict] = {}
     for name, make_op in OPS.items():
-        op = make_op()
-        results[name] = _timeit(op, min_time_s=micro_time)
-        events = getattr(op, "events", None)
-        if events:  # DES ops report per-event cost (median + tail)
-            results[name]["events"] = events
-            results[name]["median_per_event_us"] = round(
-                results[name]["median_s"] / events * 1e6, 3
-            )
-            results[name]["p95_per_event_us"] = round(
-                results[name]["p95_s"] / events * 1e6, 3
-            )
+        results[name] = _timeit(make_op(), min_time_s=micro_time)
         print(f"{name:>24}: {results[name]['median_s'] * 1e3:9.3f} ms "
-              f"({results[name]['rounds']} rounds)"
-              + (f", {results[name]['median_per_event_us']:.2f} us/event med, "
-                 f"{results[name]['p95_per_event_us']:.2f} us/event p95"
-                 if events else ""))
+              f"({results[name]['rounds']} rounds)")
     for name, make_op in ROUND_OPS.items():
         results[name] = _timeit(make_op(), min_rounds=2 if args.quick else 3,
                                 min_time_s=round_time)
@@ -812,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     print(f"wrote {args.output}")
 
-    runtime_out = {"meta": out["meta"], **runtime_report(args.quick, args.profile)}
+    runtime_out = {"meta": out["meta"], **runtime_report(args.quick)}
     with open(args.runtime_output, "w") as fh:
         json.dump(runtime_out, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,6 +18,7 @@ from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity, Stage
 from repro.sim.runtime import Runtime
+from repro.sim.server import SyncBarrier
 
 
 def test_conv_forward(benchmark):
@@ -119,7 +120,7 @@ def test_des_replay_throughput(benchmark):
                 f"group-{g}",
                 [Activity(0.01 * (i % 7 + 1), "client_compute", f"g{g}") for i in range(100)],
             )
-        return Runtime().execute_round([stage], None, 0)
+        return SyncBarrier().resolve_round(Runtime(), [stage], None, 0)
 
     total = benchmark(build_and_replay)
     assert total > 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.core.grouping import GROUPING_STRATEGIES
@@ -440,6 +441,16 @@ def _cmd_fig2b(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_trace_out(path: str) -> None:
+    """Reject a ``--trace-out`` path the export could not write, before
+    any training: the trace is written only after the last round."""
+    if os.path.isdir(path):
+        raise ValueError(f"--trace-out {path!r} is a directory, not a file path")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"--trace-out directory {parent!r} does not exist")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     # Configuration phase: ValueErrors raised while assembling the
     # scenario, dynamics and scheme are user errors (bad flag combinations
@@ -447,6 +458,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # during the actual run, is a real bug and must keep its traceback.
     try:
         _check_experiment_flags(args)
+        if args.trace_out:
+            _check_trace_out(args.trace_out)
         given = [dest for dest in GSFL_ONLY_FLAGS if getattr(args, dest) is not None]
         if given and args.scheme != "GSFL":
             flags = " ".join("--" + dest.replace("_", "-") for dest in given)

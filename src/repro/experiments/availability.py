@@ -49,7 +49,7 @@ from repro.devtools.trace_schema import (
     REPLAY_AVAILABILITY_REQUIRED,
     TRACE_SCHEMAS,
 )
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_finite
 
 __all__ = [
     "AVAILABILITY_KINDS",
@@ -197,8 +197,8 @@ class ExponentialRenewal(_RenewalProcess):
         down_s: float,
     ) -> None:
         super().__init__(num_clients, seed_seq)
-        check_positive("churn_uptime_s", up_s)
-        check_positive("churn_downtime_s", down_s)
+        check_positive_finite("churn_uptime_s", up_s)
+        check_positive_finite("churn_downtime_s", down_s)
         self._up_s = up_s
         self._down_s = down_s
 
@@ -225,8 +225,8 @@ class DiurnalRenewal(_RenewalProcess):
         amplitude: float,
     ) -> None:
         super().__init__(num_clients, seed_seq)
-        check_positive("churn_uptime_s", up_s)
-        check_positive("churn_downtime_s", down_s)
+        check_positive_finite("churn_uptime_s", up_s)
+        check_positive_finite("churn_downtime_s", down_s)
         check_positive("period_s", period_s)
         if not 0.0 <= amplitude < 1.0:
             raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
@@ -261,8 +261,8 @@ class HandoffRenewal(_RenewalProcess):
         down_s: float,
     ) -> None:
         super().__init__(num_clients, seed_seq)
-        check_positive("churn_uptime_s", up_s)
-        check_positive("churn_downtime_s", down_s)
+        check_positive_finite("churn_uptime_s", up_s)
+        check_positive_finite("churn_downtime_s", down_s)
         self._up_s = up_s
         self._down_s = down_s
 
@@ -290,8 +290,8 @@ class CellCorrelated(AvailabilityProcess):
         down_s: float,
         num_cells: int,
     ) -> None:
-        check_positive("churn_uptime_s", up_s)
-        check_positive("churn_downtime_s", down_s)
+        check_positive_finite("churn_uptime_s", up_s)
+        check_positive_finite("churn_downtime_s", down_s)
         check_positive("num_cells", num_cells)
         num_cells = min(num_cells, num_clients)
         self.num_cells = num_cells
@@ -356,7 +356,12 @@ class TraceReplay(AvailabilityProcess):
                         f"{path}:{lineno}: availability row for client {client} "
                         f"outside fleet of {num_clients}"
                     )
-                toggles = [float(x) for x in row["toggles"]]
+                try:
+                    toggles = [float(x) for x in row["toggles"]]
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: toggles must be numbers ({exc})")
+                if not all(math.isfinite(x) for x in toggles):
+                    raise ValueError(f"{path}:{lineno}: toggles must be finite")
                 if any(b <= a for a, b in zip(toggles, toggles[1:])):
                     raise ValueError(
                         f"{path}:{lineno}: toggles must be strictly increasing"

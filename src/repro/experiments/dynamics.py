@@ -49,7 +49,12 @@ from repro.experiments.availability import (
     make_availability_process,
     parse_availability,
 )
-from repro.utils.validation import check_in_choices, check_non_negative, check_positive
+from repro.utils.validation import (
+    check_in_choices,
+    check_non_negative,
+    check_positive,
+    check_positive_finite,
+)
 
 __all__ = ["FAILURE_MODELS", "DynamicsConfig", "RoundConditions", "ClientDynamics"]
 
@@ -90,8 +95,11 @@ class DynamicsConfig:
         negative) churn window smuggled in after construction would make
         ``rng.exponential(0)`` emit zero-length windows — the availability
         trace then never advances past ``t`` and
-        :meth:`ClientDynamics.available_at` loops forever.  Degenerate
-        windows must fail loudly, wherever they come from.
+        :meth:`ClientDynamics.available_at` loops forever.  An infinite
+        window is no better: an infinite down-window sends the all-down
+        wait to ``t = inf``, where the trace again never advances, and an
+        infinite up-window silently turns churn off.  Degenerate windows
+        must fail loudly, wherever they come from.
         """
         if not 0.0 < self.participation <= 1.0:
             raise ValueError(
@@ -100,8 +108,8 @@ class DynamicsConfig:
         if (self.churn_uptime_s is None) != (self.churn_downtime_s is None):
             raise ValueError("churn uptime and downtime must be given together")
         if self.churn_uptime_s is not None:
-            check_positive("churn_uptime_s", self.churn_uptime_s)
-            check_positive("churn_downtime_s", self.churn_downtime_s)
+            check_positive_finite("churn_uptime_s", self.churn_uptime_s)
+            check_positive_finite("churn_downtime_s", self.churn_downtime_s)
         if not 0.0 <= self.straggler_rate <= 1.0:
             raise ValueError(
                 f"straggler_rate must be in [0, 1], got {self.straggler_rate}"

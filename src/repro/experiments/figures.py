@@ -37,9 +37,6 @@ class Fig2aResult:
     gsfl_over_fl_speedup: float | None
     table: str
 
-    def scheme_final_accuracy(self, name: str) -> float:
-        return self.histories[name].final_accuracy
-
 
 @dataclass
 class Fig2bResult:

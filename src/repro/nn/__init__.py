@@ -1,33 +1,24 @@
 """``repro.nn`` — a from-scratch numpy deep-learning framework.
 
-Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), standard layers
-(dense, conv, pooling, batch norm, dropout), losses, optimizers, weight
+Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), the layers the
+reproduction's models are built from (dense, ReLU, conv, pooling, batch
+norm, dropout), losses, the SGD and Adam optimizers, weight
 initialization, model profiling (shapes/FLOPs/payload bytes), parameter
-serialization, and the split-model machinery used by split learning.
+serialization, wire quantization, and the split-model machinery used by
+split learning.
 
 It exists because the reproduction sandbox has no PyTorch; the public
 surface intentionally mirrors familiar ``torch.nn`` idioms.
 """
 
 from repro.nn import functional
-from repro.nn.checkpoint import clip_grad_norm, grad_norm, load_checkpoint, save_checkpoint
 from repro.nn.dtype import default_dtype, get_default_dtype, set_default_dtype
 from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d
-from repro.nn.extra_layers import GELU, GlobalAvgPool2d, LayerNorm, LeakyReLU, Softmax
-from repro.nn.layers import (
-    Dropout,
-    Flatten,
-    Identity,
-    Layer,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import Dropout, Flatten, Identity, Layer, Linear, ReLU
 from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss, accuracy_from_logits
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.optim import SGD, Adam, ConstantLR, CosineAnnealingLR, Optimizer, StepLR
+from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.profile import LayerProfile, ModelProfile, profile_model
 from repro.nn.quantize import QuantizedArray, dequantize, quantize_uniform, simulate_wire
 from repro.nn.serialize import (
@@ -63,8 +54,6 @@ __all__ = [
     "Layer",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Flatten",
     "Identity",
     "Dropout",
@@ -73,15 +62,6 @@ __all__ = [
     "AvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
-    "LeakyReLU",
-    "GELU",
-    "Softmax",
-    "LayerNorm",
-    "GlobalAvgPool2d",
-    "save_checkpoint",
-    "load_checkpoint",
-    "clip_grad_norm",
-    "grad_norm",
     "QuantizedArray",
     "quantize_uniform",
     "dequantize",
@@ -93,9 +73,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "StepLR",
-    "CosineAnnealingLR",
-    "ConstantLR",
     "LayerProfile",
     "ModelProfile",
     "profile_model",

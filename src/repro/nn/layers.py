@@ -1,4 +1,4 @@
-"""Dense and utility layers: Linear, activations, Flatten, Dropout.
+"""Dense and utility layers: Linear, ReLU, Flatten, Dropout, Identity.
 
 Every layer implements :meth:`output_shape` (shape inference given an input
 shape, batch dim excluded) and :meth:`flops` (multiply-accumulate cost per
@@ -17,7 +17,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
-__all__ = ["Linear", "ReLU", "Sigmoid", "Tanh", "Flatten", "Dropout", "Identity"]
+__all__ = ["Linear", "ReLU", "Flatten", "Dropout", "Identity"]
 
 
 class Layer(Module):
@@ -84,38 +84,6 @@ class ReLU(Layer):
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Sigmoid(Layer):
-    """Logistic activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        return 4 * int(np.prod(input_shape))
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        return 4 * int(np.prod(input_shape))
-
-    def __repr__(self) -> str:
-        return "Tanh()"
 
 
 class Flatten(Layer):

@@ -1,4 +1,4 @@
-"""First-order optimizers and learning-rate schedules.
+"""First-order optimizers.
 
 The paper trains both model halves with SGD (§II-B-2: "The update of the
 server-side model parameters can be accomplished through methods such as
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineAnnealingLR", "ConstantLR"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -172,50 +172,3 @@ class Adam(Optimizer):
                 self._m[id(p)] = np.array(entry["m"], copy=True)
                 self._v[id(p)] = np.array(entry["v"], copy=True)
                 self._t = int(entry["t"])
-
-
-class ConstantLR:
-    """Schedule that leaves the learning rate unchanged."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-
-    def step(self) -> None:
-        """No-op; present for interface uniformity."""
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch, decaying the LR at each boundary."""
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-class CosineAnnealingLR:
-    """Cosine decay from the initial LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch along the cosine curve."""
-        self._epoch = min(self._epoch + 1, self.t_max)
-        cos = (1 + np.cos(np.pi * self._epoch / self.t_max)) / 2
-        self.optimizer.lr = self.eta_min + (self._base_lr - self.eta_min) * cos

@@ -39,15 +39,6 @@ class LayerProfile:
     def backward_flops(self) -> int:
         return int(BACKWARD_FLOP_FACTOR * self.forward_flops)
 
-    @property
-    def param_bytes(self) -> int:
-        return self.num_params * WIRE_BYTES_PER_SCALAR
-
-    @property
-    def output_scalars(self) -> int:
-        """Per-sample scalar count of the layer output."""
-        return int(np.prod(self.output_shape))
-
 
 @dataclass
 class ModelProfile:

@@ -431,14 +431,6 @@ class Scheme:
             return []
         return list(self._aggregation_server.updates)
 
-    @property
-    def aggregation_aborts(self) -> "list":
-        """Aborted/partial unit-round contributions of a barrier-free run
-        (:class:`~repro.sim.server.AbortRecord`; empty for sync)."""
-        if self._aggregation_server is None:
-            return []
-        return list(self._aggregation_server.aborted)
-
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------

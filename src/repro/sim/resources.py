@@ -33,19 +33,9 @@ kernel only calls ``policy.allocate``).
 Fleet-scale kernels
 -------------------
 
-The link picks one of three internal engines from the policy's
+The link picks one of two internal engines from the policy's
 :attr:`~SharePolicy.incremental_kind` (``incremental=False`` pins the
 dense reference used by the equivalence suite):
-
-``"uniform"`` (:class:`EqualShare`, flows without ``rate_fn``)
-    Classic processor-sharing virtual time: one cumulative per-flow
-    service counter, a min-heap of flows keyed by the service credit at
-    which each completes, and a *single* scheduled completion — the
-    link's earliest — re-armed per membership change.  O(log n) per
-    event instead of O(n), and O(1) heap churn instead of one push per
-    flow per reallocation.  Completion *order* matches the dense engine
-    exactly; times agree to float round-off (the dense engine charges
-    service by chained per-epoch subtraction, this one by a running sum).
 
 ``"static"`` (:class:`NominalShare` while under capacity)
     Allocations are membership-independent, so an arrival prices and
@@ -56,7 +46,8 @@ dense reference used by the equivalence suite):
     (settling every flow lazily first); the link re-arms the fast mode
     whenever it drains idle.
 
-``"dense"`` (everything else, e.g. allocator-backed contended policies)
+``"dense"`` (everything else: :class:`EqualShare`, allocator-backed
+contended policies)
     Full recomputation: settle every flow, re-run
     :meth:`SharePolicy.allocate` over the active set, re-price the flows
     whose rate changed.  A re-priced flow keeps a finish instant and the
@@ -77,10 +68,8 @@ dense reference used by the equivalence suite):
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence
 
 from repro.sim.engine import Environment
@@ -164,9 +153,7 @@ class _Flow:
     #: priced, and while starved) and the queue ticket drawn with it
     finish_at: float | None = None
     arm_seq: int = 0
-    #: uniform engine: cumulative-service credit at which this flow completes
-    key: float = 0.0
-    #: False once finished or aborted (lazy deletion from the service heap)
+    #: False once finished or aborted
     alive: bool = True
 
 
@@ -174,11 +161,10 @@ class SharePolicy:
     """Divides a link's capacity among the flows currently in flight."""
 
     name = "base"
-    #: which link engine the policy admits: ``"uniform"`` (every active
-    #: flow gets ``capacity / n`` — the link may run processor-sharing
-    #: virtual time), ``"static"`` (allocations fixed at admission while
-    #: feasible — the link prices each flow once), or ``"dense"`` (full
-    #: recomputation on every membership change)
+    #: which link engine the policy admits: ``"static"`` (allocations
+    #: fixed at admission while feasible — the link prices each flow
+    #: once) or ``"dense"`` (full recomputation on every membership
+    #: change)
     incremental_kind = "dense"
 
     def allocate(self, flows: Sequence[_Flow], capacity: float) -> list[float]:
@@ -208,7 +194,6 @@ class EqualShare(SharePolicy):
     """Egalitarian processor sharing: ``capacity / n_active`` each."""
 
     name = "equal"
-    incremental_kind = "uniform"
 
     def allocate(self, flows: Sequence[_Flow], capacity: float) -> list[float]:
         if not flows:
@@ -280,6 +265,8 @@ class FairShareLink:
     :class:`EqualShare` policy and no ``rate_fn``, a single flow reduces
     to ``bits / capacity`` exactly.
 
+    The link runs the ``"static"`` engine for :class:`NominalShare` while
+    it is under capacity and the ``"dense"`` engine otherwise.
     ``incremental=False`` pins the dense reference engine regardless of
     policy — the semantic oracle the equivalence suite replays arbitrary
     schedules against.
@@ -302,14 +289,6 @@ class FairShareLink:
         self._mode = self._fast_mode() if incremental else "dense"
         # static engine: policy-owned feasibility load (sum of nominals)
         self._load = 0.0
-        # uniform engine: processor-sharing virtual service state
-        self._service = 0.0  # cumulative per-flow service (bits)
-        self._service_at = 0.0  # clock instant _service was advanced to
-        self._share_bps = 0.0  # current per-flow rate (capacity / n)
-        self._heap: list[tuple[float, int, _Flow]] = []
-        self._heap_live = 0
-        self._seq = itertools.count()
-        self._head_event: Event | None = None
 
     def _fast_mode(self) -> str:
         return getattr(self.policy, "incremental_kind", "dense")
@@ -342,13 +321,6 @@ class FairShareLink:
             rate_fn=rate_fn,
             nominal=nominal,
         )
-        if self._mode == "uniform":
-            if rate_fn is None:
-                self._uniform_add(flow)
-                return flow.done
-            # Per-flow bitrates break the shared-rate collapse: hand the
-            # whole link to the dense engine from this instant on.
-            self._demote_uniform()
         if self._mode == "static":
             admitted = self.policy.update(
                 (flow,), (), self.capacity_bps, self._load
@@ -378,15 +350,6 @@ class FairShareLink:
         flow = self._flows.get(done)
         if flow is None:
             return None
-        if self._mode == "uniform":
-            self._uniform_advance()
-            flow.alive = False
-            del self._flows[done]
-            self._heap_live -= 1
-            remaining = flow.key - self._service
-            flow.remaining_bits = remaining if remaining > 0.0 else 0.0
-            self._uniform_rearm()
-            return flow.remaining_bits
         static = self._mode == "static"
         if static:
             self._lazy_settle(flow)
@@ -408,74 +371,6 @@ class FairShareLink:
     @property
     def active_flows(self) -> int:
         return len(self._flows)
-
-    # ------------------------------------------------------------------
-    # uniform engine (processor-sharing virtual time)
-    # ------------------------------------------------------------------
-    def _uniform_advance(self) -> None:
-        """Accrue per-flow service at the rate held since the last change."""
-        now = self.env.now
-        if self._flows and now > self._service_at:
-            self._service += (now - self._service_at) * self._share_bps
-        self._service_at = now
-
-    def _uniform_add(self, flow: _Flow) -> None:
-        self._uniform_advance()
-        flow.key = self._service + flow.remaining_bits
-        heappush(self._heap, (flow.key, next(self._seq), flow))
-        self._heap_live += 1
-        self._flows[flow.done] = flow
-        self._uniform_rearm()
-
-    def _skim_heap(self) -> None:
-        """Drop dead flows from the heap head; compact when they dominate."""
-        heap = self._heap
-        while heap and not heap[0][2].alive:
-            heappop(heap)
-        if len(heap) > 64 and self._heap_live * 2 < len(heap):
-            self._heap = [entry for entry in heap if entry[2].alive]
-            heapify(self._heap)
-
-    def _uniform_rearm(self) -> None:
-        """Re-schedule the link's earliest completion (the only live one)."""
-        if self._head_event is not None:
-            self.env.cancel(self._head_event)
-            self._head_event = None
-        self._skim_heap()
-        if not self._flows:
-            self._reset_idle()
-            return
-        self._share_bps = self.capacity_bps / len(self._flows)
-        key, _, flow = self._heap[0]
-        eta = (key - self._service) / self._share_bps
-        if eta < 0.0:
-            eta = 0.0
-        completion = Event(self.env)
-        self._head_event = completion
-        self.env._schedule(self.env.now + eta, completion, None)
-        completion.add_callback(self._make_uniform_finisher(flow, completion))
-
-    def _make_uniform_finisher(
-        self, flow: _Flow, completion: Event
-    ) -> Callable[[Event], None]:
-        def _finish(_: Event) -> None:
-            # Superseded head (membership changed since arming): ignore.
-            if completion is not self._head_event or not flow.alive:
-                return
-            self._head_event = None
-            self._uniform_advance()
-            # The armed completion is authoritative: no membership change
-            # occurred since it was scheduled, so the head flow is done
-            # now regardless of float residue in its service credit.
-            heappop(self._heap)
-            self._heap_live -= 1
-            flow.alive = False
-            flow.remaining_bits = 0.0
-            del self._flows[flow.done]
-            self._uniform_rearm()
-            flow.done.succeed()
-
-        return _finish
 
     # ------------------------------------------------------------------
     # static engine (membership-independent allocations)
@@ -533,22 +428,6 @@ class FairShareLink:
     # ------------------------------------------------------------------
     # engine demotion / idle reset
     # ------------------------------------------------------------------
-    def _demote_uniform(self) -> None:
-        """Materialize uniform-engine state into dense per-flow fields."""
-        self._uniform_advance()
-        if self._head_event is not None:
-            self.env.cancel(self._head_event)
-            self._head_event = None
-        now = self.env.now
-        for flow in self._flows.values():
-            remaining = flow.key - self._service
-            flow.remaining_bits = remaining if remaining > 0.0 else 0.0
-            flow.last_update = now
-            flow.bps = self._share_bps
-        self._heap.clear()
-        self._heap_live = 0
-        self._mode = "dense"
-
     def _demote_static(self) -> None:
         """Settle every flow lazily; dense rescaling takes over.
 
@@ -563,16 +442,8 @@ class FairShareLink:
         self._mode = "dense"
 
     def _reset_idle(self) -> None:
-        """Drained links zero their accumulators and re-arm the fast mode."""
+        """Drained links zero their load and re-arm the fast mode."""
         self._load = 0.0
-        self._service = 0.0
-        self._service_at = self.env.now
-        self._share_bps = 0.0
-        self._heap.clear()
-        self._heap_live = 0
-        if self._head_event is not None:
-            self.env.cancel(self._head_event)
-            self._head_event = None
         if self.incremental:
             self._mode = self._fast_mode()
 

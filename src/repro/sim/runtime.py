@@ -50,7 +50,6 @@ from repro.sim.resources import FairShareLink, NominalShare, Resource, SharePoli
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (layering)
-    from repro.schemes.base import Stage
     from repro.sim.events import Event
     from repro.sim.failures import FailureInjector
 
@@ -500,28 +499,6 @@ class Runtime:
                 if clients and not clients & dead:
                     return "reroute", j
         return "surrender", index
-
-    def execute_round(
-        self,
-        stages: "list[Stage]",
-        recorder: TraceRecorder | None,
-        round_index: int,
-        compute_slowdown: dict[int, float] | None = None,
-        recovery: TrackRecovery | None = None,
-    ) -> float:
-        """Run a round's stages to completion; returns the round duration.
-
-        Barrier semantics (one process per track, an all-of barrier
-        between stages) are owned by the degenerate
-        :class:`~repro.sim.server.SyncBarrier` staleness policy — this
-        wrapper exists for standalone replay (tests, benchmarks); the
-        scheme driver calls its configured policy directly.
-        """
-        from repro.sim.server import SyncBarrier  # local: avoids layering cycle
-
-        return SyncBarrier().resolve_round(
-            self, stages, recorder, round_index, compute_slowdown, recovery
-        )
 
     # ------------------------------------------------------------------
     # demand resolution

@@ -93,9 +93,10 @@ class SyncBarrier(StalenessPolicy):
 
     Every unit waits for every other unit each round (``max_lag = 0``)
     and the server aggregates the full cohort at once — plain FedAvg.
-    This class also *owns* the barriered stage replay that used to live
-    inside :meth:`Runtime.execute_round`: stages run one after another,
-    the parallel tracks of a stage joined by an ``all_of`` barrier.
+    This class also *owns* the barriered stage replay: stages run one
+    after another, the parallel tracks of a stage joined by an
+    ``all_of`` barrier.  Standalone replays (tests, benchmarks) call
+    ``SyncBarrier().resolve_round(runtime, ...)`` directly.
     """
 
     name = "sync"

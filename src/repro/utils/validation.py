@@ -7,11 +7,13 @@ rather than as shape errors deep inside a simulation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection
 from typing import Any
 
 __all__ = [
     "check_positive",
+    "check_positive_finite",
     "check_non_negative",
     "check_probability",
     "check_in_choices",
@@ -22,6 +24,16 @@ def check_positive(name: str, value: float) -> float:
     """Raise ``ValueError`` unless ``value > 0``; return the value."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def check_positive_finite(name: str, value: float) -> float:
+    """Raise ``ValueError`` unless ``0 < value < inf``; return the value.
+
+    NaN is rejected too: every comparison with it is false.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
     return value
 
 

@@ -261,6 +261,25 @@ class TestTraceReplay:
         with pytest.raises(ValueError, match="positive"):
             TraceReplay(path, 1)
 
+    @pytest.mark.parametrize("toggles", ["[1.0, NaN]", "[1.0, Infinity]", "[NaN]"])
+    def test_non_finite_toggle_rejected_with_location(self, tmp_path, toggles):
+        """``json`` parses ``NaN`` / ``Infinity``; neither is a toggle time."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"type": "meta"}\n'
+            f'{{"type": "availability", "client": 0, "toggles": {toggles}}}\n'
+        )
+        with pytest.raises(ValueError, match=r"trace\.jsonl:2: toggles must be finite"):
+            TraceReplay(str(path), 1)
+
+    @pytest.mark.parametrize("toggles", [[1.0, "soon"], [None], 3.0])
+    def test_non_numeric_toggle_rejected_with_location(self, tmp_path, toggles):
+        path = self._write(tmp_path, [
+            {"type": "availability", "client": 0, "toggles": toggles},
+        ])
+        with pytest.raises(ValueError, match=r"trace\.jsonl:1: toggles must be numbers"):
+            TraceReplay(path, 1)
+
     def test_missing_file_rejected(self):
         with pytest.raises(ValueError, match="cannot read"):
             TraceReplay("/nonexistent/trace.jsonl", 1)

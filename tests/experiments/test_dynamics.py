@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.availability import ExponentialRenewal
 from repro.experiments.dynamics import ClientDynamics, DynamicsConfig
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
@@ -42,6 +43,23 @@ class TestDynamicsConfig:
         must fail at construction, not hang at query time."""
         with pytest.raises(ValueError, match="must be > 0"):
             DynamicsConfig(churn_uptime_s=uptime, churn_downtime_s=downtime)
+
+    @pytest.mark.parametrize(
+        "uptime,downtime,field",
+        [
+            (float("inf"), 5.0, "churn_uptime_s"),
+            (5.0, float("inf"), "churn_downtime_s"),
+            (float("nan"), 5.0, "churn_uptime_s"),
+        ],
+    )
+    def test_non_finite_churn_windows_rejected(self, uptime, downtime, field):
+        """An infinite down-window sent the all-down wait to ``t = inf``
+        and the availability trace then grew forever; an infinite
+        up-window silently ran without churn."""
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            DynamicsConfig(churn_uptime_s=uptime, churn_downtime_s=downtime)
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            ExponentialRenewal(3, np.random.SeedSequence(0), uptime, downtime)
 
     def test_mutated_degenerate_windows_rejected_by_client_dynamics(self):
         """The config dataclass is mutable; ClientDynamics re-validates so

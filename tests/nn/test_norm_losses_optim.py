@@ -1,4 +1,4 @@
-"""Batch norm, loss functions, optimizers and LR schedules."""
+"""Batch norm, loss functions and optimizers."""
 
 from __future__ import annotations
 
@@ -250,37 +250,3 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             nn.SGD([nn.Parameter(np.ones(1))], lr=0.1, nesterov=True)
 
-
-class TestSchedules:
-    def _opt(self, lr=1.0):
-        return nn.SGD([nn.Parameter(np.ones(1))], lr=lr)
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = nn.StepLR(opt, step_size=2, gamma=0.5)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == [1.0, 0.5, 0.5, 0.25]
-
-    def test_cosine_annealing_endpoints(self):
-        opt = self._opt()
-        sched = nn.CosineAnnealingLR(opt, t_max=10, eta_min=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = self._opt()
-        sched = nn.CosineAnnealingLR(opt, t_max=8)
-        prev = opt.lr
-        for _ in range(8):
-            sched.step()
-            assert opt.lr <= prev + 1e-12
-            prev = opt.lr
-
-    def test_constant_lr(self):
-        opt = self._opt(0.3)
-        nn.ConstantLR(opt).step()
-        assert opt.lr == 0.3

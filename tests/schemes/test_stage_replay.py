@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.schemes.base import Activity, Stage
 from repro.sim.runtime import Runtime
+from repro.sim.server import SyncBarrier
 from repro.sim.trace import TraceRecorder
 
 
@@ -43,7 +44,7 @@ class TestReplay:
         rec = TraceRecorder()
         stage = Stage("s")
         stage.extend("t", [act(1.0), act(2.0), act(0.5)])
-        total = Runtime().execute_round([stage], rec, round_index=0)
+        total = SyncBarrier().resolve_round(Runtime(), [stage], rec, round_index=0)
         assert total == pytest.approx(3.5)
         assert len(rec) == 3
 
@@ -51,7 +52,7 @@ class TestReplay:
         stage = Stage("s")
         stage.extend("t1", [act(5.0)])
         stage.extend("t2", [act(3.0)])
-        total = Runtime().execute_round([stage], None, 0)
+        total = SyncBarrier().resolve_round(Runtime(), [stage], None, 0)
         assert total == pytest.approx(5.0)
 
     def test_stages_are_barriers(self):
@@ -61,7 +62,7 @@ class TestReplay:
         s2 = Stage("agg")
         s2.extend("server", [act(2.0, phase="aggregation", actor="edge-server")])
         rec = TraceRecorder()
-        total = Runtime().execute_round([s1, s2], rec, 0)
+        total = SyncBarrier().resolve_round(Runtime(), [s1, s2], rec, 0)
         assert total == pytest.approx(7.0)
         agg = rec.filter(phases=["aggregation"])[0]
         assert agg.start == pytest.approx(5.0)  # waits for slow track
@@ -73,10 +74,10 @@ class TestReplay:
         rec = TraceRecorder()
         stage = Stage("s")
         stage.extend("t", [act(2.0)])
-        d0 = runtime.execute_round([stage], rec, round_index=0)
+        d0 = SyncBarrier().resolve_round(runtime, [stage], rec, round_index=0)
         stage2 = Stage("s")
         stage2.extend("t", [act(3.0)])
-        d1 = runtime.execute_round([stage2], rec, round_index=1)
+        d1 = SyncBarrier().resolve_round(runtime, [stage2], rec, round_index=1)
         assert (d0, d1) == (pytest.approx(2.0), pytest.approx(3.0))
         assert runtime.now == pytest.approx(5.0)
         second = rec.events_in_round(1)[0]
@@ -87,7 +88,7 @@ class TestReplay:
         stage = Stage("s")
         stage.extend("t", [act(1.0), act(2.0), act(3.0)])
         rec = TraceRecorder()
-        Runtime().execute_round([stage], rec, 0)
+        SyncBarrier().resolve_round(Runtime(), [stage], rec, 0)
         events = sorted(rec.events, key=lambda e: e.start)
         for prev, nxt in zip(events, events[1:]):
             assert nxt.start == pytest.approx(prev.end)
@@ -95,7 +96,7 @@ class TestReplay:
     def test_zero_duration_activities_allowed(self):
         stage = Stage("s")
         stage.extend("t", [act(0.0), act(0.0)])
-        assert Runtime().execute_round([stage], None, 0) == pytest.approx(0.0)
+        assert SyncBarrier().resolve_round(Runtime(), [stage], None, 0) == pytest.approx(0.0)
 
     @given(
         st.lists(
@@ -111,7 +112,7 @@ class TestReplay:
         for i, durations in enumerate(track_durations):
             stage.extend(f"t{i}", [act(d) for d in durations])
         expected = max(sum(ds) for ds in track_durations)
-        assert Runtime().execute_round([stage], None, 0) == pytest.approx(expected)
+        assert SyncBarrier().resolve_round(Runtime(), [stage], None, 0) == pytest.approx(expected)
 
     @given(
         st.lists(
@@ -128,4 +129,4 @@ class TestReplay:
             stage.extend("t2", [act(b)])
             stages.append(stage)
         expected = sum(max(a, b) for a, b in pairs)
-        assert Runtime().execute_round(stages, None, 0) == pytest.approx(expected)
+        assert SyncBarrier().resolve_round(Runtime(), stages, None, 0) == pytest.approx(expected)

@@ -26,6 +26,7 @@ from repro.sim.server import (
     AggregationServer,
     BoundedStaleness,
     PolynomialStaleness,
+    SyncBarrier,
     UnitRoundWork,
 )
 
@@ -78,7 +79,9 @@ def replay(tracks, slowdowns=None):
             stage.add(f"track-{t}", Activity(demand, "client_compute", f"track-{t}"))
     runtime = Runtime()
     recorder = TraceRecorder()
-    total = runtime.execute_round([stage], recorder, 0, compute_slowdown=slowdowns)
+    total = SyncBarrier().resolve_round(
+        runtime, [stage], recorder, 0, compute_slowdown=slowdowns
+    )
     log = [(e.start, e.end, e.actor) for e in recorder]
     return total, log
 
@@ -112,8 +115,8 @@ class TestLowerBound:
                     f"track-{t}", Activity(demand, "client_compute", f"track-{t}")
                 )
         runtime = Runtime()
-        total = runtime.execute_round(
-            [stage], None, 0, compute_slowdown={0: factor, 2: factor}
+        total = SyncBarrier().resolve_round(
+            runtime, [stage], None, 0, compute_slowdown={0: factor, 2: factor}
         )
         assert total >= stage.duration_s * (1 - 1e-9)
 

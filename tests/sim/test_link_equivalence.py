@@ -1,25 +1,26 @@
 """Incremental-vs-dense FairShareLink equivalence suite.
 
-The fleet-scale link keeps three engines: the processor-sharing
-virtual-time fast path (:class:`EqualShare`), the static-subchannel fast
-path (:class:`NominalShare` under capacity), and the dense reference
-(full recomputation — the pre-fleet-scale algorithm, pinned via
-``incremental=False``).  These tests replay arbitrary arrival / abort /
-completion schedules through both engines and assert they resolve the
-same world:
+The fleet-scale link keeps two engines: the static-subchannel fast path
+(:class:`NominalShare` under capacity) and the dense reference (full
+recomputation — the pre-fleet-scale algorithm, pinned via
+``incremental=False``), which every other policy runs on.  These tests
+replay arbitrary arrival / abort / completion schedules through both
+configurations and assert they resolve the same world:
 
 * the same flows complete and the same flows abort;
-* per-flow completion times agree — **bitwise** on the static fast path
-  (the golden-history guarantee) and to float round-off on the
-  processor-sharing path (dense charges service by chained per-epoch
-  subtraction, the fast path by a running sum);
+* per-flow completion times agree — **bitwise** while the static fast
+  path stays under capacity and abort-free (the golden-history
+  guarantee), and to float round-off once a flow is settled mid-flight
+  (the static path charges one flow lazily, dense charges every flow at
+  each membership change);
 * abort settlements (undelivered bits) agree to the same precision;
 * completion *order* matches whenever completions are not
   float-round-off ties;
-* allocator-backed contended policies take the dense engine in both
-  configurations, so here their runs are identical by construction —
-  the dense engine itself is held to an independent reference (the
-  frozen per-flow-arming algorithm) in ``test_dense_link_oracle.py``.
+* :class:`EqualShare` and allocator-backed contended policies take the
+  dense engine in both configurations, so their runs are identical by
+  construction — the dense engine itself is held to an independent
+  reference (the frozen per-flow-arming algorithm) in
+  ``test_dense_link_oracle.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import EqualShare, FairShareLink, NominalShare
+from repro.sim.resources import FairShareLink, NominalShare
 
 CAPACITY = 40.0
 
@@ -139,42 +140,6 @@ def assert_equivalent(fast, dense, exact=False):
             assert f_order == d_order
 
 
-class TestEqualShareEquivalence:
-    """Processor-sharing virtual time vs dense recomputation."""
-
-    @given(specs=FLOW_SPECS)
-    @settings(max_examples=60, deadline=None)
-    def test_arbitrary_schedules(self, specs):
-        fast = run_schedule(EqualShare, True, specs)
-        dense = run_schedule(EqualShare, False, specs)
-        assert_equivalent(fast, dense)
-
-    @given(specs=FLOW_SPECS, scales=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_rate_fn_flows_demote_consistently(self, specs, scales):
-        """A ``rate_fn`` flow drops the whole link to the dense engine;
-        results must still agree with the always-dense reference."""
-        rate_scales = [
-            scales.draw(
-                st.one_of(st.none(), st.floats(min_value=0.5, max_value=3.0))
-            )
-            for _ in specs
-        ]
-        fast = run_schedule(EqualShare, True, specs, rate_scales=rate_scales)
-        dense = run_schedule(EqualShare, False, specs, rate_scales=rate_scales)
-        assert_equivalent(fast, dense)
-
-    def test_fast_mode_rearms_after_drain(self):
-        env = Environment()
-        link = FairShareLink(env, 10.0)
-        assert link._mode == "uniform"
-        done = link.transfer(10.0, rate_fn=lambda hz: hz)
-        assert link._mode == "dense"
-        env.run(until=done)
-        env.run()
-        assert link._mode == "uniform"  # drained idle: fast path re-armed
-
-
 class TestNominalShareEquivalence:
     """Static subchannels: the golden-history bitwise path."""
 
@@ -278,6 +243,20 @@ class TestNominalShareEquivalence:
         assert_equivalent(fast, dense)
         assert fast[1] and dense[1]  # the abort actually happened
 
+    def test_fast_mode_rearms_after_drain(self):
+        env = Environment()
+        link = FairShareLink(env, 10.0, policy=NominalShare())
+        assert link._mode == "static"
+        link.transfer(10.0, nominal=6.0)
+        assert link._mode == "static"
+        link.transfer(10.0, nominal=6.0)  # 12 > 10: oversubscribed
+        assert link._mode == "dense"
+        env.run()
+        assert link.active_flows == 0
+        assert link._mode == "static"  # drained idle: fast path re-armed
+        link.transfer(10.0, nominal=6.0)
+        assert link._mode == "static"
+
 
 class TestContendedPolicyEquivalence:
     """Allocator-backed policies keep the dense engine in both configs."""
@@ -321,11 +300,11 @@ class TestStaleEventHygiene:
 
     def test_pending_counts_live_entries_only(self):
         env = Environment()
-        link = FairShareLink(env, 100.0)  # EqualShare fast path
+        link = FairShareLink(env, 100.0)  # EqualShare: the dense engine
         for _ in range(50):
             link.transfer(100.0)
-        # One armed head completion + nothing else: 50 dense-era entries
-        # would have been pushed here (one per flow per reallocation).
+        # One armed head completion + nothing else: arming every flow
+        # would have pushed 50 entries here (one per flow per reallocation).
         assert env.pending == 1
         env.run()
         assert env.pending == 0

@@ -15,6 +15,7 @@ from repro.sim.runtime import (
     TransmitDemand,
     TransmitLeg,
 )
+from repro.sim.server import SyncBarrier
 from repro.sim.trace import TraceRecorder
 
 
@@ -81,7 +82,7 @@ class TestRuntimeStatic:
         stage = _one_stage(
             [Activity(ComputeDemand(1e9, 2.5e8, client=0), "client_compute", "client-0")]
         )
-        assert runtime.execute_round([stage], None, 0) == pytest.approx(4.0)
+        assert SyncBarrier().resolve_round(runtime, [stage], None, 0) == pytest.approx(4.0)
 
     def test_transmit_resolved_at_nominal_share(self):
         runtime = Runtime(total_bandwidth_hz=100.0)
@@ -90,7 +91,7 @@ class TestRuntimeStatic:
         )
         stage = _one_stage([Activity(demand, "uplink_smashed", "client-0")])
         # 300 bits at the nominal 30 bps — not at the full 100 bps.
-        assert runtime.execute_round([stage], None, 0) == pytest.approx(10.0)
+        assert SyncBarrier().resolve_round(runtime, [stage], None, 0) == pytest.approx(10.0)
 
     def test_concurrent_nominal_flows_do_not_interact(self):
         """Static subchannels: a lone transmitter gains nothing from the
@@ -101,29 +102,32 @@ class TestRuntimeStatic:
         stage = Stage("s")
         stage.add("a", Activity(fast, "uplink_smashed", "client-0"))
         stage.add("b", Activity(slow, "uplink_smashed", "client-1"))
-        assert runtime.execute_round([stage], None, 0) == pytest.approx(10.0)
+        assert SyncBarrier().resolve_round(runtime, [stage], None, 0) == pytest.approx(10.0)
 
     def test_straggler_multiplier_applies_to_client_compute_only(self):
         runtime = Runtime()
         stage = Stage("s")
         stage.add("c", Activity(ComputeDemand(100.0, 100.0, client=2), "client_compute", "client-2"))
         stage.add("s", Activity(ComputeDemand(100.0, 100.0, client=None), "server_compute", "edge-server"))
-        total = runtime.execute_round([stage], None, 0, compute_slowdown={2: 4.0})
+        total = SyncBarrier().resolve_round(
+            runtime, [stage], None, 0, compute_slowdown={2: 4.0}
+        )
         assert total == pytest.approx(4.0)  # client 1 s -> 4 s; server stays 1 s
 
     def test_clock_persists_across_rounds(self):
         runtime = Runtime()
         stage = _one_stage([Activity(1.5, "wait", "a")])
-        runtime.execute_round([stage], None, 0)
+        SyncBarrier().resolve_round(runtime, [stage], None, 0)
         stage2 = _one_stage([Activity(2.0, "wait", "a")])
-        runtime.execute_round([stage2], None, 1)
+        SyncBarrier().resolve_round(runtime, [stage2], None, 1)
         assert runtime.now == pytest.approx(3.5)
 
     def test_trace_records_absolute_times(self):
         runtime = Runtime()
         rec = TraceRecorder()
-        runtime.execute_round([_one_stage([Activity(1.0, "wait", "a")])], rec, 0)
-        runtime.execute_round([_one_stage([Activity(1.0, "wait", "a")])], rec, 1)
+        barrier = SyncBarrier()
+        barrier.resolve_round(runtime, [_one_stage([Activity(1.0, "wait", "a")])], rec, 0)
+        barrier.resolve_round(runtime, [_one_stage([Activity(1.0, "wait", "a")])], rec, 1)
         assert rec.events[1].start == pytest.approx(1.0)
         assert rec.events[1].end == pytest.approx(2.0)
 
@@ -145,7 +149,7 @@ class TestRuntimeContended:
         stage.add("a", Activity(short, "uplink_smashed", "client-0"))
         stage.add("b", Activity(long, "uplink_smashed", "client-1"))
         rec = TraceRecorder()
-        total = runtime.execute_round([stage], rec, 0)
+        total = SyncBarrier().resolve_round(runtime, [stage], rec, 0)
         # both at 5 bps until t=5 (short done); long then at 10 bps for
         # its remaining 75 bits -> 5 + 7.5 = 12.5
         assert total == pytest.approx(12.5)
@@ -157,7 +161,7 @@ class TestRuntimeContended:
         runtime = Runtime(total_bandwidth_hz=10.0, share_policy=EqualShare())
         demand = TransmitDemand(legs=(identity_leg(100.0, 0),), nominal_hz=5.0, total_hz=10.0)
         stage = _one_stage([Activity(demand, "uplink_smashed", "client-0")])
-        total = runtime.execute_round([stage], None, 0)
+        total = SyncBarrier().resolve_round(runtime, [stage], None, 0)
         # lone flow gets the whole medium: resolves at the lower bound,
         # faster than nominal
         assert total == pytest.approx(demand.lower_bound_s)

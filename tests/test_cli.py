@@ -158,6 +158,19 @@ class TestCommands:
         assert code == 2
         assert "churn_downtime_s must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/trace.jsonl", "."])
+    def test_unwritable_trace_out_exits_2_before_training(self, tmp_path, target, capsys):
+        """The trace is written after the last round: a path it cannot be
+        written to used to cost the whole run and end in a traceback."""
+        code = main(
+            ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
+             "--trace-out", str(tmp_path / target)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--trace-out" in captured.err
+        assert "latency_s" not in captured.out  # no round table: nothing trained
+
     def test_negative_max_retries_is_a_clean_config_error(self, capsys):
         code = main(
             ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
@@ -253,13 +266,16 @@ class TestCommands:
             ("--heterogeneity inf", "heterogeneity must be finite, got inf"),
             ("--heterogeneity 1e308",
              "it must leave every client a finite, positive speed"),
+            ("--churn-uptime inf --churn-downtime 5",
+             "churn_uptime_s must be > 0 and finite, got inf"),
         ],
     )
     def test_non_finite_dynamics_and_fleet_values_exit_2(self, argv, needle, capsys):
         """A NaN or infinite straggler slowdown ran to a "total latency
         nans" / "infs" line with exit 0, and an infinite heterogeneity
         (or one whose draw under- or overflows a client's speed) exited 2
-        naming ``flops_per_second`` instead of the flag's field."""
+        naming ``flops_per_second`` instead of the flag's field.  An
+        infinite churn up-window ran without churn, exit 0."""
         code = main(["run", "--scale", "fast", "--rounds", "1", "--scheme", "GSFL",
                      *argv.split()])
         assert code == 2

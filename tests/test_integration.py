@@ -3,33 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import nn
 from repro.core.aggregation import fedavg
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
-from repro.metrics.evaluate import evaluate_model
 from repro.wireless.channel import ChannelConfig, WirelessChannel
-
-
-class TestTrainCheckpointReload:
-    def test_gsfl_model_survives_checkpoint_roundtrip(self, tmp_path):
-        """Train GSFL, checkpoint the aggregated model, reload into a fresh
-        architecture, and verify identical test accuracy."""
-        built = fast_scenario(with_wireless=False).build()
-        scheme = make_scheme("GSFL", built)
-        history = scheme.run(2)
-
-        path = str(tmp_path / "gsfl.npz")
-        nn.save_checkpoint(scheme.model, path)
-
-        fresh = built.scenario.make_model()
-        nn.load_checkpoint(fresh, path)
-        _, acc_fresh = evaluate_model(fresh, built.test_dataset)
-        assert acc_fresh == pytest.approx(history.final_accuracy)
 
 
 class TestAggregationSemantics:
