@@ -87,6 +87,23 @@ class TestParseAvailability:
             DynamicsConfig(availability="weibull")
 
 
+class TestRenewalWindows:
+    @pytest.mark.parametrize("spec", ["exponential", "diurnal", "cells", "handoff"])
+    @pytest.mark.parametrize(
+        "up_s, down_s, field",
+        [(math.inf, 5.0, "churn_uptime_s"), (5.0, 0.0, "churn_downtime_s")],
+    )
+    def test_every_windowed_process_rejects_a_non_finite_or_zero_window(
+        self, spec, up_s, down_s, field
+    ):
+        """An infinite window turns churn off; a zero one never lets a
+        toggle stream advance.  Each process names the field."""
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            make_availability_process(
+                spec, 4, np.random.SeedSequence(0), up_s, down_s
+            )
+
+
 class TestExponentialRenewal:
     #: first six toggles of the pre-refactor inline loop (seed 7,
     #: up 10 s / down 5 s, 3 clients), rounded to 12 decimals — pins the

@@ -20,12 +20,15 @@ configurations and assert they resolve the same world:
   dense engine in both configurations, so their runs are identical by
   construction — the dense engine itself is held to an independent
   reference (the frozen per-flow-arming algorithm) in
-  ``test_dense_link_oracle.py``.
+  ``test_dense_link_oracle.py``, and under :class:`EqualShare` to the
+  closed-form processor-sharing schedule
+  (:func:`processor_sharing_reference`) here.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -34,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import FairShareLink, NominalShare
+from repro.sim.resources import EqualShare, FairShareLink, NominalShare
 
 CAPACITY = 40.0
 
@@ -138,6 +141,96 @@ def assert_equivalent(fast, dense, exact=False):
         gaps = [b - a for a, b in zip(times, times[1:])]
         if all(g > 1e-6 for g in gaps):
             assert f_order == d_order
+
+
+def processor_sharing_reference(specs, capacity=CAPACITY, rate_scales=None):
+    """Closed-form egalitarian processor sharing, stepped event to event.
+
+    Shares no code with ``repro.sim.resources``: between consecutive
+    arrivals, aborts and completions every active flow is served at
+    ``scale * capacity / n`` (``scale`` 1 unless ``rate_scales`` gives
+    one).  Arrival and abort instants follow :func:`run_schedule`'s
+    grids.  Returns the same ``(completions, aborts, order)`` triple.
+    """
+    start = [q * 0.25 for q, _, _ in specs]
+    bits = [h * 0.5 for _, h, _ in specs]
+    abort_at = [
+        None if frac is None else start[i] + frac * bits[i] / CAPACITY * 1.618033988749
+        for i, (_, _, frac) in enumerate(specs)
+    ]
+    scale = [
+        1.0 if rate_scales is None or rate_scales[i] is None else rate_scales[i]
+        for i in range(len(specs))
+    ]
+    arrivals = sorted(range(len(specs)), key=lambda i: (start[i], i))
+    remaining: dict[int, float] = {}
+    completions: dict[int, float] = {}
+    aborts: dict[int, tuple[float, float]] = {}
+    order: list[int] = []
+    now = 0.0
+    while arrivals or remaining:
+        share = capacity / len(remaining) if remaining else 0.0
+        t_arrive = start[arrivals[0]] if arrivals else math.inf
+        t_finish = min(
+            (now + r / (scale[i] * share) for i, r in remaining.items()),
+            default=math.inf,
+        )
+        t_abort = min(
+            (abort_at[i] for i in remaining if abort_at[i] is not None),
+            default=math.inf,
+        )
+        t = min(t_arrive, t_finish, t_abort)
+        for i in remaining:
+            remaining[i] -= scale[i] * share * (t - now)
+        now = t
+        for i in sorted(remaining):
+            if remaining[i] <= 1e-9 * bits[i]:
+                completions[i] = now
+                order.append(i)
+                del remaining[i]
+            elif abort_at[i] == now:
+                aborts[i] = (now, remaining.pop(i))
+        while arrivals and start[arrivals[0]] <= now:
+            i = arrivals.pop(0)
+            remaining[i] = bits[i]
+    return completions, aborts, order
+
+
+class TestEqualShareEquivalence:
+    """The dense engine under :class:`EqualShare` is processor sharing."""
+
+    @given(specs=FLOW_SPECS)
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_schedules(self, specs):
+        reference = processor_sharing_reference(specs)
+        for incremental in (True, False):
+            assert_equivalent(run_schedule(EqualShare, incremental, specs), reference)
+
+    @given(specs=FLOW_SPECS, scales=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rate_fn_flows_match_the_reference(self, specs, scales):
+        """A ``rate_fn`` scales only its own flow's rate; every flow still
+        holds an equal share of the allocation."""
+        rate_scales = [
+            scales.draw(
+                st.one_of(st.none(), st.floats(min_value=0.5, max_value=3.0))
+            )
+            for _ in specs
+        ]
+        assert_equivalent(
+            run_schedule(EqualShare, True, specs, rate_scales=rate_scales),
+            processor_sharing_reference(specs, rate_scales=rate_scales),
+        )
+
+    def test_runs_on_the_dense_engine_before_and_after_a_drain(self):
+        env = Environment()
+        link = FairShareLink(env, 10.0)
+        assert isinstance(link.policy, EqualShare)
+        assert link._mode == "dense"
+        link.transfer(10.0)
+        env.run()
+        assert link.active_flows == 0
+        assert link._mode == "dense"
 
 
 class TestNominalShareEquivalence:

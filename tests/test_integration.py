@@ -3,13 +3,34 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import fedavg
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
+from repro.metrics.evaluate import evaluate_model
 from repro.wireless.channel import ChannelConfig, WirelessChannel
+
+
+class TestTrainCheckpointReload:
+    def test_gsfl_model_survives_checkpoint_roundtrip(self, tmp_path):
+        """Train GSFL, write the aggregated model's state dict to disk,
+        reload it into a fresh architecture, and verify identical test
+        accuracy."""
+        built = fast_scenario(with_wireless=False).build()
+        scheme = make_scheme("GSFL", built)
+        history = scheme.run(2)
+
+        path = tmp_path / "gsfl.npz"
+        np.savez(path, **scheme.model.state_dict())
+
+        fresh = built.scenario.make_model()
+        with np.load(path) as saved:
+            fresh.load_state_dict(dict(saved))
+        _, acc_fresh = evaluate_model(fresh, built.test_dataset)
+        assert acc_fresh == pytest.approx(history.final_accuracy)
 
 
 class TestAggregationSemantics:

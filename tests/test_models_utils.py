@@ -20,6 +20,7 @@ from repro.utils.validation import (
     check_in_choices,
     check_non_negative,
     check_positive,
+    check_positive_finite,
     check_probability,
 )
 
@@ -121,6 +122,17 @@ class TestValidation:
         assert check_positive("x", 1.5) == 1.5
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", 0)
+
+    @pytest.mark.parametrize("value", [1e-300, 5.0, 1e300])
+    def test_check_positive_finite_accepts(self, value):
+        assert check_positive_finite("x", value) == value
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_check_positive_finite_rejects(self, value):
+        with pytest.raises(ValueError, match="x must be > 0 and finite"):
+            check_positive_finite("x", value)
 
     def test_check_non_negative(self):
         assert check_non_negative("x", 0) == 0
