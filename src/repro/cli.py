@@ -523,7 +523,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print()
     print(history.summary())
     if args.trace_out:
-        _export_trace(args.trace_out, scheme, scenario_name=args.scenario or args.scale)
+        try:
+            _export_trace(args.trace_out, scheme, scenario_name=args.scenario or args.scale)
+        except OSError as exc:
+            print(f"error: cannot write --trace-out {args.trace_out}: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -12,14 +12,19 @@ upstream makes all of them stride (``tests/nn/test_layout_contract.py``
 guards it on the real models).
 
 All functions are autograd-aware: each returns one graph node (``linear``
-included: matmul and bias share a closure) with a correct backward closure.
+included: matmul and bias share a closure) whose closure keeps only what its
+backward reads.  ``linear`` keeps both operands; ``conv2d`` keeps its patch
+matrix and the weight view, not its input or output; ``max_pool2d`` keeps
+its input windows (views of an input a ReLU node holds anyway), not its
+output, whose maxima it recomputes in backward; ``avg_pool2d``, ``pad2d``
+and ``dropout`` keep no activation (``dropout`` keeps its mask).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, is_grad_enabled, unbroadcast
+from repro.nn.tensor import Node, Tensor, is_grad_enabled, unbroadcast
 
 __all__ = [
     "linear",
@@ -143,20 +148,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out_data = out_data + bias.data
 
-    def _bw(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(unbroadcast(grad @ w, a.shape), True)
-        if weight.requires_grad:
+    def _bw(grad: np.ndarray, to_x: Node | None, to_w: Node | None,
+            to_b: Node | None = None) -> None:
+        if to_x is not None:
+            to_x._accumulate(unbroadcast(grad @ w, a.shape), True)
+        if to_w is not None:
             gw = np.outer(a, grad) if a.ndim == 1 else np.swapaxes(a, -1, -2) @ grad
-            weight._accumulate(unbroadcast(gw, w.shape[::-1]).transpose(), True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(unbroadcast(grad, bias.shape))
+            to_w._accumulate(unbroadcast(gw, w.shape[::-1]).transpose(), True)
+        if to_b is not None:
+            to_b._accumulate(unbroadcast(grad, b_shape))
 
-    requires = x.requires_grad or weight.requires_grad or (
-        bias is not None and bias.requires_grad
-    )
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._from_op(out_data, requires, parents, "linear", _bw)
+    b_shape = None if bias is None else bias.shape
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out_data, inputs, "linear", _bw)
 
 
 def conv2d(
@@ -212,25 +216,27 @@ def conv2d(
         out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
     )
 
-    def _bw(grad: np.ndarray) -> None:
+    def _bw(grad: np.ndarray, to_x: Node | None, to_w: Node | None,
+            to_b: Node | None = None) -> None:
         nonlocal cols_t
         # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        if weight.requires_grad:
+        if to_w is not None:
             gw = grad_mat.T @ cols_t.T  # (C_out, C_in*kh*kw)
-            weight._accumulate(gw.reshape(weight.shape), True)
+            to_w._accumulate(gw.reshape(w_shape), True)
         # The weight gradient was the patch matrix's last reader: release
         # it before ``gcols`` (the same size) and ``col2im`` allocate.
         cols_t = None
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=0), True)
-        if x.requires_grad:
+        if to_b is not None:
+            to_b._accumulate(grad_mat.sum(axis=0), True)
+        if to_x is not None:
             gcols = grad_mat @ w_mat  # (N*oh*ow, C_in*kh*kw)
             del grad_mat
-            x._accumulate(col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding), True)
+            to_x._accumulate(col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding), True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._from_op(out_data, requires, parents, "conv2d", _bw)
+    w_shape = weight.shape
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out_data, inputs, "conv2d", _bw)
 
 
 def _pool_windows(
@@ -262,42 +268,51 @@ def _pool_grad(
     return gx, _pool_windows(gx, kernel, stride, out_h, out_w), tiles
 
 
+def _window_max(windows: list[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum of pooling windows, taken in (i, j) order."""
+    top = windows[0].copy()
+    for window in windows[1:]:
+        np.maximum(top, window, out=top)
+    return top
+
+
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling with square window.  ``stride`` defaults to ``kernel``."""
     stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
+    x_shape = x.shape
+    _, _, h, w = x_shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
 
     windows = _pool_windows(x.data, kernel, stride, out_h, out_w)
-    out_data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-    np.copyto(out_data, windows[0])
-    for window in windows[1:]:
-        np.maximum(out_data, window, out=out_data)
 
-    def _bw(grad: np.ndarray) -> None:
+    def _bw(grad: np.ndarray, to_x: Node) -> None:
         # Route each window's gradient to its first maximum in (i, j) order
         # (``argmax``'s tie rule; ReLU zeros tie all the time), written
-        # straight into that window's view of the input gradient.
-        gx, views, tiles = _pool_grad(x.shape, grad.dtype, kernel, stride, out_h, out_w)
-        unclaimed = np.ones(out_data.shape, dtype=bool)
+        # straight into that window's view of the input gradient.  The
+        # maxima are recomputed rather than kept: the output is then free
+        # to die with the next op's forward.
+        top = _window_max(windows)
+        gx, views, tiles = _pool_grad(x_shape, grad.dtype, kernel, stride, out_h, out_w)
+        unclaimed = np.ones(top.shape, dtype=bool)
         for window, view in zip(windows, views):
-            hit = window == out_data
+            hit = window == top
             hit &= unclaimed
             unclaimed ^= hit
             if tiles:
                 np.multiply(grad, hit, out=view)
             else:
                 view += grad * hit
-        x._accumulate(gx, True)
+        to_x._accumulate(gx, True)
 
-    return Tensor._from_op(out_data, x.requires_grad, (x,), "max_pool2d", _bw)
+    return Tensor._from_op(_window_max(windows), (x,), "max_pool2d", _bw)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling with square window.  ``stride`` defaults to ``kernel``."""
     stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
+    x_shape = x.shape
+    n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
 
@@ -308,17 +323,17 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         out_data += window
     out_data /= kernel * kernel
 
-    def _bw(grad: np.ndarray) -> None:
+    def _bw(grad: np.ndarray, to_x: Node) -> None:
         piece = grad / (kernel * kernel)
-        gx, views, tiles = _pool_grad(x.shape, piece.dtype, kernel, stride, out_h, out_w)
+        gx, views, tiles = _pool_grad(x_shape, piece.dtype, kernel, stride, out_h, out_w)
         for view in views:
             if tiles:
                 view[...] = piece
             else:
                 view += piece
-        x._accumulate(gx, True)
+        to_x._accumulate(gx, True)
 
-    return Tensor._from_op(out_data, x.requires_grad, (x,), "avg_pool2d", _bw)
+    return Tensor._from_op(out_data, (x,), "avg_pool2d", _bw)
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:
@@ -326,15 +341,12 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
     if padding == 0:
         return x
     pads = ((0, 0),) * (x.ndim - 2) + ((padding, padding), (padding, padding))
+    interior = (slice(None),) * (x.ndim - 2) + (slice(padding, -padding),) * 2
 
-    def _bw(grad: np.ndarray) -> None:
-        sl = (slice(None),) * (x.ndim - 2) + (
-            slice(padding, -padding),
-            slice(padding, -padding),
-        )
-        x._accumulate(grad[sl])
+    def _bw(grad: np.ndarray, to_x: Node) -> None:
+        to_x._accumulate(grad[interior])
 
-    return Tensor._from_op(np.pad(x.data, pads), x.requires_grad, (x,), "pad2d", _bw)
+    return Tensor._from_op(np.pad(x.data, pads), (x,), "pad2d", _bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -346,7 +358,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     mask = mask.astype(x.dtype)
 
-    def _bw(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask, True)
+    def _bw(grad: np.ndarray, to_x: Node) -> None:
+        to_x._accumulate(grad * mask, True)
 
-    return Tensor._from_op(x.data * mask, x.requires_grad, (x,), "dropout", _bw)
+    return Tensor._from_op(x.data * mask, (x,), "dropout", _bw)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Node, Tensor
 
 __all__ = ["CrossEntropyLoss", "MSELoss", "NLLLoss", "accuracy_from_logits"]
 
@@ -51,15 +51,15 @@ def _nll(x: Tensor, targets: np.ndarray, reduction: str, from_logits: bool) -> T
         scale = np.asarray(1.0 / targets.shape[0]).astype(value.dtype)
         value = value * scale
 
-    def _bw(grad: np.ndarray) -> None:
+    def _bw(grad: np.ndarray, to_x: Node) -> None:
         full = np.zeros_like(log_probs)
         full[batch, targets] += -(grad if scale is None else grad * scale)
         if from_logits:
             full = full - np.exp(log_probs) * full.sum(axis=1, keepdims=True)
-        x._accumulate(full, True)
+        to_x._accumulate(full, True)
 
     op = "cross_entropy" if from_logits else "nll"
-    return Tensor._from_op(value, x.requires_grad, (x,), op, _bw)
+    return Tensor._from_op(value, (x,), op, _bw)
 
 
 class CrossEntropyLoss:

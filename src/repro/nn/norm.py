@@ -7,8 +7,9 @@ hops between clients, and the server aggregates it like any other state.
 
 In training mode the layer is one autograd node.  Forward: batch mean,
 centre, variance by one ``einsum`` over the centred values, scale and shift;
-it saves the normalised input ``x_hat`` and ``gamma / std`` and nothing
-else.  Backward computes, from those two and the C-contiguous gradient it is
+its node keeps the normalised input ``x_hat`` and ``gamma / std`` and
+nothing else, so neither the input (a conv output) nor the output (what the
+next ReLU reads) outlives the forward that consumes it.  Backward computes, from those two and the C-contiguous gradient it is
 handed, ``dx = gamma/std * (g - mean(g) - x_hat * mean(g * x_hat))`` in place
 on one buffer.  In eval mode the statistics are constants and the layer is a
 per-channel scale and shift: the two per-channel vectors are composed from
@@ -22,7 +23,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.layers import Layer
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor, unbroadcast
+from repro.nn.tensor import Node, Tensor, unbroadcast
 
 __all__ = ["BatchNorm1d", "BatchNorm2d"]
 
@@ -31,19 +32,21 @@ def _scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """``x * scale + shift`` as one node: the shift is added in place, which
     spares evaluation an activation-sized temporary per layer; gradients are
     those of the two-node expression."""
-    out_data = x.data * scale.data
+    a, s = x.data, scale.data
+    out_data = a * s
     out_data += shift.data
+    shift_shape = shift.shape
 
-    def _bw(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(unbroadcast(grad * scale.data, x.shape), True)
-        if scale.requires_grad:
-            scale._accumulate(unbroadcast(grad * x.data, scale.shape), True)
-        if shift.requires_grad:
-            shift._accumulate(unbroadcast(grad, shift.shape))
+    def _bw(grad: np.ndarray, to_x: Node | None, to_scale: Node | None,
+            to_shift: Node | None) -> None:
+        if to_x is not None:
+            to_x._accumulate(unbroadcast(grad * s, a.shape), True)
+        if to_scale is not None:
+            to_scale._accumulate(unbroadcast(grad * a, s.shape), True)
+        if to_shift is not None:
+            to_shift._accumulate(unbroadcast(grad, shift_shape))
 
-    requires = x.requires_grad or scale.requires_grad or shift.requires_grad
-    return Tensor._from_op(out_data, requires, (x, scale, shift), "scale_shift", _bw)
+    return Tensor._from_op(out_data, (x, scale, shift), "scale_shift", _bw)
 
 
 class _BatchNorm(Layer):
@@ -107,20 +110,21 @@ class _BatchNorm(Layer):
         out_data += beta.data.reshape(shape)
         dx_scale = scale * inv_std
 
-        def _bw(grad: np.ndarray) -> None:
+        def _bw(grad: np.ndarray, to_x: Node | None, to_gamma: Node,
+                to_beta: Node) -> None:
             dbeta = grad.sum(axis=axes)
             dgamma = np.einsum(channel_dot, grad, x_hat)
-            if x.requires_grad:
+            if to_x is not None:
                 # dx = dx_scale * (grad - mean(grad) - x_hat * mean(grad * x_hat))
                 dx = x_hat * (dgamma / n).reshape(shape)
                 dx += (dbeta / n).reshape(shape)
                 np.subtract(grad, dx, out=dx)
                 dx *= dx_scale
-                x._accumulate(dx, True)
-            gamma._accumulate(dgamma, True)
-            beta._accumulate(dbeta, True)
+                to_x._accumulate(dx, True)
+            to_gamma._accumulate(dgamma, True)
+            to_beta._accumulate(dbeta, True)
 
-        return Tensor._from_op(out_data, True, (x, gamma, beta), "batch_norm", _bw)
+        return Tensor._from_op(out_data, (x, gamma, beta), "batch_norm", _bw)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape

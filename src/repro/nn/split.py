@@ -73,11 +73,14 @@ class ClientHalf(Module):
 
     Keeps the autograd graph of its most recent forward so the smashed
     gradient arriving from the server can be backpropagated into the
-    client-side parameters.  That graph — patch matrices and saved
-    activations — is what a split step holds across the server's turn;
-    :meth:`backward_from_gradient` hands it to :meth:`Tensor.backward`,
-    which frees each layer's share as soon as that layer's gradient is
-    formed, so one forward serves exactly one backward.
+    client-side parameters.  That graph is what a split step holds across
+    the server's turn: each conv node keeps its patch matrix, each
+    BatchNorm node ``x_hat`` and ``gamma / std``, each ReLU node its output
+    (which the next max-pool's windows view), plus the cut output itself.
+    No activation that only fed the next layer stays alive.
+    :meth:`backward_from_gradient` hands the graph to
+    :meth:`Tensor.backward`, which frees each layer's share as soon as that
+    layer's gradient is formed, so one forward serves exactly one backward.
     """
 
     def __init__(self, layers: Sequential) -> None:

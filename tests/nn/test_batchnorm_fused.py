@@ -196,8 +196,8 @@ def test_training_forward_is_one_node():
     bn = nn.BatchNorm2d(4)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 3, 3)), requires_grad=True)
     out = bn(x)
-    assert out._op == "batch_norm"
-    assert out._parents == (x, bn.gamma, bn.beta)
+    assert out.node.op == "batch_norm"
+    assert out.node.parents == (x, bn.gamma, bn.beta)
 
 
 def test_train_mode_forward_under_no_grad_updates_stats_and_keeps_nothing():
@@ -210,8 +210,7 @@ def test_train_mode_forward_under_no_grad_updates_stats_and_keeps_nothing():
         out = bn(x)
     assert np.all(bn.running_mean > 0.1)
     assert not out.requires_grad
-    assert out._backward is None
-    assert out._parents == ()
+    assert out.node is None
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
@@ -238,7 +237,7 @@ def test_eval_scale_and_shift_is_one_node_with_the_two_node_bits(shape, dtype):
     bn = make_layer(shape, np.random.default_rng(0)).eval()
     x = Tensor(np.ones(shape), requires_grad=True)
     out = bn(x)
-    assert out._op == "scale_shift" and out._parents[0] is x
+    assert out.node.op == "scale_shift" and out.node.parents[0] is x
     with no_grad():
         out = bn(x)
-    assert out._backward is None and out._parents == ()
+    assert out.node is None

@@ -19,7 +19,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Node, Tensor, no_grad
 from tests.conftest import numeric_gradient
 
 # ----------------------------------------------------------------------
@@ -85,14 +85,14 @@ def assert_same_bytes(got: np.ndarray, want: np.ndarray, name: str) -> None:
 
 def graph_size(root: Tensor) -> int:
     """Nodes that carry a backward closure under ``root``."""
-    seen: dict[int, Tensor] = {}
-    stack = [root]
+    seen: dict[int, Node] = {}
+    stack = [root.node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(node._parents)
-    return sum(node._closure is not None for node in seen.values())
+            stack.extend(p for p in node.parents if isinstance(p, Node))
+    return sum(node.backward is not None for node in seen.values())
 
 
 def run_linear(linear, in_shape, out_features, dtype, bias=True, x_dtype=None):
@@ -269,19 +269,19 @@ def test_each_call_is_one_node():
     targets = rng.integers(0, 3, size=4)
 
     out = layer(x)
-    assert out._op == "linear"
-    assert out._parents == (x, layer.weight, layer.bias)
-    assert F.linear(x, layer.weight)._parents == (x, layer.weight)
+    assert out.node.op == "linear"
+    assert out.node.parents == (x, layer.weight, layer.bias)
+    assert F.linear(x, layer.weight).node.parents == (x, layer.weight)
 
     loss = nn.CrossEntropyLoss()(out, targets)
-    assert loss._op == "cross_entropy" and loss._parents == (out,)
+    assert loss.node.op == "cross_entropy" and loss.node.parents == (out.node,)
     assert graph_size(loss) == 2
     composed = composed_cross_entropy(composed_linear(x, layer.weight, layer.bias), targets)
     assert graph_size(composed) == 8
 
     log_probs = out.log_softmax(axis=1)
     nll = nn.NLLLoss()(log_probs, targets)
-    assert nll._op == "nll" and nll._parents == (log_probs,)
+    assert nll.node.op == "nll" and nll.node.parents == (log_probs.node,)
 
 
 def test_under_no_grad_nothing_is_kept():
@@ -292,10 +292,9 @@ def test_under_no_grad_nothing_is_kept():
         out = layer(x)
         loss = nn.CrossEntropyLoss()(out, rng.integers(0, 3, size=4))
         nll = nn.NLLLoss()(out.log_softmax(axis=1), rng.integers(0, 3, size=4))
-    for node in (out, loss, nll):
-        assert not node.requires_grad
-        assert node._backward is None
-        assert node._parents == ()
+    for tensor in (out, loss, nll):
+        assert not tensor.requires_grad
+        assert tensor.node is None
 
 
 def test_frozen_weight_still_passes_the_gradient_on():

@@ -1,16 +1,20 @@
-"""A backward pass releases the graph as it walks it.
+"""A graph keeps only what backward reads, and backward releases it as it
+walks it.
 
-``Tensor.backward`` pops nodes off the topological order and drops each
-node's closure, parent links and (interior nodes only) gradient as soon as
-the closure has run, so a patch matrix, saved activation or interior
-gradient is gone before the layers upstream allocate their own.  Inside
-``conv2d``'s backward the patch matrix is released once the weight
-gradient is formed, before ``gcols`` and ``col2im`` allocate, and the
-pooling backwards write each window's gradient straight into its view of
-the input gradient.  Only lifetimes change: the kernel parity, fused-node
-and golden-history suites hold every byte.
+Each op records a ``Node`` whose closure captures only the arrays its
+backward reads, so an activation that merely fed the next op dies with that
+op's forward.  ``Tensor.backward`` pops nodes off the topological order and
+drops each node's closure, parent links and gradient as soon as the closure
+has run, so a patch matrix, saved activation or interior gradient is gone
+before the layers upstream allocate their own.  Inside ``conv2d``'s
+backward the patch matrix is released once the weight gradient is formed,
+before ``gcols`` and ``col2im`` allocate, and the pooling backwards write
+each window's gradient straight into its view of the input gradient.  Only
+lifetimes change: the kernel parity, fused-node and golden-history suites
+hold every byte.
 
-This file pins the lifetimes themselves: an op upstream of a conv sees the
+This file pins the lifetimes themselves: a DeepThin client half holds none
+of the activations it only passed on, an op upstream of a conv sees the
 conv's patch matrix and closure already freed, a DeepThin training step's
 traced peak stays near the graph it must hold, the ``.grad`` contract is
 the one callers always had, and a second pass through a released graph
@@ -19,6 +23,7 @@ raises instead of returning a silently wrong gradient.
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 import weakref
 
@@ -39,11 +44,11 @@ def _probe(x: Tensor, on_backward) -> Tensor:
     """Identity op whose backward calls ``on_backward()`` before passing
     the gradient on."""
 
-    def _bw(grad: np.ndarray) -> None:
+    def _bw(grad: np.ndarray, to_x) -> None:
         on_backward()
-        x._accumulate(grad)
+        to_x._accumulate(grad)
 
-    return Tensor._from_op(x.data.copy(), x.requires_grad, (x,), "probe", _bw)
+    return Tensor._from_op(x.data.copy(), (x,), "probe", _bw)
 
 
 class TestReleaseDuringBackward:
@@ -55,11 +60,11 @@ class TestReleaseDuringBackward:
         out = F.conv2d(hidden, weight, padding=1)
 
         # The patch matrix is the (C_in*kh*kw, N*oh*ow) array the closure holds.
-        cells = [cell.cell_contents for cell in out._closure.__closure__]
+        cells = [cell.cell_contents for cell in out.node.backward.__closure__]
         (cols,) = [
             c for c in cells if isinstance(c, np.ndarray) and c.shape == (3 * 9, 2 * 36)
         ]
-        closure, patches = weakref.ref(out._closure), weakref.ref(cols)
+        closure, patches = weakref.ref(out.node.backward), weakref.ref(cols)
         patch_base = weakref.ref(cols.base if cols.base is not None else cols)
         del cells, cols
 
@@ -73,7 +78,7 @@ class TestReleaseDuringBackward:
         out = F.conv2d(x, weight, padding=1)
         (cols,) = [
             cell.cell_contents
-            for cell in out._closure.__closure__
+            for cell in out.node.backward.__closure__
             if isinstance(cell.cell_contents, np.ndarray)
             and cell.cell_contents.shape == (3 * 9, 2 * 36)
         ]
@@ -94,7 +99,7 @@ class TestReleaseDuringBackward:
     def test_interior_gradient_is_gone_before_its_parent_runs(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         interior_grads: list[object] = []
-        hidden = _probe(x, lambda: interior_grads.append(doubled.grad))
+        hidden = _probe(x, lambda: interior_grads.append(doubled.node.grad))
         doubled = hidden * 2.0
         (doubled.relu() * 3.0).sum().backward()
         assert interior_grads == [None]
@@ -112,8 +117,9 @@ class TestGradContract:
         assert x.grad is None  # does not require grad
         assert hidden.grad is None and scaled.grad is None
         assert loss.grad == 1.0  # the root keeps its seed
-        for node in (hidden, scaled, loss):
-            assert node._parents == () and node._closure is None
+        for tensor in (hidden, scaled, loss):
+            node = tensor.node
+            assert node.parents == () and node.backward is None and node.grad is None
 
 
 class TestReleasedGraph:
@@ -188,8 +194,9 @@ def _traced_step_peak(step) -> float:
 class TestDeepThinStepPeak:
     """The paper's model at batch 16 in float32.  Before backward released
     the graph as it walked it, these steps peaked at 6.44 (split) and 7.03
-    (unsplit) MiB; the client graph a split step must hold across the
-    server's turn is 4.09 MiB of that."""
+    (unsplit) MiB; with release but with graph links that pinned every op
+    input, at 4.79 and 4.72 MiB.  Now that a node keeps only what its
+    backward reads, they peak at 3.47 and 3.35 MiB."""
 
     def test_split_step_peak(self, deepthin_batch):
         xb, yb = deepthin_batch
@@ -204,7 +211,7 @@ class TestDeepThinStepPeak:
             peak = _traced_step_peak(
                 lambda: split_step_math(split, client_opt, server_opt, xb, yb, loss_fn, None)
             )
-        assert peak <= 5.0, peak  # 4.79 measured
+        assert peak <= 3.8, peak  # 3.47 measured
 
     def test_unsplit_step_peak(self, deepthin_batch):
         xb, yb = deepthin_batch
@@ -220,4 +227,47 @@ class TestDeepThinStepPeak:
                 opt.step()
 
             peak = _traced_step_peak(step)
-        assert peak <= 4.9, peak  # 4.72 measured
+        assert peak <= 3.7, peak  # 3.35 measured
+
+
+class TestClientGraphLifetimes:
+    """What a DeepThin client half holds across the server's turn: each node
+    keeps only the arrays its backward reads, so the conv output feeding
+    BatchNorm, the BatchNorm output feeding ReLU and the pooled output
+    feeding the next conv die with the forward that consumed them."""
+
+    #: sha256 of the client parameter gradients below, as computed when the
+    #: graph still pinned every activation until backward reached it
+    CLIENT_GRADS_SHA256 = (
+        "3457d26cd2cd6b39fc0a3f99dc1cbadf499033fffc12ada0ca00845bf65ca54b"
+    )
+
+    def test_consumed_activations_die_before_the_server_step(
+        self, deepthin_batch, monkeypatch
+    ):
+        xb, yb = deepthin_batch
+        with nn.default_dtype(np.float32):
+            split = split_model(build_model("deepthin"), paper_scenario().cut_layer)
+            layers = split.client.layers
+            assert [type(layers[i]).__name__ for i in (0, 1, 3)] == [
+                "Conv2d", "BatchNorm2d", "MaxPool2d"
+            ]
+            outputs: dict[int, weakref.ref] = {}
+            for index in (0, 1, 3):
+                def probe(x, forward=layers[index].forward, index=index):
+                    out = forward(x)
+                    outputs[index] = weakref.ref(out.data)
+                    return out
+
+                monkeypatch.setattr(layers[index], "forward", probe)
+            smashed = split.client.forward_to_smashed(xb)
+            assert sorted(outputs) == [0, 1, 3]
+            alive = [index for index, ref in outputs.items() if ref() is not None]
+            assert alive == []
+
+            _, smashed_grad, _ = split.server.forward_backward(
+                smashed, yb, nn.CrossEntropyLoss()
+            )
+            split.client.backward_from_gradient(smashed_grad)
+        grads = b"".join(p.grad.tobytes() for p in split.client.parameters())
+        assert hashlib.sha256(grads).hexdigest() == self.CLIENT_GRADS_SHA256

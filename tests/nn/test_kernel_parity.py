@@ -92,24 +92,20 @@ def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
     if bias is not None:
         out_data = out_data + bias.data
     out_data = out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-    requires = x.requires_grad or weight.requires_grad or (
-        bias is not None and bias.requires_grad
-    )
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, requires_grad=requires, _parents=parents, _op="conv2d")
+    w_shape = weight.shape
 
-    def _bw(grad):
+    def _bw(grad, to_x, to_w, to_b=None):
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        if weight.requires_grad:
-            weight._accumulate((grad_mat.T @ cols).reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=0))
-        if x.requires_grad:
+        if to_w is not None:
+            to_w._accumulate((grad_mat.T @ cols).reshape(w_shape))
+        if to_b is not None:
+            to_b._accumulate(grad_mat.sum(axis=0))
+        if to_x is not None:
             gcols = grad_mat @ w_mat
-            x._accumulate(ref_col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding))
+            to_x._accumulate(ref_col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding))
 
-    out._backward = _bw
-    return out
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out_data, inputs, "conv2d", _bw)
 
 
 def ref_max_pool2d(x, kernel, stride=None):
@@ -120,16 +116,13 @@ def ref_max_pool2d(x, kernel, stride=None):
     cols = ref_im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
     argmax = cols.argmax(axis=1)
     out_data = cols[np.arange(cols.shape[0]), argmax].reshape(n, c, out_h, out_w)
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,), _op="max_pool2d")
-
-    def _bw(grad):
+    def _bw(grad, to_x):
         gcols = np.zeros_like(cols)
         gcols[np.arange(cols.shape[0]), argmax] = grad.reshape(-1)
         gx = ref_col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
-        x._accumulate(gx.reshape(n, c, h, w))
+        to_x._accumulate(gx.reshape(n, c, h, w))
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(out_data, (x,), "max_pool2d", _bw)
 
 
 def ref_avg_pool2d(x, kernel, stride=None):
@@ -139,18 +132,15 @@ def ref_avg_pool2d(x, kernel, stride=None):
     out_w = F.conv_output_size(w, kernel, stride, 0)
     cols = ref_im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
     out_data = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,), _op="avg_pool2d")
-
-    def _bw(grad):
+    def _bw(grad, to_x):
         g = grad.reshape(-1, 1) / (kernel * kernel)
         gcols = np.broadcast_to(g, (g.shape[0], kernel * kernel)).astype(grad.dtype)
         gx = ref_col2im(
             np.ascontiguousarray(gcols), (n * c, 1, h, w), kernel, kernel, stride, 0
         )
-        x._accumulate(gx.reshape(n, c, h, w))
+        to_x._accumulate(gx.reshape(n, c, h, w))
 
-    out._backward = _bw
-    return out
+    return Tensor._from_op(out_data, (x,), "avg_pool2d", _bw)
 
 
 # ----------------------------------------------------------------------

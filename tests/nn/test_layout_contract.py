@@ -30,28 +30,30 @@ MODELS = [(deepthin_cnn, 20, 8), (micro_cnn, 16, 3)]
 IDS = ["deepthin", "micro_cnn"]
 
 
-def guard_graph(root: Tensor) -> set[str]:
-    """Walk the graph under ``root`` (call before ``backward()``): assert
-    every 4-D node is C-contiguous, and arm every spatial op's closure to
-    assert the same of the gradient it is handed.  Returns the ops seen."""
-    seen: dict[int, Tensor] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    for node in seen.values():
+def guard_ops(monkeypatch) -> set[str]:
+    """From now on, assert every op output that is 4-D is C-contiguous as
+    the op produces it, and arm every spatial op's closure to assert the
+    same of the gradient it is handed.  Returns the set of ops seen, filled
+    in as they run."""
+    seen: set[str] = set()
+    from_op = Tensor._from_op
+
+    def guarded(data, inputs, op, backward):
+        out = from_op(data, inputs, op, backward)
         # Elementwise ops inherit their input's layout: blame the op that
         # introduced the view, not the ones downstream of it.
-        if strided(node) and not any(strided(parent) for parent in node._parents):
+        if strided(out) and not any(strided(t) for t in inputs):
             raise AssertionError(
-                f"{node._op or 'leaf'} produced a non-contiguous {node.shape} "
-                f"activation (strides {node.data.strides})"
+                f"{op} produced a non-contiguous {out.shape} "
+                f"activation (strides {out.data.strides})"
             )
-        if node._op in SPATIAL_OPS and node._closure is not None:
-            node._closure = checked(node._closure, node._op)
-    return {node._op for node in seen.values()}
+        if op in SPATIAL_OPS and out.node is not None:
+            out.node.backward = checked(out.node.backward, op)
+        seen.add(op)
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(guarded))
+    return seen
 
 
 def strided(node: Tensor) -> bool:
@@ -59,12 +61,12 @@ def strided(node: Tensor) -> bool:
 
 
 def checked(closure, op: str):
-    def guarded(grad: np.ndarray) -> None:
+    def guarded(grad: np.ndarray, *sinks) -> None:
         assert grad.flags.c_contiguous, (
             f"{op} was handed a non-contiguous {grad.shape} gradient "
             f"(strides {grad.strides})"
         )
-        closure(grad)
+        closure(grad, *sinks)
 
     return guarded
 
@@ -75,33 +77,32 @@ def batch(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.mark.parametrize("build, size, cut", MODELS, ids=IDS)
-def test_split_step_keeps_the_contract(build, size, cut):
+def test_split_step_keeps_the_contract(build, size, cut, monkeypatch):
     """Client forward → server forward/backward → client backward, as
     ``ServerHalf.forward_backward`` and ``ClientHalf.backward_from_gradient``
-    run them, with a guard on each of the two graphs."""
+    run them, with every op of both graphs guarded."""
     split = split_model(build(image_size=size, seed=1), cut)
     x, y = batch(size)
+    ops = guard_ops(monkeypatch)
     smashed = split.client.forward_to_smashed(x)
     assert smashed.values.flags.c_contiguous
 
     cut_input = Tensor(smashed.values, requires_grad=True)
     loss = nn.CrossEntropyLoss()(split.server.layers(cut_input), y)
-    server_ops = guard_graph(loss)
     loss.backward()
     assert cut_input.grad.flags.c_contiguous
 
-    client_ops = guard_graph(split.client._last_output)
     split.client.backward_from_gradient(cut_input.grad.copy())
-    assert SPATIAL_OPS - {"batch_norm"} <= server_ops | client_ops
+    assert SPATIAL_OPS - {"batch_norm"} <= ops
     assert all(p.grad is not None for p in split.client.parameters())
 
 
 @pytest.mark.parametrize("build, size, cut", MODELS, ids=IDS)
-def test_unsplit_step_keeps_the_contract(build, size, cut):
+def test_unsplit_step_keeps_the_contract(build, size, cut, monkeypatch):
     model = build(image_size=size, seed=1)
     x, y = batch(size)
+    ops = guard_ops(monkeypatch)
     loss = nn.CrossEntropyLoss()(model(Tensor(x)), y)
-    ops = guard_graph(loss)
     loss.backward()
     assert ("batch_norm" in ops) == (build is deepthin_cnn)
     assert all(p.grad is not None for p in model.parameters())
@@ -110,10 +111,10 @@ def test_unsplit_step_keeps_the_contract(build, size, cut):
 def test_guard_names_the_op_that_breaks_the_contract(monkeypatch):
     """The guard has teeth: the pre-contract conv (frozen in
     ``test_kernel_parity.py``) returns an NHWC-memory view and is caught,
-    by name, before any gradient flows."""
+    by name, as it produces the view."""
     monkeypatch.setattr(F, "conv2d", ref_conv2d)
     model = micro_cnn(image_size=16, seed=1)
-    x, y = batch(16)
-    loss = nn.CrossEntropyLoss()(model(Tensor(x)), y)
+    x, _ = batch(16)
+    guard_ops(monkeypatch)
     with pytest.raises(AssertionError, match="conv2d produced a non-contiguous"):
-        guard_graph(loss)
+        model(Tensor(x))

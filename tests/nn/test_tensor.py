@@ -231,18 +231,18 @@ class TestGraphMechanics:
         with no_grad():
             y = x * 2
         assert not y.requires_grad
-        assert y._parents == ()
+        assert y.node is None
 
     def test_no_grad_attaches_no_backward_closure(self):
         """Ops hand their closure to ``Tensor._from_op``; under ``no_grad``
-        (and for any output that does not require grad) nothing may stick."""
+        (and for any output that does not require grad) it builds no node."""
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         w = Tensor(np.ones((3, 3)), requires_grad=True)
         with no_grad():
             outs = [x * 2, x + 1.0, x @ w, x.relu(), x.sum(), x.reshape(3, 2), x[0], x.exp()]
-        assert all(o._backward is None for o in outs)
-        assert Tensor(np.ones(2)).relu()._backward is None  # grad mode, no grad input
-        assert (x * 2)._backward is not None
+        assert all(o.node is None for o in outs)
+        assert Tensor(np.ones(2)).relu().node is None  # grad mode, no grad input
+        assert (x * 2).node.backward is not None
 
     def test_no_grad_forward_frees_its_inputs(self):
         """A closure kept under ``no_grad`` would pin the whole activation

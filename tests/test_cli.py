@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -170,6 +171,19 @@ class TestCommands:
         assert code == 2
         assert "--trace-out" in captured.err
         assert "latency_s" not in captured.out  # no round table: nothing trained
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_trace_write_is_one_error_line(self, capsys):
+        """A write that fails after training (a full disk) is reported as
+        one line and a non-zero exit, not an ``OSError`` traceback."""
+        code = main(
+            ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
+             "--trace-out", "/dev/full"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write --trace-out /dev/full: ")
+        assert "No space left on device" in err and len(err.splitlines()) == 1
 
     def test_negative_max_retries_is_a_clean_config_error(self, capsys):
         code = main(
