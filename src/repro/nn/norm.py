@@ -9,9 +9,10 @@ In training mode the layer is one autograd node.  Forward: batch mean,
 centre, variance by one ``einsum`` over the centred values, scale and shift;
 its node keeps the normalised input ``x_hat`` and ``gamma / std`` and
 nothing else, so neither the input (a conv output) nor the output (what the
-next ReLU reads) outlives the forward that consumes it.  Backward computes, from those two and the C-contiguous gradient it is
-handed, ``dx = gamma/std * (g - mean(g) - x_hat * mean(g * x_hat))`` in place
-on one buffer.  In eval mode the statistics are constants and the layer is a
+next ReLU reads) outlives the forward that consumes it.  Backward computes,
+from those two and the C-contiguous gradient it is handed,
+``dx = gamma/std * (g - mean(g) - x_hat * mean(g * x_hat))`` in place on one
+buffer.  In eval mode the statistics are constants and the layer is a
 per-channel scale and shift: the two per-channel vectors are composed from
 ordinary tensor ops, their application to the input is one node.
 """
@@ -32,17 +33,17 @@ def _scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """``x * scale + shift`` as one node: the shift is added in place, which
     spares evaluation an activation-sized temporary per layer; gradients are
     those of the two-node expression."""
-    a, s = x.data, scale.data
-    out_data = a * s
+    x_data, scale_data = x.data, scale.data
+    out_data = x_data * scale_data
     out_data += shift.data
     shift_shape = shift.shape
 
     def _bw(grad: np.ndarray, to_x: Node | None, to_scale: Node | None,
             to_shift: Node | None) -> None:
         if to_x is not None:
-            to_x._accumulate(unbroadcast(grad * s, a.shape), True)
+            to_x._accumulate(unbroadcast(grad * scale_data, x_data.shape), True)
         if to_scale is not None:
-            to_scale._accumulate(unbroadcast(grad * a, s.shape), True)
+            to_scale._accumulate(unbroadcast(grad * x_data, scale_data.shape), True)
         if to_shift is not None:
             to_shift._accumulate(unbroadcast(grad, shift_shape))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, concatenate, no_grad, stack, unbroadcast
+from repro.nn.tensor import Node, Tensor, concatenate, no_grad, stack, unbroadcast
 from tests.conftest import numeric_gradient
 
 
@@ -386,6 +386,25 @@ FORWARDING_OPS = {
     "concatenate": lambda g: [g[:, :4], g[:, 4:]],
     "stack": lambda g: [g[:, 0], g[:, 1]],
 }
+
+
+class TestNodesKeepNoTensor:
+    """A closure captures the arrays its backward reads, never a tensor: a
+    captured tensor would pin its data, and through its node the graph
+    above it, until backward reached the closure."""
+
+    @pytest.mark.parametrize("name", OP_CASES)
+    def test_no_closure_in_the_graph_captures_a_tensor(self, name):
+        _, out = OP_CASES[name](np.random.default_rng(0))
+        pending, seen = [out.node], 0
+        while pending:
+            node = pending.pop()
+            seen += 1
+            captured = [cell.cell_contents for cell in node.backward.__closure__ or ()]
+            captured += [v for c in captured if isinstance(c, (tuple, list)) for v in c]
+            assert not any(isinstance(c, Tensor) for c in captured), node.op
+            pending.extend(p for p in node.parents if isinstance(p, Node))
+        assert seen >= 1
 
 
 class TestGradientOwnership:
