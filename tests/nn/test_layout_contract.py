@@ -41,11 +41,16 @@ def guard_ops(monkeypatch) -> set[str]:
     def guarded(data, inputs, op, backward):
         out = from_op(data, inputs, op, backward)
         # Elementwise ops inherit their input's layout: blame the op that
-        # introduced the view, not the ones downstream of it.
+        # introduced the view, not the ones downstream of it.  An input no
+        # op of the graph produced (a parameter, the batch) is a leaf.
+        blamed = [("leaf", t) for t in inputs if t.node is None and strided(t)]
         if strided(out) and not any(strided(t) for t in inputs):
+            blamed.append((op, out))
+        if blamed:
+            name, t = blamed[0]
             raise AssertionError(
-                f"{op} produced a non-contiguous {out.shape} "
-                f"activation (strides {out.data.strides})"
+                f"{name} produced a non-contiguous {t.shape} "
+                f"activation (strides {t.data.strides})"
             )
         if op in SPATIAL_OPS and out.node is not None:
             out.node.backward = checked(out.node.backward, op)
