@@ -232,7 +232,14 @@ def _scenario(args: argparse.Namespace) -> ExperimentScenario:
     else:
         scenario = paper_scenario(with_wireless=True, seed=args.seed)
     if args.train_per_class is not None:
-        scenario.dataset = replace(scenario.dataset, train_per_class=args.train_per_class)
+        dataset = scenario.dataset = replace(scenario.dataset, train_per_class=args.train_per_class)
+        # The build renders the whole training split at once, in float64.
+        render = int(dataset.class_counts(args.train_per_class).sum()) * 24 * dataset.image_size**2
+        if render > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ValueError(
+                f"--train-per-class {args.train_per_class} renders a {render / 2**30:.1f} GiB "
+                "float64 training split, more than this machine's physical memory"
+            )
     if args.medium != "static":
         scenario.scheme = replace(scenario.scheme, medium=args.medium)
     if args.heterogeneity is not None and scenario.wireless is not None:

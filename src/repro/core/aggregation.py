@@ -6,14 +6,15 @@ conducted through FedAVG."  Aggregation is a weighted average of every
 parameter *and buffer* (batch-norm running statistics average like
 parameters, the standard FedAvg-BN treatment).
 
-Implementation: :func:`fedavg` over a list flattens every state dict
-(``pack_state`` layout) straight into its row of one ``(M, K)`` matrix,
-and the whole average collapses to a single ``weights @ matrix`` BLAS
-call (GSFL, SplitFed, PSL, :func:`weighted_delta`, :func:`mix_states`);
-the result is rebuilt with :func:`~repro.nn.serialize.unpack_state`.
-FL's sync round, which trains client after client, adds each trained
-state into one running weighted sum instead (:class:`RunningFedAvg`), so
-it holds neither a list of M state dicts nor the matrix.  The two are
+Implementation: :class:`StackedFedAvg` copies each state (``pack_state``
+layout) into its row of one ``(M, K)`` matrix as it arrives, and the
+average is a single ``weights @ matrix`` BLAS call.  GSFL's and
+SplitFed's sync round adds each unit's halves straight from the live
+split model as the unit finishes, so it holds rows, not state dicts;
+:func:`fedavg` over a list (PSL), :func:`weighted_delta` and
+:func:`mix_states` fill the same matrix.  FL's sync round adds each
+trained state into one running weighted sum instead
+(:class:`RunningFedAvg`), so it holds no matrix.  The two are
 different orders of one sum of M terms: each lies within
 ``γₘ·Σᵢ|wᵢ·sᵢ|`` of the exact sum per entry (``γₘ = M·u/(1 − M·u)``,
 ``u`` half the dtype's eps), so they differ by at most twice that.
@@ -29,7 +30,8 @@ import numpy as np
 
 from repro.nn.serialize import unpack_state
 
-__all__ = ["RunningFedAvg", "fedavg", "uniform_average", "weighted_delta", "mix_states"]
+__all__ = ["RunningFedAvg", "StackedFedAvg", "fedavg", "uniform_average", "weighted_delta",
+           "mix_states"]
 
 StateDict = dict[str, np.ndarray]
 
@@ -70,11 +72,11 @@ def _pack_into(row: np.ndarray, state: StateDict, layout: StateDict, index: int)
         value = np.asarray(value)
         if value.shape != like.shape:
             raise ValueError(
-                f"shape mismatch for key {key!r}: {value.shape} vs {like.shape}"
+                f"state {index}: shape mismatch for key {key!r}: {value.shape} vs {like.shape}"
             )
         if value.dtype != like.dtype:
             raise ValueError(
-                f"dtype mismatch for key {key!r}: {value.dtype} vs {like.dtype}"
+                f"state {index}: dtype mismatch for key {key!r}: {value.dtype} vs {like.dtype}"
             )
         row[offset : offset + value.size] = value.reshape(-1)
         offset += value.size
@@ -85,18 +87,6 @@ def _empty_packed(layout: StateDict, *rows: int) -> np.ndarray:
     the promotion of their dtypes."""
     dtype = np.result_type(*layout.values()) if layout else np.float64
     return np.empty((*rows, sum(v.size for v in layout.values())), dtype)
-
-
-def _stack_states(states: list[StateDict]) -> tuple[np.ndarray, StateDict]:
-    """Validate key/shape/dtype agreement and pack states into an (M, K)
-    matrix; returns it with the layout to unpack a row-vector by."""
-    if not states:
-        raise ValueError("fedavg needs at least one state dict")
-    layout = _layout_of(states[0])
-    matrix = _empty_packed(layout, len(states))
-    for index, state in enumerate(states):
-        _pack_into(matrix[index], state, layout, index)
-    return matrix, layout
 
 
 class RunningFedAvg:
@@ -148,6 +138,56 @@ class RunningFedAvg:
         return unpack_state(self._acc, self._layout, copy=False)
 
 
+class StackedFedAvg:
+    """FedAvg of ``num_states`` states, each checked against the first and
+    copied into its row of one ``(M, K)`` matrix as it is added (so it may
+    be live arrays about to be overwritten), averaged by one GEMV."""
+
+    def __init__(self, num_states: int) -> None:
+        self.num_states, self._added = num_states, 0
+
+    def add(self, state: StateDict) -> None:
+        """Check ``state`` against the first and copy it into the next row."""
+        index = self._added
+        if index == self.num_states:
+            raise ValueError(f"state {index}: all {self.num_states} states are already added")
+        if index == 0:
+            self.layout = _layout_of(state)
+            self._matrix = _empty_packed(self.layout, self.num_states)
+        _pack_into(self._matrix[index], state, self.layout, index)
+        self._added += 1
+
+    def _rows(self) -> np.ndarray:
+        if not self.num_states:
+            raise ValueError("fedavg needs at least one state dict")
+        if self._added < self.num_states:
+            raise ValueError(f"state {self._added} of {self.num_states} is missing")
+        return self._matrix
+
+    def state(self, index: int) -> "OrderedDict[str, np.ndarray]":
+        """State ``index`` as views into its row."""
+        return unpack_state(self._rows()[index], self.layout, copy=False)
+
+    def average(self, weights: "list[float] | np.ndarray | None" = None) -> np.ndarray:
+        """``weights @ matrix``, the weights normalized and cast to its dtype."""
+        matrix = self._rows()
+        weights = _normalized_weights(weights, self.num_states)
+        return weights.astype(matrix.dtype, copy=False) @ matrix
+
+    def result(
+        self, weights: "list[float] | np.ndarray | None" = None
+    ) -> "OrderedDict[str, np.ndarray]":
+        """The weighted average; its entries are views into one fresh vector."""
+        return unpack_state(self.average(weights), self.layout, copy=False)
+
+
+def _stacked(states: list[StateDict]) -> StackedFedAvg:
+    stacked = StackedFedAvg(len(states))
+    for state in states:
+        stacked.add(state)
+    return stacked
+
+
 def fedavg(
     states: list[StateDict],
     weights: list[float] | np.ndarray | None = None,
@@ -157,11 +197,7 @@ def fedavg(
     Weights are typically per-participant sample counts.  All states must
     share identical keys, shapes and dtypes.
     """
-    matrix, layout = _stack_states(states)
-    weights = _normalized_weights(weights, len(states)).astype(matrix.dtype, copy=False)
-    # The averaged vector is freshly allocated, so the per-key entries can
-    # be views into it — no re-copy.
-    return unpack_state(weights @ matrix, layout, copy=False)
+    return _stacked(states).result(weights)
 
 
 def uniform_average(states: list[StateDict]) -> "OrderedDict[str, np.ndarray]":
@@ -181,9 +217,8 @@ def weighted_delta(
     server-side damping/acceleration (an extension beyond the paper, used
     in ablations).
     """
-    matrix, layout = _stack_states(states)
-    weights = _normalized_weights(weights, len(states)).astype(matrix.dtype, copy=False)
-    avg_vec = weights @ matrix
+    stacked = _stacked(states)
+    avg_vec, layout = stacked.average(weights), stacked.layout
     # Flatten ``base`` in the states' key order (KeyError on missing keys).
     base_vec = np.concatenate(
         [np.asarray(base[key]).reshape(-1) for key in layout]

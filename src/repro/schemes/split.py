@@ -17,6 +17,7 @@ and adds a one-model FedAvg.)
 
 from __future__ import annotations
 
+from repro.core.aggregation import StackedFedAvg
 from repro.schemes.base import Stage
 from repro.schemes.split_common import GroupResult, SplitFederatedScheme
 
@@ -36,11 +37,12 @@ class SplitLearning(SplitFederatedScheme):
     def _unit_bandwidth(self, unit: int) -> float:
         return self._pricing.total_bandwidth_hz
 
-    def _aggregate(self, results: list[GroupResult]) -> Stage:
-        """The one chain's trained halves are the next global model."""
+    def _aggregate(
+        self, results: list[GroupResult], client_avg: StackedFedAvg, server_avg: StackedFedAvg
+    ) -> Stage:
+        """The one chain's trained halves (its rows) are the next global model."""
         if results:
-            (result,) = results
-            self._global_client_state = result.client_state
-            self._global_server_state = result.server_state
+            self._global_client_state = client_avg.state(0)
+            self._global_server_state = server_avg.state(0)
             self._load_globals()
         return Stage("aggregation")

@@ -23,12 +23,13 @@ Three layers:
   or, without the barrier, each chain's update mixed in as it lands.
   :func:`train_split_group` trains one chain from a :class:`GroupTask`
   carrying each member's batch source, drawing every mini-batch at the
-  step that trains on it, so a round holds one batch at a time.
+  step that trains on it, so a round holds one batch at a time, and
+  :func:`run_group_tasks` packs each chain's halves into its rows of the
+  round's two FedAvg matrices as the chain finishes: no state dicts.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro import nn
+from repro.core.aggregation import StackedFedAvg, mix_states
 from repro.exec import SerialExecutor
 from repro.nn.split import SmashedBatch, SplitModel, split_model
 from repro.nn.tensor import Tensor
@@ -56,6 +58,7 @@ __all__ = [
     "GroupTask",
     "GroupResult",
     "train_split_group",
+    "uploaded_halves",
     "run_group_tasks",
     "SplitFederatedScheme",
 ]
@@ -86,11 +89,9 @@ class GroupTask:
 
 @dataclass
 class GroupResult:
-    """Trained halves + bookkeeping returned by :func:`train_split_group`."""
+    """Bookkeeping returned by :func:`train_split_group`."""
 
     index: int
-    client_state: dict[str, np.ndarray]
-    server_state: dict[str, np.ndarray]
     weight: float
     loss_sum: float
     num_members: int
@@ -401,7 +402,8 @@ def train_split_group(
     :func:`split_step_math` in relay order, each drawn from the member's
     batch source at the step that trains on it.  No pricing and no shared
     RNG stream (a member's source is private to it), so the result does
-    not depend on which task ran before.
+    not depend on which task ran before.  The trained halves stay on
+    ``split`` (:func:`uploaded_halves`) until the next task loads over them.
     """
     split.client.load_state_dict(task.client_state)
     split.server.load_state_dict(task.server_state)
@@ -432,28 +434,41 @@ def train_split_group(
             )
         loss_sum += member_loss / task.local_steps
 
-    # The next task trains the same modules, so the result owns copies.
-    client_state = split.client.state_dict()
-    if codec.lossy:
-        # The last member uploads its client half over the air.
-        client_state = codec.apply_state(client_state)
     return GroupResult(
         index=task.index,
-        client_state=client_state,
-        server_state=split.server.state_dict(),
         weight=task.weight,
         loss_sum=loss_sum,
         num_members=len(task.members),
     )
 
 
+def uploaded_halves(
+    split: SplitModel, codec: TransportCodec, copy: bool = True
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """A trained unit's halves as the edge receives them (the client half
+    coded under a lossy codec); ``copy=False`` reads the live arrays."""
+    client_state: dict[str, np.ndarray] = split.client.state_dict(copy=copy)
+    if codec.lossy:
+        client_state = codec.apply_state(client_state)
+    return client_state, split.server.state_dict(copy=copy)
+
+
 def run_group_tasks(
     tasks: list[GroupTask], split: SplitModel, config: SchemeConfig
-) -> list[GroupResult]:
-    """Train every task on ``split``, one after another; results in task order."""
-    return SerialExecutor().map_groups(
-        functools.partial(train_split_group, split=split, config=config), tasks
-    )
+) -> tuple[list[GroupResult], StackedFedAvg, StackedFedAvg]:
+    """Train every task on ``split``, one after another; results in task
+    order, then the client- and server-half FedAvg matrices each task's
+    halves were copied into, row by row, as it finished."""
+    client_avg, server_avg = StackedFedAvg(len(tasks)), StackedFedAvg(len(tasks))
+
+    def train(task: GroupTask) -> GroupResult:
+        result = train_split_group(task, split, config)
+        client_state, server_state = uploaded_halves(split, config.codec, copy=False)
+        client_avg.add(client_state)
+        server_avg.add(server_state)
+        return result
+
+    return SerialExecutor().map_groups(train, tasks), client_avg, server_avg
 
 
 class SplitFederatedScheme(Scheme):
@@ -475,8 +490,10 @@ class SplitFederatedScheme(Scheme):
     aggregation modes use that description: the sync barrier collects
     every unit's, trains them all through :func:`run_group_tasks` and
     aggregates once; barrier-free policies train each unit-round on its
-    own (:func:`train_split_group`) and merge it with a priced two-model
-    mix.  Under the mid-activity failure model an aborted unit-round
+    own (:func:`train_split_group`) and merge a copy of its halves with a
+    priced two-model mix.  The sync round holds one client row and one
+    server row per finished unit, and at aggregation those two matrices
+    only.  Under the mid-activity failure model an aborted unit-round
     never reaches :meth:`_async_apply_update` — the aggregation server
     drops its payload and records an
     :class:`~repro.sim.server.AbortRecord` instead.
@@ -544,8 +561,8 @@ class SplitFederatedScheme(Scheme):
         return activities, task
 
     def _load_globals(self) -> None:
-        # The globals are freshly allocated (by fedavg / mix_states, or as a
-        # trained unit's result) and only read afterwards, so the halves
+        # The globals are freshly allocated (by a FedAvg or mix_states, or
+        # as SL's chain's rows) and only read afterwards, so the halves
         # can adopt them without re-copying.
         self.split.client.load_state_dict(self._global_client_state, copy=False)
         self.split.server.load_state_dict(self._global_server_state, copy=False)
@@ -570,26 +587,24 @@ class SplitFederatedScheme(Scheme):
         # The units share no training state within a round (each starts
         # from the global halves — the edge replicas, concurrent in
         # simulated time), so they train one after another on one model.
-        results = run_group_tasks(tasks, self.split, self.config)
+        results, client_avg, server_avg = run_group_tasks(tasks, self.split, self.config)
         trained = sum(r.num_members for r in results)
         self._last_train_loss = (
             sum(r.loss_sum for r in results) / trained if trained else float("nan")
         )
-        return [training, self._aggregate(results)]
+        return [training, self._aggregate(results, client_avg, server_avg)]
 
-    def _aggregate(self, results: list[GroupResult]) -> Stage:
+    def _aggregate(
+        self, results: list[GroupResult], client_avg: StackedFedAvg, server_avg: StackedFedAvg
+    ) -> Stage:
         """FedAvg the units' halves into the next global model; returns the
         priced aggregation stage.  With no unit left the round is a no-op
         and the global carries over."""
-        # Imported lazily: ``repro.core`` package init imports the GSFL
-        # scheme, which imports this module.
-        from repro.core.aggregation import fedavg
-
         aggregation = Stage("aggregation")
         if results:
             weights = [r.weight for r in results]
-            self._global_client_state = fedavg([r.client_state for r in results], weights)
-            self._global_server_state = fedavg([r.server_state for r in results], weights)
+            self._global_client_state = client_avg.result(weights)
+            self._global_server_state = server_avg.result(weights)
             self._load_globals()
             aggregation.add(
                 "edge-server",
@@ -629,6 +644,8 @@ class SplitFederatedScheme(Scheme):
         # serializes unit-rounds.
         activities, task = self._unit_work(unit, members)
         result = train_split_group(task, self.split, self.config)
+        # The payload outlives the next unit-round, so it owns copies.
+        payload = uploaded_halves(self.split, self.config.codec)
         activities.append(
             Activity(
                 self._pricing.aggregation_demand(2, self.model.num_parameters()),
@@ -639,7 +656,7 @@ class SplitFederatedScheme(Scheme):
         )
         return UnitRoundWork(
             activities=activities,
-            payload=(result.client_state, result.server_state),
+            payload=payload,
             weight=result.weight,
             slowdowns=slowdowns or None,
             loss_sum=result.loss_sum,
@@ -647,8 +664,6 @@ class SplitFederatedScheme(Scheme):
         )
 
     def _async_apply_update(self, payload: object, alpha: float) -> None:
-        from repro.core.aggregation import mix_states
-
         client_state, server_state = payload
         self._global_client_state = mix_states(
             self._global_client_state, client_state, alpha

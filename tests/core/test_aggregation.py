@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.aggregation import RunningFedAvg, fedavg, uniform_average, weighted_delta
+from repro.core.aggregation import (
+    RunningFedAvg,
+    StackedFedAvg,
+    fedavg,
+    uniform_average,
+    weighted_delta,
+)
 from repro.nn.serialize import pack_state
 from tests.conftest import running_sum_reference, summation_bound
 
@@ -18,6 +24,15 @@ def make_states(num, seed=0, shape=(3, 2)):
     return [
         {"w": rng.normal(size=shape), "b": rng.normal(size=shape[1])} for _ in range(num)
     ]
+
+
+def frozen_gemv(states, weights):
+    """``fedavg`` before the row packer, frozen: the packed states stacked
+    into one matrix, times the weights normalized in float64 and cast to
+    its dtype."""
+    matrix = np.stack([pack_state(s) for s in states])
+    weights = np.asarray(weights, dtype=np.float64)
+    return (weights / weights.sum()).astype(matrix.dtype, copy=False) @ matrix
 
 
 class TestFedAvg:
@@ -217,3 +232,78 @@ class TestRunningFedAvg:
     def test_weights_are_validated_once_up_front(self, weights):
         with pytest.raises(ValueError, match="weights must be"):
             RunningFedAvg(weights)
+
+
+class TestStackedFedAvg:
+    """States copied one at a time into the rows of one matrix, averaged
+    by the GEMV ``fedavg`` always ran."""
+
+    @staticmethod
+    def _case(dtype, num, case):
+        rng = np.random.default_rng(100 * num + len(case))
+        states = [
+            {"w": rng.normal(size=(17, 5)).astype(dtype), "b": rng.normal(size=9).astype(dtype)}
+            for _ in range(num)
+        ]
+        weights = rng.integers(1, 500, size=num).astype(np.float64)
+        if case == "zero-weights":
+            weights[1::2] = 0.0
+        if case == "special":
+            for index, state in enumerate(states):
+                state["w"][index % 17, :4] = [np.nan, np.inf, -np.inf, -0.0]
+                state["b"][:] = -0.0
+        return states, weights
+
+    @pytest.mark.parametrize("case", ["plain", "zero-weights", "special"])
+    @pytest.mark.parametrize("num", [1, 2, 7, 30])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_average_is_the_frozen_gemv_bitwise(self, dtype, num, case):
+        states, weights = self._case(dtype, num, case)
+        stacked = StackedFedAvg(num)
+        for state in states:
+            stacked.add(state)
+        want = frozen_gemv(states, weights).tobytes()
+        assert stacked.average(weights).tobytes() == want
+        got = fedavg(states, weights)
+        assert list(got) == list(states[0])
+        assert all(got[key].dtype == dtype for key in got)
+        assert pack_state(got).tobytes() == want
+
+    def test_a_row_is_a_copy_of_its_state(self):
+        states = make_states(3)
+        stacked = StackedFedAvg(3)
+        for state in states:
+            stacked.add(state)
+            want = {key: value.copy() for key, value in state.items()}
+            for value in state.values():
+                value[...] = np.nan  # the caller reuses its arrays
+            state.update(want)
+        for index, state in enumerate(states):
+            for key, value in stacked.state(index).items():
+                assert value.tobytes() == state[key].tobytes()
+
+    def test_every_state_is_checked_by_index(self):
+        a, b, _ = make_states(3)
+        for bad, message in [
+            ({**b, "extra": np.zeros(1)}, "mismatched keys"),
+            ({"w": np.zeros((1, 1)), "b": b["b"]}, "shape mismatch"),
+            ({"w": b["w"].astype(np.float32), "b": b["b"]}, "dtype mismatch"),
+        ]:
+            stacked = StackedFedAvg(3)
+            stacked.add(a)
+            with pytest.raises(ValueError, match=f"state 1.*{message}"):
+                stacked.add(bad)
+
+    def test_must_be_full_and_not_overfull(self):
+        a, b = make_states(2)
+        stacked = StackedFedAvg(2)
+        stacked.add(a)
+        with pytest.raises(ValueError, match="state 1 "):
+            stacked.average([1.0, 2.0])
+        with pytest.raises(ValueError, match="state 1 "):
+            stacked.state(0)
+        stacked.add(b)
+        with pytest.raises(ValueError, match="state 2: all 2 states are already added"):
+            stacked.add(a)
+        with pytest.raises(ValueError, match="at least one"):
+            StackedFedAvg(0).result()

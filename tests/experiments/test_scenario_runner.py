@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme, run_schemes
 from repro.experiments.scenario import (
     ExperimentScenario,
@@ -28,6 +29,18 @@ class TestScenario:
         assert sc.num_groups == 6
         assert sc.dataset.num_classes == 43
         assert sc.model_name == "deepthin"
+
+    def test_paper_cut_is_not_the_latency_minimizing_cut(self, capsys):
+        """The docstring of ``paper_scenario`` states both facts pinned here;
+        changing the preset or the latency model means rewriting it."""
+        assert paper_scenario().cut_layer == 8
+        assert main(["cuts", "--scale", "paper", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows = {int(line.split()[0]): line.split()[1:] for line in lines}
+        assert rows[4] == ["843.64", "<-", "best"]
+        assert rows[8] == ["1508.58"]
+        doc = " ".join(paper_scenario.__doc__.split())
+        assert "picks cut 4, 843.64 ms a round against 1508.58 ms for cut 8" in doc
 
     def test_wireless_client_count_follows_scenario(self):
         sc = fast_scenario(num_clients=9, num_groups=3)

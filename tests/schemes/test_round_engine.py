@@ -1,13 +1,14 @@
 """``run_group_tasks`` contract: one shared ``SplitModel``, independent tasks.
 
-Every round engine (GSFL's groups, SplitFed's and PSL's clients) trains
-its tasks one after another on the scheme's single ``SplitModel``.  That
-is sound only because a task loads its own global halves before training
-and returns copies afterwards, so *a task's result must not depend on
-which tasks ran before it, nor on anything done to the model after it
-returned*.  These tests pin exactly that, on the identity codec and on
-the lossy ones (whose relay re-coding also goes through the shared
-model).
+The split-federated round engine (GSFL's groups, SplitFed's and SL's
+chains) trains its tasks one after another on the scheme's single
+``SplitModel``.  That is sound only because a task loads its own global
+halves before training and its trained halves are copied into its rows
+of the round's two FedAvg matrices the moment it finishes, so *a task's
+result and rows must not depend on which tasks ran before it, nor on
+anything done to the model after it finished*.  These tests pin exactly
+that, on the identity codec and on the lossy ones (whose relay re-coding
+also goes through the shared model).
 """
 
 from __future__ import annotations
@@ -70,15 +71,20 @@ def _tasks(small_dataset, indices=range(len(LAYOUT))):
     return tasks
 
 
+def _unit(round_, position):
+    """The ``position``-th task's result and its (client, server) rows
+    from ``run_group_tasks``'s return value."""
+    results, client_avg, server_avg = round_
+    return results[position], client_avg.state(position), server_avg.state(position)
+
+
 def _assert_same_result(a, b):
+    (a, *a_rows), (b, *b_rows) = a, b
     assert a.index == b.index
     assert a.loss_sum == b.loss_sum
     assert a.num_members == b.num_members
     assert a.weight == b.weight
-    for mine, theirs in (
-        (a.client_state, b.client_state),
-        (a.server_state, b.server_state),
-    ):
+    for mine, theirs in zip(a_rows, b_rows):
         assert list(mine) == list(theirs)
         for key in mine:
             np.testing.assert_array_equal(mine[key], theirs[key])
@@ -86,12 +92,17 @@ def _assert_same_result(a, b):
 
 class TestRunGroupTasks:
     def test_results_in_task_order(self, small_dataset):
-        results = run_group_tasks(_tasks(small_dataset), _split(), SchemeConfig())
+        results, client_avg, server_avg = run_group_tasks(
+            _tasks(small_dataset), _split(), SchemeConfig()
+        )
         assert [r.index for r in results] == [0, 1, 2]
         assert [r.num_members for r in results] == [2, 1, 3]
+        assert client_avg.num_states == server_avg.num_states == 3
 
     def test_no_tasks_no_results(self):
-        assert run_group_tasks([], _split(), SchemeConfig()) == []
+        results, client_avg, server_avg = run_group_tasks([], _split(), SchemeConfig())
+        assert results == []
+        assert client_avg.num_states == server_avg.num_states == 0
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_task_result_independent_of_predecessors(self, small_dataset, transport):
@@ -99,33 +110,33 @@ class TestRunGroupTasks:
         on a model nobody trained."""
         config = SchemeConfig(transport=transport)
         together = run_group_tasks(_tasks(small_dataset), _split(), config)
-        for index, result in enumerate(together):
+        for index in range(len(LAYOUT)):
             alone = run_group_tasks(_tasks(small_dataset, [index]), _split(), config)
-            _assert_same_result(result, alone[0])
+            _assert_same_result(_unit(together, index), _unit(alone, 0))
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_task_order_does_not_change_results(self, small_dataset, transport):
         config = SchemeConfig(transport=transport)
         forward = run_group_tasks(_tasks(small_dataset), _split(), config)
         backward = run_group_tasks(_tasks(small_dataset, [2, 1, 0]), _split(), config)
-        for result, mirrored in zip(forward, reversed(backward)):
-            _assert_same_result(result, mirrored)
+        for position in range(len(LAYOUT)):
+            _assert_same_result(_unit(forward, position), _unit(backward, 2 - position))
 
-    def test_results_do_not_alias_the_shared_model(self, small_dataset):
+    def test_rows_do_not_alias_the_shared_model(self, small_dataset):
         split = _split()
-        results = run_group_tasks(
-            _tasks(small_dataset), split, SchemeConfig()
-        )
+        round_ = run_group_tasks(_tasks(small_dataset), split, SchemeConfig())
         snapshot = [
-            {k: v.copy() for k, v in r.client_state.items()} for r in results
+            [{k: v.copy() for k, v in rows.items()} for rows in _unit(round_, p)[1:]]
+            for p in range(len(LAYOUT))
         ]
-        for param in split.client.parameters():
+        for param in (*split.client.parameters(), *split.server.parameters()):
             param.data[...] = np.nan
-        for result, before in zip(results, snapshot):
-            for key, value in before.items():
-                np.testing.assert_array_equal(result.client_state[key], value)
-        # Distinct members and batches: no two tasks return the same model.
-        first = [r.client_state[next(iter(r.client_state))] for r in results]
+        for position, before in enumerate(snapshot):
+            for rows, kept in zip(_unit(round_, position)[1:], before):
+                for key, value in kept.items():
+                    np.testing.assert_array_equal(rows[key], value)
+        # Distinct members and batches: no two tasks pack the same model.
+        first = [next(iter(_unit(round_, p)[1].values())) for p in range(len(LAYOUT))]
         assert not np.array_equal(first[0], first[1])
         assert not np.array_equal(first[1], first[2])
 

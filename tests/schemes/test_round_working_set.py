@@ -1,5 +1,6 @@
-"""A round holds one mini-batch per running task, CL pools by index, and
-FL adds each trained model straight into one running FedAvg sum.
+"""A round holds one mini-batch per running task, CL pools by index, FL
+adds each trained model straight into one running FedAvg sum, and GSFL
+and SplitFed pack each trained unit straight into its FedAvg rows.
 
 GSFL's and SplitFed's round engines hand each task its members' batch
 sources; the task draws every batch at the step that trains on it, so
@@ -8,6 +9,9 @@ the client datasets as one ``Subset`` over their indices instead of a
 concatenated copy of their images.  FL's sync round adds each client's
 trained state into one running weighted sum as soon as it is trained,
 so a participant costs the round no memory that outlives its training.
+GSFL's and SplitFed's sync round copies each unit's trained halves into
+its rows of the round's two FedAvg matrices as the unit finishes, so a
+unit costs the round one row, not a kept state dict as well.
 All are measured with ``tracemalloc``, which counts what numpy and
 Python ask for, not what the allocator keeps resident.
 """
@@ -98,13 +102,13 @@ def _fl_scheme(num_clients: int, width: int = 8):
     return make_scheme("FL", replace(scenario, model_kwargs={"width": width}).build())
 
 
-def _round_high_water(scheme, monkeypatch) -> int:
-    """Traced peak of one sync FL round (training, uploads and FedAvg;
-    evaluation runs after it) above what was alive when the round
+def _round_high_water(scheme, monkeypatch, engine=federated.FederatedLearning) -> int:
+    """Traced peak of one sync round of ``engine`` (training, uploads and
+    FedAvg; evaluation runs after it) above what was alive when the round
     started: everything the round holds for the average, however kept,
     and the result."""
     peaks = []
-    run_round = federated.FederatedLearning._run_round
+    run_round = engine._run_round
 
     def traced(self, round_index):
         start, _ = tracemalloc.get_traced_memory()
@@ -113,12 +117,13 @@ def _round_high_water(scheme, monkeypatch) -> int:
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return stages
 
-    monkeypatch.setattr(federated.FederatedLearning, "_run_round", traced)
-    tracemalloc.start()
-    try:
-        scheme.run(1)
-    finally:
-        tracemalloc.stop()
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_run_round", traced)
+        tracemalloc.start()
+        try:
+            scheme.run(1)
+        finally:
+            tracemalloc.stop()
     (peak,) = peaks
     return peak
 
@@ -157,6 +162,48 @@ class TestFederatedRound:
         gemv = pack_state(fedavg(states, weights))
         error = np.abs(flat.astype(np.float64) - gemv.astype(np.float64))
         assert np.all(error <= summation_bound(states, weights))
+
+
+def _fleet_scheme(name: str, num_groups: int = 6):
+    """24 ``mlp`` clients on 8×8 images, batch 4, one local step, float32:
+    a unit's training is small beside its model, so rows show."""
+    scenario = fast_scenario(with_wireless=False, num_clients=24, num_groups=num_groups)
+    scenario.model_name = "mlp"
+    scenario.dataset = replace(
+        scenario.dataset, image_size=8, train_per_class=48, test_per_class=2
+    )
+    scenario.scheme = replace(scenario.scheme, batch_size=4, local_steps=1)
+    return make_scheme(name, scenario.build())
+
+
+class TestSplitFederatedRound:
+    """A row here is one full float32 state (client half + server half),
+    59 048 B: what a unit's two FedAvg rows hold together."""
+
+    def test_a_unit_costs_one_row(self, monkeypatch):
+        """6 → 24 groups: under 1.3 rows per added unit.  Keeping every
+        unit's trained halves as copied state dicts and stacking them
+        into the matrix at aggregation held each unit twice (1.88 rows
+        per unit)."""
+        with nn.default_dtype(np.float32):
+            small, large = _fleet_scheme("GSFL", 6), _fleet_scheme("GSFL", 24)
+            row = sum(v.nbytes for v in small.model.state_dict().values())
+            engine = split_common.SplitFederatedScheme
+            grown = _round_high_water(large, monkeypatch, engine) - _round_high_water(
+                small, monkeypatch, engine
+            )
+        assert row == 59_048
+        assert grown / 18 < 1.3 * row, grown / 18 / row
+
+    def test_splitfed_round_holds_its_rows_and_little_else(self, monkeypatch):
+        """24 one-client units must hold 24 rows (1.42 MB); the round may
+        trace at most 8 rows above that.  Kept state dicts plus the
+        stacked matrix traced 2.86 MB (48 rows)."""
+        with nn.default_dtype(np.float32):
+            scheme = _fleet_scheme("SplitFed")
+            row = sum(v.nbytes for v in scheme.model.state_dict().values())
+            peak = _round_high_water(scheme, monkeypatch, split_common.SplitFederatedScheme)
+        assert peak < (24 + 8) * row, (peak / MB, peak / row)
 
 
 class TestCentralizedPool:

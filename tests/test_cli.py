@@ -373,6 +373,25 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
+    @pytest.mark.parametrize("command", ["run", "fig2a", "fig2b", "info", "cuts"])
+    def test_train_split_beyond_memory_is_a_clean_config_error(
+        self, command, capsys, monkeypatch
+    ):
+        """10⁸ samples per class rendered a 5.59 TiB float64 training split:
+        an ``_ArrayMemoryError`` traceback, exit 1.  It is refused before
+        anything is built, in one line naming the flag, exit 2."""
+
+        def no_build(self):
+            raise AssertionError("the scenario was built before the flags were checked")
+
+        monkeypatch.setattr(ExperimentScenario, "build", no_build)
+        argv = [command, "--scale", "fast", "--train-per-class", "100000000"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --train-per-class 100000000 ")
+        assert err.count("\n") == 1 and "memory" in err
+
     @pytest.mark.parametrize("command", ["info", "cuts"])
     def test_unknown_scenario_is_a_clean_config_error(self, command, capsys):
         """``info`` and ``cuts`` raised the catalog's ValueError as a traceback."""
