@@ -152,9 +152,9 @@ class StackedFedAvg:
         if index == self.num_states:
             raise ValueError(f"state {index}: all {self.num_states} states are already added")
         if index == 0:
-            self.layout = _layout_of(state)
-            self._matrix = _empty_packed(self.layout, self.num_states)
-        _pack_into(self._matrix[index], state, self.layout, index)
+            self._layout = _layout_of(state)
+            self._matrix = _empty_packed(self._layout, self.num_states)
+        _pack_into(self._matrix[index], state, self._layout, index)
         self._added += 1
 
     def _rows(self) -> np.ndarray:
@@ -166,7 +166,7 @@ class StackedFedAvg:
 
     def state(self, index: int) -> "OrderedDict[str, np.ndarray]":
         """State ``index`` as views into its row."""
-        return unpack_state(self._rows()[index], self.layout, copy=False)
+        return unpack_state(self._rows()[index], self._layout, copy=False)
 
     def average(self, weights: "list[float] | np.ndarray | None" = None) -> np.ndarray:
         """``weights @ matrix``, the weights normalized and cast to its dtype."""
@@ -178,7 +178,7 @@ class StackedFedAvg:
         self, weights: "list[float] | np.ndarray | None" = None
     ) -> "OrderedDict[str, np.ndarray]":
         """The weighted average; its entries are views into one fresh vector."""
-        return unpack_state(self.average(weights), self.layout, copy=False)
+        return unpack_state(self.average(weights), self._layout, copy=False)
 
 
 def _stacked(states: list[StateDict]) -> StackedFedAvg:
@@ -218,7 +218,7 @@ def weighted_delta(
     in ablations).
     """
     stacked = _stacked(states)
-    avg_vec, layout = stacked.average(weights), stacked.layout
+    avg_vec, layout = stacked.average(weights), stacked._layout
     # Flatten ``base`` in the states' key order (KeyError on missing keys).
     base_vec = np.concatenate(
         [np.asarray(base[key]).reshape(-1) for key in layout]

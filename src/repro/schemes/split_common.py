@@ -58,7 +58,6 @@ __all__ = [
     "GroupTask",
     "GroupResult",
     "train_split_group",
-    "uploaded_halves",
     "run_group_tasks",
     "SplitFederatedScheme",
 ]
@@ -403,7 +402,7 @@ def train_split_group(
     batch source at the step that trains on it.  No pricing and no shared
     RNG stream (a member's source is private to it), so the result does
     not depend on which task ran before.  The trained halves stay on
-    ``split`` (:func:`uploaded_halves`) until the next task loads over them.
+    ``split`` (:func:`_uploaded_halves`) until the next task loads over them.
     """
     split.client.load_state_dict(task.client_state)
     split.server.load_state_dict(task.server_state)
@@ -442,7 +441,7 @@ def train_split_group(
     )
 
 
-def uploaded_halves(
+def _uploaded_halves(
     split: SplitModel, codec: TransportCodec, copy: bool = True
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """A trained unit's halves as the edge receives them (the client half
@@ -463,7 +462,7 @@ def run_group_tasks(
 
     def train(task: GroupTask) -> GroupResult:
         result = train_split_group(task, split, config)
-        client_state, server_state = uploaded_halves(split, config.codec, copy=False)
+        client_state, server_state = _uploaded_halves(split, config.codec, copy=False)
         client_avg.add(client_state)
         server_avg.add(server_state)
         return result
@@ -645,7 +644,7 @@ class SplitFederatedScheme(Scheme):
         activities, task = self._unit_work(unit, members)
         result = train_split_group(task, self.split, self.config)
         # The payload outlives the next unit-round, so it owns copies.
-        payload = uploaded_halves(self.split, self.config.codec)
+        payload = _uploaded_halves(self.split, self.config.codec)
         activities.append(
             Activity(
                 self._pricing.aggregation_demand(2, self.model.num_parameters()),
