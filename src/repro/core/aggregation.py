@@ -7,8 +7,9 @@ parameter *and buffer* (batch-norm running statistics average like
 parameters, the standard FedAvg-BN treatment).
 
 Implementation: :class:`StackedFedAvg` copies each state (``pack_state``
-layout) into its row of one ``(M, K)`` matrix as it arrives, and the
-average is a single ``weights @ matrix`` BLAS call.  GSFL's and
+layout) into its row of one ``(M, K)`` matrix as it arrives (an anonymous
+memory map, so unwritten rows take no memory), and the average is a
+single ``weights @ matrix`` BLAS call.  GSFL's and
 SplitFed's sync round adds each unit's halves straight from the live
 split model as the unit finishes, so it holds rows, not state dicts;
 :func:`fedavg` over a list (PSL), :func:`weighted_delta` and
@@ -89,6 +90,19 @@ def _empty_packed(layout: StateDict, *rows: int) -> np.ndarray:
     return np.empty((*rows, sum(v.size for v in layout.values())), dtype)
 
 
+def _mapped_rows(layout: StateDict, rows: int) -> np.ndarray:
+    """:func:`_empty_packed` rows in an anonymous memory map.  A row takes
+    memory only once it is written, and the matrix goes back to the
+    system when it dies, so a matrix filled as units finish holds only
+    the finished rows and leaves the heap their training uses alone."""
+    import mmap  # on first use: ``import repro.cli`` loads no more modules
+
+    like = _empty_packed(layout, 0)
+    size = rows * like.shape[1]
+    buffer = mmap.mmap(-1, max(size * like.itemsize, 1))
+    return np.frombuffer(buffer, like.dtype, size).reshape(rows, like.shape[1])
+
+
 class RunningFedAvg:
     """FedAvg of states that arrive one at a time, kept as one running sum.
 
@@ -153,7 +167,7 @@ class StackedFedAvg:
             raise ValueError(f"state {index}: all {self.num_states} states are already added")
         if index == 0:
             self._layout = _layout_of(state)
-            self._matrix = _empty_packed(self._layout, self.num_states)
+            self._matrix = _mapped_rows(self._layout, self.num_states)
         _pack_into(self._matrix[index], state, self._layout, index)
         self._added += 1
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,21 @@ class TestStackedFedAvg:
         for index, state in enumerate(states):
             for key, value in stacked.state(index).items():
                 assert value.tobytes() == state[key].tobytes()
+
+    def test_rows_live_outside_the_traced_heap(self):
+        """The matrix is an anonymous memory map: filling thirty 0.8 MB
+        rows asks the heap for less than one of them."""
+        states = [{"w": np.full(100_000, float(i))} for i in range(30)]
+        stacked = StackedFedAvg(30)
+        tracemalloc.start()
+        try:
+            for state in states:
+                stacked.add(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 * 8, peak
+        assert pack_state(stacked.state(29)).tobytes() == states[29]["w"].tobytes()
 
     def test_every_state_is_checked_by_index(self):
         a, b, _ = make_states(3)
