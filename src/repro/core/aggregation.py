@@ -8,14 +8,14 @@ parameters, the standard FedAvg-BN treatment).
 
 Implementation: :class:`StackedFedAvg` copies each state (``pack_state``
 layout) into its row of one ``(M, K)`` matrix as it arrives (an anonymous
-memory map, so unwritten rows take no memory), and the average is a
-single ``weights @ matrix`` BLAS call.  GSFL's and
-SplitFed's sync round adds each unit's halves straight from the live
-split model as the unit finishes, so it holds rows, not state dicts;
-:func:`fedavg` over a list (PSL), :func:`weighted_delta` and
-:func:`mix_states` fill the same matrix.  FL's sync round adds each
-trained state into one running weighted sum instead
-(:class:`RunningFedAvg`), so it holds no matrix.  The two are
+memory map, so unwritten rows take no memory), and :func:`fedavg` is a
+single ``weights @ matrix`` BLAS call over it.  GSFL's and SplitFed's
+sync round adds each unit's halves straight from the live split model as
+the unit finishes, so it holds rows, not state dicts; :func:`fedavg` over
+a list (PSL), :func:`weighted_delta` and :func:`mix_states` fill the same
+matrix.  FL's sync round adds each trained state into one running
+weighted sum instead (:class:`RunningFedAvg`), so it holds no matrix.
+The two are
 different orders of one sum of M terms: each lies within
 ``γₘ·Σᵢ|wᵢ·sᵢ|`` of the exact sum per entry (``γₘ = M·u/(1 − M·u)``,
 ``u`` half the dtype's eps), so they differ by at most twice that.
@@ -188,12 +188,6 @@ class StackedFedAvg:
         weights = _normalized_weights(weights, self.num_states)
         return weights.astype(matrix.dtype, copy=False) @ matrix
 
-    def result(
-        self, weights: "list[float] | np.ndarray | None" = None
-    ) -> "OrderedDict[str, np.ndarray]":
-        """The weighted average; its entries are views into one fresh vector."""
-        return unpack_state(self.average(weights), self._layout, copy=False)
-
 
 def _stacked(states: list[StateDict]) -> StackedFedAvg:
     stacked = StackedFedAvg(len(states))
@@ -203,15 +197,19 @@ def _stacked(states: list[StateDict]) -> StackedFedAvg:
 
 
 def fedavg(
-    states: list[StateDict],
+    states: "list[StateDict] | StackedFedAvg",
     weights: list[float] | np.ndarray | None = None,
 ) -> "OrderedDict[str, np.ndarray]":
-    """Weighted average of state dicts (weights normalized internally).
+    """Weighted average of state dicts (weights normalized internally):
+    a list of them, or the rows of a filled :class:`StackedFedAvg`.
 
     Weights are typically per-participant sample counts.  All states must
     share identical keys, shapes and dtypes.
     """
-    return _stacked(states).result(weights)
+    stacked = states if isinstance(states, StackedFedAvg) else _stacked(states)
+    # The averaged vector is freshly allocated, so the per-key entries can
+    # be views into it — no re-copy.
+    return unpack_state(stacked.average(weights), stacked._layout, copy=False)
 
 
 def uniform_average(states: list[StateDict]) -> "OrderedDict[str, np.ndarray]":

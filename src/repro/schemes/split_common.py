@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro import nn
-from repro.core.aggregation import StackedFedAvg, mix_states
+from repro.core.aggregation import StackedFedAvg, fedavg, mix_states
 from repro.exec import SerialExecutor
 from repro.nn.split import SmashedBatch, SplitModel, split_model
 from repro.nn.tensor import Tensor
@@ -602,8 +602,8 @@ class SplitFederatedScheme(Scheme):
         aggregation = Stage("aggregation")
         if results:
             weights = [r.weight for r in results]
-            self._global_client_state = client_avg.result(weights)
-            self._global_server_state = server_avg.result(weights)
+            self._global_client_state = fedavg(client_avg, weights)
+            self._global_server_state = fedavg(server_avg, weights)
             self._load_globals()
             aggregation.add(
                 "edge-server",

@@ -266,6 +266,7 @@ class TestStackedFedAvg:
             stacked.add(state)
         want = frozen_gemv(states, weights).tobytes()
         assert stacked.average(weights).tobytes() == want
+        assert pack_state(fedavg(stacked, weights)).tobytes() == want
         got = fedavg(states, weights)
         assert list(got) == list(states[0])
         assert all(got[key].dtype == dtype for key in got)
@@ -323,4 +324,4 @@ class TestStackedFedAvg:
         with pytest.raises(ValueError, match="state 2: all 2 states are already added"):
             stacked.add(a)
         with pytest.raises(ValueError, match="at least one"):
-            StackedFedAvg(0).result()
+            fedavg(StackedFedAvg(0))
