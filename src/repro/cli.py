@@ -17,9 +17,17 @@ Usage::
     python -m repro.cli scenarios diurnal
     python -m repro.cli run --scenario cell-outage --scheme GSFL --rounds 5
     python -m repro.cli run --scenario churn --scheme GSFL --trace-out trace.jsonl
+    python -m repro.cli run --scenario churn --participation 0.5
     python -m repro.cli run --scenario replay:trace.jsonl --scheme GSFL
     python -m repro.cli cuts
     python -m repro.cli info
+
+Every flag is one row of :data:`FLAGS` (see :class:`Flag`): the parser,
+the check that a flag suits ``--scheme`` and the step that applies the
+typed flags to the world's own configs all read that one table.  A
+config-backed flag has no default, so it overrides exactly the field the
+user typed, and a value the config rejects prints as
+``error: --flag VALUE: <the config's message>``.
 
 Every subcommand prints plain-text tables (no plotting dependencies); the
 same harness functions back the benchmark suite, so CLI runs and bench
@@ -32,9 +40,13 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.grouping import GROUPING_STRATEGIES
 from repro.core.regroup import REGROUP_POLICIES
+from repro.data.gtsrb import SyntheticGTSRB
 from repro.experiments.catalog import describe_scenario, get_scenario, list_scenarios
 from repro.experiments.dynamics import FAILURE_MODELS, DynamicsConfig
 from repro.experiments.figures import run_fig2a, run_fig2b
@@ -45,10 +57,33 @@ from repro.nn.dtype import set_default_dtype
 from repro.schemes.base import MEDIUM_POLICIES
 from repro.sim.server import parse_aggregation
 
-__all__ = ["main", "build_parser"]
+__all__ = ["FLAGS", "Flag", "main", "build_parser"]
 
-#: ``run`` flags (argparse dests) only GSFL consumes
-GSFL_ONLY_FLAGS = ("groups", "grouping", "regroup", "regroup_every", "failure_rate")
+
+@dataclass(frozen=True)
+class Flag:
+    """One command-line flag: a row of :data:`FLAGS`.
+
+    ``field`` is ``"<config>.<name>"``: ``scenario`` itself or its
+    ``dataset``, ``wireless``, ``scheme`` or ``dynamics`` config, and the
+    field the flag overrides.  ``None`` marks a run argument, the only
+    kind with a ``default`` (a ``{command: default}`` map where the
+    commands differ).  Empty ``commands`` / ``schemes`` mean every one.
+    """
+
+    flag: str
+    field: str | None = None
+    commands: Sequence[str] = ()
+    schemes: Sequence[str] = ()
+    type: Callable[[str], object] | None = None
+    choices: Sequence[str] | None = None
+    metavar: str | None = None
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
 def _aggregation_spec(value: str) -> str:
@@ -60,220 +95,206 @@ def _aggregation_spec(value: str) -> str:
     return value
 
 
+_RUN = ("run",)
+_GSFL = ("GSFL",)
+
+#: every flag of every command, in ``--help`` order
+FLAGS = (
+    Flag("--seed", type=int, default=0, help="scenario seed"),
+    Flag("--scale", choices=("fast", "paper"), default="paper",
+         help="scenario preset (fast: 6 clients/10 classes; paper: 30/43)"),
+    Flag("--scenario", metavar="NAME",
+         help="catalog scenario (takes precedence over --scale): a name "
+         "from `repro.cli scenarios`, or replay:<trace.jsonl> to re-drive "
+         "availability from a recorded --trace-out file"),
+    Flag("--train-per-class", "dataset.train_per_class", type=int,
+         help="override training samples per class"),
+    Flag("--dtype", choices=("float32", "float64"), default="float32",
+         help="compute dtype for models and training (float32 is the "
+         "fast default; float64 reproduces legacy double-precision runs)"),
+    Flag("--medium", "scheme.medium", choices=MEDIUM_POLICIES,
+         help="wireless medium share policy: 'static' resolves every "
+         "transmission at its nominal subchannel, 'contended' re-allocates "
+         "bandwidth among instantaneously active transmitters"),
+    Flag("--heterogeneity", "wireless.heterogeneity", type=float,
+         help="log-normal sigma of the client compute-speed spread "
+         "(0 = identical devices)"),
+    Flag("--scheme", commands=_RUN, choices=sorted(SCHEME_REGISTRY), default="GSFL"),
+    Flag("--rounds", commands=("fig2a", "fig2b", "run"), type=int,
+         default={"fig2a": 20, "fig2b": 26, "run": 10}),
+    Flag("--target", commands=("fig2a", "fig2b"), type=float,
+         default={"fig2a": 0.6, "fig2b": 0.75}),
+    Flag("--groups", "scenario.num_groups", _RUN, _GSFL, type=int, help="GSFL group count"),
+    Flag("--grouping", "scenario.grouping", _RUN, _GSFL, choices=GROUPING_STRATEGIES,
+         help="GSFL client-partition strategy: 'contiguous' (default) splits "
+         "0..N-1 into consecutive runs, 'random' shuffles per seed, "
+         "'compute_balanced' evens summed compute time per group, "
+         "'channel_aware' evens summed per-bit airtime per group"),
+    Flag("--regroup", "scheme.regroup", _RUN, _GSFL, choices=REGROUP_POLICIES,
+         help="between-round re-partitioning: 'static' (default) freezes the "
+         "construction-time groups, 'availability_aware' re-deals by expected "
+         "remaining up-time from the churn trace (short-lived clients to the "
+         "relay-chain tails), 'abort_history' routes chains around clients "
+         "with a flaky abort/retry record (EWMA over the fault telemetry)"),
+    Flag("--regroup-every", "scheme.regroup_every", _RUN, _GSFL, type=int, metavar="N",
+         help="re-partition every N rounds (with --regroup; default 1)"),
+    Flag("--cut-layer", "scenario.cut_layer", _RUN, type=int),
+    Flag("--transport", "scheme.transport", _RUN, metavar="CODEC",
+         help="wire codec for model/smashed/gradient payloads: 'float32' "
+         "(identity, default), 'int8', 'intk:K' (K-bit uniform-affine), or "
+         "'topk:F' (keep the top F fraction of entries by magnitude); "
+         "encode/decode compute is priced on the owning device and wire "
+         "bytes shrink to what the codec actually ships"),
+    # A GSFL constructor argument: the scheme validates it as it is built.
+    Flag("--failure-rate", None, _RUN, _GSFL, type=float,
+         help="GSFL: per-round probability that a client is unavailable, "
+         "in [0, 1] (default 0)"),
+    Flag("--participation", "dynamics.participation", _RUN, type=float,
+         help="fraction of available clients sampled each round"),
+    Flag("--straggler-rate", "dynamics.straggler_rate", _RUN, type=float,
+         help="per-round probability a participating client straggles"),
+    Flag("--straggler-slowdown", "dynamics.straggler_slowdown", _RUN, type=float,
+         help="multiplicative compute slowdown of a straggler"),
+    Flag("--churn-uptime", "dynamics.churn_uptime_s", _RUN, type=float,
+         help="mean client up-window in seconds (enables availability churn; "
+         "requires --churn-downtime)"),
+    Flag("--churn-downtime", "dynamics.churn_downtime_s", _RUN, type=float,
+         help="mean client down-window in seconds"),
+    Flag("--failure-model", "dynamics.failure_model", _RUN, choices=FAILURE_MODELS,
+         help="granularity at which churn bites: 'none' ignores churn "
+         "entirely, 'round' (default) resolves it at round boundaries, "
+         "'mid-activity' preempts in-flight transfers/compute the instant "
+         "a client's up-window closes (protocol-level retry/reroute/"
+         "surrender recovery applies)"),
+    Flag("--max-retries", "dynamics.max_retries", _RUN, type=int,
+         help="per-round retry budget after a mid-activity preemption "
+         "(exhausted budget reroutes the relay chain or surrenders the round)"),
+    Flag("--aggregation", "scheme.aggregation", _RUN, type=_aggregation_spec,
+         metavar="{sync,async,bounded:K}",
+         help="server aggregation mode: 'sync' is the paper's per-round "
+         "barrier, 'async' FedAsync-style barrier-free merging with "
+         "polynomial staleness decay, 'bounded:K' barrier-free with an "
+         "SSP-style max-lag gate (bounded:0 == sync)"),
+    Flag("--trace-out", commands=_RUN, metavar="PATH",
+         help="write the full per-activity trace plus per-client energy "
+         "summary (and per-update staleness under async aggregation) as JSONL"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser (exposed for tests)."""
+    """Construct the CLI argument parser from :data:`FLAGS` (exposed for tests)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GSFL reproduction experiments (ICDCS 2023)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="scenario seed")
-    common.add_argument(
-        "--scale",
-        choices=("fast", "paper"),
-        default="paper",
-        help="scenario preset (fast: 6 clients/10 classes; paper: 30/43)",
-    )
-    common.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="catalog scenario (takes precedence over --scale): a name "
-        "from `repro.cli scenarios`, or replay:<trace.jsonl> to re-drive "
-        "availability from a recorded --trace-out file",
-    )
-    common.add_argument(
-        "--train-per-class", type=int, default=None,
-        help="override training samples per class",
-    )
-    common.add_argument(
-        "--dtype",
-        choices=("float32", "float64"),
-        default="float32",
-        help="compute dtype for models and training (float32 is the "
-        "fast default; float64 reproduces legacy double-precision runs)",
-    )
-    common.add_argument(
-        "--medium",
-        choices=MEDIUM_POLICIES,
-        default="static",
-        help="wireless medium share policy: 'static' resolves every "
-        "transmission at its nominal subchannel, 'contended' re-allocates "
-        "bandwidth among instantaneously active transmitters",
-    )
-    common.add_argument(
-        "--heterogeneity", type=float, default=None,
-        help="log-normal sigma of the client compute-speed spread "
-        "(0 = identical devices)",
-    )
-
-    p2a = sub.add_parser("fig2a", parents=[common], help="accuracy vs rounds (Fig 2a)")
-    p2a.add_argument("--rounds", type=int, default=20)
-    p2a.add_argument("--target", type=float, default=0.6)
-
-    p2b = sub.add_parser("fig2b", parents=[common], help="accuracy vs latency (Fig 2b)")
-    p2b.add_argument("--rounds", type=int, default=26)
-    p2b.add_argument("--target", type=float, default=0.75)
-
-    prun = sub.add_parser("run", parents=[common], help="run one scheme")
-    prun.add_argument("--scheme", choices=sorted(SCHEME_REGISTRY), default="GSFL")
-    prun.add_argument("--rounds", type=int, default=10)
-    prun.add_argument("--groups", type=int, default=None, help="GSFL group count")
-    prun.add_argument(
-        "--grouping", choices=GROUPING_STRATEGIES, default=None,
-        help="GSFL client-partition strategy: 'contiguous' (default) splits "
-        "0..N-1 into consecutive runs, 'random' shuffles per seed, "
-        "'compute_balanced' evens summed compute time per group, "
-        "'channel_aware' evens summed per-bit airtime per group",
-    )
-    prun.add_argument(
-        "--regroup", choices=REGROUP_POLICIES, default=None,
-        help="between-round re-partitioning: 'static' (default) freezes the "
-        "construction-time groups, 'availability_aware' re-deals by expected "
-        "remaining up-time from the churn trace (short-lived clients to the "
-        "relay-chain tails), 'abort_history' routes chains around clients "
-        "with a flaky abort/retry record (EWMA over the fault telemetry)",
-    )
-    prun.add_argument(
-        "--regroup-every", type=int, default=None, metavar="N",
-        help="re-partition every N rounds (with --regroup; default 1)",
-    )
-    prun.add_argument("--cut-layer", type=int, default=None)
-    prun.add_argument(
-        "--transport", default=None, metavar="CODEC",
-        help="wire codec for model/smashed/gradient payloads: 'float32' "
-        "(identity, default), 'int8', 'intk:K' (K-bit uniform-affine), or "
-        "'topk:F' (keep the top F fraction of entries by magnitude); "
-        "encode/decode compute is priced on the owning device and wire "
-        "bytes shrink to what the codec actually ships",
-    )
-    prun.add_argument(
-        "--failure-rate", type=float, default=None,
-        help="GSFL: per-round probability that a client is unavailable, "
-        "in [0, 1] (default 0)",
-    )
-    prun.add_argument(
-        "--participation", type=float, default=1.0,
-        help="fraction of available clients sampled each round",
-    )
-    prun.add_argument(
-        "--straggler-rate", type=float, default=0.0,
-        help="per-round probability a participating client straggles",
-    )
-    prun.add_argument(
-        "--straggler-slowdown", type=float, default=4.0,
-        help="multiplicative compute slowdown of a straggler",
-    )
-    prun.add_argument(
-        "--churn-uptime", type=float, default=None,
-        help="mean client up-window in seconds (enables availability churn; "
-        "requires --churn-downtime)",
-    )
-    prun.add_argument(
-        "--churn-downtime", type=float, default=None,
-        help="mean client down-window in seconds",
-    )
-    prun.add_argument(
-        "--failure-model", choices=FAILURE_MODELS, default="round",
-        help="granularity at which churn bites: 'none' ignores churn "
-        "entirely, 'round' (default) resolves it at round boundaries, "
-        "'mid-activity' preempts in-flight transfers/compute the instant "
-        "a client's up-window closes (protocol-level retry/reroute/"
-        "surrender recovery applies)",
-    )
-    prun.add_argument(
-        "--max-retries", type=int, default=2,
-        help="per-round retry budget after a mid-activity preemption "
-        "(exhausted budget reroutes the relay chain or surrenders the round)",
-    )
-    prun.add_argument(
-        "--aggregation", type=_aggregation_spec, default="sync",
-        metavar="{sync,async,bounded:K}",
-        help="server aggregation mode: 'sync' is the paper's per-round "
-        "barrier, 'async' FedAsync-style barrier-free merging with "
-        "polynomial staleness decay, 'bounded:K' barrier-free with an "
-        "SSP-style max-lag gate (bounded:0 == sync)",
-    )
-    prun.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the full per-activity trace plus per-client energy "
-        "summary (and per-update staleness under async aggregation) as JSONL",
-    )
-
-    pscen = sub.add_parser(
-        "scenarios", parents=[common],
-        help="list the scenario catalog (or describe one world)",
-    )
-    pscen.add_argument(
+    for command, (_, summary) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for row in FLAGS:
+            if not row.commands or command in row.commands:
+                default = row.default.get(command) if isinstance(row.default, dict) else row.default
+                kwargs = {"type": row.type, "choices": row.choices, "metavar": row.metavar,
+                          "default": default, "help": row.help}
+                cmd.add_argument(row.flag, **{k: v for k, v in kwargs.items() if v is not None})
+    sub.choices["scenarios"].add_argument(
         "name", nargs="?", default=None,
         help="scenario to describe (omit to list the whole catalog)",
     )
-
-    sub.add_parser("cuts", parents=[common], help="cut-layer latency sweep")
-    sub.add_parser("info", parents=[common], help="print the scenario summary")
     return parser
 
 
-def _check_seed(args: argparse.Namespace) -> None:
-    """Reject a negative ``--seed`` (numpy's seeding would trace back)."""
+def _check_arguments(args: argparse.Namespace) -> None:
+    """Reject a run argument no config holds, before any work: a negative
+    ``--seed`` (numpy's seeding would trace back), ``--rounds`` below 1,
+    a ``--target`` outside (0, 1] and a ``--trace-out`` path the export
+    could not write (the trace is written only after the last round)."""
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    rounds = getattr(args, "rounds", None)
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"--rounds must be >= 1, got {rounds}")
+    target = getattr(args, "target", None)
+    if target is not None and not 0.0 < target <= 1.0:
+        raise ValueError(f"--target must be an accuracy in (0, 1], got {target}")
+    path = getattr(args, "trace_out", None)
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ValueError(f"--trace-out {path!r} is a directory, not a file path")
+        if not os.path.isdir(parent):
+            raise ValueError(f"--trace-out directory {parent!r} does not exist")
+
+
+@contextmanager
+def _naming(args: argparse.Namespace, rows: Iterable[Flag]) -> Iterator[None]:
+    """Prefix a ValueError raised inside with the typed flags that fed it."""
+    try:
+        yield
+    except ValueError as exc:
+        typed = " ".join(f"{row.flag} {getattr(args, row.dest)}" for row in rows)
+        raise ValueError(f"{typed}: {exc}") from None
 
 
 def _scenario(args: argparse.Namespace) -> ExperimentScenario:
-    from dataclasses import replace
+    """The configuration phase: check the run arguments, then make the
+    world's scenario with every typed flag applied.  Nothing is built.
 
-    _check_seed(args)
+    Each config the flags touch takes them in one ``replace`` of the
+    world's own config, so its validation fires there.  A world without
+    dynamics starts from ``DynamicsConfig(seed=--seed)`` and keeps none
+    when the flags only restate that static fleet.
+    """
+    _check_arguments(args)
+    # A flag this command does not take has no attribute on ``args``.
+    typed = [row for row in FLAGS
+             if row.default is None and getattr(args, row.dest, None) is not None]
+    misfits = [row for row in typed if row.schemes and args.scheme not in row.schemes]
+    if misfits:
+        schemes = "/".join(sorted({scheme for row in misfits for scheme in row.schemes}))
+        flags = " ".join(row.flag for row in misfits)
+        raise ValueError(f"{schemes}-only flag(s) {flags} given with --scheme {args.scheme}")
 
-    if getattr(args, "scenario", None):
-        scenario = get_scenario(args.scenario, seed=args.seed)
+    if args.scenario:
+        with _naming(args, [row for row in typed if row.flag == "--scenario"]):
+            scenario = get_scenario(args.scenario, seed=args.seed)
     elif args.scale == "fast":
         scenario = fast_scenario(with_wireless=True, seed=args.seed)
     else:
         scenario = paper_scenario(with_wireless=True, seed=args.seed)
+
+    by_config: dict[str, dict[str, Flag]] = {}
+    for row in typed:
+        if row.field is not None:
+            config, name = row.field.split(".")
+            by_config.setdefault(config, {})[name] = row
+    static = DynamicsConfig(seed=args.seed)
+    changes: dict[str, object] = {}
+    for config, rows in by_config.items():
+        values = {name: getattr(args, row.dest) for name, row in rows.items()}
+        if config == "scenario":
+            changes.update(values)  # the scenario's own fields, replaced last
+            continue
+        base = (scenario.dynamics or static) if config == "dynamics" else getattr(scenario, config)
+        with _naming(args, rows.values()):
+            changes[config] = replace(base, **values)
+    if scenario.dynamics is None and changes.get("dynamics") == static:
+        changes["dynamics"] = None
+    with _naming(args, by_config.get("scenario", {}).values()):
+        scenario = replace(scenario, **changes)
+
     if args.train_per_class is not None:
-        dataset = scenario.dataset = replace(scenario.dataset, train_per_class=args.train_per_class)
-        # The build renders the whole training split at once, in float64.
-        render = int(dataset.class_counts(args.train_per_class).sum()) * 24 * dataset.image_size**2
-        if render > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        # The build holds the float64 render, its scratch and the stored
+        # split at once: refuse one that cannot fit before it starts.
+        try:
+            peak = SyntheticGTSRB(scenario.dataset).peak_bytes()
+        except OverflowError:  # a class count past int64
+            peak = float("inf")
+        if peak > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
             raise ValueError(
-                f"--train-per-class {args.train_per_class} renders a {render / 2**30:.1f} GiB "
-                "float64 training split, more than this machine's physical memory"
+                f"--train-per-class {args.train_per_class} needs {peak / 2**30:.1f} GiB "
+                "to build its training split, more than this machine's physical memory"
             )
-    if args.medium != "static":
-        scenario.scheme = replace(scenario.scheme, medium=args.medium)
-    if args.heterogeneity is not None and scenario.wireless is not None:
-        scenario.wireless = replace(scenario.wireless, heterogeneity=args.heterogeneity)
     return scenario
-
-
-def _dynamics_config(args: argparse.Namespace) -> DynamicsConfig | None:
-    """Build a DynamicsConfig from `run` flags; None when all defaults.
-
-    Any flag that deviates from its default reaches DynamicsConfig so its
-    validation fires (out-of-range participation, partial churn windows)
-    instead of being silently dropped.
-    """
-    if (
-        args.participation == 1.0
-        and args.straggler_rate == 0.0
-        and args.straggler_slowdown == 4.0
-        and args.churn_uptime is None
-        and args.churn_downtime is None
-        and args.failure_model == "round"
-        and args.max_retries == 2
-    ):
-        return None
-    return DynamicsConfig(
-        participation=args.participation,
-        churn_uptime_s=args.churn_uptime,
-        churn_downtime_s=args.churn_downtime,
-        straggler_rate=args.straggler_rate,
-        straggler_slowdown=args.straggler_slowdown,
-        failure_model=args.failure_model,
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
 
 
 def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = None) -> None:
@@ -374,40 +395,16 @@ def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = Non
                     "weight": u.weight,
                 }
             )
+        def joules(report: EnergyReport) -> "dict[str, float]":
+            return {"tx_j": report.tx_j, "rx_j": report.rx_j, "compute_j": report.compute_j,
+                    "idle_j": report.idle_j, "total_j": report.total_j}
+
         reports = energy.per_client_energy(recorder, total_span)
         fleet = sum(reports.values(), EnergyReport.zero())
         for actor, report in sorted(reports.items()):
-            emit(
-                {
-                    "type": "energy",
-                    "actor": actor,
-                    "tx_j": report.tx_j,
-                    "rx_j": report.rx_j,
-                    "compute_j": report.compute_j,
-                    "idle_j": report.idle_j,
-                    "total_j": report.total_j,
-                }
-            )
-        emit(
-            {
-                "type": "energy_summary",
-                "tx_j": fleet.tx_j,
-                "rx_j": fleet.rx_j,
-                "compute_j": fleet.compute_j,
-                "idle_j": fleet.idle_j,
-                "total_j": fleet.total_j,
-            }
-        )
+            emit({"type": "energy", "actor": actor, **joules(report)})
+        emit({"type": "energy_summary", **joules(fleet)})
     print(f"wrote trace: {path}")
-
-
-def _check_experiment_flags(args: argparse.Namespace) -> None:
-    """Reject an out-of-range ``--rounds`` or ``--target`` before any work."""
-    if args.rounds < 1:
-        raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
-    target = getattr(args, "target", None)
-    if target is not None and not 0.0 < target <= 1.0:
-        raise ValueError(f"--target must be an accuracy in (0, 1], got {target}")
 
 
 def _config_error(exc: ValueError) -> int:
@@ -417,7 +414,6 @@ def _config_error(exc: ValueError) -> int:
 
 def _cmd_fig2a(args: argparse.Namespace) -> int:
     try:
-        _check_experiment_flags(args)
         scenario = _scenario(args)
     except ValueError as exc:
         return _config_error(exc)
@@ -434,7 +430,6 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
 
 def _cmd_fig2b(args: argparse.Namespace) -> int:
     try:
-        _check_experiment_flags(args)
         scenario = _scenario(args)
     except ValueError as exc:
         return _config_error(exc)
@@ -448,29 +443,12 @@ def _cmd_fig2b(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_trace_out(path: str) -> None:
-    """Reject a ``--trace-out`` path the export could not write, before
-    any training: the trace is written only after the last round."""
-    if os.path.isdir(path):
-        raise ValueError(f"--trace-out {path!r} is a directory, not a file path")
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ValueError(f"--trace-out directory {parent!r} does not exist")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     # Configuration phase: ValueErrors raised while assembling the
     # scenario, dynamics and scheme are user errors (bad flag combinations
     # such as --churn-uptime 0) and exit cleanly; anything raised later,
     # during the actual run, is a real bug and must keep its traceback.
     try:
-        _check_experiment_flags(args)
-        if args.trace_out:
-            _check_trace_out(args.trace_out)
-        given = [dest for dest in GSFL_ONLY_FLAGS if getattr(args, dest) is not None]
-        if given and args.scheme != "GSFL":
-            flags = " ".join("--" + dest.replace("_", "-") for dest in given)
-            raise ValueError(f"GSFL-only flag(s) {flags} given with --scheme {args.scheme}")
         scenario = _scenario(args)
         if args.cut_layer is not None:
             depth = len(scenario.make_model())
@@ -479,41 +457,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"--cut-layer must be between 1 and {depth - 1} for the "
                     f"{depth}-layer {scenario.model_name} model, got {args.cut_layer}"
                 )
-            scenario.cut_layer = args.cut_layer
-        if args.groups is not None:
-            if not 1 <= args.groups <= scenario.num_clients:
-                raise ValueError(
-                    f"--groups must be between 1 and the scenario's "
-                    f"{scenario.num_clients} clients, got {args.groups}"
-                )
-            scenario.num_groups = args.groups
+        aggregation = scenario.scheme.aggregation
         if (
             not SCHEME_REGISTRY[args.scheme].supports_async
-            and not parse_aggregation(args.aggregation).synchronous
+            and not parse_aggregation(aggregation).synchronous
         ):
             raise ValueError(
                 f"scheme {args.scheme!r} does not support "
-                f"--aggregation {args.aggregation} (only the sync barrier: "
+                f"--aggregation {aggregation} (only the sync barrier: "
                 f"'sync' or 'bounded:0')"
             )
-        if args.grouping is not None:
-            scenario.grouping = args.grouping
-        overrides = {
-            field: getattr(args, field)
-            for field in ("transport", "regroup", "regroup_every")
-            if getattr(args, field) is not None
-        }
-        if args.aggregation != "sync":
-            overrides["aggregation"] = args.aggregation
-        if overrides:
-            from dataclasses import replace
-
-            scenario.scheme = replace(scenario.scheme, **overrides)
-        # Explicit dynamics flags override the scenario; all-default
-        # flags leave a catalog world's own dynamics in place.
-        dynamics = _dynamics_config(args)
-        if dynamics is not None:
-            scenario.dynamics = dynamics
         # The scheme validates its own arguments (a failure rate outside
         # [0, 1], regrouping without a barrier) as it is constructed.
         scheme_kwargs = (
@@ -541,7 +494,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.name:
         try:
-            _check_seed(args)
+            _check_arguments(args)
             print(describe_scenario(args.name, seed=args.seed))
         except ValueError as exc:
             return _config_error(exc)
@@ -595,13 +548,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fig2a": _cmd_fig2a,
-    "fig2b": _cmd_fig2b,
-    "run": _cmd_run,
-    "scenarios": _cmd_scenarios,
-    "cuts": _cmd_cuts,
-    "info": _cmd_info,
+#: every subcommand: its handler and its ``--help`` line
+COMMANDS = {
+    "fig2a": (_cmd_fig2a, "accuracy vs rounds (Fig 2a)"),
+    "fig2b": (_cmd_fig2b, "accuracy vs latency (Fig 2b)"),
+    "run": (_cmd_run, "run one scheme"),
+    "scenarios": (_cmd_scenarios, "list the scenario catalog (or describe one world)"),
+    "cuts": (_cmd_cuts, "cut-layer latency sweep"),
+    "info": (_cmd_info, "print the scenario summary"),
 }
 
 
@@ -612,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     # afterwards so in-process callers (tests) see no global side effect.
     previous = set_default_dtype(args.dtype)
     try:
-        return _COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     finally:
         set_default_dtype(previous)
 

@@ -365,6 +365,32 @@ class SyntheticGTSRB:
             images[start:stop] = x[order[start:stop]]
         return ArrayDataset(images, y[order])
 
+    def peak_bytes(self) -> int:
+        """Bytes :meth:`train_test` holds at its peak, from the shapes
+        :meth:`_generate` allocates.
+
+        A split's build holds at once the float64 render ``x``, the
+        float64 ``work`` scratch (two of its largest class), one float64
+        gather chunk, the stored images in the compute dtype and three
+        int64 arrays of the split's length (``y``, the permutation and the
+        permuted labels); the train split stays held while the test split
+        is built.  Counted in Python integers, so no size can wrap.
+        """
+        cfg = self.config
+        pixels = 3 * cfg.image_size**2
+        itemsize = get_default_dtype().itemsize
+
+        def build(per_class: int) -> tuple[int, int]:
+            counts = cfg.class_counts(per_class).tolist()
+            n = sum(counts)
+            stored = n * (pixels * itemsize + 8)
+            scratch = (n + 2 * max(counts) + min(n, _GATHER_CHUNK)) * pixels * 8 + 16 * n
+            return scratch + stored, stored
+
+        train_peak, train_stored = build(cfg.train_per_class)
+        test_peak, _ = build(cfg.test_per_class)
+        return max(train_peak, train_stored + test_peak)
+
     def train_test(self) -> tuple[ArrayDataset, ArrayDataset]:
         """Generate the (train, test) pair deterministically from the seed."""
         rng = new_rng(self.config.seed)

@@ -445,10 +445,14 @@ def _uploaded_halves(
     split: SplitModel, codec: TransportCodec, copy: bool = True
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """A trained unit's halves as the edge receives them (the client half
-    coded under a lossy codec); ``copy=False`` reads the live arrays."""
-    client_state: dict[str, np.ndarray] = split.client.state_dict(copy=copy)
+    coded under a lossy codec); ``copy=False`` reads the live arrays.  A
+    lossy codec codes the live client arrays, since its output is a fresh
+    allocation and training rebinds parameters rather than writing them.
+    """
     if codec.lossy:
-        client_state = codec.apply_state(client_state)
+        client_state = codec.apply_state(split.client.state_dict(copy=False))
+    else:
+        client_state = split.client.state_dict(copy=copy)
     return client_state, split.server.state_dict(copy=copy)
 
 

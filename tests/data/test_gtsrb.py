@@ -3,11 +3,14 @@ learnability-relevant properties."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
 from repro.data.gtsrb import (
     NUM_CLASSES,
     GtsrbConfig,
@@ -163,3 +166,32 @@ class TestSyntheticGTSRB:
             opt.step()
         acc = nn.accuracy_from_logits(model(Tensor(test.images)), test.labels)
         assert acc > 0.5  # chance is 0.2
+
+
+class TestPeakBytes:
+    """``SyntheticGTSRB.peak_bytes`` sizes what ``train_test`` holds at
+    once — the CLI's ``--train-per-class`` guard refuses a build by it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GtsrbConfig(num_classes=10, image_size=16, train_per_class=24, test_per_class=6),
+            GtsrbConfig(num_classes=43, image_size=12, train_per_class=6, test_per_class=3),
+            GtsrbConfig(num_classes=3, image_size=16, train_per_class=20, test_per_class=30,
+                        imbalance=3.0),
+        ],
+        ids=["fast", "paper-classes", "imbalanced-test-heavier"],
+    )
+    def test_within_ten_percent_of_the_traced_peak(self, config, dtype):
+        factory = SyntheticGTSRB(config)
+        with nn.default_dtype(dtype):
+            factory.train_test()  # the first call pays one-time imports
+            tracemalloc.start()
+            try:
+                factory.train_test()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            estimate = factory.peak_bytes()
+        assert 0.9 * peak <= estimate <= 1.1 * peak

@@ -13,6 +13,8 @@ also goes through the shared model).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from repro import nn
 from repro.data.dataset import DataLoader
 from repro.nn.split import split_model
 from repro.schemes.base import SchemeConfig
-from repro.schemes.split_common import GroupTask, run_group_tasks
+from repro.schemes.split_common import (
+    GroupTask,
+    _uploaded_halves,
+    run_group_tasks,
+    train_split_group,
+)
+from repro.sim.transport import parse_transport
 
 TRANSPORTS = ["float32", "int8", "topk:0.25"]
 #: (members, seed offset of their loaders) for each of three tasks
@@ -153,3 +161,55 @@ class TestRunGroupTasks:
         run_group_tasks(tasks, _split(), SchemeConfig())
         # Members in relay order, each drawing ``local_steps`` batches in a row.
         assert calls == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+class TestUploadedHalves:
+    """A barrier-free unit-round's payload (``_uploaded_halves`` with its
+    default copy) outlives the next unit-round on the shared model.  Under
+    a lossy codec the coded client half is a fresh allocation, so it is
+    coded straight from the live arrays, not from a copy of them."""
+
+    LOSSY = ["int8", "topk:0.25"]
+
+    @pytest.mark.parametrize("transport", LOSSY)
+    def test_payload_is_the_coded_trained_half_and_outlives_training(
+        self, small_dataset, transport
+    ):
+        codec = parse_transport(transport)
+        config = SchemeConfig(transport=transport)
+        split = _split()
+        first, second = _tasks(small_dataset, [0, 1])
+        train_split_group(first, split, config)
+        client_state, server_state = _uploaded_halves(split, codec)
+        # What coding a copy of the trained client half gives, byte for byte.
+        expected = codec.apply_state(split.client.state_dict())
+        kept = [
+            {key: value.copy() for key, value in half.items()}
+            for half in (client_state, server_state)
+        ]
+        assert list(client_state) == list(expected)
+        for key, value in expected.items():
+            assert client_state[key].tobytes() == value.tobytes()
+        train_split_group(second, split, config)
+        for half, before in zip((client_state, server_state), kept):
+            for key, value in before.items():
+                np.testing.assert_array_equal(half[key], value)
+
+    @pytest.mark.parametrize("transport", LOSSY)
+    def test_taking_it_allocates_one_coded_client_half(self, transport):
+        """The transient over what the payload keeps stays under half a
+        client half: only the codec's per-tensor scratch, no full copy."""
+        layers = []
+        for seed in range(6):
+            layers += [nn.Linear(32, 32, seed=seed), nn.ReLU()]
+        split = split_model(nn.Sequential(*layers, nn.Linear(32, 5, seed=9)), 12)
+        codec = parse_transport(transport)
+        client_bytes = sum(a.nbytes for a in split.client.state_dict(copy=False).values())
+        _uploaded_halves(split, codec)  # warm the codec's first-call imports
+        tracemalloc.start()
+        try:
+            payload = _uploaded_halves(split, codec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert payload[0] and peak - kept < client_bytes / 2
