@@ -1,20 +1,20 @@
-"""Substrate + runtime performance tracker: dump op → median seconds as JSON.
+"""Simulated-runtime tracker: the event-driven scenarios → ``BENCH_runtime.json``.
 
-Runs the hot-path micro-operations (the same bodies as
-``test_microbench_nn.py``) under the current substrate settings and
-writes ``BENCH_substrate.json``, so the perf trajectory is tracked in-repo
-from PR to PR; also runs the event-driven runtime scenarios (static vs
-contended medium, homogeneous vs heterogeneous fleets) and writes
-``BENCH_runtime.json`` with the measured latency divergence::
+Runs the fast preset through the discrete-event runtime and records what
+the simulation answers — DES latency, accuracy, wire bytes, staleness,
+aborts and retries — per section: static vs contended medium on
+homogeneous and heterogeneous fleets (``scenarios``), sync vs
+barrier-free aggregation under stragglers (``async``), churn on/off
+(``failures``), regroup policies (``grouping``), wire codecs
+(``transport``) and one row per catalog world plus a record→replay round
+trip (``catalog``)::
 
-    PYTHONPATH=src python benchmarks/run_bench.py                 # float32
-    PYTHONPATH=src python benchmarks/run_bench.py --quick         # CI smoke
-    PYTHONPATH=src python benchmarks/run_bench.py --dtype float64
-    PYTHONPATH=src python benchmarks/run_bench.py --compare old.json
+    PYTHONPATH=src python benchmarks/run_bench.py           # rewrites BENCH_runtime.json
+    PYTHONPATH=src python benchmarks/run_bench.py --quick   # CI smoke: fewer rounds
 
-``--compare`` embeds per-op speedups against a previously dumped file
-(e.g. one generated from the seed commit) into the output; ``--quick``
-shrinks timing budgets for the non-gating CI smoke step.
+Nothing here is a host time.  Host wall-clock and memory are measured end
+to end by ``benchmarks/e2e/run.py`` (``BENCHMARK.json``) and recorded in
+``BENCH_e2e.json``.
 """
 
 from __future__ import annotations
@@ -22,142 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
-import time
 
 import numpy as np
 
-from repro import nn
-from repro.core.aggregation import fedavg
-from repro.models import deepthin_cnn
-from repro.nn.split import split_model
-from repro.nn.tensor import Tensor
-from repro.schemes.base import Activity, Stage
-from repro.sim.runtime import Runtime
-from repro.sim.server import SyncBarrier
-
-
-def _timeit(fn, *, min_rounds: int = 5, min_time_s: float = 0.5) -> dict:
-    """Median + p95 wall-clock seconds of ``fn()`` (warmup excluded)."""
-    fn()  # warmup / JIT caches / BLAS thread spin-up
-    samples: list[float] = []
-    budget_start = time.perf_counter()
-    while len(samples) < min_rounds or time.perf_counter() - budget_start < min_time_s:
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-        if len(samples) >= 200:
-            break
-    ordered = sorted(samples)
-    p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-    return {
-        "median_s": statistics.median(samples),
-        "p95_s": p95,
-        "rounds": len(samples),
-    }
-
-
-def bench_conv_forward() -> "callable":
-    model = deepthin_cnn(num_classes=43, image_size=20, seed=0)
-    model.eval()
-    x = np.random.default_rng(0).normal(size=(16, 3, 20, 20))
-
-    def op():
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            return model(Tensor(x))
-
-    return op
-
-
-def bench_full_training_step() -> "callable":
-    model = deepthin_cnn(num_classes=43, image_size=20, seed=0)
-    opt = nn.SGD(model.parameters(), lr=0.01)
-    loss_fn = nn.CrossEntropyLoss()
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(16, 3, 20, 20))
-    y = rng.integers(0, 43, size=16)
-
-    def op():
-        opt.zero_grad()
-        loss = loss_fn(model(Tensor(x)), y)
-        loss.backward()
-        opt.step()
-        return loss
-
-    return op
-
-
-def bench_split_training_step() -> "callable":
-    model = deepthin_cnn(num_classes=43, image_size=20, seed=0)
-    sm = split_model(model, 4)
-    c_opt = nn.SGD(sm.client.parameters(), lr=0.01)
-    s_opt = nn.SGD(sm.server.parameters(), lr=0.01)
-    loss_fn = nn.CrossEntropyLoss()
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(16, 3, 20, 20))
-    y = rng.integers(0, 43, size=16)
-
-    def op():
-        smashed = sm.client.forward_to_smashed(x)
-        s_opt.zero_grad()
-        _, grad, _ = sm.server.forward_backward(smashed, y, loss_fn)
-        s_opt.step()
-        c_opt.zero_grad()
-        sm.client.backward_from_gradient(grad)
-        c_opt.step()
-
-    return op
-
-
-def bench_fedavg_aggregation() -> "callable":
-    states = [deepthin_cnn(seed=s).state_dict() for s in range(6)]
-    weights = [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
-    return lambda: fedavg(states, weights)
-
-
-def bench_fedavg_flat_30() -> "callable":
-    states = [deepthin_cnn(seed=s).state_dict() for s in range(30)]
-    weights = [float(1 + s % 5) for s in range(30)]
-    return lambda: fedavg(states, weights)
-
-
-def bench_des_replay() -> "callable":
-    def op():
-        stage = Stage("training")
-        for g in range(6):
-            stage.extend(
-                f"group-{g}",
-                [
-                    Activity(0.01 * (i % 7 + 1), "client_compute", f"g{g}")
-                    for i in range(100)
-                ],
-            )
-        return SyncBarrier().resolve_round(Runtime(), [stage], None, 0)
-
-    return op
-
-
-def bench_gsfl_round() -> "callable":
-    from repro.experiments.runner import make_scheme
-    from repro.experiments.scenario import fast_scenario
-
-    def op():
-        built = fast_scenario(with_wireless=True, num_clients=6, num_groups=6).build()
-        make_scheme("GSFL", built).run(1)
-
-    return op
-
-
-OPS: dict[str, "callable"] = {
-    "conv_forward": bench_conv_forward,
-    "full_training_step": bench_full_training_step,
-    "split_training_step": bench_split_training_step,
-    "fedavg_aggregation": bench_fedavg_aggregation,
-    "fedavg_flat_30": bench_fedavg_flat_30,
-    "des_replay": bench_des_replay,
-}
+from repro.nn.dtype import get_default_dtype
 
 
 def runtime_report(quick: bool) -> dict:
@@ -170,7 +38,6 @@ def runtime_report(quick: bool) -> dict:
     DES-resolved latency measurably diverges from the static analytic
     numbers.
     """
-    import time
     from dataclasses import replace
 
     from repro.experiments.runner import make_scheme
@@ -184,14 +51,11 @@ def runtime_report(quick: bool) -> dict:
         scenario.wireless = replace(scenario.wireless, heterogeneity=het)
         scenario.scheme = replace(scenario.scheme, medium=medium)
         scheme = make_scheme("GSFL", scenario.build())
-        t0 = time.perf_counter()
-        history = scheme.run(rounds)
-        wall = time.perf_counter() - t0
-        return scheme, history, wall
+        return scheme, scheme.run(rounds)
 
     for het in (0.0, 1.0):
-        static_scheme, static_hist, static_wall = run("static", het)
-        cont_scheme, cont_hist, cont_wall = run("contended", het)
+        static_scheme, static_hist = run("static", het)
+        _, cont_hist = run("contended", het)
         static_lat = static_hist.total_latency_s
         cont_lat = cont_hist.total_latency_s
         report["scenarios"][f"heterogeneity_{het:g}"] = {
@@ -200,8 +64,6 @@ def runtime_report(quick: bool) -> dict:
             "divergence": cont_lat / static_lat - 1.0,
             "analytic_latency_s": sum(t.analytic_s for t in static_scheme.round_timings),
             "lower_bound_s": sum(t.lower_bound_s for t in static_scheme.round_timings),
-            "host_wall_static_s": round(static_wall, 4),
-            "host_wall_contended_s": round(cont_wall, 4),
         }
         label = f"gsfl het={het:g}"
         print(f"{label:>24}: static {static_lat:8.3f} s | contended {cont_lat:8.3f} s "
@@ -552,80 +414,28 @@ def grouping_report(quick: bool) -> dict:
     return report
 
 
-#: whole-round ops, timed with the round budget
-ROUND_OPS = {"gsfl_round_serial": bench_gsfl_round}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dtype", choices=("float32", "float64"), default="float32")
-    parser.add_argument("-o", "--output", default="BENCH_substrate.json")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--runtime-output", default="BENCH_runtime.json")
     parser.add_argument(
         "--quick", action="store_true",
-        help="shrink timing budgets (CI smoke step)",
-    )
-    parser.add_argument(
-        "--compare", default=None,
-        help="previous run_bench JSON; speedups vs it are embedded",
+        help="fewer rounds per section (CI smoke step)",
     )
     args = parser.parse_args(argv)
 
-    baseline = None
-    if args.compare:
-        # Validate up front — don't burn minutes of timing first.
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-
-    try:
-        nn.set_default_dtype(args.dtype)
-        dtype = args.dtype
-    except AttributeError:  # pre-dtype substrate (seed baseline runs)
-        dtype = "float64"
-
-    micro_time = 0.1 if args.quick else 0.5
-    round_time = 0.2 if args.quick else 1.0
-    results: dict[str, dict] = {}
-    for name, make_op in OPS.items():
-        results[name] = _timeit(make_op(), min_time_s=micro_time)
-        print(f"{name:>24}: {results[name]['median_s'] * 1e3:9.3f} ms "
-              f"({results[name]['rounds']} rounds)")
-    for name, make_op in ROUND_OPS.items():
-        results[name] = _timeit(make_op(), min_rounds=2 if args.quick else 3,
-                                min_time_s=round_time)
-        print(f"{name:>24}: {results[name]['median_s'] * 1e3:9.3f} ms "
-              f"({results[name]['rounds']} rounds)")
-
     out = {
         "meta": {
-            "dtype": dtype,
+            "dtype": str(get_default_dtype()),
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
-        "ops": results,
+        **runtime_report(args.quick),
     }
-    if baseline is not None:
-        speedups = {}
-        for name, entry in results.items():
-            base = baseline.get("ops", {}).get(name)
-            if base:
-                speedups[name] = round(base["median_s"] / entry["median_s"], 3)
-        out["speedup_vs_baseline"] = {
-            "baseline_dtype": baseline.get("meta", {}).get("dtype"),
-            "ops": speedups,
-        }
-        for name, factor in speedups.items():
-            print(f"{name:>24}: {factor:5.2f}x vs baseline")
-
-    with open(args.output, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-
-    runtime_out = {"meta": out["meta"], **runtime_report(args.quick)}
     with open(args.runtime_output, "w") as fh:
-        json.dump(runtime_out, fh, indent=2, sort_keys=True)
+        json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.runtime_output}")
     return 0

@@ -56,6 +56,7 @@ from repro.experiments.scenario import ExperimentScenario, fast_scenario, paper_
 from repro.nn.dtype import set_default_dtype
 from repro.schemes.base import MEDIUM_POLICIES
 from repro.sim.server import parse_aggregation
+from repro.utils.validation import check_probability
 
 __all__ = ["FLAGS", "Flag", "main", "build_parser"]
 
@@ -68,7 +69,8 @@ class Flag:
     ``dataset``, ``wireless``, ``scheme`` or ``dynamics`` config, and the
     field the flag overrides.  ``None`` marks a run argument, the only
     kind with a ``default`` (a ``{command: default}`` map where the
-    commands differ).  Empty ``commands`` / ``schemes`` mean every one.
+    commands differ).  A flag belongs to its ``commands`` only; empty
+    ``schemes`` mean every scheme.
     """
 
     flag: str
@@ -97,26 +99,29 @@ def _aggregation_spec(value: str) -> str:
 
 _RUN = ("run",)
 _GSFL = ("GSFL",)
+#: the commands that build a scenario (``scenarios`` only lists or describes)
+_BUILDING = ("fig2a", "fig2b", "run", "cuts", "info")
 
 #: every flag of every command, in ``--help`` order
 FLAGS = (
-    Flag("--seed", type=int, default=0, help="scenario seed"),
-    Flag("--scale", choices=("fast", "paper"), default="paper",
+    Flag("--seed", commands=(*_BUILDING, "scenarios"), type=int, default=0,
+         help="scenario seed"),
+    Flag("--scale", commands=_BUILDING, choices=("fast", "paper"), default="paper",
          help="scenario preset (fast: 6 clients/10 classes; paper: 30/43)"),
-    Flag("--scenario", metavar="NAME",
+    Flag("--scenario", commands=_BUILDING, metavar="NAME",
          help="catalog scenario (takes precedence over --scale): a name "
          "from `repro.cli scenarios`, or replay:<trace.jsonl> to re-drive "
          "availability from a recorded --trace-out file"),
-    Flag("--train-per-class", "dataset.train_per_class", type=int,
+    Flag("--train-per-class", "dataset.train_per_class", _BUILDING, type=int,
          help="override training samples per class"),
-    Flag("--dtype", choices=("float32", "float64"), default="float32",
+    Flag("--dtype", commands=_BUILDING, choices=("float32", "float64"), default="float32",
          help="compute dtype for models and training (float32 is the "
          "fast default; float64 reproduces legacy double-precision runs)"),
-    Flag("--medium", "scheme.medium", choices=MEDIUM_POLICIES,
+    Flag("--medium", "scheme.medium", _BUILDING, choices=MEDIUM_POLICIES,
          help="wireless medium share policy: 'static' resolves every "
          "transmission at its nominal subchannel, 'contended' re-allocates "
          "bandwidth among instantaneously active transmitters"),
-    Flag("--heterogeneity", "wireless.heterogeneity", type=float,
+    Flag("--heterogeneity", "wireless.heterogeneity", _BUILDING, type=float,
          help="log-normal sigma of the client compute-speed spread "
          "(0 = identical devices)"),
     Flag("--scheme", commands=_RUN, choices=sorted(SCHEME_REGISTRY), default="GSFL"),
@@ -145,7 +150,8 @@ FLAGS = (
          "'topk:F' (keep the top F fraction of entries by magnitude); "
          "encode/decode compute is priced on the owning device and wire "
          "bytes shrink to what the codec actually ships"),
-    # A GSFL constructor argument: the scheme validates it as it is built.
+    # A GSFL constructor argument: checked before the build by the
+    # scheme's own validator.
     Flag("--failure-rate", None, _RUN, _GSFL, type=float,
          help="GSFL: per-round probability that a client is unavailable, "
          "in [0, 1] (default 0)"),
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, summary) in COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
         for row in FLAGS:
-            if not row.commands or command in row.commands:
+            if command in row.commands:
                 default = row.default.get(command) if isinstance(row.default, dict) else row.default
                 kwargs = {"type": row.type, "choices": row.choices, "metavar": row.metavar,
                           "default": default, "help": row.help}
@@ -253,6 +259,10 @@ def _scenario(args: argparse.Namespace) -> ExperimentScenario:
         schemes = "/".join(sorted({scheme for row in misfits for scheme in row.schemes}))
         flags = " ".join(row.flag for row in misfits)
         raise ValueError(f"{schemes}-only flag(s) {flags} given with --scheme {args.scheme}")
+    for row in typed:
+        if row.flag == "--failure-rate":
+            with _naming(args, [row]):
+                check_probability("failure_rate", args.failure_rate)
 
     if args.scenario:
         with _naming(args, [row for row in typed if row.flag == "--scenario"]):
@@ -467,8 +477,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--aggregation {aggregation} (only the sync barrier: "
                 f"'sync' or 'bounded:0')"
             )
-        # The scheme validates its own arguments (a failure rate outside
-        # [0, 1], regrouping without a barrier) as it is constructed.
+        # The scheme validates the rest of its arguments (regrouping
+        # without a barrier) as it is constructed.
         scheme_kwargs = (
             {} if args.failure_rate is None else {"failure_rate": args.failure_rate}
         )
@@ -562,11 +572,14 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    handler = COMMANDS[args.command][0]
+    if args.command not in _BUILDING:  # builds nothing, so takes no --dtype
+        return handler(args)
     # Dtype must be pinned before any model/scenario construction; restore
     # afterwards so in-process callers (tests) see no global side effect.
     previous = set_default_dtype(args.dtype)
     try:
-        return COMMANDS[args.command][0](args)
+        return handler(args)
     finally:
         set_default_dtype(previous)
 

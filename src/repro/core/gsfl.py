@@ -45,6 +45,7 @@ from repro.core.grouping import make_groups, validate_groups
 from repro.core.regroup import RegroupContext, make_regroup_policy
 from repro.schemes.base import Stage
 from repro.schemes.split_common import SplitFederatedScheme
+from repro.utils.validation import check_probability
 
 __all__ = ["GroupSplitFederatedLearning"]
 
@@ -99,9 +100,7 @@ class GroupSplitFederatedLearning(SplitFederatedScheme):
         **kwargs: object,
     ) -> None:
         super().__init__(*args, cut_layer=cut_layer, **kwargs)
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError(f"failure_rate must be in [0, 1], got {failure_rate}")
-        self.failure_rate = failure_rate
+        self.failure_rate = check_probability("failure_rate", failure_rate)
         self._failure_rng = np.random.default_rng(
             np.random.SeedSequence([self.config.seed, 0xFA11])
         )

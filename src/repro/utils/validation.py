@@ -15,6 +15,7 @@ __all__ = [
     "check_positive",
     "check_positive_finite",
     "check_non_negative",
+    "check_non_negative_finite",
     "check_probability",
     "check_in_choices",
 ]
@@ -44,6 +45,14 @@ def check_non_negative(name: str, value: float) -> float:
     """
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def check_non_negative_finite(name: str, value: float) -> float:
+    """Raise ``ValueError`` unless ``0 <= value < inf``; return the value."""
+    check_non_negative(name, value)
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

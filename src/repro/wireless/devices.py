@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import new_rng
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_non_negative, check_non_negative_finite, check_positive
 
 __all__ = ["DeviceProfile", "DeviceFleet", "EDGE_SERVER_FLOPS", "MOBILE_DEVICE_FLOPS"]
 
@@ -68,9 +68,7 @@ class DeviceFleet:
         check_positive("num_clients", num_clients)
         check_positive("client_flops", client_flops)
         check_positive("server_flops", server_flops)
-        check_non_negative("heterogeneity", heterogeneity)
-        if not np.isfinite(heterogeneity):
-            raise ValueError(f"heterogeneity must be finite, got {heterogeneity!r}")
+        check_non_negative_finite("heterogeneity", heterogeneity)
         rng = new_rng(seed)
         self.server = DeviceProfile(
             "edge-server", server_flops, storage_bytes=512 * 1024**3

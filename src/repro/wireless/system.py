@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.utils.rng import new_rng, spawn_rngs
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative_finite, check_positive
 from repro.wireless.bandwidth import BandwidthAllocator, make_allocator
 from repro.wireless.channel import ChannelConfig, WirelessChannel
 from repro.wireless.devices import DeviceFleet
@@ -47,6 +47,7 @@ class WirelessConfig:
     def __post_init__(self) -> None:
         check_positive("num_clients", self.num_clients)
         check_positive("total_bandwidth_hz", self.total_bandwidth_hz)
+        check_non_negative_finite("heterogeneity", self.heterogeneity)
 
 
 class WirelessSystem:

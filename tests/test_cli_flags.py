@@ -16,6 +16,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -89,8 +90,11 @@ class TestTable:
                 option for action in sub._actions for option in action.option_strings
                 if option not in ("-h", "--help")
             ]
-            declared = [row.flag for row in FLAGS if not row.commands or command in row.commands]
+            declared = [row.flag for row in FLAGS if command in row.commands]
             assert parsed == declared, command
+
+    def test_scenarios_takes_only_the_flag_it_reads(self):
+        assert [row.flag for row in FLAGS if "scenarios" in row.commands] == ["--seed"]
 
     def test_one_add_argument_call_site(self):
         """Besides ``scenarios``' positional ``name``, every argument is
@@ -137,7 +141,7 @@ INSIDE = {
 @st.composite
 def _draws(draw):
     command = draw(st.sampled_from(BUILDING))
-    row = draw(st.sampled_from([r for r in FLAGS if not r.commands or command in r.commands]))
+    row = draw(st.sampled_from([r for r in FLAGS if command in r.commands]))
     if row.flag in INSIDE:
         inside = st.sampled_from(INSIDE[row.flag])
     elif row.choices is not None:
@@ -176,6 +180,54 @@ class TestFuzz:
         assert code == 2, (command, flag, value, err)
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and flag in errors[0], (command, flag, value, err)
+
+
+def _refused_before_the_build(monkeypatch, capsys, argv: list[str]) -> None:
+    """``argv`` exits 2 with one ``error: FLAG VALUE: ...`` line and
+    never reaches ``ExperimentScenario.build``."""
+
+    def no_build(self):
+        raise AssertionError("the scenario was built before the check")
+
+    monkeypatch.setattr(ExperimentScenario, "build", no_build)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    flag, value = argv[-2:]
+    assert err.startswith(f"error: {flag} {float(value)}: ") and err.count("\n") == 1, err
+
+
+class TestDomainsBeforeTheBuild:
+    """``--heterogeneity`` was checked only by the built fleet and
+    ``--failure-rate`` only by the GSFL constructor, both after the
+    dataset was rendered and naming the field, not the flag."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", BUILDING)
+    def test_heterogeneity(self, command, value, monkeypatch, capsys):
+        _refused_before_the_build(monkeypatch, capsys, [command, "--heterogeneity", value])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "2"])
+    def test_failure_rate(self, value, monkeypatch, capsys):
+        _refused_before_the_build(
+            monkeypatch, capsys, ["run", "--scale", "fast", "--failure-rate", value]
+        )
+
+
+class TestScenariosCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        ["--scale fast", "--scenario churn", "--train-per-class -5", "--dtype float64",
+         "--medium contended", "--heterogeneity nan"],
+    )
+    def test_rejects_a_building_only_flag(self, argv, capsys):
+        """``scenarios`` used to accept every common flag, list the
+        catalog and exit 0."""
+        flag = argv.split()[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", *argv.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestTrainPerClassGuard:

@@ -322,6 +322,16 @@ class TestWirelessSystem:
         relay = sys.relay_seconds(0, 1, 1e6, 1e6)
         assert relay == pytest.approx(up + down)
 
+    @pytest.mark.parametrize("heterogeneity", [float("nan"), float("inf"), -1.0])
+    def test_config_and_fleet_share_the_heterogeneity_domain(self, heterogeneity):
+        """The config rejects what the fleet would, with the same sentence,
+        before anything is built."""
+        with pytest.raises(ValueError) as from_config:
+            WirelessConfig(heterogeneity=heterogeneity)
+        with pytest.raises(ValueError) as from_fleet:
+            DeviceFleet(4, heterogeneity=heterogeneity, seed=0)
+        assert str(from_config.value) == str(from_fleet.value)
+
     def test_share_for(self):
         sys = WirelessSystem(WirelessConfig(num_clients=3, total_bandwidth_hz=12e6))
         assert sys.share_for(0, 6) == pytest.approx(2e6)
