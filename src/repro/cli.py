@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -96,6 +97,11 @@ def _aggregation_spec(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
     return value
 
+
+#: a token argparse must read as a value, not an option: its own test
+#: passes only ``-1`` and ``-.5``, so ``--heterogeneity -inf`` (or ``-nan``,
+#: ``-1e308``) would end as "expected one argument"
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
 
 _RUN = ("run",)
 _GSFL = ("GSFL",)
@@ -196,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, summary) in COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
+        cmd._negative_number_matcher = _NEGATIVE_NUMBER
         for row in FLAGS:
             if command in row.commands:
                 default = row.default.get(command) if isinstance(row.default, dict) else row.default

@@ -1,11 +1,12 @@
 """``repro.core`` — the paper's contribution and its design knobs.
 
-GSFL itself (:mod:`repro.core.gsfl`), client grouping strategies, FedAvg
-aggregation, cut-layer analysis/selection, and inter-group bandwidth
-apportioning (the §IV future-work axes, built for the ablations).
+GSFL itself (:mod:`repro.core.gsfl`), client grouping strategies and
+between-round regrouping policies, FedAvg aggregation, cut-layer
+analysis/selection, and inter-group bandwidth apportioning (the §IV
+future-work axes, built for the ablations).
 """
 
-from repro.core.aggregation import fedavg, uniform_average, weighted_delta
+from repro.core.aggregation import fedavg, weighted_delta
 from repro.core.cut_layer import CutAnalysis, analyze_cuts, best_cut, estimate_round_latency
 from repro.core.gsfl import GroupSplitFederatedLearning
 from repro.core.grouping import (
@@ -23,7 +24,6 @@ from repro.core.regroup import (
     AvailabilityAwareRegroup,
     RegroupContext,
     RegroupPolicy,
-    StaticRegroup,
     make_regroup_policy,
 )
 from repro.core.resource import (
@@ -35,7 +35,6 @@ from repro.core.resource import (
 __all__ = [
     "GroupSplitFederatedLearning",
     "fedavg",
-    "uniform_average",
     "weighted_delta",
     "GROUPING_STRATEGIES",
     "contiguous_groups",
@@ -47,7 +46,6 @@ __all__ = [
     "REGROUP_POLICIES",
     "RegroupContext",
     "RegroupPolicy",
-    "StaticRegroup",
     "AvailabilityAwareRegroup",
     "AbortHistoryRegroup",
     "make_regroup_policy",

@@ -31,8 +31,7 @@ import numpy as np
 
 from repro.nn.serialize import unpack_state
 
-__all__ = ["RunningFedAvg", "StackedFedAvg", "fedavg", "uniform_average", "weighted_delta",
-           "mix_states"]
+__all__ = ["RunningFedAvg", "StackedFedAvg", "fedavg", "weighted_delta", "mix_states"]
 
 StateDict = dict[str, np.ndarray]
 
@@ -210,11 +209,6 @@ def fedavg(
     # The averaged vector is freshly allocated, so the per-key entries can
     # be views into it — no re-copy.
     return unpack_state(stacked.average(weights), stacked._layout, copy=False)
-
-
-def uniform_average(states: list[StateDict]) -> "OrderedDict[str, np.ndarray]":
-    """Unweighted FedAvg."""
-    return fedavg(states, weights=None)
 
 
 def weighted_delta(

@@ -67,14 +67,12 @@ def estimate_round_latency(
     batch_size: int,
     local_steps: int,
     bandwidth_hz: float,
-    use_mean_rates: bool = True,
 ) -> float:
     """Expected split-training time for one client's local round.
 
     Sums, over ``local_steps`` batches: client forward, smashed uplink,
     server forward+backward, gradient downlink, client backward.  Uses
-    mean rates (no fading draw) when ``use_mean_rates`` so cut selection is
-    deterministic.
+    mean rates (no fading draw) so cut selection is deterministic.
     """
     fwd_c = profile.client_forward_flops(cut_layer) * batch_size
     bwd_c = profile.client_backward_flops(cut_layer) * batch_size
@@ -82,14 +80,10 @@ def estimate_round_latency(
     bwd_s = profile.server_backward_flops(cut_layer) * batch_size
     smashed_bits = 8 * profile.smashed_bytes(cut_layer, batch_size)
 
-    if use_mean_rates:
-        up_rate = system.channel.mean_uplink_rate_bps(client, bandwidth_hz, num_draws=64)
-        down_rate = up_rate * 1.5  # AP transmits at higher power; coarse mean
-        uplink = smashed_bits / up_rate
-        downlink = smashed_bits / down_rate
-    else:
-        uplink = system.uplink_seconds(client, smashed_bits, bandwidth_hz)
-        downlink = system.downlink_seconds(client, smashed_bits, bandwidth_hz)
+    up_rate = system.channel.mean_uplink_rate_bps(client, bandwidth_hz, num_draws=64)
+    down_rate = up_rate * 1.5  # AP transmits at higher power; coarse mean
+    uplink = smashed_bits / up_rate
+    downlink = smashed_bits / down_rate
 
     per_batch = (
         system.client_compute_seconds(client, fwd_c)

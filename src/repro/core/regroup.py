@@ -54,7 +54,6 @@ __all__ = [
     "REGROUP_POLICIES",
     "RegroupContext",
     "RegroupPolicy",
-    "StaticRegroup",
     "AvailabilityAwareRegroup",
     "AbortHistoryRegroup",
     "make_regroup_policy",
@@ -100,17 +99,6 @@ class RegroupPolicy:
         self, groups: list[list[int]], context: RegroupContext
     ) -> list[list[int]]:
         raise NotImplementedError
-
-
-class StaticRegroup(RegroupPolicy):
-    """Identity policy: the partition never changes (today's behaviour)."""
-
-    name = "static"
-
-    def regroup(
-        self, groups: list[list[int]], context: RegroupContext
-    ) -> list[list[int]]:
-        return [list(g) for g in groups]
 
 
 def _deal(ordered: list[int], num_groups: int) -> list[list[int]]:

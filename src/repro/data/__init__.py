@@ -2,7 +2,7 @@
 
 Synthetic GTSRB-like traffic-sign generator (the paper's GTSRB workload,
 rebuilt parametrically since the sandbox is offline), array datasets,
-mini-batch loaders and federated partitioning (IID / Dirichlet / shards).
+mini-batch loaders and federated partitioning (IID / Dirichlet).
 """
 
 from repro.data.dataset import ArrayDataset, DataLoader, Dataset, Subset
@@ -17,16 +17,6 @@ from repro.data.partition import (
     make_client_datasets,
     partition_dirichlet,
     partition_iid,
-    partition_label_histogram,
-    partition_shards,
-)
-from repro.data.transforms import (
-    Compose,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    TransformedDataset,
 )
 
 __all__ = [
@@ -41,13 +31,5 @@ __all__ = [
     "class_spec",
     "partition_iid",
     "partition_dirichlet",
-    "partition_shards",
     "make_client_datasets",
-    "partition_label_histogram",
-    "Compose",
-    "Normalize",
-    "RandomHorizontalFlip",
-    "RandomCrop",
-    "GaussianNoise",
-    "TransformedDataset",
 ]

@@ -10,8 +10,8 @@ at once (``DataLoader.__iter__``, ``DataLoader.sample_batch``,
 :meth:`Dataset.take`.  An :class:`ArrayDataset` answers with one fancy
 index per array, a :class:`Subset` composes its indices with the caller's
 and hands the question down, and only a dataset that really has to visit
-its items one by one (the base class; ``TransformedDataset``, whose
-transform draws per item) runs the per-item loop, in index order.
+its items one by one (the base class) runs the per-item loop, in index
+order.
 """
 
 from __future__ import annotations

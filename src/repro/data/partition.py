@@ -1,14 +1,12 @@
 """Client data partitioning for federated/split experiments.
 
 The paper's setting has 30 clients with private local datasets.  This
-module produces per-client index sets from a pooled dataset under three
+module produces per-client index sets from a pooled dataset under two
 standard regimes:
 
 * **IID** — uniform random equal split (the paper's implicit setting);
 * **Dirichlet non-IID** — per-client class proportions drawn from
-  ``Dir(alpha)``, the standard label-skew benchmark;
-* **Shard non-IID** — sort-by-label sharding (McMahan et al., 2017),
-  giving each client a few label shards.
+  ``Dir(alpha)``, the standard label-skew benchmark.
 
 All functions return ``list[np.ndarray]`` of sample indices, one per
 client, partitioning the dataset (every index appears exactly once).
@@ -21,13 +19,7 @@ import numpy as np
 from repro.data.dataset import Dataset, Subset
 from repro.utils.rng import new_rng
 
-__all__ = [
-    "partition_iid",
-    "partition_dirichlet",
-    "partition_shards",
-    "make_client_datasets",
-    "partition_label_histogram",
-]
+__all__ = ["partition_iid", "partition_dirichlet", "make_client_datasets"]
 
 
 def _check_args(num_samples: int, num_clients: int) -> None:
@@ -85,43 +77,7 @@ def partition_dirichlet(
     )
 
 
-def partition_shards(
-    labels: np.ndarray,
-    num_clients: int,
-    shards_per_client: int = 2,
-    seed: int | np.random.Generator | None = None,
-) -> list[np.ndarray]:
-    """Sort-by-label sharding: each client gets ``shards_per_client`` shards."""
-    labels = np.asarray(labels)
-    _check_args(len(labels), num_clients)
-    if shards_per_client <= 0:
-        raise ValueError(f"shards_per_client must be positive, got {shards_per_client}")
-    rng = new_rng(seed)
-    num_shards = num_clients * shards_per_client
-    if num_shards > len(labels):
-        raise ValueError(
-            f"{num_shards} shards requested but only {len(labels)} samples available"
-        )
-    order = np.argsort(labels, kind="stable")
-    shards = np.array_split(order, num_shards)
-    shard_ids = rng.permutation(num_shards)
-    out = []
-    for client in range(num_clients):
-        ids = shard_ids[client * shards_per_client : (client + 1) * shards_per_client]
-        out.append(np.sort(np.concatenate([shards[i] for i in ids])))
-    return out
-
-
 def make_client_datasets(dataset: Dataset, parts: list[np.ndarray]) -> list[Subset]:
     """Wrap per-client index sets as dataset views."""
     return [Subset(dataset, idx) for idx in parts]
 
-
-def partition_label_histogram(
-    labels: np.ndarray, parts: list[np.ndarray], num_classes: int | None = None
-) -> np.ndarray:
-    """Per-client label histograms, shape ``(num_clients, num_classes)``."""
-    labels = np.asarray(labels)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    return np.stack([np.bincount(labels[idx], minlength=num_classes) for idx in parts])

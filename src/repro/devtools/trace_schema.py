@@ -72,10 +72,10 @@ TRACE_SCHEMAS: dict[str, frozenset[str]] = {
 #: every registered row type, in a stable order
 ROW_TYPES: tuple[str, ...] = tuple(sorted(TRACE_SCHEMAS))
 
-#: ``meta`` fields the trace-replay scenario builder actually reads —
-#: a recorded trace missing one of these cannot be replayed faithfully.
+#: ``meta`` fields the trace-replay scenario builder reads; it rejects a
+#: ``meta`` row that lacks any of them.
 REPLAY_META_REQUIRED: frozenset[str] = frozenset(
-    {"type", "scheme", "scenario", "seed", "num_clients", "num_groups", "dynamics"}
+    {"type", "scenario", "seed", "num_clients", "num_groups", "dynamics"}
 )
 
 #: ``availability`` fields :class:`TraceReplay` reads per client row.

@@ -24,7 +24,6 @@ from repro.experiments.scenario import (
     fast_scenario,
     paper_scenario,
 )
-from repro.experiments.sweep import ParameterSweep, SweepAxis, SweepRow
 
 __all__ = [
     "ExperimentScenario",
@@ -51,7 +50,4 @@ __all__ = [
     "run_fig2b",
     "Fig2aResult",
     "Fig2bResult",
-    "ParameterSweep",
-    "SweepAxis",
-    "SweepRow",
 ]

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.devtools.trace_schema import TRACE_SCHEMAS
+from repro.devtools.trace_schema import REPLAY_META_REQUIRED, TRACE_SCHEMAS
 from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.scenario import (
     ExperimentScenario,
@@ -78,7 +78,7 @@ def get_scenario(name: str, seed: int = 0) -> ExperimentScenario:
     """Build the named scenario (or ``replay:<trace.jsonl>``); raises
     ``ValueError`` for unknown names."""
     if name.startswith("replay:"):
-        return _replay_scenario(name[len("replay:"):], seed)
+        return _replay_scenario(name[len("replay:"):])
     entry = SCENARIO_REGISTRY.get(name)
     if entry is None:
         known = ", ".join(sorted(SCENARIO_REGISTRY))
@@ -144,10 +144,11 @@ def describe_scenario(name: str, seed: int = 0) -> str:
 def _read_meta(path: str) -> "dict[str, object]":
     """First ``meta`` row of a recorded trace, schema-checked.
 
-    The replay contract is *tolerant of missing* optional fields (older
-    or foreign traces fall back to the base world) but *strict on
-    unknown* ones: a field present in the file but absent from the
-    canonical registry means recorder and parser have drifted apart.
+    The row must carry every field replay reads
+    (:data:`~repro.devtools.trace_schema.REPLAY_META_REQUIRED`; ``null``
+    values are fine), and no field unknown to the canonical registry: an
+    unknown one means recorder and parser have drifted apart.  Other
+    registered fields may be missing.
     """
     try:
         fh = open(path)
@@ -169,30 +170,36 @@ def _read_meta(path: str) -> "dict[str, object]":
                         f"trace {path!r} meta row carries fields unknown to "
                         f"repro.devtools.trace_schema: {unknown}"
                     )
+                missing = sorted(REPLAY_META_REQUIRED - set(row))
+                if missing:
+                    raise ValueError(
+                        f"trace {path!r} meta row lacks {', '.join(missing)}, "
+                        "which replay needs to rebuild the world"
+                    )
                 return row
             break
     raise ValueError(f"trace {path!r} has no leading 'meta' row")
 
 
-def _replay_scenario(path: str, seed: int) -> ExperimentScenario:
+def _replay_scenario(path: str) -> ExperimentScenario:
     """Rebuild a world from a recorded trace and re-drive its churn.
 
-    The base world comes from the recorded scenario name when it is
-    registered (falling back to the fast preset), re-shaped to the
-    recorded fleet size; the dynamics config is the recorded one with
-    its availability process swapped for exact trace replay.  Learning
-    hyper-parameters not captured in the meta row (a ``--transport``
-    override, say) follow the base world — availability replay, not the
-    full run, is the contract.
+    The base world, at the recorded seed, comes from the recorded scenario
+    name when it is registered (falling back to the fast preset),
+    re-shaped to the recorded fleet size; the dynamics config is the
+    recorded one with its availability process swapped for exact trace
+    replay.  Learning hyper-parameters not captured in the meta row (a
+    ``--transport`` override, say) follow the base world — availability
+    replay, not the full run, is the contract.
     """
     meta = _read_meta(path)
-    base_seed = int(meta.get("seed", seed))
-    base_name = meta.get("scenario")
+    base_seed = int(meta["seed"])
+    base_name = meta["scenario"]
     if base_name in SCENARIO_REGISTRY:
         scenario = SCENARIO_REGISTRY[base_name].builder(base_seed)
     else:
         scenario = fast_scenario(with_wireless=True, seed=base_seed)
-    num_clients = int(meta.get("num_clients", scenario.num_clients))
+    num_clients = int(meta["num_clients"])
     if scenario.num_clients != num_clients:
         scenario = fast_scenario(
             with_wireless=True,
@@ -200,10 +207,10 @@ def _replay_scenario(path: str, seed: int) -> ExperimentScenario:
             num_groups=min(scenario.num_groups, num_clients),
             seed=base_seed,
         )
-    num_groups = meta.get("num_groups")
+    num_groups = meta["num_groups"]
     if num_groups:
         scenario.num_groups = int(num_groups)
-    recorded = meta.get("dynamics")
+    recorded = meta["dynamics"]
     kwargs = dict(recorded) if isinstance(recorded, dict) else {}
     kwargs["availability"] = f"trace:{path}"
     scenario.dynamics = DynamicsConfig(**kwargs)

@@ -211,27 +211,6 @@ class ClientDynamics:
         toggles = self._covered_toggles(client, t)
         return bisect_right(toggles, t) % 2 == 0
 
-    def availability_windows(self, client: int, until: float) -> list[tuple[float, float]]:
-        """Up-windows of ``client`` clipped to ``[0, until]`` (diagnostics).
-
-        Windows are half-open ``[start, end)``, matching the
-        ``bisect_right`` semantics of :meth:`available_at` (a toggle *at*
-        ``t`` counts as flipped).  A recovery toggle landing exactly at
-        ``until`` therefore contributes a zero-length ``(until, until)``
-        window rather than being dropped, so ``available_at(c, until)``
-        is true iff ``until`` lies in (or starts) some reported window.
-        """
-        if not self.config.has_churn:
-            return [(0.0, until)]
-        kept = [t for t in self._covered_toggles(client, until) if t <= until]
-        edges = [0.0] + kept
-        if len(kept) % 2 == 0:
-            # Even toggle count = up at `until`: close the open window.
-            edges.append(until)
-        return [
-            (edges[i], edges[i + 1]) for i in range(0, len(edges) - 1, 2)
-        ]
-
     def availability_toggles(self, client: int, horizon: float) -> list[float]:
         """Toggle stream of ``client`` clipped to ``[0, horizon]``.
 

@@ -51,16 +51,11 @@ def run_schemes(
     scheme_names: list[str],
     num_rounds: int,
     verbose: bool = False,
-    **per_scheme_overrides: dict,
 ) -> dict[str, TrainingHistory]:
-    """Run several schemes on one scenario; returns name → history.
-
-    ``per_scheme_overrides`` maps a scheme name to extra constructor
-    kwargs, e.g. ``GSFL={"grouping": "random"}``.
-    """
+    """Run several schemes on one scenario; returns name → history."""
     histories: dict[str, TrainingHistory] = {}
     for name in scheme_names:
-        scheme = make_scheme(name, built, **per_scheme_overrides.get(name, {}))
+        scheme = make_scheme(name, built)
         history = scheme.run(num_rounds)
         histories[name] = history
         if verbose:

@@ -1,6 +1,6 @@
 """``repro.metrics`` — histories, evaluation, and comparison reports."""
 
-from repro.metrics.evaluate import evaluate_model, evaluate_split, predict_labels
+from repro.metrics.evaluate import evaluate_model, evaluate_split
 from repro.metrics.history import HistoryPoint, TrainingHistory
 from repro.metrics.multiseed import (
     SeedSummary,
@@ -20,7 +20,6 @@ __all__ = [
     "TrainingHistory",
     "evaluate_model",
     "evaluate_split",
-    "predict_labels",
     "accuracy_vs_rounds_table",
     "accuracy_vs_latency_table",
     "convergence_speedup",

@@ -8,8 +8,8 @@ evaluation's memory.  DeepThin's largest patch matrix is 56 KiB per 20x20
 sample in float32: 0.9 MiB at 16 samples, where 64 asked the allocator
 for 3.5 MiB at once and 256 for 14.1 MiB.  At the training batch,
 evaluation's transient working set is no larger than a training step's.
-Accuracy and predictions do not depend on the slab size; the summed loss
-does only in its last digits.
+Accuracy does not depend on the slab size; the summed loss does only in
+its last digits.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-import numpy as np
-
 from repro import nn
 from repro.data.dataset import DataLoader, Dataset
 from repro.nn.tensor import Tensor, no_grad
 
-__all__ = ["evaluate_model", "evaluate_split", "predict_labels", "EVAL_SLAB"]
+__all__ = ["evaluate_model", "evaluate_split", "EVAL_SLAB"]
 
 #: samples evaluated at a time unless the caller says otherwise
 EVAL_SLAB = 16
@@ -98,17 +96,3 @@ def evaluate_split(
     if count == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     return total_loss / count, correct / count
-
-
-def predict_labels(
-    model: nn.Module, images: np.ndarray, batch_size: int = EVAL_SLAB
-) -> np.ndarray:
-    """Argmax predictions for a raw image array."""
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    preds = []
-    with _eval_mode(model), no_grad():
-        for start in range(0, len(images), batch_size):
-            logits = model(Tensor(images[start : start + batch_size]))
-            preds.append(logits.data.argmax(axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)

@@ -108,18 +108,6 @@ class TrainingHistory:
                 return p.latency_s
         return None
 
-    def smoothed_accuracies(self, window: int = 3) -> np.ndarray:
-        """Trailing moving average of the accuracy series."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        acc = self.accuracies
-        if len(acc) == 0:
-            return acc
-        out = np.empty_like(acc)
-        for i in range(len(acc)):
-            out[i] = acc[max(0, i - window + 1) : i + 1].mean()
-        return out
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

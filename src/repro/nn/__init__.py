@@ -1,8 +1,8 @@
 """``repro.nn`` — a from-scratch numpy deep-learning framework.
 
 Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), the layers the
-reproduction's models are built from (dense, ReLU, conv, pooling, batch
-norm, dropout), losses, the SGD and Adam optimizers, weight
+reproduction's models are built from (dense, ReLU, conv, max pooling,
+batch norm), losses, the SGD and Adam optimizers, weight
 initialization, model profiling (shapes/FLOPs/payload bytes), parameter
 serialization, wire quantization, and the split-model machinery used by
 split learning.
@@ -13,8 +13,8 @@ surface intentionally mirrors familiar ``torch.nn`` idioms.
 
 from repro.nn import functional
 from repro.nn.dtype import default_dtype, get_default_dtype, set_default_dtype
-from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d
-from repro.nn.layers import Dropout, Flatten, Identity, Layer, Linear, ReLU
+from repro.nn.conv import Conv2d, MaxPool2d
+from repro.nn.layers import Flatten, Layer, Linear, ReLU
 from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss, accuracy_from_logits
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
@@ -23,10 +23,8 @@ from repro.nn.profile import LayerProfile, ModelProfile, profile_model
 from repro.nn.quantize import QuantizedArray, dequantize, quantize_uniform, simulate_wire
 from repro.nn.serialize import (
     WIRE_BYTES_PER_SCALAR,
-    activation_nbits,
     activation_nbytes,
     clone_state,
-    model_nbits,
     model_nbytes,
     pack_state,
     state_nbits,
@@ -55,11 +53,8 @@ __all__ = [
     "Linear",
     "ReLU",
     "Flatten",
-    "Identity",
-    "Dropout",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
     "QuantizedArray",
@@ -81,9 +76,7 @@ __all__ = [
     "state_nbytes",
     "state_nbits",
     "model_nbytes",
-    "model_nbits",
     "activation_nbytes",
-    "activation_nbits",
     "pack_state",
     "unpack_state",
     "clone_state",

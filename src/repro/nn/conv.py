@@ -16,7 +16,7 @@ from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d"]
+__all__ = ["Conv2d", "MaxPool2d"]
 
 
 class Conv2d(Layer):
@@ -105,30 +105,3 @@ class MaxPool2d(Layer):
 
     def __repr__(self) -> str:
         return f"MaxPool2d(k={self.kernel_size}, s={self.stride})"
-
-
-class AvgPool2d(Layer):
-    """Average pooling with square window."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError(f"kernel_size must be positive, got {kernel_size}")
-        self.kernel_size = kernel_size
-        self.stride = kernel_size if stride is None else stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        c, h, w = input_shape
-        out_h = F.conv_output_size(h, self.kernel_size, self.stride, 0)
-        out_w = F.conv_output_size(w, self.kernel_size, self.stride, 0)
-        return (c, out_h, out_w)
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        c, out_h, out_w = self.output_shape(input_shape)
-        return c * out_h * out_w * self.kernel_size**2
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"

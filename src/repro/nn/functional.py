@@ -16,8 +16,7 @@ included: matmul and bias share a closure) whose closure keeps only what its
 backward reads.  ``linear`` keeps both operands; ``conv2d`` keeps its patch
 matrix and the weight view, not its input or output; ``max_pool2d`` keeps
 its input windows (views of an input a ReLU node holds anyway), not its
-output, whose maxima it recomputes in backward; ``avg_pool2d``, ``pad2d``
-and ``dropout`` keep no activation (``dropout`` keeps its mask).
+output, whose maxima it recomputes in backward.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ __all__ = [
     "linear",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
-    "pad2d",
-    "dropout",
     "im2col",
     "col2im",
     "conv_output_size",
@@ -306,59 +302,3 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         to_x._accumulate(gx, True)
 
     return Tensor._from_op(_window_max(windows), (x,), "max_pool2d", _bw)
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling with square window.  ``stride`` defaults to ``kernel``."""
-    stride = kernel if stride is None else stride
-    x_shape = x.shape
-    n, c, h, w = x_shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-
-    windows = _pool_windows(x.data, kernel, stride, out_h, out_w)
-    out_data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-    np.copyto(out_data, windows[0])
-    for window in windows[1:]:
-        out_data += window
-    out_data /= kernel * kernel
-
-    def _bw(grad: np.ndarray, to_x: Node) -> None:
-        piece = grad / (kernel * kernel)
-        gx, views, tiles = _pool_grad(x_shape, piece.dtype, kernel, stride, out_h, out_w)
-        for view in views:
-            if tiles:
-                view[...] = piece
-            else:
-                view += piece
-        to_x._accumulate(gx, True)
-
-    return Tensor._from_op(out_data, (x,), "avg_pool2d", _bw)
-
-
-def pad2d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the two trailing spatial dimensions symmetrically."""
-    if padding == 0:
-        return x
-    pads = ((0, 0),) * (x.ndim - 2) + ((padding, padding), (padding, padding))
-    interior = (slice(None),) * (x.ndim - 2) + (slice(padding, -padding),) * 2
-
-    def _bw(grad: np.ndarray, to_x: Node) -> None:
-        to_x._accumulate(grad[interior])
-
-    return Tensor._from_op(np.pad(x.data, pads), (x,), "pad2d", _bw)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` at train time."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    mask = mask.astype(x.dtype)
-
-    def _bw(grad: np.ndarray, to_x: Node) -> None:
-        to_x._accumulate(grad * mask, True)
-
-    return Tensor._from_op(x.data * mask, (x,), "dropout", _bw)

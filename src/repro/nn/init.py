@@ -12,14 +12,7 @@ import numpy as np
 
 from repro.nn.dtype import get_default_dtype
 
-__all__ = [
-    "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
-    "xavier_normal",
-    "zeros",
-    "fan_in_and_fan_out",
-]
+__all__ = ["kaiming_uniform", "zeros", "fan_in_and_fan_out"]
 
 
 def fan_in_and_fan_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -45,29 +38,6 @@ def kaiming_uniform(
     # Draw in float64 (the generator's native precision, so streams are
     # identical across compute dtypes), then cast to the configured dtype.
     return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def kaiming_normal(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = np.sqrt(2.0)
-) -> np.ndarray:
-    """He/Kaiming normal init."""
-    fan_in, _ = fan_in_and_fan_out(shape)
-    std = gain / np.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init (suited to tanh/sigmoid networks)."""
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal init."""
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

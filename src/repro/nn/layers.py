@@ -1,4 +1,4 @@
-"""Dense and utility layers: Linear, ReLU, Flatten, Dropout, Identity.
+"""Dense and utility layers: Linear, ReLU, Flatten.
 
 Every layer implements :meth:`output_shape` (shape inference given an input
 shape, batch dim excluded) and :meth:`flops` (multiply-accumulate cost per
@@ -17,7 +17,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
-__all__ = ["Linear", "ReLU", "Flatten", "Dropout", "Identity"]
+__all__ = ["Linear", "ReLU", "Flatten"]
 
 
 class Layer(Module):
@@ -100,42 +100,3 @@ class Flatten(Layer):
 
     def __repr__(self) -> str:
         return "Flatten()"
-
-
-class Identity(Layer):
-    """No-op layer (placeholder for ablations that remove a block)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "Identity()"
-
-
-class Dropout(Layer):
-    """Inverted dropout; inert in eval mode."""
-
-    def __init__(self, p: float = 0.5, seed: int | np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = new_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-    def flops(self, input_shape: tuple[int, ...]) -> int:
-        return int(np.prod(input_shape))
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"

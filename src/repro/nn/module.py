@@ -103,10 +103,6 @@ class Module:
         for module in self._modules.values():
             yield from module.modules()
 
-    def children(self) -> Iterator["Module"]:
-        """Yield immediate child modules."""
-        yield from self._modules.values()
-
     # ------------------------------------------------------------------
     # mode & grads
     # ------------------------------------------------------------------

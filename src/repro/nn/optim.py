@@ -5,9 +5,7 @@ server-side model parameters can be accomplished through methods such as
 stochastic gradient descent").  SGD with optional momentum/weight-decay is
 the workhorse; Adam is provided for the centralized baseline and ablations.
 
-Optimizers hold per-parameter state keyed by ``id(param)``; state can be
-exported/imported so it can follow a client-side model as it is relayed
-between clients in split learning.
+Optimizers hold per-parameter state keyed by ``id(param)``.
 """
 
 from __future__ import annotations
@@ -40,17 +38,6 @@ class Optimizer:
     def step(self) -> None:
         """Apply one update using the accumulated gradients."""
         raise NotImplementedError
-
-    def state_export(self) -> list[dict[str, np.ndarray]]:
-        """Per-parameter optimizer state, ordered like ``self.params``."""
-        return [{} for _ in self.params]
-
-    def state_import(self, state: list[dict[str, np.ndarray]]) -> None:
-        """Restore state exported by :meth:`state_export`."""
-        if len(state) != len(self.params):
-            raise ValueError(
-                f"state has {len(state)} entries for {len(self.params)} parameters"
-            )
 
 
 class SGD(Optimizer):
@@ -94,19 +81,6 @@ class SGD(Optimizer):
                 self._velocity[id(p)] = v
                 grad = grad + self.momentum * v if self.nesterov else v
             p.data = p.data - self.lr * grad
-
-    def state_export(self) -> list[dict[str, np.ndarray]]:
-        return [
-            {"velocity": self._velocity[id(p)].copy()} if id(p) in self._velocity else {}
-            for p in self.params
-        ]
-
-    def state_import(self, state: list[dict[str, np.ndarray]]) -> None:
-        super().state_import(state)
-        self._velocity = {}
-        for p, entry in zip(self.params, state):
-            if "velocity" in entry:
-                self._velocity[id(p)] = np.array(entry["velocity"], copy=True)
 
 
 class Adam(Optimizer):
@@ -152,23 +126,3 @@ class Adam(Optimizer):
             m_hat = m / (1 - b1**self._t)
             v_hat = v / (1 - b2**self._t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_export(self) -> list[dict[str, np.ndarray]]:
-        out = []
-        for p in self.params:
-            entry: dict[str, np.ndarray] = {}
-            if id(p) in self._m:
-                entry["m"] = self._m[id(p)].copy()
-                entry["v"] = self._v[id(p)].copy()
-                entry["t"] = np.array(self._t)
-            out.append(entry)
-        return out
-
-    def state_import(self, state: list[dict[str, np.ndarray]]) -> None:
-        super().state_import(state)
-        self._m, self._v = {}, {}
-        for p, entry in zip(self.params, state):
-            if "m" in entry:
-                self._m[id(p)] = np.array(entry["m"], copy=True)
-                self._v[id(p)] = np.array(entry["v"], copy=True)
-                self._t = int(entry["t"])

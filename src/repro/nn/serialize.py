@@ -23,9 +23,7 @@ __all__ = [
     "state_nbytes",
     "state_nbits",
     "model_nbytes",
-    "model_nbits",
     "activation_nbytes",
-    "activation_nbits",
     "pack_state",
     "unpack_state",
     "clone_state",
@@ -56,11 +54,6 @@ def model_nbytes(model: Module, bytes_per_scalar: int = WIRE_BYTES_PER_SCALAR) -
     return state_nbytes(model.state_dict(), bytes_per_scalar)
 
 
-def model_nbits(model: Module, bytes_per_scalar: int = WIRE_BYTES_PER_SCALAR) -> int:
-    """Wire size of a model's full state in bits."""
-    return 8 * model_nbytes(model, bytes_per_scalar)
-
-
 def activation_nbytes(
     shape: tuple[int, ...], batch_size: int, bytes_per_scalar: int = WIRE_BYTES_PER_SCALAR
 ) -> int:
@@ -70,13 +63,6 @@ def activation_nbytes(
     """
     per_sample = int(np.prod(shape))
     return per_sample * batch_size * bytes_per_scalar
-
-
-def activation_nbits(
-    shape: tuple[int, ...], batch_size: int, bytes_per_scalar: int = WIRE_BYTES_PER_SCALAR
-) -> int:
-    """Wire size of one batch of activations in bits."""
-    return 8 * activation_nbytes(shape, batch_size, bytes_per_scalar)
 
 
 def pack_state(state: dict[str, np.ndarray]) -> np.ndarray:

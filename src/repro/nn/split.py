@@ -53,8 +53,7 @@ class SmashedBatch:
     """Activations crossing the cut layer for one mini-batch.
 
     ``values`` is detached from the client graph — on the wire only raw
-    numbers travel.  ``batch_size`` and per-sample ``shape`` feed the
-    payload-size accounting.
+    numbers travel.  ``batch_size`` feeds the payload-size accounting.
     """
 
     values: np.ndarray
@@ -62,10 +61,6 @@ class SmashedBatch:
     @property
     def batch_size(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self.values.shape[1:]
 
 
 class ClientHalf(Module):

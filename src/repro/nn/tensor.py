@@ -236,10 +236,6 @@ class Tensor:
     def _item_err() -> float:
         raise ValueError("item() only valid for one-element tensors")
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def clone(self) -> "Tensor":
         """Return a graph-connected copy."""
         def _bw(grad: np.ndarray, to_x: Node) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import nn
 from repro.data.dataset import DataLoader, Dataset
-from repro.metrics.evaluate import EVAL_SLAB, evaluate_model
+from repro.metrics.evaluate import evaluate_model
 from repro.metrics.history import TrainingHistory
 from repro.sim.cross_traffic import CrossTrafficConfig, start_cross_traffic
 from repro.sim.failures import FailureInjector
@@ -170,6 +170,8 @@ class SchemeConfig:
     synthetic dataset).  Optimizers are plain SGD, which holds no state
     between steps, so nothing but the model rides along with a relayed
     half and a fresh optimizer per unit-round equals a persistent one.
+    Every ``eval_every`` rounds the model is evaluated on the test split
+    in :data:`~repro.metrics.evaluate.EVAL_SLAB`-sample slabs.
 
     ``transport`` (extension beyond the paper) names the wire codec for
     everything that crosses the air — smashed data, gradients, and model
@@ -208,7 +210,6 @@ class SchemeConfig:
     local_steps: int = 2
     lr: float = 0.05
     eval_every: int = 1
-    eval_batch_size: int = EVAL_SLAB
     transport: str = "float32"
     medium: str = "static"
     aggregation: str = "sync"
@@ -225,7 +226,6 @@ class SchemeConfig:
         check_positive("local_steps", self.local_steps)
         check_positive("lr", self.lr)
         check_positive("eval_every", self.eval_every)
-        check_positive("eval_batch_size", self.eval_batch_size)
         check_in_choices("medium", self.medium, MEDIUM_POLICIES)
         check_in_choices("regroup", self.regroup, REGROUP_POLICIES)
         check_positive("regroup_every", self.regroup_every)
@@ -571,11 +571,7 @@ class Scheme:
         raise NotImplementedError
 
     def _record_eval(self, round_index: int) -> None:
-        _, acc = evaluate_model(
-            self._evaluation_model(),
-            self.test_dataset,
-            batch_size=self.config.eval_batch_size,
-        )
+        _, acc = evaluate_model(self._evaluation_model(), self.test_dataset)
         self.history.add(
             round_index=round_index + 1,
             latency_s=self._elapsed_s,

@@ -226,19 +226,8 @@ class TraceRecorder:
     def events_in_round(self, round_index: int) -> list[TraceEvent]:
         return [e for e in self.events if e.round_index == round_index]
 
-    def round_span(self, round_index: int) -> tuple[float, float]:
-        """(first start, last end) over a round's events."""
-        events = self.events_in_round(round_index)
-        if not events:
-            raise ValueError(f"no events recorded for round {round_index}")
-        return min(e.start for e in events), max(e.end for e in events)
-
     def actors(self) -> list[str]:
         return sorted({e.actor for e in self.events})
-
-    def busy_time(self, actor: str) -> float:
-        """Total non-wait busy time of one actor."""
-        return sum(e.duration for e in self.events if e.actor == actor and e.phase != "wait")
 
     def total_bytes(self) -> int:
         return sum(e.nbytes for e in self.events)

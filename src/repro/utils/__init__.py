@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG management, validation helpers, logging."""
 
-from repro.utils.rng import RngMixin, new_rng, spawn_rngs
+from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
@@ -9,7 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "RngMixin",
     "new_rng",
     "spawn_rngs",
     "check_positive",

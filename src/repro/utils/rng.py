@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs", "RngMixin"]
+__all__ = ["new_rng", "spawn_rngs"]
 
 
 def new_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -33,24 +33,3 @@ def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be >= 0, got {count}")
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-class RngMixin:
-    """Mixin giving a class a lazily-created ``self.rng`` generator.
-
-    Subclasses call ``self._init_rng(seed)`` in ``__init__``.
-    """
-
-    _rng: np.random.Generator
-
-    def _init_rng(self, seed: int | np.random.Generator | None) -> None:
-        self._rng = new_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The component's private random generator."""
-        return self._rng
-
-    def reseed(self, seed: int | None) -> None:
-        """Replace the generator (e.g. between repeated experiment trials)."""
-        self._rng = new_rng(seed)

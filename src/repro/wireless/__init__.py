@@ -14,13 +14,7 @@ from repro.wireless.bandwidth import (
     ProportionalRateAllocation,
     make_allocator,
 )
-from repro.wireless.channel import (
-    ChannelConfig,
-    WirelessChannel,
-    db_to_linear,
-    dbm_to_watts,
-    watts_to_dbm,
-)
+from repro.wireless.channel import ChannelConfig, WirelessChannel, db_to_linear
 from repro.wireless.devices import (
     EDGE_SERVER_FLOPS,
     MOBILE_DEVICE_FLOPS,
@@ -36,8 +30,6 @@ __all__ = [
     "NetworkTopology",
     "ChannelConfig",
     "WirelessChannel",
-    "dbm_to_watts",
-    "watts_to_dbm",
     "db_to_linear",
     "DeviceProfile",
     "DeviceFleet",

@@ -22,22 +22,10 @@ import numpy as np
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["ChannelConfig", "WirelessChannel", "dbm_to_watts", "watts_to_dbm", "db_to_linear"]
+__all__ = ["ChannelConfig", "WirelessChannel", "db_to_linear"]
 
 #: thermal noise power spectral density at room temperature
 NOISE_DBM_PER_HZ = -174.0
-
-
-def dbm_to_watts(dbm: float) -> float:
-    """Convert dBm to watts."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    """Convert watts to dBm."""
-    if watts <= 0:
-        raise ValueError(f"power must be positive, got {watts}")
-    return 10.0 * np.log10(watts) + 30.0
 
 
 def db_to_linear(db: float) -> float:

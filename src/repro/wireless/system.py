@@ -1,10 +1,9 @@
 """Facade tying topology, channel, devices and bandwidth policy together.
 
-:class:`WirelessSystem` is what the training schemes talk to: it prices
-every transmission (seconds for ``nbits`` given the client's bandwidth
-share and current channel realization) and every computation (seconds for
-``flops`` on a given device).  The schemes themselves stay pure protocol
-logic over the discrete-event kernel.
+:class:`WirelessSystem` is what the training schemes talk to: its channel
+gives the rates every transmission is priced at, and it prices every
+computation (seconds for ``flops`` on a given device).  The schemes
+themselves stay pure protocol logic over the discrete-event kernel.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.utils.rng import new_rng, spawn_rngs
-from repro.utils.validation import check_non_negative_finite, check_positive
+from repro.utils.validation import check_positive
 from repro.wireless.bandwidth import BandwidthAllocator, make_allocator
 from repro.wireless.channel import ChannelConfig, WirelessChannel
-from repro.wireless.devices import DeviceFleet
+from repro.wireless.devices import DeviceFleet, client_speeds
 from repro.wireless.topology import NetworkTopology
 
 __all__ = ["WirelessConfig", "WirelessSystem"]
@@ -47,7 +46,10 @@ class WirelessConfig:
     def __post_init__(self) -> None:
         check_positive("num_clients", self.num_clients)
         check_positive("total_bandwidth_hz", self.total_bandwidth_hz)
-        check_non_negative_finite("heterogeneity", self.heterogeneity)
+        # The fleet's own draw, from the stream WirelessSystem seeds it with:
+        # a spread that breaks a client's speed fails here, before the build.
+        client_speeds(self.num_clients, self.client_flops, self.heterogeneity,
+                      spawn_rngs(self.seed, 4)[2], self.device_classes)
 
 
 class WirelessSystem:
@@ -95,41 +97,9 @@ class WirelessSystem:
     # ------------------------------------------------------------------
     # bandwidth shares
     # ------------------------------------------------------------------
-    def share_for(self, client: int, num_concurrent: int) -> float:
-        """Bandwidth share under an *equal* split with ``num_concurrent`` links.
-
-        Convenience for schemes whose concurrency level is known statically
-        (GSFL: M; SL/CL: 1; FL upload: N).
-        """
-        check_positive("num_concurrent", num_concurrent)
-        return self.allocator.total_bandwidth_hz / num_concurrent
-
     def shares(self, active_clients: list[int]) -> dict[int, float]:
         """Policy-driven shares for an explicit concurrent set."""
         return self.allocator.shares(active_clients, self.channel)
-
-    # ------------------------------------------------------------------
-    # transmission pricing
-    # ------------------------------------------------------------------
-    def uplink_seconds(self, client: int, nbits: float, bandwidth_hz: float) -> float:
-        """Seconds to move ``nbits`` client→AP over ``bandwidth_hz``."""
-        check_positive("nbits", nbits)
-        rate = self.channel.uplink_rate_bps(client, bandwidth_hz)
-        return nbits / rate
-
-    def downlink_seconds(self, client: int, nbits: float, bandwidth_hz: float) -> float:
-        """Seconds to move ``nbits`` AP→client over ``bandwidth_hz``."""
-        check_positive("nbits", nbits)
-        rate = self.channel.downlink_rate_bps(client, bandwidth_hz)
-        return nbits / rate
-
-    def relay_seconds(
-        self, from_client: int, to_client: int, nbits: float, bandwidth_hz: float
-    ) -> float:
-        """Client→AP→client model relay (paper §II-B-3 routes via the AP)."""
-        return self.uplink_seconds(from_client, nbits, bandwidth_hz) + self.downlink_seconds(
-            to_client, nbits, bandwidth_hz
-        )
 
     # ------------------------------------------------------------------
     # computation pricing

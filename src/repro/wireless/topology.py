@@ -75,10 +75,6 @@ class NetworkTopology:
         """All client-to-AP distances."""
         return np.array([self.distance(i) for i in range(self.num_clients)])
 
-    def client_distance(self, a: int, b: int) -> float:
-        """Client-to-client distance (device-to-device relay ablation)."""
-        return self.clients[a].distance_to(self.clients[b])
-
     def __repr__(self) -> str:
         return (
             f"NetworkTopology(num_clients={self.num_clients}, "

@@ -14,7 +14,6 @@ from repro.core.aggregation import (
     RunningFedAvg,
     StackedFedAvg,
     fedavg,
-    uniform_average,
     weighted_delta,
 )
 from repro.nn.serialize import pack_state
@@ -45,7 +44,7 @@ class TestFedAvg:
 
     def test_uniform_average_exact(self):
         states = make_states(3)
-        avg = uniform_average(states)
+        avg = fedavg(states)
         np.testing.assert_allclose(
             avg["w"], (states[0]["w"] + states[1]["w"] + states[2]["w"]) / 3
         )

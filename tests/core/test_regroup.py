@@ -5,7 +5,7 @@ example budgets from the ``ci``/``weekly`` profiles in ``conftest.py``):
 
 * **partition exactness** — every policy returns an exact partition of
   the same client set into the same number of groups, sizes within one;
-* **static no-op** — the static policy reproduces its input bitwise;
+* **static no-op** — the static policy is no policy at all;
 * **down clients never mid-chain** — under ``availability_aware`` the
   currently-down members of each chain form a *suffix* (a down client is
   never a relay hop an up client depends on);
@@ -25,7 +25,6 @@ from repro.core.regroup import (
     AbortHistoryRegroup,
     AvailabilityAwareRegroup,
     RegroupContext,
-    StaticRegroup,
     make_regroup_policy,
 )
 from repro.experiments.dynamics import ClientDynamics, DynamicsConfig
@@ -51,9 +50,9 @@ def make_dynamics(uptime, downtime, seed, num_clients):
     )
 
 
-def make_policy(name):
-    policy = make_regroup_policy(name)
-    return StaticRegroup() if policy is None else policy
+#: every policy that is an object: ``"static"`` maps to none, so the
+#: scheme driver skips the hook
+ACTIVE_POLICIES = tuple(name for name in REGROUP_POLICIES if name != "static")
 
 
 def abort_counts_strategy(num_clients):
@@ -65,7 +64,7 @@ def abort_counts_strategy(num_clients):
 class TestPartitionInvariants:
     @given(
         fleet=fleets,
-        name=st.sampled_from(REGROUP_POLICIES),
+        name=st.sampled_from(ACTIVE_POLICIES),
         uptime=churn_means,
         downtime=churn_means,
         seed=seeds,
@@ -76,7 +75,7 @@ class TestPartitionInvariants:
         self, fleet, name, uptime, downtime, seed, now, data
     ):
         n, m = fleet
-        policy = make_policy(name)
+        policy = make_regroup_policy(name)
         context = RegroupContext(
             round_index=1,
             now_s=now,
@@ -107,20 +106,6 @@ class TestPartitionInvariants:
 
 
 class TestStaticNoOp:
-    @given(fleet=fleets, uptime=churn_means, downtime=churn_means, seed=seeds)
-    def test_static_is_bitwise_identity(self, fleet, uptime, downtime, seed):
-        n, m = fleet
-        before = contiguous_groups(n, m)
-        context = RegroupContext(
-            round_index=3,
-            now_s=1.0,
-            dynamics=make_dynamics(uptime, downtime, seed, n),
-            abort_counts={0: 5},
-        )
-        after = StaticRegroup().regroup(before, context)
-        assert after == before
-        assert after is not before  # a copy, not an alias
-
     def test_make_regroup_policy_static_is_none(self):
         """The scheme driver skips the hook entirely for static."""
         assert make_regroup_policy("static") is None
@@ -236,14 +221,14 @@ class TestTermination:
         uptime=churn_means,
         downtime=churn_means,
         seed=seeds,
-        name=st.sampled_from(REGROUP_POLICIES),
+        name=st.sampled_from(ACTIVE_POLICIES),
         rounds=st.integers(1, 8),
     )
     @settings(max_examples=20)
     def test_regrouping_over_arbitrary_churn_terminates(
         self, uptime, downtime, seed, name, rounds
     ):
-        policy = make_policy(name)
+        policy = make_regroup_policy(name)
         dynamics = make_dynamics(uptime, downtime, seed, 12)
         groups = contiguous_groups(12, 4)
         now = 0.0

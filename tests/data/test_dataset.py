@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset, DataLoader, Dataset, Subset
-from repro.data.transforms import GaussianNoise, TransformedDataset
 
 
 class TestArrayDataset:
@@ -151,12 +150,22 @@ def _base() -> ArrayDataset:
     return ArrayDataset(rng.normal(size=(23, 3, 4, 4)), rng.integers(0, 5, size=23))
 
 
-def _noisy(seed: int) -> TransformedDataset:
-    return TransformedDataset(_base(), GaussianNoise(0.1, seed=seed))
+class ItemByItem(Dataset):
+    """A dataset that can only be read one item at a time, so it batches
+    through the base class's ``take``."""
+
+    def __init__(self, dataset: Dataset) -> None:
+        self.dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self.dataset)
+
+    def __getitem__(self, index: int):
+        return self.dataset[index]
 
 
 #: name -> factory; called twice so gathered and per-item sides own
-#: separate (identically seeded) transform generators
+#: separate datasets
 DATASETS = {
     "array": _base,
     "subset": lambda: Subset(_base(), [7, 2, 19, 2, 11, 0, 22, 5, 13]),
@@ -164,11 +173,9 @@ DATASETS = {
         Subset(_base(), [7, 2, 19, 2, 11, 0, 22, 5]), [6, 0, 3, 3, 1]
     ),
     "float32-images": lambda: ArrayDataset(_base().images.astype(np.float32), _base().labels),
-    "transformed": lambda: _noisy(5),
-    "subset-of-transformed": lambda: Subset(_noisy(5), [4, 4, 1, 20]),
-    "transformed-subset": lambda: TransformedDataset(
-        Subset(_base(), [3, 9, 1]), GaussianNoise(0.1, seed=8)
-    ),
+    "item-by-item": lambda: ItemByItem(_base()),
+    "subset-of-item-by-item": lambda: Subset(ItemByItem(_base()), [4, 4, 1, 20]),
+    "item-by-item-subset": lambda: ItemByItem(Subset(_base(), [3, 9, 1])),
 }
 
 
@@ -182,7 +189,7 @@ def assert_same_batch(got, want) -> None:
 class TestTakeEqualsThePerItemLoop:
     """``sample_batch`` / ``__iter__`` / ``arrays`` return the arrays the
     per-item loop returned: values, dtypes, order, and the draws consumed
-    from the loader's generator and from a transform's."""
+    from the loader's generator."""
 
     def test_take(self, name):
         gathered, looped = DATASETS[name](), DATASETS[name]()
@@ -220,4 +227,4 @@ def test_per_item_datasets_cannot_take_nothing():
     x, y = empty.arrays()
     assert x.shape == (0, 3, 4, 4) and y.shape == (0,)
     with pytest.raises(ValueError, match="cannot take zero samples one by one"):
-        TransformedDataset(empty, GaussianNoise(0.1, seed=0)).arrays()
+        ItemByItem(empty).arrays()

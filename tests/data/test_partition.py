@@ -12,8 +12,6 @@ from repro.data.partition import (
     make_client_datasets,
     partition_dirichlet,
     partition_iid,
-    partition_label_histogram,
-    partition_shards,
 )
 
 
@@ -65,7 +63,7 @@ class TestDirichlet:
         uniform = partition_dirichlet(labels, 10, alpha=100.0, seed=0)
 
         def mean_entropy(parts):
-            hist = partition_label_histogram(labels, parts, 10).astype(float)
+            hist = np.stack([np.bincount(labels[idx], minlength=10) for idx in parts])
             p = hist / np.maximum(hist.sum(axis=1, keepdims=True), 1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ent = -np.nansum(np.where(p > 0, p * np.log(p), 0.0), axis=1)
@@ -83,28 +81,6 @@ class TestDirichlet:
             partition_dirichlet(self._labels(), 4, alpha=0.0)
 
 
-class TestShards:
-    def test_exact_partition(self):
-        labels = np.random.default_rng(0).integers(0, 10, size=120)
-        assert_exact_partition(partition_shards(labels, 6, 2, seed=0), 120)
-
-    def test_shard_label_concentration(self):
-        """Each client should see only a few labels with 2 shards."""
-        labels = np.sort(np.repeat(np.arange(10), 20))
-        parts = partition_shards(labels, 10, 2, seed=0)
-        hist = partition_label_histogram(labels, parts, 10)
-        labels_per_client = (hist > 0).sum(axis=1)
-        assert labels_per_client.max() <= 4
-
-    def test_too_many_shards_raises(self):
-        with pytest.raises(ValueError):
-            partition_shards(np.zeros(10, dtype=int), 5, 3)
-
-    def test_shards_validation(self):
-        with pytest.raises(ValueError):
-            partition_shards(np.zeros(10, dtype=int), 2, 0)
-
-
 class TestHelpers:
     def test_make_client_datasets(self):
         ds = ArrayDataset(np.arange(12).reshape(12, 1).astype(float), np.arange(12) % 3)
@@ -113,10 +89,3 @@ class TestHelpers:
         assert len(subsets) == 3
         assert sum(len(s) for s in subsets) == 12
 
-    def test_label_histogram_shape_and_totals(self):
-        labels = np.array([0, 1, 1, 2, 2, 2])
-        parts = [np.array([0, 1]), np.array([2, 3, 4, 5])]
-        hist = partition_label_histogram(labels, parts, 3)
-        assert hist.shape == (2, 3)
-        np.testing.assert_array_equal(hist.sum(axis=1), [2, 4])
-        np.testing.assert_array_equal(hist[0], [1, 1, 0])

@@ -13,7 +13,6 @@ import repro.exec
 from repro.exec import SerialExecutor
 from repro.experiments.figures import run_fig2a, run_fig2b
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme, run_schemes
-from repro.experiments.sweep import ParameterSweep
 from repro.metrics.multiseed import run_multiseed
 
 #: every public entry point that once took an ``executor=`` backend
@@ -21,7 +20,6 @@ ENTRY_POINTS = {
     "run_schemes": run_schemes,
     "run_fig2a": run_fig2a,
     "run_fig2b": run_fig2b,
-    "ParameterSweep.run": ParameterSweep.run,
     "run_multiseed": run_multiseed,
     **{f"{name}.__init__": cls.__init__ for name, cls in sorted(SCHEME_REGISTRY.items())},
 }

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import _export_trace
+from repro.cli import _export_trace, main
 from repro.experiments.catalog import (
     SCENARIO_REGISTRY,
     describe_scenario,
@@ -146,6 +146,24 @@ class TestRecordReplay:
         }) + "\n")
         scenario = get_scenario(f"replay:{path}")
         assert scenario.num_clients == 9 and scenario.num_groups == 3
+
+    @pytest.mark.parametrize("drop", [
+        ("dynamics", "num_clients", "num_groups", "scenario", "seed"), ("dynamics",),
+    ], ids=["bare", "no-dynamics"])
+    def test_replay_of_a_meta_row_without_a_field_it_reads_rejected(
+        self, tmp_path, capsys, drop
+    ):
+        """A bare ``{"type": "meta"}`` row used to replay the fast world at
+        seed 0 and exit 0."""
+        # repro: disable=TRC001 (partial meta on purpose: the fields replay reads, then fewer)
+        meta = {"type": "meta", "scenario": "churn", "seed": 0, "num_clients": 12,
+                "num_groups": 4, "dynamics": None}
+        path = tmp_path / "meta.jsonl"
+        path.write_text(json.dumps({k: v for k, v in meta.items() if k not in drop}) + "\n")
+        with pytest.raises(ValueError, match=f"meta row lacks {', '.join(drop)}, "):
+            get_scenario(f"replay:{path}")
+        assert main(["run", "--scenario", f"replay:{path}", "--rounds", "1"]) == 2
+        assert "meta row lacks" in capsys.readouterr().err
 
     def test_replay_without_meta_row_rejected(self, tmp_path):
         path = tmp_path / "bare.jsonl"

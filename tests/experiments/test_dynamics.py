@@ -103,16 +103,6 @@ class TestAvailabilityTrace:
         for c in range(8):
             assert not all(dyn.available_at(c, t) for t in ts)
 
-    def test_windows_alternate_and_tile(self):
-        cfg = DynamicsConfig(churn_uptime_s=4.0, churn_downtime_s=2.0, seed=3)
-        dyn = ClientDynamics(cfg, num_clients=1)
-        windows = dyn.availability_windows(0, until=60.0)
-        assert windows, "expected at least one up-window"
-        for start, end in windows:
-            assert end > start
-            mid = (start + end) / 2
-            assert dyn.available_at(0, mid)
-
 
 class TestRoundConditions:
     def test_full_participation_without_dynamics_features(self):
@@ -344,8 +334,8 @@ class TestUnitMemberOrder:
 
 
 class TestWindowBoundary:
-    """``availability_windows`` agrees with ``available_at`` exactly at
-    the clip boundary (half-open windows, bisect_right semantics)."""
+    """A toggle at ``t`` counts as flipped at ``t`` (half-open windows,
+    ``bisect_right`` semantics), and the export clip keeps it."""
 
     def _dynamics(self, tmp_path, toggles):
         import json
@@ -359,28 +349,13 @@ class TestWindowBoundary:
             DynamicsConfig(availability=f"trace:{path}"), num_clients=1
         )
 
-    def test_recovery_toggle_exactly_at_until_is_kept(self, tmp_path):
-        """A client back up exactly at ``until`` used to vanish from the
-        report (the old clip dropped the toggle at the boundary)."""
-        dyn = self._dynamics(tmp_path, [1.0, 2.0])
-        assert dyn.available_at(0, 2.0)
-        windows = dyn.availability_windows(0, until=2.0)
-        assert windows == [(0.0, 1.0), (2.0, 2.0)]
-
-    def test_failure_toggle_exactly_at_until(self, tmp_path):
-        dyn = self._dynamics(tmp_path, [2.0])
-        assert not dyn.available_at(0, 2.0)  # toggle AT t counts as flipped
-        assert dyn.availability_windows(0, until=2.0) == [(0.0, 2.0)]
-
-    def test_windows_cover_exactly_the_up_instants(self, tmp_path):
+    def test_up_instants_are_half_open_windows(self, tmp_path):
+        """A failure (0.5, 2.0) and a recovery (1.25) toggle at ``t``
+        both count at ``t``."""
         dyn = self._dynamics(tmp_path, [0.5, 1.25, 2.0, 3.5])
-        until = 3.0
-        windows = dyn.availability_windows(0, until)
-        for t in [0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0]:
-            in_window = any(
-                start <= t < end or t == start == end for start, end in windows
-            )
-            assert in_window == dyn.available_at(0, t), f"disagree at t={t}"
+        up = {0.0: True, 0.25: True, 0.5: False, 1.0: False, 1.25: True,
+              1.5: True, 2.0: False, 2.5: False, 3.0: False}
+        assert {t: dyn.available_at(0, t) for t in up} == up
 
     def test_export_toggles_keep_boundary_for_replay(self, tmp_path):
         dyn = self._dynamics(tmp_path, [1.0, 2.0, 3.0])

@@ -1,4 +1,4 @@
-"""Parameter-sweep and multi-seed aggregation tests."""
+"""Multi-seed aggregation tests."""
 
 from __future__ import annotations
 
@@ -7,80 +7,8 @@ import pytest
 
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
-from repro.experiments.sweep import ParameterSweep, SweepAxis
 from repro.metrics.history import TrainingHistory
 from repro.metrics.multiseed import aggregate_metric, mean_curve, run_multiseed
-
-
-def _scenario_factory():
-    return fast_scenario(with_wireless=True)
-
-
-class TestSweep:
-    def test_axis_validation(self):
-        with pytest.raises(ValueError):
-            SweepAxis("x", [])
-        with pytest.raises(ValueError):
-            SweepAxis("x", [1], target="nowhere")
-
-    def test_scenario_axis(self):
-        sweep = ParameterSweep(_scenario_factory)
-        rows = sweep.run("GSFL", num_rounds=1, axis=SweepAxis("num_groups", [1, 3]))
-        assert [r.value for r in rows] == [1, 3]
-        # more groups -> cheaper round
-        assert rows[1].total_latency_s < rows[0].total_latency_s
-
-    def test_scheme_config_axis(self):
-        sweep = ParameterSweep(_scenario_factory)
-        rows = sweep.run(
-            "GSFL",
-            num_rounds=1,
-            axis=SweepAxis("transport", ["float32", "int8"], target="scheme_config"),
-        )
-        assert rows[1].total_latency_s < rows[0].total_latency_s
-
-    def test_scheme_kwargs_axis(self):
-        sweep = ParameterSweep(_scenario_factory)
-        rows = sweep.run(
-            "GSFL",
-            num_rounds=1,
-            axis=SweepAxis("failure_rate", [0.0, 1.0], target="scheme_kwargs"),
-        )
-        assert rows[1].total_latency_s == 0.0
-
-    def test_unknown_scenario_attribute(self):
-        sweep = ParameterSweep(_scenario_factory)
-        with pytest.raises(AttributeError):
-            sweep.run("GSFL", 1, SweepAxis("warp_factor", [9]))
-
-    def test_mutators_apply(self):
-        def drop_wireless(scenario):
-            scenario.wireless = None
-            return scenario
-
-        sweep = ParameterSweep(_scenario_factory, mutators=[drop_wireless])
-        rows = sweep.run("SL", num_rounds=1, axis=SweepAxis("num_groups", [2]))
-        assert rows[0].total_latency_s == 0.0
-
-    def test_table_renders(self):
-        sweep = ParameterSweep(_scenario_factory)
-        axis = SweepAxis("num_groups", [2])
-        rows = sweep.run("GSFL", 1, axis)
-        text = ParameterSweep.table(axis, rows)
-        assert "num_groups" in text and "final_acc" in text
-
-    def test_point_does_not_depend_on_earlier_points(self):
-        """Each sweep point builds its own independently seeded scenario,
-        so a point's row is the same with or without the points before it."""
-        both = ParameterSweep(_scenario_factory).run(
-            "GSFL", 1, SweepAxis("num_groups", [1, 3])
-        )
-        alone = ParameterSweep(_scenario_factory).run(
-            "GSFL", 1, SweepAxis("num_groups", [3])
-        )
-        assert alone[0].value == both[1].value
-        assert alone[0].final_accuracy == both[1].final_accuracy
-        assert alone[0].total_latency_s == both[1].total_latency_s
 
 
 class TestAggregateMetric:

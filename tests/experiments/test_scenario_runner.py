@@ -112,11 +112,3 @@ class TestRunner:
         assert set(histories) == {"SL", "GSFL"}
         assert all(len(h) == 1 for h in histories.values())
 
-    def test_per_scheme_overrides(self, built_fast_scenario):
-        histories = run_schemes(
-            built_fast_scenario,
-            ["GSFL"],
-            num_rounds=1,
-            GSFL={"num_groups": 3},
-        )
-        assert len(histories["GSFL"]) == 1

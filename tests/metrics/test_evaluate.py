@@ -11,7 +11,7 @@ from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.data.gtsrb import SyntheticGTSRB
 from repro.experiments.scenario import fast_scenario, paper_scenario
-from repro.metrics.evaluate import EVAL_SLAB, evaluate_model, evaluate_split, predict_labels
+from repro.metrics.evaluate import EVAL_SLAB, evaluate_model, evaluate_split
 from repro.models.registry import build_model, default_cut_layer
 from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
@@ -71,7 +71,6 @@ class TestEvaluateModel:
         training and resumed updating its running statistics."""
         model = frozen_batchnorm_model()
         evaluate_model(model, small_dataset, batch_size=batch_size)
-        predict_labels(model, small_dataset.images, batch_size=batch_size)
         assert model.training and model[0].training
         assert not model[1].training
 
@@ -94,8 +93,8 @@ class TestEvaluateModel:
             )
         assert model.training and model[0].training
         assert not model[1].training
-        with pytest.raises(ValueError):
-            predict_labels(model, np.zeros((4, 3, 8, 8)))  # wrong channel count
+        with pytest.raises(ValueError):  # wrong channel count
+            evaluate_model(model, ArrayDataset(np.zeros((4, 3, 8, 8)), np.zeros(4, dtype=int)))
         assert model.training and model[0].training
 
     def test_batching_does_not_change_result(self, trained_model, small_dataset):
@@ -160,24 +159,6 @@ class TestEvaluateSplit:
         assert not model[1].training
 
 
-class TestPredictLabels:
-    def test_shapes_and_range(self, trained_model, small_dataset):
-        preds = predict_labels(trained_model, small_dataset.images)
-        assert preds.shape == (len(small_dataset),)
-        assert preds.min() >= 0 and preds.max() < 5
-
-    def test_empty_input(self, trained_model):
-        preds = predict_labels(trained_model, np.zeros((0, 2, 8, 8)))
-        assert preds.shape == (0,)
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_must_be_positive(self, trained_model, small_dataset, batch_size):
-        """``-1`` used to return an empty array for a non-empty input (a
-        silently wrong answer) and ``0`` failed inside ``range``."""
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            predict_labels(trained_model, small_dataset.images[:4], batch_size=batch_size)
-
-
 # ----------------------------------------------------------------------
 # Evaluation slabs: the answer does not depend on the slab size, and the
 # memory does.
@@ -212,7 +193,7 @@ def workload_model(request):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 class TestSlabSizeDoesNotChangeTheAnswer:
-    def test_model_split_and_predictions(self, workload_model, dtype):
+    def test_model_and_split(self, workload_model, dtype):
         name, num_classes, train, test = workload_model
         with nn.default_dtype(dtype):
             model = _briefly_trained(name, train, num_classes)
@@ -223,24 +204,16 @@ class TestSlabSizeDoesNotChangeTheAnswer:
                 results[batch_size] = (
                     evaluate_model(model, test, batch_size=batch_size),
                     evaluate_split(split, test, batch_size=batch_size),
-                    predict_labels(model, test.images, batch_size=batch_size),
                 )
                 assert [m.training for m in model.modules()] == modes
-            default = (
-                evaluate_model(model, test),
-                evaluate_split(split, test),
-                predict_labels(model, test.images),
-            )
-        (ref_loss, ref_acc), _, ref_preds = results[len(test)]
-        assert ref_acc == np.mean(ref_preds == test.labels)
-        for (loss, acc), (split_loss, split_acc), preds in results.values():
+            default = (evaluate_model(model, test), evaluate_split(split, test))
+        (ref_loss, ref_acc), _ = results[len(test)]
+        for (loss, acc), (split_loss, split_acc) in results.values():
             assert acc == ref_acc and split_acc == ref_acc
-            np.testing.assert_array_equal(preds, ref_preds)
             assert loss == pytest.approx(ref_loss, rel=1e-5)
             assert split_loss == pytest.approx(ref_loss, rel=1e-5)
         # the default is the ``EVAL_SLAB``-sample slab, bit for bit
-        assert default[0] == results[EVAL_SLAB][0] and default[1] == results[EVAL_SLAB][1]
-        np.testing.assert_array_equal(default[2], results[EVAL_SLAB][2])
+        assert default == results[EVAL_SLAB]
 
 
 def _traced_peak(fn) -> float:

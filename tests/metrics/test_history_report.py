@@ -63,12 +63,6 @@ class TestTrainingHistory:
             _ = h.final_accuracy
         assert h.total_latency_s == 0.0
 
-    def test_smoothed_accuracies(self):
-        h = make_history("x", [0.0, 1.0, 1.0])
-        np.testing.assert_allclose(h.smoothed_accuracies(window=2), [0.0, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            h.smoothed_accuracies(0)
-
     def test_to_rows_and_summary(self):
         h = make_history("GSFL", [0.5])
         rows = h.to_rows()

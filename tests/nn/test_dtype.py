@@ -109,14 +109,6 @@ class TestTrainingDtype:
         assert opt._velocity[id(param)].dtype == np.float32
         assert np.isfinite(loss)
 
-    def test_optimizer_state_roundtrip_preserves_dtype(self):
-        model, opt, _ = self._step(np.float32)
-        state = opt.state_export()
-        fresh = nn.SGD(model.parameters(), lr=0.1, momentum=0.9)
-        fresh.state_import(state)
-        param = next(model.parameters())
-        assert fresh._velocity[id(param)].dtype == np.float32
-
     def test_float32_tracks_float64_loss(self):
         _, _, loss32 = self._step(np.float32)
         _, _, loss64 = self._step(np.float64)

@@ -1,4 +1,4 @@
-"""Convolution / pooling / dropout functional op tests, including
+"""Convolution / max-pooling functional op tests, including
 finite-difference gradient checks through im2col/col2im."""
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class TestPooling:
         out = F.max_pool2d(Tensor(x), 2).data
         np.testing.assert_allclose(out[0, 0], [[5, 7], [13, 15]])
 
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_max_pool_gradient(self):
         x_data = self.rng.normal(size=(2, 3, 4, 4))
         x = Tensor(x_data.copy(), requires_grad=True)
@@ -126,55 +121,9 @@ class TestPooling:
 
         np.testing.assert_allclose(x.grad, numeric_gradient(f, d), atol=1e-6)
 
-    def test_avg_pool_gradient(self):
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        F.avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
     def test_overlapping_stride(self):
         x = Tensor(self.rng.normal(size=(1, 1, 5, 5)), requires_grad=True)
         out = F.max_pool2d(x, 3, stride=1)
         assert out.shape == (1, 1, 3, 3)
         out.sum().backward()
         assert x.grad.shape == (1, 1, 5, 5)
-
-
-class TestPadAndDropout:
-    def test_pad2d_roundtrip_gradient(self):
-        x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
-        out = F.pad2d(x, 2)
-        assert out.shape == (1, 1, 7, 7)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 3, 3)))
-
-    def test_pad2d_zero_is_identity(self):
-        x = Tensor(np.ones((1, 1, 3, 3)))
-        assert F.pad2d(x, 0) is x
-
-    def test_dropout_eval_is_identity(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((10, 10)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_dropout_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, rng, training=True)
-        assert abs(out.data.mean() - 1.0) < 0.02
-
-    def test_dropout_gradient_masks(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((50, 50)), requires_grad=True)
-        out = F.dropout(x, 0.5, rng, training=True)
-        out.sum().backward()
-        # gradient equals mask (0 or 1/(1-p))
-        zeros = x.grad == 0
-        kept = np.isclose(x.grad, 2.0)
-        assert np.all(zeros | kept)
-        assert zeros.any() and kept.any()
-
-    def test_dropout_invalid_p(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, rng)

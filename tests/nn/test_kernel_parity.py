@@ -14,8 +14,7 @@ code path).  Three fences:
     overlapping pooling windows) they agree to rounding.  Bits are not
     demanded there: a GEMM whose patch operand is transposed may differ
     from the reference in the last ulp on arbitrary shapes (≈3% of random
-    cases), and average pooling sums a window left to right where the
-    reference's ``mean`` summed pairwise from 8 elements up;
+    cases);
 (c) max-pool ties route the gradient to the first maximum in row-major
     window order, as ``argmax`` did.
 
@@ -125,24 +124,6 @@ def ref_max_pool2d(x, kernel, stride=None):
     return Tensor._from_op(out_data, (x,), "max_pool2d", _bw)
 
 
-def ref_avg_pool2d(x, kernel, stride=None):
-    stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
-    out_h = F.conv_output_size(h, kernel, stride, 0)
-    out_w = F.conv_output_size(w, kernel, stride, 0)
-    cols = ref_im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    out_data = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-    def _bw(grad, to_x):
-        g = grad.reshape(-1, 1) / (kernel * kernel)
-        gcols = np.broadcast_to(g, (g.shape[0], kernel * kernel)).astype(grad.dtype)
-        gx = ref_col2im(
-            np.ascontiguousarray(gcols), (n * c, 1, h, w), kernel, kernel, stride, 0
-        )
-        to_x._accumulate(gx.reshape(n, c, h, w))
-
-    return Tensor._from_op(out_data, (x,), "avg_pool2d", _bw)
-
-
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
@@ -229,23 +210,19 @@ def test_conv2d_is_exact_on_pinned_shapes(n, c_in, size, c_out, dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
 @pytest.mark.parametrize(
-    "new, ref", [(F.max_pool2d, ref_max_pool2d), (F.avg_pool2d, ref_avg_pool2d)],
-    ids=["max", "avg"],
-)
-@pytest.mark.parametrize(
     "n, c, size, nhwc",
     [pytest.param(*case, False, id="-".join(map(str, case))) for case in POOL_CASES]
     + [pytest.param(16, 16, 20, True, id="16-16-20-nhwc")],
 )
-def test_pooling_is_exact_on_pinned_shapes(n, c, size, nhwc, new, ref, dtype):
+def test_pooling_is_exact_on_pinned_shapes(n, c, size, nhwc, dtype):
     rng = np.random.default_rng([n, c, size])
     with nn.default_dtype(dtype):
         x = relu_like(rng, (n, c, size, size), dtype)  # contiguous, as a conv hands it on
         if nhwc:
             x = channels_last(x)
         upstream = rng.normal(size=(n, c, size // 2, size // 2)).astype(dtype)
-        got = run_pool(new, x, upstream, 2, 2)
-        want = run_pool(ref, x, upstream, 2, 2)
+        got = run_pool(F.max_pool2d, x, upstream, 2, 2)
+        want = run_pool(ref_max_pool2d, x, upstream, 2, 2)
     for g, r in zip(got, want):
         assert_identical(g, r)
 
@@ -350,12 +327,11 @@ def test_conv2d_matches_reference_on_random_geometry(geo, padding, c_out):
 
 
 @settings(max_examples=60, deadline=None)
-@given(geometry, st.booleans(), st.booleans())
-def test_pooling_matches_reference_on_random_geometry(geo, use_max, nhwc):
+@given(geometry, st.booleans())
+def test_pooling_matches_reference_on_random_geometry(geo, nhwc):
     """Includes stride < kernel (overlapping windows, gradients sum),
     stride > kernel and sizes the windows do not cover (zero gradient)."""
     n, c, h, w, kernel, stride, seed, dtype = geo
-    new, ref = (F.max_pool2d, ref_max_pool2d) if use_max else (F.avg_pool2d, ref_avg_pool2d)
     rng = np.random.default_rng(seed)
     out_h = F.conv_output_size(h, kernel, stride, 0)
     out_w = F.conv_output_size(w, kernel, stride, 0)
@@ -364,8 +340,8 @@ def test_pooling_matches_reference_on_random_geometry(geo, use_max, nhwc):
         if nhwc:
             x = channels_last(x)
         upstream = rng.normal(size=(n, c, out_h, out_w)).astype(dtype)
-        got = run_pool(new, x, upstream, kernel, stride)
-        want = run_pool(ref, x, upstream, kernel, stride)
+        got = run_pool(F.max_pool2d, x, upstream, kernel, stride)
+        want = run_pool(ref_max_pool2d, x, upstream, kernel, stride)
     for g, r in zip(got, want):
         np.testing.assert_allclose(g, r, **TOLERANCE[dtype])
 

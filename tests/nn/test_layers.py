@@ -114,7 +114,6 @@ class TestConvPoolLayers:
 
     def test_pool_shapes(self):
         assert nn.MaxPool2d(2).output_shape((4, 8, 8)) == (4, 4, 4)
-        assert nn.AvgPool2d(2).output_shape((4, 8, 8)) == (4, 4, 4)
 
     def test_conv_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -143,23 +142,6 @@ class TestSequential:
         seq = nn.Sequential(nn.Linear(4, 3, seed=0), nn.ReLU(), nn.Linear(3, 2, seed=1))
         out = seq(Tensor(np.ones((2, 4))))
         assert out.shape == (2, 2)
-
-
-class TestDropoutLayer:
-    def test_eval_mode_identity(self):
-        layer = nn.Dropout(0.9, seed=0)
-        layer.eval()
-        x = np.ones((4, 4))
-        np.testing.assert_allclose(layer(Tensor(x)).data, x)
-
-    def test_train_mode_zeroes_some(self):
-        layer = nn.Dropout(0.5, seed=0)
-        out = layer(Tensor(np.ones((20, 20))))
-        assert (out.data == 0).any()
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
 
 
 class TestProfile:

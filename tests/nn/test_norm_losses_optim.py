@@ -215,31 +215,6 @@ class TestOptimizers:
             opt.step()
         assert abs(float(p.data[0])) < 0.05
 
-    def test_state_export_import_sgd(self):
-        """Importing exported momentum state replays identical updates."""
-        p = nn.Parameter(np.array([1.0]))
-        opt = nn.SGD([p], lr=0.1, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()
-        state = opt.state_export()
-
-        # A twin starting from the post-step value with imported velocity
-        # must track the original exactly on the next step.
-        p2 = nn.Parameter(p.data.copy())
-        opt2 = nn.SGD([p2], lr=0.1, momentum=0.9)
-        opt2.state_import(state)
-        p.grad = np.array([0.5])
-        p2.grad = np.array([0.5])
-        opt.step()
-        opt2.step()
-        np.testing.assert_allclose(p.data, p2.data)
-
-    def test_state_import_length_mismatch(self):
-        p = nn.Parameter(np.array([1.0]))
-        opt = nn.SGD([p], lr=0.1)
-        with pytest.raises(ValueError):
-            opt.state_import([{}, {}])
-
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):
             nn.SGD([], lr=0.1)

@@ -221,11 +221,6 @@ class TestGraphMechanics:
         z.backward()
         np.testing.assert_allclose(x.grad, [4.0])
 
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        (x.detach() * 5).sum().backward()
-        assert x.grad is None
-
     def test_no_grad_context(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -288,68 +283,90 @@ def _leaf(rng, *shape, positive=False):
 
 def _unary(op, *shape, positive=False):
     def build(rng):
-        x = _leaf(rng, *shape, positive=positive)
-        return [x], op(x)
+        return [_leaf(rng, *shape, positive=positive)], op
 
     return build
 
 
 def _binary(op, shape_a, shape_b):
     def build(rng):
-        a, b = _leaf(rng, *shape_a), _leaf(rng, *shape_b, positive=True)
-        return [a, b], op(a, b)
+        return [_leaf(rng, *shape_a), _leaf(rng, *shape_b, positive=True)], op
 
     return build
 
 
-def _linear(rng):
-    x, w, b = _leaf(rng, 4, 6), _leaf(rng, 3, 6), _leaf(rng, 3)
-    return [x, w, b], F.linear(x, w, b)
+def _linear(x_shape, bias=True):
+    def build(rng):
+        x, w = _leaf(rng, *x_shape), _leaf(rng, 3, x_shape[-1])
+        return ([x, w, _leaf(rng, 3)], F.linear) if bias else ([x, w], F.linear)
+
+    return build
 
 
-def _conv2d(rng):
-    x, w, b = _leaf(rng, 2, 2, 6, 6), _leaf(rng, 3, 2, 3, 3), _leaf(rng, 3)
-    return [x, w, b], F.conv2d(x, w, b, padding=1)
+def _conv2d(stride, padding):
+    def build(rng):
+        x, w, b = _leaf(rng, 2, 2, 6, 6), _leaf(rng, 3, 2, 3, 3), _leaf(rng, 3)
+        return [x, w, b], lambda x, w, b: F.conv2d(x, w, b, stride=stride, padding=padding)
+
+    return build
 
 
 def _batch_norm(layer_cls, shape, training):
     def build(rng):
         bn = layer_cls(shape[1])
         bn.train(training)
-        x = _leaf(rng, *shape)
-        return [x, bn.gamma, bn.beta], bn(x)
+        # the layer reads its own parameters, which are the leaves
+        return [_leaf(rng, *shape), bn.gamma, bn.beta], lambda x, gamma, beta: bn(x)
 
     return build
 
 
 def _loss(loss_cls):
     def build(rng):
-        x = _leaf(rng, 5, 4)
-        return [x], loss_cls()(x, rng.integers(0, 4, size=5))
+        x, targets = _leaf(rng, 5, 4), rng.integers(0, 4, size=5)
+        return [x], lambda x: loss_cls()(x, targets)
 
     return build
 
 
-#: every op of ``tensor.py``, ``functional.py`` and ``norm.py``: name ->
-#: ``build(rng) -> (leaves, output)``
+#: every op of ``tensor.py``, ``functional.py`` and ``norm.py``, and each
+#: branch of their backwards: name -> ``build(rng) -> (leaves, apply)``,
+#: where ``apply(*leaves)`` is the op's output
 OP_CASES = {
     "add": _binary(lambda a, b: a + b, (3, 4), (3, 4)),
     "add_broadcast": _binary(lambda a, b: a + b, (3, 4), (4,)),
+    "add_scalar": _unary(lambda x: x + 2.0, 3, 4),
     "mul": _binary(lambda a, b: a * b, (3, 4), (3, 4)),
     "mul_broadcast": _binary(lambda a, b: a * b, (3, 4), (3, 1)),
     "sub": _binary(lambda a, b: a - b, (3, 4), (3, 4)),
+    "sub_broadcast": _binary(lambda a, b: a - b, (3, 4), (3, 1)),
+    "rsub": _unary(lambda x: 2.0 - x, 3, 4),
     "div": _binary(lambda a, b: a / b, (3, 4), (3, 4)),
+    "div_broadcast": _binary(lambda a, b: a / b, (3, 4), (4,)),
+    "rtruediv": _unary(lambda x: 2.0 / x, 3, 4, positive=True),
     "matmul": _binary(lambda a, b: a @ b, (3, 4), (4, 2)),
     "matmul_vector": _binary(lambda a, b: a @ b, (3, 4), (4,)),
+    "matmul_vector_left": _binary(lambda a, b: a @ b, (4,), (4, 2)),
+    "matmul_dot": _binary(lambda a, b: a @ b, (4,), (4,)),
+    "matmul_batched": _binary(lambda a, b: a @ b, (2, 3, 4), (4, 2)),
     "neg": _unary(lambda x: -x, 3, 4),
     "pow": _unary(lambda x: x**3, 3, 4),
     "sqrt": _unary(lambda x: x.sqrt(), 3, 4, positive=True),
     "sum": _unary(lambda x: x.sum(axis=0), 3, 4),
+    "sum_all": _unary(lambda x: x.sum(), 3, 4),
+    "sum_keepdims": _unary(lambda x: x.sum(axis=1, keepdims=True), 3, 4),
     "mean": _unary(lambda x: x.mean(axis=1, keepdims=True), 3, 4),
+    "mean_all": _unary(lambda x: x.mean(), 3, 4),
     "max": _unary(lambda x: x.max(axis=1), 3, 4),
+    "max_all": _unary(lambda x: x.max(), 3, 4),
+    "max_keepdims": _unary(lambda x: x.max(axis=0, keepdims=True), 3, 4),
     "reshape": _unary(lambda x: x.reshape(4, 3), 3, 4),
     "transpose": _unary(lambda x: x.transpose(), 3, 4),
+    "transpose_axes": _unary(lambda x: x.transpose(1, 2, 0), 2, 3, 4),
+    "T": _unary(lambda x: x.T, 3, 4),
     "getitem": _unary(lambda x: x[1:, ::2], 3, 4),
+    "getitem_int": _unary(lambda x: x[1], 3, 4),
+    "getitem_repeated": _unary(lambda x: x[[0, 2, 0]], 3, 4),
     "clone": _unary(lambda x: x.clone(), 3, 4),
     "exp": _unary(lambda x: x.exp(), 3, 4),
     "log": _unary(lambda x: x.log(), 3, 4, positive=True),
@@ -358,15 +375,17 @@ OP_CASES = {
     "tanh": _unary(lambda x: x.tanh(), 3, 4),
     "log_softmax": _unary(lambda x: x.log_softmax(axis=1), 3, 4),
     "softmax": _unary(lambda x: x.softmax(axis=1), 3, 4),
+    "softmax_axis0": _unary(lambda x: x.softmax(axis=0), 3, 4),
     "stack": _binary(lambda a, b: stack([a, b], axis=1), (3, 4), (3, 4)),
     "concatenate": _binary(lambda a, b: concatenate([a, b], axis=1), (3, 4), (3, 2)),
-    "linear": _linear,
-    "conv2d": _conv2d,
+    "linear": _linear((4, 6)),
+    "linear_no_bias": _linear((4, 6), bias=False),
+    "linear_vector": _linear((6,)),
+    "conv2d": _conv2d(stride=1, padding=1),
+    "conv2d_strided": _conv2d(stride=2, padding=0),
     "max_pool2d": _unary(lambda x: F.max_pool2d(x, 2), 2, 2, 4, 4),
     "max_pool2d_overlapping": _unary(lambda x: F.max_pool2d(x, 3, stride=1), 2, 2, 5, 5),
-    "avg_pool2d": _unary(lambda x: F.avg_pool2d(x, 2), 2, 2, 4, 4),
-    "pad2d": _unary(lambda x: F.pad2d(x, 1), 2, 2, 3, 3),
-    "dropout": _unary(lambda x: F.dropout(x, 0.5, np.random.default_rng(1)), 3, 4),
+    "max_pool2d_ragged": _unary(lambda x: F.max_pool2d(x, 2), 2, 2, 5, 5),
     "batch_norm2d": _batch_norm(nn.BatchNorm2d, (4, 3, 2, 2), True),
     "batch_norm1d": _batch_norm(nn.BatchNorm1d, (6, 3), True),
     "batch_norm2d_eval": _batch_norm(nn.BatchNorm2d, (4, 3, 2, 2), False),
@@ -374,18 +393,48 @@ OP_CASES = {
     "nll": _loss(nn.NLLLoss),
 }
 
+
+def _build(name, rng):
+    """The leaves of ``OP_CASES[name]`` and the op's output on them."""
+    leaves, apply = OP_CASES[name](rng)
+    return leaves, apply(*leaves)
+
+
 #: ops whose backward forwards the gradient it is handed, or a view of it:
 #: name -> the leaf gradients as views of the root's
 FORWARDING_OPS = {
     "add": lambda g: [g, g],
+    "add_scalar": lambda g: [g],
     "sub": lambda g: [g, -g],
     "reshape": lambda g: [g.reshape(3, 4)],
     "transpose": lambda g: [g.T],
+    "transpose_axes": lambda g: [g.transpose(2, 0, 1)],
+    "T": lambda g: [g.T],
     "clone": lambda g: [g],
-    "pad2d": lambda g: [g[:, :, 1:-1, 1:-1]],
     "concatenate": lambda g: [g[:, :4], g[:, 4:]],
     "stack": lambda g: [g[:, 0], g[:, 1]],
 }
+
+
+class TestEveryOpMatchesFiniteDifferences:
+    """Each leaf gradient of each op equals the central difference of
+    ``sum(op(leaves) * upstream)``, the upstream gradient a random array."""
+
+    @pytest.mark.parametrize("name", OP_CASES)
+    def test_leaf_gradients(self, name):
+        rng = np.random.default_rng(1)
+        leaves, apply = OP_CASES[name](rng)
+        out = apply(*leaves)
+        upstream = rng.normal(size=out.shape)
+        out.backward(upstream)
+
+        def f():
+            with no_grad():
+                return float(np.sum(apply(*leaves).data * upstream))
+
+        for leaf in leaves:
+            numeric = numeric_gradient(f, leaf.data)
+            np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-5, atol=1e-6)
 
 
 class TestNodesKeepNoTensor:
@@ -395,7 +444,7 @@ class TestNodesKeepNoTensor:
 
     @pytest.mark.parametrize("name", OP_CASES)
     def test_no_closure_in_the_graph_captures_a_tensor(self, name):
-        _, out = OP_CASES[name](np.random.default_rng(0))
+        _, out = _build(name, np.random.default_rng(0))
         pending, seen = [out.node], 0
         while pending:
             node = pending.pop()
@@ -414,7 +463,7 @@ class TestGradientOwnership:
     @staticmethod
     def _backward(name):
         rng = np.random.default_rng(0)
-        leaves, out = OP_CASES[name](rng)
+        leaves, out = _build(name, rng)
         seed = rng.normal(size=out.shape)
         out.backward(seed)
         return leaves, out, seed

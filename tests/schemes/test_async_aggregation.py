@@ -171,18 +171,3 @@ class TestAsyncLatencyBenefit:
         slowed_log = [(u.unit, u.round_index) for u in slowed_scheme.aggregation_updates]
         assert plain_log != slowed_log
 
-
-class TestSweepIntegration:
-    def test_aggregation_is_sweepable_scheme_config_knob(self):
-        from repro.experiments.sweep import ParameterSweep, SweepAxis
-
-        sweep = ParameterSweep(
-            base_scenario_factory=lambda: fast_scenario(with_wireless=True)
-        )
-        rows = sweep.run(
-            scheme="GSFL",
-            num_rounds=1,
-            axis=SweepAxis("aggregation", ["sync", "bounded:1"], target="scheme_config"),
-        )
-        assert [row.value for row in rows] == ["sync", "bounded:1"]
-        assert all(row.total_latency_s > 0 for row in rows)

@@ -196,18 +196,10 @@ class TestSplitFedSurface:
 
 
 class TestSchemeConfigValidation:
-    @pytest.mark.parametrize("value", [0, -64])
-    def test_eval_batch_size_must_be_positive(self, value):
-        """``eval_batch_size=0`` used to be accepted and only fail inside
-        the first evaluation, after a round had already trained."""
-        with pytest.raises(ValueError, match="eval_batch_size must be > 0"):
-            SchemeConfig(eval_batch_size=value)
-
     def test_evaluation_walks_eval_slab_samples_by_default(self):
         """One default for every evaluation: the scheme's slab is
         ``EVAL_SLAB``, the training batch."""
-        config = SchemeConfig()
-        assert config.eval_batch_size == EVAL_SLAB == config.batch_size
+        assert EVAL_SLAB == SchemeConfig().batch_size
 
 
 class TestGsflConfiguration:

@@ -143,21 +143,6 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             TraceEvent(2.0, 1.0, "wait", "x", 0)
 
-    def test_round_span(self):
-        rec = TraceRecorder()
-        rec.record(1.0, 2.0, "client_compute", "a", round_index=0)
-        rec.record(2.0, 5.0, "server_compute", "b", round_index=0)
-        rec.record(5.0, 6.0, "client_compute", "a", round_index=1)
-        assert rec.round_span(0) == (1.0, 5.0)
-        with pytest.raises(ValueError):
-            rec.round_span(9)
-
-    def test_busy_time_excludes_wait(self):
-        rec = TraceRecorder()
-        rec.record(0.0, 2.0, "client_compute", "a", 0)
-        rec.record(2.0, 10.0, "wait", "a", 0)
-        assert rec.busy_time("a") == pytest.approx(2.0)
-
     def test_filter_by_phase_and_actor(self):
         rec = TraceRecorder()
         rec.record(0, 1, "client_compute", "client-1", 0)

@@ -200,9 +200,11 @@ def _refused_before_the_build(monkeypatch, capsys, argv: list[str]) -> None:
 class TestDomainsBeforeTheBuild:
     """``--heterogeneity`` was checked only by the built fleet and
     ``--failure-rate`` only by the GSFL constructor, both after the
-    dataset was rendered and naming the field, not the flag."""
+    dataset was rendered and naming the field, not the flag.  A finite
+    ``--heterogeneity 1e308``, whose draw overflows a client's FLOP/s,
+    still reached the build after that."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e308"])
     @pytest.mark.parametrize("command", BUILDING)
     def test_heterogeneity(self, command, value, monkeypatch, capsys):
         _refused_before_the_build(monkeypatch, capsys, [command, "--heterogeneity", value])
@@ -212,6 +214,37 @@ class TestDomainsBeforeTheBuild:
         _refused_before_the_build(
             monkeypatch, capsys, ["run", "--scale", "fast", "--failure-rate", value]
         )
+
+
+#: every flag whose value argparse converts to a float
+FLOAT_ROWS = [row for row in FLAGS if row.type is float]
+
+
+class TestNegativeNonNumbers:
+    """argparse read the token after a flag as an option unless it looked
+    like ``-1`` or ``-.5``: ``--heterogeneity -inf`` exited with "expected
+    one argument" while ``--heterogeneity=-inf`` reached the domain check."""
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e308"])
+    @pytest.mark.parametrize("row", FLOAT_ROWS, ids=lambda row: row.flag)
+    def test_space_separated_value_is_the_flags(self, row, value, monkeypatch, capsys):
+        command = row.commands[0]
+        parsed = getattr(build_parser().parse_args([command, row.flag, value]), row.dest)
+        assert np.isnan(parsed) if value == "-nan" else parsed == float(value)
+
+        def built(self):
+            raise _Built
+
+        monkeypatch.setattr(ExperimentScenario, "build", built)
+        outcomes = []
+        for argv in ([command, row.flag, value], [command, f"{row.flag}={value}"]):
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except _Built:
+                code = "built"
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestScenariosCommand:

@@ -15,7 +15,7 @@ from repro.models import (
     mlp,
 )
 from repro.nn.tensor import Tensor
-from repro.utils.rng import RngMixin, new_rng, spawn_rngs
+from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.validation import (
     check_in_choices,
     check_non_negative,
@@ -105,16 +105,6 @@ class TestRngUtils:
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
         assert spawn_rngs(0, 0) == []
-
-    def test_rng_mixin(self):
-        class Thing(RngMixin):
-            def __init__(self, seed):
-                self._init_rng(seed)
-
-        t = Thing(5)
-        first = t.rng.random()
-        t.reseed(5)
-        assert t.rng.random() == first
 
 
 class TestValidation:

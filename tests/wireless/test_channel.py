@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.wireless.channel import (
-    ChannelConfig,
-    WirelessChannel,
-    db_to_linear,
-    dbm_to_watts,
-    watts_to_dbm,
-)
+from repro.wireless.channel import ChannelConfig, WirelessChannel, db_to_linear
 
 
 def make_channel(distances, **cfg_kwargs):
@@ -25,19 +19,9 @@ def make_channel(distances, **cfg_kwargs):
 
 
 class TestUnitConversions:
-    def test_dbm_watts_roundtrip(self):
-        for dbm in (-30.0, 0.0, 23.0, 46.0):
-            assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm)
-
     def test_known_values(self):
-        assert dbm_to_watts(30.0) == pytest.approx(1.0)
-        assert dbm_to_watts(0.0) == pytest.approx(1e-3)
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert db_to_linear(3.0) == pytest.approx(2.0, rel=0.01)
-
-    def test_watts_to_dbm_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(0.0)
 
 
 class TestPathLoss:
