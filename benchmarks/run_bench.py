@@ -91,8 +91,7 @@ def catalog_report(quick: bool) -> dict:
     import os
     import tempfile
 
-    from repro.cli import _export_trace
-    from repro.experiments.catalog import get_scenario, list_scenarios
+    from repro.experiments.catalog import export_trace, get_scenario, list_scenarios
     from repro.experiments.runner import make_scheme
 
     rounds = 1 if quick else 2
@@ -122,7 +121,7 @@ def catalog_report(quick: bool) -> dict:
     recorded.run(rounds)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
-        _export_trace(path, recorded, scenario_name="churn")
+        export_trace(path, recorded, scenario_name="churn")
         replayed = make_scheme("GSFL", get_scenario(f"replay:{path}").build())
         replayed.run(rounds)
     conditions = lambda scheme: [  # noqa: E731

@@ -37,7 +37,6 @@ runs are directly comparable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -48,11 +47,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.core.grouping import GROUPING_STRATEGIES
 from repro.core.regroup import REGROUP_POLICIES
 from repro.data.gtsrb import SyntheticGTSRB
-from repro.experiments.catalog import describe_scenario, get_scenario, list_scenarios
+from repro.experiments.catalog import describe_scenario, export_trace, get_scenario, list_scenarios
 from repro.experiments.dynamics import FAILURE_MODELS, DynamicsConfig
 from repro.experiments.figures import run_fig2a, run_fig2b
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
-from repro.devtools.trace_schema import validate_row
 from repro.experiments.scenario import ExperimentScenario, fast_scenario, paper_scenario
 from repro.nn.dtype import set_default_dtype
 from repro.schemes.base import MEDIUM_POLICIES
@@ -240,12 +238,15 @@ def _check_arguments(args: argparse.Namespace) -> None:
 
 @contextmanager
 def _naming(args: argparse.Namespace, rows: Iterable[Flag]) -> Iterator[None]:
-    """Prefix a ValueError raised inside with the typed flags that fed it."""
+    """Prefix a ValueError raised inside with the typed flags that fed it
+    (none typed: the message stands alone)."""
     try:
         yield
     except ValueError as exc:
         typed = " ".join(f"{row.flag} {getattr(args, row.dest)}" for row in rows)
-        raise ValueError(f"{typed}: {exc}") from None
+        if typed:
+            raise ValueError(f"{typed}: {exc}") from None
+        raise
 
 
 def _scenario(args: argparse.Namespace) -> ExperimentScenario:
@@ -312,116 +313,6 @@ def _scenario(args: argparse.Namespace) -> ExperimentScenario:
                 "to build its training split, more than this machine's physical memory"
             )
     return scenario
-
-
-def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = None) -> None:
-    """Write the run's per-activity trace + energy summary as JSONL.
-
-    The export doubles as a trace-*in* format: the ``meta`` row carries
-    the full dynamics config (and scenario name/seed), and per-client
-    ``availability`` rows record the realized churn toggle streams, so
-    ``--scenario replay:<path>`` can re-drive the same fleet history.
-    """
-    from dataclasses import asdict
-
-    from repro.wireless.energy import EnergyModel, EnergyReport
-
-    recorder = scheme.recorder
-    dynamics = scheme.dynamics
-    total_span = scheme.runtime.now
-    energy = EnergyModel()
-    with open(path, "w") as fh:
-        def write(row: "dict[str, object]") -> None:
-            fh.write(json.dumps(row) + "\n")
-
-        def emit(row: "dict[str, object]") -> None:
-            # Every exported row must match the canonical schema registry
-            # (repro.devtools.trace_schema) — the runtime half of TRC001.
-            validate_row(row)
-            write(row)
-
-        emit(
-            {
-                "type": "meta",
-                "scheme": scheme.name,
-                "scenario": scenario_name,
-                "seed": scheme.config.seed,
-                "rounds": len(scheme.round_timings),
-                "medium": scheme.config.medium,
-                "transport": scheme.config.transport,
-                "aggregation": scheme.config.aggregation,
-                "failure_model": getattr(scheme, "failure_model", "none"),
-                "grouping": getattr(scheme, "grouping", None),
-                "regroup": scheme.config.regroup,
-                "regroup_every": scheme.config.regroup_every,
-                "num_clients": scheme.num_clients,
-                "num_groups": getattr(scheme, "num_groups", None),
-                "dynamics": asdict(dynamics.config) if dynamics is not None else None,
-                "total_latency_s": total_span,
-                "events": len(recorder),
-                "aborts": len(recorder.aborts),
-                "retries": len(recorder.retries),
-                "regroups": len(recorder.regroups),
-            }
-        )
-        if dynamics is not None and dynamics.config.has_churn:
-            for c in range(dynamics.num_clients):
-                emit(
-                    {
-                        "type": "availability",
-                        "client": c,
-                        "toggles": dynamics.availability_toggles(c, total_span),
-                    }
-                )
-        if dynamics is not None:
-            for rc in dynamics.round_log:
-                emit(
-                    {
-                        "type": "round_conditions",
-                        "round": rc.round_index,
-                        "time_s": rc.now_s,
-                        "available": list(rc.available),
-                        "participants": list(rc.participants),
-                        "slowdowns": {str(k): v for k, v in rc.slowdowns.items()},
-                    }
-                )
-        # The recorder's renderers validate each row as they yield it.
-        for rows in (recorder.to_rows(), recorder.abort_rows(),
-                     recorder.retry_rows(), recorder.regroup_rows()):
-            for row in rows:
-                write(row)
-        for t in scheme.round_timings:
-            emit(
-                {
-                    "type": "round_timing",
-                    "round": t.round_index,
-                    "des_s": t.des_s,
-                    "analytic_s": t.analytic_s,
-                    "lower_bound_s": t.lower_bound_s,
-                }
-            )
-        for u in scheme.aggregation_updates:
-            emit(
-                {
-                    "type": "aggregation_update",
-                    "unit": u.unit,
-                    "unit_round": u.round_index,
-                    "time_s": u.time_s,
-                    "staleness": u.staleness,
-                    "alpha": u.alpha,
-                    "weight": u.weight,
-                }
-            )
-        def joules(report: EnergyReport) -> "dict[str, float]":
-            return {"tx_j": report.tx_j, "rx_j": report.rx_j, "compute_j": report.compute_j,
-                    "idle_j": report.idle_j, "total_j": report.total_j}
-
-        reports = energy.per_client_energy(recorder, total_span)
-        fleet = sum(reports.values(), EnergyReport.zero())
-        for actor, report in sorted(reports.items()):
-            emit({"type": "energy", "actor": actor, **joules(report)})
-        emit({"type": "energy_summary", **joules(fleet)})
-    print(f"wrote trace: {path}")
 
 
 def _config_error(exc: ValueError) -> int:
@@ -501,10 +392,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(history.summary())
     if args.trace_out:
         try:
-            _export_trace(args.trace_out, scheme, scenario_name=args.scenario or args.scale)
+            export_trace(args.trace_out, scheme, scenario_name=args.scenario or args.scale)
         except OSError as exc:
             print(f"error: cannot write --trace-out {args.trace_out}: {exc}", file=sys.stderr)
             return 1
+        print(f"wrote trace: {args.trace_out}")
     return 0
 
 

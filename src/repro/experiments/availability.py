@@ -39,16 +39,12 @@ scheme or query order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.devtools.trace_schema import (
-    REPLAY_AVAILABILITY_REQUIRED,
-    TRACE_SCHEMAS,
-)
+from repro.devtools.trace_schema import read_rows
 from repro.utils.validation import check_positive, check_positive_finite
 
 __all__ = [
@@ -326,52 +322,17 @@ class TraceReplay(AvailabilityProcess):
 
     def __init__(self, path: str, num_clients: int) -> None:
         check_positive("num_clients", num_clients)
-        per_client: dict[int, list[float]] = {}
-        try:
-            fh = open(path)
-        except OSError as exc:
-            raise ValueError(f"cannot read availability trace {path!r}: {exc}")
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: not JSONL ({exc})")
-                if not isinstance(row, dict) or row.get("type") != "availability":
-                    continue
-                missing = sorted(REPLAY_AVAILABILITY_REQUIRED - set(row))
-                unknown = sorted(set(row) - TRACE_SCHEMAS["availability"])
-                if missing or unknown:
-                    raise ValueError(
-                        f"{path}:{lineno}: availability row drifts from "
-                        f"repro.devtools.trace_schema: missing={missing} "
-                        f"unknown={unknown}"
-                    )
-                client = int(row["client"])
-                if not 0 <= client < num_clients:
-                    raise ValueError(
-                        f"{path}:{lineno}: availability row for client {client} "
-                        f"outside fleet of {num_clients}"
-                    )
-                try:
-                    toggles = [float(x) for x in row["toggles"]]
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{lineno}: toggles must be numbers ({exc})")
-                if not all(math.isfinite(x) for x in toggles):
-                    raise ValueError(f"{path}:{lineno}: toggles must be finite")
-                if any(b <= a for a, b in zip(toggles, toggles[1:])):
-                    raise ValueError(
-                        f"{path}:{lineno}: toggles must be strictly increasing"
-                    )
-                if toggles and toggles[0] <= 0.0:
-                    raise ValueError(f"{path}:{lineno}: toggles must be positive")
-                per_client[client] = toggles
         # Clients without a row never toggled inside the recorded horizon:
         # they stay up for the whole replay.
-        self._toggles = [per_client.get(c, []) for c in range(num_clients)]
+        self._toggles: list[list[float]] = [[] for _ in range(num_clients)]
+        for line, row in read_rows(path, "availability"):
+            client = row["client"]
+            if client >= num_clients:
+                raise ValueError(
+                    f"{path}:{line}: availability row for client {client} "
+                    f"outside fleet of {num_clients}"
+                )
+            self._toggles[client] = row["toggles"]
 
     def toggles(self, client: int, t: float) -> list[float]:
         return self._toggles[client]

@@ -1,4 +1,4 @@
-"""Scenario catalog: named worlds, looked up by string.
+"""Scenario catalog: named worlds, looked up by string, and their trace.
 
 Scenarios were a handful of CLI flags around two presets; a fleet
 simulator wants worlds as first-class named artifacts (the registry
@@ -10,28 +10,30 @@ process, failure model, device tiers, background link load — so
 every world ships with a pinned bench row (``BENCH_runtime.json``,
 "catalog" section).
 
-Beyond the registered names, the dynamic ``replay:<trace.jsonl>`` form
-rebuilds a world from a recorded ``--trace-out`` file: the trace's
-``meta`` row carries the scenario name, seed, fleet shape and full
-dynamics config, and its ``availability`` rows re-drive the churn
-process exactly (see
-:class:`repro.experiments.availability.TraceReplay`).
+:func:`export_trace` records a finished run as the ``--trace-out`` JSONL
+file, and the dynamic ``replay:<trace.jsonl>`` form rebuilds its world
+from that file's ``meta`` row (scenario name, seed, fleet shape and full
+dynamics config) while its ``availability`` rows re-drive the churn
+exactly (see :class:`repro.experiments.availability.TraceReplay`).  Both
+read the file through :func:`repro.devtools.trace_schema.read_rows`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
-from repro.devtools.trace_schema import REPLAY_META_REQUIRED, TRACE_SCHEMAS
+from repro.devtools.trace_schema import read_rows, validate_row
 from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.scenario import (
     ExperimentScenario,
     fast_scenario,
     paper_scenario,
 )
+from repro.schemes.base import Scheme
 from repro.sim.cross_traffic import CrossTrafficConfig
+from repro.wireless.energy import EnergyModel, EnergyReport
 
 __all__ = [
     "ScenarioEntry",
@@ -40,6 +42,7 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "describe_scenario",
+    "export_trace",
 ]
 
 
@@ -139,46 +142,111 @@ def describe_scenario(name: str, seed: int = 0) -> str:
 
 
 # ----------------------------------------------------------------------
-# trace replay
+# trace export and replay
 # ----------------------------------------------------------------------
-def _read_meta(path: str) -> "dict[str, object]":
-    """First ``meta`` row of a recorded trace, schema-checked.
+def export_trace(path: str, scheme: Scheme, scenario_name: "str | None" = None) -> None:
+    """Write the run's per-activity trace + energy summary as JSONL.
 
-    The row must carry every field replay reads
-    (:data:`~repro.devtools.trace_schema.REPLAY_META_REQUIRED`; ``null``
-    values are fine), and no field unknown to the canonical registry: an
-    unknown one means recorder and parser have drifted apart.  Other
-    registered fields may be missing.
+    The export doubles as a trace-*in* format: the ``meta`` row carries
+    the full dynamics config (and scenario name/seed), and per-client
+    ``availability`` rows record the realized churn toggle streams, so
+    ``--scenario replay:<path>`` can re-drive the same fleet history.
     """
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read trace {path!r}: {exc}")
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"trace {path!r} is not JSONL: {exc}")
-            if isinstance(row, dict) and row.get("type") == "meta":
-                unknown = sorted(set(row) - TRACE_SCHEMAS["meta"])
-                if unknown:
-                    raise ValueError(
-                        f"trace {path!r} meta row carries fields unknown to "
-                        f"repro.devtools.trace_schema: {unknown}"
-                    )
-                missing = sorted(REPLAY_META_REQUIRED - set(row))
-                if missing:
-                    raise ValueError(
-                        f"trace {path!r} meta row lacks {', '.join(missing)}, "
-                        "which replay needs to rebuild the world"
-                    )
-                return row
-            break
-    raise ValueError(f"trace {path!r} has no leading 'meta' row")
+    recorder = scheme.recorder
+    dynamics = scheme.dynamics
+    total_span = scheme.runtime.now
+    energy = EnergyModel()
+    with open(path, "w") as fh:
+        def write(row: "dict[str, object]") -> None:
+            fh.write(json.dumps(row) + "\n")
+
+        def emit(row: "dict[str, object]") -> None:
+            # Every exported row must match the canonical schema registry
+            # (repro.devtools.trace_schema) — the runtime half of TRC001.
+            validate_row(row)
+            write(row)
+
+        emit(
+            {
+                "type": "meta",
+                "scheme": scheme.name,
+                "scenario": scenario_name,
+                "seed": scheme.config.seed,
+                "rounds": len(scheme.round_timings),
+                "medium": scheme.config.medium,
+                "transport": scheme.config.transport,
+                "aggregation": scheme.config.aggregation,
+                "failure_model": scheme.failure_model,
+                "grouping": getattr(scheme, "grouping", None),
+                "regroup": scheme.config.regroup,
+                "regroup_every": scheme.config.regroup_every,
+                "num_clients": scheme.num_clients,
+                "num_groups": getattr(scheme, "num_groups", None),
+                "dynamics": asdict(dynamics.config) if dynamics is not None else None,
+                "total_latency_s": total_span,
+                "events": len(recorder),
+                "aborts": len(recorder.aborts),
+                "retries": len(recorder.retries),
+                "regroups": len(recorder.regroups),
+            }
+        )
+        if dynamics is not None and dynamics.config.has_churn:
+            for c in range(dynamics.num_clients):
+                emit(
+                    {
+                        "type": "availability",
+                        "client": c,
+                        "toggles": dynamics.availability_toggles(c, total_span),
+                    }
+                )
+        if dynamics is not None:
+            for rc in dynamics.round_log:
+                emit(
+                    {
+                        "type": "round_conditions",
+                        "round": rc.round_index,
+                        "time_s": rc.now_s,
+                        "available": list(rc.available),
+                        "participants": list(rc.participants),
+                        "slowdowns": {str(k): v for k, v in rc.slowdowns.items()},
+                    }
+                )
+        # The recorder's renderers validate each row as they yield it.
+        for rows in (recorder.to_rows(), recorder.abort_rows(),
+                     recorder.retry_rows(), recorder.regroup_rows()):
+            for row in rows:
+                write(row)
+        for t in scheme.round_timings:
+            emit(
+                {
+                    "type": "round_timing",
+                    "round": t.round_index,
+                    "des_s": t.des_s,
+                    "analytic_s": t.analytic_s,
+                    "lower_bound_s": t.lower_bound_s,
+                }
+            )
+        for u in scheme.aggregation_updates:
+            emit(
+                {
+                    "type": "aggregation_update",
+                    "unit": u.unit,
+                    "unit_round": u.round_index,
+                    "time_s": u.time_s,
+                    "staleness": u.staleness,
+                    "alpha": u.alpha,
+                    "weight": u.weight,
+                }
+            )
+        def joules(report: EnergyReport) -> "dict[str, float]":
+            return {"tx_j": report.tx_j, "rx_j": report.rx_j, "compute_j": report.compute_j,
+                    "idle_j": report.idle_j, "total_j": report.total_j}
+
+        reports = energy.per_client_energy(recorder, total_span)
+        fleet = sum(reports.values(), EnergyReport.zero())
+        for actor, report in sorted(reports.items()):
+            emit({"type": "energy", "actor": actor, **joules(report)})
+        emit({"type": "energy_summary", **joules(fleet)})
 
 
 def _replay_scenario(path: str) -> ExperimentScenario:
@@ -192,28 +260,28 @@ def _replay_scenario(path: str) -> ExperimentScenario:
     ``--transport`` override, say) follow the base world — availability
     replay, not the full run, is the contract.
     """
-    meta = _read_meta(path)
-    base_seed = int(meta["seed"])
-    base_name = meta["scenario"]
-    if base_name in SCENARIO_REGISTRY:
-        scenario = SCENARIO_REGISTRY[base_name].builder(base_seed)
-    else:
-        scenario = fast_scenario(with_wireless=True, seed=base_seed)
-    num_clients = int(meta["num_clients"])
+    rows = read_rows(path, "meta")
+    if not rows or rows[0][0] != 1:  # the exporter writes it first, on line 1
+        raise ValueError(f"trace {path!r} has no leading 'meta' row")
+    meta = rows[0][1]
+    seed, num_clients = meta["seed"], meta["num_clients"]
+    entry = SCENARIO_REGISTRY.get(meta["scenario"] or "")
+    scenario = (entry.builder(seed) if entry is not None
+                else fast_scenario(with_wireless=True, seed=seed))
     if scenario.num_clients != num_clients:
         scenario = fast_scenario(
             with_wireless=True,
             num_clients=num_clients,
             num_groups=min(scenario.num_groups, num_clients),
-            seed=base_seed,
+            seed=seed,
         )
-    num_groups = meta["num_groups"]
-    if num_groups:
-        scenario.num_groups = int(num_groups)
-    recorded = meta["dynamics"]
-    kwargs = dict(recorded) if isinstance(recorded, dict) else {}
-    kwargs["availability"] = f"trace:{path}"
-    scenario.dynamics = DynamicsConfig(**kwargs)
+    if meta["num_groups"] is not None:
+        scenario = replace(scenario, num_groups=meta["num_groups"])
+    recorded = meta["dynamics"] or {}
+    unknown = sorted(set(recorded) - {f.name for f in fields(DynamicsConfig)})
+    if unknown:
+        raise ValueError(f"{path}:1: dynamics has keys DynamicsConfig does not take: {unknown}")
+    scenario.dynamics = DynamicsConfig(**{**recorded, "availability": f"trace:{path}"})
     return scenario
 
 

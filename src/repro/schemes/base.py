@@ -461,8 +461,7 @@ class Scheme:
                     # Everybody is down: a zero-cost round would freeze
                     # the clock and replay the same all-down snapshot
                     # forever.  Wait out the churn window instead.
-                    next_up = getattr(self.dynamics, "next_recovery_s", None)
-                    resume = next_up(self.runtime.now) if next_up else None
+                    resume = self.dynamics.next_recovery_s(self.runtime.now)
                     if resume is not None and resume > self.runtime.now:
                         self.runtime.advance_to(resume)
                         conditions = self.dynamics.begin_round(r, self.runtime.now)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.utils.rng import new_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive
 from repro.wireless.bandwidth import BandwidthAllocator, make_allocator
 from repro.wireless.channel import ChannelConfig, WirelessChannel
@@ -49,7 +49,7 @@ class WirelessConfig:
         # The fleet's own draw, from the stream WirelessSystem seeds it with:
         # a spread that breaks a client's speed fails here, before the build.
         client_speeds(self.num_clients, self.client_flops, self.heterogeneity,
-                      spawn_rngs(self.seed, 4)[2], self.device_classes)
+                      spawn_rngs(self.seed, 3)[2], self.device_classes)
 
 
 class WirelessSystem:
@@ -58,7 +58,7 @@ class WirelessSystem:
     def __init__(self, config: WirelessConfig | None = None) -> None:
         self.config = config or WirelessConfig()
         cfg = self.config
-        topo_rng, chan_rng, fleet_rng, fade_rng = spawn_rngs(cfg.seed, 4)
+        topo_rng, chan_rng, fleet_rng = spawn_rngs(cfg.seed, 3)
         self.topology = NetworkTopology(
             cfg.num_clients,
             cell_radius_m=cfg.cell_radius_m,
@@ -88,18 +88,10 @@ class WirelessSystem:
         self.allocator: BandwidthAllocator = make_allocator(
             cfg.allocator, cfg.total_bandwidth_hz
         )
-        self._fade_rng = new_rng(fade_rng)
 
     @property
     def num_clients(self) -> int:
         return self.config.num_clients
-
-    # ------------------------------------------------------------------
-    # bandwidth shares
-    # ------------------------------------------------------------------
-    def shares(self, active_clients: list[int]) -> dict[int, float]:
-        """Policy-driven shares for an explicit concurrent set."""
-        return self.allocator.shares(active_clients, self.channel)
 
     # ------------------------------------------------------------------
     # computation pricing

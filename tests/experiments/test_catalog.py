@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from repro.cli import _export_trace, main
+from repro.cli import main
 from repro.experiments.catalog import (
     SCENARIO_REGISTRY,
     describe_scenario,
+    export_trace,
     get_scenario,
     list_scenarios,
     register_scenario,
@@ -97,7 +98,7 @@ class TestRecordReplay:
         scenario = get_scenario("churn")
         scheme = make_scheme("GSFL", scenario.build())
         scheme.run(rounds)
-        _export_trace(path, scheme, scenario_name="churn")
+        export_trace(path, scheme, scenario_name="churn")
         return path, scheme
 
     def test_round_trip_reproduces_round_conditions(self, tmp_path):
@@ -175,3 +176,79 @@ class TestRecordReplay:
     def test_replay_missing_file_rejected(self):
         with pytest.raises(ValueError, match="cannot read"):
             get_scenario("replay:/nonexistent.jsonl")
+
+
+@pytest.fixture(scope="module")
+def churn_rows(tmp_path_factory):
+    """The rows of a recorded 2-round churn trace."""
+    path = tmp_path_factory.mktemp("churn") / "rec.jsonl"
+    scheme = make_scheme("GSFL", get_scenario("churn").build())
+    scheme.run(2)
+    export_trace(str(path), scheme, scenario_name="churn")
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestReplayFaults:
+    """A replayed field outside its domain exits 2 with one line naming it.
+
+    Each of these used to trace back with a ``TypeError`` (``null``
+    seed, fleet size or client, an unknown dynamics key), replay a
+    different run and exit 0 (``true`` or ``2.9`` seed, ``1.7`` client,
+    a ``"x"`` dynamics dropped for the default failure model), or print
+    an empty flag prefix (``error: : num_groups ...``).
+    """
+
+    def _replay(self, tmp_path, capsys, rows):
+        path = tmp_path / "faulty.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        code = main(["run", "--scenario", f"replay:{path}", "--rounds", "1"])
+        return code, capsys.readouterr().err, str(path)
+
+    @pytest.mark.parametrize("field, value, domain", [
+        ("seed", None, "an integer >= 0"),
+        ("seed", True, "an integer >= 0"),
+        ("seed", 2.9, "an integer >= 0"),
+        ("num_clients", None, "an integer >= 1"),
+        ("dynamics", "x", "an object or null"),
+    ])
+    def test_meta_field_outside_its_domain(
+        self, churn_rows, tmp_path, capsys, field, value, domain
+    ):
+        meta = dict(churn_rows[0], **{field: value})
+        code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])
+        assert code == 2
+        assert err == (f"error: --scenario replay:{path}: {path}:1: {field} must be "
+                       f"{domain}, got {json.dumps(value)}\n")
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            get_scenario(f"replay:{path}")
+
+    def test_unknown_dynamics_key(self, churn_rows, tmp_path, capsys):
+        meta = dict(churn_rows[0], dynamics={**churn_rows[0]["dynamics"], "bogus": 1})
+        code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])
+        assert code == 2
+        assert err == (f"error: --scenario replay:{path}: {path}:1: dynamics has keys "
+                       "DynamicsConfig does not take: ['bogus']\n")
+
+    def test_more_groups_than_clients(self, churn_rows, tmp_path, capsys):
+        meta = dict(churn_rows[0], num_groups=50)
+        code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])
+        assert code == 2
+        assert err == (f"error: --scenario replay:{path}: "
+                       "num_groups (50) cannot exceed num_clients (12)\n")
+
+    @pytest.mark.parametrize("value", [None, 1.7])
+    def test_availability_client_outside_its_domain(self, churn_rows, tmp_path, capsys, value):
+        assert churn_rows[1]["type"] == "availability"
+        availability = dict(churn_rows[1], client=value)
+        code, err, path = self._replay(
+            tmp_path, capsys, [churn_rows[0], availability, *churn_rows[2:]]
+        )
+        assert code == 2
+        assert err == (f"error: {path}:2: client must be an integer >= 0, "
+                       f"got {json.dumps(value)}\n")
+
+    def test_recorded_trace_replays(self, churn_rows, tmp_path, capsys):
+        """The unmodified file these faults start from replays cleanly."""
+        code, err, _ = self._replay(tmp_path, capsys, churn_rows)
+        assert (code, err) == (0, "")

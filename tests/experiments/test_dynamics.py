@@ -258,6 +258,9 @@ class TestSchemesUnderDynamics:
             def begin_round(self, r, now):
                 return RoundConditions(r, (), (), {})
 
+            def next_recovery_s(self, t):
+                return None  # nobody ever comes back
+
         scheme.dynamics = Nobody()
         history = scheme.run(1)
         assert len(history) == 1

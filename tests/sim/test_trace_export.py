@@ -30,6 +30,7 @@ import pytest
 import repro.cli
 from repro.cli import main
 from repro.devtools.trace_schema import TRACE_SCHEMAS
+from repro.experiments.catalog import export_trace
 
 CONFIGS: dict[str, list[str]] = {
     "churn": ["--scenario", "churn", "--scheme", "GSFL",
@@ -51,7 +52,7 @@ DIGESTS: dict[tuple[str, int], str] = {
 @dataclass
 class Export:
     """One CLI run's trace file, the scheme it was exported from, and the
-    bytes ``_export_trace`` allocated at its peak."""
+    bytes ``export_trace`` allocated at its peak."""
 
     data: bytes
     scheme: object
@@ -65,7 +66,6 @@ class Export:
 @pytest.fixture(scope="module")
 def exports(tmp_path_factory) -> dict[tuple[str, int], Export]:
     """Run every pinned configuration once through ``repro.cli.main``."""
-    export_trace = repro.cli._export_trace
     seen: list[tuple[object, int]] = []
 
     def capture(target, scheme, scenario_name=None):
@@ -81,7 +81,7 @@ def exports(tmp_path_factory) -> dict[tuple[str, int], Export]:
 
     out: dict[tuple[str, int], Export] = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(repro.cli, "_export_trace", capture)
+        mp.setattr(repro.cli, "export_trace", capture)
         for name, rounds in DIGESTS:
             path = tmp_path_factory.mktemp(f"{name}{rounds}") / "trace.jsonl"
             code = main(["run", "--rounds", str(rounds), "--trace-out", str(path)]

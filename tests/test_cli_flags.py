@@ -24,7 +24,7 @@ import repro.cli
 from repro import nn
 from repro.cli import FLAGS, build_parser, main
 from repro.data.gtsrb import GtsrbConfig, SyntheticGTSRB
-from repro.experiments.catalog import list_scenarios
+from repro.experiments.catalog import SCENARIO_REGISTRY, ScenarioEntry, list_scenarios
 from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.scenario import ExperimentScenario, fast_scenario
 from repro.schemes.base import SchemeConfig
@@ -214,6 +214,23 @@ class TestDomainsBeforeTheBuild:
         _refused_before_the_build(
             monkeypatch, capsys, ["run", "--scale", "fast", "--failure-rate", value]
         )
+
+
+class TestErrorNoTypedFlagFed:
+    def test_prints_without_a_flag_prefix(self, monkeypatch, capsys):
+        """A world whose own fields clash, with no typed flag behind the
+        clash, used to print ``error: : <message>``."""
+
+        def clashing(seed: int) -> ExperimentScenario:
+            scenario = fast_scenario(with_wireless=True, seed=seed)
+            scenario.num_groups = 50  # past __post_init__; the CLI's replace re-checks
+            return scenario
+
+        monkeypatch.setitem(SCENARIO_REGISTRY, "clashing",
+                            ScenarioEntry("clashing", "", (), clashing))
+        capsys.readouterr()
+        assert main(["run", "--scenario", "clashing", "--rounds", "1"]) == 2
+        assert capsys.readouterr().err == "error: num_groups (50) cannot exceed num_clients (6)\n"
 
 
 #: every flag whose value argparse converts to a float
