@@ -152,13 +152,10 @@ class AvailabilityAwareRegroup(RegroupPolicy):
 
     @staticmethod
     def _remaining_uptime(dynamics: object, client: int, now: float) -> float:
-        """Seconds of up-time left on ``client``'s current window (oracle)."""
-        if not dynamics.available_at(client, now):
-            return 0.0
-        deadline = dynamics.next_failure_s(client, now)
-        if deadline is None:
-            return math.inf
-        return max(0.0, deadline - now)
+        """Seconds of up-time left on ``client``'s current window (oracle):
+        0 when it is down, ``inf`` when no failure lies ahead."""
+        deadline = dynamics.up_deadline(client, now)
+        return math.inf if deadline is None else deadline - now
 
 
 class AbortHistoryRegroup(RegroupPolicy):

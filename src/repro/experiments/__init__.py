@@ -3,8 +3,8 @@ population dynamics and figure-regeneration harnesses."""
 
 from repro.experiments.availability import (
     AVAILABILITY_KINDS,
-    AvailabilityProcess,
     AvailabilitySpec,
+    RenewalProcess,
     parse_availability,
 )
 from repro.experiments.catalog import (
@@ -32,8 +32,8 @@ __all__ = [
     "ClientDynamics",
     "RoundConditions",
     "AVAILABILITY_KINDS",
-    "AvailabilityProcess",
     "AvailabilitySpec",
+    "RenewalProcess",
     "parse_availability",
     "ScenarioEntry",
     "SCENARIO_REGISTRY",

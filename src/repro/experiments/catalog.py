@@ -281,7 +281,10 @@ def _replay_scenario(path: str) -> ExperimentScenario:
     unknown = sorted(set(recorded) - {f.name for f in fields(DynamicsConfig)})
     if unknown:
         raise ValueError(f"{path}:1: dynamics has keys DynamicsConfig does not take: {unknown}")
-    scenario.dynamics = DynamicsConfig(**{**recorded, "availability": f"trace:{path}"})
+    try:
+        scenario.dynamics = DynamicsConfig(**{**recorded, "availability": f"trace:{path}"})
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: dynamics: {exc}") from None
     return scenario
 
 

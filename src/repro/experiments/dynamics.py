@@ -6,12 +6,12 @@ resolved against the runtime's *absolute* clock so a long round genuinely
 sees more churn than a short one:
 
 * **availability churn** — each client alternates between up and down
-  windows, driven by a pluggable
-  :class:`~repro.experiments.availability.AvailabilityProcess` (the
-  default is the historical per-client exponential on/off renewal
-  process; diurnal waves, correlated cell outages, handoff gaps and
-  trace replay are selected by ``DynamicsConfig.availability``); clients
-  that are down when a round starts sit the round out;
+  windows, read off the toggle streams of
+  :mod:`repro.experiments.availability` (one renewal process behind the
+  exponential default, diurnal waves, correlated cell outages and
+  handoff gaps, or a recorded trace replayed exactly, selected by
+  ``DynamicsConfig.availability``); clients that are down when a round
+  starts sit the round out;
 * **partial participation** — of the available clients, only a sampled
   fraction joins each round (the classic cross-device FL setting);
 * **straggler injection** — participating clients are slowed by a
@@ -31,7 +31,11 @@ The **failure model** selects the granularity at which churn bites:
   a transmitting or computing client's up-window closes, its in-flight
   flow/job is aborted by the runtime and the scheme's protocol-level
   recovery (retry after the client recovers, re-route the relay chain,
-  or surrender the round) kicks in, bounded by ``max_retries``.
+  or surrender the round) kicks in, bounded by ``max_retries``.  The
+  scheme installs its :class:`ClientDynamics` as the runtime's
+  ``failure_injector``: :meth:`ClientDynamics.up_deadline` and
+  :meth:`ClientDynamics.recovery_s` are the two queries the runtime
+  races in-flight activities against.
 
 All draws flow through spawned per-purpose generators, so a scenario's
 dynamics replay identically for a fixed seed regardless of scheme.
@@ -40,6 +44,7 @@ dynamics replay identically for a fixed seed regardless of scheme.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -60,6 +65,15 @@ __all__ = ["FAILURE_MODELS", "DynamicsConfig", "RoundConditions", "ClientDynamic
 
 #: supported failure models (granularity of churn resolution)
 FAILURE_MODELS = ("none", "round", "mid-activity")
+
+#: the type each field must hold, and its name in errors; a bool is
+#: never a number here (``True`` would pass as ``1``)
+_FIELD_TYPES = (
+    (("seed", "min_participants", "max_retries"), numbers.Integral, "an integer"),
+    (("participation", "churn_uptime_s", "churn_downtime_s", "straggler_rate",
+      "straggler_slowdown"), numbers.Real, "a real number"),
+    (("failure_model", "availability"), str, "a string"),
+)
 
 
 @dataclass
@@ -99,8 +113,17 @@ class DynamicsConfig:
         window is no better: an infinite down-window sends the all-down
         wait to ``t = inf``, where the trace again never advances, and an
         infinite up-window silently turns churn off.  Degenerate windows
-        must fail loudly, wherever they come from.
+        must fail loudly, wherever they come from.  Each field's type is
+        checked first: a replayed trace may carry any JSON value.
         """
+        for names, kind, what in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name.startswith("churn_"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        check_non_negative("seed", self.seed)
         if not 0.0 < self.participation <= 1.0:
             raise ValueError(
                 f"participation must be in (0, 1], got {self.participation}"
@@ -123,8 +146,7 @@ class DynamicsConfig:
         check_non_negative("min_participants", self.min_participants)
         check_in_choices("failure_model", self.failure_model, FAILURE_MODELS)
         check_non_negative("max_retries", self.max_retries)
-        spec = parse_availability(self.availability)
-        if spec.needs_windows and self.churn_uptime_s is None:
+        if parse_availability(self.availability).needs_windows and self.churn_uptime_s is None:
             raise ValueError(
                 f"availability {self.availability!r} requires churn windows "
                 f"(churn_uptime_s / churn_downtime_s)"
@@ -195,21 +217,17 @@ class ClientDynamics:
     # ------------------------------------------------------------------
     # availability trace
     # ------------------------------------------------------------------
-    def _covered_toggles(self, client: int, t: float) -> list[float]:
-        """The client's toggle stream with coverage ensured past ``t``.
-
-        A finite (trace-replay) process may return a stream ending at or
-        before ``t`` — the client then keeps its final state, and callers
-        must bounds-check their ``bisect`` index.
-        """
-        return self._process.toggles(client, t)
+    def _toggle_after(self, client: int, t: float) -> "tuple[bool, float | None]":
+        """Whether ``client`` is up at ``t``, and its first toggle after
+        ``t`` (``None`` when a finite replay stream records no further
+        toggle: the client keeps its final state)."""
+        toggles = self._process.toggles(client, t)
+        idx = bisect_right(toggles, t)
+        return idx % 2 == 0, (toggles[idx] if idx < len(toggles) else None)
 
     def available_at(self, client: int, t: float) -> bool:
         """Whether ``client`` is up at absolute time ``t``."""
-        if not self.config.has_churn:
-            return True
-        toggles = self._covered_toggles(client, t)
-        return bisect_right(toggles, t) % 2 == 0
+        return not self.config.has_churn or self._toggle_after(client, t)[0]
 
     def availability_toggles(self, client: int, horizon: float) -> list[float]:
         """Toggle stream of ``client`` clipped to ``[0, horizon]``.
@@ -221,24 +239,7 @@ class ClientDynamics:
         """
         if not self.config.has_churn:
             return []
-        return [t for t in self._covered_toggles(client, horizon) if t <= horizon]
-
-    def next_failure_s(self, client: int, t: float) -> float | None:
-        """Absolute instant the current up-window of ``client`` closes.
-
-        ``None`` without churn, when the client is already down at ``t``
-        (there is no up-window to close), or when a finite replay trace
-        records no further toggle (the client stays up for the rest of
-        the run).  This is the preemption deadline the mid-activity
-        failure model races in-flight activities against.
-        """
-        if not self.config.has_churn or not self.available_at(client, t):
-            return None
-        toggles = self._covered_toggles(client, t)
-        idx = bisect_right(toggles, t)
-        if idx >= len(toggles):
-            return None
-        return toggles[idx]
+        return [t for t in self._process.toggles(client, horizon) if t <= horizon]
 
     def next_recovery_s(self, t: float, clients: "list[int] | None" = None) -> float | None:
         """Earliest absolute time after ``t`` at which a currently-down
@@ -253,12 +254,31 @@ class ClientDynamics:
             return None
         candidates = []
         for c in range(self.num_clients) if clients is None else clients:
-            if not self.available_at(c, t):
-                toggles = self._covered_toggles(c, t)
-                idx = bisect_right(toggles, t)
-                if idx < len(toggles):
-                    candidates.append(toggles[idx])
-        return min(candidates) if candidates else None
+            up, toggle = self._toggle_after(c, t)
+            if not up and toggle is not None:
+                candidates.append(toggle)
+        return min(candidates, default=None)
+
+    # ------------------------------------------------------------------
+    # the runtime's failure source (mid-activity preemption)
+    # ------------------------------------------------------------------
+    def up_deadline(self, client: int, now: float) -> float | None:
+        """Absolute instant the current up-window of ``client`` closes:
+        until when work started at ``now`` may run.
+
+        ``now`` itself when the client is already inside a down-window
+        (the activity aborts before it begins), or ``None`` when no
+        failure lies ahead (no churn, or a replay trace that ends up).
+        """
+        if not self.config.has_churn:
+            return None
+        up, toggle = self._toggle_after(client, now)
+        return toggle if up else now
+
+    def recovery_s(self, client: int, now: float) -> float | None:
+        """Absolute instant ``client`` next comes back up (``None`` when
+        it is not down at ``now`` — retry immediately)."""
+        return self.next_recovery_s(now, clients=[client])
 
     # ------------------------------------------------------------------
     # per-round resolution
@@ -280,16 +300,11 @@ class ClientDynamics:
             participants = tuple(sorted(available[i] for i in picked))
         else:
             participants = available
-        slowdowns: dict[int, float] = {}
-        if cfg.straggler_rate > 0.0:
-            for c in participants:
-                if self._strag_rng.random() < cfg.straggler_rate:
-                    slowdowns[c] = cfg.straggler_slowdown
         conditions = RoundConditions(
             round_index=round_index,
             available=available,
             participants=participants,
-            slowdowns=slowdowns,
+            slowdowns=self._draw_stragglers(participants),
             now_s=now_s,
         )
         self.round_log.append(conditions)
@@ -328,9 +343,15 @@ class ClientDynamics:
                 chosen = set(sampled).union(remaining[i] for i in picked)
                 sampled = [c for c in present if c in chosen]
             present = sampled
+        return present, self._draw_stragglers(present)
+
+    def _draw_stragglers(self, participants: "tuple[int, ...] | list[int]") -> dict[int, float]:
+        """One straggler draw per participant, in order: the slowdown of
+        each one that straggles."""
+        cfg = self.config
         slowdowns: dict[int, float] = {}
         if cfg.straggler_rate > 0.0:
-            for c in present:
+            for c in participants:
                 if self._strag_rng.random() < cfg.straggler_rate:
                     slowdowns[c] = cfg.straggler_slowdown
-        return present, slowdowns
+        return slowdowns

@@ -35,7 +35,6 @@ from repro.data.dataset import DataLoader, Dataset
 from repro.metrics.evaluate import evaluate_model
 from repro.metrics.history import TrainingHistory
 from repro.sim.cross_traffic import CrossTrafficConfig, start_cross_traffic
-from repro.sim.failures import FailureInjector
 from repro.sim.runtime import (
     Demand,
     Runtime,
@@ -300,8 +299,8 @@ class Scheme:
                     "cannot host anonymous background transmitters"
                 )
             start_cross_traffic(self.runtime, cross_traffic)
-        # Mid-activity failure model: arm the runtime's preemption source.
-        # ``none``/``round`` leave the injector unset, so demand
+        # Mid-activity failure model: the dynamics become the runtime's
+        # preemption source.  ``none``/``round`` leave it unset, so demand
         # resolution is event-for-event identical to the historical path
         # (the golden-history suite pins that bitwise).
         self.failure_model = (
@@ -312,7 +311,7 @@ class Scheme:
             and self.failure_model == "mid-activity"
             and dynamics.config.has_churn
         ):
-            self.runtime.failure_injector = FailureInjector(dynamics)
+            self.runtime.failure_injector = dynamics
         self.aggregation_policy: StalenessPolicy = parse_aggregation(
             self.config.aggregation
         )

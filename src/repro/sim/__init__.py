@@ -9,7 +9,6 @@ training schemes are expressed as processes over this kernel.
 
 from repro.sim.engine import Environment, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.failures import FailureInjector
 from repro.sim.resources import (
     EqualShare,
     FairShareLink,
@@ -66,7 +65,6 @@ __all__ = [
     "Preemption",
     "TrackRecovery",
     "TrackOutcome",
-    "FailureInjector",
     "StalenessPolicy",
     "SyncBarrier",
     "PolynomialStaleness",

@@ -37,6 +37,12 @@ One :class:`Runtime` persists per training run: a single
 :class:`~repro.sim.engine.Environment` whose clock never restarts, so
 trace events carry absolute timestamps with no per-round offset
 bookkeeping.
+
+Under mid-activity churn the ``failure_injector`` is the run's client
+dynamics (scripted stand-ins in tests); the kernel asks it only
+``up_deadline(client, now)`` — until when may an activity started now
+run — and ``recovery_s(client, now)`` — when does a failed client come
+back up.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (layering)
     from repro.sim.events import Event
-    from repro.sim.failures import FailureInjector
 
 __all__ = [
     "FixedDemand",
@@ -315,11 +320,12 @@ class Runtime:
                 policy=share_policy or NominalShare(),
             )
         self._devices: dict[int, Resource] = {}
-        #: mid-activity failure source (``None`` = activities never
-        #: preempt; the ``none``/``round`` failure models leave this unset
-        #: so demand resolution is event-for-event identical to a run
-        #: without the abort plumbing)
-        self.failure_injector: "FailureInjector | None" = None
+        #: mid-activity failure source answering ``up_deadline`` and
+        #: ``recovery_s`` (``None`` = activities never preempt; the
+        #: ``none``/``round`` failure models leave this unset so demand
+        #: resolution is event-for-event identical to a run without the
+        #: abort plumbing)
+        self.failure_injector: Any = None
 
     @property
     def now(self) -> float:
@@ -564,7 +570,7 @@ class Runtime:
         self,
         leg: TransmitLeg,
         demand: TransmitDemand,
-        injector: "FailureInjector",
+        injector: Any,
         progress: "_TransferProgress | None" = None,
     ) -> "Generator[Event, Any, None]":
         """One leg on the shared medium, raced against its client's churn.

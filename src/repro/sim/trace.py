@@ -223,9 +223,6 @@ class TraceRecorder:
             totals[event.phase] += event.nbytes
         return dict(totals)
 
-    def events_in_round(self, round_index: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.round_index == round_index]
-
     def actors(self) -> list[str]:
         return sorted({e.actor for e in self.events})
 

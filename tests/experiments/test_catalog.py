@@ -230,6 +230,25 @@ class TestReplayFaults:
         assert err == (f"error: --scenario replay:{path}: {path}:1: dynamics has keys "
                        "DynamicsConfig does not take: ['bogus']\n")
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("participation", "x", "a real number"),
+        ("seed", None, "an integer"),
+        ("max_retries", 1.5, "an integer"),
+        ("min_participants", True, "an integer"),
+    ])
+    def test_dynamics_value_of_the_wrong_type(
+        self, churn_rows, tmp_path, capsys, field, value, kind
+    ):
+        """A ``"x"`` participation or a ``null`` seed traced back with a
+        ``TypeError``; a ``1.5`` retry budget or a ``true`` participant
+        floor replayed without a word."""
+        dynamics = {**churn_rows[0]["dynamics"], field: value}
+        meta = dict(churn_rows[0], dynamics=dynamics)
+        code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])
+        assert code == 2
+        assert err == (f"error: --scenario replay:{path}: {path}:1: dynamics: {field} "
+                       f"must be {kind}, got {value!r}\n")
+
     def test_more_groups_than_clients(self, churn_rows, tmp_path, capsys):
         meta = dict(churn_rows[0], num_groups=50)
         code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.availability import ExponentialRenewal
+from repro.experiments.availability import make_availability_process
 from repro.experiments.dynamics import ClientDynamics, DynamicsConfig
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
@@ -59,7 +59,38 @@ class TestDynamicsConfig:
         with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
             DynamicsConfig(churn_uptime_s=uptime, churn_downtime_s=downtime)
         with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
-            ExponentialRenewal(3, np.random.SeedSequence(0), uptime, downtime)
+            make_availability_process(
+                "exponential", 3, np.random.SeedSequence(0), uptime, downtime
+            )
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", None, "an integer"),
+        ("seed", 1.0, "an integer"),
+        ("min_participants", True, "an integer"),
+        ("max_retries", 1.5, "an integer"),
+        ("participation", "x", "a real number"),
+        ("participation", True, "a real number"),
+        ("straggler_rate", None, "a real number"),
+        ("straggler_slowdown", [4.0], "a real number"),
+        ("churn_uptime_s", "10", "a real number"),
+        ("failure_model", 1, "a string"),
+        ("availability", None, "a string"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, field, value, kind):
+        """A replayed trace may carry any JSON value: each field names
+        its type, and a bool never passes as a number."""
+        windows = dict(churn_uptime_s=10.0, churn_downtime_s=5.0)
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+            DynamicsConfig(**{**windows, field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            DynamicsConfig(seed=-1)
+
+    def test_numpy_scalars_and_int_windows_accepted(self):
+        cfg = DynamicsConfig(churn_uptime_s=10, churn_downtime_s=np.float64(5.0),
+                             participation=1, seed=np.int64(3))
+        assert ClientDynamics(cfg, num_clients=2).available_at(0, 0.0)
 
     def test_mutated_degenerate_windows_rejected_by_client_dynamics(self):
         """The config dataclass is mutable; ClientDynamics re-validates so
@@ -102,6 +133,43 @@ class TestAvailabilityTrace:
         ts = np.linspace(0.0, 100.0, 2001)
         for c in range(8):
             assert not all(dyn.available_at(c, t) for t in ts)
+
+
+class TestFailureSource:
+    """``up_deadline`` / ``recovery_s``: what the runtime asks the
+    dynamics under mid-activity preemption."""
+
+    def _dyn(self):
+        cfg = DynamicsConfig(churn_uptime_s=1.0, churn_downtime_s=1.0, seed=5,
+                             failure_model="mid-activity")
+        return ClientDynamics(cfg, num_clients=4)
+
+    def test_up_client_runs_to_the_end_of_its_window(self):
+        dyn = self._dyn()
+        for c in range(4):
+            for t in np.linspace(0.0, 20.0, 81):
+                if dyn.available_at(c, t):
+                    deadline = dyn.up_deadline(c, t)
+                    assert deadline > t and not dyn.available_at(c, deadline)
+                    assert all(dyn.available_at(c, s) for s in np.linspace(t, deadline, 9)[:-1])
+                    assert dyn.recovery_s(c, t) is None
+
+    def test_down_client_aborts_now_and_recovers_at_its_next_toggle(self):
+        dyn = self._dyn()
+        seen = 0
+        for c in range(4):
+            for t in np.linspace(0.0, 20.0, 81):
+                if not dyn.available_at(c, t):
+                    seen += 1
+                    assert dyn.up_deadline(c, t) == t
+                    back = dyn.recovery_s(c, t)
+                    assert back > t and dyn.available_at(c, back)
+        assert seen
+
+    def test_no_churn_no_failure(self):
+        dyn = ClientDynamics(DynamicsConfig(), num_clients=2)
+        assert dyn.up_deadline(0, 3.0) is None
+        assert dyn.recovery_s(0, 3.0) is None
 
 
 class TestRoundConditions:

@@ -2,7 +2,8 @@
 
 Each example starts from a recorded churn trace and damages it once:
 a field a replay reader reads set to a value of another type or out of
-range, an unknown key added to the recorded dynamics, the file cut short
+range, a recorded dynamics value so damaged, an unknown key added to the
+recorded dynamics, the file cut short
 at a byte or a row, or the rows shuffled.  ``repro.cli run`` on the
 result must either replay (exit 0) or exit 2 with one ``error:`` line;
 it must never raise.  The ``weekly`` hypothesis profile runs it 16x.
@@ -48,13 +49,19 @@ def recorded(tmp_path_factory) -> list[str]:
 def _damage(draw, lines: list[str]) -> str:
     """One damaged copy of the trace ``lines``, as file text."""
     rows = [json.loads(line) for line in lines]
-    kind = draw(st.sampled_from(["field", "dynamics-key", "cut-bytes", "cut-rows", "shuffle"]))
+    kind = draw(st.sampled_from(
+        ["field", "dynamics-value", "dynamics-key", "cut-bytes", "cut-rows", "shuffle"]
+    ))
     if kind == "field":
         row_type = draw(st.sampled_from(sorted(READ_DOMAINS)))
         index = draw(st.sampled_from([i for i, row in enumerate(rows)
                                       if row["type"] == row_type]))
         field = draw(st.sampled_from(sorted(READ_DOMAINS[row_type])))
         rows[index] = {**rows[index], field: draw(st.sampled_from(HOSTILE))}
+    elif kind == "dynamics-value":
+        field = draw(st.sampled_from(sorted(DYNAMICS_FIELDS)))
+        rows[0] = {**rows[0], "dynamics": {**rows[0]["dynamics"],
+                                           field: draw(st.sampled_from(HOSTILE))}}
     elif kind == "dynamics-key":
         key = draw(st.text(max_size=12).filter(lambda k: k not in DYNAMICS_FIELDS))
         rows[0] = {**rows[0], "dynamics": {**rows[0]["dynamics"], key: 1}}

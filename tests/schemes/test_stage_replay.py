@@ -80,7 +80,7 @@ class TestReplay:
         d1 = SyncBarrier().resolve_round(runtime, [stage2], rec, round_index=1)
         assert (d0, d1) == (pytest.approx(2.0), pytest.approx(3.0))
         assert runtime.now == pytest.approx(5.0)
-        second = rec.events_in_round(1)[0]
+        second = next(e for e in rec.events if e.round_index == 1)
         assert second.start == pytest.approx(2.0)
         assert second.end == pytest.approx(5.0)
 

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.experiments.dynamics import ClientDynamics, DynamicsConfig
 from repro.schemes.base import Activity
 from repro.sim.engine import Environment
-from repro.sim.failures import FailureInjector
 from repro.sim.resources import FairShareLink
 from repro.sim.runtime import ComputeDemand, Runtime, TrackRecovery
 from repro.sim.server import AggregationServer, BoundedStaleness, UnitRoundWork
@@ -40,7 +39,8 @@ retry_budgets = st.integers(min_value=0, max_value=4)
 
 
 def make_injector(uptime, downtime, seed, num_clients=4):
-    dynamics = ClientDynamics(
+    """The failure source a mid-activity scheme installs: its dynamics."""
+    return ClientDynamics(
         DynamicsConfig(
             churn_uptime_s=uptime,
             churn_downtime_s=downtime,
@@ -49,7 +49,6 @@ def make_injector(uptime, downtime, seed, num_clients=4):
         ),
         num_clients,
     )
-    return FailureInjector(dynamics)
 
 
 def compute_track(num_activities, num_clients, seconds=0.4):
