@@ -21,10 +21,11 @@ same sum: round-2 and round-3 losses moved by at most 2.98e-8).
 barrier-free engine in its synchronous limit — still reproduces them
 exactly.
 
-``VARIANTS`` adds float64 rows (``<variant>.npz``) for the split family
-off the canonical configuration: the ``int8`` wire codec (SL's lossy
-relay coding, SplitFed's and GSFL's coded model hops, PSL's coded
-smashed data, gradients and model hops), ``int8`` under ``bounded:2``
+``VARIANTS`` adds float64 rows (``<variant>.npz``) off the canonical
+configuration: the ``int8`` wire codec (SL's lossy relay coding,
+SplitFed's and GSFL's coded model hops, PSL's coded smashed data,
+gradients and model hops, FL's coded broadcast and per-client uploads),
+GSFL under the ``topk:0.25`` sparsifier, ``int8`` under ``bounded:2``
 barrier-free aggregation, and participation + stragglers + mid-activity
 churn on the static medium (the only configuration that moves
 SplitFed's and PSL's per-participant bandwidth share).  Each variant file
@@ -89,6 +90,8 @@ VARIANTS: dict[str, tuple[str, dict[str, str], DynamicsConfig | None]] = {
     "GSFL+dynamics": ("GSFL", {}, VARIANT_DYNAMICS),
     "PSL+int8": ("PSL", {"transport": "int8"}, None),
     "PSL+dynamics": ("PSL", {}, VARIANT_DYNAMICS),
+    "FL+int8": ("FL", {"transport": "int8"}, None),
+    "GSFL+topk:0.25": ("GSFL", {"transport": "topk:0.25"}, None),
 }
 
 

@@ -18,10 +18,11 @@ in) and in float32 (the precision the CLI and the ``churn-async-trace``
 benchmark run), so a ``repro.nn`` change that moves only single-precision
 bits cannot hide behind a matching float64 row.
 
-The split family is further pinned off the canonical configuration by
-float64 variant rows (``VARIANTS`` in the regenerate script): the
-``int8`` codec under sync and ``bounded:2``, and churn + participation +
-stragglers with mid-activity preemption, abort and retry counts included.
+The split family and FL are further pinned off the canonical
+configuration by float64 variant rows (``VARIANTS`` in the regenerate
+script): the ``int8`` codec under sync and ``bounded:2``, GSFL under the
+``topk:0.25`` sparsifier, and churn + participation + stragglers with
+mid-activity preemption, abort and retry counts included.
 
 Regenerate fixtures (only when histories are *supposed* to change) with
 ``PYTHONPATH=src python tests/fixtures/histories/regenerate.py``.
