@@ -15,7 +15,7 @@ Two standard measurements, both pure-substrate (no torch):
 
 Deeper cuts compress more and leak less — the privacy side of the
 cut-layer trade-off the paper's future work raises; see
-``examples/privacy_study.py``.
+``examples/privacy_energy_study.py``.
 """
 
 from __future__ import annotations

@@ -114,7 +114,8 @@ class DynamicsConfig:
         wait to ``t = inf``, where the trace again never advances, and an
         infinite up-window silently turns churn off.  Degenerate windows
         must fail loudly, wherever they come from.  Each field's type is
-        checked first: a replayed trace may carry any JSON value.
+        checked first: a replayed trace may carry any JSON value, an
+        integer too large for a float among them.
         """
         for names, kind, what in _FIELD_TYPES:
             for name in names:
@@ -123,6 +124,13 @@ class DynamicsConfig:
                     continue
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
+                if kind is numbers.Real:
+                    try:
+                        float(value)
+                    except OverflowError:
+                        raise ValueError(
+                            f"{name} must be {what}, got a number too large for a float"
+                        ) from None
         check_non_negative("seed", self.seed)
         if not 0.0 < self.participation <= 1.0:
             raise ValueError(

@@ -4,8 +4,7 @@ Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), the layers the
 reproduction's models are built from (dense, ReLU, conv, max pooling,
 batch norm), losses, the SGD and Adam optimizers, weight
 initialization, model profiling (shapes/FLOPs/payload bytes), parameter
-serialization, wire quantization, and the split-model machinery used by
-split learning.
+serialization, and the split-model machinery used by split learning.
 
 It exists because the reproduction sandbox has no PyTorch; the public
 surface intentionally mirrors familiar ``torch.nn`` idioms.
@@ -20,7 +19,6 @@ from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.profile import LayerProfile, ModelProfile, profile_model
-from repro.nn.quantize import QuantizedArray, dequantize, quantize_uniform, simulate_wire
 from repro.nn.serialize import (
     WIRE_BYTES_PER_SCALAR,
     activation_nbytes,
@@ -57,10 +55,6 @@ __all__ = [
     "MaxPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
-    "QuantizedArray",
-    "quantize_uniform",
-    "dequantize",
-    "simulate_wire",
     "CrossEntropyLoss",
     "NLLLoss",
     "MSELoss",

@@ -2,10 +2,11 @@
 
 The paper trains both model halves with SGD (§II-B-2: "The update of the
 server-side model parameters can be accomplished through methods such as
-stochastic gradient descent").  SGD with optional momentum/weight-decay is
-the workhorse; Adam is provided for the centralized baseline and ablations.
+stochastic gradient descent").  Every scheme, the centralized baseline
+included, trains with plain SGD; Adam trains the privacy study's
+inversion decoder.
 
-Optimizers hold per-parameter state keyed by ``id(param)``.
+Adam holds per-parameter state keyed by ``id(param)``.
 """
 
 from __future__ import annotations
@@ -41,46 +42,20 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and weight decay.
+    """Plain stochastic gradient descent: ``p <- p - lr * grad``.
 
-    ``velocity`` buffers are created lazily on the first step.
+    It keeps no state between steps, so a fresh optimizer per step equals
+    a persistent one.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
+    def __init__(self, params: Iterable[Parameter], lr: float = 0.01) -> None:
         super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         for p in self.params:
             if p.grad is None:
                 continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                v = self.momentum * v + grad
-                self._velocity[id(p)] = v
-                grad = grad + self.momentum * v if self.nesterov else v
-            p.data = p.data - self.lr * grad
+            p.data = p.data - self.lr * p.grad
 
 
 class Adam(Optimizer):

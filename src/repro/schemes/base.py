@@ -51,7 +51,7 @@ from repro.sim.server import (
     parse_aggregation,
 )
 from repro.sim.trace import TraceRecorder
-from repro.sim.transport import TransportCodec, parse_transport
+from repro.sim.transport import parse_transport
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_in_choices, check_positive
 
@@ -230,11 +230,6 @@ class SchemeConfig:
         check_positive("regroup_every", self.regroup_every)
         parse_aggregation(self.aggregation)  # raises on malformed specs
         self.transport = parse_transport(self.transport).name
-
-    @property
-    def codec(self) -> TransportCodec:
-        """The resolved wire codec (:mod:`repro.sim.transport`)."""
-        return parse_transport(self.transport)
 
     def make_sgd(self, params: "object") -> nn.SGD:
         """A fresh SGD optimizer over ``params`` with these hyper-parameters."""

@@ -61,33 +61,25 @@ class FederatedLearning(Scheme):
         if not participants:
             return []
         model_bytes = pricing.full_model_nbytes()
-        lossy = pricing.codec.lossy
         wire_bytes = pricing.model_wire_nbytes(model_bytes)
-        scalars = pricing.model_scalars(model_bytes) if lossy else 0
+        scalars = pricing.model_scalars(model_bytes)
 
         # --- stage 1: model distribution (single AP broadcast) --------
         distribution = Stage("distribution")
         if pricing.enabled:
-            if lossy:
-                distribution.add(
-                    "access-point",
-                    Activity(
-                        pricing.server_encode_demand(scalars),
-                        "encode",
-                        "access-point",
-                        detail="model broadcast",
-                    ),
-                )
-            distribution.add(
+            distribution.extend(
                 "access-point",
-                Activity(
-                    pricing.broadcast_model_demand(
-                        participants, wire_bytes, pricing.total_bandwidth_hz
+                [
+                    *pricing.encode(None, scalars, "model broadcast", actor="access-point"),
+                    Activity(
+                        pricing.broadcast_model_demand(
+                            participants, wire_bytes, pricing.total_bandwidth_hz
+                        ),
+                        "model_distribution",
+                        "access-point",
+                        nbytes=wire_bytes,
                     ),
-                    "model_distribution",
-                    "access-point",
-                    nbytes=wire_bytes,
-                ),
+                ],
             )
 
         # --- stage 2: parallel local training --------------------------
@@ -97,20 +89,10 @@ class FederatedLearning(Scheme):
         trained = RunningFedAvg(self._client_sample_counts(participants))
         total_loss = 0.0
         for c in participants:
-            if pricing.enabled and lossy:
-                # Each client unpacks the coded broadcast before training.
-                local.add(
-                    f"client-{c}",
-                    Activity(
-                        pricing.client_decode_demand(c, scalars),
-                        "decode",
-                        f"client-{c}",
-                        detail="model",
-                    ),
-                )
+            # Each client unpacks the coded broadcast before training.
+            unpack = pricing.decode(c, scalars, "model") if pricing.enabled else []
             state, step_losses, activities = self._local_training_round(c)
-            for activity in activities:
-                local.add(f"client-{c}", activity)
+            local.extend(f"client-{c}", unpack + activities)
             trained.add(state)
             del state
             for step_loss in step_losses:  # one running sum, legacy order
@@ -154,15 +136,13 @@ class FederatedLearning(Scheme):
         keep its legacy one-running-sum accumulation across clients,
         bitwise): returns ``(trained_state, step_losses, activities)``.
 
-        With a lossy transport codec the client trains from what the
-        codec preserved of the broadcast global, and the returned state
-        is the coded upload the server will actually average.
+        The client trains from what the transport codec preserved of the
+        broadcast global, and the returned state is the coded upload the
+        server will actually average (the identity codec passes both
+        states through untouched).
         """
         codec = self._pricing.codec
-        start_state = self._global_state
-        if codec.lossy:
-            start_state = codec.apply_state(start_state)
-        self.model.load_state_dict(start_state)
+        self.model.load_state_dict(codec.apply_state(self._global_state))
         optimizer = self.config.make_sgd(self.model.parameters())
         step_losses: list[float] = []
         activities: list[Activity] = []
@@ -181,10 +161,7 @@ class FederatedLearning(Scheme):
                     detail="local step",
                 )
             )
-        trained = self.model.state_dict()
-        if codec.lossy:
-            trained = codec.apply_state(trained)
-        return trained, step_losses, activities
+        return codec.apply_state(self.model.state_dict()), step_losses, activities
 
     # ------------------------------------------------------------------
     # asynchronous aggregation (barrier-free policies)

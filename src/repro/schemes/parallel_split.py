@@ -74,8 +74,7 @@ class ParallelSplitLearning(Scheme):
         share = pricing.total_bandwidth_hz / len(participants)
         client_model_bytes = pricing.client_model_nbytes(self.cut_layer)
         codec = pricing.codec
-        lossy = codec.lossy
-        smashed_scalars = pricing.smashed_scalars(self.cut_layer) if lossy else 0
+        fused_scalars = pricing.smashed_scalars(self.cut_layer) * len(participants)
 
         distribution = Stage("distribution")
         if pricing.enabled:
@@ -90,12 +89,7 @@ class ParallelSplitLearning(Scheme):
         half = self.split.client
         # Every client starts from what the codec preserved of the
         # broadcast global half (identity codec: the global itself).
-        distributed_state = (
-            codec.apply_state(self._global_client_state)
-            if lossy
-            else self._global_client_state
-        )
-        client_states = [distributed_state] * len(participants)
+        client_states = [codec.apply_state(self._global_client_state)] * len(participants)
 
         # Per-client client-half states, trained in lockstep on the one
         # client-half module; the server half sees the fused batch.
@@ -110,29 +104,16 @@ class ParallelSplitLearning(Scheme):
             smashed_per_client = []
             for state, (xb, _) in zip(client_states, step_batches):
                 half.load_state_dict(state)
-                smashed_per_client.append(half.forward_to_smashed(Tensor(xb)).values)
-            if lossy:
-                smashed_per_client = [
-                    codec.apply(values) for values in smashed_per_client
-                ]
+                smashed_per_client.append(
+                    codec.apply(half.forward_to_smashed(Tensor(xb)).values)
+                )
             for c in participants:
                 training.extend(
                     f"client-{c}",
                     price_smashed_upload(pricing, c, self.cut_layer, share),
                 )
-            if lossy:
-                # The server decodes all N arrivals before the fused step.
-                training.add(
-                    "edge-server",
-                    Activity(
-                        pricing.server_decode_demand(
-                            smashed_scalars * len(participants)
-                        ),
-                        "decode",
-                        "edge-server",
-                        detail="fused smashed",
-                    ),
-                )
+            # The server decodes all N arrivals before the fused step.
+            training.extend("edge-server", pricing.decode(None, fused_scalars, "fused smashed"))
 
             # --- single server step over the fused batch ----------------
             fused = SmashedBatch(values=np.concatenate(smashed_per_client, axis=0))
@@ -142,8 +123,7 @@ class ParallelSplitLearning(Scheme):
                 fused, fused_targets, self._loss_fn
             )
             self._server_opt.step()
-            if lossy:
-                fused_grad = codec.apply(fused_grad)
+            fused_grad = codec.apply(fused_grad)
             total_loss += loss
             # Server compute scales with the fused batch (N x batch).
             training.add(
@@ -157,19 +137,8 @@ class ParallelSplitLearning(Scheme):
                     detail="fused batch",
                 ),
             )
-            if lossy:
-                # One fused encode for all N gradient slices.
-                training.add(
-                    "edge-server",
-                    Activity(
-                        pricing.server_encode_demand(
-                            smashed_scalars * len(participants)
-                        ),
-                        "encode",
-                        "edge-server",
-                        detail="fused gradient",
-                    ),
-                )
+            # One fused encode for all N gradient slices.
+            training.extend("edge-server", pricing.encode(None, fused_scalars, "fused gradient"))
 
             # --- gradients fan back out; client halves step in parallel --
             # Each client re-runs its forward to rebuild its graph (``half``
@@ -208,9 +177,8 @@ class ParallelSplitLearning(Scheme):
                 )
 
         aggregation = Stage("aggregation")
-        if lossy:
-            # The server averages what survived the uplink codec.
-            client_states = [codec.apply_state(s) for s in client_states]
+        # The server averages what survived the uplink codec.
+        client_states = [codec.apply_state(s) for s in client_states]
         self._global_client_state = fedavg(
             client_states, self._client_sample_counts(participants)
         )

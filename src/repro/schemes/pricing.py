@@ -14,6 +14,12 @@ where the old pre-priced pipeline drew them — so latency traces stay
 reproducible for a fixed scenario seed and the static-share resolution
 is bit-identical to the legacy analytic pricing.
 
+Coded payloads are priced here too: :meth:`LatencyModel.smashed_nbytes`
+and :meth:`LatencyModel.model_wire_nbytes` are the transport codec's wire
+sizes, and :meth:`LatencyModel.encode` / :meth:`LatencyModel.decode` are
+the codec's compute as activities on the owning device — none at all
+under the identity codec, so float32 runs carry no codec rows.
+
 A demand's analytic views are :func:`~repro.sim.runtime.demand_lower_bound_s`
 (contention-free floor) and :func:`~repro.sim.runtime.demand_nominal_s`
 (static share).  Constructed with ``system=None`` everything is priced at
@@ -22,12 +28,15 @@ zero — "pure algorithm" mode for accuracy-only runs and fast tests.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.nn.profile import ModelProfile
 from repro.nn.serialize import WIRE_BYTES_PER_SCALAR
+from repro.schemes.base import Activity
 from repro.sim.runtime import (
     ComputeDemand,
     Demand,
@@ -38,10 +47,16 @@ from repro.sim.transport import TransportCodec, parse_transport
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.system import WirelessSystem
 
-__all__ = ["LatencyModel"]
+__all__ = ["LatencyModel", "client_actor"]
 
 #: FLOPs charged per parameter for a FedAvg aggregation pass
 AGGREGATION_FLOPS_PER_PARAM = 2.0
+
+
+def client_actor(client: int) -> str:
+    """``client-<id>`` as one shared string per client: the trace recorder
+    keeps every resolved activity's actor for the whole run."""
+    return sys.intern(f"client-{client}")
 
 
 class LatencyModel:
@@ -65,7 +80,7 @@ class LatencyModel:
         # Payload sizes are pure functions of the cut layer but were
         # recomputed from full profile traversals inside every activity of
         # every batch of every round — memoize them per cut.
-        self._smashed_nbytes: dict[int, int] = {}
+        self._smashed_scalars: dict[int, int] = {}
         self._client_model_nbytes: dict[int, int] = {}
         self._full_model_nbytes: int | None = None
 
@@ -137,31 +152,46 @@ class LatencyModel:
         return self._server_compute(flops)
 
     # ------------------------------------------------------------------
-    # transport codec demands (zero for the lossless identity codec)
+    # transport codec work (none under the identity codec)
     # ------------------------------------------------------------------
-    def client_encode_demand(self, client: int, num_scalars: int) -> Demand:
-        if not self.enabled:
-            return 0.0
-        flops = self.codec.encode_flops(num_scalars)
-        return self._client_compute(client, flops) if flops > 0.0 else 0.0
+    def encode(
+        self, client: int | None, num_scalars: int, detail: str, actor: str | None = None
+    ) -> list[Activity]:
+        """The sender's encode of a ``num_scalars`` payload, on ``client``
+        (the edge server when ``None``); empty under the identity codec."""
+        return self._codec_work(
+            "encode", self.codec.encode_flops, client, num_scalars, detail, actor
+        )
 
-    def client_decode_demand(self, client: int, num_scalars: int) -> Demand:
-        if not self.enabled:
-            return 0.0
-        flops = self.codec.decode_flops(num_scalars)
-        return self._client_compute(client, flops) if flops > 0.0 else 0.0
+    def decode(self, client: int | None, num_scalars: int, detail: str) -> list[Activity]:
+        """The receiver's decode of a ``num_scalars`` payload, on ``client``
+        (the edge server when ``None``); empty under the identity codec."""
+        return self._codec_work(
+            "decode", self.codec.decode_flops, client, num_scalars, detail, None
+        )
 
-    def server_encode_demand(self, num_scalars: int) -> Demand:
-        if not self.enabled:
-            return 0.0
-        flops = self.codec.encode_flops(num_scalars)
-        return self._server_compute(flops) if flops > 0.0 else 0.0
-
-    def server_decode_demand(self, num_scalars: int) -> Demand:
-        if not self.enabled:
-            return 0.0
-        flops = self.codec.decode_flops(num_scalars)
-        return self._server_compute(flops) if flops > 0.0 else 0.0
+    def _codec_work(
+        self,
+        phase: str,
+        flops_of: Callable[[int], float],
+        client: int | None,
+        num_scalars: int,
+        detail: str,
+        actor: str | None,
+    ) -> list[Activity]:
+        if not self.codec.lossy:
+            return []
+        demand: Demand = 0.0
+        flops = flops_of(num_scalars) if self.enabled else 0.0
+        if flops > 0.0:
+            demand = (
+                self._server_compute(flops)
+                if client is None
+                else self._client_compute(client, flops)
+            )
+        if actor is None:
+            actor = "edge-server" if client is None else client_actor(client)
+        return [Activity(demand, phase, actor, detail=detail)]
 
     # ------------------------------------------------------------------
     # transmission demands
@@ -294,39 +324,31 @@ class LatencyModel:
     # payload sizes
     # ------------------------------------------------------------------
     def smashed_nbytes(self, cut_layer: int) -> int:
+        """Wire size of one smashed-data (or cut-gradient) batch."""
         if not self.enabled:
             return 0
-        cached = self._smashed_nbytes.get(cut_layer)
-        if cached is not None:
-            return cached
-        full = self.profile.smashed_bytes(cut_layer, self.batch_size)
-        if not self.codec.lossy:
-            nbytes = full
-        else:
-            nbytes = self.codec.wire_bytes(full // WIRE_BYTES_PER_SCALAR)
-        self._smashed_nbytes[cut_layer] = nbytes
-        return nbytes
+        return self.codec.wire_bytes(self.smashed_scalars(cut_layer))
 
     def smashed_scalars(self, cut_layer: int) -> int:
-        """Scalar count of one smashed-data batch (codec FLOP input)."""
+        """Scalar count of one smashed-data batch."""
         if not self.enabled:
             return 0
-        full = self.profile.smashed_bytes(cut_layer, self.batch_size)
-        return full // WIRE_BYTES_PER_SCALAR
+        scalars = self._smashed_scalars.get(cut_layer)
+        if scalars is None:
+            full = self.profile.smashed_bytes(cut_layer, self.batch_size)
+            scalars = self._smashed_scalars[cut_layer] = full // WIRE_BYTES_PER_SCALAR
+        return scalars
 
     def model_scalars(self, nbytes: int) -> int:
-        """Scalar count of a model payload (codec FLOP input)."""
+        """Scalar count of a model payload whose raw float32 size is ``nbytes``."""
         return nbytes // WIRE_BYTES_PER_SCALAR
 
     def model_wire_nbytes(self, nbytes: int) -> int:
-        """Wire size of a model payload whose raw float32 size is ``nbytes``.
-
-        Identity for the lossless codec, so codec-unaware callers (and
-        the golden float32 path) see the raw byte count unchanged.
-        """
-        if not self.enabled or not self.codec.lossy or nbytes == 0:
+        """Wire size of a model payload whose raw float32 size is ``nbytes``
+        (a payload of nothing ships nothing, not the codec's header)."""
+        if not self.enabled or nbytes == 0:
             return nbytes
-        return self.codec.wire_bytes(nbytes // WIRE_BYTES_PER_SCALAR)
+        return self.codec.wire_bytes(self.model_scalars(nbytes))
 
     def client_model_nbytes(self, cut_layer: int) -> int:
         if not self.enabled:

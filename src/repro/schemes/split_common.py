@@ -30,7 +30,6 @@ Three layers:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +41,7 @@ from repro.exec import SerialExecutor
 from repro.nn.split import SmashedBatch, SplitModel, split_model
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity, Scheme, SchemeConfig, Stage
-from repro.schemes.pricing import LatencyModel
+from repro.schemes.pricing import LatencyModel, client_actor
 from repro.sim.server import RetryAt, UnitRoundWork
 from repro.sim.transport import TransportCodec
 
@@ -125,44 +124,27 @@ def split_step_math(
     return loss_value
 
 
-def _client_actor(client_id: int) -> str:
-    """``client-<id>`` as one shared string per client: the trace recorder
-    keeps every resolved activity's actor for the whole run."""
-    return sys.intern(f"client-{client_id}")
-
-
 def price_smashed_upload(
     pricing: LatencyModel, client_id: int, cut: int, bandwidth_hz: float
 ) -> list[Activity]:
     """One client's forward to the cut, then its smashed data up to the
     AP (encoded first under a lossy codec)."""
-    actor = _client_actor(client_id)
-    activities = [
+    actor = client_actor(client_id)
+    return [
         Activity(
             pricing.client_forward_demand(client_id, cut),
             "client_compute",
             actor,
             detail="forward",
-        )
-    ]
-    if pricing.codec.lossy:
-        activities.append(
-            Activity(
-                pricing.client_encode_demand(client_id, pricing.smashed_scalars(cut)),
-                "encode",
-                actor,
-                detail="smashed",
-            )
-        )
-    activities.append(
+        ),
+        *pricing.encode(client_id, pricing.smashed_scalars(cut), "smashed"),
         Activity(
             pricing.uplink_smashed_demand(client_id, cut, bandwidth_hz),
             "uplink_smashed",
             actor,
             nbytes=pricing.smashed_nbytes(cut),
-        )
-    )
-    return activities
+        ),
+    ]
 
 
 def price_gradient_return(
@@ -170,33 +152,22 @@ def price_gradient_return(
 ) -> list[Activity]:
     """The cut-layer gradient down to one client (decoded there under a
     lossy codec), then the client's backward."""
-    actor = _client_actor(client_id)
-    activities = [
+    actor = client_actor(client_id)
+    return [
         Activity(
             pricing.downlink_gradient_demand(client_id, cut, bandwidth_hz),
             "downlink_gradient",
             actor,
             nbytes=pricing.smashed_nbytes(cut),
-        )
-    ]
-    if pricing.codec.lossy:
-        activities.append(
-            Activity(
-                pricing.client_decode_demand(client_id, pricing.smashed_scalars(cut)),
-                "decode",
-                actor,
-                detail="gradient",
-            )
-        )
-    activities.append(
+        ),
+        *pricing.decode(client_id, pricing.smashed_scalars(cut), "gradient"),
         Activity(
             pricing.client_backward_demand(client_id, cut),
             "client_compute",
             actor,
             detail="backward",
-        )
-    )
-    return activities
+        ),
+    ]
 
 
 def price_local_round(
@@ -218,21 +189,12 @@ def price_local_round(
     policy.  The identity codec adds no codec activities at all
     (bitwise-pinned path).
     """
-    actor = _client_actor(client_id)
-    lossy = pricing.codec.lossy
-    scalars = pricing.smashed_scalars(cut) if lossy else 0
+    actor = client_actor(client_id)
+    scalars = pricing.smashed_scalars(cut)
     activities: list[Activity] = []
     for _ in range(local_steps):
         activities.extend(price_smashed_upload(pricing, client_id, cut, bandwidth_hz))
-        if lossy:
-            activities.append(
-                Activity(
-                    pricing.server_decode_demand(scalars),
-                    "decode",
-                    "edge-server",
-                    detail=f"smashed from {actor}",
-                )
-            )
+        activities.extend(pricing.decode(None, scalars, f"smashed from {actor}"))
         activities.append(
             Activity(
                 pricing.server_split_step_demand(cut),
@@ -241,25 +203,9 @@ def price_local_round(
                 detail=f"for {actor}",
             )
         )
-        if lossy:
-            activities.append(
-                Activity(
-                    pricing.server_encode_demand(scalars),
-                    "encode",
-                    "edge-server",
-                    detail=f"gradient for {actor}",
-                )
-            )
+        activities.extend(pricing.encode(None, scalars, f"gradient for {actor}"))
         activities.extend(price_gradient_return(pricing, client_id, cut, bandwidth_hz))
     return activities
-
-
-def _coded(
-    pricing: LatencyModel, encode: Activity, transfer: Activity, decode: Activity
-) -> list[Activity]:
-    """A model transfer, bracketed by its encode and decode under a lossy
-    codec; the identity codec emits the bare transfer (bitwise-pinned)."""
-    return [encode, transfer, decode] if pricing.codec.lossy else [transfer]
 
 
 def price_model_downlink(
@@ -270,27 +216,19 @@ def price_model_downlink(
     phase: str = "model_distribution",
 ) -> list[Activity]:
     """AP → client model transfer at the codec's wire size."""
-    actor = f"client-{client}"
+    actor = client_actor(client)
     wire = pricing.model_wire_nbytes(nbytes)
     scalars = pricing.model_scalars(nbytes)
-    return _coded(
-        pricing,
-        Activity(
-            pricing.server_encode_demand(scalars),
-            "encode",
-            "edge-server",
-            detail=f"model for {actor}",
-        ),
+    return [
+        *pricing.encode(None, scalars, f"model for {actor}"),
         Activity(
             pricing.downlink_model_demand(client, wire, bandwidth_hz),
             phase,
             actor,
             nbytes=wire,
         ),
-        Activity(
-            pricing.client_decode_demand(client, scalars), "decode", actor, detail="model"
-        ),
-    )
+        *pricing.decode(client, scalars, "model"),
+    ]
 
 
 def price_model_uplink(
@@ -301,30 +239,19 @@ def price_model_uplink(
     phase: str = "model_upload",
 ) -> list[Activity]:
     """Client → AP model transfer at the codec's wire size."""
-    actor = f"client-{client}"
+    actor = client_actor(client)
     wire = pricing.model_wire_nbytes(nbytes)
     scalars = pricing.model_scalars(nbytes)
-    return _coded(
-        pricing,
-        Activity(
-            pricing.client_encode_demand(client, scalars),
-            "encode",
-            actor,
-            detail="model upload",
-        ),
+    return [
+        *pricing.encode(client, scalars, "model upload"),
         Activity(
             pricing.uplink_model_demand(client, wire, bandwidth_hz),
             phase,
             actor,
             nbytes=wire,
         ),
-        Activity(
-            pricing.server_decode_demand(scalars),
-            "decode",
-            "edge-server",
-            detail=f"model from {actor}",
-        ),
-    )
+        *pricing.decode(None, scalars, f"model from {actor}"),
+    ]
 
 
 def price_model_relay(
@@ -336,30 +263,18 @@ def price_model_relay(
 ) -> list[Activity]:
     """Client → AP → client model relay: both hops are one demand that
     carries twice the codec's wire size."""
-    actor = f"client-{client}"
     wire = pricing.model_wire_nbytes(nbytes)
     scalars = pricing.model_scalars(nbytes)
-    return _coded(
-        pricing,
-        Activity(
-            pricing.client_encode_demand(client, scalars),
-            "encode",
-            actor,
-            detail="relay model",
-        ),
+    return [
+        *pricing.encode(client, scalars, "relay model"),
         Activity(
             pricing.relay_model_demand(client, nxt, wire, bandwidth_hz),
             "model_relay",
-            actor,
+            client_actor(client),
             nbytes=2 * wire,
         ),
-        Activity(
-            pricing.client_decode_demand(nxt, scalars),
-            "decode",
-            f"client-{nxt}",
-            detail="relay model",
-        ),
-    )
+        *pricing.decode(nxt, scalars, "relay model"),
+    ]
 
 
 def price_relay_chain(
@@ -392,7 +307,7 @@ def price_relay_chain(
 
 
 def train_split_group(
-    task: GroupTask, split: SplitModel, config: SchemeConfig
+    task: GroupTask, split: SplitModel, config: SchemeConfig, codec: TransportCodec
 ) -> GroupResult:
     """Train one group's pipeline sequentially on ``split``.
 
@@ -406,7 +321,6 @@ def train_split_group(
     """
     split.client.load_state_dict(task.client_state)
     split.server.load_state_dict(task.server_state)
-    codec = config.codec
     if codec.lossy:
         # Model distribution crosses the air: the first member starts
         # from what the codec preserved of the global client half.  (The
@@ -457,7 +371,7 @@ def _uploaded_halves(
 
 
 def run_group_tasks(
-    tasks: list[GroupTask], split: SplitModel, config: SchemeConfig
+    tasks: list[GroupTask], split: SplitModel, config: SchemeConfig, codec: TransportCodec
 ) -> tuple[list[GroupResult], StackedFedAvg, StackedFedAvg]:
     """Train every task on ``split``, one after another; results in task
     order, then the client- and server-half FedAvg matrices each task's
@@ -465,8 +379,8 @@ def run_group_tasks(
     client_avg, server_avg = StackedFedAvg(len(tasks)), StackedFedAvg(len(tasks))
 
     def train(task: GroupTask) -> GroupResult:
-        result = train_split_group(task, split, config)
-        client_state, server_state = _uploaded_halves(split, config.codec, copy=False)
+        result = train_split_group(task, split, config, codec)
+        client_state, server_state = _uploaded_halves(split, codec, copy=False)
         client_avg.add(client_state)
         server_avg.add(server_state)
         return result
@@ -590,7 +504,9 @@ class SplitFederatedScheme(Scheme):
         # The units share no training state within a round (each starts
         # from the global halves — the edge replicas, concurrent in
         # simulated time), so they train one after another on one model.
-        results, client_avg, server_avg = run_group_tasks(tasks, self.split, self.config)
+        results, client_avg, server_avg = run_group_tasks(
+            tasks, self.split, self.config, self._pricing.codec
+        )
         trained = sum(r.num_members for r in results)
         self._last_train_loss = (
             sum(r.loss_sum for r in results) / trained if trained else float("nan")
@@ -646,9 +562,9 @@ class SplitFederatedScheme(Scheme):
         # Train against the *current* mixed global; the DES event loop
         # serializes unit-rounds.
         activities, task = self._unit_work(unit, members)
-        result = train_split_group(task, self.split, self.config)
+        result = train_split_group(task, self.split, self.config, self._pricing.codec)
         # The payload outlives the next unit-round, so it owns copies.
-        payload = _uploaded_halves(self.split, self.config.codec)
+        payload = _uploaded_halves(self.split, self._pricing.codec)
         activities.append(
             Activity(
                 self._pricing.aggregation_demand(2, self.model.num_parameters()),

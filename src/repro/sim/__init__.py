@@ -18,7 +18,6 @@ from repro.sim.resources import (
 )
 from repro.sim.runtime import (
     ComputeDemand,
-    FixedDemand,
     Preemption,
     Runtime,
     TrackOutcome,
@@ -57,7 +56,6 @@ __all__ = [
     "EqualShare",
     "NominalShare",
     "FairShareLink",
-    "FixedDemand",
     "ComputeDemand",
     "TransmitLeg",
     "TransmitDemand",

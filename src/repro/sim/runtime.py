@@ -10,10 +10,9 @@ other pipelines are on the air runs slower than the same transmission
 started alone, exactly the coupling behind the paper's GSFL-vs-SL
 latency crossover.
 
-Demand vocabulary (``float`` is shorthand for :class:`FixedDemand` —
-zero-priced mode and tests):
+Demand vocabulary:
 
-* :class:`FixedDemand` — a pre-resolved duration;
+* a ``float`` — a pre-resolved duration (zero-priced mode, waits, tests);
 * :class:`ComputeDemand` — FLOPs against a device's throughput; the
   runtime applies per-round straggler multipliers at resolve time and
   serializes each client device through a capacity-1 FIFO
@@ -59,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (layering)
     from repro.sim.events import Event
 
 __all__ = [
-    "FixedDemand",
     "ComputeDemand",
     "TransmitLeg",
     "TransmitDemand",
@@ -72,25 +70,6 @@ __all__ = [
     "TrackOutcome",
     "Runtime",
 ]
-
-
-@dataclass(frozen=True)
-class FixedDemand:
-    """A pre-resolved duration (zero-priced mode, waits, tests)."""
-
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ValueError(f"negative duration: {self.duration_s}")
-
-    @property
-    def lower_bound_s(self) -> float:
-        return self.duration_s
-
-    @property
-    def nominal_s(self) -> float:
-        return self.duration_s
 
 
 @dataclass(frozen=True)
@@ -181,7 +160,7 @@ class TransmitDemand:
         return sum(leg.nbits / leg.rate_fn(self.total_hz) for leg in self.legs)
 
 
-Demand = Union[float, FixedDemand, ComputeDemand, TransmitDemand]
+Demand = Union[float, ComputeDemand, TransmitDemand]
 
 
 def demand_lower_bound_s(demand: Demand) -> float:
@@ -562,7 +541,7 @@ class Runtime:
             else:
                 yield self.env.timeout(seconds)
             return
-        # FixedDemand / float, or a TransmitDemand without a medium
+        # A fixed duration, or a TransmitDemand without a medium
         # (static subchannels): resolve at the nominal share.
         yield self.env.timeout(demand_nominal_s(demand))
 

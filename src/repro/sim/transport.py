@@ -10,18 +10,18 @@ stack threads through:
   gradient, and model legs;
 * **codec compute** — :meth:`~TransportCodec.encode_flops` /
   :meth:`~TransportCodec.decode_flops` price the transform on the owning
-  device (``ComputeDemand``s emitted by the pricing layer);
+  device (the latency model's encode and decode activities);
 * **wire semantics** — :meth:`~TransportCodec.apply` round-trips a
   tensor so the receiver trains on exactly what the codec preserved
   (:meth:`~TransportCodec.apply_state` does the same for a state dict).
 
 ``float32`` is the identity codec and the default: it declares itself
-lossless, so every caller skips the transform, emits no encode/decode
-activities, and draws no extra fading — runs are bitwise identical to a
-codec-unaware build.
+lossless, so its transform hands every payload back untouched, the
+latency model emits no encode/decode activities for it, and no extra
+fading is drawn — runs are bitwise identical to a codec-unaware build.
 
 Codecs are named so the CLI can select them: ``float32``, ``int8``,
-``intk:K`` (uniform affine via :mod:`repro.nn.quantize`), and
+``intk:K`` (per-tensor uniform affine quantization to ``K`` bits), and
 ``topk:F`` (magnitude-sparsified deltas keeping fraction ``F``).
 """
 
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.quantize import QuantizedArray, simulate_wire
 from repro.nn.serialize import WIRE_BYTES_PER_SCALAR
 
 __all__ = [
@@ -117,11 +116,19 @@ class Float32Codec(TransportCodec):
 class IntKCodec(TransportCodec):
     """Uniform affine quantization to ``num_bits`` (``int8`` = 8 bits).
 
-    Wire accounting matches :attr:`QuantizedArray.payload_bytes` for a
-    non-degenerate tensor: packed codes plus the two 8-byte parameters.
+    Per tensor, with scale and zero point from the observed min/max::
+
+        q   = clip(round(x / scale) + zero_point, 0, 2^k - 1)
+        x'  = (q - zero_point) * scale
+
+    The wire carries the packed ``k``-bit codes plus the two parameters.
     """
 
     num_bits: int = 8
+
+    #: wire overhead of the two per-tensor parameters (scale, zero_point),
+    #: 8 bytes each
+    PARAMS_BYTES = 16
 
     def __post_init__(self) -> None:
         if not 1 <= self.num_bits <= 16:
@@ -134,10 +141,7 @@ class IntKCodec(TransportCodec):
         return "int8" if self.num_bits == 8 else f"intk:{self.num_bits}"
 
     def wire_bytes(self, num_scalars: int) -> int:
-        if num_scalars == 0:
-            return QuantizedArray.PARAMS_BYTES
-        packed = int(np.ceil(num_scalars * self.num_bits / 8))
-        return packed + QuantizedArray.PARAMS_BYTES
+        return (num_scalars * self.num_bits + 7) // 8 + self.PARAMS_BYTES
 
     def encode_flops(self, num_scalars: int) -> float:
         # min/max scan (2) + subtract, divide, round, clip (4) per scalar
@@ -148,7 +152,26 @@ class IntKCodec(TransportCodec):
         return 2.0 * num_scalars
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return simulate_wire(x, self.num_bits)
+        """Quantize and dequantize in float64; the result keeps ``x``'s dtype."""
+        x = np.asarray(x)
+        if x.size == 0:
+            return x
+        wide = np.asarray(x, dtype=np.float64)
+        if not np.isfinite(wide).all():
+            raise ValueError(
+                "intk codec: input contains non-finite values (NaN/inf); "
+                "refusing to emit undefined wire codes"
+            )
+        levels = (1 << self.num_bits) - 1
+        lo, hi = float(wide.min()), float(wide.max())
+        scale = (hi - lo) / levels
+        if scale == 0.0:
+            # Constant tensor, or a subnormal span whose step underflows:
+            # the receiver rebuilds the minimum everywhere.
+            return np.full(x.shape, lo).astype(x.dtype, copy=False)
+        zero_point = int(np.round(-lo / scale))
+        codes = np.clip(np.round(wide / scale) + zero_point, 0, levels).astype(np.uint16)
+        return ((codes.astype(np.float64) - zero_point) * scale).astype(x.dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,17 @@ class TestReplayFaults:
         assert err == (f"error: --scenario replay:{path}: {path}:1: dynamics: {field} "
                        f"must be {kind}, got {value!r}\n")
 
+    @pytest.mark.parametrize("field", ["straggler_slowdown", "churn_uptime_s"])
+    def test_dynamics_value_too_large_for_a_float(self, churn_rows, tmp_path, capsys, field):
+        """A 401-digit JSON integer passed the type check as an integral
+        real and traced back with ``OverflowError``."""
+        dynamics = {**churn_rows[0]["dynamics"], field: 10**400}
+        meta = dict(churn_rows[0], dynamics=dynamics)
+        code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])
+        assert code == 2
+        assert err == (f"error: --scenario replay:{path}: {path}:1: dynamics: {field} "
+                       "must be a real number, got a number too large for a float\n")
+
     def test_more_groups_than_clients(self, churn_rows, tmp_path, capsys):
         meta = dict(churn_rows[0], num_groups=50)
         code, err, path = self._replay(tmp_path, capsys, [meta, *churn_rows[1:]])

@@ -83,6 +83,20 @@ class TestDynamicsConfig:
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
             DynamicsConfig(**{**windows, field: value})
 
+    @pytest.mark.parametrize("field", [
+        "participation", "churn_uptime_s", "churn_downtime_s", "straggler_rate",
+        "straggler_slowdown",
+    ])
+    def test_integer_too_large_for_a_float_rejected(self, field):
+        """``straggler_slowdown=10**400`` died with ``OverflowError`` in
+        ``math.isfinite``; as a churn window it passed and died at the
+        first ``available_at``."""
+        windows = dict(churn_uptime_s=10.0, churn_downtime_s=5.0)
+        with pytest.raises(ValueError, match=(
+            f"^{field} must be a real number, got a number too large for a float$"
+        )):
+            DynamicsConfig(**{**windows, field: 10**400})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             DynamicsConfig(seed=-1)

@@ -25,10 +25,11 @@ from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.runner import make_scheme
 
 #: values outside most fields' domains: null, bools, non-integral
-#: floats, strings, out-of-range numbers and lists, and a few that are
-#: inside some domain (a huge seed, an empty object, no toggles)
+#: floats, strings, out-of-range numbers (one too large for a float) and
+#: lists, and a few that are inside some domain (a huge seed, an empty
+#: object, no toggles)
 HOSTILE = [
-    None, True, False, 2.5, -0.5, "x", "churn", "", -1, 0, 13, 50, 2**64,
+    None, True, False, 2.5, -0.5, "x", "churn", "", -1, 0, 13, 50, 2**64, 10**400,
     [], [0.3, 0.1], [-1.0], {},
 ]
 

@@ -182,25 +182,6 @@ class TestOptimizers:
         opt.step()
         np.testing.assert_allclose(p.data, [4.9, -2.9])
 
-    def test_sgd_momentum_accelerates(self):
-        losses = {}
-        for momentum in (0.0, 0.9):
-            p = nn.Parameter(np.array([10.0]))
-            opt = nn.SGD([p], lr=0.005, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                p.grad = 2 * p.data  # d/dp p^2
-                opt.step()
-            losses[momentum] = abs(float(p.data[0]))
-        assert losses[0.9] < losses[0.0]
-
-    def test_sgd_weight_decay_shrinks(self):
-        p = nn.Parameter(np.array([1.0]))
-        opt = nn.SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert float(p.data[0]) == pytest.approx(1.0 - 0.1 * 0.5)
-
     def test_sgd_skips_gradless_params(self):
         p = nn.Parameter(np.array([1.0]))
         nn.SGD([p], lr=0.1).step()
@@ -220,8 +201,4 @@ class TestOptimizers:
             nn.SGD([], lr=0.1)
         with pytest.raises(ValueError):
             nn.SGD([nn.Parameter(np.ones(1))], lr=-1)
-        with pytest.raises(ValueError):
-            nn.SGD([nn.Parameter(np.ones(1))], lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            nn.SGD([nn.Parameter(np.ones(1))], lr=0.1, nesterov=True)
 

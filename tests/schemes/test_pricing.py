@@ -106,3 +106,58 @@ class TestTransmissionPricing:
     def test_zero_byte_transfers_free(self, pricing):
         assert transmit_s(pricing.uplink_model_demand(0, 0, 1e6)) == 0.0
         assert transmit_s(pricing.downlink_model_demand(0, 0, 1e6)) == 0.0
+
+
+class TestCodecWork:
+    """``encode`` / ``decode`` are the one place coded payloads are priced
+    as compute: nothing under the identity codec, one activity on the
+    owning device under a lossy one."""
+
+    def test_identity_codec_prices_no_codec_work(self, pricing):
+        assert pricing.encode(0, 1000, "smashed") == []
+        assert pricing.decode(None, 1000, "model") == []
+
+    def test_lossy_codec_prices_work_on_the_owning_device(self, built):
+        p = LatencyModel(built.system, built.profile, 16, transport="int8")
+        (encode,) = p.encode(3, 1000, "smashed")
+        assert (encode.phase, encode.actor, encode.detail) == ("encode", "client-3", "smashed")
+        assert encode.demand.client == 3
+        assert encode.demand.flops == p.codec.encode_flops(1000)
+        (decode,) = p.decode(None, 1000, "gradient")
+        assert (decode.phase, decode.actor, decode.demand.client) == (
+            "decode", "edge-server", None
+        )
+        assert decode.demand.flops == p.codec.decode_flops(1000)
+        (broadcast,) = p.encode(None, 10, "model broadcast", actor="access-point")
+        assert broadcast.actor == "access-point" and broadcast.demand.client is None
+
+    def test_nothing_to_code_is_free(self, built):
+        (activity,) = LatencyModel(
+            built.system, built.profile, 16, transport="topk:0.5"
+        ).encode(0, 0, "model")
+        assert activity.demand == 0.0
+
+    def test_unpriced_lossy_codec_keeps_zero_duration_activities(self):
+        p = LatencyModel(None, None, 8, transport="int8")
+        assert [(a.phase, a.demand) for a in p.encode(0, 100, "x") + p.decode(1, 100, "x")] == [
+            ("encode", 0.0), ("decode", 0.0)
+        ]
+
+
+class TestCodedPayloadSizes:
+    def test_identity_wire_is_the_raw_payload(self, pricing, built):
+        assert pricing.smashed_nbytes(2) == built.profile.smashed_bytes(2, 16)
+        raw = built.profile.client_model_bytes(2)
+        assert pricing.model_wire_nbytes(raw) == raw
+
+    def test_int8_wire_is_one_byte_per_scalar_plus_parameters(self, built):
+        p = LatencyModel(built.system, built.profile, 16, transport="int8")
+        scalars = p.smashed_scalars(2)
+        assert scalars == built.profile.smashed_bytes(2, 16) // 4
+        assert p.smashed_nbytes(2) == scalars + 16
+        assert p.model_wire_nbytes(4000) == 1000 + 16
+
+    def test_empty_model_payload_ships_nothing(self, built):
+        """No parameter header for a payload of nothing."""
+        p = LatencyModel(built.system, built.profile, 16, transport="int8")
+        assert p.model_wire_nbytes(0) == 0

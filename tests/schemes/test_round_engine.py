@@ -35,6 +35,11 @@ TRANSPORTS = ["float32", "int8", "topk:0.25"]
 LAYOUT = [([0, 1], 0), ([2], 10), ([3, 4, 5], 20)]
 
 
+def _setup(transport: str = "float32"):
+    """The ``(config, codec)`` pair a scheme hands the round engine."""
+    return SchemeConfig(transport=transport), parse_transport(transport)
+
+
 def _split(seed: int = 1):
     """A freshly built split model; ``seed`` offsets its initialisation."""
     return split_model(
@@ -101,14 +106,14 @@ def _assert_same_result(a, b):
 class TestRunGroupTasks:
     def test_results_in_task_order(self, small_dataset):
         results, client_avg, server_avg = run_group_tasks(
-            _tasks(small_dataset), _split(), SchemeConfig()
+            _tasks(small_dataset), _split(), *_setup()
         )
         assert [r.index for r in results] == [0, 1, 2]
         assert [r.num_members for r in results] == [2, 1, 3]
         assert client_avg.num_states == server_avg.num_states == 3
 
     def test_no_tasks_no_results(self):
-        results, client_avg, server_avg = run_group_tasks([], _split(), SchemeConfig())
+        results, client_avg, server_avg = run_group_tasks([], _split(), *_setup())
         assert results == []
         assert client_avg.num_states == server_avg.num_states == 0
 
@@ -116,23 +121,23 @@ class TestRunGroupTasks:
     def test_task_result_independent_of_predecessors(self, small_dataset, transport):
         """Task ``k`` after tasks ``0..k-1`` on one model == task ``k`` alone
         on a model nobody trained."""
-        config = SchemeConfig(transport=transport)
-        together = run_group_tasks(_tasks(small_dataset), _split(), config)
+        setup = _setup(transport)
+        together = run_group_tasks(_tasks(small_dataset), _split(), *setup)
         for index in range(len(LAYOUT)):
-            alone = run_group_tasks(_tasks(small_dataset, [index]), _split(), config)
+            alone = run_group_tasks(_tasks(small_dataset, [index]), _split(), *setup)
             _assert_same_result(_unit(together, index), _unit(alone, 0))
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_task_order_does_not_change_results(self, small_dataset, transport):
-        config = SchemeConfig(transport=transport)
-        forward = run_group_tasks(_tasks(small_dataset), _split(), config)
-        backward = run_group_tasks(_tasks(small_dataset, [2, 1, 0]), _split(), config)
+        setup = _setup(transport)
+        forward = run_group_tasks(_tasks(small_dataset), _split(), *setup)
+        backward = run_group_tasks(_tasks(small_dataset, [2, 1, 0]), _split(), *setup)
         for position in range(len(LAYOUT)):
             _assert_same_result(_unit(forward, position), _unit(backward, 2 - position))
 
     def test_rows_do_not_alias_the_shared_model(self, small_dataset):
         split = _split()
-        round_ = run_group_tasks(_tasks(small_dataset), split, SchemeConfig())
+        round_ = run_group_tasks(_tasks(small_dataset), split, *_setup())
         snapshot = [
             [{k: v.copy() for k, v in rows.items()} for rows in _unit(round_, p)[1:]]
             for p in range(len(LAYOUT))
@@ -158,7 +163,7 @@ class TestRunGroupTasks:
                     return sampler()
 
                 task.samplers[position] = counted
-        run_group_tasks(tasks, _split(), SchemeConfig())
+        run_group_tasks(tasks, _split(), *_setup())
         # Members in relay order, each drawing ``local_steps`` batches in a row.
         assert calls == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
@@ -175,11 +180,10 @@ class TestUploadedHalves:
     def test_payload_is_the_coded_trained_half_and_outlives_training(
         self, small_dataset, transport
     ):
-        codec = parse_transport(transport)
-        config = SchemeConfig(transport=transport)
+        config, codec = _setup(transport)
         split = _split()
         first, second = _tasks(small_dataset, [0, 1])
-        train_split_group(first, split, config)
+        train_split_group(first, split, config, codec)
         client_state, server_state = _uploaded_halves(split, codec)
         # What coding a copy of the trained client half gives, byte for byte.
         expected = codec.apply_state(split.client.state_dict())
@@ -190,7 +194,7 @@ class TestUploadedHalves:
         assert list(client_state) == list(expected)
         for key, value in expected.items():
             assert client_state[key].tobytes() == value.tobytes()
-        train_split_group(second, split, config)
+        train_split_group(second, split, config, codec)
         for half, before in zip((client_state, server_state), kept):
             for key, value in before.items():
                 np.testing.assert_array_equal(half[key], value)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
 from repro.schemes.base import SchemeConfig
-from repro.sim.transport import Float32Codec
+from repro.sim.transport import Float32Codec, parse_transport
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "histories"
 sys.path.insert(0, str(FIXTURE_DIR))
@@ -53,7 +53,7 @@ class TestFloat32IsBitwiseIdentity:
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_explicit_float32_matches_golden_bitwise(self, name):
         scheme, history = run_with_transport(name, "float32")
-        assert not scheme.config.codec.lossy
+        assert not scheme._pricing.codec.lossy
         assert_matches_golden(history, name)
 
     @pytest.mark.parametrize("name", ALL_SCHEMES)
@@ -95,7 +95,7 @@ class TestTransportConfig:
     def test_replace_moves_off_a_lossy_transport(self):
         """``transport`` alone names the codec: replacing it takes effect."""
         config = replace(SchemeConfig(transport="int8"), transport="float32")
-        assert isinstance(config.codec, Float32Codec)
+        assert isinstance(parse_transport(config.transport), Float32Codec)
         config = replace(SchemeConfig(transport="int8"), transport="topk:0.1")
         assert config.transport == "topk:0.1"
 
@@ -113,7 +113,7 @@ class TestTransportConfig:
         built with ``target`` in the first place."""
         config = replace(SchemeConfig(transport=source), transport=target)
         assert config.transport == target
-        assert config.codec == SchemeConfig(transport=target).codec
+        assert parse_transport(config.transport) == parse_transport(target)
 
     def test_transport_is_the_only_codec_knob(self):
         with pytest.raises(TypeError):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schemes.base import Activity, Stage
-from repro.sim.runtime import ComputeDemand, FixedDemand, Runtime
+from repro.sim.runtime import ComputeDemand, Runtime
 from repro.sim.server import (
     AggregationServer,
     BoundedStaleness,
@@ -56,7 +56,7 @@ def stage_workloads(draw):
         acts = draw(
             st.lists(
                 st.one_of(
-                    durations.map(FixedDemand),
+                    durations,
                     st.tuples(flops, st.integers(0, 3)).map(
                         lambda p: ComputeDemand(p[0], 1e4, client=p[1])
                     ),
@@ -141,7 +141,7 @@ class TestLowerBound:
 
         def work_fn(unit, round_index):
             acts = [
-                Activity(FixedDemand(d), "client_compute", f"unit-{unit}")
+                Activity(d, "client_compute", f"unit-{unit}")
                 for d in profile[unit]
             ]
             return UnitRoundWork(acts, payload=unit, weight=1.0)
@@ -176,7 +176,7 @@ def drive_server(policy, table, num_rounds, runtime=None):
     )
 
     def work_fn(unit, round_index):
-        demand = FixedDemand(table[unit][round_index])
+        demand = table[unit][round_index]
         return UnitRoundWork(
             [Activity(demand, "client_compute", f"unit-{unit}")],
             payload=(unit, round_index),

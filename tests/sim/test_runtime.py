@@ -10,10 +10,11 @@ from repro.sim.engine import Environment
 from repro.sim.resources import EqualShare, FairShareLink, NominalShare
 from repro.sim.runtime import (
     ComputeDemand,
-    FixedDemand,
     Runtime,
     TransmitDemand,
     TransmitLeg,
+    demand_lower_bound_s,
+    demand_nominal_s,
 )
 from repro.sim.server import SyncBarrier
 from repro.sim.trace import TraceRecorder
@@ -26,10 +27,11 @@ def identity_leg(nbits, client=0):
 
 class TestDemands:
     def test_fixed_demand_views(self):
-        d = FixedDemand(2.5)
-        assert d.lower_bound_s == d.nominal_s == 2.5
-        with pytest.raises(ValueError):
-            FixedDemand(-1.0)
+        """A float is the fixed-duration demand; an activity refuses a
+        negative one."""
+        assert demand_lower_bound_s(2.5) == demand_nominal_s(2.5) == 2.5
+        with pytest.raises(ValueError, match="negative duration"):
+            Activity(-1.0, "client_compute", "client-0")
 
     def test_compute_demand_seconds(self):
         d = ComputeDemand(flops=1e9, flops_per_s=2e8, client=3)

@@ -7,8 +7,8 @@ The property tests pin the contract the schemes rely on:
   most half a quantization step, for every K in [1, 16];
 * ``topk:F`` is deterministic, element-preserving, and never keeps a
   smaller magnitude over a larger one;
-* wire sizes match the payload accounting of
-  :class:`repro.nn.quantize.QuantizedArray`;
+* an ``intk:K`` payload bills its packed ``K``-bit codes plus the two
+  per-tensor parameters;
 * :func:`parse_transport` round-trips every canonical codec name and
   rejects malformed specs with a :class:`ValueError` (the CLI's exit-2
   path).
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.quantize import QuantizedArray, quantize_uniform
 from repro.sim.transport import (
     TOPK_BYTES_PER_ENTRY,
     Float32Codec,
@@ -82,26 +81,83 @@ class TestIntKRoundTrip:
         with pytest.raises(ValueError, match="num_bits"):
             IntKCodec(bits)
 
+    def test_more_bits_less_error(self):
+        x = np.random.default_rng(1).normal(size=(500,))
+        errors = [np.abs(IntKCodec(bits).apply(x) - x).mean() for bits in (2, 4, 8, 12)]
+        assert errors == sorted(errors, reverse=True) and len(set(errors)) == 4
+
+    def test_endpoints_within_one_step(self):
+        """Affine quantization reconstructs min/max to within one step
+        (the rounded zero-point shifts endpoints by at most scale/2)."""
+        x = np.array([-3.0, 0.5, 7.0])
+        y = IntKCodec(8).apply(x)
+        step = 10.0 / 255
+        assert y.min() == pytest.approx(-3.0, abs=step)
+        assert y.max() == pytest.approx(7.0, abs=step)
+
+    def test_shape_preserved(self):
+        x = np.zeros((2, 3, 4)) + np.arange(4)
+        assert IntKCodec(4).apply(x).shape == (2, 3, 4)
+        assert IntKCodec(8).apply(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_zero_tensor(self):
+        np.testing.assert_array_equal(IntKCodec(8).apply(np.zeros(7)), np.zeros(7))
+
+    def test_negative_zero_point_not_mistaken_for_constant(self):
+        """Regression: a positive-min tensor can legitimately round to
+        zero point -1 (``[1.0, 12.0]`` at 4 bits), which an old
+        constant-tensor sentinel hijacked, rebuilding a constant array."""
+        x = np.array([1.0, 12.0])
+        step = (12.0 - 1.0) / 15
+        assert int(np.round(-1.0 / step)) == -1
+        y = IntKCodec(4).apply(x)
+        assert y[0] != y[1]
+        assert np.abs(y - x).max() <= step / 2 + 1e-9
+
+    def test_subnormal_span_is_a_constant(self):
+        """A span so small that ``span / levels`` underflows to 0 used to
+        divide by it (hypothesis found ``[0.0, 5e-324]``); it round-trips
+        as a constant tensor at the minimum."""
+        x = np.array([0.0, 5e-324])
+        np.testing.assert_array_equal(IntKCodec(4).apply(x), [0.0, 0.0])
+
+    def test_quantizes_to_at_most_two_to_the_k_levels(self):
+        x = np.random.default_rng(0).normal(size=(40,))
+        y = IntKCodec(4).apply(x)
+        assert not np.allclose(y, x)
+        assert len(np.unique(y)) <= 16
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_input_dtype(self, dtype):
+        x = np.linspace(-1.0, 2.0, 11).astype(dtype)
+        assert IntKCodec(8).apply(x).dtype == dtype
+        assert IntKCodec(8).apply(np.full(3, 2.5, dtype=dtype)).dtype == dtype
+
 
 class TestIntKWireAccounting:
     @settings(max_examples=100, deadline=None)
-    @given(x=float_tensors, bits=st.integers(min_value=1, max_value=16))
-    def test_wire_bytes_matches_payload_bytes(self, x, bits):
-        """Non-constant tensors pay exactly what QuantizedArray bills."""
-        q = quantize_uniform(x, num_bits=bits)
-        if q.constant:
-            return
-        assert IntKCodec(bits).wire_bytes(x.size) == q.payload_bytes
+    @given(
+        size=st.integers(min_value=0, max_value=10**7),
+        bits=st.integers(min_value=1, max_value=16),
+    )
+    def test_codes_pack_with_under_a_byte_of_slack(self, size, bits):
+        """The packed codes hold every ``bits``-bit code and waste less
+        than one byte; the parameters ride on top."""
+        packed = IntKCodec(bits).wire_bytes(size) - IntKCodec.PARAMS_BYTES
+        assert 8 * packed - 8 < size * bits <= 8 * packed
 
     def test_zero_scalars_bills_parameters_only(self):
-        assert IntKCodec(8).wire_bytes(0) == QuantizedArray.PARAMS_BYTES
+        assert IntKCodec(8).wire_bytes(0) == IntKCodec.PARAMS_BYTES == 16
 
     def test_int8_is_one_byte_per_scalar_plus_params(self):
-        assert IntKCodec(8).wire_bytes(1000) == 1000 + QuantizedArray.PARAMS_BYTES
+        assert IntKCodec(8).wire_bytes(1000) == 1000 + IntKCodec.PARAMS_BYTES
+
+    def test_payload_bytes_scale_with_bits(self):
+        assert IntKCodec(4).wire_bytes(1000) == 500 + IntKCodec.PARAMS_BYTES
 
     def test_sub_byte_codes_pack(self):
         # 10 scalars at 4 bits = 5 packed bytes
-        assert IntKCodec(4).wire_bytes(10) == 5 + QuantizedArray.PARAMS_BYTES
+        assert IntKCodec(4).wire_bytes(10) == 5 + IntKCodec.PARAMS_BYTES
 
     def test_codec_compute_scales_with_payload(self):
         codec = IntKCodec(8)
@@ -187,6 +243,10 @@ class TestParseTransport:
     def test_identity_wire_is_raw_float32(self):
         assert Float32Codec().wire_bytes(250) == 1000
 
+    def test_identity_apply_passes_through(self):
+        x = np.random.default_rng(0).normal(size=(4, 4))
+        assert Float32Codec().apply(x) is x
+
     def test_apply_state_round_trips_float_tensors_only(self):
         state = {
             "w": np.linspace(-1.0, 1.0, 9),
@@ -197,3 +257,43 @@ class TestParseTransport:
         assert not np.array_equal(out["w"], state["w"])  # lossy at 2 bits
         # The identity codec skips the walk entirely.
         assert Float32Codec().apply_state(state) is state
+
+
+class TestSchemeIntegration:
+    def test_pricing_reflects_quantization(self):
+        from repro.experiments.scenario import fast_scenario
+        from repro.schemes.pricing import LatencyModel
+
+        built = fast_scenario(with_wireless=True).build()
+        full = LatencyModel(built.system, built.profile, 16)
+        quant = LatencyModel(built.system, built.profile, 16, transport="int8")
+        cut = built.scenario.resolved_cut_layer()
+        assert quant.smashed_nbytes(cut) < full.smashed_nbytes(cut) / 3
+
+    def test_quantized_gsfl_still_learns(self):
+        from dataclasses import replace
+
+        from repro.experiments.runner import make_scheme
+        from repro.experiments.scenario import fast_scenario
+
+        scenario = fast_scenario(with_wireless=True)
+        scenario.scheme = replace(scenario.scheme, transport="int8")
+        built = scenario.build()
+        history = make_scheme("GSFL", built).run(3)
+        assert history.final_accuracy > 0.2  # chance is 0.1
+
+    def test_quantized_round_is_faster(self):
+        from dataclasses import replace
+
+        from repro.experiments.runner import make_scheme
+        from repro.experiments.scenario import fast_scenario
+
+        base = fast_scenario(with_wireless=True)
+        base.wireless = replace(base.wireless, deterministic_rates=True)
+        t_full = make_scheme("GSFL", base.build()).run(1).total_latency_s
+
+        quant = fast_scenario(with_wireless=True)
+        quant.wireless = replace(quant.wireless, deterministic_rates=True)
+        quant.scheme = replace(quant.scheme, transport="int8")
+        t_quant = make_scheme("GSFL", quant.build()).run(1).total_latency_s
+        assert t_quant < t_full
