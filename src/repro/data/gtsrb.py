@@ -26,8 +26,8 @@ conditional draws, so their order is the dataset's identity); geometry,
 colour, jitter, blur and clipping are array expressions over the class.
 ``render_sign`` is the ``n = 1`` call of the same renderer.  The
 per-sample generator this replaced lives on, frozen, in
-``tests/data/test_gtsrb_oracle.py``, which holds both to the same bytes
-and the same generator state afterwards.
+``tests/reference/data.py``; ``tests/data/test_gtsrb_oracle.py`` holds
+both to the same bytes and the same generator state afterwards.
 
 Rendering is float64 throughout; the split is *stored* in the compute
 dtype (:func:`repro.nn.get_default_dtype` when it is built).  The final

@@ -269,6 +269,15 @@ def _replay_scenario(path: str) -> ExperimentScenario:
     scenario = (entry.builder(seed) if entry is not None
                 else fast_scenario(with_wireless=True, seed=seed))
     if scenario.num_clients != num_clients:
+        # Re-shaped onto the fast world: refuse a fleet its training split
+        # cannot give one sample per client before anything is sized by it.
+        dataset = fast_scenario(with_wireless=False, seed=seed).dataset
+        samples = int(dataset.class_counts(dataset.train_per_class).sum())
+        if num_clients > samples:
+            raise ValueError(
+                f"{path}:1: num_clients must be at most {samples} (one training "
+                f"sample per client in the replayed world), got {num_clients}"
+            )
         scenario = fast_scenario(
             with_wireless=True,
             num_clients=num_clients,

@@ -2,7 +2,7 @@
 
 Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), the layers the
 reproduction's models are built from (dense, ReLU, conv, max pooling,
-batch norm), losses, the SGD and Adam optimizers, weight
+batch norm), the classification losses, the SGD optimizer, weight
 initialization, model profiling (shapes/FLOPs/payload bytes), parameter
 serialization, and the split-model machinery used by split learning.
 
@@ -14,10 +14,10 @@ from repro.nn import functional
 from repro.nn.dtype import default_dtype, get_default_dtype, set_default_dtype
 from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.layers import Flatten, Layer, Linear, ReLU
-from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss, accuracy_from_logits
+from repro.nn.losses import CrossEntropyLoss, NLLLoss, accuracy_from_logits
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import SGD, Optimizer
 from repro.nn.profile import LayerProfile, ModelProfile, profile_model
 from repro.nn.serialize import (
     WIRE_BYTES_PER_SCALAR,
@@ -57,11 +57,9 @@ __all__ = [
     "BatchNorm2d",
     "CrossEntropyLoss",
     "NLLLoss",
-    "MSELoss",
     "accuracy_from_logits",
     "Optimizer",
     "SGD",
-    "Adam",
     "LayerProfile",
     "ModelProfile",
     "profile_model",

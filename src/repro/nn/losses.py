@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nn.tensor import Node, Tensor
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "NLLLoss", "accuracy_from_logits"]
+__all__ = ["CrossEntropyLoss", "NLLLoss", "accuracy_from_logits"]
 
 
 def _nll(x: Tensor, targets: np.ndarray, reduction: str, from_logits: bool) -> Tensor:
@@ -99,23 +99,6 @@ class NLLLoss:
 
     def __repr__(self) -> str:
         return f"NLLLoss(reduction={self.reduction!r})"
-
-
-class MSELoss:
-    """Mean squared error between predictions and targets."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-        self.reduction = reduction
-
-    def __call__(self, preds: Tensor, targets: np.ndarray) -> Tensor:
-        diff = preds - Tensor(np.asarray(targets, dtype=preds.dtype))
-        sq = diff * diff
-        return sq.mean() if self.reduction == "mean" else sq.sum()
-
-    def __repr__(self) -> str:
-        return f"MSELoss(reduction={self.reduction!r})"
 
 
 def accuracy_from_logits(logits: Tensor | np.ndarray, targets: np.ndarray) -> float:

@@ -48,9 +48,9 @@ dense reference used by the equivalence suite):
 
 ``"dense"`` (everything else: :class:`EqualShare`, allocator-backed
 contended policies)
-    Full recomputation: settle every flow, re-run
-    :meth:`SharePolicy.allocate` over the active set, re-price the flows
-    whose rate changed.  A re-priced flow keeps a finish instant and the
+    Full recomputation: re-run :meth:`SharePolicy.allocate` over the
+    active set, then, in one pass, settle every flow at its old rate and
+    re-price the flows whose rate changed.  A re-priced flow keeps a finish instant and the
     queue ticket it would have been scheduled with; only the link's
     earliest completion is actually queued (under that ticket, so ties
     with every other event resolve as if each flow were queued).  A
@@ -331,7 +331,6 @@ class FairShareLink:
                 return flow.done
             # Oversubscribed: dense rescaling over the whole active set.
             self._demote_static()
-        self._dense_settle()
         self._flows[flow.done] = flow
         self._dense_reallocate()
         return flow.done
@@ -351,10 +350,8 @@ class FairShareLink:
         if flow is None:
             return None
         static = self._mode == "static"
-        if static:
-            self._lazy_settle(flow)
-        else:
-            self._dense_settle()
+        # The survivors are settled by the dense re-allocation below.
+        self._lazy_settle(flow)
         if flow.completion is not None:
             self.env.cancel(flow.completion)
         flow.completion = None
@@ -450,17 +447,13 @@ class FairShareLink:
     # ------------------------------------------------------------------
     # dense engine (full recomputation — the reference semantics)
     # ------------------------------------------------------------------
-    def _dense_settle(self) -> None:
-        """Charge elapsed service to every active flow."""
-        now = self.env.now
-        for flow in self._flows.values():
-            elapsed = now - flow.last_update
-            if elapsed > 0.0 and flow.bps > 0.0:
-                flow.remaining_bits = max(0.0, flow.remaining_bits - elapsed * flow.bps)
-            flow.last_update = now
-
     def _dense_reallocate(self) -> None:
-        """Re-divide capacity, re-price re-rated flows, queue the earliest."""
+        """Charge every flow its service since the last membership change,
+        re-divide capacity, re-price re-rated flows, queue the earliest.
+
+        One pass: each flow is settled at its old bitrate in the loop that
+        re-prices it (the policies read neither the bits nor the instants).
+        """
         env = self.env
         now, reserve = env.now, env._reserve
         flows = list(self._flows.values())
@@ -468,6 +461,11 @@ class FairShareLink:
         head: _Flow | None = None
         head_at = 0.0
         for flow, allocated in zip(flows, allocations):
+            elapsed = now - flow.last_update
+            if elapsed > 0.0 and flow.bps > 0.0:
+                left = flow.remaining_bits - elapsed * flow.bps
+                flow.remaining_bits = left if left > 0.0 else 0.0
+            flow.last_update = now
             rate_fn = flow.rate_fn
             if rate_fn is None:
                 bps = allocated
@@ -505,8 +503,8 @@ class FairShareLink:
             return  # superseded (rate changed since queueing)
         # The live completion is authoritative: the rate has not changed
         # since it was priced, so the transfer is done now regardless of
-        # float residue in remaining_bits.
-        self._dense_settle()
+        # float residue in remaining_bits; the survivors are settled by the
+        # re-allocation.
         flow.remaining_bits = 0.0
         flow.alive = False
         del self._flows[flow.done]

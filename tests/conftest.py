@@ -11,7 +11,6 @@ from hypothesis import settings
 from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.experiments.scenario import fast_scenario
-from repro.nn.serialize import pack_state
 
 # Hypothesis budget profiles: "ci" keeps property sweeps cheap in the
 # per-PR gate; "weekly" (selected via HYPOTHESIS_PROFILE on the scheduled
@@ -94,30 +93,3 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * eps)
     return grad
-
-
-def running_sum_reference(states, weights):
-    """The running FedAvg sum, frozen: ``acc = w₀·s₀``, then
-    ``acc = acc + wᵢ·sᵢ`` in list order over the packed rows, with the
-    weights normalized in float64 and cast to the states' dtype."""
-    rows = [pack_state(s) for s in states]
-    w = (np.asarray(weights, dtype=np.float64) / np.sum(weights)).astype(rows[0].dtype)
-    acc = w[0] * rows[0]
-    for wi, row in zip(w[1:], rows[1:]):
-        acc = acc + wi * row
-    return acc
-
-
-def summation_bound(states, weights):
-    """``2·γₙ·Σᵢ|wᵢ·sᵢ|`` per entry, ``γₙ = n·u/(1 − n·u)``, ``u`` half
-    the dtype's eps: each of two orders of the same n-term sum lies within
-    ``γₙ·Σᵢ|wᵢ·sᵢ|`` of the exact one, so the two lie within twice that."""
-    rows = [pack_state(s) for s in states]
-    dtype = rows[0].dtype
-    w = (np.asarray(weights, dtype=np.float64) / np.sum(weights)).astype(dtype)
-    n, u = len(rows), np.finfo(dtype).eps / 2
-    gamma = n * u / (1 - n * u)
-    magnitude = sum(
-        np.abs(wi.astype(np.float64) * row.astype(np.float64)) for wi, row in zip(w, rows)
-    )
-    return 2 * gamma * magnitude

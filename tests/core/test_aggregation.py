@@ -17,7 +17,7 @@ from repro.core.aggregation import (
     weighted_delta,
 )
 from repro.nn.serialize import pack_state
-from tests.conftest import running_sum_reference, summation_bound
+from tests.reference.aggregation import frozen_gemv, running_sum_reference, summation_bound
 
 
 def make_states(num, seed=0, shape=(3, 2)):
@@ -25,15 +25,6 @@ def make_states(num, seed=0, shape=(3, 2)):
     return [
         {"w": rng.normal(size=shape), "b": rng.normal(size=shape[1])} for _ in range(num)
     ]
-
-
-def frozen_gemv(states, weights):
-    """``fedavg`` before the row packer, frozen: the packed states stacked
-    into one matrix, times the weights normalized in float64 and cast to
-    its dtype."""
-    matrix = np.stack([pack_state(s) for s in states])
-    weights = np.asarray(weights, dtype=np.float64)
-    return (weights / weights.sum()).astype(matrix.dtype, copy=False) @ matrix
 
 
 class TestFedAvg:

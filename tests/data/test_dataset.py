@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset, DataLoader, Dataset, Subset
+from tests.reference import assert_same
+from tests.reference.data import per_item_batch
 
 
 class TestArrayDataset:
@@ -126,12 +128,6 @@ class TestDataLoader:
             assert list(loader) == []
 
 
-def per_item_batch(dataset: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
-    """The batching code ``take`` replaced, verbatim."""
-    xs, ys = zip(*(dataset[int(i)] for i in indices))
-    return np.stack(xs), np.asarray(ys)
-
-
 class PerItem(Dataset):
     """A dataset batched the way every dataset was before ``take``."""
 
@@ -179,12 +175,6 @@ DATASETS = {
 }
 
 
-def assert_same_batch(got, want) -> None:
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-
-
 @pytest.mark.parametrize("name", list(DATASETS))
 class TestTakeEqualsThePerItemLoop:
     """``sample_batch`` / ``__iter__`` / ``arrays`` return the arrays the
@@ -194,11 +184,11 @@ class TestTakeEqualsThePerItemLoop:
     def test_take(self, name):
         gathered, looped = DATASETS[name](), DATASETS[name]()
         indices = np.array([2, 0, 2, len(gathered) - 1])
-        assert_same_batch(gathered.take(indices), per_item_batch(looped, indices))
+        assert_same(gathered.take(indices), per_item_batch(looped, indices))
 
     def test_arrays(self, name):
         gathered, looped = DATASETS[name](), DATASETS[name]()
-        assert_same_batch(gathered.arrays(), per_item_batch(looped, range(len(looped))))
+        assert_same(gathered.arrays(), per_item_batch(looped, range(len(looped))))
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_iteration(self, name, shuffle):
@@ -209,14 +199,14 @@ class TestTakeEqualsThePerItemLoop:
             batches, reference = list(gathered), list(looped)
             assert len(batches) == len(reference) == len(gathered)
             for got, want in zip(batches, reference):
-                assert_same_batch(got, want)
+                assert_same(got, want)
         assert gathered._rng.bit_generator.state == looped._rng.bit_generator.state
 
     def test_sample_batch(self, name):
         gathered = DataLoader(DATASETS[name](), batch_size=4, seed=17)
         looped = DataLoader(PerItem(DATASETS[name]()), batch_size=4, seed=17)
         for _ in range(5):
-            assert_same_batch(gathered.sample_batch(), looped.sample_batch())
+            assert_same(gathered.sample_batch(), looped.sample_batch())
         assert gathered._rng.bit_generator.state == looped._rng.bit_generator.state
 
 

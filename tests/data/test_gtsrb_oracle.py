@@ -2,10 +2,9 @@
 it replaced.
 
 ``SyntheticGTSRB._generate`` renders one class at a time as array
-expressions; this file keeps the generator it had before — one
-``render_sign`` call per sample, a nine-pass ``_box_blur`` per blurred
-image, a Python list and ``np.stack`` — frozen below as the oracle (the
-repo's frozen-reference pattern: see ``tests/nn/test_kernel_parity.py``).
+expressions; the generator it had before — one ``render_sign`` call per
+sample, a nine-pass ``_box_blur`` per blurred image, a Python list and
+``np.stack`` — is frozen as the oracle in ``tests/reference/data.py``.
 Images, labels, sample order and the generator state left behind must be
 identical (the test split is drawn from where the train split stopped,
 and a caller's generator must come back where it always did), so every
@@ -33,134 +32,21 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.cli import main
-from repro.data.gtsrb import (
-    _COLORS,
-    NUM_CLASSES,
-    GtsrbConfig,
-    SyntheticGTSRB,
-    _glyph_mask,
-    _shape_mask,
-    class_spec,
-    render_sign,
-)
+from repro.data.gtsrb import NUM_CLASSES, GtsrbConfig, SyntheticGTSRB, render_sign
 from repro.experiments.scenario import fast_scenario, paper_scenario
 from repro.utils.rng import new_rng
-
-# ----------------------------------------------------------------------
-# The frozen per-sample generator (verbatim from the parent commit).
-# ----------------------------------------------------------------------
-
-
-def oracle_render_sign(
-    label: int,
-    size: int,
-    rng: np.random.Generator,
-    noise_std: float = 0.08,
-    jitter: float = 0.25,
-    max_shift: int = 2,
-    blur_prob: float = 0.3,
-    occlusion_prob: float = 0.15,
-) -> np.ndarray:
-    spec = class_spec(label)
-    # Random sub-pixel centre shift implemented as coordinate offset.
-    dy = rng.integers(-max_shift, max_shift + 1) * (2.0 / size)
-    dx = rng.integers(-max_shift, max_shift + 1) * (2.0 / size)
-    coords = np.linspace(-1.0, 1.0, size)
-    yy, xx = np.meshgrid(coords + dy, coords + dx, indexing="ij")
-
-    sign = _shape_mask(spec.shape, yy, xx)
-    glyph = _glyph_mask(spec.glyph, spec.glyph_scale, yy, xx) & sign
-    rim = sign & ~_shape_mask(spec.shape, yy * 1.35, xx * 1.35)
-
-    img = np.empty((3, size, size))
-    background = 0.25 + 0.2 * rng.random(3)
-    face = np.array(_COLORS["white"]) if spec.color != "white" else np.array(
-        (0.75, 0.75, 0.75)
-    )
-    rim_color = np.array(_COLORS[spec.color])
-    glyph_color = np.array((0.05, 0.05, 0.05))
-    for c in range(3):
-        img[c] = background[c]
-        img[c][sign] = face[c]
-        img[c][rim] = rim_color[c]
-        img[c][glyph] = glyph_color[c]
-
-    # Photometric jitter: brightness offset + contrast scale.
-    brightness = 1.0 + jitter * (rng.random() - 0.5) * 2.0
-    offset = jitter * 0.3 * (rng.random() - 0.5) * 2.0
-    img = img * brightness + offset
-
-    if noise_std > 0:
-        img = img + rng.normal(0.0, noise_std, size=img.shape)
-
-    if rng.random() < blur_prob:
-        img = oracle_box_blur(img)
-
-    if rng.random() < occlusion_prob:
-        oh = rng.integers(size // 6, size // 3 + 1)
-        ow = rng.integers(size // 6, size // 3 + 1)
-        oy = rng.integers(0, size - oh + 1)
-        ox = rng.integers(0, size - ow + 1)
-        img[:, oy : oy + oh, ox : ox + ow] = rng.random()
-
-    return np.clip(img, 0.0, 1.0)
-
-
-def oracle_box_blur(img: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(img)
-    count = np.zeros_like(img)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            src_y = slice(max(0, -dy), img.shape[1] - max(0, dy))
-            src_x = slice(max(0, -dx), img.shape[2] - max(0, dx))
-            dst_y = slice(max(0, dy), img.shape[1] - max(0, -dy))
-            dst_x = slice(max(0, dx), img.shape[2] - max(0, -dx))
-            out[:, dst_y, dst_x] += img[:, src_y, src_x]
-            count[:, dst_y, dst_x] += 1.0
-    return out / count
-
-
-def oracle_generate(
-    cfg: GtsrbConfig, per_class: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    counts = cfg.class_counts(per_class)
-    images: list[np.ndarray] = []
-    labels: list[int] = []
-    for label in range(cfg.num_classes):
-        for _ in range(int(counts[label])):
-            images.append(
-                oracle_render_sign(
-                    label,
-                    cfg.image_size,
-                    rng,
-                    noise_std=cfg.noise_std,
-                    jitter=cfg.jitter,
-                    max_shift=cfg.max_shift,
-                    blur_prob=cfg.blur_prob,
-                    occlusion_prob=cfg.occlusion_prob,
-                )
-            )
-            labels.append(label)
-    x = np.stack(images)
-    y = np.asarray(labels, dtype=np.int64)
-    order = rng.permutation(len(y))
-    return x[order], y[order]
-
-
-def oracle_train_test(cfg: GtsrbConfig) -> tuple[list[np.ndarray], dict]:
-    """The four arrays of ``train_test()`` and the generator state after."""
-    rng = new_rng(cfg.seed)
-    train = oracle_generate(cfg, cfg.train_per_class, rng)
-    test = oracle_generate(cfg, cfg.test_per_class, rng)
-    return [*train, *test], rng.bit_generator.state
-
+from tests.reference import assert_same
+from tests.reference.data import oracle_render_sign, oracle_train_test
 
 # ----------------------------------------------------------------------
 # Comparison helpers
 # ----------------------------------------------------------------------
 
 
-def generated(cfg: GtsrbConfig) -> tuple[list[np.ndarray], dict]:
+NAMES = ("train x", "train y", "test x", "test y")
+
+
+def generated(cfg: GtsrbConfig) -> dict:
     """``train_test()``'s four arrays and the state its generator ends in."""
     made: list[np.random.Generator] = []
 
@@ -172,22 +58,24 @@ def generated(cfg: GtsrbConfig) -> tuple[list[np.ndarray], dict]:
         patch.setattr("repro.data.gtsrb.new_rng", recording_rng)
         train, test = SyntheticGTSRB(cfg).train_test()
     (rng,) = made
-    return [train.images, train.labels, test.images, test.labels], rng.bit_generator.state
+    arrays = (train.images, train.labels, test.images, test.labels)
+    return {**dict(zip(NAMES, arrays)), "state": rng.bit_generator.state}
 
 
-def assert_same_dataset(cfg: GtsrbConfig, dtype: type = np.float64) -> None:
+def oracle_dataset(cfg: GtsrbConfig, dtype: type = np.float64) -> dict:
+    """The oracle's arrays, its images cast to ``dtype``, and its state."""
+    arrays, state = oracle_train_test(cfg)
+    arrays[0], arrays[2] = arrays[0].astype(dtype), arrays[2].astype(dtype)
+    return {**dict(zip(NAMES, arrays)), "state": state}
+
+
+def assert_dataset_is_the_oracle(cfg: GtsrbConfig, dtype: type = np.float64) -> None:
     """``train_test()`` built under compute dtype ``dtype`` is the oracle,
-    its images cast to ``dtype``."""
+    its images cast to ``dtype``: every byte, C-contiguous, and the
+    generator left in the same state."""
     with nn.default_dtype(dtype):
-        got, got_state = generated(cfg)
-    want, want_state = oracle_train_test(cfg)
-    want[0], want[2] = want[0].astype(dtype), want[2].astype(dtype)
-    for name, g, w in zip(("train x", "train y", "test x", "test y"), got, want):
-        assert g.dtype == w.dtype, name
-        assert g.shape == w.shape, name
-        assert g.flags.c_contiguous, name
-        assert g.tobytes() == w.tobytes(), f"{name} differs for {cfg}"
-    assert got_state == want_state, f"generator state differs for {cfg}"
+        got = generated(cfg)
+    assert_same(got, oracle_dataset(cfg, dtype), str(cfg), contiguous=True)
 
 
 def workload_configs(seed: int) -> dict[str, GtsrbConfig]:
@@ -231,11 +119,11 @@ class TestDatasetEqualsOracle:
         "workload", ["paper-gsfl", "fleet-contended", "churn-async-trace"]
     )
     def test_workload_datasets(self, workload, seed):
-        assert_same_dataset(workload_configs(seed)[workload])
+        assert_dataset_is_the_oracle(workload_configs(seed)[workload])
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_config_variants(self, name):
-        assert_same_dataset(VARIANTS[name])
+        assert_dataset_is_the_oracle(VARIANTS[name])
 
     @given(
         num_classes=st.integers(1, NUM_CLASSES),
@@ -252,7 +140,7 @@ class TestDatasetEqualsOracle:
     )
     @settings(max_examples=25, deadline=None)
     def test_any_config(self, **fields):
-        assert_same_dataset(GtsrbConfig(**fields))
+        assert_dataset_is_the_oracle(GtsrbConfig(**fields))
 
 
 class TestStoredInTheComputeDtype:
@@ -263,11 +151,11 @@ class TestStoredInTheComputeDtype:
         "workload", ["paper-gsfl", "fleet-contended", "churn-async-trace"]
     )
     def test_workload_datasets_in_float32(self, workload, seed):
-        assert_same_dataset(workload_configs(seed)[workload], np.float32)
+        assert_dataset_is_the_oracle(workload_configs(seed)[workload], np.float32)
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_config_variants_in_float32(self, name):
-        assert_same_dataset(VARIANTS[name], np.float32)
+        assert_dataset_is_the_oracle(VARIANTS[name], np.float32)
 
     def test_dtype_is_fixed_at_build_time(self):
         cfg = GtsrbConfig(**SMALL)
@@ -320,7 +208,7 @@ class TestRenderSignEqualsOracle:
 
 class TestOracleIsTheParent:
     """sha256 of train x | train y | test x | test y, taken at the commit
-    whose generator is frozen above — an edit to the oracle (or to the
+    whose generator is frozen in ``tests/reference/data.py`` — an edit to the oracle (or to the
     mask functions it shares with ``src``) cannot pass unnoticed."""
 
     PINS = {

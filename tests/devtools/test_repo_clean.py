@@ -7,10 +7,15 @@ Acceptance criteria for the determinism lints:
 * deleting the ``wireless/channel.py`` seed-requirement fix (or
   re-introducing any seedless RNG in library code) makes it exit
   non-zero again.
+
+And for the suite itself: no module under ``tests/`` imports a ``test_*``
+module or edits ``sys.path``.  Shared helpers live in importable modules
+(``tests.reference``, ``tests.fixtures.regenerate``, ``tests.conftest``).
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -91,3 +96,66 @@ class TestGateHasTeeth:
             "RNG = np.random.default_rng()  # repro: disable=DET001\n"
         )
         assert main([str(tmp_path)]) == 1
+
+
+def is_test_module(module: str) -> bool:
+    return any(part.startswith("test_") for part in module.split("."))
+
+
+def suite_entanglements(path: Path, root: Path = REPO_ROOT) -> list[str]:
+    """Each import of a ``test_*`` module and each use of ``sys.path`` in
+    the module at ``path``, as ``path:line: what``."""
+    where = path.relative_to(root).as_posix()
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), where)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] if is_test_module(base) else [
+                ".".join(filter(None, (base, alias.name))) for alias in node.names
+            ]
+            if base == "sys" and "path" in {alias.name for alias in node.names}:
+                found.append(f"{where}:{node.lineno}: imports sys.path")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "path"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            found.append(f"{where}:{node.lineno}: uses sys.path")
+            continue
+        else:
+            continue
+        found += [
+            f"{where}:{node.lineno}: imports test module {module}"
+            for module in modules
+            if is_test_module(module)
+        ]
+    return found
+
+
+class TestSuiteStandsAlone:
+    """Test modules do not import each other or edit the import path.
+    Shared helpers live in importable modules instead; two fixture
+    ``regenerate`` modules put on ``sys.path`` once shadowed each other."""
+
+    def test_no_test_module_imports_another_or_edits_sys_path(self):
+        modules = sorted((REPO_ROOT / "tests").rglob("*.py"))
+        assert len(modules) > 60
+        found = [line for path in modules for line in suite_entanglements(path)]
+        assert found == [], "\n".join(found)
+
+    @pytest.mark.parametrize("source, found", [
+        ("from test_kernel_parity import ref_conv2d\n",
+         "1: imports test module test_kernel_parity"),
+        ("import tests.nn.test_tensor\n", "1: imports test module tests.nn.test_tensor"),
+        ("from tests.nn import test_tensor\n", "1: imports test module tests.nn.test_tensor"),
+        ("import sys\nsys.path.insert(0, 'x')\n", "2: uses sys.path"),
+        ("from sys import path\n", "1: imports sys.path"),
+    ], ids=["from-test-module", "import-test-module", "import-from-package", "sys.path-insert",
+            "from-sys-import-path"])
+    def test_the_guard_sees(self, tmp_path, source, found):
+        module = tmp_path / "test_x.py"
+        module.write_text(source)
+        assert suite_entanglements(module, tmp_path) == [f"test_x.py:{found}"]

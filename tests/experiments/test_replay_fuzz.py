@@ -23,6 +23,7 @@ from repro.devtools.trace_schema import READ_DOMAINS
 from repro.experiments.catalog import export_trace, get_scenario
 from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.runner import make_scheme
+from repro.experiments.scenario import ExperimentScenario
 
 #: values outside most fields' domains: null, bools, non-integral
 #: floats, strings, out-of-range numbers (one too large for a float) and
@@ -92,3 +93,42 @@ class TestReplayFuzz:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         else:
             assert err == ""
+
+
+class TestReplayedFleetBound:
+    """A replayed ``num_clients`` the fast world cannot give one training
+    sample each (its split holds 240) is refused before the build.
+
+    ``100000`` used to exit 2 with ``cannot split 240 samples across
+    100000 clients`` and ``10**400`` with numpy's ``Maximum allowed
+    dimension exceeded``; neither named the field or the trace line."""
+
+    @pytest.mark.parametrize(
+        "num_clients", [241, 100000, 10**400], ids=["241", "100000", "10**400"]
+    )
+    def test_too_many_clients_exits_2_naming_the_field(
+        self, recorded, tmp_path, capsys, monkeypatch, num_clients
+    ):
+        rows = [json.loads(line) for line in recorded]
+        rows[0] = {**rows[0], "num_clients": num_clients}
+        path = tmp_path / "fleet.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        def no_build(self):
+            raise AssertionError("the replayed world was built")
+
+        monkeypatch.setattr(ExperimentScenario, "build", no_build)
+        capsys.readouterr()
+        code = main(["run", "--scenario", f"replay:{path}", "--rounds", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --scenario replay:{path}: {path}:1: num_clients must be at most "
+            f"240 (one training sample per client in the replayed world), got {num_clients}\n"
+        )
+
+    def test_one_sample_per_client_replays(self, recorded, tmp_path):
+        rows = [json.loads(line) for line in recorded]
+        rows[0] = {**rows[0], "num_clients": 240}
+        path = tmp_path / "fleet.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert get_scenario(f"replay:{path}").num_clients == 240

@@ -3,9 +3,10 @@
 ``_BatchNorm.forward`` used to build batch normalisation out of ~12
 generic autograd nodes (sum, mul, sub, pow, reshape, ...).  It is now one
 node in training mode and one per-channel scale-and-shift in eval mode.
-The composed version lives on *here*, frozen, as the reference (``src/``
-keeps one code path) — ``tests/nn/test_kernel_parity.py`` borrows it for
-its DeepThin whole-model step.
+The composed version lives on, frozen, as the reference in
+``tests/reference/nn_ops.py`` (``src/`` keeps one code path);
+``tests/nn/test_kernel_parity.py`` also runs it in its DeepThin
+whole-model step.
 
 The two are the same function but not the same float program: the fused
 node reduces ``Σ(x-μ)²`` and ``Σ g·x̂`` with one ``einsum`` pass each where
@@ -25,55 +26,19 @@ from repro import nn
 from repro.nn.norm import _BatchNorm
 from repro.nn.tensor import Tensor, no_grad
 from tests.conftest import numeric_gradient
-
-# ----------------------------------------------------------------------
-# Frozen reference: ``_BatchNorm.forward`` as of the commit before the
-# fused node.  Do not "modernise" it.
-# ----------------------------------------------------------------------
-
-
-def composed_batchnorm_forward(self: _BatchNorm, x: Tensor) -> Tensor:
-    shape = self._param_shape(x.ndim)
-    if self.training:
-        mean = x.mean(axis=self._reduce_axes, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=self._reduce_axes, keepdims=True)
-        m = self.momentum
-        n = x.data.size / self.num_features
-        unbiased = var.data.reshape(-1) * n / max(n - 1, 1)
-        self._update_buffer(
-            "running_mean", (1 - m) * self.running_mean + m * mean.data.reshape(-1)
-        )
-        self._update_buffer("running_var", (1 - m) * self.running_var + m * unbiased)
-        normed = centered * (var + self.eps) ** -0.5
-    else:
-        centered = x - Tensor(self.running_mean.reshape(shape))
-        inv_std = Tensor(1.0 / np.sqrt(self.running_var + self.eps).reshape(shape))
-        normed = centered * inv_std
-    return normed * self.gamma.reshape(*shape) + self.beta.reshape(*shape)
-
+from tests.reference.nn_ops import BOUND, composed_batchnorm_forward, relative_error
 
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
 
 DTYPES = [np.float32, np.float64]
-#: normwise bound on what the reassociation may move
-BOUND = {np.float32: 1e-5, np.float64: 1e-12}
-
 #: the BatchNorm inputs the four benchmark workloads produce — DeepThin's
 #: two BN layers at the train batch (16), the last partial evaluation batch
 #: (88) and a full evaluation batch (256) — plus a ``BatchNorm1d`` batch
 SHAPES = [
     (n, c, size, size) for c, size in [(16, 20), (32, 10)] for n in (16, 88, 256)
 ] + [(64, 12)]
-
-
-def relative_error(got: np.ndarray, want: np.ndarray) -> float:
-    """Largest absolute difference over the largest reference magnitude."""
-    assert got.shape == want.shape and got.dtype == want.dtype
-    scale = float(np.abs(want).max())
-    return float(np.abs(got - want).max()) / (scale if scale > 0 else 1.0)
 
 
 def make_layer(shape: tuple[int, ...], rng: np.random.Generator) -> _BatchNorm:

@@ -3,8 +3,8 @@
 ``F.linear`` used to be three autograd nodes (``transpose`` → ``matmul`` →
 ``add``) and ``CrossEntropyLoss`` five (``log_softmax`` → ``getitem`` →
 ``sum`` → ``neg`` → ``mul``; ``NLLLoss`` the last four).  Each is now one
-node.  The composed versions live on *here*, frozen, as the reference
-(``src/`` keeps one code path — the ``test_batchnorm_fused.py`` pattern).
+node.  The composed versions live on, frozen, as the reference in
+``tests/reference/nn_ops.py`` (``src/`` keeps one code path).
 
 Unlike the BatchNorm fusion nothing reassociates: a fused node evaluates
 the numpy expressions of its chain in the chain's order on operands of the
@@ -21,34 +21,8 @@ from repro import nn
 from repro.nn import functional as F
 from repro.nn.tensor import Node, Tensor, no_grad
 from tests.conftest import numeric_gradient
-
-# ----------------------------------------------------------------------
-# Frozen references: ``F.linear``, ``CrossEntropyLoss.__call__`` and
-# ``NLLLoss.__call__`` as of the commit before the fused nodes (argument
-# validation aside).  Do not "modernise" them.
-# ----------------------------------------------------------------------
-
-
-def composed_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    out = x @ weight.transpose()
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def composed_nll(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    targets = np.asarray(targets)
-    batch = np.arange(targets.shape[0])
-    picked = log_probs[batch, targets]
-    loss = -(picked.sum())
-    if reduction == "mean":
-        loss = loss * (1.0 / targets.shape[0])
-    return loss
-
-
-def composed_cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    return composed_nll(logits.log_softmax(axis=1), targets, reduction)
-
+from tests.reference import assert_same
+from tests.reference.nn_ops import composed_cross_entropy, composed_linear, composed_nll
 
 # ----------------------------------------------------------------------
 # helpers
@@ -75,12 +49,6 @@ LOGIT_SHAPES = [(4, 10), (16, 10), (16, 43), (256, 43)]
 
 def shape_id(value) -> str:
     return str(value).replace(" ", "")
-
-
-def assert_same_bytes(got: np.ndarray, want: np.ndarray, name: str) -> None:
-    assert got.dtype == want.dtype, name
-    assert got.shape == want.shape, name
-    assert got.tobytes() == want.tobytes(), name
 
 
 def graph_size(root: Tensor) -> int:
@@ -137,8 +105,7 @@ def run_loss(loss, shape, dtype, reduction, from_log_probs=False):
 def test_linear_matches_composed_reference(in_shape, out_features, dtype):
     got = run_linear(F.linear, in_shape, out_features, dtype)
     want = run_linear(composed_linear, in_shape, out_features, dtype)
-    for name, g, w in zip(["out", "dx", "dweight", "dbias"], got, want):
-        assert_same_bytes(g, w, name)
+    assert_same(got, want)
     assert got[0].dtype == np.dtype(dtype)
 
 
@@ -146,8 +113,7 @@ def test_linear_matches_composed_reference(in_shape, out_features, dtype):
 def test_linear_without_bias(dtype):
     got = run_linear(F.linear, (4, 64), 32, dtype, bias=False)
     want = run_linear(composed_linear, (4, 64), 32, dtype, bias=False)
-    for name, g, w in zip(["out", "dx", "dweight"], got, want):
-        assert_same_bytes(g, w, name)
+    assert_same(got, want)
 
 
 @pytest.mark.parametrize(
@@ -159,8 +125,7 @@ def test_linear_on_nd_input(in_shape, dtype):
     matmuls (weight and bias gradients summed over the leading axes)."""
     got = run_linear(F.linear, in_shape, 10, dtype)
     want = run_linear(composed_linear, in_shape, 10, dtype)
-    for name, g, w in zip(["out", "dx", "dweight", "dbias"], got, want):
-        assert_same_bytes(g, w, name)
+    assert_same(got, want)
     assert got[2].shape == (10, 32)
 
 
@@ -169,8 +134,7 @@ def test_linear_float64_input_on_float32_parameters():
     its own tensor's dtype, rounded once."""
     got = run_linear(F.linear, (4, 64), 32, np.float32, x_dtype=np.float64)
     want = run_linear(composed_linear, (4, 64), 32, np.float32, x_dtype=np.float64)
-    for name, g, w in zip(["out", "dx", "dweight", "dbias"], got, want):
-        assert_same_bytes(g, w, name)
+    assert_same(got, want)
     assert [a.dtype for a in got] == [np.float64, np.float64, np.float32, np.float32]
 
 
@@ -180,8 +144,7 @@ def test_linear_float64_input_on_float32_parameters():
 def test_cross_entropy_matches_composed_reference(shape, dtype, reduction):
     got = run_loss(fused_cross_entropy, shape, dtype, reduction)
     want = run_loss(composed_cross_entropy, shape, dtype, reduction)
-    assert_same_bytes(got[0], want[0], "loss")
-    assert_same_bytes(got[1], want[1], "dlogits")
+    assert_same(got, want)
     assert got[0].shape == () and got[0].dtype == np.dtype(dtype)
 
 
@@ -192,8 +155,7 @@ def test_nll_matches_composed_reference(shape, dtype, reduction):
     """Fed by an ordinary ``log_softmax`` node, as a user would."""
     got = run_loss(fused_nll, shape, dtype, reduction, from_log_probs=True)
     want = run_loss(composed_nll, shape, dtype, reduction, from_log_probs=True)
-    assert_same_bytes(got[0], want[0], "loss")
-    assert_same_bytes(got[1], want[1], "dlogits")
+    assert_same(got, want)
 
 
 def test_cross_entropy_under_an_upstream_gradient():
@@ -204,7 +166,7 @@ def test_cross_entropy_under_an_upstream_gradient():
         logits = Tensor(rng.normal(size=(16, 43)), requires_grad=True)
         (loss(logits, rng.integers(0, 43, size=16)) * 2.5).backward()
         grads.append(logits.grad)
-    assert_same_bytes(grads[0], grads[1], "dlogits")
+    assert_same(grads[0], grads[1])
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=IDS)
@@ -224,8 +186,7 @@ def test_mlp_head_step_matches_composed_reference(dtype, monkeypatch):
     got = step(nn.CrossEntropyLoss())
     monkeypatch.setattr(F, "linear", composed_linear)
     want = step(composed_cross_entropy)
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert_same_bytes(g, w, f"array {i}")
+    assert_same(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Parity of the K-major conv / slice-pooling kernels with the gather-based
 kernels they replaced.
 
-The old kernels live on *here*, frozen, as the reference (``src/`` keeps one
-code path).  Three fences:
+The old kernels live on, frozen, as the reference in
+``tests/reference/nn_ops.py`` (``src/`` keeps one code path).  Three fences:
 
 (a) on every conv / pool shape the golden histories and the four
     ``BENCHMARK.json`` workloads execute, forward output and all gradients
@@ -35,109 +35,20 @@ from repro.models.cnn import deepthin_cnn, micro_cnn
 from repro.nn import functional as F
 from repro.nn.norm import _BatchNorm
 from repro.nn.tensor import Tensor
-from test_batchnorm_fused import BOUND, composed_batchnorm_forward, relative_error
-
-# ----------------------------------------------------------------------
-# Frozen reference: the gather-based kernels as of the commit before the
-# K-major rewrite.  Do not "modernise" these.
-# ----------------------------------------------------------------------
-
-
-def ref_im2col(x, kernel_h, kernel_w, stride, padding):
-    n, c, h, w = x.shape
-    out_h = F.conv_output_size(h, kernel_h, stride, padding)
-    out_w = F.conv_output_size(w, kernel_w, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    s_n, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel_h * kernel_w
-    )
-    return np.ascontiguousarray(cols)
-
-
-def ref_col2im(cols, x_shape, kernel_h, kernel_w, stride, padding):
-    n, c, h, w = x_shape
-    out_h = F.conv_output_size(h, kernel_h, stride, padding)
-    out_w = F.conv_output_size(w, kernel_w, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    reshaped = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 1, 2, 4, 5
-    )
-    for i in range(kernel_h):
-        h_end = i + stride * out_h
-        for j in range(kernel_w):
-            w_end = j + stride * out_w
-            padded[:, :, i:h_end:stride, j:w_end:stride] += reshaped[:, :, :, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
-    out_h = F.conv_output_size(h, kh, stride, padding)
-    out_w = F.conv_output_size(w, kw, stride, padding)
-    cols = ref_im2col(x.data, kh, kw, stride, padding)
-    w_mat = weight.data.reshape(c_out, -1)
-    out_data = cols @ w_mat.T
-    if bias is not None:
-        out_data = out_data + bias.data
-    out_data = out_data.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-    w_shape = weight.shape
-
-    def _bw(grad, to_x, to_w, to_b=None):
-        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        if to_w is not None:
-            to_w._accumulate((grad_mat.T @ cols).reshape(w_shape))
-        if to_b is not None:
-            to_b._accumulate(grad_mat.sum(axis=0))
-        if to_x is not None:
-            gcols = grad_mat @ w_mat
-            to_x._accumulate(ref_col2im(gcols, (n, c_in, h, w), kh, kw, stride, padding))
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._from_op(out_data, inputs, "conv2d", _bw)
-
-
-def ref_max_pool2d(x, kernel, stride=None):
-    stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
-    out_h = F.conv_output_size(h, kernel, stride, 0)
-    out_w = F.conv_output_size(w, kernel, stride, 0)
-    cols = ref_im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    argmax = cols.argmax(axis=1)
-    out_data = cols[np.arange(cols.shape[0]), argmax].reshape(n, c, out_h, out_w)
-    def _bw(grad, to_x):
-        gcols = np.zeros_like(cols)
-        gcols[np.arange(cols.shape[0]), argmax] = grad.reshape(-1)
-        gx = ref_col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
-        to_x._accumulate(gx.reshape(n, c, h, w))
-
-    return Tensor._from_op(out_data, (x,), "max_pool2d", _bw)
-
+from tests.reference import assert_same
+from tests.reference.nn_ops import (
+    BOUND,
+    composed_batchnorm_forward,
+    ref_conv2d,
+    ref_max_pool2d,
+    relative_error,
+)
 
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
 
 DTYPES = [np.float32, np.float64]
-
-
-def assert_identical(got: np.ndarray, want: np.ndarray) -> None:
-    """Same values (exact) and dtype as the reference; a 4-D array — the
-    activations and gradients of the layout contract — is C-contiguous."""
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.ndim != 4 or got.flags.c_contiguous
-    np.testing.assert_array_equal(got, want)
 
 
 def channels_last(a: np.ndarray) -> np.ndarray:
@@ -204,8 +115,7 @@ def test_conv2d_is_exact_on_pinned_shapes(n, c_in, size, c_out, dtype):
         upstream = rng.normal(size=(n, c_out, size, size)).astype(dtype)
         got = run_conv(F.conv2d, x, w, b, upstream, 1, 1)
         want = run_conv(ref_conv2d, x, w, b, upstream, 1, 1)
-    for g, r in zip(got, want):
-        assert_identical(g, r)
+    assert_same(got, want, by_value=True, contiguous=True)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
@@ -223,8 +133,7 @@ def test_pooling_is_exact_on_pinned_shapes(n, c, size, nhwc, dtype):
         upstream = rng.normal(size=(n, c, size // 2, size // 2)).astype(dtype)
         got = run_pool(F.max_pool2d, x, upstream, 2, 2)
         want = run_pool(ref_max_pool2d, x, upstream, 2, 2)
-    for g, r in zip(got, want):
-        assert_identical(g, r)
+    assert_same(got, want, by_value=True, contiguous=True)
 
 
 def whole_model_step(build, size, batch, dtype, patch_reference=None):
@@ -256,9 +165,9 @@ def test_whole_model_step_is_exact(monkeypatch, build, size, batch, dtype):
     contiguous arrays, and no value differs."""
     got = whole_model_step(build, size, batch, dtype)
     want = whole_model_step(build, size, batch, dtype, patch_reference=monkeypatch)
-    assert list(got) == list(want) and len(got) > 1
-    for name in got:
-        assert_identical(got[name], want[name])
+    assert len(got) > 1
+    assert_same(got, want, by_value=True)
+    assert all(g.ndim != 4 or g.flags.c_contiguous for g in got.values())
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
@@ -393,5 +302,4 @@ class TestMaxPoolTies:
             upstream = rng.normal(size=(4, 5, 4, 4)).astype(dtype)
             got = run_pool(F.max_pool2d, x, upstream, 2, 2)
             want = run_pool(ref_max_pool2d, x, upstream, 2, 2)
-        for g, r in zip(got, want):
-            assert_identical(g, r)
+        assert_same(got, want, by_value=True, contiguous=True)

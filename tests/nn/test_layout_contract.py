@@ -21,7 +21,7 @@ from repro.models.cnn import deepthin_cnn, micro_cnn
 from repro.nn import functional as F
 from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
-from test_kernel_parity import ref_conv2d
+from tests.reference.nn_ops import ref_conv2d
 
 #: ops whose backward closure receives a 4-D gradient in these models
 SPATIAL_OPS = {"conv2d", "max_pool2d", "batch_norm", "relu"}
@@ -115,7 +115,7 @@ def test_unsplit_step_keeps_the_contract(build, size, cut, monkeypatch):
 
 def test_guard_names_the_op_that_breaks_the_contract(monkeypatch):
     """The guard has teeth: the pre-contract conv (frozen in
-    ``test_kernel_parity.py``) returns an NHWC-memory view and is caught,
+    ``tests/reference/nn_ops.py``) returns an NHWC-memory view and is caught,
     by name, as it produces the view."""
     monkeypatch.setattr(F, "conv2d", ref_conv2d)
     model = micro_cnn(image_size=16, seed=1)

@@ -154,13 +154,6 @@ class TestLosses:
             loss(Tensor(np.zeros((0, 10))), np.zeros(0, dtype=int))
         assert loss(log_probs, [3, 9]).item() == pytest.approx(np.log(10.0))
 
-    def test_mse(self):
-        preds = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = nn.MSELoss()(preds, np.array([0.0, 0.0]))
-        assert abs(loss.item() - 2.5) < 1e-12
-        loss.backward()
-        np.testing.assert_allclose(preds.grad, [1.0, 2.0])
-
     def test_accuracy_from_logits(self):
         logits = np.array([[1, 0], [0, 1], [1, 0]], dtype=float)
         assert nn.accuracy_from_logits(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
@@ -186,15 +179,6 @@ class TestOptimizers:
         p = nn.Parameter(np.array([1.0]))
         nn.SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0])
-
-    def test_adam_converges_on_quadratic(self):
-        p = nn.Parameter(np.array([5.0]))
-        opt = nn.Adam([p], lr=0.3)
-        for _ in range(100):
-            opt.zero_grad()
-            p.grad = 2 * p.data
-            opt.step()
-        assert abs(float(p.data[0])) < 0.05
 
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ has no BatchNorm, so until this file nothing outside
 model the paper uses.  ``tests/fixtures/deepthin/histories.json`` freezes,
 as hex floats, the per-round training loss and test accuracy of GSFL and
 SL on a reduced ``paper_scenario`` in float64 and in float32 (see
-``regenerate_deepthin.py`` beside it).  A ``repro.nn`` change that is
+``tests/fixtures/regenerate.py``).  A ``repro.nn`` change that is
 meant to keep a BatchNorm model's bits must pass this unmodified; one that
 is meant to move them regenerates the fixture and bounds the move in its
 PR.
@@ -15,33 +15,28 @@ PR.
 from __future__ import annotations
 
 import json
-import pathlib
-import sys
 
 import pytest
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "deepthin"
-sys.path.insert(0, str(FIXTURE_DIR))
-
-from regenerate_deepthin import (  # noqa: E402
+from tests.fixtures.regenerate import (
+    DEEPTHIN_FIXTURE,
+    DEEPTHIN_KEYS,
+    DEEPTHIN_ROUNDS,
+    DEEPTHIN_SCHEMES,
     DTYPES,
-    FIXTURE,
-    KEYS,
-    ROUNDS,
-    SCHEMES,
+    deepthin_record,
     deepthin_scenario,
-    run_record,
 )
 
-GOLDEN = json.loads(FIXTURE.read_text())
+GOLDEN = json.loads(DEEPTHIN_FIXTURE.read_text())
 
 
 def test_fixture_covers_every_pinned_run():
     assert sorted(GOLDEN) == sorted(DTYPES)
     for dtype in DTYPES:
-        assert sorted(GOLDEN[dtype]) == sorted(SCHEMES)
+        assert sorted(GOLDEN[dtype]) == sorted(DEEPTHIN_SCHEMES)
         for record in GOLDEN[dtype].values():
-            assert len(record["train_loss"]) == len(record["test_accuracy"]) == ROUNDS
+            assert len(record["train_loss"]) == len(record["test_accuracy"]) == DEEPTHIN_ROUNDS
 
 
 def test_pinned_scenario_is_the_papers_model():
@@ -50,16 +45,18 @@ def test_pinned_scenario_is_the_papers_model():
     assert any(type(layer).__name__ == "BatchNorm2d" for layer in scenario.make_model())
 
 
-@pytest.mark.parametrize("dtype, name", KEYS, ids=[f"{d}-{n}" for d, n in KEYS])
+@pytest.mark.parametrize(
+    "dtype, name", DEEPTHIN_KEYS, ids=[f"{d}-{n}" for d, n in DEEPTHIN_KEYS]
+)
 def test_deepthin_run_reproduces_fixture_bitwise(dtype, name):
-    assert run_record(dtype, name) == GOLDEN[dtype][name], (
+    assert deepthin_record(dtype, name) == GOLDEN[dtype][name], (
         f"{name} ({dtype}): DeepThin answers diverged from the fixture — either "
         f"an nn regression or an intentional numeric change (regenerate and "
         f"bound it in the PR)"
     )
 
 
-@pytest.mark.parametrize("name", SCHEMES)
+@pytest.mark.parametrize("name", DEEPTHIN_SCHEMES)
 def test_float32_tracks_float64(name):
     """The two precisions are the same experiment: per-round losses agree to
     a few float32 ulps amplified by two rounds of training, so a

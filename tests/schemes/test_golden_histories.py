@@ -19,36 +19,31 @@ benchmark run), so a ``repro.nn`` change that moves only single-precision
 bits cannot hide behind a matching float64 row.
 
 The split family and FL are further pinned off the canonical
-configuration by float64 variant rows (``VARIANTS`` in the regenerate
-script): the ``int8`` codec under sync and ``bounded:2``, GSFL under the
-``topk:0.25`` sparsifier, and churn + participation + stragglers with
-mid-activity preemption, abort and retry counts included.
+configuration by float64 variant rows (``VARIANTS`` in
+``tests/fixtures/regenerate.py``): the ``int8`` codec under sync and
+``bounded:2``, GSFL under the ``topk:0.25`` sparsifier, and churn +
+participation + stragglers with mid-activity preemption, abort and retry
+counts included.
 
 Regenerate fixtures (only when histories are *supposed* to change) with
-``PYTHONPATH=src python tests/fixtures/histories/regenerate.py``.
+``PYTHONPATH=src python tests/fixtures/regenerate.py histories``.
 """
 
 from __future__ import annotations
-
-import pathlib
-import sys
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
-
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "histories"
-sys.path.insert(0, str(FIXTURE_DIR))
-
-from regenerate import (  # noqa: E402
+from tests.fixtures.regenerate import (
     DTYPES,
     GOLDEN_ROUNDS,
     VARIANTS,
+    assert_matches_golden,
     fixture_path,
     golden_scenario,
-    history_arrays,
+    load_golden,
     run_variant,
     variant_arrays,
 )
@@ -56,35 +51,6 @@ from regenerate import (  # noqa: E402
 ALL_SCHEMES = sorted(SCHEME_REGISTRY)
 #: schemes that support barrier-free aggregation (sync-limit parity)
 ASYNC_SCHEMES = ("GSFL", "SplitFed", "FL")
-
-
-def load_golden(name: str, dtype: str = "float64") -> dict[str, np.ndarray]:
-    path = fixture_path(name, dtype)
-    assert path.exists(), (
-        f"missing golden fixture {path}; run "
-        f"PYTHONPATH=src python tests/fixtures/histories/regenerate.py"
-    )
-    with np.load(path) as data:
-        return {key: data[key] for key in data.files}
-
-
-def assert_matches_golden(
-    history, name: str, dtype: str = "float64", actual: dict | None = None
-) -> None:
-    golden = load_golden(name, dtype)
-    if actual is None:
-        actual = history_arrays(history)
-    assert set(actual) == set(golden)
-    for key in golden:
-        np.testing.assert_array_equal(
-            actual[key],
-            golden[key],
-            err_msg=(
-                f"{name} ({dtype}): {key} diverged from the golden fixture — either a "
-                f"parity regression or an intentional history change "
-                f"(regenerate the fixtures and justify it in the PR)"
-            ),
-        )
 
 
 class TestGoldenHistories:

@@ -34,7 +34,7 @@ from repro.nn.serialize import pack_state
 from repro.schemes import federated, split_common
 from repro.schemes.centralized import CentralizedLearning
 from repro.utils.rng import new_rng
-from tests.conftest import running_sum_reference, summation_bound
+from tests.reference.aggregation import running_sum_reference, summation_bound
 
 MB = 1e6
 

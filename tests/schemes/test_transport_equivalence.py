@@ -10,8 +10,6 @@ owning devices.
 
 from __future__ import annotations
 
-import pathlib
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,12 +18,7 @@ import pytest
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
 from repro.schemes.base import SchemeConfig
 from repro.sim.transport import Float32Codec, parse_transport
-
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "histories"
-sys.path.insert(0, str(FIXTURE_DIR))
-
-from regenerate import GOLDEN_ROUNDS, golden_scenario  # noqa: E402
-from test_golden_histories import assert_matches_golden  # noqa: E402
+from tests.fixtures.regenerate import GOLDEN_ROUNDS, assert_matches_golden, golden_scenario
 
 ALL_SCHEMES = sorted(SCHEME_REGISTRY)
 #: one spec per codec family (and two bit widths of intk)

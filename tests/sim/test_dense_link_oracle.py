@@ -4,10 +4,10 @@ The dense engine keeps a finish instant and a queue ticket per flow and
 queues only the link's earliest completion.  Before that rewrite it
 queued a completion *per flow* and, on every membership change,
 cancelled and re-created one for each flow whose rate had changed.
-:class:`PerFlowArmingLink` below is that older algorithm, frozen
-verbatim (the ``tests/nn/test_kernel_parity.py`` pattern) — it shares no
-code with ``repro.sim.resources`` beyond the ``_Flow`` record and the
-policies — and these tests replay arbitrary schedules through both.
+``PerFlowArmingLink`` in ``tests/reference/link.py`` is that older
+algorithm, frozen verbatim — it shares no code with
+``repro.sim.resources`` beyond the ``_Flow`` record and the policies — and
+these tests replay arbitrary schedules through both.
 
 The engines must resolve the *same event sequence*, not merely close
 numbers: completion and abort instants and abort settlements are
@@ -27,113 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.events import Event
-from repro.sim.resources import (
-    EqualShare,
-    FairShareLink,
-    NominalShare,
-    SharePolicy,
-    _Flow,
-)
+from repro.sim.resources import EqualShare, FairShareLink, NominalShare
 from repro.wireless.bandwidth import as_share_policy, make_allocator
 from repro.wireless.channel import WirelessChannel
+from tests.reference import assert_same
+from tests.reference.link import reference_link
 
 CAPACITY = 40.0
 ALLOCATORS = ("equal", "proportional_rate", "inverse_rate")
-
-
-class PerFlowArmingLink:
-    """The pre-rewrite dense engine: one queued completion per flow.
-
-    Frozen reference — do not "tidy" it towards the production engine;
-    its value is that it is the algorithm the contended-medium answers
-    were first produced by.
-    """
-
-    def __init__(
-        self, env: Environment, capacity_bps: float, policy: SharePolicy
-    ) -> None:
-        self.env = env
-        self.capacity_bps = capacity_bps
-        self.policy = policy
-        self._flows: dict[Event, _Flow] = {}
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
-    def transfer(self, nbits, *, client=None, rate_fn=None, nominal=None) -> Event:
-        flow = _Flow(
-            remaining_bits=float(nbits),
-            done=Event(self.env),
-            last_update=self.env.now,
-            client=client,
-            rate_fn=rate_fn,
-            nominal=nominal,
-        )
-        self._settle()
-        self._flows[flow.done] = flow
-        self._reallocate()
-        return flow.done
-
-    def abort(self, done: Event) -> "float | None":
-        flow = self._flows.get(done)
-        if flow is None:
-            return None
-        self._settle()
-        if flow.completion is not None:
-            self.env.cancel(flow.completion)
-        flow.completion = None
-        del self._flows[done]
-        if self._flows:
-            self._reallocate()
-        return flow.remaining_bits
-
-    def _settle(self) -> None:
-        now = self.env.now
-        for flow in self._flows.values():
-            elapsed = now - flow.last_update
-            if elapsed > 0.0 and flow.bps > 0.0:
-                flow.remaining_bits = max(0.0, flow.remaining_bits - elapsed * flow.bps)
-            flow.last_update = now
-
-    def _reallocate(self) -> None:
-        if not self._flows:
-            return
-        flows = list(self._flows.values())
-        allocations = self.policy.allocate(flows, self.capacity_bps)
-        for flow, allocated in zip(flows, allocations):
-            bps = flow.rate_fn(allocated) if flow.rate_fn is not None else allocated
-            if flow.completion is not None and bps == flow.bps:
-                continue  # unchanged rate: the scheduled completion stands
-            flow.bps = bps
-            if flow.completion is not None:
-                self.env.cancel(flow.completion)
-            if bps <= 0.0:
-                flow.completion = None
-                continue
-            completion = Event(self.env)
-            flow.completion = completion
-            eta = flow.remaining_bits / bps
-            self.env._schedule(self.env.now + eta, completion, None)
-            completion.add_callback(self._make_finisher(flow, completion))
-
-    def _make_finisher(self, flow: _Flow, completion: Event):
-        def _finish(_: Event) -> None:
-            if flow.completion is not completion or flow.done.triggered:
-                return
-            self._settle()
-            flow.remaining_bits = 0.0
-            del self._flows[flow.done]
-            if self._flows:
-                self._reallocate()
-            flow.done.succeed()
-
-        return _finish
-
-
-def reference_link(env, capacity, policy):
-    return PerFlowArmingLink(env, capacity, policy)
 
 
 def dense_link(env, capacity, policy):
@@ -246,13 +147,11 @@ def replay(make_link, policy, specs, rate_fns=None, bits_scale=1.0, asked=None):
     }
 
 
-def assert_same_world(
-    policy_factory, specs, make_link=dense_link, rate_fns=None, bits_scale=1.0
-):
+def worlds(policy_factory, specs, make_link=dense_link, rate_fns=None, bits_scale=1.0):
+    """The engine's and the oracle's replay of one schedule (oracle first)."""
     expected = replay(reference_link, policy_factory(), specs, rate_fns, bits_scale)
     actual = replay(make_link, policy_factory(), specs, rate_fns, bits_scale)
-    assert actual == expected
-    return actual
+    return actual, expected
 
 
 def assert_priced_once(
@@ -267,7 +166,7 @@ def assert_priced_once(
         reference_link, policy_factory(), specs, rate_fns, bits_scale, oracle_asked
     )
     actual = replay(make_link, policy_factory(), specs, rate_fns, bits_scale, asked)
-    assert actual == expected
+    assert_same(actual, expected)
     assert asked == {i: list(dict.fromkeys(calls)) for i, calls in oracle_asked.items()}
     return oracle_asked, asked
 
@@ -305,20 +204,20 @@ class TestDenseEngineMatchesPerFlowArming:
     @given(specs=FLOW_SPECS)
     @settings(max_examples=80, deadline=None)
     def test_equal_share(self, specs):
-        assert_same_world(EqualShare, specs)
+        assert_same(*worlds(EqualShare, specs))
 
     @given(specs=FLOW_SPECS)
     @settings(max_examples=80, deadline=None)
     def test_nominal_share_including_oversubscription(self, specs):
         # nominals 1..30 over capacity 40: feasible and rescaled epochs
-        assert_same_world(NominalShare, specs)
+        assert_same(*worlds(NominalShare, specs))
 
     @pytest.mark.parametrize("allocator", ALLOCATORS)
     @pytest.mark.parametrize("make_link", [dense_link, default_link])
     @given(specs=FLOW_SPECS)
     @settings(max_examples=40, deadline=None)
     def test_allocator_share_policy(self, allocator, make_link, specs):
-        assert_same_world(partial(allocator_policy, allocator), specs, make_link)
+        assert_same(*worlds(partial(allocator_policy, allocator), specs, make_link))
 
     @pytest.mark.parametrize("allocator", ALLOCATORS)
     @given(specs=FLOW_SPECS, fading=st.data())
@@ -328,10 +227,10 @@ class TestDenseEngineMatchesPerFlowArming:
     ):
         """What the runtime submits: frozen-fading ``rate_bps`` partials."""
         rate_fns = shannon_rate_fns(specs, fading)
-        assert_same_world(
+        assert_same(*worlds(
             partial(allocator_policy, allocator), specs, default_link, rate_fns,
             bits_scale=32.0,
-        )
+        ))
 
 
 class TestRateTable:
@@ -392,12 +291,12 @@ class TestExactTies:
             (1, 20, None, None, 1, 10),
             (1, 40, None, None, 2, 10),
         ]
-        world = assert_same_world(EqualShare, specs)
+        world = assert_same(*worlds(EqualShare, specs))
         assert world["log"][0] == ("done", 0, (0.25).hex())
 
     def test_simultaneous_finishes_keep_submission_order(self):
         specs = [(0, 40, None, None, c, 10) for c in range(4)]
-        world = assert_same_world(EqualShare, specs)
+        world = assert_same(*worlds(EqualShare, specs))
         assert [entry[1] for entry in world["log"]] == [0, 1, 2, 3]
         assert len({entry[2] for entry in world["log"]}) == 1
 
@@ -411,7 +310,7 @@ class TestExactTies:
             (4, 400, None, None, 2, 10),
         ]
         for policy in (EqualShare, NominalShare):
-            world = assert_same_world(policy, specs)
+            world = assert_same(*worlds(policy, specs))
             at_five = [e[:2] for e in world["log"] if e[2] == (5.0).hex()]
             assert at_five == [("done", 0), ("abort", 1)]
 
@@ -425,7 +324,7 @@ class TestExactTies:
             (2, 400, 18, None, 2, 10),  # abort deadline 0.5 + 4.5 = 5.0
         ]
         for policy in (EqualShare, NominalShare):
-            world = assert_same_world(policy, specs)
+            world = assert_same(*worlds(policy, specs))
             at_five = [e[:2] for e in world["log"] if e[2] == (5.0).hex()]
             assert at_five == [("done", 1), ("abort", 2)]
 
@@ -435,11 +334,11 @@ class TestExactTies:
             (0, 40, None, None, 1, 10),
             (0, 40, None, None, 2, 10),
         ]
-        world = assert_same_world(EqualShare, specs)
+        world = assert_same(*worlds(EqualShare, specs))
         assert [entry[1] for entry in world["log"]] == [1, 2, 0]
         assert world["stalled"] == 0
 
     def test_forever_starved_flow_stalls_identically(self):
         specs = [(0, 80, None, starving(100.0), 0, 10), (0, 40, None, None, 1, 10)]
-        world = assert_same_world(EqualShare, specs)
+        world = assert_same(*worlds(EqualShare, specs))
         assert world["stalled"] == 1
