@@ -7,13 +7,13 @@ Paper claims reproduced here:
 * GSFL converges several times faster than FL in rounds-to-target
   (paper: "nearly 500% improvement in convergence speed").
 
-The benchmark prints the same accuracy-vs-round series the paper plots.
+The benchmark prints the same accuracy-vs-round series the paper plots,
+from the priced run it shares with Fig 2(b) (``priced_figures``).
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.experiments import paper_scenario, run_fig2a
+from benchmarks.conftest import priced_figures, run_once
 from repro.metrics.report import convergence_speedup
 
 
@@ -23,11 +23,7 @@ def test_fig2a_accuracy_vs_rounds(benchmark, scale):
     else:
         rounds, tpc, target = 26, 16, 0.5
 
-    def experiment():
-        scenario = paper_scenario(with_wireless=False, train_per_class=tpc)
-        return run_fig2a(scenario, num_rounds=rounds, target_accuracy=target)
-
-    result = run_once(benchmark, experiment)
+    result = run_once(benchmark, lambda: priced_figures(rounds, tpc))
     h = result.histories
 
     print()

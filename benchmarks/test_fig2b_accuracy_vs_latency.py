@@ -7,13 +7,14 @@ Paper claims reproduced here:
 * double-digit relative delay reduction at the target accuracy
   (paper: "about 31.45%").
 
-The benchmark prints the same (latency, accuracy) series the paper plots.
+The benchmark prints the same (latency, accuracy) series the paper plots,
+read from the priced run it shares with Fig 2(a) (``priced_figures``).
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.experiments import paper_scenario, run_fig2b
+from benchmarks.conftest import priced_figures, run_once
+from repro.experiments import run_fig2b
 from repro.metrics.report import latency_reduction
 
 
@@ -23,11 +24,7 @@ def test_fig2b_accuracy_vs_latency(benchmark, scale):
     else:
         rounds, tpc, target = 26, 16, 0.75
 
-    def experiment():
-        scenario = paper_scenario(with_wireless=True, train_per_class=tpc)
-        return run_fig2b(scenario, num_rounds=rounds, target_accuracy=target)
-
-    result = run_once(benchmark, experiment)
+    result = run_once(benchmark, lambda: run_fig2b(priced_figures(rounds, tpc), target))
     sl, gsfl = result.histories["SL"], result.histories["GSFL"]
 
     print()

@@ -4,9 +4,11 @@
 Fig 2(a): accuracy vs training rounds for CL / SL / GSFL / FL.
 Fig 2(b): accuracy vs cumulative simulated latency for GSFL vs SL.
 
+Both figures are read from one priced training of the four schemes.
+
 By default runs a scaled-down configuration (~3 minutes).  Set
 ``REPRO_FULL=1`` for the full paper-scale run (30 clients / 6 groups /
-43 classes, ~15 minutes) used in EXPERIMENTS.md.
+43 classes, ~15 minutes).
 
 Usage::
 
@@ -25,18 +27,18 @@ from repro.metrics.report import convergence_speedup, latency_reduction
 def main() -> None:
     full = os.environ.get("REPRO_FULL", "0") == "1"
     if full:
-        rounds_2a, rounds_2b = 30, 40
+        rounds = 40
         scenario_kwargs = {}
     else:
-        rounds_2a, rounds_2b = 12, 16
+        rounds = 16
         scenario_kwargs = {"train_per_class": 10}
 
     # ------------------------------------------------------------------
-    # Fig 2(a): accuracy vs rounds (no latency needed)
+    # Fig 2(a): accuracy vs rounds
     # ------------------------------------------------------------------
     print("== Fig 2(a): accuracy vs training rounds ==")
-    scenario = paper_scenario(with_wireless=False, **scenario_kwargs)
-    fig2a = run_fig2a(scenario, num_rounds=rounds_2a, target_accuracy=0.6, verbose=True)
+    scenario = paper_scenario(with_wireless=True, **scenario_kwargs)
+    fig2a = run_fig2a(scenario, num_rounds=rounds, target_accuracy=0.6, verbose=True)
     print()
     print(fig2a.table)
     print()
@@ -50,11 +52,10 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # Fig 2(b): accuracy vs latency (GSFL vs SL)
+    # Fig 2(b): accuracy vs latency (GSFL vs SL), from the same run
     # ------------------------------------------------------------------
     print("== Fig 2(b): accuracy vs training latency ==")
-    scenario = paper_scenario(with_wireless=True, **scenario_kwargs)
-    fig2b = run_fig2b(scenario, num_rounds=rounds_2b, target_accuracy=0.6, verbose=True)
+    fig2b = run_fig2b(fig2a, target_accuracy=0.6)
     print()
     print(fig2b.table)
     print()

@@ -103,6 +103,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
 
 _RUN = ("run",)
 _GSFL = ("GSFL",)
+_SPLIT = ("SL", "SplitFed", "PSL", "GSFL")
 #: the commands that build a scenario (``scenarios`` only lists or describes)
 _BUILDING = ("fig2a", "fig2b", "run", "cuts", "info")
 
@@ -147,8 +148,8 @@ FLAGS = (
          "with a flaky abort/retry record (EWMA over the fault telemetry)"),
     Flag("--regroup-every", "scheme.regroup_every", _RUN, _GSFL, type=int, metavar="N",
          help="re-partition every N rounds (with --regroup; default 1)"),
-    Flag("--cut-layer", "scenario.cut_layer", _RUN, type=int),
-    Flag("--transport", "scheme.transport", _RUN, metavar="CODEC",
+    Flag("--cut-layer", "scenario.cut_layer", _RUN, _SPLIT, type=int),
+    Flag("--transport", "scheme.transport", _RUN, ("FL", *_SPLIT), metavar="CODEC",
          help="wire codec for model/smashed/gradient payloads: 'float32' "
          "(identity, default), 'int8', 'intk:K' (K-bit uniform-affine), or "
          "'topk:F' (keep the top F fraction of entries by magnitude); "
@@ -341,8 +342,8 @@ def _cmd_fig2b(args: argparse.Namespace) -> int:
         scenario = _scenario(args)
     except ValueError as exc:
         return _config_error(exc)
-    result = run_fig2b(scenario, num_rounds=args.rounds,
-                       target_accuracy=args.target, verbose=True)
+    result = run_fig2b(run_fig2a(scenario, num_rounds=args.rounds, target_accuracy=args.target,
+                                 schemes=("SL", "GSFL"), verbose=True), args.target)
     print()
     print(result.table)
     reduction = result.delay_reduction

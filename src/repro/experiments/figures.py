@@ -1,14 +1,14 @@
-"""Regeneration harnesses for the paper's figures.
+"""Regeneration harnesses for the paper's figures, both read from one
+training of the same schemes.
 
 * :func:`run_fig2a` — accuracy vs training rounds for CL / SL / GSFL / FL
   (paper Fig 2(a)); the headline check is the scheme ordering and the
   GSFL-over-FL convergence-speed factor (paper: "nearly 500%").
 * :func:`run_fig2b` — accuracy vs cumulative latency for GSFL vs SL
-  (paper Fig 2(b)); headline check is the relative delay reduction at a
-  target accuracy (paper: "about 31.45%").
-
-Both return the histories plus a small result record used by the
-benchmarks and EXPERIMENTS.md.
+  (paper Fig 2(b)), a view of a priced :func:`run_fig2a` result: each
+  scheme starts its own fading stream, so its series is a lone run's.  The
+  headline check is the relative delay reduction at a target accuracy
+  (paper: "about 31.45%").
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def run_fig2a(
 ) -> Fig2aResult:
     """Reproduce Fig 2(a): accuracy vs rounds across the four schemes.
 
-    Runs without the wireless pricer (accuracy axis only) for speed when
-    the scenario was declared with ``wireless=None``; otherwise latency is
-    tracked too (harmless).
+    Runs without the wireless pricer when the scenario was declared with
+    ``wireless=None``; otherwise every scheme is priced too, its training
+    history unchanged, and the result feeds :func:`run_fig2b`.
     """
     built = scenario.build()
     histories = run_schemes(built, list(schemes), num_rounds, verbose=verbose)
@@ -76,20 +76,15 @@ def run_fig2a(
     )
 
 
-def run_fig2b(
-    scenario: ExperimentScenario,
-    num_rounds: int,
-    target_accuracy: float = 0.6,
-    verbose: bool = False,
-) -> Fig2bResult:
-    """Reproduce Fig 2(b): accuracy vs latency, GSFL vs SL.
+def run_fig2b(fig2a: Fig2aResult, target_accuracy: float = 0.6) -> Fig2bResult:
+    """Reproduce Fig 2(b): accuracy vs latency, GSFL vs SL, from the SL
+    and GSFL histories of a priced :func:`run_fig2a` result.
 
-    Requires a scenario with a wireless system (latency axis).
+    The run must have had a wireless system (latency axis).
     """
-    if scenario.wireless is None:
-        raise ValueError("Fig 2(b) needs a wireless system; scenario has none")
-    built = scenario.build()
-    histories = run_schemes(built, ["SL", "GSFL"], num_rounds, verbose=verbose)
+    histories = {name: fig2a.histories[name] for name in ("SL", "GSFL")}
+    if any(h.total_latency_s <= 0 for h in histories.values()):
+        raise ValueError("Fig 2(b) needs a wireless system; the run was not priced")
     reduction = latency_reduction(histories["GSFL"], histories["SL"], target_accuracy)
     return Fig2bResult(
         histories=histories,

@@ -28,7 +28,8 @@ def make_scheme(name: str, built: BuiltScenario, **overrides: object) -> Scheme:
     """Construct a scheme over a built scenario.
 
     Every scheme gets a fresh model initialized from the scenario's fixed
-    seed, so cross-scheme comparisons start from identical weights.
+    seed and its own fading stream, so cross-scheme comparisons start from
+    identical weights and channels, whatever was made from ``built`` before.
     Split-based schemes receive the scenario's cut layer; GSFL receives
     the group count.  ``overrides`` pass extra constructor arguments
     (e.g. ``groups=...`` or ``bandwidth_shares=...``).

@@ -10,7 +10,7 @@ Two presets are provided:
   10 classes, tiny CNN) for tests and quick demos.
 
 Every scheme built from one scenario starts from bit-identical initial
-weights (same model seed), matching how the paper compares schemes.
+weights (same model seed) and its own fading stream, as the paper compares.
 """
 
 from __future__ import annotations
@@ -132,22 +132,20 @@ class BuiltScenario:
     def scheme_kwargs(self) -> dict:
         """Common keyword arguments for any Scheme subclass.
 
-        A fresh :class:`~repro.experiments.dynamics.ClientDynamics` is
-        realized per call, so every scheme built from this scenario sees
-        the same churn/participation/straggler trajectory.
+        A fresh :class:`~repro.wireless.system.WirelessSystem` and
+        :class:`~repro.experiments.dynamics.ClientDynamics` are realized per
+        call: every scheme built from this scenario starts its own fading
+        stream and sees the same churn/participation/straggler trajectory.
         """
-        dynamics = (
-            ClientDynamics(self.scenario.dynamics, len(self.client_datasets))
-            if self.scenario.dynamics is not None
-            else None
-        )
+        system, dynamics = self.system, self.scenario.dynamics
         return {
             "client_datasets": self.client_datasets,
             "test_dataset": self.test_dataset,
-            "system": self.system,
+            "system": None if system is None else WirelessSystem(system.config),
             "profile": self.profile,
             "config": self.scenario.scheme,
-            "dynamics": dynamics,
+            "dynamics": None if dynamics is None else ClientDynamics(
+                dynamics, len(self.client_datasets)),
             "cross_traffic": self.scenario.cross_traffic,
         }
 

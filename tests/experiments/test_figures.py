@@ -1,6 +1,6 @@
 """Figure-harness integration tests: paper-claim *shape* on the fast
-scenario.  These are the repo's headline correctness checks; the
-full-scale runs live in benchmarks/."""
+scenario, both figures read from one priced run.  These are the repo's
+headline correctness checks; the full-scale runs live in benchmarks/."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.experiments.scenario import fast_scenario
 
 @pytest.fixture(scope="module")
 def fig2a_result():
-    scenario = fast_scenario(with_wireless=False, num_clients=8, num_groups=2)
+    scenario = fast_scenario(with_wireless=True, num_clients=8, num_groups=2)
     return run_fig2a(scenario, num_rounds=8, target_accuracy=0.4)
 
 
@@ -44,9 +44,8 @@ class TestFig2aShape:
 
 class TestFig2bShape:
     @pytest.fixture(scope="class")
-    def result(self):
-        scenario = fast_scenario(with_wireless=True, num_clients=12, num_groups=4)
-        return run_fig2b(scenario, num_rounds=10, target_accuracy=0.4)
+    def result(self, fig2a_result):
+        return run_fig2b(fig2a_result, target_accuracy=0.4)
 
     def test_histories_have_latency_axis(self, result):
         for h in result.histories.values():
@@ -61,8 +60,10 @@ class TestFig2bShape:
         assert gsfl_per_round < sl_per_round
 
     def test_requires_wireless(self):
+        unpriced = run_fig2a(fast_scenario(with_wireless=False), num_rounds=1,
+                             schemes=("SL", "GSFL"))
         with pytest.raises(ValueError, match="wireless"):
-            run_fig2b(fast_scenario(with_wireless=False), num_rounds=1)
+            run_fig2b(unpriced)
 
     def test_table_renders(self, result):
         assert "latency_s" in result.table

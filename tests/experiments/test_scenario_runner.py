@@ -112,3 +112,21 @@ class TestRunner:
         assert set(histories) == {"SL", "GSFL"}
         assert all(len(h) == 1 for h in histories.values())
 
+
+class TestOrderIndependence:
+    """Every scheme made from a build starts its own fading stream, so its
+    priced history does not depend on the schemes made or run before it."""
+
+    def test_gsfl_after_sl_equals_a_lone_gsfl(self):
+        scenario = fast_scenario(with_wireless=True)
+        after_sl = run_schemes(scenario.build(), ["SL", "GSFL"], num_rounds=2)["GSFL"]
+        lone = make_scheme("GSFL", scenario.build()).run(2)
+        assert after_sl.total_latency_s > 0
+        assert after_sl.points == lone.points
+
+    def test_consecutive_schemes_on_the_shared_build_agree(self, built_fast_scenario):
+        first = make_scheme("GSFL", built_fast_scenario)
+        second = make_scheme("GSFL", built_fast_scenario)
+        first_history, second_history = first.run(2), second.run(2)
+        assert first_history.total_latency_s > 0
+        assert first_history.points == second_history.points

@@ -221,7 +221,8 @@ class TestGsflConfiguration:
         equal = make_scheme("GSFL", built).run(1).total_latency_s
         m = built.scenario.num_groups
         total = built.system.allocator.total_bandwidth_hz
-        skew = [total * 0.5] + [total * 0.5 / (m - 1)] * (m - 1)
+        # Unequal for every m >= 2 (a half/half "skew" is the equal split at m = 2).
+        skew = [total * 0.8] + [total * 0.2 / (m - 1)] * (m - 1)
         skewed = make_scheme("GSFL", built, bandwidth_shares=skew).run(1).total_latency_s
         assert skewed != pytest.approx(equal)
 

@@ -259,11 +259,18 @@ class TestCommands:
             ("--scheme SplitFed --regroup-every 2", "GSFL-only flag(s) --regroup-every given"),
             ("--scheme CL --groups 2 --failure-rate 0.1",
              "--groups --failure-rate given with --scheme CL"),
+            # CL prices its uploads without the codec; CL and FL train unsplit.
+            ("--scheme CL --transport int8",
+             "FL/GSFL/PSL/SL/SplitFed-only flag(s) --transport given with --scheme CL"),
+            ("--scheme CL --cut-layer 2",
+             "GSFL/PSL/SL/SplitFed-only flag(s) --cut-layer given with --scheme CL"),
+            ("--scheme FL --cut-layer 2",
+             "GSFL/PSL/SL/SplitFed-only flag(s) --cut-layer given with --scheme FL"),
         ],
     )
     def test_bad_scheme_argument_is_a_clean_config_error(self, argv, needle, capsys):
-        """A scheme argument the scheme rejects, or a GSFL-only flag given
-        to another scheme, exits 2 with a sentence instead of a traceback
+        """A scheme argument the scheme rejects, or a flag given to a scheme
+        that would ignore it, exits 2 with a sentence instead of a traceback
         or a silently ignored flag."""
         code = main(["run", "--scale", "fast", "--rounds", "1", *argv.split()])
         assert code == 2
