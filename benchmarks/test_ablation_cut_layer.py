@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.core.cut_layer import analyze_cuts, best_cut
 from repro.experiments import paper_scenario
+from repro.wireless.system import WirelessSystem
 
 
 def test_ablation_cut_layer(benchmark):
@@ -23,10 +24,10 @@ def test_ablation_cut_layer(benchmark):
     def sweep():
         return best_cut(
             built.profile,
-            built.system,
+            WirelessSystem(built.wireless),
             batch_size=scenario.scheme.batch_size,
             local_steps=scenario.scheme.local_steps,
-            bandwidth_hz=built.system.allocator.total_bandwidth_hz / scenario.num_groups,
+            bandwidth_hz=built.wireless.total_bandwidth_hz / scenario.num_groups,
         )
 
     best, sweep_rows = benchmark(sweep)

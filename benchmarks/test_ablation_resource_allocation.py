@@ -19,11 +19,14 @@ from repro.core.resource import GroupWorkload, equal_bandwidth_split, minmax_ban
 from repro.experiments import fast_scenario, make_scheme
 from repro.schemes.pricing import LatencyModel
 from repro.schemes.split_common import price_relay_chain
+from repro.wireless.system import WirelessSystem
 
 
 def _group_workloads(built, scenario, groups):
     """Per-group latency curves priced like price_relay_chain prices a chain."""
-    pricing = LatencyModel(built.system, built.profile, scenario.scheme.batch_size)
+    pricing = LatencyModel(
+        WirelessSystem(built.wireless), built.profile, scenario.scheme.batch_size
+    )
     cut = scenario.resolved_cut_layer()
     steps = scenario.scheme.local_steps
 
@@ -43,7 +46,7 @@ def test_ablation_resource_allocation(benchmark):
     # imbalance comes from the distance spread across groups.
     scenario.wireless = replace(scenario.wireless, deterministic_rates=True)
     built = scenario.build()
-    total_bw = built.system.allocator.total_bandwidth_hz
+    total_bw = built.wireless.total_bandwidth_hz
     groups = make_scheme("GSFL", built).groups
     workloads = _group_workloads(built, scenario, groups)
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 from repro import nn
 from repro.core.cut_layer import analyze_cuts, best_cut
 from repro.experiments import paper_scenario
+from repro.wireless.system import WirelessSystem
 
 
 def main() -> None:
     scenario = paper_scenario(with_wireless=True)
     built = scenario.build()
-    profile, system = built.profile, built.system
+    profile, system = built.profile, WirelessSystem(built.wireless)
 
     print("=== model profile ===")
     print(profile.summary())

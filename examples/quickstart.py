@@ -27,8 +27,8 @@ def main() -> None:
     print(f"model: {scenario.model_name}, cut layer: {scenario.resolved_cut_layer()}")
     print(f"dataset: {scenario.dataset.num_classes} classes, "
           f"{sum(len(d) for d in built.client_datasets)} train samples")
-    print(f"bandwidth: {built.system.config.total_bandwidth_hz / 1e6:.0f} MHz, "
-          f"client compute: {built.system.config.client_flops / 1e6:.0f} MFLOPS")
+    print(f"bandwidth: {built.wireless.total_bandwidth_hz / 1e6:.0f} MHz, "
+          f"client compute: {built.wireless.client_flops / 1e6:.0f} MFLOPS")
     print()
 
     gsfl = make_scheme("GSFL", built)

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python -m repro.cli fig2a --rounds 20 --train-per-class 12
-    python -m repro.cli fig2b --rounds 26 --target 0.75
+    python -m repro.cli figures --rounds 26 --target 0.75
     python -m repro.cli run --scheme GSFL --rounds 10 --groups 6
     python -m repro.cli run --scheme GSFL --medium contended --heterogeneity 0.8
     python -m repro.cli run --scheme FL --participation 0.5 --straggler-rate 0.2
@@ -105,7 +104,7 @@ _RUN = ("run",)
 _GSFL = ("GSFL",)
 _SPLIT = ("SL", "SplitFed", "PSL", "GSFL")
 #: the commands that build a scenario (``scenarios`` only lists or describes)
-_BUILDING = ("fig2a", "fig2b", "run", "cuts", "info")
+_BUILDING = ("figures", "run", "cuts", "info")
 
 #: every flag of every command, in ``--help`` order
 FLAGS = (
@@ -130,10 +129,9 @@ FLAGS = (
          help="log-normal sigma of the client compute-speed spread "
          "(0 = identical devices)"),
     Flag("--scheme", commands=_RUN, choices=sorted(SCHEME_REGISTRY), default="GSFL"),
-    Flag("--rounds", commands=("fig2a", "fig2b", "run"), type=int,
-         default={"fig2a": 20, "fig2b": 26, "run": 10}),
-    Flag("--target", commands=("fig2a", "fig2b"), type=float,
-         default={"fig2a": 0.6, "fig2b": 0.75}),
+    Flag("--rounds", commands=("figures", "run"), type=int,
+         default={"figures": 26, "run": 10}),
+    Flag("--target", commands=("figures",), type=float, default=0.6),
     Flag("--groups", "scenario.num_groups", _RUN, _GSFL, type=int, help="GSFL group count"),
     Flag("--grouping", "scenario.grouping", _RUN, _GSFL, choices=GROUPING_STRATEGIES,
          help="GSFL client-partition strategy: 'contiguous' (default) splits "
@@ -321,33 +319,18 @@ def _config_error(exc: ValueError) -> int:
     return 2
 
 
-def _cmd_fig2a(args: argparse.Namespace) -> int:
+def _cmd_figures(args: argparse.Namespace) -> int:
     try:
         scenario = _scenario(args)
     except ValueError as exc:
         return _config_error(exc)
-    scenario.wireless = None  # accuracy axis only
-    result = run_fig2a(scenario, num_rounds=args.rounds,
-                       target_accuracy=args.target, verbose=True)
-    print()
-    print(result.table)
-    speedup = result.gsfl_over_fl_speedup
-    print(f"\nGSFL-over-FL speedup @ {args.target:.0%}: "
+    fig2a = run_fig2a(scenario, num_rounds=args.rounds, target_accuracy=args.target,
+                      verbose=True)
+    fig2b = run_fig2b(fig2a, args.target)
+    speedup, reduction = fig2a.gsfl_over_fl_speedup, fig2b.delay_reduction
+    print(f"\n{fig2a.table}\n\nGSFL-over-FL speedup @ {args.target:.0%}: "
           f"{'unreached' if speedup is None else f'{speedup:.1f}x'} (paper ~5x)")
-    return 0
-
-
-def _cmd_fig2b(args: argparse.Namespace) -> int:
-    try:
-        scenario = _scenario(args)
-    except ValueError as exc:
-        return _config_error(exc)
-    result = run_fig2b(run_fig2a(scenario, num_rounds=args.rounds, target_accuracy=args.target,
-                                 schemes=("SL", "GSFL"), verbose=True), args.target)
-    print()
-    print(result.table)
-    reduction = result.delay_reduction
-    print(f"\nGSFL delay reduction vs SL @ {args.target:.0%}: "
+    print(f"\n{fig2b.table}\n\nGSFL delay reduction vs SL @ {args.target:.0%}: "
           f"{'unreached' if reduction is None else f'{reduction:.1%}'} (paper ~31.45%)")
     return 0
 
@@ -421,6 +404,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 def _cmd_cuts(args: argparse.Namespace) -> int:
     from repro.core.cut_layer import best_cut
+    from repro.wireless.system import WirelessSystem
 
     try:
         scenario = _scenario(args)
@@ -429,10 +413,10 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
         return _config_error(exc)
     best, sweep = best_cut(
         built.profile,
-        built.system,
+        WirelessSystem(built.wireless),
         batch_size=scenario.scheme.batch_size,
         local_steps=scenario.scheme.local_steps,
-        bandwidth_hz=built.system.allocator.total_bandwidth_hz / scenario.num_groups,
+        bandwidth_hz=built.wireless.total_bandwidth_hz / scenario.num_groups,
     )
     print(f"{'cut':>4} {'latency (ms)':>13}")
     for cut, latency in sweep:
@@ -460,8 +444,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 #: every subcommand: its handler and its ``--help`` line
 COMMANDS = {
-    "fig2a": (_cmd_fig2a, "accuracy vs rounds (Fig 2a)"),
-    "fig2b": (_cmd_fig2b, "accuracy vs latency (Fig 2b)"),
+    "figures": (_cmd_figures, "Fig 2a and Fig 2b from one priced training"),
     "run": (_cmd_run, "run one scheme"),
     "scenarios": (_cmd_scenarios, "list the scenario catalog (or describe one world)"),
     "cuts": (_cmd_cuts, "cut-layer latency sweep"),

@@ -76,7 +76,7 @@ class ExperimentScenario:
         )
 
     def build(self) -> "BuiltScenario":
-        """Materialize datasets, wireless system and the model profile."""
+        """Materialize the datasets and, when priced, the model profile."""
         factory = SyntheticGTSRB(self.dataset)
         train, test = factory.train_test()
         if self.partition == "iid":
@@ -90,16 +90,15 @@ class ExperimentScenario:
             )
         client_datasets = make_client_datasets(train, parts)
 
-        system = WirelessSystem(self.wireless) if self.wireless is not None else None
-        probe = self.make_model()
         profile = (
-            nn.profile_model(probe, factory.input_shape) if system is not None else None
+            None if self.wireless is None
+            else nn.profile_model(self.make_model(), factory.input_shape)
         )
         return BuiltScenario(
             scenario=self,
             client_datasets=client_datasets,
             test_dataset=test,
-            system=system,
+            wireless=self.wireless,
             profile=profile,
             input_shape=factory.input_shape,
         )
@@ -120,28 +119,34 @@ class ExperimentScenario:
 
 @dataclass
 class BuiltScenario:
-    """Materialized scenario: everything a scheme constructor consumes."""
+    """Materialized scenario: everything a scheme constructor consumes.
+
+    ``wireless`` is the scenario's config as it stood at build time (None:
+    unpriced); a caller that prices outside a scheme realizes its own
+    ``WirelessSystem(built.wireless)``.
+    """
 
     scenario: ExperimentScenario
     client_datasets: list[Subset]
     test_dataset: Dataset
-    system: WirelessSystem | None
+    wireless: WirelessConfig | None
     profile: nn.ModelProfile | None
     input_shape: tuple[int, int, int]
 
     def scheme_kwargs(self) -> dict:
         """Common keyword arguments for any Scheme subclass.
 
-        A fresh :class:`~repro.wireless.system.WirelessSystem` and
-        :class:`~repro.experiments.dynamics.ClientDynamics` are realized per
-        call: every scheme built from this scenario starts its own fading
-        stream and sees the same churn/participation/straggler trajectory.
+        A fresh :class:`~repro.wireless.system.WirelessSystem` (from
+        ``wireless``) and :class:`~repro.experiments.dynamics.ClientDynamics`
+        are realized per call: every scheme built from this scenario starts
+        its own fading stream and sees the same churn/participation/straggler
+        trajectory.
         """
-        system, dynamics = self.system, self.scenario.dynamics
+        wireless, dynamics = self.wireless, self.scenario.dynamics
         return {
             "client_datasets": self.client_datasets,
             "test_dataset": self.test_dataset,
-            "system": None if system is None else WirelessSystem(system.config),
+            "system": None if wireless is None else WirelessSystem(wireless),
             "profile": self.profile,
             "config": self.scenario.scheme,
             "dynamics": None if dynamics is None else ClientDynamics(

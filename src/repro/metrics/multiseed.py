@@ -2,8 +2,7 @@
 
 Single runs lie; the paper's figures (like most) are single-seed.  This
 module runs the same experiment across seeds and reports mean ± spread
-for the headline quantities, with a Student-t confidence interval —
-cheap experimental rigor for any claim in EXPERIMENTS.md.
+for the headline quantities, with a Student-t confidence interval.
 """
 
 from __future__ import annotations

@@ -64,8 +64,10 @@ def latency_reduction(
 ) -> float | None:
     """Relative delay saving of ``fast`` vs ``slow`` to reach the target.
 
-    ``(slow_latency - fast_latency) / slow_latency`` in [0, 1); the paper
-    reports 0.3145 for GSFL vs SL.  None when either never reaches target.
+    ``(slow_latency - fast_latency) / slow_latency``, below 1; the paper
+    reports 0.3145 for GSFL vs SL.  Negative when ``slow`` reaches the
+    target first (-0.5: ``fast`` needs 1.5x its delay).  None when either
+    never reaches the target.
     """
     fast_latency = fast.latency_to_accuracy(target_accuracy)
     slow_latency = slow.latency_to_accuracy(target_accuracy)

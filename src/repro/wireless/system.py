@@ -46,6 +46,14 @@ class WirelessConfig:
     def __post_init__(self) -> None:
         check_positive("num_clients", self.num_clients)
         check_positive("total_bandwidth_hz", self.total_bandwidth_hz)
+        # What WirelessSystem's parts would reject, with their messages.
+        check_positive("cell_radius_m", self.cell_radius_m)
+        check_positive("min_distance_m", self.min_distance_m)
+        if self.min_distance_m >= self.cell_radius_m:
+            raise ValueError(f"min_distance_m ({self.min_distance_m}) must be < "
+                             f"cell_radius_m ({self.cell_radius_m})")
+        check_positive("server_flops", self.server_flops)
+        make_allocator(self.allocator, self.total_bandwidth_hz)
         # The fleet's own draw, from the stream WirelessSystem seeds it with:
         # a spread that breaks a client's speed fails here, before the build.
         client_speeds(self.num_clients, self.client_flops, self.heterogeneity,

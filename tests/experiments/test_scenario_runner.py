@@ -19,7 +19,7 @@ class TestScenario:
     def test_fast_scenario_builds(self, built_fast_scenario):
         built = built_fast_scenario
         assert len(built.client_datasets) == 6
-        assert built.system is not None
+        assert built.wireless is built.scenario.wireless is not None
         assert built.profile is not None
         assert built.input_shape == (3, 16, 16)
 
@@ -48,7 +48,26 @@ class TestScenario:
 
     def test_no_wireless_build(self):
         built = fast_scenario(with_wireless=False).build()
-        assert built.system is None and built.profile is None
+        assert built.wireless is None and built.profile is None
+
+    def test_unpriced_build_makes_no_model(self, monkeypatch):
+        """The profiling probe model was made on every build, priced or not."""
+
+        def no_model(self):
+            raise AssertionError("an unpriced build made a model")
+
+        monkeypatch.setattr(ExperimentScenario, "make_model", no_model)
+        fast_scenario(with_wireless=False).build()
+
+    def test_build_realizes_no_wireless_system(self, monkeypatch):
+        """The build realized a system no scheme read: each scheme makes its own."""
+        import repro.experiments.scenario as scenario_module
+
+        def no_system(config):
+            raise AssertionError("the build realized a wireless system")
+
+        monkeypatch.setattr(scenario_module, "WirelessSystem", no_system)
+        assert fast_scenario(with_wireless=True).build().profile is not None
 
     def test_resolved_cut_layer_default(self):
         sc = fast_scenario()
@@ -130,3 +149,8 @@ class TestOrderIndependence:
         first_history, second_history = first.run(2), second.run(2)
         assert first_history.total_latency_s > 0
         assert first_history.points == second_history.points
+
+    def test_each_call_realizes_a_system_from_the_builds_config(self, built_fast_scenario):
+        first, second = (built_fast_scenario.scheme_kwargs()["system"] for _ in range(2))
+        assert first is not second
+        assert first.config is second.config is built_fast_scenario.wireless

@@ -90,6 +90,13 @@ class TestReports:
         sl.add(1, 100.0, 0.5, 0.8)
         assert latency_reduction(gsfl, sl, 0.8) == pytest.approx(0.3145)
 
+    def test_latency_reduction_is_negative_when_slow_arrives_first(self):
+        # The fast-scale figures at 30%: SL reaches it after one round
+        # (0.33 s), GSFL after two (0.44 s).
+        gsfl = make_history("GSFL", [0.27, 0.40], lat_per_round=0.22)
+        sl = make_history("SL", [0.45], lat_per_round=0.33)
+        assert latency_reduction(gsfl, sl, 0.3) == pytest.approx(-1 / 3)
+
     def test_latency_reduction_none_cases(self):
         a = make_history("a", [0.2])
         b = make_history("b", [0.9])

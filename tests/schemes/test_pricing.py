@@ -13,6 +13,7 @@ from repro.experiments.scenario import fast_scenario
 from repro.schemes.pricing import LatencyModel
 from repro.sim.runtime import demand_lower_bound_s as compute_s
 from repro.sim.runtime import demand_nominal_s as transmit_s
+from repro.wireless.system import WirelessSystem
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def built():
 
 @pytest.fixture(scope="module")
 def pricing(built):
-    return LatencyModel(built.system, built.profile, batch_size=16)
+    return LatencyModel(WirelessSystem(built.wireless), built.profile, batch_size=16)
 
 
 class TestDisabledMode:
@@ -42,12 +43,12 @@ class TestDisabledMode:
 
     def test_partial_args_rejected(self, built):
         with pytest.raises(ValueError):
-            LatencyModel(built.system, None, 8)
+            LatencyModel(WirelessSystem(built.wireless), None, 8)
 
     @pytest.mark.parametrize("spec", ["intk:0", "intk:17", "topk:0", "topk:1.5", "gzip"])
     def test_transport_validated(self, built, spec):
         with pytest.raises(ValueError):
-            LatencyModel(built.system, built.profile, 8, transport=spec)
+            LatencyModel(WirelessSystem(built.wireless), built.profile, 8, transport=spec)
 
 
 class TestComputePricing:
@@ -84,12 +85,12 @@ class TestTransmissionPricing:
         assert fast < slow
 
     def test_smashed_bytes_scale_with_batch(self, built):
-        p8 = LatencyModel(built.system, built.profile, batch_size=8)
-        p16 = LatencyModel(built.system, built.profile, batch_size=16)
+        p8 = LatencyModel(WirelessSystem(built.wireless), built.profile, batch_size=8)
+        p16 = LatencyModel(WirelessSystem(built.wireless), built.profile, batch_size=16)
         assert p16.smashed_nbytes(2) == 2 * p8.smashed_nbytes(2)
 
     def test_broadcast_gated_by_weakest_client(self, pricing, built):
-        clients = list(range(built.system.num_clients))
+        clients = list(range(built.wireless.num_clients))
         broadcast = transmit_s(pricing.broadcast_model_demand(clients, 10_000, 1e6))
         singles = [
             transmit_s(pricing.downlink_model_demand(c, 10_000, 1e6)) for c in clients
@@ -118,7 +119,7 @@ class TestCodecWork:
         assert pricing.decode(None, 1000, "model") == []
 
     def test_lossy_codec_prices_work_on_the_owning_device(self, built):
-        p = LatencyModel(built.system, built.profile, 16, transport="int8")
+        p = LatencyModel(WirelessSystem(built.wireless), built.profile, 16, transport="int8")
         (encode,) = p.encode(3, 1000, "smashed")
         assert (encode.phase, encode.actor, encode.detail) == ("encode", "client-3", "smashed")
         assert encode.demand.client == 3
@@ -133,7 +134,7 @@ class TestCodecWork:
 
     def test_nothing_to_code_is_free(self, built):
         (activity,) = LatencyModel(
-            built.system, built.profile, 16, transport="topk:0.5"
+            WirelessSystem(built.wireless), built.profile, 16, transport="topk:0.5"
         ).encode(0, 0, "model")
         assert activity.demand == 0.0
 
@@ -151,7 +152,7 @@ class TestCodedPayloadSizes:
         assert pricing.model_wire_nbytes(raw) == raw
 
     def test_int8_wire_is_one_byte_per_scalar_plus_parameters(self, built):
-        p = LatencyModel(built.system, built.profile, 16, transport="int8")
+        p = LatencyModel(WirelessSystem(built.wireless), built.profile, 16, transport="int8")
         scalars = p.smashed_scalars(2)
         assert scalars == built.profile.smashed_bytes(2, 16) // 4
         assert p.smashed_nbytes(2) == scalars + 16
@@ -159,5 +160,5 @@ class TestCodedPayloadSizes:
 
     def test_empty_model_payload_ships_nothing(self, built):
         """No parameter header for a payload of nothing."""
-        p = LatencyModel(built.system, built.profile, 16, transport="int8")
+        p = LatencyModel(WirelessSystem(built.wireless), built.profile, 16, transport="int8")
         assert p.model_wire_nbytes(0) == 0

@@ -220,7 +220,7 @@ class TestGsflConfiguration:
     def test_custom_bandwidth_shares_change_latency(self, built):
         equal = make_scheme("GSFL", built).run(1).total_latency_s
         m = built.scenario.num_groups
-        total = built.system.allocator.total_bandwidth_hz
+        total = built.wireless.total_bandwidth_hz
         # Unequal for every m >= 2 (a half/half "skew" is the equal split at m = 2).
         skew = [total * 0.8] + [total * 0.2 / (m - 1)] * (m - 1)
         skewed = make_scheme("GSFL", built, bandwidth_shares=skew).run(1).total_latency_s

@@ -23,6 +23,7 @@ from repro.nn.split import split_model
 from repro.schemes.pricing import LatencyModel
 from repro.schemes.split_common import price_local_round, price_relay_chain, split_step_math
 from repro.sim.runtime import TransmitDemand, demand_nominal_s
+from repro.wireless.system import WirelessSystem
 
 CUT = 2
 
@@ -85,7 +86,8 @@ class TestRelayChain:
     @pytest.mark.parametrize("transport", ["float32", "int8"])
     @pytest.mark.parametrize("members", [[3], [3, 1], [3, 1, 4]])
     def test_phase_actor_detail_nbytes_sequence(self, built, transport, members):
-        pricing = LatencyModel(built.system, built.profile, 8, transport=transport)
+        system = WirelessSystem(built.wireless)
+        pricing = LatencyModel(system, built.profile, 8, transport=transport)
         raw = pricing.client_model_nbytes(CUT)
         wire = pricing.model_wire_nbytes(raw)
         smashed = pricing.smashed_nbytes(CUT)
@@ -97,7 +99,7 @@ class TestRelayChain:
         assert actual == expected_chain(members, 2, lossy, smashed, wire)
 
     def test_relay_hop_is_one_two_leg_demand(self, built):
-        pricing = LatencyModel(built.system, built.profile, 8)
+        pricing = LatencyModel(WirelessSystem(built.wireless), built.profile, 8)
         chain = price_relay_chain(pricing, [3, 1], CUT, 1, 1e6)
         (relay,) = [a for a in chain if a.phase == "model_relay"]
         assert isinstance(relay.demand, TransmitDemand)

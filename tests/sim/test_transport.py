@@ -263,10 +263,12 @@ class TestSchemeIntegration:
     def test_pricing_reflects_quantization(self):
         from repro.experiments.scenario import fast_scenario
         from repro.schemes.pricing import LatencyModel
+        from repro.wireless.system import WirelessSystem
 
         built = fast_scenario(with_wireless=True).build()
-        full = LatencyModel(built.system, built.profile, 16)
-        quant = LatencyModel(built.system, built.profile, 16, transport="int8")
+        system = WirelessSystem(built.wireless)
+        full = LatencyModel(system, built.profile, 16)
+        quant = LatencyModel(system, built.profile, 16, transport="int8")
         cut = built.scenario.resolved_cut_layer()
         assert quant.smashed_nbytes(cut) < full.smashed_nbytes(cut) / 3
 

@@ -8,10 +8,17 @@ import os
 import pytest
 
 import repro.cli
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, FLAGS, build_parser, main
 from repro.devtools.trace_schema import TRACE_SCHEMAS
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import ExperimentScenario
+from repro.schemes.base import Scheme
+
+
+def _taking(flag: str) -> list[str]:
+    """The commands of :data:`repro.cli.COMMANDS` that take ``flag``."""
+    (row,) = [row for row in FLAGS if row.flag == flag]
+    return [command for command in COMMANDS if command in row.commands]
 
 
 class TestParser:
@@ -19,10 +26,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_fig2a_defaults(self):
-        args = build_parser().parse_args(["fig2a"])
-        assert args.command == "fig2a"
-        assert args.rounds == 20
+    def test_figures_defaults(self):
+        args = build_parser().parse_args(["figures"])
+        assert args.command == "figures"
+        assert (args.rounds, args.target) == (26, 0.6)
+        assert build_parser().parse_args(["run"]).rounds == 10
 
     def test_run_options(self):
         args = build_parser().parse_args(
@@ -39,7 +47,7 @@ class TestParser:
         "argv",
         [
             f"{command} {flag}"
-            for command in ("fig2a", "fig2b", "run", "scenarios", "cuts", "info")
+            for command in COMMANDS
             for flag in ("--executor thread", "--workers 2")
         ]
         + ["run --quantize-bits 8"],
@@ -77,6 +85,30 @@ class TestParser:
             build_parser().parse_args(["run", "--aggregation", spec])
 
 
+#: ``figures --scale fast --rounds 3 --target 0.3`` after the schemes' summaries
+FIGURES_FAST = """
+  round         CL         SL       GSFL         FL
+      1      31.67      45.00      26.67      18.33
+      2      50.00      51.67      40.00      26.67
+      3      51.67      53.33      55.00      31.67
+
+GSFL-over-FL speedup @ 30%: 1.5x (paper ~5x)
+
+--- SL ---
+   latency_s  accuracy_%
+        0.33       45.00
+        0.71       51.67
+        1.11       53.33
+--- GSFL ---
+   latency_s  accuracy_%
+        0.19       26.67
+        0.44       40.00
+        0.69       55.00
+
+GSFL delay reduction vs SL @ 30%: -33.0% (paper ~31.45%)
+"""
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info", "--scale", "fast"]) == 0
@@ -102,13 +134,23 @@ class TestCommands:
         )
         assert code == 0
 
-    def test_fig2a_fast(self, capsys):
-        code = main(
-            ["fig2a", "--scale", "fast", "--rounds", "2", "--target", "0.2"]
-        )
-        assert code == 0
+    def test_figures_fast(self, capsys, monkeypatch):
+        """Both figures from one priced training of each scheme.  The
+        tables and headline lines are byte for byte what the former
+        ``fig2a`` and ``fig2b`` commands printed at these flags, each of
+        which trained its schemes separately."""
+        trained = []
+        run = Scheme.run
+
+        def counted(self, num_rounds):
+            trained.append(self.name)
+            return run(self, num_rounds)
+
+        monkeypatch.setattr(Scheme, "run", counted)
+        assert main(["figures", "--scale", "fast", "--rounds", "3", "--target", "0.3"]) == 0
+        assert trained == ["CL", "SL", "GSFL", "FL"]
         out = capsys.readouterr().out
-        assert "GSFL" in out and "FL" in out
+        assert out.endswith(FIGURES_FAST), out
 
     def test_run_contended_medium(self, capsys):
         code = main(
@@ -341,12 +383,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            "run --rounds 0",
-            "run --rounds -2",
-            "fig2a --rounds 0",
-            "fig2a --rounds -2",
-            "fig2b --rounds 0",
-            "fig2b --rounds -2",
+            *(f"{command} --rounds {value}"
+              for command in _taking("--rounds") for value in ("0", "-2")),
             "run --groups 0",
             "run --groups -1",
             "run --groups 7",  # the fast preset has 6 clients
@@ -354,17 +392,11 @@ class TestCommands:
             "run --cut-layer 99",
             # a target accuracy outside (0, 1] printed "@ nan%: unreached"
             # or a reduction at "-100%" with exit 0
-            "fig2a --target nan",
-            "fig2a --target 1.5",
-            "fig2b --target -1",
-            "fig2b --target 0",
+            *(f"{command} --target {value}"
+              for command in _taking("--target") for value in ("nan", "1.5", "-1", "0")),
             # a negative seed was a numpy traceback (exit 1), or for run an
             # exit 2 whose message did not name the flag
-            "info --seed -1",
-            "cuts --seed -1",
-            "fig2a --seed -1",
-            "fig2b --seed -1",
-            "run --seed -1",
+            *(f"{command} --seed -1" for command in _taking("--scale")),
         ],
     )
     def test_hostile_value_is_a_clean_config_error(self, argv, capsys, monkeypatch):
@@ -380,7 +412,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
-    @pytest.mark.parametrize("command", ["run", "fig2a", "fig2b", "info", "cuts"])
+    @pytest.mark.parametrize("command", _taking("--train-per-class"))
     def test_train_split_beyond_memory_is_a_clean_config_error(
         self, command, capsys, monkeypatch
     ):

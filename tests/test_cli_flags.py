@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.cli
 from repro import nn
-from repro.cli import FLAGS, build_parser, main
+from repro.cli import COMMANDS, FLAGS, build_parser, main
 from repro.data.gtsrb import GtsrbConfig, SyntheticGTSRB
 from repro.experiments.catalog import SCENARIO_REGISTRY, ScenarioEntry, list_scenarios
 from repro.experiments.dynamics import DynamicsConfig
@@ -127,7 +127,7 @@ class _Built(Exception):
 
 
 #: the commands that build a scenario (``scenarios`` only lists or describes)
-BUILDING = ("fig2a", "fig2b", "run", "cuts", "info")
+BUILDING = [command for command in COMMANDS if command != "scenarios"]
 HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e308", str(2**63), "no-such-choice")
 #: in-domain values of the flags whose type alone does not say
 INSIDE = {

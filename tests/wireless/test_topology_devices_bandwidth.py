@@ -318,6 +318,27 @@ class TestWirelessSystem:
             DeviceFleet(4, heterogeneity=heterogeneity, seed=0)
         assert str(from_config.value) == str(from_fleet.value)
 
+    @pytest.mark.parametrize(
+        ("fields", "part"),
+        [
+            ({"allocator": "bogus"}, lambda: make_allocator("bogus", 20e6)),
+            ({"min_distance_m": 200.0},
+             lambda: NetworkTopology(4, cell_radius_m=120.0, min_distance_m=200.0)),
+            ({"cell_radius_m": -1.0}, lambda: NetworkTopology(4, cell_radius_m=-1.0)),
+            ({"server_flops": 0.0}, lambda: DeviceFleet(4, server_flops=0.0)),
+            ({"server_flops": float("nan")}, lambda: DeviceFleet(4, server_flops=float("nan"))),
+        ],
+        ids=["allocator", "min_distance", "cell_radius", "server_flops_zero", "server_flops_nan"],
+    )
+    def test_config_rejects_what_the_system_would(self, fields, part):
+        """Each of these configs constructed and failed only in
+        ``WirelessSystem(config)``, which the build no longer realizes."""
+        with pytest.raises(ValueError) as from_config:
+            WirelessConfig(**fields)
+        with pytest.raises(ValueError) as from_part:
+            part()
+        assert str(from_config.value) == str(from_part.value)
+
     def test_link_report_rows(self):
         sys = WirelessSystem(WirelessConfig(num_clients=4, seed=0))
         rows = sys.link_report()
