@@ -58,6 +58,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fig2a", "fig2b"])
+    def test_removed_figure_commands_are_usage_errors(self, command, capsys):
+        """``figures`` prints both figures; the per-figure commands are gone."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scale", "fast"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "figures" in err
+
     def test_runtime_options(self):
         args = build_parser().parse_args(
             ["run", "--medium", "contended", "--heterogeneity", "0.8",
