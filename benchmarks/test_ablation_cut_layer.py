@@ -1,7 +1,8 @@
 """Abl-1 — cut-layer selection (paper §IV future work).
 
-Sweeps every valid cut of the DeepThin CNN and prices one client's
-split-training round against the wireless scenario.  Asserts the
+Sweeps every valid cut of the DeepThin CNN and prices GSFL's round at
+each with a dry round of the scheme itself: every group's relay chain on
+the shared medium, then the aggregation, nothing trained.  Asserts the
 structural facts the sweep must show:
 
 * cuts immediately after pooling stages are local latency minima
@@ -12,29 +13,21 @@ structural facts the sweep must show:
 
 from __future__ import annotations
 
-from repro.core.cut_layer import analyze_cuts, best_cut
-from repro.experiments import paper_scenario
-from repro.wireless.system import WirelessSystem
+from repro.core.cut_layer import analyze_cuts
+from repro.experiments import best_cut, paper_scenario
 
 
 def test_ablation_cut_layer(benchmark):
-    scenario = paper_scenario(with_wireless=True)
-    built = scenario.build()
+    built = paper_scenario(with_wireless=True).build()
 
     def sweep():
-        return best_cut(
-            built.profile,
-            WirelessSystem(built.wireless),
-            batch_size=scenario.scheme.batch_size,
-            local_steps=scenario.scheme.local_steps,
-            bandwidth_hz=built.wireless.total_bandwidth_hz / scenario.num_groups,
-        )
+        return best_cut("GSFL", built)
 
     best, sweep_rows = benchmark(sweep)
     latency = dict(sweep_rows)
 
     print()
-    print("Abl-1: estimated local-round latency per cut layer")
+    print("Abl-1: GSFL round latency per cut layer (dry round)")
     print(f"{'cut':>4} {'latency (ms)':>13}")
     for cut, t in sweep_rows:
         print(f"{cut:>4} {t * 1e3:>13.2f}{'   <- best' if cut == best else ''}")

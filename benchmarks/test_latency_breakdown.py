@@ -1,9 +1,11 @@
 """Latency decomposition — per-phase breakdown of one training round.
 
-Audits the simulator: for SL the round duration must equal the sum of
-its (serial) trace events; for GSFL the round is gated by the slowest
-group's track plus the aggregation stage.  Prints the per-phase
-time/byte budget for both schemes.
+Prices the round dry (:meth:`SplitFederatedScheme.dry_round`: the trained
+round's stages and trace, nothing trained).  Audits the simulator: for
+SL the round duration must equal the sum of its (serial) trace events;
+for GSFL the round is gated by the slowest group's track plus the
+aggregation stage.  Prints the per-phase time/byte budget for both
+schemes.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ from repro.experiments import paper_scenario, make_scheme
 
 
 def test_latency_breakdown(benchmark):
-    scenario = paper_scenario(with_wireless=True, train_per_class=5)
+    built = paper_scenario(with_wireless=True, train_per_class=5).build()
 
     def experiment():
         out = {}
         for name in ("SL", "GSFL"):
-            built = paper_scenario(with_wireless=True, train_per_class=5).build()
             scheme = make_scheme(name, built)
-            history = scheme.run(1)
             out[name] = {
-                "round_s": history.total_latency_s,
+                "round_s": scheme.dry_round(),
                 "phases_s": scheme.recorder.total_time_by_phase(),
                 "phases_b": scheme.recorder.total_bytes_by_phase(),
                 "events": list(scheme.recorder.events),

@@ -2,11 +2,11 @@
 """Cut-layer selection study (the paper's §IV future-work item).
 
 Profiles the DeepThin CNN, tabulates every candidate cut's client
-compute / smashed payload / client-model size trade-off, then prices one
-client's split-training round per cut against the wireless scenario and
-reports the latency-minimizing cut.
+compute / smashed payload / client-model size trade-off, then prices SL's
+and GSFL's round at every cut with a dry round of each scheme and reports
+each scheme's latency-minimizing cut.
 
-Takes a few seconds — this is a pure latency-model study, no training.
+Takes a few seconds — the rounds are priced, not trained.
 
 Usage::
 
@@ -15,16 +15,14 @@ Usage::
 
 from __future__ import annotations
 
-from repro import nn
-from repro.core.cut_layer import analyze_cuts, best_cut
-from repro.experiments import paper_scenario
-from repro.wireless.system import WirelessSystem
+from repro.core.cut_layer import analyze_cuts
+from repro.experiments import best_cut, paper_scenario
 
 
 def main() -> None:
     scenario = paper_scenario(with_wireless=True)
     built = scenario.build()
-    profile, system = built.profile, WirelessSystem(built.wireless)
+    profile = built.profile
 
     print("=== model profile ===")
     print(profile.summary())
@@ -44,29 +42,25 @@ def main() -> None:
         )
     print()
 
-    batch = scenario.scheme.batch_size
-    bandwidth = system.allocator.total_bandwidth_hz / scenario.num_groups
-    best, sweep = best_cut(
-        profile, system, batch_size=batch, local_steps=scenario.scheme.local_steps,
-        bandwidth_hz=bandwidth,
-    )
-    print(f"=== estimated local-round latency per cut "
-          f"(batch={batch}, B/M={bandwidth / 1e6:.1f} MHz) ===")
-    for cut, latency in sweep:
-        marker = "  <== best" if cut == best else ""
-        print(f"cut {cut:>2}: {latency * 1e3:8.2f} ms{marker}")
+    sweeps = {name: best_cut(name, built) for name in ("SL", "GSFL")}
+    print("=== round latency per cut (a dry round of each scheme) ===")
+    print(f"{'cut':>4} {'SL (ms)':>10} {'GSFL (ms)':>10}")
+    for (cut, sl), (_, gsfl) in zip(sweeps["SL"][1], sweeps["GSFL"][1]):
+        print(f"{cut:>4} {sl * 1e3:>10.2f} {gsfl * 1e3:>10.2f}")
     print()
-    print(f"latency-minimizing cut for one client's round: {best} "
-          f"(paper scenario pins cut {scenario.resolved_cut_layer()})")
+    for name, (best, _) in sweeps.items():
+        print(f"latency-minimizing cut for {name}: {best} "
+              f"(paper scenario pins cut {scenario.resolved_cut_layer()})")
     print()
-    print("Reading the table: cuts right after a pooling stage (4, 8) are "
-          "the local minima — pooling shrinks the smashed payload 4x.  The "
-          "estimator prices a single client's round, where the shallow "
-          "pooled cut wins on these slow devices; the paper scenario pins "
-          "the deeper pooled cut because, across the full GSFL-vs-SL "
-          "comparison, the extra client compute it shifts off the shared "
-          "server is parallelized M-ways while SL pays it serially.")
-
+    print("Reading the table: each latency is the round a trained run would "
+          "price first — every relay chain's split steps, relays and model "
+          "transfers on the shared medium, then GSFL's aggregation.  Cuts "
+          "right after a pooling stage (4, 8) are the local minima: pooling "
+          "shrinks the smashed payload 4x.  The shallow pooled cut wins for "
+          "both schemes on these slow devices, since client compute "
+          "dominates the round; GSFL runs its groups' chains in parallel, "
+          "so the deeper cut costs it far less than it costs SL's one "
+          "serial chain.")
 
 if __name__ == "__main__":
     main()

@@ -49,7 +49,7 @@ from repro.data.gtsrb import SyntheticGTSRB
 from repro.experiments.catalog import describe_scenario, export_trace, get_scenario, list_scenarios
 from repro.experiments.dynamics import FAILURE_MODELS, DynamicsConfig
 from repro.experiments.figures import run_fig2a, run_fig2b
-from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
+from repro.experiments.runner import SCHEME_REGISTRY, best_cut, make_scheme
 from repro.experiments.scenario import ExperimentScenario, fast_scenario, paper_scenario
 from repro.nn.dtype import set_default_dtype
 from repro.schemes.base import MEDIUM_POLICIES
@@ -403,24 +403,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_cuts(args: argparse.Namespace) -> int:
-    from repro.core.cut_layer import best_cut
-    from repro.wireless.system import WirelessSystem
-
     try:
-        scenario = _scenario(args)
-        built = scenario.build()
+        built = _scenario(args).build()
+        sweeps = {name: best_cut(name, built) for name in ("SL", "GSFL")}
     except ValueError as exc:
         return _config_error(exc)
-    best, sweep = best_cut(
-        built.profile,
-        WirelessSystem(built.wireless),
-        batch_size=scenario.scheme.batch_size,
-        local_steps=scenario.scheme.local_steps,
-        bandwidth_hz=built.wireless.total_bandwidth_hz / scenario.num_groups,
-    )
-    print(f"{'cut':>4} {'latency (ms)':>13}")
-    for cut, latency in sweep:
-        print(f"{cut:>4} {latency * 1e3:>13.2f}{'   <- best' if cut == best else ''}")
+    print(f"{'cut':>4} {'SL (ms)':>11}   {'GSFL (ms)':>11}")
+    for (cut, sl), (_, gsfl) in zip(sweeps["SL"][1], sweeps["GSFL"][1]):
+        marks = ["*" if cut == sweeps[name][0] else " " for name in ("SL", "GSFL")]
+        print(f"{cut:>4} {sl * 1e3:>11.2f} {marks[0]} {gsfl * 1e3:>11.2f} {marks[1]}".rstrip())
+    print("\n* the scheme's best cut (a dry round of its own, no training)")
     return 0
 
 
@@ -447,7 +439,7 @@ COMMANDS = {
     "figures": (_cmd_figures, "Fig 2a and Fig 2b from one priced training"),
     "run": (_cmd_run, "run one scheme"),
     "scenarios": (_cmd_scenarios, "list the scenario catalog (or describe one world)"),
-    "cuts": (_cmd_cuts, "cut-layer latency sweep"),
+    "cuts": (_cmd_cuts, "cut-layer sweep: SL and GSFL round latency per cut"),
     "info": (_cmd_info, "print the scenario summary"),
 }
 

@@ -2,12 +2,12 @@
 
 GSFL itself (:mod:`repro.core.gsfl`), client grouping strategies and
 between-round regrouping policies, FedAvg aggregation, cut-layer
-analysis/selection, and inter-group bandwidth apportioning (the §IV
+analysis, and inter-group bandwidth apportioning (the §IV
 future-work axes, built for the ablations).
 """
 
 from repro.core.aggregation import fedavg, weighted_delta
-from repro.core.cut_layer import CutAnalysis, analyze_cuts, best_cut, estimate_round_latency
+from repro.core.cut_layer import CutAnalysis, analyze_cuts
 from repro.core.gsfl import GroupSplitFederatedLearning
 from repro.core.grouping import (
     GROUPING_STRATEGIES,
@@ -51,8 +51,6 @@ __all__ = [
     "make_regroup_policy",
     "CutAnalysis",
     "analyze_cuts",
-    "best_cut",
-    "estimate_round_latency",
     "GroupWorkload",
     "equal_bandwidth_split",
     "minmax_bandwidth_split",

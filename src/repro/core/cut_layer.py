@@ -1,4 +1,4 @@
-"""Cut-layer analysis and selection.
+"""Cut-layer analysis.
 
 Where to cut the model is the central split-learning design knob (paper
 §IV lists "the impact of the cut layer selection" as future work).  The
@@ -11,9 +11,9 @@ cut trades off:
   aggregation uploads.
 
 :func:`analyze_cuts` tabulates all three per candidate cut from a
-:class:`~repro.nn.profile.ModelProfile`; :func:`estimate_round_latency`
-prices one client's per-batch split interaction; :func:`best_cut` returns
-the latency-minimizing cut for a wireless scenario.
+:class:`~repro.nn.profile.ModelProfile`.  Choosing a cut prices it with
+the scheme's own round instead
+(:func:`repro.experiments.runner.best_cut`).
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.profile import ModelProfile
-from repro.wireless.system import WirelessSystem
 
-__all__ = ["CutAnalysis", "analyze_cuts", "estimate_round_latency", "best_cut"]
+__all__ = ["CutAnalysis", "analyze_cuts"]
 
 
 @dataclass(frozen=True)
@@ -57,63 +56,3 @@ def analyze_cuts(profile: ModelProfile) -> list[CutAnalysis]:
             )
         )
     return out
-
-
-def estimate_round_latency(
-    profile: ModelProfile,
-    cut_layer: int,
-    system: WirelessSystem,
-    client: int,
-    batch_size: int,
-    local_steps: int,
-    bandwidth_hz: float,
-) -> float:
-    """Expected split-training time for one client's local round.
-
-    Sums, over ``local_steps`` batches: client forward, smashed uplink,
-    server forward+backward, gradient downlink, client backward.  Uses
-    mean rates (no fading draw) so cut selection is deterministic.
-    """
-    fwd_c = profile.client_forward_flops(cut_layer) * batch_size
-    bwd_c = profile.client_backward_flops(cut_layer) * batch_size
-    fwd_s = profile.server_forward_flops(cut_layer) * batch_size
-    bwd_s = profile.server_backward_flops(cut_layer) * batch_size
-    smashed_bits = 8 * profile.smashed_bytes(cut_layer, batch_size)
-
-    up_rate = system.channel.mean_uplink_rate_bps(client, bandwidth_hz, num_draws=64)
-    down_rate = up_rate * 1.5  # AP transmits at higher power; coarse mean
-    uplink = smashed_bits / up_rate
-    downlink = smashed_bits / down_rate
-
-    per_batch = (
-        system.client_compute_seconds(client, fwd_c)
-        + uplink
-        + system.server_compute_seconds(fwd_s + bwd_s)
-        + downlink
-        + system.client_compute_seconds(client, bwd_c)
-    )
-    return local_steps * per_batch
-
-
-def best_cut(
-    profile: ModelProfile,
-    system: WirelessSystem,
-    batch_size: int,
-    local_steps: int = 1,
-    bandwidth_hz: float | None = None,
-    client: int = 0,
-) -> tuple[int, list[tuple[int, float]]]:
-    """Latency-minimizing cut layer.
-
-    Returns ``(best_cut, [(cut, latency), ...])`` with the full sweep so
-    callers can plot the ablation curve.
-    """
-    bw = bandwidth_hz or system.allocator.total_bandwidth_hz
-    sweep = []
-    for cut in range(1, profile.num_layers):
-        latency = estimate_round_latency(
-            profile, cut, system, client, batch_size, local_steps, bw
-        )
-        sweep.append((cut, latency))
-    best = min(sweep, key=lambda pair: pair[1])[0]
-    return best, sweep

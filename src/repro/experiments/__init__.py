@@ -17,7 +17,7 @@ from repro.experiments.catalog import (
 )
 from repro.experiments.dynamics import ClientDynamics, DynamicsConfig, RoundConditions
 from repro.experiments.figures import Fig2aResult, Fig2bResult, run_fig2a, run_fig2b
-from repro.experiments.runner import SCHEME_REGISTRY, make_scheme, run_schemes
+from repro.experiments.runner import SCHEME_REGISTRY, best_cut, make_scheme, run_schemes
 from repro.experiments.scenario import (
     BuiltScenario,
     ExperimentScenario,
@@ -45,6 +45,7 @@ __all__ = [
     "fast_scenario",
     "SCHEME_REGISTRY",
     "make_scheme",
+    "best_cut",
     "run_schemes",
     "run_fig2a",
     "run_fig2b",

@@ -10,9 +10,10 @@ from repro.schemes.centralized import CentralizedLearning
 from repro.schemes.federated import FederatedLearning
 from repro.schemes.parallel_split import ParallelSplitLearning
 from repro.schemes.split import SplitLearning
+from repro.schemes.split_common import SplitFederatedScheme
 from repro.schemes.splitfed import SplitFedLearning
 
-__all__ = ["SCHEME_REGISTRY", "make_scheme", "run_schemes"]
+__all__ = ["SCHEME_REGISTRY", "make_scheme", "best_cut", "run_schemes"]
 
 SCHEME_REGISTRY = {
     "CL": CentralizedLearning,
@@ -45,6 +46,26 @@ def make_scheme(name: str, built: BuiltScenario, **overrides: object) -> Scheme:
         kwargs["grouping"] = built.scenario.grouping
     kwargs.update(overrides)
     return cls(**kwargs)
+
+
+def best_cut(name: str, built: BuiltScenario) -> tuple[int, list[tuple[int, float]]]:
+    """The cut that makes split scheme ``name``'s round fastest.
+
+    Prices every valid cut with a fresh scheme's
+    :meth:`~repro.schemes.split_common.SplitFederatedScheme.dry_round`, the
+    round a trained run would price first; returns ``(best_cut, [(cut,
+    seconds), ...])`` with the full sweep.
+    """
+    if built.profile is None:
+        raise ValueError("choosing a cut needs a priced build (a wireless config)")
+    sweep = []
+    for cut in range(1, built.profile.num_layers):
+        scheme = make_scheme(name, built, cut_layer=cut)
+        if not isinstance(scheme, SplitFederatedScheme):
+            raise ValueError(f"scheme {name!r} has no dry round; SL, SplitFed and GSFL do")
+        sweep.append((cut, scheme.dry_round()))
+    best = min(sweep, key=lambda pair: pair[1])[0]
+    return best, sweep
 
 
 def run_schemes(

@@ -17,9 +17,7 @@ and adds a one-model FedAvg.)
 
 from __future__ import annotations
 
-from repro.core.aggregation import StackedFedAvg
-from repro.schemes.base import Stage
-from repro.schemes.split_common import GroupResult, SplitFederatedScheme
+from repro.schemes.split_common import SplitFederatedScheme
 
 __all__ = ["SplitLearning"]
 
@@ -30,19 +28,12 @@ class SplitLearning(SplitFederatedScheme):
     name = "SL"
     #: one chain of every client: nothing to run barrier-free against
     supports_async = False
+    #: one server-side model: the chain's trained halves (its rows) are
+    #: the next global model, with no aggregation stage
+    _fedavg_units = False
 
     def _units(self) -> list[list[int]]:
         return [list(range(self.num_clients))]
 
     def _unit_bandwidth(self, unit: int) -> float:
         return self._pricing.total_bandwidth_hz
-
-    def _aggregate(
-        self, results: list[GroupResult], client_avg: StackedFedAvg, server_avg: StackedFedAvg
-    ) -> Stage:
-        """The one chain's trained halves (its rows) are the next global model."""
-        if results:
-            self._global_client_state = client_avg.state(0)
-            self._global_server_state = server_avg.state(0)
-            self._load_globals()
-        return Stage("aggregation")

@@ -399,14 +399,15 @@ class SplitFederatedScheme(Scheme):
     units' client halves and replicas into the next global model.
     Subclasses supply the unit member lists (:meth:`_units`) and each
     unit's nominal bandwidth (:meth:`_unit_bandwidth`), and may drop
-    members from a unit-round (:meth:`_unit_members`) or replace the
-    sync round's FedAvg stage (:meth:`_aggregate`).
+    members from a unit-round (:meth:`_unit_members`).
 
     A unit-round is described once, by :meth:`_unit_work`, as its priced
     relay chain plus the :class:`GroupTask` that trains it, and both
-    aggregation modes use that description: the sync barrier collects
-    every unit's, trains them all through :func:`run_group_tasks` and
-    aggregates once; barrier-free policies train each unit-round on its
+    aggregation modes use that description: the sync round
+    (:meth:`_sync_round`) collects every unit's, prices the aggregation
+    from their number, trains them all through :func:`run_group_tasks`
+    and aggregates once, or prices the same stages without training
+    (:meth:`dry_round`); barrier-free policies train each unit-round on its
     own (:func:`train_split_group`) and merge a copy of its halves with a
     priced two-model mix.  The sync round holds one client row and one
     server row per finished unit, and at aggregation those two matrices
@@ -419,6 +420,9 @@ class SplitFederatedScheme(Scheme):
     supports_async = True
     #: a unit is ``f"{_unit_label}-{unit}"`` in tracks and trace details
     _unit_label = "group"
+    #: the sync round FedAvgs its units' halves in a priced aggregation
+    #: stage; SL's one server-side model takes its chain's halves instead
+    _fedavg_units = True
 
     def __init__(self, *args: object, cut_layer: int = 1, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
@@ -487,7 +491,10 @@ class SplitFederatedScheme(Scheme):
     # ------------------------------------------------------------------
     # sync round
     # ------------------------------------------------------------------
-    def _run_round(self, round_index: int) -> list[Stage]:
+    def _sync_round(self) -> tuple[list[Stage], list[GroupTask]]:
+        """The sync round's one description: its priced stages (every
+        unit's relay chain, then the aggregation of one result per task)
+        and the tasks that train it."""
         participants = set(self._round_participants())
         training = Stage("group_training")
         tasks: list[GroupTask] = []
@@ -500,7 +507,22 @@ class SplitFederatedScheme(Scheme):
             activities, task = self._unit_work(unit, members)
             training.extend(f"{self._unit_label}-{unit}", activities)
             tasks.append(task)
+        aggregation = Stage("aggregation")
+        if tasks and self._fedavg_units:
+            aggregation.add(
+                "edge-server",
+                Activity(
+                    self._pricing.aggregation_demand(
+                        len(tasks), self.model.num_parameters()
+                    ),
+                    "aggregation",
+                    "edge-server",
+                ),
+            )
+        return [training, aggregation], tasks
 
+    def _run_round(self, round_index: int) -> list[Stage]:
+        stages, tasks = self._sync_round()
         # The units share no training state within a round (each starts
         # from the global halves — the edge replicas, concurrent in
         # simulated time), so they train one after another on one model.
@@ -511,31 +533,46 @@ class SplitFederatedScheme(Scheme):
         self._last_train_loss = (
             sum(r.loss_sum for r in results) / trained if trained else float("nan")
         )
-        return [training, self._aggregate(results, client_avg, server_avg)]
+        self._aggregate(results, client_avg, server_avg)
+        return stages
 
     def _aggregate(
         self, results: list[GroupResult], client_avg: StackedFedAvg, server_avg: StackedFedAvg
-    ) -> Stage:
-        """FedAvg the units' halves into the next global model; returns the
-        priced aggregation stage.  With no unit left the round is a no-op
-        and the global carries over."""
-        aggregation = Stage("aggregation")
-        if results:
+    ) -> None:
+        """The units' halves become the next global model: their FedAvg,
+        or SL's one chain's rows as they are.  With no unit left the round
+        is a no-op and the global carries over."""
+        if not results:
+            return
+        if self._fedavg_units:
             weights = [r.weight for r in results]
             self._global_client_state = fedavg(client_avg, weights)
             self._global_server_state = fedavg(server_avg, weights)
-            self._load_globals()
-            aggregation.add(
-                "edge-server",
-                Activity(
-                    self._pricing.aggregation_demand(
-                        len(results), self.model.num_parameters()
-                    ),
-                    "aggregation",
-                    "edge-server",
-                ),
+        else:
+            self._global_client_state = client_avg.state(0)
+            self._global_server_state = server_avg.state(0)
+        self._load_globals()
+
+    def dry_round(self) -> float:
+        """Price the next sync round without training it; returns its
+        DES-resolved seconds.
+
+        The stages come from the description a trained round uses and
+        resolve on this scheme's runtime, trace events included, so a
+        fresh scheme's dry round equals its first trained round's
+        ``des_s`` bit for bit.  Nothing trains, aggregates or evaluates.
+        Client dynamics bite in the round driver and a barrier-free
+        policy has no round to price, so both are refused.
+        """
+        if self.dynamics is not None or not self.aggregation_policy.synchronous:
+            raise ValueError(
+                "a dry round prices a fleet without client dynamics under "
+                "sync aggregation"
             )
-        return aggregation
+        stages, _ = self._sync_round()
+        return self.aggregation_policy.resolve_round(
+            self.runtime, stages, self.recorder, len(self.round_timings)
+        )
 
     # ------------------------------------------------------------------
     # barrier-free unit rounds

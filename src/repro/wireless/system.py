@@ -102,17 +102,6 @@ class WirelessSystem:
         return self.config.num_clients
 
     # ------------------------------------------------------------------
-    # computation pricing
-    # ------------------------------------------------------------------
-    def client_compute_seconds(self, client: int, flops: float) -> float:
-        """Seconds for ``flops`` on the given client device."""
-        return self.fleet.client(client).compute_time(flops)
-
-    def server_compute_seconds(self, flops: float) -> float:
-        """Seconds for ``flops`` on the edge server."""
-        return self.fleet.server.compute_time(flops)
-
-    # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
     def link_report(self, bandwidth_hz: float | None = None) -> list[dict[str, float]]:

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.cut_layer import analyze_cuts, best_cut, estimate_round_latency
+from repro.core.cut_layer import analyze_cuts
 from repro.core.resource import (
     GroupWorkload,
     equal_bandwidth_split,
     minmax_bandwidth_split,
 )
-from repro.wireless.system import WirelessConfig, WirelessSystem
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +27,6 @@ def profile():
         nn.Linear(16 * 4 * 4, 10, seed=2),
     )
     return nn.profile_model(model, (3, 16, 16))
-
-
-@pytest.fixture(scope="module")
-def system():
-    return WirelessSystem(
-        WirelessConfig(num_clients=4, deterministic_rates=True, seed=0)
-    )
 
 
 class TestAnalyzeCuts:
@@ -62,26 +54,6 @@ class TestAnalyzeCuts:
         cuts = {c.cut_layer: c for c in analyze_cuts(profile)}
         # cut after pool (layer 3) carries 4x less than cut before it
         assert cuts[3].smashed_bytes_per_sample < cuts[2].smashed_bytes_per_sample
-
-
-class TestEstimateAndBest:
-    def test_latency_positive(self, profile, system):
-        t = estimate_round_latency(
-            profile, 3, system, client=0, batch_size=8, local_steps=2, bandwidth_hz=5e6
-        )
-        assert t > 0
-
-    def test_local_steps_scale_linearly(self, profile, system):
-        kwargs = dict(client=0, batch_size=8, bandwidth_hz=5e6)
-        t1 = estimate_round_latency(profile, 3, system, local_steps=1, **kwargs)
-        t2 = estimate_round_latency(profile, 3, system, local_steps=2, **kwargs)
-        assert t2 == pytest.approx(2 * t1, rel=0.2)  # fading draws differ slightly
-
-    def test_best_cut_returns_sweep_minimum(self, profile, system):
-        best, sweep = best_cut(profile, system, batch_size=8)
-        latencies = dict(sweep)
-        assert latencies[best] == min(latencies.values())
-        assert len(sweep) == profile.num_layers - 1
 
 
 class TestBandwidthOptimizer:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import SCHEME_REGISTRY, make_scheme, run_schemes
+from repro.experiments.runner import SCHEME_REGISTRY, best_cut, make_scheme, run_schemes
 from repro.experiments.scenario import (
     ExperimentScenario,
     fast_scenario,
@@ -35,12 +35,16 @@ class TestScenario:
         changing the preset or the latency model means rewriting it."""
         assert paper_scenario().cut_layer == 8
         assert main(["cuts", "--scale", "paper", "--seed", "0"]) == 0
-        lines = capsys.readouterr().out.splitlines()[1:]
+        lines = capsys.readouterr().out.splitlines()[1:12]
         rows = {int(line.split()[0]): line.split()[1:] for line in lines}
-        assert rows[4] == ["843.64", "<-", "best"]
-        assert rows[8] == ["1508.58"]
+        assert rows[4] == ["14754.42", "*", "4691.12", "*"]
+        assert rows[8] == ["40112.51", "7853.03"]
         doc = " ".join(paper_scenario.__doc__.split())
-        assert "picks cut 4, 843.64 ms a round against 1508.58 ms for cut 8" in doc
+        assert (
+            "picks cut 4 for both schemes, a GSFL round of 4691.12 ms against "
+            "7853.03 ms for cut 8 and an SL round of 14754.42 ms against "
+            "40112.51 ms" in doc
+        )
 
     def test_wireless_client_count_follows_scenario(self):
         sc = fast_scenario(num_clients=9, num_groups=3)
@@ -130,6 +134,18 @@ class TestRunner:
         histories = run_schemes(built_fast_scenario, ["SL", "GSFL"], num_rounds=1)
         assert set(histories) == {"SL", "GSFL"}
         assert all(len(h) == 1 for h in histories.values())
+
+    def test_best_cut_returns_sweep_minimum(self, built_fast_scenario):
+        best, sweep = best_cut("GSFL", built_fast_scenario)
+        latencies = dict(sweep)
+        assert latencies[best] == min(latencies.values())
+        assert len(sweep) == built_fast_scenario.profile.num_layers - 1
+
+    def test_best_cut_needs_a_split_scheme_and_a_priced_build(self, built_fast_scenario):
+        with pytest.raises(ValueError, match="has no dry round"):
+            best_cut("PSL", built_fast_scenario)
+        with pytest.raises(ValueError, match="priced build"):
+            best_cut("GSFL", fast_scenario(with_wireless=False).build())
 
 
 class TestOrderIndependence:

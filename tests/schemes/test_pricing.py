@@ -55,8 +55,8 @@ class TestComputePricing:
     def test_client_slower_than_server(self, pricing):
         cut = 2
         client = compute_s(pricing.client_forward_demand(0, cut))
-        # same FLOPs on the server side of the facade
-        server_equiv = pricing.system.server_compute_seconds(
+        # same FLOPs on the edge server of the fleet
+        server_equiv = pricing.system.fleet.server.compute_time(
             pricing.profile.client_forward_flops(cut) * pricing.batch_size
         )
         assert client > server_equiv

@@ -128,6 +128,41 @@ class TestCommands:
         assert main(["cuts", "--scale", "fast"]) == 0
         assert "best" in capsys.readouterr().out
 
+    def test_cuts_honours_the_medium(self, capsys):
+        """``cuts`` priced every medium as the static one, byte for byte."""
+
+        def columns(argv):
+            assert main(["cuts", "--scale", "fast", *argv]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:8]
+            rows = [[cell for cell in line.split() if cell != "*"] for line in lines]
+            return [row[1] for row in rows], [row[2] for row in rows]
+
+        static_sl, static_gsfl = columns([])
+        contended_sl, contended_gsfl = columns(["--medium", "contended"])
+        assert contended_sl == static_sl  # SL has one transmitter at a time
+        assert contended_gsfl != static_gsfl
+
+    def test_cuts_refuses_what_run_refuses(self, capsys):
+        """``cuts`` printed a table for a cross-traffic world on a contended
+        medium, which ``run`` refuses."""
+        argv = ["--scenario", "cross-traffic", "--medium", "contended"]
+        assert main(["run", *argv]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["cuts", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == run_err
+        assert "cross-traffic requires the 'static' medium" in err
+
+    def test_cuts_refuses_client_dynamics(self, capsys):
+        """``cuts --scenario churn`` printed a table that ignored the churn."""
+        assert main(["cuts", "--scenario", "churn"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: a dry round prices a fleet without client dynamics "
+            "under sync aggregation\n"
+        )
+
     def test_run_gsfl(self, capsys):
         code = main(
             ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "2"]

@@ -300,7 +300,7 @@ class TestEqualSharesPlainFloats:
 class TestWirelessSystem:
     def test_build_and_price(self):
         sys = WirelessSystem(WirelessConfig(num_clients=5, seed=0))
-        assert sys.client_compute_seconds(0, 1e9) > sys.server_compute_seconds(1e9)
+        assert sys.fleet.client(0).compute_time(1e9) > sys.fleet.server.compute_time(1e9)
 
     def test_deterministic_rates_mode(self):
         sys = WirelessSystem(WirelessConfig(num_clients=3, deterministic_rates=True, seed=0))
