@@ -13,7 +13,6 @@ structural facts the sweep must show:
 
 from __future__ import annotations
 
-from repro.core.cut_layer import analyze_cuts
 from repro.experiments import best_cut, paper_scenario
 
 
@@ -39,8 +38,8 @@ def test_ablation_cut_layer(benchmark):
     # Best overall must be one of the pooled cuts.
     assert best in (4, 8)
 
-    cuts = analyze_cuts(built.profile)
-    fwd = [c.client_forward_flops for c in cuts]
+    profile = built.profile
+    fwd = [profile.client_forward_flops(cut) for cut in latency]
     assert fwd == sorted(fwd), "client compute must grow with cut depth"
-    totals = {c.client_forward_flops + c.server_forward_flops for c in cuts}
+    totals = {profile.client_forward_flops(c) + profile.server_forward_flops(c) for c in latency}
     assert len(totals) == 1, "cut must partition total compute exactly"

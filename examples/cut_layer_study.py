@@ -15,7 +15,6 @@ Usage::
 
 from __future__ import annotations
 
-from repro.core.cut_layer import analyze_cuts
 from repro.experiments import best_cut, paper_scenario
 
 
@@ -34,11 +33,11 @@ def main() -> None:
         f"{'smashed B':>10} {'client model B':>15}"
     )
     print(header)
-    for cut in analyze_cuts(profile):
+    for cut in range(1, profile.num_layers):
         print(
-            f"{cut.cut_layer:>4} {cut.client_forward_flops / 1e3:>13.1f} "
-            f"{cut.server_forward_flops / 1e3:>13.1f} "
-            f"{cut.smashed_bytes_per_sample:>10} {cut.client_model_bytes:>15}"
+            f"{cut:>4} {profile.client_forward_flops(cut) / 1e3:>13.1f} "
+            f"{profile.server_forward_flops(cut) / 1e3:>13.1f} "
+            f"{profile.smashed_bytes(cut, 1):>10} {profile.client_model_bytes(cut):>15}"
         )
     print()
 

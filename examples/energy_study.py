@@ -28,13 +28,16 @@ def main() -> None:
         fleet = energy_model.fleet_energy(
             scheme.recorder, total_span_s=history.total_latency_s
         )
-        per_round = energy_model.energy_by_round(scheme.recorder)
+        per_client = energy_model.per_client_energy(
+            scheme.recorder, total_span_s=history.total_latency_s
+        )
+        totals = sorted(report.total_j for report in per_client.values())
         print(f"--- {name} (total latency {history.total_latency_s:.2f} s) ---")
         print(f"fleet energy: tx {fleet.tx_j:.2f} J, rx {fleet.rx_j:.2f} J, "
               f"compute {fleet.compute_j:.2f} J, idle {fleet.idle_j:.2f} J "
               f"=> total {fleet.total_j:.2f} J")
-        print("active energy per round:",
-              {r: round(j, 2) for r, j in sorted(per_round.items())})
+        print(f"per client: {totals[0]:.2f} J to {totals[-1]:.2f} J "
+              f"over {len(totals)} clients")
     print()
     print("Compute energy is identical (same training work), but GSFL's "
           "parallel groups finish the round sooner, cutting each client's "

@@ -6,7 +6,6 @@ Shows the pieces the training schemes are priced against:
 * topology + channel: per-client distance, SNR, achievable rates;
 * the bandwidth-narrowing effect GSFL exploits (rate(B/M) > rate(B)/M);
 * bandwidth allocation policies over a concurrent transmitter set;
-* the min-max inter-group bandwidth optimizer vs the equal split;
 * the processor-sharing shared-link model from the DES substrate.
 
 Pure simulation — runs in seconds.
@@ -18,21 +17,19 @@ Usage::
 
 from __future__ import annotations
 
-import numpy as np
 
-from repro.core.resource import GroupWorkload, equal_bandwidth_split, minmax_bandwidth_split
 from repro.sim import Environment, FairShareLink
 from repro.wireless import WirelessConfig, WirelessSystem, make_allocator
 
 
 def link_tour(system: WirelessSystem) -> None:
-    print("=== per-client link report (20 MHz) ===")
-    rows = system.link_report()
-    print(f"{'client':>7} {'dist (m)':>9} {'SNR (dB)':>9} {'mean rate (Mbps)':>17}")
-    for row in rows[:8]:
-        print(f"{row['client']:>7} {row['distance_m']:>9.1f} "
-              f"{row['snr_db']:>9.1f} {row['mean_uplink_mbps']:>17.1f}")
-    print(f"... ({len(rows)} clients total)")
+    print("=== per-client links (20 MHz) ===")
+    bandwidth = system.config.total_bandwidth_hz
+    print(f"{'client':>7} {'dist (m)':>9} {'mean rate (Mbps)':>17}")
+    for client in range(8):
+        rate = system.channel.mean_uplink_rate_bps(client, bandwidth, num_draws=50)
+        print(f"{client:>7} {system.topology.distance(client):>9.1f} {rate / 1e6:>17.1f}")
+    print(f"... ({system.config.num_clients} clients total)")
     print()
 
 
@@ -63,25 +60,6 @@ def allocator_comparison(system: WirelessSystem) -> None:
     print()
 
 
-def minmax_demo() -> None:
-    print("=== inter-group min-max bandwidth split (future-work §IV) ===")
-    # Three groups with skewed transmission workloads (bits per round).
-    bits = [4e6, 8e6, 20e6]
-    workloads = [
-        GroupWorkload(i, lambda b, load=load: 0.05 + load / (b * 4.0))
-        for i, load in enumerate(bits)
-    ]
-    total = 20e6
-    eq = equal_bandwidth_split(total, 3)
-    t_eq = max(w.latency_fn(b) for w, b in zip(workloads, eq))
-    shares, t_opt = minmax_bandwidth_split(workloads, total)
-    print(f"equal split round time : {t_eq:.3f} s")
-    print(f"min-max split          : {t_opt:.3f} s "
-          f"({(t_eq - t_opt) / t_eq:+.0%} change)")
-    print("shares:", ", ".join(f"{b / 1e6:.1f} MHz" for b in shares))
-    print()
-
-
 def fair_share_demo() -> None:
     print("=== processor-sharing link (DES substrate) ===")
     env = Environment()
@@ -106,7 +84,6 @@ def main() -> None:
     link_tour(system)
     narrowband_effect(system)
     allocator_comparison(system)
-    minmax_demo()
     fair_share_demo()
 
 

@@ -1,13 +1,10 @@
 """``repro.core`` — the paper's contribution and its design knobs.
 
 GSFL itself (:mod:`repro.core.gsfl`), client grouping strategies and
-between-round regrouping policies, FedAvg aggregation, cut-layer
-analysis, and inter-group bandwidth apportioning (the §IV
-future-work axes, built for the ablations).
+between-round regrouping policies and FedAvg aggregation.
 """
 
 from repro.core.aggregation import fedavg, weighted_delta
-from repro.core.cut_layer import CutAnalysis, analyze_cuts
 from repro.core.gsfl import GroupSplitFederatedLearning
 from repro.core.grouping import (
     GROUPING_STRATEGIES,
@@ -25,11 +22,6 @@ from repro.core.regroup import (
     RegroupContext,
     RegroupPolicy,
     make_regroup_policy,
-)
-from repro.core.resource import (
-    GroupWorkload,
-    equal_bandwidth_split,
-    minmax_bandwidth_split,
 )
 
 __all__ = [
@@ -49,9 +41,4 @@ __all__ = [
     "AvailabilityAwareRegroup",
     "AbortHistoryRegroup",
     "make_regroup_policy",
-    "CutAnalysis",
-    "analyze_cuts",
-    "GroupWorkload",
-    "equal_bandwidth_split",
-    "minmax_bandwidth_split",
 ]

@@ -6,8 +6,8 @@ conducted through FedAVG."  Aggregation is a weighted average of every
 parameter *and buffer* (batch-norm running statistics average like
 parameters, the standard FedAvg-BN treatment).
 
-Implementation: :class:`StackedFedAvg` copies each state (``pack_state``
-layout) into its row of one ``(M, K)`` matrix as it arrives (an anonymous
+Implementation: :class:`StackedFedAvg` copies each state (flattened in
+key order) into its row of one ``(M, K)`` matrix as it arrives (an anonymous
 memory map, so unwritten rows take no memory), and :func:`fedavg` is a
 single ``weights @ matrix`` BLAS call over it.  GSFL's and SplitFed's
 sync round adds each unit's halves straight from the live split model as

@@ -9,8 +9,7 @@ The split-then-federated protocol (§II):
    learning against the group's *own server-side replica* (the edge
    server hosts M replicas — versus one per client in naive SplitFed,
    the §I storage argument).  The M group pipelines run in parallel;
-   each group's active transmitter gets a ``1/M`` bandwidth share under
-   the equal allocator (or a policy/optimizer-driven share).
+   each group's active transmitter gets a ``1/M`` bandwidth share.
 3. **Model aggregation** — once every group finishes (a barrier), the
    last client of each group uploads its client-side half; the AP
    FedAvg-aggregates the M client halves and the M server replicas into
@@ -33,7 +32,7 @@ independent group pipelines one after another — their parallelism lives
 in simulated time, where the DES prices it — each member drawing its
 mini-batches from its own loader at the step that trains on them.  What
 this module adds is GSFL's own: the grouping and between-round
-regrouping, per-group bandwidth shares, per-round failure injection and
+regrouping, the equal ``B / M`` group share, per-round failure injection and
 ``"reroute"`` recovery.
 """
 
@@ -67,10 +66,6 @@ class GroupSplitFederatedLearning(SplitFederatedScheme):
         per-round state — :meth:`_maybe_regroup` re-partitions the fleet
         between rounds from the run's own dynamics evidence (see
         :mod:`repro.core.regroup`).
-    bandwidth_shares:
-        Optional per-group bandwidth shares in Hz (e.g. from
-        :func:`repro.core.resource.minmax_bandwidth_split`); defaults to
-        the equal split ``B / M``.
     failure_rate:
         Per-round probability that a client is unavailable (crash, deep
         fade, battery).  An unavailable client is skipped in its group's
@@ -95,7 +90,6 @@ class GroupSplitFederatedLearning(SplitFederatedScheme):
         cut_layer: int = 1,
         grouping: str = "contiguous",
         groups: list[list[int]] | None = None,
-        bandwidth_shares: list[float] | None = None,
         failure_rate: float = 0.0,
         **kwargs: object,
     ) -> None:
@@ -137,18 +131,6 @@ class GroupSplitFederatedLearning(SplitFederatedScheme):
         #: so each regroup sees only the evidence since the previous one
         self._aborts_seen = 0
         self._retries_seen = 0
-
-        if bandwidth_shares is not None:
-            if len(bandwidth_shares) != self.num_groups:
-                raise ValueError(
-                    f"{len(bandwidth_shares)} bandwidth shares for "
-                    f"{self.num_groups} groups"
-                )
-            self.bandwidth_shares = list(bandwidth_shares)
-        else:
-            self.bandwidth_shares = [
-                self._pricing.total_bandwidth_hz / self.num_groups
-            ] * self.num_groups
 
     def _grouping_args(self, grouping: str, num_groups: int) -> dict:
         """Arguments the chosen strategy consumes (and nothing else).
@@ -224,7 +206,7 @@ class GroupSplitFederatedLearning(SplitFederatedScheme):
         if len(new_groups) != self.num_groups:
             raise ValueError(
                 f"regroup policy {policy.name!r} returned {len(new_groups)} "
-                f"groups for {self.num_groups} (bandwidth shares are per-group)"
+                f"groups for {self.num_groups} (each group holds B / M of the band)"
             )
         changed = new_groups != self.groups
         self.groups = [list(g) for g in new_groups]
@@ -247,7 +229,7 @@ class GroupSplitFederatedLearning(SplitFederatedScheme):
         return self.groups
 
     def _unit_bandwidth(self, unit: int) -> float:
-        return self.bandwidth_shares[unit]
+        return self._pricing.total_bandwidth_hz / self.num_groups
 
     def _unit_members(self, present: list[int]) -> list[int]:
         """Per-round failure injection over the present members: an

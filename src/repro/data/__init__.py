@@ -11,7 +11,6 @@ from repro.data.gtsrb import (
     GtsrbConfig,
     SyntheticGTSRB,
     class_spec,
-    render_sign,
 )
 from repro.data.partition import (
     make_client_datasets,
@@ -27,7 +26,6 @@ __all__ = [
     "GtsrbConfig",
     "SyntheticGTSRB",
     "NUM_CLASSES",
-    "render_sign",
     "class_spec",
     "partition_iid",
     "partition_dirichlet",

@@ -80,12 +80,6 @@ class ArrayDataset(Dataset):
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.images, self.labels
 
-    def class_counts(self, num_classes: int | None = None) -> np.ndarray:
-        """Histogram of labels (length ``num_classes``)."""
-        if num_classes is None:
-            num_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
-        return np.bincount(self.labels, minlength=num_classes)
-
 
 class Subset(Dataset):
     """View of another dataset restricted to ``indices``."""
@@ -134,12 +128,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.drop_last = drop_last
         self._rng = new_rng(seed)
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)

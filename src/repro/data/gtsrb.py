@@ -24,8 +24,7 @@ How a split is built: ``SyntheticGTSRB._generate`` allocates the
 time.  Only the random draws run per sample (the stream interleaves
 conditional draws, so their order is the dataset's identity); geometry,
 colour, jitter, blur and clipping are array expressions over the class.
-``render_sign`` is the ``n = 1`` call of the same renderer.  The
-per-sample generator this replaced lives on, frozen, in
+The per-sample generator this replaced lives on, frozen, in
 ``tests/reference/data.py``; ``tests/data/test_gtsrb_oracle.py`` holds
 both to the same bytes and the same generator state afterwards.
 
@@ -49,7 +48,7 @@ from repro.nn.dtype import get_default_dtype
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_non_negative, check_positive, check_probability
 
-__all__ = ["GtsrbConfig", "SyntheticGTSRB", "NUM_CLASSES", "render_sign", "class_spec"]
+__all__ = ["GtsrbConfig", "SyntheticGTSRB", "NUM_CLASSES", "class_spec"]
 
 NUM_CLASSES = 43
 
@@ -236,28 +235,6 @@ def _render_class(
     for i, ys, xs, value in occlusions:
         out[i, :, ys, xs] = value
     np.clip(out, 0.0, 1.0, out=out)
-
-
-def render_sign(
-    label: int,
-    size: int,
-    rng: np.random.Generator,
-    noise_std: float = 0.08,
-    jitter: float = 0.25,
-    max_shift: int = 2,
-    blur_prob: float = 0.3,
-    occlusion_prob: float = 0.15,
-) -> np.ndarray:
-    """Render one augmented sample of class ``label``.
-
-    Returns a float64 RGB image of shape ``(3, size, size)`` in [0, 1].
-    """
-    out = np.empty((1, 3, size, size))
-    work = np.empty((2, 1, 3, size, size))
-    _render_class(
-        label, out, work, rng, noise_std, jitter, max_shift, blur_prob, occlusion_prob
-    )
-    return out[0]
 
 
 def _box_blur(imgs: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ def make_scheme(name: str, built: BuiltScenario, **overrides: object) -> Scheme:
     identical weights and channels, whatever was made from ``built`` before.
     Split-based schemes receive the scenario's cut layer; GSFL receives
     the group count.  ``overrides`` pass extra constructor arguments
-    (e.g. ``groups=...`` or ``bandwidth_shares=...``).
+    (e.g. ``groups=...`` or ``failure_rate=...``).
     """
     if name not in SCHEME_REGISTRY:
         raise ValueError(f"unknown scheme {name!r}; available: {sorted(SCHEME_REGISTRY)}")

@@ -51,9 +51,6 @@ class TrainingHistory:
                 )
         self.points.append(HistoryPoint(round_index, latency_s, train_loss, test_accuracy))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     # ------------------------------------------------------------------
     # series accessors
     # ------------------------------------------------------------------
@@ -62,16 +59,8 @@ class TrainingHistory:
         return np.array([p.round_index for p in self.points])
 
     @property
-    def latencies(self) -> np.ndarray:
-        return np.array([p.latency_s for p in self.points])
-
-    @property
     def accuracies(self) -> np.ndarray:
         return np.array([p.test_accuracy for p in self.points])
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([p.train_loss for p in self.points])
 
     @property
     def final_accuracy(self) -> float:

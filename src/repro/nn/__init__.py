@@ -3,8 +3,8 @@
 Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), the layers the
 reproduction's models are built from (dense, ReLU, conv, max pooling,
 batch norm), the classification losses, the SGD optimizer, weight
-initialization, model profiling (shapes/FLOPs/payload bytes), parameter
-serialization, and the split-model machinery used by split learning.
+initialization, model profiling (shapes/FLOPs/payload bytes), flat state vectors,
+and the split-model machinery used by split learning.
 
 It exists because the reproduction sandbox has no PyTorch; the public
 surface intentionally mirrors familiar ``torch.nn`` idioms.
@@ -14,23 +14,12 @@ from repro.nn import functional
 from repro.nn.dtype import default_dtype, get_default_dtype, set_default_dtype
 from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.layers import Flatten, Layer, Linear, ReLU
-from repro.nn.losses import CrossEntropyLoss, NLLLoss, accuracy_from_logits
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, BatchNorm2d
 from repro.nn.optim import SGD, Optimizer
 from repro.nn.profile import LayerProfile, ModelProfile, profile_model
-from repro.nn.serialize import (
-    WIRE_BYTES_PER_SCALAR,
-    activation_nbytes,
-    clone_state,
-    model_nbytes,
-    pack_state,
-    state_nbits,
-    state_nbytes,
-    state_num_scalars,
-    states_allclose,
-    unpack_state,
-)
+from repro.nn.serialize import WIRE_BYTES_PER_SCALAR, state_num_scalars, unpack_state
 from repro.nn.split import ClientHalf, ServerHalf, SmashedBatch, SplitModel, split_model
 from repro.nn.tensor import Tensor, concatenate, no_grad, stack, unbroadcast
 
@@ -56,8 +45,6 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "CrossEntropyLoss",
-    "NLLLoss",
-    "accuracy_from_logits",
     "Optimizer",
     "SGD",
     "LayerProfile",
@@ -65,14 +52,7 @@ __all__ = [
     "profile_model",
     "WIRE_BYTES_PER_SCALAR",
     "state_num_scalars",
-    "state_nbytes",
-    "state_nbits",
-    "model_nbytes",
-    "activation_nbytes",
-    "pack_state",
     "unpack_state",
-    "clone_state",
-    "states_allclose",
     "split_model",
     "SplitModel",
     "ClientHalf",

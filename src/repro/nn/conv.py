@@ -85,10 +85,11 @@ class MaxPool2d(Layer):
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
-        if kernel_size <= 0:
-            raise ValueError(f"kernel_size must be positive, got {kernel_size}")
+        stride = kernel_size if stride is None else stride
+        if kernel_size <= 0 or stride <= 0:
+            raise ValueError(f"invalid geometry: kernel={kernel_size}, stride={stride}")
         self.kernel_size = kernel_size
-        self.stride = kernel_size if stride is None else stride
+        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)

@@ -29,7 +29,6 @@ __all__ = [
     "linear",
     "conv2d",
     "max_pool2d",
-    "im2col",
     "col2im",
     "conv_output_size",
 ]
@@ -80,25 +79,6 @@ def _im2col_t(
     return cols_t.reshape(c * kernel_h * kernel_w, n * out_h * out_w)
 
 
-def im2col(
-    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
-) -> np.ndarray:
-    """Rearrange image patches into columns.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)`` whose
-    rows are receptive fields (the transpose of the K-major matrix
-    :func:`conv2d` feeds to BLAS).
-    """
-    return np.ascontiguousarray(_im2col_t(x, kernel_h, kernel_w, stride, padding).T)
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -107,7 +87,8 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back into an image.
+    """Adjoint of the patch matrix (:func:`_im2col_t`, transposed):
+    scatter-add receptive-field rows back into an image.
 
     Accumulates channels-last — there the channel run of a patch row lands
     on a contiguous run of the image — and hands back the usual C-contiguous

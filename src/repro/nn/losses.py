@@ -1,8 +1,8 @@
-"""Loss functions.
+"""The classification loss.
 
-Each loss is a callable object mapping ``(logits_or_preds, targets)`` to a
-scalar :class:`~repro.nn.tensor.Tensor`; targets are plain numpy arrays
-(integer class labels for classification).
+:class:`CrossEntropyLoss` maps ``(logits, targets)`` to a scalar
+:class:`~repro.nn.tensor.Tensor`; targets are plain numpy arrays of
+integer class labels.
 """
 
 from __future__ import annotations
@@ -11,16 +11,15 @@ import numpy as np
 
 from repro.nn.tensor import Node, Tensor
 
-__all__ = ["CrossEntropyLoss", "NLLLoss", "accuracy_from_logits"]
+__all__ = ["CrossEntropyLoss"]
 
 
-def _nll(x: Tensor, targets: np.ndarray, reduction: str, from_logits: bool) -> Tensor:
-    """Negative log-likelihood of integer labels as one autograd node.
+def _cross_entropy(x: Tensor, targets: np.ndarray, reduction: str) -> Tensor:
+    """Softmax cross-entropy of integer labels over logits ``x`` as one
+    autograd node, the stable log-softmax included.
 
-    ``x`` holds log-probabilities, or logits when ``from_logits`` (the
-    stable log-softmax is then part of the node).  The node saves the
-    log-probabilities and the labels; backward scatters the scaled upstream
-    gradient onto the picked entries and, from logits, subtracts
+    The node saves the log-probabilities and the labels; backward scatters
+    the scaled upstream gradient onto the picked entries and subtracts
     ``softmax * rowsum`` — the numpy expressions, in order, of a
     ``log_softmax`` → ``getitem`` → ``sum`` → ``neg`` → ``mul`` chain
     (``tests/nn/test_fused_head.py`` keeps that chain as the reference).
@@ -40,10 +39,8 @@ def _nll(x: Tensor, targets: np.ndarray, reduction: str, from_logits: bool) -> T
             f"target labels out of range [0, {x.shape[1]}): "
             f"[{targets.min()}, {targets.max()}]"
         )
-    log_probs = x.data
-    if from_logits:
-        shifted = log_probs - log_probs.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     batch = np.arange(targets.shape[0])
     value = -(log_probs[batch, targets].sum())
     scale: np.ndarray | None = None
@@ -54,12 +51,10 @@ def _nll(x: Tensor, targets: np.ndarray, reduction: str, from_logits: bool) -> T
     def _bw(grad: np.ndarray, to_x: Node) -> None:
         full = np.zeros_like(log_probs)
         full[batch, targets] += -(grad if scale is None else grad * scale)
-        if from_logits:
-            full = full - np.exp(log_probs) * full.sum(axis=1, keepdims=True)
+        full = full - np.exp(log_probs) * full.sum(axis=1, keepdims=True)
         to_x._accumulate(full, True)
 
-    op = "cross_entropy" if from_logits else "nll"
-    return Tensor._from_op(value, (x,), op, _bw)
+    return Tensor._from_op(value, (x,), "cross_entropy", _bw)
 
 
 class CrossEntropyLoss:
@@ -80,29 +75,4 @@ class CrossEntropyLoss:
         self.reduction = reduction
 
     def __call__(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        return _nll(logits, targets, self.reduction, from_logits=True)
-
-    def __repr__(self) -> str:
-        return f"CrossEntropyLoss(reduction={self.reduction!r})"
-
-
-class NLLLoss:
-    """Negative log-likelihood over pre-computed log-probabilities."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-        self.reduction = reduction
-
-    def __call__(self, log_probs: Tensor, targets: np.ndarray) -> Tensor:
-        return _nll(log_probs, targets, self.reduction, from_logits=False)
-
-    def __repr__(self) -> str:
-        return f"NLLLoss(reduction={self.reduction!r})"
-
-
-def accuracy_from_logits(logits: Tensor | np.ndarray, targets: np.ndarray) -> float:
-    """Top-1 accuracy in [0, 1] from raw logits."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    preds = data.argmax(axis=1)
-    return float((preds == np.asarray(targets)).mean())
+        return _cross_entropy(logits, targets, self.reduction)

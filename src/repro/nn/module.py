@@ -32,9 +32,6 @@ class Parameter(Tensor):
             np.asarray(data, dtype=get_default_dtype()), requires_grad=True
         )
 
-    def __repr__(self) -> str:
-        return f"Parameter(shape={self.shape}, dtype={self.dtype})"
-
 
 class Module:
     """Base class for all neural-network modules."""
@@ -116,11 +113,6 @@ class Module:
     def eval(self) -> "Module":
         """Switch to evaluation mode (affects dropout, batch norm)."""
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        """Clear gradients on every parameter."""
-        for param in self.parameters():
-            param.zero_grad()
 
     def num_parameters(self) -> int:
         """Total scalar parameter count.
@@ -253,9 +245,3 @@ class Sequential(Module):
         if isinstance(index, slice):
             return Sequential(*self.layers[index])
         return self.layers[index]
-
-    def append(self, layer: Module) -> "Sequential":
-        """Add a layer at the end; returns self for chaining."""
-        self._modules[str(len(self.layers))] = layer
-        self.layers.append(layer)
-        return self

@@ -19,6 +19,8 @@ ordinary tensor ops, their application to the input is one node.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn import init
@@ -64,6 +66,8 @@ class _BatchNorm(Layer):
             raise ValueError(f"num_features must be positive, got {num_features}")
         if not 0.0 < momentum <= 1.0:
             raise ValueError(f"momentum must be in (0, 1], got {momentum}")
+        if not 0.0 < eps < math.inf:  # 1/sqrt(var + eps) must stay finite
+            raise ValueError(f"eps must be > 0 and finite, got {eps}")
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum

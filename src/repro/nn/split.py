@@ -53,14 +53,10 @@ class SmashedBatch:
     """Activations crossing the cut layer for one mini-batch.
 
     ``values`` is detached from the client graph — on the wire only raw
-    numbers travel.  ``batch_size`` feeds the payload-size accounting.
+    numbers travel.
     """
 
     values: np.ndarray
-
-    @property
-    def batch_size(self) -> int:
-        return self.values.shape[0]
 
 
 class ClientHalf(Module):
@@ -161,12 +157,3 @@ class SplitModel:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return self.server.forward(self.client.forward(x))
-
-    def train(self, mode: bool = True) -> "SplitModel":
-        """Propagate train/eval mode to both halves."""
-        self.client.train(mode)
-        self.server.train(mode)
-        return self
-
-    def eval(self) -> "SplitModel":
-        return self.train(False)

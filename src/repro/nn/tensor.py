@@ -216,18 +216,6 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        op = f", op={self.node.op!r}" if self.node else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag}{op})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         """Return the value of a one-element tensor as a Python scalar."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()

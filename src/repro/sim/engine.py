@@ -99,8 +99,10 @@ class Environment:
     def _schedule(
         self, at: float, event: Event, value: Any, seq: int | None = None
     ) -> None:
-        if at < self.now:
-            raise RuntimeError(f"cannot schedule in the past ({at} < {self.now})")
+        if not at >= self.now:  # NaN too: heapq would order it arbitrarily
+            if at < self.now:
+                raise RuntimeError(f"cannot schedule in the past ({at} < {self.now})")
+            raise RuntimeError(f"cannot schedule at time {at}")
         if seq is None:
             seq = next(self._counter)
         heapq.heappush(self._queue, (at, seq, event, value))
@@ -194,6 +196,10 @@ class Environment:
                     )
                 self.step()
             return
+        if until is not None and not until >= self.now:
+            # An earlier deadline would set the clock back; NaN would drain
+            # the queue as if there were none.
+            raise ValueError(f"cannot run until {until}: the clock reads {self.now}")
         while True:
             self._skim()
             if not self._queue:

@@ -58,16 +58,13 @@ class Event:
         else:
             self._callbacks.append(callback)
 
-    def __repr__(self) -> str:
-        state = "triggered" if self.triggered else "pending"
-        return f"{type(self).__name__}({state})"
-
 
 class Timeout(Event):
-    """Event that fires ``delay`` time units after creation."""
+    """Event that fires ``delay`` time units after creation (``inf``: never
+    before any deadline; a ``run()`` that drains the queue fires it last)."""
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN too: it would sit anywhere in the heap
             raise ValueError(f"delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay

@@ -68,6 +68,7 @@ contended policies)
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -96,7 +97,7 @@ class Resource:
     """
 
     def __init__(self, env: Environment, capacity: int) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # NaN too: no request would ever be granted
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.env = env
         self.capacity = capacity
@@ -279,8 +280,8 @@ class FairShareLink:
         policy: SharePolicy | None = None,
         incremental: bool = True,
     ) -> None:
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity_bps must be positive, got {capacity_bps}")
+        if not 0 < capacity_bps < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"capacity_bps must be positive and finite, got {capacity_bps}")
         self.env = env
         self.capacity_bps = capacity_bps
         self.policy = policy if policy is not None else EqualShare()
@@ -311,8 +312,8 @@ class FairShareLink:
         client-aware policies; ``nominal`` declares the static-model
         allocation used by :class:`NominalShare` and as a policy weight.
         """
-        if nbits <= 0:
-            raise ValueError(f"nbits must be positive, got {nbits}")
+        if not 0 < nbits < math.inf:
+            raise ValueError(f"nbits must be positive and finite, got {nbits}")
         flow = _Flow(
             remaining_bits=float(nbits),
             done=Event(self.env),

@@ -84,9 +84,6 @@ class StalenessPolicy:
         """Multiplier applied to an update that is ``staleness`` rounds old."""
         return 1.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r}, max_lag={self.max_lag})"
-
 
 class SyncBarrier(StalenessPolicy):
     """Degenerate policy: the paper's per-round barrier.

@@ -203,9 +203,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
     # ------------------------------------------------------------------
     # aggregations
     # ------------------------------------------------------------------

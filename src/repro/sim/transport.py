@@ -85,9 +85,6 @@ class TransportCodec:
             out[key] = arr
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name!r})"
-
 
 @dataclass(frozen=True)
 class Float32Codec(TransportCodec):

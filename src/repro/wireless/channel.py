@@ -98,10 +98,6 @@ class WirelessChannel:
         self._path_loss_db = [self._price_path_loss_db(c) for c in range(n)]
         self._min_snr_linear = db_to_linear(self.config.min_snr_db)
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.distances_m)
-
     def _price_path_loss_db(self, client: int) -> float:
         cfg = self.config
         d = max(self.distances_m[client], cfg.reference_distance_m)

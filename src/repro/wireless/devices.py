@@ -43,11 +43,6 @@ class DeviceProfile:
         check_positive("flops_per_second", self.flops_per_second)
         check_non_negative("storage_bytes", self.storage_bytes)
 
-    def compute_time(self, flops: float) -> float:
-        """Seconds to execute ``flops`` floating-point operations."""
-        check_non_negative("flops", flops)
-        return flops / self.flops_per_second
-
 
 def client_speeds(
     num_clients: int,
@@ -119,10 +114,6 @@ class DeviceFleet:
         )
         self.device_classes = tuple(device_classes) if device_classes else None
         self.clients = [DeviceProfile(name, speed) for name, speed in speeds]
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
 
     def client(self, index: int) -> DeviceProfile:
         return self.clients[index]

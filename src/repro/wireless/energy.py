@@ -15,7 +15,6 @@ experiment already run — no scheme changes needed.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.sim.trace import TraceRecorder
@@ -152,27 +151,3 @@ class EnergyModel:
         for report in self.per_client_energy(recorder, total_span_s).values():
             total = total + report
         return total
-
-    def energy_by_round(self, recorder: TraceRecorder) -> dict[int, float]:
-        """Total client energy (J, excl. idle) per training round."""
-        per_round: dict[int, float] = defaultdict(float)
-        for event in recorder.events:
-            if not event.actor.startswith("client-"):
-                continue
-            if event.phase in _CLIENT_TX_PHASES:
-                power = self.tx_power_w
-            elif event.phase in _CLIENT_RX_PHASES:
-                power = self.rx_power_w
-            elif event.phase in _CLIENT_RELAY_PHASES:
-                if event.detail == "uplink":
-                    power = self.tx_power_w
-                elif event.detail == "downlink":
-                    power = self.rx_power_w
-                else:
-                    power = self.tx_power_w / 2
-            elif event.phase in _CLIENT_COMPUTE_PHASES:
-                power = self.compute_power_w
-            else:
-                continue
-            per_round[event.round_index] += power * event.duration
-        return dict(per_round)

@@ -96,25 +96,3 @@ class WirelessSystem:
         self.allocator: BandwidthAllocator = make_allocator(
             cfg.allocator, cfg.total_bandwidth_hz
         )
-
-    @property
-    def num_clients(self) -> int:
-        return self.config.num_clients
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def link_report(self, bandwidth_hz: float | None = None) -> list[dict[str, float]]:
-        """Per-client distance / SNR / mean-rate table for inspection."""
-        bw = bandwidth_hz or self.allocator.total_bandwidth_hz
-        rows = []
-        for c in range(self.num_clients):
-            rows.append(
-                {
-                    "client": c,
-                    "distance_m": float(self.topology.distance(c)),
-                    "snr_db": self.channel.expected_snr_db(c, bw),
-                    "mean_uplink_mbps": self.channel.mean_uplink_rate_bps(c, bw, 50) / 1e6,
-                }
-            )
-        return rows

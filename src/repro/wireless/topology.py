@@ -74,9 +74,3 @@ class NetworkTopology:
     def distances(self) -> np.ndarray:
         """All client-to-AP distances."""
         return np.array([self.distance(i) for i in range(self.num_clients)])
-
-    def __repr__(self) -> str:
-        return (
-            f"NetworkTopology(num_clients={self.num_clients}, "
-            f"cell_radius_m={self.cell_radius_m})"
-        )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from repro import nn
+from repro.data import gtsrb
 from repro.data.dataset import ArrayDataset
 from repro.experiments.scenario import fast_scenario
 
@@ -93,3 +94,24 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * eps)
     return grad
+
+
+def render_sign(
+    label: int,
+    size: int,
+    rng: np.random.Generator,
+    noise_std: float = 0.08,
+    jitter: float = 0.25,
+    max_shift: int = 2,
+    blur_prob: float = 0.3,
+    occlusion_prob: float = 0.15,
+) -> np.ndarray:
+    """One augmented sample of class ``label``: the ``n = 1`` call of the
+    class renderer every split is built by, a float64 RGB image of shape
+    ``(3, size, size)`` in [0, 1]."""
+    out = np.empty((1, 3, size, size))
+    work = np.empty((2, 1, 3, size, size))
+    gtsrb._render_class(
+        label, out, work, rng, noise_std, jitter, max_shift, blur_prob, occlusion_prob
+    )
+    return out[0]

@@ -16,8 +16,12 @@ from repro.core.aggregation import (
     fedavg,
     weighted_delta,
 )
-from repro.nn.serialize import pack_state
-from tests.reference.aggregation import frozen_gemv, running_sum_reference, summation_bound
+from tests.reference.aggregation import (
+    frozen_gemv,
+    pack_state,
+    running_sum_reference,
+    summation_bound,
+)
 
 
 def make_states(num, seed=0, shape=(3, 2)):

@@ -16,8 +16,8 @@ from repro.data.gtsrb import (
     GtsrbConfig,
     SyntheticGTSRB,
     class_spec,
-    render_sign,
 )
+from tests.conftest import render_sign
 
 
 class TestClassSpec:
@@ -164,7 +164,8 @@ class TestSyntheticGTSRB:
             opt.zero_grad()
             loss_fn(model(Tensor(train.images)), train.labels).backward()
             opt.step()
-        acc = nn.accuracy_from_logits(model(Tensor(test.images)), test.labels)
+        predicted = model(Tensor(test.images)).data.argmax(axis=1)
+        acc = float((predicted == test.labels).mean())
         assert acc > 0.5  # chance is 0.2
 
 

@@ -32,9 +32,10 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.cli import main
-from repro.data.gtsrb import NUM_CLASSES, GtsrbConfig, SyntheticGTSRB, render_sign
+from repro.data.gtsrb import NUM_CLASSES, GtsrbConfig, SyntheticGTSRB
 from repro.experiments.scenario import fast_scenario, paper_scenario
 from repro.utils.rng import new_rng
+from tests.conftest import render_sign
 from tests.reference import assert_same
 from tests.reference.data import oracle_render_sign, oracle_train_test
 

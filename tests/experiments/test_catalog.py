@@ -81,7 +81,9 @@ class TestPresetEquality:
         for scenario in (get_scenario("fast"), fast_scenario(with_wireless=True)):
             scheme = make_scheme("GSFL", scenario.build())
             history = scheme.run(1)
-            runs.append((history.losses, history.accuracies, history.latencies))
+            points = history.points
+            runs.append(([p.train_loss for p in points], history.accuracies,
+                         [p.latency_s for p in points]))
         assert runs[0] == runs[1]
 
     def test_every_world_builds_and_validates(self):

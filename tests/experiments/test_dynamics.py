@@ -278,7 +278,7 @@ class TestSchemesUnderDynamics:
         )
         scheme = make_scheme(name, scenario.build())
         history = scheme.run(3)
-        assert len(history) == 3
+        assert len(history.points) == 3
         assert np.isfinite(history.total_latency_s)
 
     def test_gsfl_churn_changes_latency_and_participation(self):
@@ -311,7 +311,7 @@ class TestSchemesUnderDynamics:
         )
         scheme = make_scheme("FL", scenario.build())
         history = scheme.run(3)
-        assert len(history) == 3
+        assert len(history.points) == 3
         assert history.total_latency_s > 1.0  # spans a waited-out window
         lats = [p.latency_s for p in history.points]
         assert all(b > a for a, b in zip(lats, lats[1:]))
@@ -345,7 +345,7 @@ class TestSchemesUnderDynamics:
 
         scheme.dynamics = Nobody()
         history = scheme.run(1)
-        assert len(history) == 1
+        assert len(history.points) == 1
         assert history.total_latency_s == 0.0
 
 

@@ -119,7 +119,7 @@ class TestScenario:
         built = sc.build()
         scheme = make_scheme("GSFL", built)
         history = scheme.run(1)
-        assert len(history) == 1
+        assert len(history.points) == 1
 
 
 class TestRunner:
@@ -133,7 +133,7 @@ class TestRunner:
     def test_run_schemes_returns_all(self, built_fast_scenario):
         histories = run_schemes(built_fast_scenario, ["SL", "GSFL"], num_rounds=1)
         assert set(histories) == {"SL", "GSFL"}
-        assert all(len(h) == 1 for h in histories.values())
+        assert all(len(h.points) == 1 for h in histories.values())
 
     def test_best_cut_returns_sweep_minimum(self, built_fast_scenario):
         best, sweep = best_cut("GSFL", built_fast_scenario)

@@ -29,7 +29,7 @@ class TestTrainingHistory:
         assert h.final_accuracy == 0.9
         assert h.best_accuracy == 0.9
         assert h.total_latency_s == 3.0
-        assert len(h) == 3
+        assert len(h.points) == 3
 
     def test_best_can_precede_final(self):
         h = make_history("x", [0.9, 0.8])

@@ -60,7 +60,8 @@ def run(forward, shape, dtype, training: bool, steps: int = 1):
         bn = make_layer(shape, rng)
         bn.train(training)
         for _ in range(steps):
-            bn.zero_grad()
+            for param in bn.parameters():
+                param.zero_grad()
             x = Tensor(rng.normal(loc=0.7, scale=1.8, size=shape), requires_grad=True)
             upstream = rng.normal(size=shape).astype(dtype)
             out = forward(bn, x)

@@ -1,5 +1,5 @@
 """Convolution / max-pooling functional op tests, including
-finite-difference gradient checks through im2col/col2im."""
+finite-difference gradient checks through the patch matrix and col2im."""
 
 from __future__ import annotations
 
@@ -11,22 +11,28 @@ from repro.nn.tensor import Tensor
 from tests.conftest import numeric_gradient
 
 
+def im2col(x, kernel_h, kernel_w, stride, padding):
+    """Receptive fields as rows: the transpose of the K-major patch matrix
+    that ``conv2d`` hands to BLAS."""
+    return F._im2col_t(x, kernel_h, kernel_w, stride, padding).T
+
+
 class TestIm2Col:
     def test_shapes(self):
         x = np.arange(2 * 3 * 5 * 5, dtype=np.float64).reshape(2, 3, 5, 5)
-        cols = F.im2col(x, 3, 3, stride=1, padding=0)
+        cols = im2col(x, 3, 3, stride=1, padding=0)
         assert cols.shape == (2 * 3 * 3, 3 * 3 * 3)
 
     def test_stride_and_padding_shapes(self):
         x = np.zeros((1, 2, 6, 6))
-        cols = F.im2col(x, 3, 3, stride=2, padding=1)
+        cols = im2col(x, 3, 3, stride=2, padding=1)
         out = F.conv_output_size(6, 3, 2, 1)
         assert cols.shape == (out * out, 2 * 9)
 
     def test_values_match_naive_extraction(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 1, 4, 4))
-        cols = F.im2col(x, 2, 2, stride=1, padding=0)
+        cols = im2col(x, 2, 2, stride=1, padding=0)
         # first patch is x[0,0,:2,:2]
         np.testing.assert_allclose(cols[0], x[0, 0, :2, :2].reshape(-1))
         # last patch is x[0,0,2:,2:]
@@ -36,7 +42,7 @@ class TestIm2Col:
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 6, 6))
-        cols = F.im2col(x, 3, 3, stride=2, padding=1)
+        cols = im2col(x, 3, 3, stride=2, padding=1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
         back = F.col2im(y, x.shape, 3, 3, stride=2, padding=1)

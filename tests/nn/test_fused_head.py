@@ -2,9 +2,9 @@
 
 ``F.linear`` used to be three autograd nodes (``transpose`` → ``matmul`` →
 ``add``) and ``CrossEntropyLoss`` five (``log_softmax`` → ``getitem`` →
-``sum`` → ``neg`` → ``mul``; ``NLLLoss`` the last four).  Each is now one
-node.  The composed versions live on, frozen, as the reference in
-``tests/reference/nn_ops.py`` (``src/`` keeps one code path).
+``sum`` → ``neg`` → ``mul``).  Each is now one node.  The composed
+versions live on, frozen, as the reference in ``tests/reference/nn_ops.py``
+(``src/`` keeps one code path).
 
 Unlike the BatchNorm fusion nothing reassociates: a fused node evaluates
 the numpy expressions of its chain in the chain's order on operands of the
@@ -22,7 +22,7 @@ from repro.nn import functional as F
 from repro.nn.tensor import Node, Tensor, no_grad
 from tests.conftest import numeric_gradient
 from tests.reference import assert_same
-from tests.reference.nn_ops import composed_cross_entropy, composed_linear, composed_nll
+from tests.reference.nn_ops import composed_cross_entropy, composed_linear
 
 # ----------------------------------------------------------------------
 # helpers
@@ -80,17 +80,12 @@ def fused_cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "m
     return nn.CrossEntropyLoss(reduction)(logits, targets)
 
 
-def fused_nll(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    return nn.NLLLoss(reduction)(log_probs, targets)
-
-
-def run_loss(loss, shape, dtype, reduction, from_log_probs=False):
+def run_loss(loss, shape, dtype, reduction):
     rng = np.random.default_rng([*shape, len(reduction)])
     with nn.default_dtype(dtype):
         logits = Tensor(rng.normal(scale=3.0, size=shape), requires_grad=True)
         targets = rng.integers(0, shape[1], size=shape[0])
-        x = logits.log_softmax(axis=1) if from_log_probs else logits
-        value = loss(x, targets, reduction)
+        value = loss(logits, targets, reduction)
         value.backward()
     return value.data, logits.grad
 
@@ -148,16 +143,6 @@ def test_cross_entropy_matches_composed_reference(shape, dtype, reduction):
     assert got[0].shape == () and got[0].dtype == np.dtype(dtype)
 
 
-@pytest.mark.parametrize("reduction", ["mean", "sum"])
-@pytest.mark.parametrize("dtype", DTYPES, ids=IDS)
-@pytest.mark.parametrize("shape", LOGIT_SHAPES, ids=shape_id)
-def test_nll_matches_composed_reference(shape, dtype, reduction):
-    """Fed by an ordinary ``log_softmax`` node, as a user would."""
-    got = run_loss(fused_nll, shape, dtype, reduction, from_log_probs=True)
-    want = run_loss(composed_nll, shape, dtype, reduction, from_log_probs=True)
-    assert_same(got, want)
-
-
 def test_cross_entropy_under_an_upstream_gradient():
     """The loss as an interior node: a non-unit gradient arrives from above."""
     grads = []
@@ -211,13 +196,11 @@ def test_linear_gradcheck():
 
 
 @pytest.mark.parametrize("reduction", ["mean", "sum"])
-@pytest.mark.parametrize("loss_cls", [nn.CrossEntropyLoss, nn.NLLLoss])
-def test_loss_gradcheck(loss_cls, reduction):
-    """For ``NLLLoss`` the input is differentiated as free log-probabilities."""
+def test_loss_gradcheck(reduction):
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     targets = rng.integers(0, 4, size=5)
-    loss_fn = loss_cls(reduction)
+    loss_fn = nn.CrossEntropyLoss(reduction)
     loss_fn(x, targets).backward()
     numeric = numeric_gradient(lambda: float(loss_fn(x, targets).item()), x.data)
     np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-6)
@@ -240,10 +223,6 @@ def test_each_call_is_one_node():
     composed = composed_cross_entropy(composed_linear(x, layer.weight, layer.bias), targets)
     assert graph_size(composed) == 8
 
-    log_probs = out.log_softmax(axis=1)
-    nll = nn.NLLLoss()(log_probs, targets)
-    assert nll.node.op == "nll" and nll.node.parents == (log_probs.node,)
-
 
 def test_under_no_grad_nothing_is_kept():
     rng = np.random.default_rng(0)
@@ -252,8 +231,7 @@ def test_under_no_grad_nothing_is_kept():
     with no_grad():
         out = layer(x)
         loss = nn.CrossEntropyLoss()(out, rng.integers(0, 3, size=4))
-        nll = nn.NLLLoss()(out.log_softmax(axis=1), rng.integers(0, 3, size=4))
-    for tensor in (out, loss, nll):
+    for tensor in (out, loss):
         assert not tensor.requires_grad
         assert tensor.node is None
 

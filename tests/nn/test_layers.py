@@ -26,13 +26,6 @@ class TestModuleRegistration:
         small_cnn.train()
         assert all(m.training for m in small_cnn.modules())
 
-    def test_zero_grad_clears(self, small_cnn, image_batch):
-        x, y = image_batch
-        nn.CrossEntropyLoss()(small_cnn(Tensor(x)), y).backward()
-        assert any(p.grad is not None for p in small_cnn.parameters())
-        small_cnn.zero_grad()
-        assert all(p.grad is None for p in small_cnn.parameters())
-
 
 class TestStateDict:
     def test_roundtrip_preserves_outputs(self, small_cnn, image_batch):
@@ -114,6 +107,15 @@ class TestConvPoolLayers:
 
     def test_pool_shapes(self):
         assert nn.MaxPool2d(2).output_shape((4, 8, 8)) == (4, 4, 4)
+        assert nn.MaxPool2d(3, stride=1).output_shape((4, 8, 8)) == (4, 6, 6)
+
+    @pytest.mark.parametrize("kernel, stride", [(0, None), (-1, None), (2, 0), (2, -1)])
+    def test_pool_geometry_validation(self, kernel, stride):
+        """Checked at construction, as ``Conv2d`` does: ``stride=0`` used to
+        raise ZeroDivisionError at the first forward, ``stride=-1`` a
+        conv-size error there."""
+        with pytest.raises(ValueError, match="geometry"):
+            nn.MaxPool2d(kernel, stride=stride)
 
     def test_conv_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -131,12 +133,6 @@ class TestSequential:
         assert len(small_cnn) == 5
         assert isinstance(small_cnn[0], nn.Conv2d)
         assert len(list(iter(small_cnn))) == 5
-
-    def test_append(self):
-        seq = nn.Sequential(nn.Linear(4, 4, seed=0))
-        seq.append(nn.ReLU())
-        assert len(seq) == 2
-        assert len(list(seq.parameters())) == 2  # weight+bias from linear
 
     def test_forward_chains(self):
         seq = nn.Sequential(nn.Linear(4, 3, seed=0), nn.ReLU(), nn.Linear(3, 2, seed=1))

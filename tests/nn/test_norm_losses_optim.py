@@ -85,6 +85,29 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             nn.BatchNorm1d(3, momentum=0.0)
 
+    @pytest.mark.parametrize("cls", [nn.BatchNorm1d, nn.BatchNorm2d])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_eps_must_be_positive_and_finite(self, cls, eps):
+        """``eps = 0`` on a constant channel divides by zero; a negative or
+        NaN one gives NaN outputs with only a RuntimeWarning; an infinite
+        one zeroes every output."""
+        with pytest.raises(ValueError, match="eps"):
+            cls(3, eps=eps)
+
+    @pytest.mark.parametrize(
+        "cls, shape", [(nn.BatchNorm1d, (6, 3)), (nn.BatchNorm2d, (4, 3, 2, 2))]
+    )
+    def test_a_constant_channel_stays_finite(self, cls, shape):
+        """Zero batch variance is what ``eps > 0`` is for: the output is
+        ``beta`` and every gradient finite."""
+        bn = cls(3)
+        x = Tensor(np.full(shape, 7.0), requires_grad=True)
+        out = bn(x)
+        np.testing.assert_array_equal(out.data, np.zeros(shape))
+        out.backward(np.random.default_rng(0).normal(size=shape))
+        for grad in (x.grad, bn.gamma.grad, bn.beta.grad):
+            assert np.isfinite(grad).all()
+
 
 class TestLosses:
     def test_cross_entropy_matches_manual(self):
@@ -124,20 +147,12 @@ class TestLosses:
         with pytest.raises(ValueError):
             nn.CrossEntropyLoss()(Tensor(np.zeros((2, 3))), np.zeros((2, 3)))
 
-    def test_nll_matches_cross_entropy(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-        y = np.array([0, 1, 2, 3])
-        ce = nn.CrossEntropyLoss()(logits, y).item()
-        nll = nn.NLLLoss()(logits.log_softmax(axis=1), y).item()
-        assert abs(ce - nll) < 1e-10
-
-    @pytest.mark.parametrize("loss_cls", [nn.CrossEntropyLoss, nn.NLLLoss])
-    def test_classification_losses_share_one_label_validator(self, loss_cls):
-        """``NLLLoss`` used to index with whatever it was given: ``-1``
-        wrapped to the last class (2.30 instead of an error) and 2-D
-        targets fancy-indexed a number out."""
+    def test_labels_are_validated_before_indexing(self):
+        """A loss that indexes with whatever it is given wraps ``-1`` to the
+        last class (2.30 instead of an error) and fancy-indexes a number
+        out of 2-D targets."""
         log_probs = Tensor(np.log(np.full((2, 10), 0.1)))
-        loss = loss_cls()
+        loss = nn.CrossEntropyLoss()
         with pytest.raises(ValueError, match="range"):
             loss(log_probs, np.array([-1, 0]))
         with pytest.raises(ValueError, match="range"):
@@ -153,10 +168,6 @@ class TestLosses:
         with pytest.raises(ValueError, match="empty batch"):
             loss(Tensor(np.zeros((0, 10))), np.zeros(0, dtype=int))
         assert loss(log_probs, [3, 9]).item() == pytest.approx(np.log(10.0))
-
-    def test_accuracy_from_logits(self):
-        logits = np.array([[1, 0], [0, 1], [1, 0]], dtype=float)
-        assert nn.accuracy_from_logits(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
 
     def test_invalid_reduction(self):
         with pytest.raises(ValueError):
@@ -179,6 +190,15 @@ class TestOptimizers:
         p = nn.Parameter(np.array([1.0]))
         nn.SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0])
+
+    def test_zero_grad_clears(self, small_cnn, image_batch):
+        """The optimizer is the one place a training step clears gradients."""
+        x, y = image_batch
+        opt = nn.SGD(small_cnn.parameters(), lr=0.1)
+        nn.CrossEntropyLoss()(small_cnn(Tensor(x)), y).backward()
+        assert all(p.grad is not None for p in small_cnn.parameters())
+        opt.zero_grad()
+        assert all(p.grad is None for p in small_cnn.parameters())
 
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):

@@ -14,18 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.nn.serialize import (
-    activation_nbytes,
-    clone_state,
-    model_nbytes,
-    pack_state,
-    state_nbits,
-    state_num_scalars,
-    states_allclose,
-    unpack_state,
-)
+from repro.nn.serialize import WIRE_BYTES_PER_SCALAR, state_num_scalars, unpack_state
 from repro.nn.split import split_model
 from repro.nn.tensor import Tensor
+from tests.reference.aggregation import pack_state
+
+
+def clear_grads(model):
+    for param in model.parameters():
+        param.zero_grad()
 
 
 class TestSplitModel:
@@ -55,13 +52,13 @@ class TestSplitModel:
         loss_fn = nn.CrossEntropyLoss()
         sm = split_model(small_cnn, cut)
 
-        small_cnn.zero_grad()
+        clear_grads(small_cnn)
         smashed = sm.client.forward_to_smashed(x)
         _, sg, _ = sm.server.forward_backward(smashed, y, loss_fn)
         sm.client.backward_from_gradient(sg)
         split_grads = {n: p.grad.copy() for n, p in small_cnn.named_parameters()}
 
-        small_cnn.zero_grad()
+        clear_grads(small_cnn)
         loss_fn(small_cnn(Tensor(x)), y).backward()
         full_grads = {n: p.grad.copy() for n, p in small_cnn.named_parameters()}
 
@@ -90,17 +87,29 @@ class TestSplitModel:
             sm.client.backward_from_gradient(np.zeros((1, 1)))
 
     def test_smashed_batch_metadata(self, small_cnn, image_batch):
+        """The activations a client sends have the shape the profile prices
+        the payload from, at every cut, and carry no graph."""
         x, _ = image_batch
-        sm = split_model(small_cnn, 1)
-        smashed = sm.client.forward_to_smashed(x)
-        assert smashed.batch_size == 4
+        profile = nn.profile_model(small_cnn, x.shape[1:])
+        for cut in range(1, len(small_cnn)):
+            smashed = split_model(small_cnn, cut).client.forward_to_smashed(x)
+            assert type(smashed.values) is np.ndarray
+            assert smashed.values.shape == (len(x), *profile.smashed_shape(cut))
+            assert smashed.values.size * WIRE_BYTES_PER_SCALAR == profile.smashed_bytes(
+                cut, len(x)
+            )
 
     def test_train_eval_mode_propagates(self, small_cnn):
+        """The halves hold the model's own layers, so a mode switch on the
+        model reaches both, and one on a half reaches only its layers."""
         sm = split_model(small_cnn, 2)
-        sm.eval()
-        assert not small_cnn[0].training
-        sm.train()
-        assert small_cnn[0].training
+        client, server = list(sm.client.layers), list(sm.server.layers)
+        assert all(a is b for a, b in zip(client + server, small_cnn, strict=True))
+        small_cnn.eval()
+        assert not any(layer.training for layer in client + server)
+        sm.client.train()
+        assert all(layer.training for layer in client)
+        assert not any(layer.training for layer in server)
 
     def test_split_training_reduces_loss(self, small_cnn, small_dataset):
         """End-to-end split SGD actually learns."""
@@ -125,39 +134,23 @@ class TestSplitModel:
 
 
 class TestSerialization:
-    def test_scalar_and_byte_counts(self, small_cnn):
+    def test_scalar_count(self, small_cnn):
         state = small_cnn.state_dict()
         n = state_num_scalars(state)
         assert n == small_cnn.num_parameters()
-        assert model_nbytes(small_cnn) == 4 * n
-        assert state_nbits(state) == 32 * n
-
-    def test_activation_bytes(self):
-        assert activation_nbytes((3, 8, 8), batch_size=2) == 3 * 8 * 8 * 2 * 4
+        assert nn.profile_model(small_cnn, (2, 8, 8)).total_param_bytes == (
+            WIRE_BYTES_PER_SCALAR * n
+        )
 
     def test_pack_unpack_roundtrip(self, small_cnn):
         state = small_cnn.state_dict()
-        vec = pack_state(state)
-        restored = unpack_state(vec, state)
-        assert states_allclose(state, restored)
+        restored = unpack_state(pack_state(state), state)
+        assert_same_state(state, restored)
 
     def test_unpack_size_mismatch(self, small_cnn):
         state = small_cnn.state_dict()
         with pytest.raises(ValueError):
             unpack_state(np.zeros(3), state)
-
-    def test_pack_empty_state(self):
-        assert pack_state({}).size == 0
-
-    def test_clone_state_is_deep(self, small_cnn):
-        state = small_cnn.state_dict()
-        cloned = clone_state(state)
-        key = next(iter(state))
-        cloned[key] += 1.0
-        assert not np.allclose(cloned[key], state[key])
-
-    def test_states_allclose_detects_key_mismatch(self):
-        assert not states_allclose({"a": np.ones(2)}, {"b": np.ones(2)})
 
     @given(st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
@@ -170,4 +163,13 @@ class TestSerialization:
         vec = pack_state(template)
         assert vec.size == rows * cols + cols
         restored = unpack_state(vec, template)
-        assert states_allclose(template, restored)
+        assert_same_state(template, restored)
+
+
+def assert_same_state(a, b):
+    """Same keys in the same order, each entry of the same shape and
+    bitwise equal (a broadcast never passes)."""
+    assert list(a) == list(b)
+    for key in a:
+        assert np.asarray(a[key]).shape == np.asarray(b[key]).shape, key
+        np.testing.assert_array_equal(a[key], b[key])

@@ -321,10 +321,10 @@ def _batch_norm(layer_cls, shape, training):
     return build
 
 
-def _loss(loss_cls):
+def _loss(loss_cls, reduction="mean"):
     def build(rng):
         x, targets = _leaf(rng, 5, 4), rng.integers(0, 4, size=5)
-        return [x], lambda x: loss_cls()(x, targets)
+        return [x], lambda x: loss_cls(reduction)(x, targets)
 
     return build
 
@@ -386,11 +386,14 @@ OP_CASES = {
     "max_pool2d": _unary(lambda x: F.max_pool2d(x, 2), 2, 2, 4, 4),
     "max_pool2d_overlapping": _unary(lambda x: F.max_pool2d(x, 3, stride=1), 2, 2, 5, 5),
     "max_pool2d_ragged": _unary(lambda x: F.max_pool2d(x, 2), 2, 2, 5, 5),
+    # stride > kernel: entries between the windows get no gradient
+    "max_pool2d_sparse": _unary(lambda x: F.max_pool2d(x, 2, stride=3), 2, 2, 5, 5),
     "batch_norm2d": _batch_norm(nn.BatchNorm2d, (4, 3, 2, 2), True),
     "batch_norm1d": _batch_norm(nn.BatchNorm1d, (6, 3), True),
     "batch_norm2d_eval": _batch_norm(nn.BatchNorm2d, (4, 3, 2, 2), False),
     "cross_entropy": _loss(nn.CrossEntropyLoss),
-    "nll": _loss(nn.NLLLoss),
+    # the unscaled branch of the backward
+    "cross_entropy_sum": _loss(nn.CrossEntropyLoss, "sum"),
 }
 
 

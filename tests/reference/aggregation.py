@@ -5,14 +5,21 @@ held to it byte for byte (``tests/core/test_aggregation.py``).
 ``running_sum_reference`` is the running sum FL's sync round adds each
 trained model into; ``RunningFedAvg`` is held to it byte for byte, and
 ``fedavg`` to within ``summation_bound`` of it
-(``tests/schemes/test_round_working_set.py`` too).
+(``tests/schemes/test_round_working_set.py`` too).  ``pack_state`` is
+the flat row they all read: the inverse of ``repro.nn.serialize.unpack_state``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.serialize import pack_state
+
+def pack_state(state):
+    """Flatten a state dict into one vector in key order; its dtype is the
+    numpy promotion of the entries' (a float32 state packs to float32)."""
+    if not state:
+        return np.zeros(0)
+    return np.concatenate([np.asarray(v).reshape(-1) for v in state.values()])
 
 
 def frozen_gemv(states, weights):

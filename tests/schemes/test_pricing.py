@@ -56,8 +56,9 @@ class TestComputePricing:
         cut = 2
         client = compute_s(pricing.client_forward_demand(0, cut))
         # same FLOPs on the edge server of the fleet
-        server_equiv = pricing.system.fleet.server.compute_time(
+        server_equiv = (
             pricing.profile.client_forward_flops(cut) * pricing.batch_size
+            / pricing.system.fleet.server.flops_per_second
         )
         assert client > server_equiv
 

@@ -17,7 +17,7 @@ def built():
 class TestParallelSplitLearning:
     def test_runs_and_learns(self, built):
         history = make_scheme("PSL", built).run(4)
-        assert len(history) == 4
+        assert len(history.points) == 4
         assert history.final_accuracy > 0.15  # chance 0.1
 
     def test_single_server_replica(self, built):
@@ -69,7 +69,7 @@ class TestFailureInjection:
         for key in before:
             np.testing.assert_allclose(before[key], after[key])
         assert scheme.skipped_clients_total == 2 * len(built.client_datasets)
-        assert np.isnan(history.losses).all()
+        assert np.isnan([p.train_loss for p in history.points]).all()
 
     def test_failed_clients_send_nothing(self, built):
         scheme = make_scheme("GSFL", built, failure_rate=1.0)

@@ -39,7 +39,9 @@ def _assert_identical(a, b):
     """Same history, bitwise, and every client loader in the same state."""
     ha, hb = a.history, b.history
     np.testing.assert_array_equal(ha.accuracies, hb.accuracies)
-    np.testing.assert_array_equal(ha.latencies, hb.latencies)
+    np.testing.assert_array_equal(
+        [p.latency_s for p in ha.points], [p.latency_s for p in hb.points]
+    )
     np.testing.assert_array_equal(
         [p.train_loss for p in ha.points], [p.train_loss for p in hb.points]
     )
@@ -62,7 +64,7 @@ class TestSameSeedSameRun:
         _assert_identical(_run("GSFL", **kwargs), _run("GSFL", **kwargs))
 
     def test_three_rounds_fill_three_points(self):
-        assert len(_run("GSFL", rounds=3).history) == 3
+        assert len(_run("GSFL", rounds=3).history.points) == 3
 
 
 class TestLoadersAdvance:

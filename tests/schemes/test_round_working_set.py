@@ -30,11 +30,10 @@ from repro.core.aggregation import fedavg
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
-from repro.nn.serialize import pack_state
 from repro.schemes import federated, split_common
 from repro.schemes.centralized import CentralizedLearning
 from repro.utils.rng import new_rng
-from tests.reference.aggregation import running_sum_reference, summation_bound
+from tests.reference.aggregation import pack_state, running_sum_reference, summation_bound
 
 MB = 1e6
 

@@ -82,7 +82,7 @@ def replay(tracks, slowdowns=None):
     total = SyncBarrier().resolve_round(
         runtime, [stage], recorder, 0, compute_slowdown=slowdowns
     )
-    log = [(e.start, e.end, e.actor) for e in recorder]
+    log = [(e.start, e.end, e.actor) for e in recorder.events]
     return total, log
 
 

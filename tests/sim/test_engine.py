@@ -32,6 +32,50 @@ class TestEventPrimitives:
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
+    def test_timeout_nan_delay_rejected(self):
+        """A NaN deadline compares false with everything, so ``heapq`` would
+        order it anywhere and the clock could read NaN."""
+        env = Environment()
+        with pytest.raises(ValueError, match="nan"):
+            env.timeout(float("nan"))
+        assert env.pending == 0
+
+    def test_schedule_at_nan_rejected(self):
+        env = Environment()
+        with pytest.raises(RuntimeError, match="nan"):
+            env._schedule(float("nan"), Event(env), None)
+
+    @pytest.mark.parametrize("until", [2.0, float("nan")])
+    def test_run_until_the_past_or_nan_rejected(self, until):
+        """A deadline behind the clock used to set it back to the deadline,
+        with later events still queued; NaN drained the whole queue."""
+        env = Environment()
+        env.timeout(5.0)
+        env.timeout(10.0)
+        env.run(until=6.0)
+        with pytest.raises(ValueError, match="clock reads 6.0"):
+            env.run(until=until)
+        assert env.now == 6.0 and env.pending == 1
+        env.run(until=6.0)  # the present is a no-op
+        assert env.now == 6.0
+
+    def test_infinite_delay_means_never(self):
+        env = Environment()
+        never = env.timeout(float("inf"))
+        env.timeout(1.0)
+        env.run(until=5.0)
+        assert env.now == 5.0 and not never.triggered
+
+    def test_a_draining_run_pops_an_infinite_delay_last(self):
+        """Without a deadline ``run()`` empties the queue, so an ``inf``
+        timeout fires after every finite one, with the clock at ``inf``."""
+        env = Environment()
+        fired = []
+        env.timeout(float("inf")).add_callback(lambda _: fired.append(env.now))
+        env.timeout(1.0).add_callback(lambda _: fired.append(env.now))
+        env.run()
+        assert fired == [1.0, float("inf")] and env.pending == 0
+
 
 class TestEnvironment:
     def test_clock_advances_in_event_order(self):

@@ -56,9 +56,11 @@ class TestResource:
         with pytest.raises(RuntimeError):
             res.release()
 
-    def test_invalid_capacity(self):
+    @pytest.mark.parametrize("capacity", [0, -1, float("nan")])
+    def test_invalid_capacity(self, capacity):
+        """A NaN capacity used to be accepted and then grant nothing."""
         with pytest.raises(ValueError):
-            Resource(Environment(), capacity=0)
+            Resource(Environment(), capacity=capacity)
 
 
 class TestFairShareLink:
@@ -106,6 +108,18 @@ class TestFairShareLink:
         link = FairShareLink(env, 10)
         with pytest.raises(ValueError):
             link.transfer(0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_and_infinite_capacity_or_size_rejected(self, value):
+        """``<= 0`` let NaN through: a NaN capacity or size makes every
+        finish time NaN; an infinite one never finishes or finishes at 0."""
+        env = Environment()
+        with pytest.raises(ValueError, match="finite"):
+            FairShareLink(env, capacity_bps=value)
+        link = FairShareLink(env, 10)
+        with pytest.raises(ValueError, match="finite"):
+            link.transfer(value)
+        assert link.active_flows == 0 and env.pending == 0
 
     @given(st.lists(st.floats(10.0, 500.0), min_size=1, max_size=5))
     @settings(max_examples=20, deadline=None)

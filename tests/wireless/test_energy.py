@@ -48,7 +48,6 @@ class TestEnergyModel:
         model = EnergyModel(tx_power_w=1.0, idle_power_w=0.0)
         report = model.client_energy(rec, "client-0")
         assert report.tx_j == pytest.approx(0.5)
-        assert model.energy_by_round(rec)[0] == pytest.approx(0.5)
 
     def test_idle_accounting(self):
         model = EnergyModel(idle_power_w=0.1)
@@ -72,14 +71,6 @@ class TestEnergyModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             EnergyModel(tx_power_w=-1.0)
-
-    def test_energy_by_round(self):
-        rec = TraceRecorder()
-        rec.record(0.0, 1.0, "client_compute", "client-0", 0)
-        rec.record(5.0, 6.0, "client_compute", "client-0", 1)
-        model = EnergyModel(compute_power_w=2.0)
-        per_round = model.energy_by_round(rec)
-        assert per_round == {0: pytest.approx(2.0), 1: pytest.approx(2.0)}
 
 
 class TestSchemeIntegration:
